@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
                      NotParentChild, UnresolvedLeaf)
 from .families import ForbiddenFamily
-from .oracle import minimal_elements
 from .system import SeparationSystem, fmt_oriented
 from .tree import (StructureTree, classify_all, classify_leaf, is_f_tree,
                    is_structure_tree, restrict, tangles, tree_to_json_dict)
@@ -24,13 +23,12 @@ from .tree import (StructureTree, classify_all, classify_leaf, is_f_tree,
 class BuildConfig:
     """Choices the construction leaves open, pinned for reproducibility.
 
-    ``tiebreak`` picks among minimum-order candidate separations (only
-    "least-id" is defined: the smallest separation id wins).  ``child_order``
-    fixes which orientation labels the first child.  ``max_nodes`` is a
-    safety cap; exceeding the structural bound would mean a bug.
+    Among minimum-order candidate separations the smallest id always wins.
+    ``child_order`` fixes which orientation labels the first child.
+    ``max_nodes`` is a safety cap; exceeding the structural bound would mean
+    a bug.
     """
 
-    tiebreak: str = "least-id"
     child_order: str = "forward-first"
     max_nodes: int | None = None
 
@@ -54,8 +52,6 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
     a tree that fails the structure-tree check instead.
     """
     cfg = config or BuildConfig()
-    if cfg.tiebreak != "least-id":
-        raise ValueError(f"unknown tiebreak rule {cfg.tiebreak!r}")
     forward_first = cfg.child_order == "forward-first"
     cap = cfg.node_cap(system)
     tree = StructureTree.single_root(system)
@@ -103,22 +99,27 @@ def necessary_for_leaf(tree, family, o: int, leaf: int,
     cls = cls or classify_leaf(tree, leaf, family)
     beta = tree.beta(leaf)
     if cls.kind == "tangle":
-        return o in beta and o in minimal_elements(tree.system, beta)
+        return o in beta and o in tree.system.minimal_elements(beta)
     if cls.kind == "forbidden":
         return family.forbidden_subset(tree.system, beta - {o}) is None
     raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
 
 
-def necessary_node(tree, family, v: int, classes=None) -> bool:
-    """Every child edge label is necessary for some leaf behind it."""
-    classes = classes or classify_all(tree, family)
+def _dispensable_child(tree, family, v: int, classes) -> int | None:
+    """First child of v whose edge label no leaf behind it needs, or None."""
     for w in tree.children(v):
         o = tree.label(w)
         if not any(tree.is_ancestor(w, leaf) and
                    necessary_for_leaf(tree, family, o, leaf, classes[leaf])
                    for leaf in tree.leaves()):
-            return False
-    return True
+            return w
+    return None
+
+
+def necessary_node(tree, family, v: int, classes=None) -> bool:
+    """Every child edge label is necessary for some leaf behind it."""
+    classes = classes or classify_all(tree, family)
+    return _dispensable_child(tree, family, v, classes) is None
 
 
 @dataclass
@@ -150,16 +151,9 @@ def reduce(tree: StructureTree, family: ForbiddenFamily,
         target = None
         for v in sorted(tree.nodes(),
                         key=lambda u: (-tree.depth(u), u)):
-            if tree.is_leaf(v) or necessary_node(tree, family, v, classes):
-                continue
-            for w in tree.children(v):
-                o = tree.label(w)
-                if not any(tree.is_ancestor(w, leaf) and
-                           necessary_for_leaf(tree, family, o, leaf, classes[leaf])
-                           for leaf in tree.leaves()):
-                    target = (v, w)
-                    break
-            if target:
+            w = _dispensable_child(tree, family, v, classes)
+            if w is not None:
+                target = (v, w)
                 break
         if target is None:
             return tree, trace
@@ -198,12 +192,20 @@ class PipelineReport:
 
 
 def certificates_of(tree, family):
-    out = []
-    for leaf in tree.leaves():
-        cls = classify_leaf(tree, leaf, family)
-        if cls.kind == "forbidden":
-            out.append((leaf, cls.witness))
-    return out
+    return [(leaf, cls.witness)
+            for leaf, cls in classify_all(tree, family).items()
+            if cls.kind == "forbidden"]
+
+
+def tangle_entry(system: SeparationSystem, tangle) -> dict:
+    """Output form of a tangle: its members and its minimal elements."""
+    return {"members": sorted(tangle),
+            "minimal": sorted(system.minimal_elements(tangle))}
+
+
+def certificate_entry(leaf: int, witness) -> dict:
+    """Output form of a forbidden leaf and the member it contains."""
+    return {"leaf": leaf, "witness": witness.to_json_dict()}
 
 
 def pipeline(system: SeparationSystem, family: ForbiddenFamily,
@@ -244,27 +246,15 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
 
 def report_to_json_dict(report: PipelineReport) -> dict:
     """Canonical JSON for a pipeline run (format "report/v1")."""
-    system = report.system
-
-    def tangle_entry(t):
-        return {
-            "members": sorted(t),
-            "minimal": sorted(minimal_elements(system, t)),
-        }
-
     def level_entry(lv: LevelReport):
-        sub = lv.tree.system
         return {
             "k": lv.k,
             "tree": tree_to_json_dict(lv.reduced if lv.reduced is not None
                                       else lv.tree),
             "structure_ok": lv.structure_ok,
-            "tangles": [{"members": sorted(t),
-                         "minimal": sorted(minimal_elements(sub, t))}
-                        for t in lv.tangles],
+            "tangles": [tangle_entry(lv.tree.system, t) for t in lv.tangles],
             "f_tree": lv.f_tree,
-            "certificates": [{"leaf": leaf, "witness": w.to_json_dict()}
-                             for leaf, w in lv.certificates],
+            "certificates": [certificate_entry(*c) for c in lv.certificates],
         }
 
     return {
@@ -273,9 +263,8 @@ def report_to_json_dict(report: PipelineReport) -> dict:
         "tree_full": tree_to_json_dict(report.tree_full),
         "tree_reduced": tree_to_json_dict(report.tree_reduced),
         "reduction_steps": [list(s) for s in report.trace.steps],
-        "tangles": [tangle_entry(t) for t in report.tangles],
-        "certificates": [{"leaf": leaf, "witness": w.to_json_dict()}
-                         for leaf, w in report.certificates],
+        "tangles": [tangle_entry(report.system, t) for t in report.tangles],
+        "certificates": [certificate_entry(*c) for c in report.certificates],
         "per_k": [level_entry(lv) for lv in report.levels],
     }
 

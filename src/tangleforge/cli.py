@@ -4,7 +4,8 @@ Exit codes form a contract shell pipelines can branch on:
   0  success (a tangle exists where that was the question)
   1  certificate: the requested level has no tangle and an all-forbidden
      tree proves it
-  2  invalid input (the message names the violated axiom)
+  2  invalid input: the message names the violated axiom, the bad family
+     spec field, or the unreadable input file
   3  enumeration budget exceeded
 
 All outputs are byte-identical across runs on identical inputs.
@@ -19,12 +20,16 @@ import sys
 from pathlib import Path
 
 from . import families, grounds, oracle, system as system_mod, tree as tree_mod
-from .build import certificates_of, dump_report, pipeline
+from .build import (certificate_entry, certificates_of, dump_report, pipeline,
+                    tangle_entry)
 from .build import build as build_tree
 from .build import reduce as reduce_tree
-from .errors import BudgetExceeded, TangleForgeError
+from .errors import BudgetExceeded, TangleForgeError, ValidationError
 
 ENV_BUDGET = "TANGLE_FORGE_BUDGET"
+# --family spellings of family/v1 kinds
+FAMILY_ALIASES = {"strong-profile": "strong_profile", "tangle": "graph_tangle",
+                  "graph-tangle": "graph_tangle"}
 
 
 def _budget(args) -> oracle.OracleBudget:
@@ -36,20 +41,26 @@ def _budget(args) -> oracle.OracleBudget:
     return oracle.OracleBudget(max_separations=n)
 
 
-def _load_ground_system(args):
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read input file {path}: {exc}") from None
+
+
+def _load_ground_system(args, spec):
     chosen = [name for name in ("graph", "similarity", "answers", "system")
               if getattr(args, name, None)]
     if len(chosen) != 1:
         raise TangleForgeError(
             "exactly one of --graph/--similarity/--answers/--system is required")
     kind = chosen[0]
-    text = Path(getattr(args, kind)).read_text()
+    text = _read_text(getattr(args, kind))
     if kind == "system":
         return system_mod.load_system(text)
     if kind == "graph":
         g = grounds.Graph.from_edge_list(text)
-        bound = _system_bound(args)
-        return grounds.graph_system(g, bound)
+        return grounds.graph_system(g, _system_bound(args, spec))
     if kind == "similarity":
         sim = grounds.load_similarity_csv(text)
         ground = grounds.full_bipartition_ground(len(sim), similarity=sim)
@@ -58,37 +69,43 @@ def _load_ground_system(args):
     return grounds.questionnaire_system(g)
 
 
-def _system_bound(args) -> float:
+def _system_bound(args, spec) -> float:
     """Order bound for graph systems: the blocks parameter when the family
     is a blocks family, else the largest requested level, else everything."""
-    fam = getattr(args, "family", None)
-    if fam and fam.startswith("blocks:"):
-        return float(fam.split(":", 1)[1])
+    if spec and spec.get("kind") == "blocks":
+        return float(families.family_parameter(spec))
     ks = getattr(args, "k", None)
     if ks:
         return max(float(k) for k in ks)
     return float("inf")
 
 
-def _make_family(spec: str | None, sys_obj):
+def _family_spec(args) -> dict | None:
+    """``--family`` as a family/v1 dict: a JSON path or ``KIND[:PARAM]``."""
+    spec = getattr(args, "family", None)
+    if spec is None:
+        return None
+    if spec.endswith(".json") or "/" in spec:
+        return json.loads(_read_text(spec))
+    kind, _, param = spec.partition(":")
+    kind = FAMILY_ALIASES.get(kind, kind)
+    d = {"format": "family/v1", "kind": kind}
+    if param and kind in families.PARAMETERS:
+        d[families.PARAMETERS[kind]] = param
+    return d
+
+
+def _make_family(spec: dict | None, sys_obj):
     if spec is None:
         return families.make_empty()
-    if spec.endswith(".json") or "/" in spec:
-        return families.load_family(Path(spec).read_text(), sys_obj)
-    kind, _, param = spec.partition(":")
-    if kind == "empty":
-        return families.make_empty()
-    if kind == "blocks":
-        return families.make_blocks(int(param), sys_obj)
-    if kind == "cluster":
-        return families.make_cluster(int(param), sys_obj)
-    if kind == "profile":
-        return families.make_profile(sys_obj)
-    if kind in ("strong-profile", "strong_profile"):
-        return families.make_strong_profile(sys_obj)
-    if kind in ("tangle", "graph-tangle", "graph_tangle"):
-        return families.make_graph_tangle(sys_obj)
-    raise TangleForgeError(f"unknown family spec {spec!r}")
+    return families.family_from_json(spec, sys_obj)
+
+
+def _load_inputs(args):
+    """The ground system and the family a command is asked about."""
+    spec = _family_spec(args)
+    sys_obj = _load_ground_system(args, spec)
+    return sys_obj, _make_family(spec, sys_obj)
 
 
 def _write(args, text: str):
@@ -109,15 +126,14 @@ def cmd_validate(args) -> int:
     chosen = getattr(args, "system", None)
     if chosen:
         try:
-            d = json.loads(Path(chosen).read_text())
+            d = json.loads(_read_text(chosen))
             sys_obj = system_mod.from_json_dict(d, check=False)
         except (TangleForgeError, KeyError, ValueError) as exc:
             _write(args, _dump({"ok": False, "issues": [str(exc)]}))
             return 2
-        report = system_mod.validate(sys_obj)
     else:
-        sys_obj = _load_ground_system(args)
-        report = system_mod.validate(sys_obj)
+        sys_obj = _load_ground_system(args, _family_spec(args))
+    report = system_mod.validate(sys_obj)
     payload = {
         "ok": report.ok,
         "issues": [{"axiom": i.code, "detail": i.detail} for i in report.issues],
@@ -128,8 +144,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_build(args) -> int:
-    sys_obj = _load_ground_system(args)
-    fam = _make_family(args.family, sys_obj)
+    sys_obj, fam = _load_inputs(args)
     thresholds = [float(k) for k in args.k] if args.k else None
     report = pipeline(sys_obj, fam, thresholds=thresholds)
     if args.format == "dot":
@@ -140,20 +155,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_tangles(args) -> int:
-    sys_obj = _load_ground_system(args)
-    fam = _make_family(args.family, sys_obj)
+    sys_obj, fam = _load_inputs(args)
     t = build_tree(sys_obj, fam)
     ts = tree_mod.tangles(t, fam)
-    payload = [{"members": sorted(tau),
-                "minimal": sorted(oracle.minimal_elements(sys_obj, tau))}
-               for tau in ts]
-    _write(args, _dump(payload))
+    _write(args, _dump([tangle_entry(sys_obj, tau) for tau in ts]))
     return 0
 
 
 def cmd_certify(args) -> int:
-    sys_obj = _load_ground_system(args)
-    fam = _make_family(args.family, sys_obj)
+    sys_obj, fam = _load_inputs(args)
     k = float(args.k[0]) if args.k else float("inf")
     level = sys_obj.restrict_below(k)
     t = build_tree(level, fam)
@@ -162,9 +172,7 @@ def cmd_certify(args) -> int:
         payload = {
             "level": args.k[0] if args.k else "inf",
             "tangle_exists": True,
-            "tangles": [{"members": sorted(tau),
-                         "minimal": sorted(oracle.minimal_elements(level, tau))}
-                        for tau in ts],
+            "tangles": [tangle_entry(level, tau) for tau in ts],
         }
         _write(args, _dump(payload))
         return 0
@@ -176,22 +184,16 @@ def cmd_certify(args) -> int:
             "level": args.k[0] if args.k else "inf",
             "tangle_exists": False,
             "certificate_tree": tree_mod.tree_to_json_dict(reduced),
-            "certificates": [
-                {"leaf": leaf, "witness": w.to_json_dict()}
-                for leaf, w in certificates_of(reduced, fam)],
+            "certificates": [certificate_entry(*c)
+                             for c in certificates_of(reduced, fam)],
         }
         _write(args, _dump(payload))
     return 1
 
 
 def cmd_oracle(args) -> int:
-    sys_obj = _load_ground_system(args)
-    budget = _budget(args)
-    if args.family:
-        fam = _make_family(args.family, sys_obj)
-        result = oracle.all_tangles(sys_obj, fam, budget)
-    else:
-        result = oracle.all_consistent_orientations(sys_obj, budget)
+    sys_obj, fam = _load_inputs(args)
+    result = oracle.all_tangles(sys_obj, fam, _budget(args))
     _write(args, _dump([sorted(t) for t in result]))
     return 0
 
@@ -199,7 +201,7 @@ def cmd_oracle(args) -> int:
 def cmd_restrict(args) -> int:
     if not args.k:
         raise TangleForgeError("restrict needs an order threshold (--k)")
-    t = tree_mod.load_tree(Path(args.tree).read_text())
+    t = tree_mod.load_tree(_read_text(args.tree))
     k = float(args.k[0])
     restricted = tree_mod.restrict(t, k)
     _write(args, tree_mod.dump_tree(restricted) + "\n")
@@ -207,8 +209,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    t = tree_mod.load_tree(Path(args.tree).read_text())
-    fam = _make_family(args.family, t.system)
+    t = tree_mod.load_tree(_read_text(args.tree))
+    fam = _make_family(_family_spec(args), t.system)
     reduced, trace = reduce_tree(t, fam)
     payload = {
         "tree": tree_mod.tree_to_json_dict(reduced),
@@ -219,8 +221,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    t = tree_mod.load_tree(Path(args.tree).read_text())
-    fam = _make_family(args.family, t.system) if args.family else None
+    t = tree_mod.load_tree(_read_text(args.tree))
+    fam = _make_family(_family_spec(args), t.system) if args.family else None
     _write(args, tree_mod.to_dot(t, fam))
     return 0
 

@@ -50,12 +50,11 @@ class ForbiddenFamily:
 
     # -- mapping between the caller's system and the bound one ----------------
 
-    def _translate(self, system: SeparationSystem, members):
+    def _ids_into(self, system: SeparationSystem) -> list[int] | None:
+        """The caller's oriented ids in the bound system, None if the same."""
         if self.system is None or system is self.system:
-            return sorted(members), None
-        up = system.oriented_into(self.system)
-        down = {up[o]: o for o in range(len(up))}
-        return sorted(up[x] for x in members), down
+            return None
+        return system.oriented_into(self.system)
 
     # -- family-specific hooks -------------------------------------------------
 
@@ -86,24 +85,30 @@ class ForbiddenFamily:
 
         return rec([], 0)
 
+    def _extends(self, work: list[int], x: int) -> bool:
+        """Does adding ``x`` to the member-free bound ids ``work`` create a
+        member?  Default falls back to a full subset search; subclasses
+        override with an incremental scan so enumeration stays cheap."""
+        return self._search(sorted(set(work) | {x})) is not None
+
     # -- public API --------------------------------------------------------------
 
     def forbidden_subset(self, system: SeparationSystem, members) -> Witness | None:
         """Some member inside ``members``, or None; deterministic choice."""
-        work, down = self._translate(system, members)
-        hit = self._search(work)
+        up = self._ids_into(system)
+        hit = self._search(sorted(members if up is None
+                                  else (up[x] for x in members)))
         if hit is None:
             return None
-        out = hit if down is None else frozenset(down[x] for x in hit)
+        out = hit if up is None else frozenset(up.index(x) for x in hit)
         return Witness(out, self.kind, self.evidence(hit))
 
     def extends_member(self, system: SeparationSystem, members, new: int) -> bool:
-        """Does adding ``new`` to a member-free set create a member?
-
-        Default falls back to a full subset search; subclasses override with
-        an incremental scan so enumeration stays cheap.
-        """
-        return self.forbidden_subset(system, frozenset(members) | {new}) is not None
+        """Does adding ``new`` to a member-free set create a member?"""
+        up = self._ids_into(system)
+        if up is None:
+            return self._extends(sorted(members), new)
+        return self._extends(sorted(up[x] for x in members), up[new])
 
     def to_json_dict(self):
         return {"format": "family/v1", "kind": self.kind}
@@ -119,10 +124,10 @@ class EmptyFamily(ForbiddenFamily):
     def is_member(self, members):
         return False
 
-    def forbidden_subset(self, system, members):
+    def _search(self, work):
         return None
 
-    def extends_member(self, system, members, new):
+    def _extends(self, work, x):
         return False
 
 
@@ -150,11 +155,9 @@ class ExplicitFamily(ForbiddenFamily):
             return None
         return min(inside, key=lambda m: sorted(m))
 
-    def extends_member(self, system, members, new):
-        work, _ = self._translate(system, frozenset(members) | {new})
-        ws = set(work)
-        n = self._translate(system, {new})[0][0]
-        return any(n in m and m <= ws for m in self.members)
+    def _extends(self, work, x):
+        ws = set(work) | {x}
+        return any(x in m and m <= ws for m in self.members)
 
     def to_json_dict(self):
         return {
@@ -208,9 +211,8 @@ class BlocksFamily(ForbiddenFamily):
                 break
         return frozenset(chosen)
 
-    def extends_member(self, system, members, new):
-        work, _ = self._translate(system, frozenset(members) | {new})
-        return self.is_member(frozenset(work))
+    def _extends(self, work, x):
+        return self.is_member(frozenset(work) | {x})
 
     def to_json_dict(self):
         return {"format": "family/v1", "kind": "blocks", "k": self.k}
@@ -242,9 +244,7 @@ class ClusterFamily(ForbiddenFamily):
     def evidence(self, members):
         return {"agreement_set": sorted(self._agree(members)), "n": self.n}
 
-    def extends_member(self, system, members, new):
-        work, _ = self._translate(system, members)
-        x = self._translate(system, {new})[0][0]
+    def _extends(self, work, x):
         pool = [x] + work
         side = self._ground.side
         sx = side(x)
@@ -273,32 +273,27 @@ class ProfileFamily(ForbiddenFamily):
     def _third(self, x, y):
         return int(self.system.join[inverse(x), inverse(y)])
 
-    def is_member(self, members):
+    def _witness(self, members) -> dict | None:
+        """Evidence that the set is a member, or None when it is not."""
         ms = sorted(members)
         if not 0 < len(ms) <= 3:
-            return False
-        fs = frozenset(self.system.canon(m) for m in ms)
+            return None
+        canon = self.system.canon
+        fs = frozenset(canon(m) for m in ms)
         for x in ms:
             for y in ms:
-                trip = frozenset(self.system.canon(v)
-                                 for v in (x, y, self._third(x, y)))
-                if trip == fs:
-                    return True
-        return False
+                third = self._third(x, y)
+                if frozenset(canon(v) for v in (x, y, third)) == fs:
+                    return {"pair": [x, y], "join_of_inverses": third}
+        return None
+
+    def is_member(self, members):
+        return self._witness(members) is not None
 
     def evidence(self, members):
-        ms = sorted(members)
-        fs = frozenset(self.system.canon(m) for m in ms)
-        for x in ms:
-            for y in ms:
-                if frozenset(self.system.canon(v)
-                             for v in (x, y, self._third(x, y))) == fs:
-                    return {"pair": [x, y], "join_of_inverses": self._third(x, y)}
-        return {}
+        return self._witness(members) or {}
 
-    def extends_member(self, system, members, new):
-        work, _ = self._translate(system, members)
-        x = self._translate(system, {new})[0][0]
+    def _extends(self, work, x):
         pool = [x] + work
         have = set(pool)
         for y in pool:
@@ -325,39 +320,31 @@ class StrongProfileFamily(ForbiddenFamily):
             raise MissingCapability("strong-profile family needs lattice operations")
         super().__init__(system)
 
-    def is_member(self, members):
+    def _witness(self, members) -> dict | None:
+        """Evidence that the set is a member, or None when it is not."""
         ms = sorted(members)
         if not 0 < len(ms) <= 3:
-            return False
-        fs = frozenset(self.system.canon(m) for m in ms)
-        J = self.system.join
-        L = self.system.leq
-        for x in ms:
-            for y in ms:
-                bound = J[inverse(x), inverse(y)]
-                for z in ms:
-                    if L[z, bound] and frozenset(
-                            self.system.canon(v) for v in (x, y, z)) == fs:
-                        return True
-        return False
-
-    def evidence(self, members):
-        ms = sorted(members)
-        fs = frozenset(self.system.canon(m) for m in ms)
+            return None
+        canon = self.system.canon
+        fs = frozenset(canon(m) for m in ms)
         J, L = self.system.join, self.system.leq
         for x in ms:
             for y in ms:
                 bound = J[inverse(x), inverse(y)]
                 for z in ms:
                     if L[z, bound] and frozenset(
-                            self.system.canon(v) for v in (x, y, z)) == fs:
+                            canon(v) for v in (x, y, z)) == fs:
                         return {"pair": [x, y], "bounded": z,
                                 "join_of_inverses": int(bound)}
-        return {}
+        return None
 
-    def extends_member(self, system, members, new):
-        work, _ = self._translate(system, members)
-        x = self._translate(system, {new})[0][0]
+    def is_member(self, members):
+        return self._witness(members) is not None
+
+    def evidence(self, members):
+        return self._witness(members) or {}
+
+    def _extends(self, work, x):
         pool = [x] + work
         J, L = self.system.join, self.system.leq
         # new element in the pair position
@@ -406,9 +393,7 @@ class GraphTangleFamily(ForbiddenFamily):
         return {"covering_sides": [sorted(self._ground.side_pair(o)[0])
                                    for o in sorted(members)]}
 
-    def extends_member(self, system, members, new):
-        work, _ = self._translate(system, members)
-        x = self._translate(system, {new})[0][0]
+    def _extends(self, work, x):
         pool = [x] + work
         for y in pool:
             for z in pool:
@@ -451,19 +436,37 @@ def make_graph_tangle(system) -> GraphTangleFamily:
     return GraphTangleFamily(system)
 
 
+# family/v1 kinds that take an integer parameter, and its field name
+PARAMETERS = {"blocks": "k", "cluster": "n"}
+
+
+def family_parameter(d: dict) -> int | None:
+    """The integer parameter of a family/v1 dict; None for kinds without one."""
+    field = PARAMETERS.get(d.get("kind"))
+    if field is None:
+        return None
+    try:
+        return int(d[field])
+    except (KeyError, TypeError, ValueError):
+        raise ValidationError(
+            f"family kind {d['kind']!r} needs an integer {field!r}, "
+            f"got {d.get(field)!r}") from None
+
+
 def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
     if d.get("format", "family/v1") != "family/v1":
         raise ValidationError(f"unsupported family format {d.get('format')!r}")
-    kind = d["kind"]
+    kind = d.get("kind")
+    param = family_parameter(d)
     if kind == "empty":
         return make_empty()
     if kind == "explicit":
         return make_explicit([frozenset(m) for m in d.get("explicit_members", [])],
                              system)
     if kind == "blocks":
-        return make_blocks(int(d["k"]), system)
+        return make_blocks(param, system)
     if kind == "cluster":
-        return make_cluster(int(d["n"]), system)
+        return make_cluster(param, system)
     if kind == "profile":
         return make_profile(system)
     if kind == "strong_profile":
@@ -471,10 +474,6 @@ def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
     if kind == "graph_tangle":
         return make_graph_tangle(system)
     raise ValidationError(f"unknown family kind {kind!r}")
-
-
-def dump_family(family: ForbiddenFamily) -> str:
-    return json.dumps(family.to_json_dict(), sort_keys=True, indent=1)
 
 
 def load_family(text: str, system: SeparationSystem) -> ForbiddenFamily:

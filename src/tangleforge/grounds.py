@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -24,7 +26,7 @@ from .system import SeparationSystem, forward
 # Full graph universes need 3^n side enumerations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
 MAX_FULL_BIPARTITION_POINTS = 12
-_AUTO_UNIVERSE_VERTICES = 6
+_CARVED_UNIVERSE_VERTICES = 6
 
 
 # -- graphs -------------------------------------------------------------------
@@ -227,16 +229,14 @@ def graph_universe(g: Graph) -> SeparationSystem:
     return _graph_system_from_pairs(g, pairs + [(full, full)], True)
 
 
-def graph_system(g: Graph, k: float, with_universe="auto") -> SeparationSystem:
+def graph_system(g: Graph, k: float) -> SeparationSystem:
     """Separations of order below ``k``, with a back-map to (A, B) pairs.
 
-    With ``with_universe`` (the default for small graphs) the result is
-    carved out of the full lattice of all separations, so families needing
-    joins can follow the parent link.  Larger graphs get a standalone system.
+    Graphs of at most six vertices are carved out of the full lattice of all
+    separations, so families needing joins can follow the parent link.
+    Larger graphs get a standalone system.
     """
-    if with_universe == "auto":
-        with_universe = g.n <= _AUTO_UNIVERSE_VERTICES
-    if with_universe:
+    if g.n <= _CARVED_UNIVERSE_VERTICES:
         return graph_universe(g).restrict_below(k)
     return _graph_system_from_pairs(g, _graph_separations(g, k), False)
 
@@ -262,9 +262,10 @@ class BipartitionGround:
         return frozenset(range(self.size))
 
 
-def _cut_weight(side, size, sim):
+def _cut_weight(side, size, scaled, scale):
+    """Summed exactly, so cuts equal in decimal get one order value."""
     comp = [v for v in range(size) if v not in side]
-    return float(sum(sim[u][v] for u in side for v in comp))
+    return sum(scaled[u][v] for u in side for v in comp) / scale
 
 
 def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
@@ -284,8 +285,14 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
             raise ValidationError("similarity matrix shape does not match points")
         for u in range(ground.size):
             for v in range(ground.size):
-                if sim[u][v] != sim[v][u] or sim[u][v] < 0:
-                    raise ValidationError("similarity must be symmetric nonnegative")
+                if sim[u][v] != sim[v][u] or not 0 <= sim[u][v] < math.inf:
+                    raise ValidationError(
+                        "similarity must be symmetric nonnegative finite")
+        # each entry at its shortest decimal form, as it was written, scaled
+        # to integers; int / int division rounds once
+        exact = [[Fraction(repr(x)) for x in row] for row in sim]
+        scale = math.lcm(*(f.denominator for row in exact for f in row))
+        scaled = [[int(f * scale) for f in row] for row in exact]
     # one unoriented separation per complement pair; forward side is the
     # lexicographically smaller one
     pairs = sorted({tuple(sorted((tuple(sorted(A)), tuple(sorted(full - A)))))
@@ -299,7 +306,7 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
         if ground.order_rule is not None:
             orders.append(float(ground.order_rule(A)))
         elif sim is not None:
-            orders.append(_cut_weight(A, ground.size, sim))
+            orders.append(_cut_weight(A, ground.size, scaled, scale))
         else:
             orders.append(float(len(A) * len(B)))
     n2 = len(sides)
@@ -385,25 +392,34 @@ def block_of_tangle(system: SeparationSystem, tau) -> frozenset[int]:
 # -- CSV loaders ---------------------------------------------------------------
 
 
-def _read_csv_matrix(text: str) -> list[list[str]]:
+def _read_csv_matrix(text: str, parse) -> list[list]:
+    """Rectangular CSV cells, each read with ``parse``."""
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise ValidationError("empty CSV input")
     width = len(rows[0])
+    out = []
     for i, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(f"ragged CSV row {i}: {len(row)} != {width}")
-    return rows
+        cells = []
+        for j, x in enumerate(row):
+            try:
+                cells.append(parse(x))
+            except ValueError:
+                raise ValidationError(
+                    f"CSV row {i}, column {j}: cannot read {x!r} as "
+                    f"{parse.__name__}") from None
+        out.append(cells)
+    return out
 
 
 def load_similarity_csv(text: str):
-    rows = _read_csv_matrix(text)
-    mat = [[float(x) for x in row] for row in rows]
+    mat = _read_csv_matrix(text, float)
     if len(mat) != len(mat[0]):
         raise ValidationError("similarity matrix must be square")
     return mat
 
 
 def load_answers_csv(text: str):
-    rows = _read_csv_matrix(text)
-    return [[int(x) for x in row] for row in rows]
+    return _read_csv_matrix(text, int)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded
+from .families import EmptyFamily
 from .system import SeparationSystem, inverse
 
 DEFAULT_MAX_SEPARATIONS = 16
@@ -42,27 +43,7 @@ def all_consistent_orientations(system: SeparationSystem,
                                 budget: OracleBudget | None = None):
     """Every full orientation passing the consistency check, in lexicographic
     order of chosen oriented ids."""
-    b = _check_budget(system, budget)
-    out = []
-    chosen: list[int] = []
-    visits = 0
-
-    def rec(s):
-        nonlocal visits
-        visits += 1
-        if visits > b.max_visits:
-            raise BudgetExceeded(f"enumeration visited more than {b.max_visits} nodes")
-        if s == system.count:
-            out.append(frozenset(chosen))
-            return
-        for o in system.orientations_of(s):
-            if all(not system.leq[o, inverse(c)] for c in chosen):
-                chosen.append(o)
-                rec(s + 1)
-                chosen.pop()
-
-    rec(0)
-    return out
+    return all_tangles(system, EmptyFamily(), budget)
 
 
 def all_tangles(system: SeparationSystem, family,

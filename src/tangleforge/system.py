@@ -179,9 +179,6 @@ class SeparationSystem:
     def is_small(self, o: int) -> bool:
         return bool(self.leq[o, inverse(o)])
 
-    def is_large(self, o: int) -> bool:
-        return self.is_small(inverse(o))
-
     def is_trivial(self, o: int) -> bool:
         """Both orientations of some other separation lie strictly below ``o``."""
         for r in self.seps():
@@ -261,6 +258,12 @@ class SeparationSystem:
                 elif not self.leq[inverse(y), x]:
                     return False
         return True
+
+    def minimal_elements(self, members) -> frozenset[int]:
+        """Elements of the set with nothing of the set strictly below them."""
+        ms = sorted(members)
+        return frozenset(x for x in ms
+                         if not any(self.lt(y, x) for y in ms if y != x))
 
     def oriented_sep_set(self, members) -> set[int]:
         return {sep_of(x) for x in members}
@@ -523,6 +526,8 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
     leq = np.zeros((n2, n2), dtype=bool)
     np.fill_diagonal(leq, True)
     for pair in d.get("leq", []):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"leq pair {pair} must have two entries")
         a, b = int(pair[0]), int(pair[1])
         if not (0 <= a < n2 and 0 <= b < n2):
             raise ValidationError(f"leq pair {pair} out of range")

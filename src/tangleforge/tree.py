@@ -253,11 +253,9 @@ def tangles(tree, family) -> list[frozenset[int]]:
     ok = is_structure_tree(tree, family)
     if not ok:
         raise NotAStructureTree(ok.why)
-    out = {}
-    for leaf in tree.leaves():
-        cls = classify_leaf(tree, leaf, family)
-        if cls.kind == "tangle":
-            out[tuple(sorted(cls.tangle))] = cls.tangle
+    out = {tuple(sorted(cls.tangle)): cls.tangle
+           for cls in classify_all(tree, family).values()
+           if cls.kind == "tangle"}
     return [out[k] for k in sorted(out)]
 
 
@@ -445,8 +443,7 @@ def load_tree(text: str, system=None) -> StructureTree:
 
 
 def _tangle_label(system, tangle) -> str:
-    from .oracle import minimal_elements
-    mins = sorted(minimal_elements(system, tangle))
+    mins = sorted(system.minimal_elements(tangle))
     return "{" + ",".join(fmt_oriented(o) for o in mins) + "}"
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 import tangleforge as tf
 from tangleforge.cli import main
 
@@ -196,3 +198,37 @@ def test_restrict_requires_a_threshold(tmp_path):
     tree_path = tmp_path / "tree.json"
     tree_path.write_text(json.dumps(json.loads(text)["tree_full"]))
     assert main(["restrict", "--tree", str(tree_path)]) == 2
+
+
+
+K4 = str(FIXTURES / "k4.edges")
+
+
+@pytest.mark.parametrize("argv, name, text, cause", [
+    pytest.param(["--graph", K4, "--family", "blocks"], None, None, "'k'",
+                 id="family-without-parameter"),
+    pytest.param(["--graph", K4, "--family", "blocks:x"], None, None,
+                 "'k', got 'x'", id="family-parameter-not-an-integer"),
+    pytest.param(["--graph", K4, "--family", "{path}"], "family.json",
+                 json.dumps({"format": "family/v1", "kind": "blocks"}), "'k'",
+                 id="family-file-without-k"),
+    pytest.param(["--graph", "{path}"], "missing.edges", None, "missing.edges",
+                 id="missing-graph-file"),
+    pytest.param(["--similarity", "{path}"], "sim.csv",
+                 "0,1,1\n1,0,oops\n1,1,0\n", "row 1, column 2",
+                 id="similarity-cell-not-a-number"),
+    pytest.param(["--answers", "{path}"], "answers.csv", "1,0\n0,1\nyes,0\n",
+                 "row 2, column 0", id="answers-cell-not-a-number"),
+    pytest.param(["--system", "{path}"], "sys.json",
+                 json.dumps({"format": "sepsys/v1", "count": 1,
+                             "orders": [1.0], "leq": [[0]]}),
+                 "leq pair [0]", id="leq-pair-of-one"),
+])
+def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
+                                              tmp_path, capsys):
+    path = tmp_path / (name or "unused")
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "{path}" else a for a in argv]
+    assert main(["build", *argv, "--out", str(tmp_path / "out.json")]) == 2
+    assert cause in capsys.readouterr().err

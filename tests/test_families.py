@@ -138,22 +138,29 @@ def test_extends_member_matches_forbidden_subset(seed):
         4, tuple(frozenset(v for v in range(4) if (m >> v) & 1)
                  for m in range(16)))
     sysb = tf.bipartition_system(ground)
+    sysg = tf.graph_system(all_graphs_up_to_iso(4)[6 + seed % 5], 2)
     fams = [standardized_explicit(system, seed),
             tf.make_cluster(2, sysb),
             tf.make_profile(sysb),
-            tf.make_strong_profile(sysb)]
-    targets = [system, sysb, sysb, sysb]
-    for fam, sysx in zip(fams, targets):
-        ids = sorted(sysx.all_oriented())
-        for members in all_subsets(ids, cap=3):
-            if fam.forbidden_subset(sysx, members) is not None:
-                continue
-            for new in ids:
-                if new in members:
+            tf.make_strong_profile(sysb),
+            tf.make_blocks(2, sysg),
+            tf.make_graph_tangle(sysg)]
+    for fam in fams:
+        bound = fam.system
+        # queried on the bound system itself, and from a level system, which
+        # the family answers through its id translation
+        for sysx in (bound, bound.restrict_below(max(bound.orders))):
+            ids = sorted(sysx.all_oriented())
+            for members in all_subsets(ids, cap=3):
+                if fam.forbidden_subset(sysx, members) is not None:
                     continue
-                got = fam.extends_member(sysx, members, new)
-                want = fam.forbidden_subset(sysx, members | {new}) is not None
-                assert got == want, (fam.kind, sorted(members), new)
+                for new in ids:
+                    if new in members:
+                        continue
+                    got = fam.extends_member(sysx, members, new)
+                    want = fam.forbidden_subset(sysx, members | {new}) is not None
+                    assert got == want, (fam.kind, sysx.count, sorted(members),
+                                         new)
 
 
 # -- witness soundness ----------------------------------------------------------

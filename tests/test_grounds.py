@@ -1,5 +1,7 @@
 """Graph and subset grounds: generation, orders, lattice laws, block duality."""
 
+import math
+
 import pytest
 
 import tangleforge as tf
@@ -102,6 +104,20 @@ def test_two_cluster_similarity_zeroes_the_cluster_cut(six_cluster_system):
     assert six_cluster_system.order(cluster) == 0.0
 
 
+def test_cut_weights_equal_in_decimal_share_one_order_and_level():
+    # side {0} cuts 0.1 + 0.2 and side {3} cuts 0.3; float addition in side
+    # order would give 0.30000000000000004 and 0.3
+    sim = [[0, 0.1, 0.2, 0],
+           [0.1, 0, 0, 0],
+           [0.2, 0, 0, 0.3],
+           [0, 0, 0.3, 0]]
+    sysb = tf.bipartition_system(tf.full_bipartition_ground(4, similarity=sim))
+    order = {sysb.ground.side(o): sysb.order_of(o) for o in sysb.all_oriented()}
+    assert order[frozenset({0})] == order[frozenset({3})] == 0.3
+    report = tf.pipeline(sysb, tf.make_cluster(2, sysb))
+    assert [lv.k for lv in report.levels].count(0.3) == 1
+
+
 def test_unclosed_sides_are_rejected():
     with pytest.raises(NotComplementClosed):
         tf.bipartition_system(tf.BipartitionGround(3, (frozenset({0}),)))
@@ -174,6 +190,10 @@ def test_similarity_must_be_symmetric():
         similarity=[[0, 1], [2, 0]])
     with pytest.raises(ValidationError):
         tf.bipartition_system(ground)
+    infinite = tf.BipartitionGround(2, ground.sides,
+                                    similarity=[[0, math.inf], [math.inf, 0]])
+    with pytest.raises(ValidationError):
+        tf.bipartition_system(infinite)
 
 
 def test_loops_and_bad_edges_rejected():

@@ -1,0 +1,54 @@
+"""Production modules stay apart from the brute-force oracle.
+
+The oracle is the independent ground truth the suite checks the pipeline
+against, so the pipeline must not compute anything with it.  Only the CLI
+(its `oracle` command and `--budget`) and the exponential certifier
+`families.is_rich` may import it; the package `__init__` re-exports it as
+part of the public namespace without running any of it.
+"""
+
+import ast
+from pathlib import Path
+
+import tangleforge
+
+PACKAGE = Path(tangleforge.__file__).parent
+
+
+def _imports_oracle(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "oracle" or \
+            any(alias.name == "oracle" for alias in node.names)
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[-1] == "oracle" for alias in node.names)
+    return False
+
+
+def _oracle_imports(module: str):
+    """(module, enclosing function or None, line) of each oracle import."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if _imports_oracle(child):
+                out.append((module, func, child.lineno))
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), None)
+    return out
+
+
+def _allowed(module, func) -> bool:
+    return module in ("__init__", "cli") or (module, func) == ("families",
+                                                               "is_rich")
+
+
+def test_only_the_cli_and_is_rich_import_the_oracle():
+    found = [imp for path in sorted(PACKAGE.glob("*.py"))
+             for imp in _oracle_imports(path.stem)]
+    assert [imp for imp in found if not _allowed(imp[0], imp[1])] == []
+    # the walk sees the imports that are allowed, so it cannot pass vacuously
+    assert {(m, f) for m, f, _ in found} >= {("cli", None),
+                                             ("families", "is_rich")}
