@@ -63,9 +63,7 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
         if cls.kind != "unresolved":
             continue
         beta = tree.beta(v)
-        closure = system._closure_raw(beta)
-        oriented = system.oriented_sep_set(closure)
-        candidates = [s for s in system.seps() if s not in oriented]
+        candidates = system.open_separations(beta)
         if not candidates:
             blockers = [o for o in sorted(beta) if system.is_cotrivial(o)]
             if blockers:
@@ -73,8 +71,8 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
                     f"leaf cannot resolve: co-trivial label "
                     f"{fmt_oriented(blockers[0])} is not forbidden by the family")
             continue  # family not rich enough; post-checks will flag the tree
-        s = min(candidates, key=lambda t: (system.order(t), t))
-        tree, kids = tree.split_leaf(v, s, forward_first=forward_first)
+        tree, kids = tree.split_leaf(v, candidates[0],
+                                     forward_first=forward_first)
         if len(tree) > cap:
             raise NodeCapExceeded(f"tree exceeded {cap} nodes")
         pending.extend(kids)

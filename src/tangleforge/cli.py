@@ -48,6 +48,10 @@ def _read_text(path: str) -> str:
         raise ValidationError(f"cannot read input file {path}: {exc}") from None
 
 
+def _read_json(path: str):
+    return system_mod.parse_json(_read_text(path), path)
+
+
 def _load_ground_system(args, spec):
     chosen = [name for name in ("graph", "similarity", "answers", "system")
               if getattr(args, name, None)]
@@ -55,9 +59,9 @@ def _load_ground_system(args, spec):
         raise TangleForgeError(
             "exactly one of --graph/--similarity/--answers/--system is required")
     kind = chosen[0]
-    text = _read_text(getattr(args, kind))
     if kind == "system":
-        return system_mod.load_system(text)
+        return system_mod.from_json_dict(_read_json(args.system))
+    text = _read_text(getattr(args, kind))
     if kind == "graph":
         g = grounds.Graph.from_edge_list(text)
         return grounds.graph_system(g, _system_bound(args, spec))
@@ -86,7 +90,7 @@ def _family_spec(args) -> dict | None:
     if spec is None:
         return None
     if spec.endswith(".json") or "/" in spec:
-        return json.loads(_read_text(spec))
+        return system_mod.expect_object(_read_json(spec), spec)
     kind, _, param = spec.partition(":")
     kind = FAMILY_ALIASES.get(kind, kind)
     d = {"format": "family/v1", "kind": kind}
@@ -126,8 +130,7 @@ def cmd_validate(args) -> int:
     chosen = getattr(args, "system", None)
     if chosen:
         try:
-            d = json.loads(_read_text(chosen))
-            sys_obj = system_mod.from_json_dict(d, check=False)
+            sys_obj = system_mod.from_json_dict(_read_json(chosen), check=False)
         except (TangleForgeError, KeyError, ValueError) as exc:
             _write(args, _dump({"ok": False, "issues": [str(exc)]}))
             return 2
@@ -201,7 +204,7 @@ def cmd_oracle(args) -> int:
 def cmd_restrict(args) -> int:
     if not args.k:
         raise TangleForgeError("restrict needs an order threshold (--k)")
-    t = tree_mod.load_tree(_read_text(args.tree))
+    t = tree_mod.tree_from_json_dict(_read_json(args.tree))
     k = float(args.k[0])
     restricted = tree_mod.restrict(t, k)
     _write(args, tree_mod.dump_tree(restricted) + "\n")
@@ -209,7 +212,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    t = tree_mod.load_tree(_read_text(args.tree))
+    t = tree_mod.tree_from_json_dict(_read_json(args.tree))
     fam = _make_family(_family_spec(args), t.system)
     reduced, trace = reduce_tree(t, fam)
     payload = {
@@ -221,7 +224,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    t = tree_mod.load_tree(_read_text(args.tree))
+    t = tree_mod.tree_from_json_dict(_read_json(args.tree))
     fam = _make_family(_family_spec(args), t.system) if args.family else None
     _write(args, tree_mod.to_dot(t, fam))
     return 0

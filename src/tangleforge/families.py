@@ -9,13 +9,12 @@ tests use as an independent re-check of every witness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
 from .errors import MissingCapability, ValidationError
 from .grounds import GraphRealization, SideRealization
-from .system import SeparationSystem, inverse
+from .system import SeparationSystem, expect_object, ids_of, inverse, mask_of
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,8 @@ class ForbiddenFamily:
         cap = self.arity if self.arity is not None else len(work)
 
         def rec(prefix, start):
-            fp = frozenset(prefix)
-            if prefix and self.is_member(fp):
-                return fp
+            if prefix and self.is_member(prefix):
+                return frozenset(prefix)
             if len(prefix) >= cap:
                 return None
             for i in range(start, len(work)):
@@ -144,20 +142,21 @@ class ExplicitFamily(ForbiddenFamily):
                 if not (0 <= o < system.n_oriented):
                     raise ValidationError(f"member id {o} out of range")
         self.arity = max((len(m) for m in self.members), default=0)
+        self._by_mask = {mask_of(m): m for m in self.members}
 
     def is_member(self, members):
-        return frozenset(members) in self.members
+        return mask_of(members) in self._by_mask
 
     def _search(self, work):
-        ws = set(work)
-        inside = [m for m in self.members if m <= ws]
+        ws = mask_of(work)
+        inside = [m for k, m in self._by_mask.items() if not k & ~ws]
         if not inside:
             return None
         return min(inside, key=lambda m: sorted(m))
 
     def _extends(self, work, x):
-        ws = set(work) | {x}
-        return any(x in m and m <= ws for m in self.members)
+        ws = mask_of(work) | 1 << x
+        return any(k >> x & 1 and not k & ~ws for k in self._by_mask)
 
     def to_json_dict(self):
         return {
@@ -182,37 +181,38 @@ class BlocksFamily(ForbiddenFamily):
             raise MissingCapability("blocks family needs a graph-ground system")
         super().__init__(system)
         self.k = int(k)
-        self._ground = system.ground
+        self._all = (1 << system.ground.graph.n) - 1
+        self._big = [b for _, b in system.ground.pairs]
 
-    def _intersection(self, members) -> frozenset:
-        out = frozenset(self._ground.graph.vertices())
-        for o in sorted(members):
-            out &= self._ground.big_side(o)
+    def _intersection(self, members) -> int:
+        out = self._all
+        for o in members:
+            out &= self._big[o]
         return out
 
     def is_member(self, members):
-        return len(self._intersection(members)) < self.k
+        return self._intersection(members).bit_count() < self.k
 
     def evidence(self, members):
-        return {"big_side_intersection": sorted(self._intersection(members)),
+        return {"big_side_intersection": ids_of(self._intersection(members)),
                 "k": self.k}
 
     def _search(self, work):
-        if self.is_member(frozenset()):
+        if self.is_member(()):
             return frozenset()
-        if not self.is_member(frozenset(work)):
+        if not self.is_member(work):
             return None  # superset-closed: the whole set decides
         # Superset closure makes the lexicographically least member the
         # shortest member prefix of the sorted candidate sequence.
         chosen: list[int] = []
         for x in work:
             chosen.append(x)
-            if self.is_member(frozenset(chosen)):
+            if self.is_member(chosen):
                 break
         return frozenset(chosen)
 
     def _extends(self, work, x):
-        return self.is_member(frozenset(work) | {x})
+        return self.is_member(work + [x])
 
     def to_json_dict(self):
         return {"format": "family/v1", "kind": "blocks", "k": self.k}
@@ -229,29 +229,30 @@ class ClusterFamily(ForbiddenFamily):
             raise MissingCapability("cluster family needs a subset-ground system")
         super().__init__(system)
         self.n = int(n)
-        self._ground = system.ground
+        self._all = (1 << system.ground.size) - 1
+        self._sides = system.ground.sides
 
-    def _agree(self, members) -> frozenset:
-        out = frozenset(range(self._ground.size))
-        for o in sorted(members):
-            out &= self._ground.side(o)
+    def _agree(self, members) -> int:
+        out = self._all
+        for o in members:
+            out &= self._sides[o]
         return out
 
     def is_member(self, members):
         # a member is {r, s, t} as a set: 1..3 sides with small agreement
-        return 0 < len(members) <= 3 and len(self._agree(members)) < self.n
+        return 0 < len(members) <= 3 and \
+            self._agree(members).bit_count() < self.n
 
     def evidence(self, members):
-        return {"agreement_set": sorted(self._agree(members)), "n": self.n}
+        return {"agreement_set": ids_of(self._agree(members)), "n": self.n}
 
     def _extends(self, work, x):
-        pool = [x] + work
-        side = self._ground.side
-        sx = side(x)
-        for y in pool:
-            sxy = sx & side(y)
-            for z in pool:
-                if len(sxy & side(z)) < self.n:
+        sides = self._sides
+        pool = [sides[y] for y in [x] + work]
+        for sy in pool:
+            sxy = pool[0] & sy
+            for sz in pool:
+                if (sxy & sz).bit_count() < self.n:
                     return True
         return False
 
@@ -267,11 +268,13 @@ class ProfileFamily(ForbiddenFamily):
 
     def __init__(self, system: SeparationSystem):
         if not system.has_universe():
-            raise MissingCapability("profile family needs lattice operations")
+            raise MissingCapability(
+                f"{self.kind.replace('_', '-')} family needs lattice operations")
         super().__init__(system)
+        self._join = system.join.tolist()
 
     def _third(self, x, y):
-        return int(self.system.join[inverse(x), inverse(y)])
+        return self._join[inverse(x)][inverse(y)]
 
     def _witness(self, members) -> dict | None:
         """Evidence that the set is a member, or None when it is not."""
@@ -279,11 +282,11 @@ class ProfileFamily(ForbiddenFamily):
         if not 0 < len(ms) <= 3:
             return None
         canon = self.system.canon
-        fs = frozenset(canon(m) for m in ms)
+        target = mask_of(canon(m) for m in ms)
         for x in ms:
             for y in ms:
                 third = self._third(x, y)
-                if frozenset(canon(v) for v in (x, y, third)) == fs:
+                if 1 << canon(x) | 1 << canon(y) | 1 << canon(third) == target:
                     return {"pair": [x, y], "join_of_inverses": third}
         return None
 
@@ -295,9 +298,9 @@ class ProfileFamily(ForbiddenFamily):
 
     def _extends(self, work, x):
         pool = [x] + work
-        have = set(pool)
+        have = mask_of(pool)
         for y in pool:
-            if self._third(x, y) in have:
+            if have >> self._third(x, y) & 1:
                 return True
         for y in work:
             for z in work:
@@ -309,54 +312,42 @@ class ProfileFamily(ForbiddenFamily):
         return {"format": "family/v1", "kind": "profile"}
 
 
-class StrongProfileFamily(ForbiddenFamily):
+class StrongProfileFamily(ProfileFamily):
     """Pairs with any element below the join of their inverses."""
 
     kind = "strong_profile"
-    arity = 3
-
-    def __init__(self, system: SeparationSystem):
-        if not system.has_universe():
-            raise MissingCapability("strong-profile family needs lattice operations")
-        super().__init__(system)
 
     def _witness(self, members) -> dict | None:
         """Evidence that the set is a member, or None when it is not."""
         ms = sorted(members)
         if not 0 < len(ms) <= 3:
             return None
-        canon = self.system.canon
-        fs = frozenset(canon(m) for m in ms)
-        J, L = self.system.join, self.system.leq
+        canon, down = self.system.canon, self.system.down
+        m = mask_of(ms)
+        target = mask_of(canon(v) for v in ms)
         for x in ms:
             for y in ms:
-                bound = J[inverse(x), inverse(y)]
-                for z in ms:
-                    if L[z, bound] and frozenset(
-                            canon(v) for v in (x, y, z)) == fs:
+                bound = self._third(x, y)
+                pair = 1 << canon(x) | 1 << canon(y)
+                for z in ids_of(down[bound] & m):
+                    if pair | 1 << canon(z) == target:
                         return {"pair": [x, y], "bounded": z,
-                                "join_of_inverses": int(bound)}
+                                "join_of_inverses": bound}
         return None
-
-    def is_member(self, members):
-        return self._witness(members) is not None
-
-    def evidence(self, members):
-        return self._witness(members) or {}
 
     def _extends(self, work, x):
         pool = [x] + work
-        J, L = self.system.join, self.system.leq
+        have = mask_of(pool)
+        down, above_x = self.system.down, self.system.up[x]
         # new element in the pair position
-        for y in pool:
-            bound = J[inverse(x), inverse(y)]
-            for z in pool:
-                if L[z, bound]:
-                    return True
+        row = self._join[inverse(x)]
+        if any(down[row[inverse(y)]] & have for y in pool):
+            return True
         # new element in the bounded position
         for y in work:
+            row = self._join[inverse(y)]
             for z in work:
-                if L[x, J[inverse(y), inverse(z)]]:
+                if above_x >> row[inverse(z)] & 1:
                     return True
         return False
 
@@ -374,30 +365,35 @@ class GraphTangleFamily(ForbiddenFamily):
         if not isinstance(system.ground, GraphRealization):
             raise MissingCapability("graph-tangle family needs a graph-ground system")
         super().__init__(system)
-        self._ground = system.ground
+        g = system.ground.graph
+        edges = sorted(g.edges)
+        self._all_vertices = (1 << g.n) - 1
+        self._all_edges = (1 << len(edges)) - 1
+        # each small side, and the edges it induces as a mask over ``edges``
+        self._small = [a for a, _ in system.ground.pairs]
+        self._induced = [mask_of(i for i, (u, v) in enumerate(edges)
+                                 if a >> u & 1 and a >> v & 1)
+                         for a in self._small]
 
     def _covers(self, members) -> bool:
-        g = self._ground.graph
-        verts = set()
-        edges = set()
+        verts = edges = 0
         for o in members:
-            A = self._ground.side_pair(o)[0]
-            verts |= A
-            edges |= g.induced_edges(A)
-        return len(verts) == g.n and edges == set(g.edges)
+            verts |= self._small[o]
+            edges |= self._induced[o]
+        return verts == self._all_vertices and edges == self._all_edges
 
     def is_member(self, members):
         return 0 < len(members) <= 3 and self._covers(members)
 
     def evidence(self, members):
-        return {"covering_sides": [sorted(self._ground.side_pair(o)[0])
+        return {"covering_sides": [ids_of(self._small[o])
                                    for o in sorted(members)]}
 
     def _extends(self, work, x):
         pool = [x] + work
         for y in pool:
             for z in pool:
-                if self._covers({x, y, z}):
+                if self._covers((x, y, z)):
                     return True
         return False
 
@@ -454,7 +450,7 @@ def family_parameter(d: dict) -> int | None:
 
 
 def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
-    if d.get("format", "family/v1") != "family/v1":
+    if expect_object(d, "family/v1 spec").get("format", "family/v1") != "family/v1":
         raise ValidationError(f"unsupported family format {d.get('format')!r}")
     kind = d.get("kind")
     param = family_parameter(d)
@@ -476,10 +472,6 @@ def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
     raise ValidationError(f"unknown family kind {kind!r}")
 
 
-def load_family(text: str, system: SeparationSystem) -> ForbiddenFamily:
-    return family_from_json(json.loads(text), system)
-
-
 # -- desk-scale certifiers -----------------------------------------------------
 #
 # These encode the theory-side conditions as testable artifacts.  They are
@@ -499,10 +491,6 @@ def is_standard(family: ForbiddenFamily, system: SeparationSystem):
         if not family.is_member(frozenset({up[inverse(o)]})):
             bad.append(o)
     return (not bad, bad)
-
-
-def _downset(system, o):
-    return [y for y in system.all_oriented() if system.leq[y, o]]
 
 
 def is_closed_under_minimization(family: ForbiddenFamily,
@@ -533,7 +521,7 @@ def is_closed_under_minimization(family: ForbiddenFamily,
         member = frozenset(sub)
         if not family.is_member(frozenset(up[x] for x in member)):
             continue
-        downs = [_downset(system, x) for x in sub]
+        downs = [ids_of(system.down[x]) for x in sub]
         for choice in product(*downs):
             lowered = frozenset(choice)
             if not family.is_member(frozenset(up[x] for x in lowered)):

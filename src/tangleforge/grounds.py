@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DuplicateQuestionWarning, MissingCapability, NotATangle,
                      NotComplementClosed, ValidationError)
-from .system import SeparationSystem, forward
+from .system import SeparationSystem, ids_of, mask_of
 
 # Full graph universes need 3^n side enumerations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
@@ -66,7 +66,11 @@ class Graph:
                 continue
             if len(parts) != 2:
                 raise ValidationError(f"line {lineno}: expected 'u v', got {raw!r}")
-            u, v = int(parts[0]), int(parts[1])
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ValidationError(
+                    f"line {lineno}: vertices must be integers, got {raw!r}") from None
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
         return cls.from_edges(n, edges)
@@ -84,18 +88,20 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphRealization:
-    """Per-oriented-id (A, B) vertex side pairs of a graph system."""
+    """Per-oriented-id (A, B) vertex side pairs of a graph system, each side a
+    vertex bitmask."""
 
     graph: Graph
-    pairs: tuple[tuple[frozenset, frozenset], ...]
+    pairs: tuple[tuple[int, int], ...]
 
     kind = "graph"
 
     def side_pair(self, o: int) -> tuple[frozenset, frozenset]:
-        return self.pairs[o]
+        a, b = self.pairs[o]
+        return frozenset(ids_of(a)), frozenset(ids_of(b))
 
     def big_side(self, o: int) -> frozenset:
-        return self.pairs[o][1]
+        return frozenset(ids_of(self.pairs[o][1]))
 
     def subset(self, oriented_ids):
         return GraphRealization(self.graph,
@@ -106,23 +112,22 @@ class GraphRealization:
             "kind": "graph",
             "n": self.graph.n,
             "edges": sorted([list(e) for e in self.graph.edges]),
-            "sides": [[sorted(self.pairs[forward(s)][0]),
-                       sorted(self.pairs[forward(s)][1])]
-                      for s in range(len(self.pairs) // 2)],
+            "sides": [[ids_of(a), ids_of(b)] for a, b in self.pairs[::2]],
         }
 
 
 @dataclass(frozen=True)
 class SideRealization:
-    """Per-oriented-id subset sides of a bipartition-style system."""
+    """Per-oriented-id subset sides of a bipartition-style system, each side
+    a point bitmask."""
 
     size: int
-    sides: tuple[frozenset, ...]
+    sides: tuple[int, ...]
 
     kind = "sets"
 
     def side(self, o: int) -> frozenset:
-        return self.sides[o]
+        return frozenset(ids_of(self.sides[o]))
 
     def subset(self, oriented_ids):
         return SideRealization(self.size, tuple(self.sides[o] for o in oriented_ids))
@@ -131,8 +136,7 @@ class SideRealization:
         return {
             "kind": "sets",
             "size": self.size,
-            "sides": [sorted(self.sides[forward(s)])
-                      for s in range(len(self.sides) // 2)],
+            "sides": [ids_of(m) for m in self.sides[::2]],
         }
 
 
@@ -141,17 +145,13 @@ def realization_from_json(d: dict):
         g = Graph.from_edges(int(d["n"]), [tuple(e) for e in d["edges"]])
         pairs = []
         for a, b in d["sides"]:
-            pairs.append((frozenset(a), frozenset(b)))
-            pairs.append((frozenset(b), frozenset(a)))
+            pairs += [(mask_of(a), mask_of(b)), (mask_of(b), mask_of(a))]
         return GraphRealization(g, tuple(pairs))
     if d["kind"] == "sets":
         size = int(d["size"])
         sides = []
-        full = frozenset(range(size))
         for a in d["sides"]:
-            fa = frozenset(a)
-            sides.append(fa)
-            sides.append(full - fa)
+            sides += [mask_of(a), (1 << size) - 1 & ~mask_of(a)]
         return SideRealization(size, tuple(sides))
     raise ValidationError(f"unknown ground kind {d['kind']!r}")
 
@@ -184,35 +184,47 @@ def _graph_separations(g: Graph, k: float):
     return [seen[key] for key in sorted(seen)]
 
 
+def _subset_lattice(keys: list[int], width: int, with_tables: bool):
+    """The subset order on ``width``-bit keys, and when ``with_tables`` and
+    every union and intersection of two keys is again a key, join and meet
+    tables holding their ids; the least id wins for a repeated key."""
+    nbytes = max(1, -(-width // 8))
+    K = np.frombuffer(b"".join(k.to_bytes(nbytes, "little") for k in keys),
+                      dtype=np.uint8).reshape(len(keys), nbytes)
+    leq = ((K[:, None, :] & ~K[None, :, :]) == 0).all(axis=2)
+    if not with_tables:
+        return leq, None, None
+    as_key = np.dtype((np.void, nbytes))
+    unique, first = np.unique(K.view(as_key).ravel(), return_index=True)
+    join = np.empty(leq.shape, dtype=np.int64)
+    meet = np.empty_like(join)
+    step = max(1, (1 << 20) // max(1, len(keys)))  # ~1M-cell blocks bound memory
+    for lo in range(0, len(keys), step):
+        rows = K[lo:lo + step, None, :]
+        for out, table in ((join, rows | K), (meet, rows & K)):
+            found = table.view(as_key)[..., 0]
+            pos = np.searchsorted(unique, found).clip(max=len(unique) - 1)
+            if not (unique[pos] == found).all():
+                return leq, None, None
+            out[lo:lo + step] = first[pos]
+    return leq, join, meet
+
+
 def _graph_system_from_pairs(g: Graph, unoriented, with_universe: bool):
     pairs = []
     for A, B in unoriented:
-        pairs.append((A, B))
-        pairs.append((B, A))
-    n2 = len(pairs)
-    amask = np.array([sum(1 << v for v in A) for A, _ in pairs], dtype=np.int64)
-    bmask = np.array([sum(1 << v for v in B) for _, B in pairs], dtype=np.int64)
-    # (A, B) <= (C, D)  iff  A >= C and B <= D
-    leq = ((amask[None, :] & ~amask[:, None]) == 0) & \
-          ((bmask[:, None] & ~bmask[None, :]) == 0)
-    orders = [len(A & B) for A, B in unoriented]
-    join = meet = None
-    degenerate = any(A == B for A, B in unoriented)
-    if with_universe:
-        index = {}
-        for i, (a, b) in enumerate(zip(amask, bmask)):
-            index.setdefault((int(a), int(b)), i)  # even id wins for (V, V)
-        join = np.zeros((n2, n2), dtype=np.int64)
-        meet = np.zeros((n2, n2), dtype=np.int64)
-        for i in range(n2):
-            for j in range(n2):
-                # supremum shrinks the A side and grows the B side
-                join[i, j] = index[(int(amask[i] & amask[j]), int(bmask[i] | bmask[j]))]
-                meet[i, j] = index[(int(amask[i] | amask[j]), int(bmask[i] & bmask[j]))]
+        a, b = mask_of(A), mask_of(B)
+        pairs += [(a, b), (b, a)]
+    # (A, B) <= (C, D) iff A >= C and B <= D: the subset order on the keys
+    # (V - A, B), whose union is the join and whose intersection the meet
+    full = (1 << g.n) - 1
+    keys = [(full & ~a) << g.n | b for a, b in pairs]
+    leq, join, meet = _subset_lattice(keys, 2 * g.n, with_universe)
     return SeparationSystem(
-        leq, orders, join=join, meet=meet, distributive=with_universe,
+        leq, [(a & b).bit_count() for a, b in pairs[::2]], join=join,
+        meet=meet, distributive=with_universe,
         ground=GraphRealization(g, tuple(pairs)),
-        allow_degenerate=degenerate)
+        allow_degenerate=any(a == b for a, b in pairs))
 
 
 def graph_universe(g: Graph) -> SeparationSystem:
@@ -301,30 +313,16 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
     orders = []
     for fa, fb in pairs:
         A, B = frozenset(fa), frozenset(fb)
-        sides.append(A)
-        sides.append(B)
+        sides += [mask_of(fa), mask_of(fb)]
         if ground.order_rule is not None:
             orders.append(float(ground.order_rule(A)))
         elif sim is not None:
             orders.append(_cut_weight(A, ground.size, scaled, scale))
         else:
             orders.append(float(len(A) * len(B)))
-    n2 = len(sides)
-    masks = np.array([sum(1 << v for v in s) for s in sides], dtype=np.int64)
-    leq = (masks[:, None] & ~masks[None, :]) == 0  # subset order
-    join = meet = None
-    closed = all(frozenset(a | b) in sideset and frozenset(a & b) in sideset
-                 for a in sides for b in sides)
-    if closed:
-        index = {int(m): i for i, m in enumerate(masks)}
-        join = np.zeros((n2, n2), dtype=np.int64)
-        meet = np.zeros((n2, n2), dtype=np.int64)
-        for i in range(n2):
-            for j in range(n2):
-                join[i, j] = index[int(masks[i] | masks[j])]
-                meet[i, j] = index[int(masks[i] & masks[j])]
+    leq, join, meet = _subset_lattice(sides, ground.size, True)
     return SeparationSystem(
-        leq, orders, join=join, meet=meet, distributive=closed,
+        leq, orders, join=join, meet=meet, distributive=join is not None,
         ground=SideRealization(ground.size, tuple(sides)))
 
 
@@ -383,10 +381,10 @@ def block_of_tangle(system: SeparationSystem, tau) -> frozenset[int]:
         raise MissingCapability("block extraction needs a graph-ground system")
     if not system.orients_all(tau) or not system.is_consistent(tau):
         raise NotATangle("expected a consistent orientation of every separation")
-    block = set(ground.graph.vertices())
-    for o in sorted(tau):
-        block &= ground.big_side(o)
-    return frozenset(block)
+    block = (1 << ground.graph.n) - 1
+    for o in tau:
+        block &= ground.pairs[o][1]
+    return frozenset(ids_of(block))
 
 
 # -- CSV loaders ---------------------------------------------------------------

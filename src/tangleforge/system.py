@@ -6,14 +6,18 @@ The involution flips the low bit.  The partial order is stored explicitly as a
 boolean ``(2n, 2n)`` matrix, precomputed and validated at load; desk-scale
 sizes make the quadratic storage cheap and every comparison O(1).
 
-Partial orientations are plain ``frozenset``s of oriented ids throughout the
-package.
+Sets of oriented ids are ``frozenset``s at the public API and Python-int
+bitmasks inside, bit ``o`` standing for oriented id ``o``.  The system derives
+per-element masks (everything above, everything below, ...) from ``leq`` once,
+and every set operation reads them; ``leq``, ``join`` and ``meet`` stay numpy
+arrays for the vectorised checks and the JSON form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import index
 
 import numpy as np
 
@@ -41,6 +45,24 @@ def forward(s: int) -> int:
 
 def backward(s: int) -> int:
     return 2 * s + 1
+
+
+def mask_of(ids) -> int:
+    """Bitmask with bit ``o`` set for each id ``o``."""
+    m = 0
+    for o in ids:
+        m |= 1 << index(o)  # a numpy integer would shift in 64 bits
+    return m
+
+
+def ids_of(mask: int) -> list[int]:
+    """The set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def fmt_oriented(o: int) -> str:
@@ -96,6 +118,9 @@ class SeparationSystem:
         ``back_map[s]`` is the parent's unoriented id for local id ``s``.
     allow_degenerate : admit separations whose two orientations coincide
         (both ids then alias one element; rejected by default).
+
+    ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
+    below ``a`` (``a`` included), derived from ``leq`` at construction.
     """
 
     def __init__(self, leq, orders, *, join=None, meet=None, distributive=False,
@@ -125,6 +150,24 @@ class SeparationSystem:
             self.join.setflags(write=False)
         if self.meet is not None:
             self.meet.setflags(write=False)
+        self.up, self.down = (tuple(
+            int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(m, axis=1, bitorder="little"))
+            for m in (leq, leq.T))
+        self._even = ((1 << n2) - 1) // 3  # the forward id of every separation
+        self._degenerate = mask_of(o for o in range(n2)
+                                   if (self.up[o] & self.down[o]) >> (o ^ 1) & 1)
+        self._canon = tuple(o & ~1 if self._degenerate >> o & 1 else o
+                            for o in range(n2))
+        self._below = tuple(d & ~u for u, d in zip(self.up, self.down))
+        # What an element requires (itself, everything strictly above it of
+        # another separation, canonical ids), and the elements of other
+        # separations pointing away from it: y with x <= y*, i.e. y <= x*.
+        self._requires = tuple(self._canon_mask(
+            1 << o | self.up[o] & ~self.down[o] & ~(3 << (o & ~1)))
+            for o in range(n2))
+        self._away = tuple(self.down[o ^ 1] & ~(3 << (o & ~1)) for o in range(n2))
+        self._by_order = sorted(self.seps(), key=lambda s: (orders[s], s))
         if check:
             report = validate(self)
             if not report.ok:
@@ -153,18 +196,21 @@ class SeparationSystem:
         return float(self.orders[sep_of(o)])
 
     def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
+        return bool(self.up[a] >> b & 1)
 
     def lt(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b]) and not bool(self.leq[b, a])
+        return bool(self._below[b] >> a & 1)
 
     def is_degenerate(self, s: int) -> bool:
-        return bool(self.leq[forward(s), backward(s)]) and \
-            bool(self.leq[backward(s), forward(s)])
+        return bool(self._degenerate >> forward(s) & 1)
 
     def canon(self, o: int) -> int:
         """Canonical id: the even one when the separation is degenerate."""
-        return o & ~1 if self.is_degenerate(sep_of(o)) else o
+        return self._canon[o]
+
+    def _canon_mask(self, mask: int) -> int:
+        odd = mask & self._degenerate & ~self._even
+        return mask & ~odd | odd >> 1
 
     def orientations_of(self, s: int) -> tuple[int, ...]:
         if self.is_degenerate(s):
@@ -177,16 +223,12 @@ class SeparationSystem:
     # -- element predicates ------------------------------------------------
 
     def is_small(self, o: int) -> bool:
-        return bool(self.leq[o, inverse(o)])
+        return bool(self.up[o] >> inverse(o) & 1)
 
     def is_trivial(self, o: int) -> bool:
         """Both orientations of some other separation lie strictly below ``o``."""
-        for r in self.seps():
-            if r == sep_of(o):
-                continue
-            if self.lt(forward(r), o) and self.lt(backward(r), o):
-                return True
-        return False
+        below = self._below[o] & ~(3 << (o & ~1))
+        return bool(below & below >> 1 & self._even)
 
     def is_cotrivial(self, o: int) -> bool:
         return self.is_trivial(inverse(o))
@@ -195,7 +237,7 @@ class SeparationSystem:
         return [o for o in self.all_oriented() if self.is_trivial(o)]
 
     def points_towards(self, o: int, s: int) -> bool:
-        return bool(self.leq[forward(s), o]) or bool(self.leq[backward(s), o])
+        return bool(self.down[o] >> forward(s) & 3)
 
     def points_away(self, o: int, s: int) -> bool:
         return self.points_towards(inverse(o), s)
@@ -203,36 +245,34 @@ class SeparationSystem:
     def is_nested(self, r: int, s: int) -> bool:
         if r == s:
             return True
-        for a in (forward(r), backward(r)):
-            for b in (forward(s), backward(s)):
-                if self.leq[a, b] or self.leq[b, a]:
-                    return True
-        return False
+        f, b = forward(r), backward(r)
+        comparable = self.up[f] | self.down[f] | self.up[b] | self.down[b]
+        return bool(comparable >> forward(s) & 3)
 
     # -- sets of oriented separations ---------------------------------------
 
     def inconsistent_pair(self, members) -> tuple[int, int] | None:
         """Two elements of distinct separations pointing away from each other."""
-        ms = sorted(members)
-        for i, x in enumerate(ms):
-            for y in ms[i + 1:]:
-                if sep_of(x) != sep_of(y) and self.leq[x, inverse(y)]:
-                    return (x, y)
+        m = mask_of(members)
+        for x in ids_of(m):
+            later = self._away[x] & m & -(2 << x)
+            if later:
+                return x, (later & -later).bit_length() - 1
         return None
 
     def is_consistent(self, members) -> bool:
         return self.inconsistent_pair(members) is None
 
-    def _closure_raw(self, members) -> frozenset[int]:
+    def _closure_mask(self, mask: int) -> int:
         # Upward requirement set: everything strictly above an element of a
         # distinct separation.  Works on any set; no consistency guard.
-        out = set(self.canon(x) for x in members)
-        for x in members:
-            above = np.flatnonzero(self.leq[x])
-            for y in above.tolist():
-                if sep_of(y) != sep_of(x) and not self.leq[y, x]:
-                    out.add(self.canon(y))
-        return frozenset(out)
+        out = 0
+        for x in ids_of(mask):
+            out |= self._requires[x]
+        return out
+
+    def _closure_raw(self, members) -> frozenset[int]:
+        return frozenset(ids_of(self._closure_mask(mask_of(members))))
 
     def closure(self, members) -> frozenset[int]:
         """The input plus every separation it requires; input must be consistent."""
@@ -244,57 +284,47 @@ class SeparationSystem:
         return self._closure_raw(members)
 
     def is_star(self, members) -> bool:
-        ms = sorted(members)
-        for x in ms:
-            if self.is_degenerate(sep_of(x)):
+        m = mask_of(members)
+        if m & self._degenerate:
+            return False
+        for x in ids_of(m):
+            # Later elements y of other separations need y* <= x, that is
+            # x* <= y; both orientations of one separation are admissible
+            # only when one of them is small (they are comparable).
+            pair = 3 << (x & ~1)
+            allowed = self.up[x ^ 1] & ~pair | (self.up[x] | self.down[x]) & pair
+            if m & -(2 << x) & ~allowed:
                 return False
-        for i, x in enumerate(ms):
-            for y in ms[i + 1:]:
-                if sep_of(x) == sep_of(y):
-                    # Both orientations present: admissible only when one of
-                    # them is small (the orientations are comparable).
-                    if not (self.leq[x, y] or self.leq[y, x]):
-                        return False
-                elif not self.leq[inverse(y), x]:
-                    return False
         return True
 
     def minimal_elements(self, members) -> frozenset[int]:
         """Elements of the set with nothing of the set strictly below them."""
-        ms = sorted(members)
-        return frozenset(x for x in ms
-                         if not any(self.lt(y, x) for y in ms if y != x))
+        m = mask_of(members)
+        return frozenset(x for x in ids_of(m) if not self._below[x] & m)
 
-    def oriented_sep_set(self, members) -> set[int]:
-        return {sep_of(x) for x in members}
+    def open_separations(self, members) -> list[int]:
+        """Separations the closure of the set leaves unoriented, cheapest
+        first, ties broken by id."""
+        closure = self._closure_mask(mask_of(members))
+        oriented = (closure | closure >> 1) & self._even
+        return [s for s in self._by_order if not oriented >> forward(s) & 1]
 
     def orients_all(self, members) -> bool:
         """One orientation per separation, every separation covered."""
-        seen = {}
-        for x in members:
-            s = sep_of(x)
-            c = self.canon(x)
-            if s in seen and seen[s] != c:
-                return False
-            seen[s] = c
-        return len(seen) == self.count
+        m = self._canon_mask(mask_of(members))
+        fwd, bwd = m & self._even, m >> 1 & self._even
+        return not fwd & bwd and fwd | bwd == self._even
 
     def eclipsed_elements(self, members, weak: bool) -> set[int]:
         """Elements with a strictly smaller element of the set below them.
 
         ``weak=True`` admits equal orders for the eclipsing element.
         """
-        ms = sorted(members)
-        out = set()
-        for x in ms:
-            for y in ms:
-                if y == x or not self.lt(y, x):
-                    continue
-                if self.order_of(y) < self.order_of(x) or \
-                        (weak and self.order_of(y) <= self.order_of(x)):
-                    out.add(x)
-                    break
-        return out
+        m = mask_of(members)
+        order = self.order_of
+        return {x for x in ids_of(m)
+                if any(order(y) < order(x) or (weak and order(y) <= order(x))
+                       for y in ids_of(self._below[x] & m))}
 
     # -- derived systems -----------------------------------------------------
 
@@ -306,11 +336,9 @@ class SeparationSystem:
         orders = self.orders[list(sep_ids)]
         join = meet = None
         if self.has_universe():
-            keep = set(idx)
             jvals = self.join[np.ix_(idx, idx)]
             mvals = self.meet[np.ix_(idx, idx)]
-            if all(int(v) in keep for v in jvals.flat) and \
-                    all(int(v) in keep for v in mvals.flat):
+            if np.isin(jvals, idx).all() and np.isin(mvals, idx).all():
                 lut = np.full(self.n_oriented, -1, dtype=np.int64)
                 lut[list(idx)] = np.arange(len(idx))
                 join, meet = lut[jvals], lut[mvals]
@@ -363,31 +391,30 @@ def validate(system: SeparationSystem) -> ValidationReport:
         rep.add("reflexivity", f"missing a <= a for oriented ids {bad}")
     rep.checked["reflexivity"] = "exhaustive"
 
-    mutual = L & L.T
-    np.fill_diagonal(mutual, False)
-    for a, b in zip(*np.nonzero(mutual)):
-        if a >= b:
-            continue
-        if sep_of(int(a)) == sep_of(int(b)):
-            if not system.allow_degenerate:
+    for a in range(n2):
+        for b in ids_of(system.up[a] & system.down[a] & -(2 << a)):
+            if sep_of(a) != sep_of(b):
+                rep.add("antisymmetry",
+                        f"{fmt_oriented(a)} <= {fmt_oriented(b)} and back")
+            elif not system.allow_degenerate:
                 rep.add("degenerate",
-                        f"separation {sep_of(int(a))} has equal orientations "
+                        f"separation {sep_of(a)} has equal orientations "
                         "(pass allow_degenerate to admit)")
-            elif not (np.array_equal(L[a], L[b]) and np.array_equal(L[:, a], L[:, b])):
+            elif not (system.up[a] == system.up[b] and
+                      system.down[a] == system.down[b]):
                 rep.add("degenerate",
-                        f"degenerate separation {sep_of(int(a))} has diverging rows")
-        else:
-            rep.add("antisymmetry",
-                    f"{fmt_oriented(int(a))} <= {fmt_oriented(int(b))} and back")
+                        f"degenerate separation {sep_of(a)} has diverging rows")
     rep.checked["antisymmetry"] = "exhaustive"
 
-    if n2:
-        closure = (L.astype(np.uint8) @ L.astype(np.uint8)) > 0
-        viol = closure & ~L
-        if viol.any():
-            a, b = map(int, np.argwhere(viol)[0])
+    for a in range(n2):
+        reach = 0
+        for c in ids_of(system.up[a]):
+            reach |= system.up[c]
+        if reach & ~system.up[a]:
+            b = ids_of(reach & ~system.up[a])[0]
             rep.add("transitivity",
                     f"{fmt_oriented(a)} <= ... <= {fmt_oriented(b)} but not directly")
+            break
     rep.checked["transitivity"] = "exhaustive"
 
     if n2:
@@ -419,10 +446,7 @@ def _validate_universe(system, rep):
     if J.min() < 0 or J.max() >= n2 or M.min() < 0 or M.max() >= n2:
         rep.add("universe", "join/meet values out of range")
         return
-    canon = np.arange(n2)
-    for s in system.seps():
-        if system.is_degenerate(s):
-            canon[backward(s)] = forward(s)
+    canon = np.array(system._canon)
 
     def eq(a, b):
         return np.array_equal(canon[a], canon[b])
@@ -487,9 +511,7 @@ def _validate_universe(system, rep):
 def to_json_dict(system: SeparationSystem) -> dict:
     """Canonical JSON form; reflexive pairs omitted, keys sorted on dump."""
     n2 = system.n_oriented
-    pairs = [[int(a), int(b)]
-             for a in range(n2) for b in range(n2)
-             if a != b and system.leq[a, b]]
+    pairs = [[a, b] for a in range(n2) for b in ids_of(system.up[a]) if a != b]
     out = {
         "format": "sepsys/v1",
         "count": system.count,
@@ -516,19 +538,29 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
     The relation must already be transitively closed unless
     ``transitive_close`` asks for closure to be computed at load.
     """
+    expect_object(d, "sepsys/v1 system")
     if d.get("format", "sepsys/v1") != "sepsys/v1":
         raise ValidationError(f"unsupported system format {d.get('format')!r}")
-    count = int(d["count"])
+    try:
+        count = int(d["count"])
+        orders = [float(x) for x in d["orders"]]
+    except KeyError as exc:
+        raise ValidationError(f"sepsys/v1 system lacks the field {exc}") from None
+    except (TypeError, ValueError):
+        raise ValidationError("sepsys/v1 'count' must be an integer and "
+                              "'orders' a list of numbers") from None
     n2 = 2 * count
-    orders = [float(x) for x in d["orders"]]
-    if len(orders) != count:
+    if count < 0 or len(orders) != count:
         raise ValidationError("orders length does not match count")
     leq = np.zeros((n2, n2), dtype=bool)
     np.fill_diagonal(leq, True)
     for pair in d.get("leq", []):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"leq pair {pair} must have two entries")
-        a, b = int(pair[0]), int(pair[1])
+        try:
+            a, b = int(pair[0]), int(pair[1])
+        except (TypeError, ValueError):
+            raise ValidationError(f"leq pair {pair} must hold integers") from None
         if not (0 <= a < n2 and 0 <= b < n2):
             raise ValidationError(f"leq pair {pair} out of range")
         leq[a, b] = True
@@ -558,4 +590,20 @@ def dump_system(system: SeparationSystem) -> str:
 
 
 def load_system(text: str, **kwargs) -> SeparationSystem:
-    return from_json_dict(json.loads(text), **kwargs)
+    return from_json_dict(parse_json(text, "sepsys/v1 text"), **kwargs)
+
+
+def parse_json(text: str, what: str):
+    """The JSON value in ``text``; ``what`` names the input in the error."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+
+
+def expect_object(d, what: str) -> dict:
+    """``d`` itself when it is a JSON object; ``what`` names it otherwise."""
+    if not isinstance(d, dict):
+        raise ValidationError(
+            f"{what} must be a JSON object, got {type(d).__name__}")
+    return d

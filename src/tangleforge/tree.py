@@ -16,7 +16,8 @@ from typing import NamedTuple
 from .errors import (LeafHasNoSep, MalformedTree, NotAStructureTree,
                      NotOrdered, ValidationError)
 from .families import ForbiddenFamily, Witness
-from .system import fmt_oriented, from_json_dict, sep_of, to_json_dict
+from .system import (expect_object, fmt_oriented, from_json_dict, parse_json,
+                     sep_of, to_json_dict)
 
 
 class Check(NamedTuple):
@@ -315,13 +316,11 @@ def is_thoroughly_ordered(tree) -> Check:
     system = tree.system
     for v in tree.non_leaves():
         s = tree.s_of(v)
-        closure = system._closure_raw(tree.beta(v))
-        oriented = system.oriented_sep_set(closure)
-        if s in oriented:
+        unoriented = system.open_separations(tree.beta(v))
+        if s not in unoriented:
             return Check(False, f"split separation {s} at node {v} is already "
                                 "oriented by the closure of the path labels")
-        unoriented = [t for t in system.seps() if t not in oriented]
-        best = min(system.order(t) for t in unoriented)
+        best = system.order(unoriented[0])
         if system.order(s) > best:
             return Check(False,
                          f"node {v} splits order {system.order(s)} while order "
@@ -381,12 +380,8 @@ def restrict(tree, k: float) -> StructureTree:
     if not ok:
         raise NotOrdered(ok.why)
     sub = tree.system.restrict_below(k)
-    new_sep = {old: new for new, old in enumerate(sub.back_map)}
-    label_map = {}
-    for o in range(tree.system.n_oriented):
-        s = sep_of(o)
-        if s in new_sep:
-            label_map[o] = 2 * new_sep[s] + (o & 1)
+    label_map = {old: new
+                 for new, old in enumerate(sub.oriented_into(tree.system))}
     keep = []
     stack = [tree.root]
     while stack:
@@ -414,21 +409,29 @@ def tree_to_json_dict(tree) -> dict:
 
 
 def tree_from_json_dict(d, system=None) -> StructureTree:
-    if d.get("format") != "tree/v1":
+    if expect_object(d, "tree/v1 tree").get("format") != "tree/v1":
         raise ValidationError(f"unsupported tree format {d.get('format')!r}")
     if system is None:
-        system = from_json_dict(d["system_ref"])
+        system = from_json_dict(d.get("system_ref"))
     parent, children, label = {}, {}, {}
-    for nd in d["nodes"]:
-        v = int(nd["id"])
-        parent[v] = None if nd["parent"] is None else int(nd["parent"])
-        label[v] = None if nd["edge_label"] is None else int(nd["edge_label"])
-        children.setdefault(v, [])
+    try:
+        for nd in d["nodes"]:
+            v = int(nd["id"])
+            parent[v] = None if nd["parent"] is None else int(nd["parent"])
+            label[v] = None if nd["edge_label"] is None else int(nd["edge_label"])
+            children.setdefault(v, [])
+        root = int(d["root"])
+    except KeyError as exc:
+        raise ValidationError(f"tree/v1 tree lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"tree/v1 node or root malformed: {exc}") from None
     for v, p in parent.items():
         if p is not None:
+            if p not in children:
+                raise ValidationError(f"node {v} has the unknown parent {p}")
             children[p].append(v)
     children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-    tree = StructureTree(system, int(d["root"]), parent, children, label)
+    tree = StructureTree(system, root, parent, children, label)
     if tree.root not in parent or parent[tree.root] is not None:
         raise ValidationError("root must be a node without parent")
     return tree
@@ -439,7 +442,7 @@ def dump_tree(tree) -> str:
 
 
 def load_tree(text: str, system=None) -> StructureTree:
-    return tree_from_json_dict(json.loads(text), system)
+    return tree_from_json_dict(parse_json(text, "tree/v1 text"), system)
 
 
 def _tangle_label(system, tangle) -> str:

@@ -205,24 +205,36 @@ K4 = str(FIXTURES / "k4.edges")
 
 
 @pytest.mark.parametrize("argv, name, text, cause", [
-    pytest.param(["--graph", K4, "--family", "blocks"], None, None, "'k'",
+    pytest.param(["build", "--graph", K4, "--family", "blocks"], None, None, "'k'",
                  id="family-without-parameter"),
-    pytest.param(["--graph", K4, "--family", "blocks:x"], None, None,
+    pytest.param(["build", "--graph", K4, "--family", "blocks:x"], None, None,
                  "'k', got 'x'", id="family-parameter-not-an-integer"),
-    pytest.param(["--graph", K4, "--family", "{path}"], "family.json",
+    pytest.param(["build", "--graph", K4, "--family", "{path}"], "family.json",
                  json.dumps({"format": "family/v1", "kind": "blocks"}), "'k'",
                  id="family-file-without-k"),
-    pytest.param(["--graph", "{path}"], "missing.edges", None, "missing.edges",
+    pytest.param(["build", "--graph", "{path}"], "missing.edges", None, "missing.edges",
                  id="missing-graph-file"),
-    pytest.param(["--similarity", "{path}"], "sim.csv",
+    pytest.param(["build", "--similarity", "{path}"], "sim.csv",
                  "0,1,1\n1,0,oops\n1,1,0\n", "row 1, column 2",
                  id="similarity-cell-not-a-number"),
-    pytest.param(["--answers", "{path}"], "answers.csv", "1,0\n0,1\nyes,0\n",
+    pytest.param(["build", "--answers", "{path}"], "answers.csv", "1,0\n0,1\nyes,0\n",
                  "row 2, column 0", id="answers-cell-not-a-number"),
-    pytest.param(["--system", "{path}"], "sys.json",
+    pytest.param(["build", "--system", "{path}"], "sys.json",
                  json.dumps({"format": "sepsys/v1", "count": 1,
                              "orders": [1.0], "leq": [[0]]}),
                  "leq pair [0]", id="leq-pair-of-one"),
+    pytest.param(["build", "--system", "{path}"], "sys.json", "{not json",
+                 "sys.json is not valid JSON", id="system-not-json"),
+    pytest.param(["build", "--system", "{path}"], "sys.json",
+                 json.dumps({"format": "sepsys/v1", "orders": []}), "'count'",
+                 id="system-without-count"),
+    pytest.param(["build", "--graph", K4, "--family", "{path}"], "family.json",
+                 "[1]", "must be a JSON object", id="family-file-not-an-object"),
+    pytest.param(["restrict", "--k", "1", "--tree", "{path}"], "tree.json",
+                 "{not json", "tree.json is not valid JSON",
+                 id="tree-not-json"),
+    pytest.param(["build", "--graph", "{path}"], "bad.edges", "0 1\n0 a\n",
+                 "line 2", id="edge-list-token-not-an-integer"),
 ])
 def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
                                               tmp_path, capsys):
@@ -230,5 +242,5 @@ def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
     if text is not None:
         path.write_text(text)
     argv = [str(path) if a == "{path}" else a for a in argv]
-    assert main(["build", *argv, "--out", str(tmp_path / "out.json")]) == 2
+    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
     assert cause in capsys.readouterr().err

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import tangleforge as tf
+from tangleforge.cli import main
 from tangleforge.errors import (DuplicateQuestionWarning, NotATangle,
                                 NotComplementClosed, ValidationError)
 from tangleforge.oracle import OracleBudget, all_kblocks, all_tangles
@@ -161,6 +162,22 @@ def test_mindsets_fixture_has_two_cluster_tangles():
     cores = sorted(sorted(frozenset.intersection(
         *[sysq.ground.side(o) for o in t])) for t in tangles)
     assert cores == [[0, 1, 2], [5, 6, 7]]
+
+
+def test_questionnaire_wider_than_a_machine_word_builds(tmp_path):
+    # 70 persons: side bitmasks do not fit in 64 bits
+    answers = [[int((i < 35) == (j < 2)) ^ int((7 * i + 3 * j) % 11 == 0)
+                for j in range(4)] for i in range(70)]
+    sysq = tf.questionnaire_system(answers)
+    assert sysq.count == 4 and validate(sysq).ok
+    c20 = tf.make_cluster(20, sysq)
+    expected = all_tangles(sysq, c20)
+    assert len(expected) == 2
+    assert tf.tangles(tf.build(sysq, c20), c20) == expected
+    path = tmp_path / "answers.csv"
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in answers))
+    assert main(["build", "--answers", str(path), "--family", "cluster:20",
+                 "--out", str(tmp_path / "out.json")]) == 0
 
 
 # -- loaders ---------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Production modules stay apart from the brute-force oracle.
+"""Layering: production modules stay apart from the brute-force oracle, and
+only the system and the oracle index the order matrix.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
@@ -52,3 +53,21 @@ def test_only_the_cli_and_is_rich_import_the_oracle():
     # the walk sees the imports that are allowed, so it cannot pass vacuously
     assert {(m, f) for m, f, _ in found} >= {("cli", None),
                                              ("families", "is_rich")}
+
+
+def _leq_subscripts(module: str):
+    """Lines where the module indexes some object's ``leq`` matrix."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "leq"]
+
+
+def test_only_the_system_and_the_oracle_index_leq():
+    # Set operations read the system's bitmasks; per-cell reads of the numpy
+    # order belong to the system's vectorised code and to the oracle, which
+    # keeps its own so that it stays independent of the masks.
+    found = {path.stem: _leq_subscripts(path.stem)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {m for m, lines in found.items() if lines} == {"system", "oracle"}

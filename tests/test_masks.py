@@ -1,0 +1,177 @@
+"""The bitmask set operations against plain definitions on ``leq`` cells.
+
+Each reference below reads the order one cell at a time, the way the
+definitions are written, and shares no code with the masks the system
+derives from ``leq``.  Inputs are the seeded random systems of the suite
+and graph universes, which carry the degenerate separation (V, V).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import tangleforge as tf
+from tangleforge.system import from_json_dict, to_json_dict
+
+from conftest import (all_graphs_up_to_iso, antichain_system,
+                      random_relation_system, random_subset_system,
+                      two_cluster_similarity)
+
+
+def lt(system, a, b):
+    return bool(system.leq[a, b]) and not bool(system.leq[b, a])
+
+
+def canon(system, o):
+    f, b = o & ~1, o | 1
+    return f if system.leq[f, b] and system.leq[b, f] else o
+
+
+def inconsistent_pair(system, members):
+    ms = sorted(members)
+    for i, x in enumerate(ms):
+        for y in ms[i + 1:]:
+            if x >> 1 != y >> 1 and system.leq[x, y ^ 1]:
+                return (x, y)
+    return None
+
+
+def closure_raw(system, members):
+    out = {canon(system, x) for x in members}
+    for x in members:
+        for y in system.all_oriented():
+            if system.leq[x, y] and y >> 1 != x >> 1 and not system.leq[y, x]:
+                out.add(canon(system, y))
+    return frozenset(out)
+
+
+def minimal_elements(system, members):
+    return frozenset(x for x in members
+                     if not any(lt(system, y, x) for y in members if y != x))
+
+
+def orients_all(system, members):
+    chosen = {}
+    for x in members:
+        if chosen.setdefault(x >> 1, canon(system, x)) != canon(system, x):
+            return False
+    return len(chosen) == system.count
+
+
+def eclipsed_elements(system, members, weak):
+    order = system.orders
+    return {x for x in members for y in members
+            if y != x and lt(system, y, x) and
+            (order[y >> 1] < order[x >> 1] or
+             (weak and order[y >> 1] <= order[x >> 1]))}
+
+
+def is_trivial(system, o):
+    return any(r != o >> 1 and lt(system, 2 * r, o) and lt(system, 2 * r + 1, o)
+               for r in system.seps())
+
+
+def open_separations(system, members):
+    oriented = {y >> 1 for y in closure_raw(system, members)}
+    return sorted((s for s in system.seps() if s not in oriented),
+                  key=lambda s: (system.orders[s], s))
+
+
+def assert_mask_operations_match(system, rng, samples=12):
+    ids = list(system.all_oriented())
+    for o in ids:
+        assert system.canon(o) == canon(system, o)
+        assert system.is_trivial(o) == is_trivial(system, o)
+    subsets = [frozenset(ids)]
+    for _ in range(samples):
+        size = int(rng.integers(0, min(5, len(ids)) + 1))
+        subsets.append(frozenset(int(x) for x in rng.choice(ids, size, replace=False)))
+    for members in subsets:
+        assert system.inconsistent_pair(members) == inconsistent_pair(system, members)
+        assert system._closure_raw(members) == closure_raw(system, members)
+        assert system.minimal_elements(members) == minimal_elements(system, members)
+        assert system.orients_all(members) == orients_all(system, members)
+        for weak in (False, True):
+            assert system.eclipsed_elements(members, weak) == \
+                eclipsed_elements(system, members, weak)
+        assert system.open_separations(members) == open_separations(system, members)
+    tau = frozenset(2 * s + int(rng.integers(0, 2)) for s in system.seps())
+    assert system.orients_all(tau) and orients_all(system, tau)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 5))
+@settings(max_examples=30, deadline=None)
+def test_mask_operations_on_random_subset_systems(seed, n):
+    system = random_subset_system(seed, n_seps=n)
+    assert_mask_operations_match(system, np.random.default_rng(seed))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_mask_operations_on_random_relation_systems(seed, n):
+    system = random_relation_system(seed, n_seps=n)
+    assert_mask_operations_match(system, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mask_operations_on_graph_universes_with_a_degenerate_separation(n):
+    for i, g in enumerate(all_graphs_up_to_iso(n)):
+        universe = tf.graph_universe(g)
+        assert any(universe.is_degenerate(s) for s in universe.seps())
+        assert_mask_operations_match(universe, np.random.default_rng(i))
+
+
+def test_mask_operations_on_a_four_vertex_path_universe():
+    p4 = tf.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert_mask_operations_match(tf.graph_universe(p4),
+                                 np.random.default_rng(4), samples=40)
+
+
+def test_numpy_integer_ids_beyond_64_bits():
+    system = antichain_system(40)
+    ids = np.array([3, 70, 71])
+    assert system.minimal_elements(ids) == frozenset({3, 70, 71})
+    assert system.inconsistent_pair(ids) is None
+    assert not system.orients_all(ids)
+
+
+def _graph_and_subset_systems(k4):
+    answers = [[1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    return [tf.graph_system(k4, 3), tf.graph_universe(k4),
+            tf.bipartition_system(tf.full_bipartition_ground(
+                6, similarity=two_cluster_similarity())),
+            tf.questionnaire_system(answers)]
+
+
+def test_side_views_match_the_json_sides_and_the_ground(k4):
+    for system in _graph_and_subset_systems(k4):
+        ground = system.ground
+        d = to_json_dict(system)["ground"]
+        again = from_json_dict(to_json_dict(system)).ground
+        for o in system.all_oriented():
+            forward_sides = d["sides"][o >> 1]
+            if ground.kind == "graph":
+                A, B = forward_sides if o % 2 == 0 else forward_sides[::-1]
+                assert ground.side_pair(o) == again.side_pair(o) == \
+                    (frozenset(A), frozenset(B))
+                assert ground.big_side(o) == again.big_side(o) == frozenset(B)
+                # a separation: the sides cover V with no edge across
+                A, B = frozenset(A), frozenset(B)
+                assert A | B == frozenset(k4.vertices())
+                assert not any(k4.has_edge(u, v) for u in A - B for v in B - A)
+                assert system.order_of(o) == len(A & B)
+            else:
+                points = frozenset(range(ground.size))
+                side = frozenset(forward_sides)
+                expected = side if o % 2 == 0 else points - side
+                assert ground.side(o) == again.side(o) == expected
+                assert ground.side(o ^ 1) == points - ground.side(o)
+        for a in system.all_oriented():
+            for b in system.all_oriented():
+                if ground.kind == "sets":
+                    assert bool(system.leq[a, b]) == \
+                        (ground.side(a) <= ground.side(b))
+                else:
+                    (A, B), (C, D) = ground.side_pair(a), ground.side_pair(b)
+                    assert bool(system.leq[a, b]) == (A >= C and B <= D)

@@ -297,6 +297,18 @@ def test_json_round_trip_keeps_universe_and_ground(six_cluster_system):
     assert again.ground.sides == six_cluster_system.ground.sides
 
 
+@pytest.mark.parametrize("text", ["{not json", "[1]", '{"format": "sepsys/v1"}'])
+def test_loaders_reject_malformed_json_with_a_validation_error(text):
+    for load in (tf.load_system, tf.tree.load_tree):
+        with pytest.raises(ValidationError):
+            load(text)
+
+
+def test_family_spec_must_be_a_json_object():
+    with pytest.raises(ValidationError):
+        tf.family_from_json([1], antichain_system())
+
+
 # -- property tests ----------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 import tangleforge as tf
 import tangleforge.tree as tr
 from tangleforge.errors import (LeafHasNoSep, MalformedTree,
-                                NotAStructureTree, NotOrdered)
+                                NotAStructureTree, NotOrdered, ValidationError)
 from tangleforge.oracle import all_tangles, is_strongly_efficient_in
 
 from conftest import (nested_pair_system, original_labels,
@@ -325,6 +325,16 @@ def test_tree_json_round_trip(nested_tree):
     assert tf.tree.dump_tree(again) == text
     assert tree_shape(again) == tree_shape(t)
     assert tf.is_structure_tree(again, tf.make_empty())
+
+
+@pytest.mark.parametrize("node, field, value", [
+    (1, "parent", 99), (1, "id", "x"), (0, "edge_label", [0])])
+def test_tree_loader_names_a_malformed_node(nested_tree, node, field, value):
+    _, _, t = nested_tree
+    d = tf.tree_to_json_dict(t)
+    d["nodes"][node][field] = value
+    with pytest.raises(ValidationError):
+        tf.tree_from_json_dict(d)
 
 
 def test_dot_export_is_deterministic(nested_tree):
