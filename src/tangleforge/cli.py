@@ -131,7 +131,7 @@ def cmd_validate(args) -> int:
     if chosen:
         try:
             sys_obj = system_mod.from_json_dict(_read_json(chosen), check=False)
-        except (TangleForgeError, KeyError, ValueError) as exc:
+        except TangleForgeError as exc:
             _write(args, _dump({"ok": False, "issues": [str(exc)]}))
             return 2
     else:

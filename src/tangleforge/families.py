@@ -2,9 +2,14 @@
 
 A family never materializes its members: it answers "does this set contain a
 member, and show one".  Witness choice is deterministic (lexicographically
-least by sorted oriented-id sequence) so golden files stay stable.  Each
-family also exposes ``is_member`` as the direct definitional test, which the
-tests use as an independent re-check of every witness.
+least by sorted oriented-id sequence) so golden files stay stable.
+
+Each family states what a member is with ``is_member``, the definition the
+tests re-check every witness against, and implements one scan, ``_extends``:
+is there a member inside a set plus ``x`` that contains ``x``?  The witness
+search ``_search`` is derived from the two in the base class.  ``blocks``
+(closed under supersets), ``explicit`` (a listed family) and ``empty``
+specialise it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,12 @@ class Witness:
 
 
 class ForbiddenFamily:
-    """Base class: bound to a system, queried with sets of oriented ids."""
+    """Base class: bound to a system, queried with sets of oriented ids.
+
+    Subclasses define ``is_member`` and ``_extends`` on the bound system's
+    canonical ids; ``forbidden_subset`` and ``extends_member`` translate the
+    caller's ids and ask ``_search`` and ``_extends``.
+    """
 
     kind = "abstract"
     arity: int | None = 3  # max member size; None means unbounded
@@ -49,7 +59,7 @@ class ForbiddenFamily:
 
     # -- mapping between the caller's system and the bound one ----------------
 
-    def _ids_into(self, system: SeparationSystem) -> list[int] | None:
+    def _ids_into(self, system: SeparationSystem) -> tuple[int, ...] | None:
         """The caller's oriented ids in the bound system, None if the same."""
         if self.system is None or system is self.system:
             return None
@@ -64,14 +74,25 @@ class ForbiddenFamily:
     def evidence(self, members) -> dict:
         return {}
 
+    def _extends(self, work: list[int], x: int) -> bool:
+        """The one scan: is there a member inside ``work`` plus ``x`` that
+        contains ``x``?  ``work`` may itself hold members.  Ids are the bound
+        system's canonical ones."""
+        raise NotImplementedError
+
     def _search(self, work: list[int]):
-        """Lexicographically least member among subsets of ``work``."""
+        """Lexicographically least member among subsets of the sorted
+        ``work``, derived from ``is_member`` and ``_extends``.
+
+        Its least element is the first ``x`` whose scan over the elements
+        after it finds a member; the prefix walk below ``x`` completes it.
+        """
         if self.is_member(frozenset()):
             return frozenset()
         cap = self.arity if self.arity is not None else len(work)
 
         def rec(prefix, start):
-            if prefix and self.is_member(prefix):
+            if self.is_member(prefix):
                 return frozenset(prefix)
             if len(prefix) >= cap:
                 return None
@@ -81,13 +102,10 @@ class ForbiddenFamily:
                     return hit
             return None
 
-        return rec([], 0)
-
-    def _extends(self, work: list[int], x: int) -> bool:
-        """Does adding ``x`` to the member-free bound ids ``work`` create a
-        member?  Default falls back to a full subset search; subclasses
-        override with an incremental scan so enumeration stays cheap."""
-        return self._search(sorted(set(work) | {x})) is not None
+        for i, x in enumerate(work):
+            if self._extends(work[i + 1:], x):
+                return rec([x], i + 1)
+        return None
 
     # -- public API --------------------------------------------------------------
 
@@ -102,7 +120,8 @@ class ForbiddenFamily:
         return Witness(out, self.kind, self.evidence(hit))
 
     def extends_member(self, system: SeparationSystem, members, new: int) -> bool:
-        """Does adding ``new`` to a member-free set create a member?"""
+        """Is there a member inside ``members`` plus ``new`` that contains
+        ``new``?"""
         up = self._ids_into(system)
         if up is None:
             return self._extends(sorted(members), new)
@@ -148,6 +167,8 @@ class ExplicitFamily(ForbiddenFamily):
         return mask_of(members) in self._by_mask
 
     def _search(self, work):
+        # Kept over the derived search: one pass over the listed members,
+        # where the derived one rescans them for each candidate element.
         ws = mask_of(work)
         inside = [m for k, m in self._by_mask.items() if not k & ~ws]
         if not inside:
@@ -198,18 +219,15 @@ class BlocksFamily(ForbiddenFamily):
                 "k": self.k}
 
     def _search(self, work):
-        if self.is_member(()):
-            return frozenset()
-        if not self.is_member(work):
-            return None  # superset-closed: the whole set decides
         # Superset closure makes the lexicographically least member the
-        # shortest member prefix of the sorted candidate sequence.
-        chosen: list[int] = []
-        for x in work:
-            chosen.append(x)
-            if self.is_member(chosen):
-                break
-        return frozenset(chosen)
+        # shortest member prefix of the sorted work: one running AND.
+        meet, i = self._all, 0
+        while meet.bit_count() >= self.k:
+            if i == len(work):
+                return None
+            meet &= self._big[work[i]]
+            i += 1
+        return frozenset(work[:i])
 
     def _extends(self, work, x):
         return self.is_member(work + [x])
@@ -297,6 +315,9 @@ class ProfileFamily(ForbiddenFamily):
         return self._witness(members) or {}
 
     def _extends(self, work, x):
+        # Raw ids, where is_member compares canonical ones: they agree since
+        # no query holds the odd alias of a degenerate separation
+        # (orientations_of never yields it and closures canonicalise).
         pool = [x] + work
         have = mask_of(pool)
         for y in pool:
@@ -484,12 +505,9 @@ def is_standard(family: ForbiddenFamily, system: SeparationSystem):
     Returns (ok, counterexamples) where counterexamples lists trivial
     oriented ids whose inverse singleton is not in the family.
     """
-    bad = []
-    for o in system.trivial_orienteds():
-        fam_sys = family.system or system
-        up = system.oriented_into(fam_sys)
-        if not family.is_member(frozenset({up[inverse(o)]})):
-            bad.append(o)
+    up = family._ids_into(system) or system.all_oriented()
+    bad = [o for o in system.trivial_orienteds()
+           if not family.is_member(frozenset({up[inverse(o)]}))]
     return (not bad, bad)
 
 
@@ -503,8 +521,7 @@ def is_closed_under_minimization(family: ForbiddenFamily,
     spot check rather than a proof.
     """
     cap = max_size if max_size is not None else (family.arity or 3)
-    fam_sys = family.system or system
-    up = system.oriented_into(fam_sys)
+    up = family._ids_into(system) or system.all_oriented()
     ids = sorted(system.all_oriented())
     bad = []
 

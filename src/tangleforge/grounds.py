@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (DuplicateQuestionWarning, MissingCapability, NotATangle,
                      NotComplementClosed, ValidationError)
-from .system import SeparationSystem, ids_of, mask_of
+from .system import SeparationSystem, expect_object, ids_of, mask_of
 
 # Full graph universes need 3^n side enumerations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
@@ -61,16 +61,17 @@ class Graph:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) == 1:
-                n = max(n, int(parts[0]))
-                continue
-            if len(parts) != 2:
+            if len(parts) > 2:
                 raise ValidationError(f"line {lineno}: expected 'u v', got {raw!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                ends = [int(p) for p in parts]
             except ValueError:
                 raise ValidationError(
                     f"line {lineno}: vertices must be integers, got {raw!r}") from None
+            if len(ends) == 1:
+                n = max(n, ends[0])
+                continue
+            u, v = ends
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
         return cls.from_edges(n, edges)
@@ -140,20 +141,49 @@ class SideRealization:
         }
 
 
-def realization_from_json(d: dict):
-    if d["kind"] == "graph":
-        g = Graph.from_edges(int(d["n"]), [tuple(e) for e in d["edges"]])
-        pairs = []
-        for a, b in d["sides"]:
-            pairs += [(mask_of(a), mask_of(b)), (mask_of(b), mask_of(a))]
-        return GraphRealization(g, tuple(pairs))
-    if d["kind"] == "sets":
-        size = int(d["size"])
-        sides = []
-        for a in d["sides"]:
-            sides += [mask_of(a), (1 << size) - 1 & ~mask_of(a)]
-        return SideRealization(size, tuple(sides))
-    raise ValidationError(f"unknown ground kind {d['kind']!r}")
+def realization_from_json(d: dict, count: int):
+    """The ground payload of a sepsys/v1 system with ``count`` separations:
+    one side (sets) or side pair (graph) per separation."""
+    kind = expect_object(d, "sepsys/v1 ground").get("kind")
+    if kind not in ("graph", "sets"):
+        raise ValidationError(f"unknown ground kind {kind!r}")
+    try:
+        size = int(d["n" if kind == "graph" else "size"])
+        edges = list(d["edges"]) if kind == "graph" else []
+        sides = list(d["sides"])
+    except KeyError as exc:
+        raise ValidationError(f"{kind} ground lacks the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{kind} ground is malformed: {exc}") from None
+    if size < 0 or len(sides) != count:
+        raise ValidationError(f"{kind} ground of size {size} has {len(sides)} "
+                              f"sides for {count} separations")
+
+    def points(value, what, length=None) -> list[int]:
+        """``value`` when it lists points of the ground, ``length`` of them
+        when given."""
+        if not isinstance(value, list) or \
+                any(type(p) is not int or not 0 <= p < size for p in value) or \
+                length is not None and len(value) != length:
+            raise ValidationError(
+                f"{kind} ground {what} {value!r} must list "
+                f"{f'{length} ' if length else ''}points of 0..{size - 1}")
+        return value
+
+    if kind == "sets":
+        full = (1 << size) - 1
+        masks = [mask_of(points(a, "side")) for a in sides]
+        return SideRealization(size, tuple(m for a in masks
+                                           for m in (a, full & ~a)))
+    g = Graph.from_edges(size, [tuple(points(e, "edge", 2)) for e in edges])
+    pairs = []
+    for pair in sides:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ValidationError(f"graph ground side pair {pair!r} must hold "
+                                  "two sides")
+        a, b = (mask_of(points(side, "side")) for side in pair)
+        pairs += [(a, b), (b, a)]
+    return GraphRealization(g, tuple(pairs))
 
 
 def _graph_separations(g: Graph, k: float):

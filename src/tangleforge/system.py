@@ -168,6 +168,7 @@ class SeparationSystem:
             for o in range(n2))
         self._away = tuple(self.down[o ^ 1] & ~(3 << (o & ~1)) for o in range(n2))
         self._by_order = sorted(self.seps(), key=lambda s: (orders[s], s))
+        self._into: dict[int, tuple[int, ...]] = {}  # see oriented_into
         if check:
             report = validate(self)
             if not report.ok:
@@ -354,21 +355,21 @@ class SeparationSystem:
         keep = [s for s in self.seps() if self.orders[s] < k]
         return self.subsystem(keep)
 
-    def oriented_into(self, ancestor: "SeparationSystem") -> list[int]:
-        """Map of local oriented ids into an ancestor system's oriented ids."""
+    def oriented_into(self, ancestor: "SeparationSystem") -> tuple[int, ...]:
+        """Map of local oriented ids into an ancestor system's oriented ids,
+        computed once per ancestor."""
         if ancestor is self:
-            return list(self.all_oriented())
-        chain = []
-        node = self
-        while node is not None and node is not ancestor:
-            chain.append(node)
-            node = node.parent
-        if node is not ancestor:
-            raise GroundMismatch("system does not descend from the family's system")
-        out = list(self.all_oriented())
-        for link in chain:
-            out = [2 * link.back_map[sep_of(o)] + (o & 1) for o in out]
-        return out
+            return tuple(self.all_oriented())
+        # keyed by id: a cached ancestor lies on the parent chain, so it
+        # lives as long as this system does
+        if id(ancestor) not in self._into:
+            if self.parent is None:
+                raise GroundMismatch(
+                    "system does not descend from the family's system")
+            up = self.parent.oriented_into(ancestor)
+            self._into[id(ancestor)] = tuple(
+                up[2 * s + side] for s in self.back_map for side in (0, 1))
+        return self._into[id(ancestor)]
 
 
 # -- validation --------------------------------------------------------------
@@ -554,7 +555,10 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
         raise ValidationError("orders length does not match count")
     leq = np.zeros((n2, n2), dtype=bool)
     np.fill_diagonal(leq, True)
-    for pair in d.get("leq", []):
+    pairs = d.get("leq", [])
+    if not isinstance(pairs, list):
+        raise ValidationError("sepsys/v1 'leq' must be a list of pairs")
+    for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"leq pair {pair} must have two entries")
         try:
@@ -571,12 +575,20 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
             leq = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
     join = meet = None
     if "universe" in d:
-        join = d["universe"]["join"]
-        meet = d["universe"]["meet"]
+        universe = expect_object(d["universe"], "sepsys/v1 universe")
+        try:
+            join, meet = (np.array(universe[f], dtype=np.int64)
+                          for f in ("join", "meet"))
+        except KeyError as exc:
+            raise ValidationError(
+                f"sepsys/v1 universe lacks the field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("sepsys/v1 universe 'join' and 'meet' must "
+                                  f"be integer tables: {exc}") from None
     ground = None
     if "ground" in d:
         from . import grounds
-        ground = grounds.realization_from_json(d["ground"])
+        ground = grounds.realization_from_json(d["ground"], count)
     return SeparationSystem(
         leq, orders, join=join, meet=meet,
         distributive=bool(d.get("distributive", False)),

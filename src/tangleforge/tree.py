@@ -190,26 +190,6 @@ class StructureTree:
 # -- derived data -----------------------------------------------------------
 
 
-def first_forbidden_prefix(tree, family, v) -> int | None:
-    """Shallowest ancestor u of v whose label set already contains a member.
-
-    Walks the root path with incremental membership tests; None when the
-    label set of v avoids the family.
-    """
-    path = tree.path_from_root(v)
-    acc: set[int] = set()
-    if family.forbidden_subset(tree.system, frozenset()) is not None:
-        return path[0]
-    for u in path:
-        o = tree.label(u)
-        if o is None:
-            continue
-        if family.extends_member(tree.system, frozenset(acc), o):
-            return u
-        acc.add(o)
-    return None
-
-
 def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
     """Tangle leaf, forbidden leaf, or unresolved.
 
@@ -224,9 +204,8 @@ def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
         if system.orients_all(closure) and system.is_consistent(closure) \
                 and family.forbidden_subset(system, closure) is None:
             return LeafClass("tangle", tangle=closure)
-    hit = first_forbidden_prefix(tree, family, leaf)
-    if hit is not None:
-        witness = family.forbidden_subset(system, tree.beta(hit))
+    witness = family.forbidden_subset(system, beta)
+    if witness is not None:
         return LeafClass("forbidden", witness=witness)
     return LeafClass("unresolved")
 
@@ -351,7 +330,7 @@ def is_structure_tree(tree, family) -> Check:
     if not cons:
         return cons
     for v in tree.non_leaves():
-        if first_forbidden_prefix(tree, family, v) is not None:
+        if family.forbidden_subset(tree.system, tree.beta(v)) is not None:
             return Check(False, f"inner node {v} has a forbidden label set")
     for leaf in tree.leaves():
         if classify_leaf(tree, leaf, family).kind == "unresolved":

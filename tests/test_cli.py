@@ -203,6 +203,36 @@ def test_restrict_requires_a_threshold(tmp_path):
 
 K4 = str(FIXTURES / "k4.edges")
 
+# sepsys/v1 systems with a nested payload each: the 2-point full bipartition
+# universe with its sets ground, and one vertex separation of the path 0-1-2
+SETS = {"format": "sepsys/v1", "count": 2, "orders": [0.0, 1.0],
+        "leq": [[0, 1], [0, 2], [0, 3], [2, 1], [3, 1]],
+        "universe": {"join": [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 2, 1],
+                              [3, 1, 1, 3]],
+                     "meet": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0],
+                              [0, 3, 0, 3]]},
+        "ground": {"kind": "sets", "size": 2, "sides": [[], [0]]}}
+GRAPH = {"format": "sepsys/v1", "count": 1, "orders": [1.0], "leq": [],
+         "ground": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]],
+                    "sides": [[[0, 1], [1, 2]]]}}
+
+
+def edited(base, part, **fields):
+    """JSON text of ``base`` with ``fields`` set in its ``part`` (None: the
+    top level); a None value drops the field."""
+    d = json.loads(json.dumps(base))
+    target = d if part is None else d[part]
+    for name, value in fields.items():
+        if value is None:
+            del target[name]
+        else:
+            target[name] = value
+    return json.dumps(d)
+
+
+SETS_BUILD = ["build", "--system", "{path}", "--family", "cluster:1"]
+GRAPH_BUILD = ["build", "--system", "{path}", "--family", "blocks:2"]
+
 
 @pytest.mark.parametrize("argv, name, text, cause", [
     pytest.param(["build", "--graph", K4, "--family", "blocks"], None, None, "'k'",
@@ -235,6 +265,36 @@ K4 = str(FIXTURES / "k4.edges")
                  id="tree-not-json"),
     pytest.param(["build", "--graph", "{path}"], "bad.edges", "0 1\n0 a\n",
                  "line 2", id="edge-list-token-not-an-integer"),
+    pytest.param(["build", "--graph", "{path}"], "bad.edges", "0 1\nabc\n",
+                 "line 2", id="edge-list-vertex-count-not-an-integer"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, universe={}),
+                 "universe lacks the field 'join'", id="universe-without-join"),
+    pytest.param(SETS_BUILD, "sys.json",
+                 edited(SETS, "universe", join=[[0, 1], [1]]),
+                 "'join' and 'meet' must be integer tables", id="join-ragged"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "universe", join="x"),
+                 "'join' and 'meet' must be integer tables",
+                 id="join-not-a-table"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", size=None),
+                 "sets ground lacks the field 'size'",
+                 id="sets-ground-without-size"),
+    pytest.param(GRAPH_BUILD, "sys.json", edited(GRAPH, "ground", edges=None),
+                 "graph ground lacks the field 'edges'",
+                 id="graph-ground-without-edges"),
+    pytest.param(SETS_BUILD, "sys.json",
+                 edited(SETS, "ground", sides=[[], ["a"]]),
+                 "side ['a'] must list points", id="side-point-not-an-integer"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", sides=[[]]),
+                 "has 1 sides for 2 separations", id="one-side-for-two"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", sides=[[], [5]]),
+                 "side [5] must list points of 0..1",
+                 id="side-point-outside-the-ground"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, leq=5),
+                 "'leq' must be a list", id="leq-not-a-list"),
+    pytest.param(GRAPH_BUILD, "sys.json",
+                 edited(GRAPH, "ground", edges=[[0, 1.5]]),
+                 "edge [0, 1.5] must list 2 points of 0..2",
+                 id="edge-vertex-not-an-integer"),
 ])
 def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
                                               tmp_path, capsys):
@@ -244,3 +304,26 @@ def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
     argv = [str(path) if a == "{path}" else a for a in argv]
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
     assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, cause", [
+    pytest.param(edited(SETS, "ground", sides=[[], ["a"]]),
+                 "side ['a'] must list points", id="side-point-not-an-integer"),
+    pytest.param(edited(SETS, None, universe={}),
+                 "universe lacks the field 'join'", id="universe-without-join"),
+])
+def test_validate_reports_a_malformed_payload(text, cause, tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_text(text)
+    code, out = run(tmp_path, "validate", "--system", str(path))
+    assert code == 2
+    assert cause in json.loads(out)["issues"][0]
+
+
+@pytest.mark.parametrize("base, argv", [(SETS, SETS_BUILD),
+                                        (GRAPH, GRAPH_BUILD)])
+def test_the_unedited_payloads_build(base, argv, tmp_path):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(base))
+    assert main([str(path) if a == "{path}" else a for a in argv]
+                + ["--out", str(tmp_path / "out.json")]) == 0

@@ -8,9 +8,9 @@ import pytest
 import tangleforge as tf
 from tangleforge.errors import GroundMismatch, MissingCapability
 from tangleforge.oracle import all_tangles
-from conftest import (all_graphs_up_to_iso, load_nonrich_fixture,
-                      nested_pair_system, random_subset_system,
-                      standardized_explicit)
+from conftest import (all_graphs_up_to_iso, antichain_system,
+                      load_nonrich_fixture, nested_pair_system,
+                      random_subset_system, standardized_explicit)
 
 
 def all_subsets(ids, cap=None):
@@ -131,21 +131,25 @@ def test_graph_tangle_family_on_k4(k4):
 # -- incremental scan agrees with the full one -------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_extends_member_matches_forbidden_subset(seed):
+def six_families(seed):
+    """One family of each kind, on small seeded systems."""
     system = random_subset_system(seed, n_seps=3, universe=4)
     ground = tf.BipartitionGround(
         4, tuple(frozenset(v for v in range(4) if (m >> v) & 1)
                  for m in range(16)))
     sysb = tf.bipartition_system(ground)
     sysg = tf.graph_system(all_graphs_up_to_iso(4)[6 + seed % 5], 2)
-    fams = [standardized_explicit(system, seed),
+    return [standardized_explicit(system, seed),
             tf.make_cluster(2, sysb),
             tf.make_profile(sysb),
             tf.make_strong_profile(sysb),
             tf.make_blocks(2, sysg),
             tf.make_graph_tangle(sysg)]
-    for fam in fams:
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_extends_member_matches_forbidden_subset(seed):
+    for fam in six_families(seed):
         bound = fam.system
         # queried on the bound system itself, and from a level system, which
         # the family answers through its id translation
@@ -161,6 +165,64 @@ def test_extends_member_matches_forbidden_subset(seed):
                     want = fam.forbidden_subset(sysx, members | {new}) is not None
                     assert got == want, (fam.kind, sysx.count, sorted(members),
                                          new)
+
+
+# -- the one scan and the derived search against is_member alone -------------------
+#
+# The search and extends_member both rest on each family's _extends scan, so
+# these references are written with is_member only.
+
+
+def least_member(fam, members):
+    """The lexicographically least is_member subset, by brute force."""
+    for sub in sorted(sorted(s) for s in all_subsets(sorted(members))):
+        if fam.is_member(frozenset(sub)):
+            return frozenset(sub)
+    return None
+
+
+def k4_universe_families(k4):
+    """Families on the k4 graph universe, which holds the degenerate (V, V)."""
+    u = tf.graph_universe(k4)
+    assert any(u.is_degenerate(s) for s in u.seps())
+    return [tf.make_profile(u), tf.make_strong_profile(u),
+            tf.make_graph_tangle(u), tf.make_blocks(3, u)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_scan_and_the_search_match_is_member(seed, k4):
+    rng = np.random.default_rng(seed)
+    for fam in six_families(seed) + k4_universe_families(k4):
+        system = fam.system
+        ids = sorted({system.canon(o) for o in system.all_oriented()})
+        seen = set()
+        for _ in range(40):
+            size = int(rng.integers(0, min(6, len(ids)) + 1))
+            work = frozenset(int(o) for o in rng.choice(ids, size, replace=False))
+            want = least_member(fam, work)
+            got = fam.forbidden_subset(system, work)
+            assert (got and got.members) == want, (fam.kind, sorted(work))
+            for x in ids:
+                if x in work:
+                    continue
+                hit = any(fam.is_member(sub | {x})
+                          for sub in all_subsets(sorted(work)))
+                assert fam._extends(sorted(work), x) == hit, \
+                    (fam.kind, sorted(work), x)
+                seen.add((want is not None, hit))
+        # work with and without members, answers of both kinds
+        assert {(True, True), (False, False), (False, True)} <= seen, fam.kind
+
+
+def test_a_leaf_witness_is_the_least_member_of_its_own_label_set():
+    # the inner node's label set {5} is a member, and the leaf's {2, 5}
+    # holds the lexicographically smaller member {2}
+    system = antichain_system(3)
+    fam = tf.make_explicit([{5}, {2}], system)
+    tree, (_, inner) = tf.StructureTree.single_root(system).split_leaf(0, 2)
+    tree, (leaf, _) = tree.split_leaf(inner, 1)
+    assert tree.beta(inner) == {5} and tree.beta(leaf) == {2, 5}
+    assert tf.classify_leaf(tree, leaf, fam).witness.members == {2}
 
 
 # -- witness soundness ----------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Layering: production modules stay apart from the brute-force oracle, and
-only the system and the oracle index the order matrix.
+"""Layering: production modules stay apart from the brute-force oracle,
+only the system and the oracle index the order matrix, and family queries
+from outside `families` go through the public, id-translating methods.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
@@ -71,3 +72,29 @@ def test_only_the_system_and_the_oracle_index_leq():
     found = {path.stem: _leq_subscripts(path.stem)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {m for m, lines in found.items() if lines} == {"system", "oracle"}
+
+
+def _method_calls(module: str, names) -> list[tuple[str, int]]:
+    """(method, line) of each call ``something.method(...)`` in the module."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [(node.func.attr, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names]
+
+
+def test_family_hooks_are_called_only_inside_families():
+    # The hooks take the bound system's ids; callers elsewhere would skip the
+    # translation from a level system's ids that the public methods make.
+    hooks = ("_search", "_extends", "_witness")
+    found = {path.stem: _method_calls(path.stem, hooks)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {m for m, calls in found.items() if calls} == {"families"}
+
+
+def test_only_the_oracle_extends_members_outside_families():
+    # A leaf's label set is asked about once, with forbidden_subset; walking
+    # a root path with extends_member is the oracle's enumeration alone.
+    found = {path.stem: _method_calls(path.stem, ("extends_member",))
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "families"}
+    assert {m for m, calls in found.items() if calls} == {"oracle"}
