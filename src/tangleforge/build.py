@@ -1,9 +1,9 @@
 """Tree construction, contraction, necessity, reduction, and the pipeline.
 
 Construction grows a single root by repeatedly splitting an unresolved leaf
-on a cheapest separation its closure leaves open.  Reduction contracts edges
-whose labels are needed neither as minimal elements of any displayed tangle
-nor inside any forbidden-leaf witness, until every node is necessary.
+on a cheapest separation its closure leaves open.  A leaf needs the labels
+that keep its class; reduction folds these needs up the tree and contracts
+an edge whose label no leaf behind it needs until every node is necessary.
 """
 
 from __future__ import annotations
@@ -12,24 +12,22 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
-                     NotParentChild, UnresolvedLeaf)
+                     UnresolvedLeaf)
 from .families import ForbiddenFamily
 from .system import SeparationSystem, fmt_oriented
-from .tree import (StructureTree, classify_all, classify_leaf, is_f_tree,
-                   is_structure_tree, restrict, tangles, tree_to_json_dict)
+from .tree import (StructureTree, classify_all, is_f_tree, is_structure_tree,
+                   leaf_class, restrict, tangles, tree_to_json_dict)
 
 
 @dataclass(frozen=True)
 class BuildConfig:
     """Choices the construction leaves open, pinned for reproducibility.
 
-    Among minimum-order candidate separations the smallest id always wins.
-    ``child_order`` fixes which orientation labels the first child.
-    ``max_nodes`` is a safety cap; exceeding the structural bound would mean
-    a bug.
+    Among minimum-order candidate separations the smallest id always wins,
+    and the forward orientation labels the first child.  ``max_nodes`` is a
+    safety cap; exceeding the structural bound would mean a bug.
     """
 
-    child_order: str = "forward-first"
     max_nodes: int | None = None
 
     def node_cap(self, system) -> int:
@@ -51,16 +49,13 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
     that is the family's fault and an error; a merely non-rich family yields
     a tree that fails the structure-tree check instead.
     """
-    cfg = config or BuildConfig()
-    forward_first = cfg.child_order == "forward-first"
-    cap = cfg.node_cap(system)
+    cap = (config or BuildConfig()).node_cap(system)
     tree = StructureTree.single_root(system)
     pending = [tree.root]
     while pending:
         pending.sort()
         v = pending.pop(0)
-        cls = classify_leaf(tree, v, family)
-        if cls.kind != "unresolved":
+        if leaf_class(tree, v, family).kind != "unresolved":
             continue
         beta = tree.beta(v)
         candidates = system.open_separations(beta)
@@ -71,8 +66,7 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
                     f"leaf cannot resolve: co-trivial label "
                     f"{fmt_oriented(blockers[0])} is not forbidden by the family")
             continue  # family not rich enough; post-checks will flag the tree
-        tree, kids = tree.split_leaf(v, candidates[0],
-                                     forward_first=forward_first)
+        tree, kids = tree.split_leaf(v, candidates[0])
         if len(tree) > cap:
             raise NodeCapExceeded(f"tree exceeded {cap} nodes")
         pending.extend(kids)
@@ -81,43 +75,57 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
 
 def contract(tree: StructureTree, v: int, w: int) -> StructureTree:
     """The tree with edge vw contracted and v's other branches deleted."""
-    if w not in tree.nodes() or v not in tree.nodes() or tree.parent(w) != v:
-        raise NotParentChild(f"{w} is not a child of {v}")
     return tree.contracted(v, w)
 
 
-def necessary_for_leaf(tree, family, o: int, leaf: int,
-                       cls=None) -> bool:
-    """Is the oriented separation needed to keep this leaf classified?
+def leaf_needs(tree, family, leaf: int, cls=None) -> frozenset[int]:
+    """The labels this leaf needs to keep its class.
 
-    Tangle leaves need exactly their minimal labels.  For forbidden leaves
-    the label is needed precisely when removing it leaves no forbidden
-    member, which one oracle query decides.
+    A tangle leaf needs its minimal labels.  A forbidden leaf needs the
+    labels of its witness whose removal leaves no member; removing any other
+    label leaves the witness in place.
     """
-    cls = cls or classify_leaf(tree, leaf, family)
+    cls = cls or leaf_class(tree, leaf, family)
     beta = tree.beta(leaf)
     if cls.kind == "tangle":
-        return o in beta and o in tree.system.minimal_elements(beta)
+        return tree.system.minimal_elements(beta)
     if cls.kind == "forbidden":
-        return family.forbidden_subset(tree.system, beta - {o}) is None
+        return frozenset(o for o in cls.witness.members
+                         if family.forbidden_subset(tree.system, beta - {o})
+                         is None)
     raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
 
 
-def _dispensable_child(tree, family, v: int, classes) -> int | None:
-    """First child of v whose edge label no leaf behind it needs, or None."""
-    for w in tree.children(v):
-        o = tree.label(w)
-        if not any(tree.is_ancestor(w, leaf) and
-                   necessary_for_leaf(tree, family, o, leaf, classes[leaf])
-                   for leaf in tree.leaves()):
-            return w
+def necessary_for_leaf(tree, family, o: int, leaf: int, cls=None) -> bool:
+    """Is the oriented separation needed to keep this leaf classified?"""
+    return o in leaf_needs(tree, family, leaf, cls)
+
+
+def necessary_node(tree, family, v: int) -> bool:
+    """Every child edge label is needed by some leaf behind it."""
+    return all(any(tree.label(w) in leaf_needs(tree, family, leaf)
+                   for leaf in tree.descendants(w) if tree.is_leaf(leaf))
+               for w in tree.children(v))
+
+
+def _dispensable_edge(tree, family, needs) -> tuple[int, int] | None:
+    """The edge (v, w), deepest v, then least v, then first w, whose label
+    the needs folded up from the leaves below w lack.  ``needs`` keeps a
+    leaf's needs by its label set and gains the sets not seen before."""
+    fold = {}
+    for v in sorted(tree.nodes(), key=lambda u: (-tree.depth(u), u)):
+        kids = tree.children(v)
+        if not kids:
+            beta = tree.beta(v)
+            if beta not in needs:
+                needs[beta] = leaf_needs(tree, family, v)
+            fold[v] = needs[beta]
+            continue
+        for w in kids:
+            if tree.label(w) not in fold[w]:
+                return v, w
+        fold[v] = frozenset().union(*(fold[w] for w in kids))
     return None
-
-
-def necessary_node(tree, family, v: int, classes=None) -> bool:
-    """Every child edge label is necessary for some leaf behind it."""
-    classes = classes or classify_all(tree, family)
-    return _dispensable_child(tree, family, v, classes) is None
 
 
 @dataclass
@@ -137,22 +145,18 @@ def reduce(tree: StructureTree, family: ForbiddenFamily,
            keep_intermediates: bool = False):
     """Contract until every node is necessary; returns (tree, trace).
 
-    Works deepest-first; among a dispensable node's children the least id
-    whose edge label no leaf behind it needs is contracted into the node.
+    Each round contracts the deepest, least-id edge whose label no leaf
+    behind it needs.  A contraction changes the label sets of the leaves
+    under the contracted node only, so the needs of every other leaf carry
+    over, remembered by label set.
     """
     ok = is_structure_tree(tree, family)
     if not ok:
         raise NotAStructureTree(ok.why)
     trace = ReductionTrace(trees=[tree] if keep_intermediates else None)
+    needs = {}
     while True:
-        classes = classify_all(tree, family)
-        target = None
-        for v in sorted(tree.nodes(),
-                        key=lambda u: (-tree.depth(u), u)):
-            w = _dispensable_child(tree, family, v, classes)
-            if w is not None:
-                target = (v, w)
-                break
+        target = _dispensable_edge(tree, family, needs)
         if target is None:
             return tree, trace
         tree = contract(tree, *target)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,10 +33,23 @@ FAMILY_ALIASES = {"strong-profile": "strong_profile", "tangle": "graph_tangle",
                   "graph-tangle": "graph_tangle"}
 
 
+def _number(text: str, kind, name: str):
+    """``text`` read with ``kind`` (int or float); anything else, NaN
+    included, is bad input named by ``name``."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        noun = "an integer" if kind is int else "a number"
+        raise ValidationError(f"{name} must be {noun}, got {text!r}")
+    return value
+
+
 def _budget(args) -> oracle.OracleBudget:
-    n = getattr(args, "budget", None)
+    n = args.budget
     if n is None and os.environ.get(ENV_BUDGET):
-        n = int(os.environ[ENV_BUDGET])
+        n = _number(os.environ[ENV_BUDGET], int, ENV_BUDGET)
     if n is None:
         return oracle.OracleBudget()
     return oracle.OracleBudget(max_separations=n)
@@ -78,10 +92,7 @@ def _system_bound(args, spec) -> float:
     is a blocks family, else the largest requested level, else everything."""
     if spec and spec.get("kind") == "blocks":
         return float(families.family_parameter(spec))
-    ks = getattr(args, "k", None)
-    if ks:
-        return max(float(k) for k in ks)
-    return float("inf")
+    return max(args.levels, default=float("inf"))
 
 
 def _family_spec(args) -> dict | None:
@@ -148,8 +159,7 @@ def cmd_validate(args) -> int:
 
 def cmd_build(args) -> int:
     sys_obj, fam = _load_inputs(args)
-    thresholds = [float(k) for k in args.k] if args.k else None
-    report = pipeline(sys_obj, fam, thresholds=thresholds)
+    report = pipeline(sys_obj, fam, thresholds=args.levels or None)
     if args.format == "dot":
         _write(args, tree_mod.to_dot(report.tree_reduced, fam))
     else:
@@ -167,8 +177,7 @@ def cmd_tangles(args) -> int:
 
 def cmd_certify(args) -> int:
     sys_obj, fam = _load_inputs(args)
-    k = float(args.k[0]) if args.k else float("inf")
-    level = sys_obj.restrict_below(k)
+    level = sys_obj.restrict_below(args.levels[0] if args.levels else math.inf)
     t = build_tree(level, fam)
     ts = tree_mod.tangles(t, fam)
     if ts:
@@ -205,8 +214,7 @@ def cmd_restrict(args) -> int:
     if not args.k:
         raise TangleForgeError("restrict needs an order threshold (--k)")
     t = tree_mod.tree_from_json_dict(_read_json(args.tree))
-    k = float(args.k[0])
-    restricted = tree_mod.restrict(t, k)
+    restricted = tree_mod.restrict(t, args.levels[0])
     _write(args, tree_mod.dump_tree(restricted) + "\n")
     return 0
 
@@ -273,6 +281,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        args.levels = [_number(k, float, "--k") for k in args.k or ()]
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

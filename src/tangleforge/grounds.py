@@ -288,17 +288,16 @@ def graph_system(g: Graph, k: float) -> SeparationSystem:
 
 @dataclass(frozen=True)
 class BipartitionGround:
-    """Chosen subset sides of a finite point set with a cut-weight order rule.
+    """Chosen subset sides of a finite point set with a cut-weight order.
 
-    ``sides`` must be complement-closed.  The order of a side A defaults to
-    the similarity weight cut by {A, complement}; pass ``order_rule`` to plug
-    in anything else.
+    ``sides`` must be complement-closed.  The order of a side A is the
+    similarity weight cut by {A, complement}, or |A| * |complement| without
+    a similarity.
     """
 
     size: int
     sides: tuple[frozenset, ...]
     similarity: tuple | None = None
-    order_rule: object = None
 
     def full_set(self) -> frozenset:
         return frozenset(range(self.size))
@@ -342,22 +341,18 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
     sides = []
     orders = []
     for fa, fb in pairs:
-        A, B = frozenset(fa), frozenset(fb)
         sides += [mask_of(fa), mask_of(fb)]
-        if ground.order_rule is not None:
-            orders.append(float(ground.order_rule(A)))
-        elif sim is not None:
-            orders.append(_cut_weight(A, ground.size, scaled, scale))
+        if sim is not None:
+            orders.append(_cut_weight(frozenset(fa), ground.size, scaled, scale))
         else:
-            orders.append(float(len(A) * len(B)))
+            orders.append(float(len(fa) * len(fb)))
     leq, join, meet = _subset_lattice(sides, ground.size, True)
     return SeparationSystem(
         leq, orders, join=join, meet=meet, distributive=join is not None,
         ground=SideRealization(ground.size, tuple(sides)))
 
 
-def full_bipartition_ground(size: int, similarity=None,
-                            order_rule=None) -> BipartitionGround:
+def full_bipartition_ground(size: int, similarity=None) -> BipartitionGround:
     """Every subset of the point set as a side (guardrailed)."""
     if size > MAX_FULL_BIPARTITION_POINTS:
         raise ValidationError(
@@ -366,10 +361,10 @@ def full_bipartition_ground(size: int, similarity=None,
     sides = tuple(frozenset(c)
                   for r in range(size + 1)
                   for c in combinations(range(size), r))
-    return BipartitionGround(size, sides, similarity, order_rule)
+    return BipartitionGround(size, sides, similarity)
 
 
-def questionnaire_system(answers, order_rule=None) -> SeparationSystem:
+def questionnaire_system(answers) -> SeparationSystem:
     """One separation per question: yes-side versus no-side of the persons.
 
     ``answers`` is a persons x questions 0/1 matrix.  Questions inducing the
@@ -400,7 +395,7 @@ def questionnaire_system(answers, order_rule=None) -> SeparationSystem:
     for key in seen:
         sides.append(frozenset(key))
         sides.append(full - frozenset(key))
-    ground = BipartitionGround(n, tuple(sides), None, order_rule)
+    ground = BipartitionGround(n, tuple(sides))
     return bipartition_system(ground)
 
 

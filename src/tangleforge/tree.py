@@ -2,9 +2,10 @@
 
 Trees are persistent values: structural edits return new trees, so reduction
 can retain every intermediate for audit.  Each node caches the label set of
-its root path.  The predicate ladder (separation tree, consistent, ordered,
-thoroughly ordered, efficient, structure tree, all-leaves-forbidden) lives
-here, together with restriction to a lower order threshold.
+its root path, and each leaf its class per family.  The predicate ladder
+(separation tree, consistent, ordered, thoroughly ordered, efficient,
+structure tree, all-leaves-forbidden) lives here, together with restriction
+to a lower order threshold.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (LeafHasNoSep, MalformedTree, NotAStructureTree,
-                     NotOrdered, ValidationError)
+                     NotOrdered, NotParentChild, ValidationError)
 from .families import ForbiddenFamily, Witness
 from .system import (expect_object, fmt_oriented, from_json_dict, parse_json,
                      sep_of, to_json_dict)
@@ -42,7 +43,8 @@ class LeafClass:
 class StructureTree:
     """Immutable rooted tree; every non-root node stores its incoming label."""
 
-    __slots__ = ("system", "root", "_parent", "_children", "_label", "_beta")
+    __slots__ = ("system", "root", "_parent", "_children", "_label", "_beta",
+                 "_classes")
 
     def __init__(self, system, root, parent, children, label):
         self.system = system
@@ -51,6 +53,9 @@ class StructureTree:
         self._children = {v: tuple(c) for v, c in children.items()}
         self._label = dict(label)
         self._beta: dict[int, frozenset] = {}
+        # id(family) -> (family, leaf classes); holding the family keeps
+        # its id from being reused while the entry lives
+        self._classes: dict[int, tuple] = {}
 
     @classmethod
     def single_root(cls, system) -> "StructureTree":
@@ -84,11 +89,7 @@ class StructureTree:
         return [v for v in self.nodes() if not self.is_leaf(v)]
 
     def depth(self, v) -> int:
-        d = 0
-        while self._parent[v] is not None:
-            v = self._parent[v]
-            d += 1
-        return d
+        return len(self.path_from_root(v)) - 1
 
     def path_from_root(self, v) -> list[int]:
         out = [v]
@@ -106,11 +107,7 @@ class StructureTree:
 
     def is_ancestor(self, u, v) -> bool:
         """u lies on the root path of v (reflexively)."""
-        while v is not None:
-            if v == u:
-                return True
-            v = self._parent[v]
-        return False
+        return u in self.path_from_root(v)
 
     def beta(self, v) -> frozenset[int]:
         """Edge labels on the path from the root to v."""
@@ -129,53 +126,35 @@ class StructureTree:
 
     # -- structural edits (persistent) ----------------------------------------
 
-    def _fresh_id(self) -> int:
-        return max(self._parent) + 1
-
-    def split_leaf(self, v, s, forward_first=True):
-        """Attach children labelled with the orientations of s; returns
-        (tree, child_ids)."""
+    def split_leaf(self, v, s):
+        """Attach children labelled with the orientations of s, forward
+        first; returns (tree, child_ids)."""
         if not self.is_leaf(v):
             raise MalformedTree(f"node {v} is not a leaf")
-        orients = list(self.system.orientations_of(s))
-        if not forward_first:
-            orients = orients[::-1]
-        base = self._fresh_id()
+        orients = self.system.orientations_of(s)
+        base = max(self._parent) + 1
         kids = tuple(range(base, base + len(orients)))
-        parent = dict(self._parent)
-        children = dict(self._children)
-        label = dict(self._label)
-        for i, (c, o) in enumerate(zip(kids, orients)):
-            parent[c] = v
-            children[c] = ()
-            label[c] = o
-        children[v] = kids
+        parent = {**self._parent, **dict.fromkeys(kids, v)}
+        children = {**self._children, **dict.fromkeys(kids, ()), v: kids}
+        label = {**self._label, **dict(zip(kids, orients))}
         return StructureTree(self.system, self.root, parent, children, label), kids
 
     def contracted(self, v, w) -> "StructureTree":
         """Contract the edge vw and delete v's other children with their
         subtrees; the merged node keeps w's identity and outgoing edges."""
-        if self._parent.get(w) != v:
-            raise MalformedTree(f"{w} is not a child of {v}")
-        drop = set()
-        for c in self._children[v]:
-            if c != w:
-                drop.update(self.descendants(c))
-        parent = {u: p for u, p in self._parent.items() if u not in drop and u != v}
-        children = {u: cs for u, cs in self._children.items()
-                    if u not in drop and u != v}
-        label = {u: l for u, l in self._label.items() if u not in drop and u != v}
-        gp = self._parent[v]
-        if gp is None:
-            root = w
-            parent[w] = None
-            label[w] = None
-        else:
-            root = self.root
-            parent[w] = gp
-            label[w] = self._label[v]
+        if v not in self._parent or self._parent.get(w) != v:
+            raise NotParentChild(f"{w} is not a child of {v}")
+        drop = {v}.union(*(self.descendants(c) for c in self._children[v]
+                           if c != w))
+        parent = {u: p for u, p in self._parent.items() if u not in drop}
+        children = {u: cs for u, cs in self._children.items() if u not in drop}
+        label = {u: l for u, l in self._label.items() if u not in drop}
+        gp = parent[w] = self._parent[v]
+        label[w] = self._label[v]  # None when v is the root
+        if gp is not None:
             children[gp] = tuple(w if c == v else c for c in self._children[gp])
-        return StructureTree(self.system, root, parent, children, label)
+        return StructureTree(self.system, w if gp is None else self.root,
+                             parent, children, label)
 
     def relabelled(self, system, label_map, keep_nodes) -> "StructureTree":
         keep = set(keep_nodes)
@@ -210,8 +189,17 @@ def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
     return LeafClass("unresolved")
 
 
+def leaf_class(tree, leaf, family) -> LeafClass:
+    """The leaf's class, classified once per tree and family: the tree is
+    immutable, so the class is kept on it."""
+    memo = tree._classes.setdefault(id(family), (family, {}))[1]
+    if leaf not in memo:
+        memo[leaf] = classify_leaf(tree, leaf, family)
+    return memo[leaf]
+
+
 def classify_all(tree, family) -> dict[int, LeafClass]:
-    return {leaf: classify_leaf(tree, leaf, family) for leaf in tree.leaves()}
+    return {leaf: leaf_class(tree, leaf, family) for leaf in tree.leaves()}
 
 
 def leaf_for_orientation(tree, tau) -> int:
@@ -333,7 +321,7 @@ def is_structure_tree(tree, family) -> Check:
         if family.forbidden_subset(tree.system, tree.beta(v)) is not None:
             return Check(False, f"inner node {v} has a forbidden label set")
     for leaf in tree.leaves():
-        if classify_leaf(tree, leaf, family).kind == "unresolved":
+        if leaf_class(tree, leaf, family).kind == "unresolved":
             return Check(False, f"leaf {leaf} is neither a tangle leaf nor forbidden")
     return Check(True)
 
@@ -344,7 +332,7 @@ def is_f_tree(tree, family) -> Check:
     if not base:
         return base
     for leaf in tree.leaves():
-        if classify_leaf(tree, leaf, family).kind != "forbidden":
+        if leaf_class(tree, leaf, family).kind != "forbidden":
             return Check(False, f"leaf {leaf} is a tangle leaf")
     return Check(True)
 

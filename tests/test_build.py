@@ -1,6 +1,7 @@
 """Construction, contraction, necessity, reduction, and the pipeline."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,9 +11,12 @@ from tangleforge.build import dump_report
 from tangleforge.errors import (NonStandardFamily, NotAStructureTree,
                                 NotParentChild, UnresolvedLeaf)
 
-from conftest import (load_nonrich_fixture, random_subset_system,
-                      redundant_split_family, redundant_split_system,
-                      standardized_explicit, tree_shape, trivial_top_system)
+from tangleforge.oracle import minimal_elements
+
+from conftest import (FIXTURES, load_nonrich_fixture, random_relation_system,
+                      random_subset_system, redundant_split_family,
+                      redundant_split_system, standardized_explicit,
+                      tree_shape, trivial_top_system)
 
 
 # -- build -------------------------------------------------------------------
@@ -32,6 +36,7 @@ def test_nested_pair_build_splits_the_cheap_separation_first(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
     assert t.s_of(t.root) == 0  # order 1 before order 2
+    assert [t.label(c) for c in t.children(t.root)] == [0, 1]  # forward first
     got = [sorted(x) for x in tf.tangles(t, fam)]
     assert got == [[0, 2], [0, 3], [1, 3]]
     shallow = [leaf for leaf in t.leaves() if t.depth(leaf) == 1]
@@ -45,15 +50,6 @@ def test_k4_build_finds_the_single_block(k4):
     ts = tf.tangles(t, fam)
     assert len(ts) == 1
     assert tf.block_of_tangle(s3, ts[0]) == frozenset(range(4))
-
-
-def test_child_order_config_flips_the_first_edge(nested_pair):
-    fam = tf.make_empty()
-    a = tf.build(nested_pair, fam)
-    b = tf.build(nested_pair, fam, tf.BuildConfig(child_order="backward-first"))
-    first_a = a.label(a.children(a.root)[0])
-    first_b = b.label(b.children(b.root)[0])
-    assert first_a % 2 == 0 and first_b % 2 == 1
 
 
 def test_non_standard_family_blocked_by_a_cotrivial_label():
@@ -249,6 +245,86 @@ def test_contraction_validity_matches_label_necessity(seed):
             assert still_structure == (not needed)
 
 
+def needed_by_definition(tree, family, o, leaf, cls) -> bool:
+    """Necessity read off the definition, asked of the family as it stands."""
+    beta = tree.beta(leaf)
+    if cls.kind == "tangle":
+        return o in minimal_elements(tree.system, beta)
+    assert cls.kind == "forbidden"
+    return family.forbidden_subset(tree.system, beta - {o}) is None
+
+
+def plain_reduce(tree, family):
+    """Reduction as stated: each round classifies every leaf and contracts
+    the first (node, child) pair, deepest node first, then least node, then
+    first child, whose label no leaf behind the child needs."""
+    steps = []
+    while True:
+        classes = {leaf: tf.classify_leaf(tree, leaf, family)
+                   for leaf in tree.leaves()}
+        target = next(
+            ((v, w) for v in sorted(tree.nodes(),
+                                    key=lambda u: (-tree.depth(u), u))
+             for w in tree.children(v)
+             if not any(tree.is_ancestor(w, leaf) and needed_by_definition(
+                 tree, family, tree.label(w), leaf, classes[leaf])
+                 for leaf in tree.leaves())),
+            None)
+        if target is None:
+            return tree, steps
+        tree = tf.contract(tree, *target)
+        steps.append(target)
+
+
+def _reference_instances():
+    """The conftest random systems with a standard explicit family and, where
+    it is standard, the empty one; the graph fixtures and the 2x3 grid under
+    blocks:3."""
+    out = []
+    for seed in range(20):
+        n = 2 + seed % 4
+        for kind, system in (("subset", random_subset_system(seed, n_seps=n)),
+                             ("relation", random_relation_system(seed, n_seps=n))):
+            out.append(pytest.param(system, standardized_explicit(system, seed),
+                                    id=f"{kind}{seed}/explicit"))
+            if tf.is_standard(tf.make_empty(), system)[0]:
+                out.append(pytest.param(system, tf.make_empty(),
+                                        id=f"{kind}{seed}/empty"))
+    graphs = {name: tf.Graph.from_edge_list(
+        (FIXTURES / f"{name}.edges").read_text()) for name in ("k4", "p5", "two_k4")}
+    # forbidden leaves here have several members, so a contraction can make
+    # a label critical that was not before
+    graphs["grid2x3"] = tf.Graph.from_edges(
+        6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)])
+    for name, g in graphs.items():
+        system = tf.graph_system(g, 3)
+        out.append(pytest.param(system, tf.make_blocks(3, system),
+                                id=f"{name}/blocks3"))
+    return out
+
+
+@pytest.mark.parametrize("system, fam", _reference_instances())
+def test_reduce_matches_the_plain_reduction_at_every_level(system, fam):
+    full = tf.build(system, fam)
+    levels = [tf.restrict(full, k)
+              for k in sorted({system.order(s) for s in system.seps()})]
+    compared = 0
+    for tree in [full, *levels]:
+        if not tf.is_structure_tree(tree, fam):
+            continue
+        red, trace = tf.reduce(tree, fam)
+        want, steps = plain_reduce(tree, fam)
+        assert trace.steps == steps
+        assert tree_shape(red) == tree_shape(want)
+        for t in (tree, red):
+            for leaf, cls in tf.tree.classify_all(t, fam).items():
+                assert tf.leaf_needs(t, fam, leaf) == {
+                    o for o in t.system.all_oriented()
+                    if needed_by_definition(t, fam, o, leaf, cls)}
+        compared += 1
+    assert compared
+
+
 def test_reduce_rejects_non_structure_trees(k4):
     s3 = tf.graph_system(k4, 3)
     fam = tf.make_blocks(3, s3)
@@ -289,6 +365,23 @@ def test_cluster_pipeline_shows_two_tangles_at_the_low_level(six_cluster_system)
     assert len(by_k[2.0].tangles) == 2
     assert by_k[2.0].f_tree is False
     assert by_k[4.0].tangles == [] and by_k[4.0].f_tree
+
+
+def test_one_pipeline_classifies_each_leaf_of_each_tree_once(two_k4,
+                                                             monkeypatch):
+    seen, trees = Counter(), []
+    classify = tf.tree.classify_leaf
+
+    def counting(tree, leaf, family):
+        trees.append(tree)  # kept alive, so no tree id is reused
+        seen[id(tree), leaf] += 1
+        return classify(tree, leaf, family)
+
+    monkeypatch.setattr(tf.tree, "classify_leaf", counting)
+    system = tf.graph_system(two_k4, 3)
+    report = tf.pipeline(system, tf.make_blocks(3, system))
+    assert report.trace.steps and seen
+    assert max(seen.values()) == 1
 
 
 def test_report_json_is_deterministic_and_wellformed(k4):

@@ -66,6 +66,7 @@ def test_certify_cluster_level_switch(tmp_path):
                      "--family", "cluster:3", "--k", "2")
     assert code == 0
     assert len(json.loads(text)["tangles"]) == 2
+    assert json.loads(text)["level"] == "2"  # as written on the command line
     code, _ = run(tmp_path, "certify",
                   "--similarity", str(FIXTURES / "six_similarity.csv"),
                   "--family", "cluster:3")
@@ -295,13 +296,33 @@ GRAPH_BUILD = ["build", "--system", "{path}", "--family", "blocks:2"]
                  edited(GRAPH, "ground", edges=[[0, 1.5]]),
                  "edge [0, 1.5] must list 2 points of 0..2",
                  id="edge-vertex-not-an-integer"),
+    pytest.param(["build", "--graph", K4, "--family", "blocks:3", "--k", "abc"],
+                 None, None, "--k must be a number, got 'abc'",
+                 id="build-k-not-a-number"),
+    pytest.param(["tangles", "--graph", K4, "--k", "abc"], None, None,
+                 "--k must be a number, got 'abc'", id="tangles-k-not-a-number"),
+    pytest.param(["certify", "--graph", K4, "--family", "blocks:3", "--k", "abc"],
+                 None, None, "--k must be a number, got 'abc'",
+                 id="certify-k-not-a-number"),
+    pytest.param(["build", "--graph", K4, "--family", "blocks:3", "--k", "nan"],
+                 None, None, "--k must be a number, got 'nan'", id="build-k-nan"),
+    pytest.param(["certify", "--graph", K4, "--family", "blocks:3", "--k", "NaN"],
+                 None, None, "--k must be a number, got 'NaN'",
+                 id="certify-k-nan"),
+    pytest.param(["TANGLE_FORGE_BUDGET=abc", "oracle", "--graph", K4,
+                  "--family", "blocks:3"], None, None,
+                 "TANGLE_FORGE_BUDGET must be an integer, got 'abc'",
+                 id="budget-variable-not-an-integer"),
 ])
 def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
-                                              tmp_path, capsys):
+                                              tmp_path, capsys, monkeypatch):
     path = tmp_path / (name or "unused")
     if text is not None:
         path.write_text(text)
     argv = [str(path) if a == "{path}" else a for a in argv]
+    while "=" in argv[0]:  # leading VARIABLE=value items set the environment
+        variable, _, value = argv.pop(0).partition("=")
+        monkeypatch.setenv(variable, value)
     assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
     assert cause in capsys.readouterr().err
 

@@ -1,6 +1,7 @@
 """Layering: production modules stay apart from the brute-force oracle,
-only the system and the oracle index the order matrix, and family queries
-from outside `families` go through the public, id-translating methods.
+only the system and the oracle index the order matrix, family queries
+from outside `families` go through the public, id-translating methods, and
+only `tree` classifies leaves.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
@@ -98,3 +99,21 @@ def test_only_the_oracle_extends_members_outside_families():
     found = {path.stem: _method_calls(path.stem, ("extends_member",))
              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "families"}
     assert {m for m, calls in found.items() if calls} == {"oracle"}
+
+
+def _function_calls(module: str, name: str) -> list[int]:
+    """Lines where the module calls ``name`` directly or as an attribute."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) == name
+                 or getattr(node.func, "attr", None) == name)]
+
+
+def test_only_the_tree_classifies_leaves():
+    # A tree keeps its leaf classes per family; `build` and the readers
+    # outside `tree` go through leaf_class and classify_all, so no leaf of a
+    # tree is classified twice.
+    found = {path.stem: _function_calls(path.stem, "classify_leaf")
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {m for m, lines in found.items() if lines} == {"tree"}

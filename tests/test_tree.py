@@ -196,6 +196,50 @@ def test_tangles_requires_a_structure_tree(nested_pair):
         tf.tangles(t, tf.make_empty())
 
 
+class CountingFamily:
+    """A family that records every set it is asked about."""
+
+    def __init__(self, family):
+        self.family = family
+        self.asked = []
+
+    def forbidden_subset(self, system, members):
+        self.asked.append(frozenset(members))
+        return self.family.forbidden_subset(system, members)
+
+    def __getattr__(self, name):
+        return getattr(self.family, name)
+
+
+CLASS_READERS = [tr.classify_all, tf.tangles, tf.is_f_tree, tf.certificates_of]
+
+
+@pytest.mark.parametrize("first", CLASS_READERS,
+                         ids=lambda f: f.__name__)
+def test_a_classified_tree_makes_no_leaf_query_again(first, two_k4):
+    system = tf.graph_system(two_k4, 3)
+    fam = CountingFamily(tf.make_blocks(3, system))
+    for tree in (tf.build(system, fam), tf.restrict(tf.build(system, fam), 2)):
+        betas = [tree.beta(leaf) for leaf in tree.leaves()]
+        leaf_sets = set(betas) | {tree.system.closure(b) for b in betas
+                                  if tree.system.is_consistent(b)}
+        fam.asked.clear()
+        first(tree, fam)
+        assert leaf_sets & set(fam.asked)  # the first reader classifies
+        fam.asked.clear()
+        for again in CLASS_READERS:
+            again(tree, fam)
+        assert not leaf_sets & set(fam.asked)
+
+
+def test_leaf_classes_are_kept_per_family(two_k4):
+    system = tf.graph_system(two_k4, 3)
+    tree = tf.build(system, tf.make_blocks(3, system))
+    for fam in (tf.make_blocks(3, system), tf.make_blocks(2, system)):
+        assert tr.classify_all(tree, fam) == {
+            leaf: tf.classify_leaf(tree, leaf, fam) for leaf in tree.leaves()}
+
+
 def test_cluster_restriction_shows_the_two_clusters(six_cluster_system):
     fam = tf.make_cluster(3, six_cluster_system)
     t = tf.build(six_cluster_system, fam)
