@@ -78,14 +78,14 @@ def contract(tree: StructureTree, v: int, w: int) -> StructureTree:
     return tree.contracted(v, w)
 
 
-def leaf_needs(tree, family, leaf: int, cls=None) -> frozenset[int]:
+def leaf_needs(tree, family, leaf: int) -> frozenset[int]:
     """The labels this leaf needs to keep its class.
 
     A tangle leaf needs its minimal labels.  A forbidden leaf needs the
     labels of its witness whose removal leaves no member; removing any other
     label leaves the witness in place.
     """
-    cls = cls or leaf_class(tree, leaf, family)
+    cls = leaf_class(tree, leaf, family)
     beta = tree.beta(leaf)
     if cls.kind == "tangle":
         return tree.system.minimal_elements(beta)
@@ -96,9 +96,9 @@ def leaf_needs(tree, family, leaf: int, cls=None) -> frozenset[int]:
     raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
 
 
-def necessary_for_leaf(tree, family, o: int, leaf: int, cls=None) -> bool:
+def necessary_for_leaf(tree, family, o: int, leaf: int) -> bool:
     """Is the oriented separation needed to keep this leaf classified?"""
-    return o in leaf_needs(tree, family, leaf, cls)
+    return o in leaf_needs(tree, family, leaf)
 
 
 def necessary_node(tree, family, v: int) -> bool:
@@ -130,10 +130,9 @@ def _dispensable_edge(tree, family, needs) -> tuple[int, int] | None:
 
 @dataclass
 class ReductionTrace:
-    """Contractions applied, with optional retained intermediate trees."""
+    """Contractions applied; ``replay`` rebuilds each intermediate tree."""
 
     steps: list[tuple[int, int]] = field(default_factory=list)
-    trees: list[StructureTree] | None = None
 
     def replay(self, tree: StructureTree) -> StructureTree:
         for v, w in self.steps:
@@ -141,8 +140,7 @@ class ReductionTrace:
         return tree
 
 
-def reduce(tree: StructureTree, family: ForbiddenFamily,
-           keep_intermediates: bool = False):
+def reduce(tree: StructureTree, family: ForbiddenFamily):
     """Contract until every node is necessary; returns (tree, trace).
 
     Each round contracts the deepest, least-id edge whose label no leaf
@@ -153,7 +151,7 @@ def reduce(tree: StructureTree, family: ForbiddenFamily,
     ok = is_structure_tree(tree, family)
     if not ok:
         raise NotAStructureTree(ok.why)
-    trace = ReductionTrace(trees=[tree] if keep_intermediates else None)
+    trace = ReductionTrace()
     needs = {}
     while True:
         target = _dispensable_edge(tree, family, needs)
@@ -161,8 +159,6 @@ def reduce(tree: StructureTree, family: ForbiddenFamily,
             return tree, trace
         tree = contract(tree, *target)
         trace.steps.append(target)
-        if keep_intermediates:
-            trace.trees.append(tree)
 
 
 # -- the full pipeline -----------------------------------------------------

@@ -464,7 +464,7 @@ def family_parameter(d: dict) -> int | None:
         return None
     try:
         return int(d[field])
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         raise ValidationError(
             f"family kind {d['kind']!r} needs an integer {field!r}, "
             f"got {d.get(field)!r}") from None
@@ -474,12 +474,19 @@ def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
     if expect_object(d, "family/v1 spec").get("format", "family/v1") != "family/v1":
         raise ValidationError(f"unsupported family format {d.get('format')!r}")
     kind = d.get("kind")
+    if not isinstance(kind, str):
+        raise ValidationError(f"unknown family kind {kind!r}")
     param = family_parameter(d)
     if kind == "empty":
         return make_empty()
     if kind == "explicit":
-        return make_explicit([frozenset(m) for m in d.get("explicit_members", [])],
-                             system)
+        members = d.get("explicit_members", [])
+        if not isinstance(members, list) or any(
+                not isinstance(m, list) or any(type(o) is not int for o in m)
+                for m in members):
+            raise ValidationError("family/v1 'explicit_members' must list "
+                                  f"lists of oriented ids, got {members!r}")
+        return make_explicit([frozenset(m) for m in members], system)
     if kind == "blocks":
         return make_blocks(param, system)
     if kind == "cluster":

@@ -25,8 +25,9 @@ from .system import SeparationSystem, expect_object, ids_of, mask_of
 
 # Full graph universes need 3^n side enumerations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
+MAX_TABLE_VERTICES = 6  # of graph systems; closed 8-vertex ones hold ~6.5k ids
 MAX_FULL_BIPARTITION_POINTS = 12
-_CARVED_UNIVERSE_VERTICES = 6
+MAX_GROUND_POINTS = 1 << 16  # built or loaded; sides are point bitmasks
 
 
 # -- graphs -------------------------------------------------------------------
@@ -48,8 +49,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
-        norm = frozenset((min(u, v), max(u, v)) for u, v in edges)
-        return cls(n, norm)
+        return cls(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     @classmethod
     def from_edge_list(cls, text: str) -> "Graph":
@@ -153,11 +153,12 @@ def realization_from_json(d: dict, count: int):
         sides = list(d["sides"])
     except KeyError as exc:
         raise ValidationError(f"{kind} ground lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{kind} ground is malformed: {exc}") from None
-    if size < 0 or len(sides) != count:
-        raise ValidationError(f"{kind} ground of size {size} has {len(sides)} "
-                              f"sides for {count} separations")
+    if not 0 <= size <= MAX_GROUND_POINTS or len(sides) != count:
+        raise ValidationError(f"{kind} ground of size {size} (at most "
+                              f"{MAX_GROUND_POINTS}) has {len(sides)} sides "
+                              f"for {count} separations")
 
     def points(value, what, length=None) -> list[int]:
         """``value`` when it lists points of the ground, ``length`` of them
@@ -192,26 +193,18 @@ def _graph_separations(g: Graph, k: float):
     Enumerates tri-partitions (A-only, separator, B-only); the degenerate
     (V, V) is never generated.
     """
-    verts = list(g.vertices())
-    seen = {}
+    seen = set()
     for assignment in product((0, 1, 2), repeat=g.n):
-        a_only = frozenset(v for v, c in zip(verts, assignment) if c == 0)
-        mid = frozenset(v for v, c in zip(verts, assignment) if c == 1)
-        b_only = frozenset(v for v, c in zip(verts, assignment) if c == 2)
-        if len(mid) >= k:
+        a_only, mid, b_only = (frozenset(v for v, c in enumerate(assignment)
+                                         if c == part) for part in range(3))
+        if len(mid) >= k or not a_only | b_only:  # the latter is (V, V)
             continue
-        if not a_only and not b_only:
-            continue  # separator is everything: only (V, V) would remain
         if any(g.has_edge(u, v) for u in a_only for v in b_only):
             continue
-        A, B = a_only | mid, b_only | mid
-        key = (tuple(sorted(A)), tuple(sorted(B)))
-        rkey = (key[1], key[0])
-        if key in seen or rkey in seen:
-            continue
-        seen[min(key, rkey)] = (frozenset(min(key, rkey)[0]), frozenset(min(key, rkey)[1]))
+        A, B = tuple(sorted(a_only | mid)), tuple(sorted(b_only | mid))
+        seen.add(min((A, B), (B, A)))
     # canonical order: lexicographic on the (A, B) tuple pair
-    return [seen[key] for key in sorted(seen)]
+    return [(frozenset(A), frozenset(B)) for A, B in sorted(seen)]
 
 
 def _subset_lattice(keys: list[int], width: int, with_tables: bool):
@@ -224,8 +217,12 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
     leq = ((K[:, None, :] & ~K[None, :, :]) == 0).all(axis=2)
     if not with_tables:
         return leq, None, None
-    as_key = np.dtype((np.void, nbytes))
+    small = nbytes <= 2  # numbers found by a table lookup, else a binary search
+    as_key = np.dtype(f"<u{nbytes}") if small else np.dtype((np.void, nbytes))
     unique, first = np.unique(K.view(as_key).ravel(), return_index=True)
+    if small:
+        index = np.full(1 << 8 * nbytes, -1)
+        index[unique] = first
     join = np.empty(leq.shape, dtype=np.int64)
     meet = np.empty_like(join)
     step = max(1, (1 << 20) // max(1, len(keys)))  # ~1M-cell blocks bound memory
@@ -233,54 +230,52 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
         rows = K[lo:lo + step, None, :]
         for out, table in ((join, rows | K), (meet, rows & K)):
             found = table.view(as_key)[..., 0]
-            pos = np.searchsorted(unique, found).clip(max=len(unique) - 1)
-            if not (unique[pos] == found).all():
+            if small:
+                ids = index[found]
+            else:
+                pos = np.searchsorted(unique, found).clip(max=len(unique) - 1)
+                ids = np.where(unique[pos] == found, first[pos], -1)
+            if (ids < 0).any():
                 return leq, None, None
-            out[lo:lo + step] = first[pos]
+            out[lo:lo + step] = ids
     return leq, join, meet
 
 
-def _graph_system_from_pairs(g: Graph, unoriented, with_universe: bool):
-    pairs = []
-    for A, B in unoriented:
-        a, b = mask_of(A), mask_of(B)
-        pairs += [(a, b), (b, a)]
+def _graph_system(g: Graph, k: float, tables: bool) -> SeparationSystem:
+    """``graph_system``, attempting join/meet tables exactly when ``tables``."""
+    full = (1 << g.n) - 1
+    sides = [(mask_of(A), mask_of(B)) for A, B in _graph_separations(g, k)]
+    sides += [(full, full)] if g.n < k else []
+    pairs = [p for a, b in sides for p in ((a, b), (b, a))]
     # (A, B) <= (C, D) iff A >= C and B <= D: the subset order on the keys
     # (V - A, B), whose union is the join and whose intersection the meet
-    full = (1 << g.n) - 1
     keys = [(full & ~a) << g.n | b for a, b in pairs]
-    leq, join, meet = _subset_lattice(keys, 2 * g.n, with_universe)
+    leq, join, meet = _subset_lattice(keys, 2 * g.n, tables)
     return SeparationSystem(
         leq, [(a & b).bit_count() for a, b in pairs[::2]], join=join,
-        meet=meet, distributive=with_universe,
+        meet=meet, distributive=join is not None,
         ground=GraphRealization(g, tuple(pairs)),
-        allow_degenerate=any(a == b for a, b in pairs))
+        allow_degenerate=g.n < k)
+
+
+def graph_system(g: Graph, k: float) -> SeparationSystem:
+    """The separations of order below ``k``, built directly from the graph,
+    the degenerate (V, V) last when its order |V| is below ``k``.  Graphs of
+    at most ``MAX_TABLE_VERTICES`` vertices get join and meet tables whenever
+    the system is closed under them, and it is then distributive."""
+    return _graph_system(g, k, g.n <= MAX_TABLE_VERTICES)
 
 
 def graph_universe(g: Graph) -> SeparationSystem:
     """All separations of the graph with lattice operations attached.
 
     Includes the one degenerate separation (V, V); lattice closure needs it.
-    Order-bounded working systems never see it since its order is |V|.
+    Order-bounded systems hold it only when its order |V| is below the bound.
     """
     if g.n > MAX_UNIVERSE_VERTICES:
         raise ValidationError(
             f"graph universe limited to {MAX_UNIVERSE_VERTICES} vertices, got {g.n}")
-    pairs = _graph_separations(g, float("inf"))
-    full = frozenset(g.vertices())
-    return _graph_system_from_pairs(g, pairs + [(full, full)], True)
-
-
-def graph_system(g: Graph, k: float) -> SeparationSystem:
-    """Separations of order below ``k``, with a back-map to (A, B) pairs.
-
-    Graphs of at most six vertices are carved out of the full lattice of all
-    separations, so families needing joins can follow the parent link.
-    Larger graphs get a standalone system.
-    """
-    if g.n <= _CARVED_UNIVERSE_VERTICES:
-        return graph_universe(g).restrict_below(k)
-    return _graph_system_from_pairs(g, _graph_separations(g, k), False)
+    return _graph_system(g, math.inf, True)
 
 
 # -- bipartitions and subset systems -------------------------------------------
@@ -311,6 +306,9 @@ def _cut_weight(side, size, scaled, scale):
 
 def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
     """Subset order, complement involution, cut-weight orders."""
+    if ground.size > MAX_GROUND_POINTS:
+        raise ValidationError(f"bipartition ground limited to "
+                              f"{MAX_GROUND_POINTS} points, got {ground.size}")
     full = ground.full_set()
     sideset = set(ground.sides)
     for A in ground.sides:
@@ -338,8 +336,7 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
     # lexicographically smaller one
     pairs = sorted({tuple(sorted((tuple(sorted(A)), tuple(sorted(full - A)))))
                     for A in ground.sides})
-    sides = []
-    orders = []
+    sides, orders = [], []
     for fa, fb in pairs:
         sides += [mask_of(fa), mask_of(fb)]
         if sim is not None:
@@ -391,12 +388,9 @@ def questionnaire_system(answers) -> SeparationSystem:
                 DuplicateQuestionWarning, stacklevel=2)
             continue
         seen[key] = j
-    sides = []
-    for key in seen:
-        sides.append(frozenset(key))
-        sides.append(full - frozenset(key))
-    ground = BipartitionGround(n, tuple(sides))
-    return bipartition_system(ground)
+    sides = tuple(side for key in seen
+                  for side in (frozenset(key), full - frozenset(key)))
+    return bipartition_system(BipartitionGround(n, sides))
 
 
 def block_of_tangle(system: SeparationSystem, tau) -> frozenset[int]:
@@ -417,7 +411,10 @@ def block_of_tangle(system: SeparationSystem, tau) -> frozenset[int]:
 
 def _read_csv_matrix(text: str, parse) -> list[list]:
     """Rectangular CSV cells, each read with ``parse``."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ValidationError(f"unreadable CSV input: {exc}") from None
     if not rows:
         raise ValidationError("empty CSV input")
     width = len(rows[0])

@@ -481,10 +481,12 @@ def _validate_universe(system, rep):
                 rep.add("universe", f"meet({fmt_oriented(a)}, .) not greatest lower bound")
                 break
         if system.distributive:
+            # canonical ids of joins and meets, small enough to stay in cache
+            cJ, cM = (canon[T].astype(np.int16) for T in (J, M))
             for a in range(n2):
-                lhs = M[a][J]  # meet(a, join(b,c))
-                rhs = J[M[a][:, None], M[a][None, :]]
-                if not np.array_equal(canon[lhs], canon[rhs]):
+                # meet(a, join(b,c)) against join(meet(a,b), meet(a,c))
+                if not np.array_equal(cM[a].take(J),
+                                      cJ.take(M[a], 0).take(M[a], 1)):
                     rep.add("distributivity",
                             f"meet({fmt_oriented(a)}, join(b,c)) != "
                             "join(meet(a,b), meet(a,c)) for some b, c")
@@ -547,7 +549,7 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
         orders = [float(x) for x in d["orders"]]
     except KeyError as exc:
         raise ValidationError(f"sepsys/v1 system lacks the field {exc}") from None
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError("sepsys/v1 'count' must be an integer and "
                               "'orders' a list of numbers") from None
     n2 = 2 * count
@@ -563,7 +565,7 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
             raise ValidationError(f"leq pair {pair} must have two entries")
         try:
             a, b = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"leq pair {pair} must hold integers") from None
         if not (0 <= a < n2 and 0 <= b < n2):
             raise ValidationError(f"leq pair {pair} out of range")
@@ -582,7 +584,7 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
         except KeyError as exc:
             raise ValidationError(
                 f"sepsys/v1 universe lacks the field {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("sepsys/v1 universe 'join' and 'meet' must "
                                   f"be integer tables: {exc}") from None
     ground = None

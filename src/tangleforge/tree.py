@@ -1,7 +1,7 @@
 """Rooted trees with oriented-separation edge labels.
 
-Trees are persistent values: structural edits return new trees, so reduction
-can retain every intermediate for audit.  Each node caches the label set of
+Trees are persistent values: structural edits return new trees, so a
+reduction's steps replay every intermediate.  Each node caches the label set of
 its root path, and each leaf its class per family.  The predicate ladder
 (separation tree, consistent, ordered, thoroughly ordered, efficient,
 structure tree, all-leaves-forbidden) lives here, together with restriction
@@ -376,32 +376,55 @@ def tree_to_json_dict(tree) -> dict:
 
 
 def tree_from_json_dict(d, system=None) -> StructureTree:
+    """Load a tree/v1 object: node ids unique, every node reachable from the
+    root, and every non-root node labelled with an oriented id of the
+    system."""
     if expect_object(d, "tree/v1 tree").get("format") != "tree/v1":
         raise ValidationError(f"unsupported tree format {d.get('format')!r}")
     if system is None:
         system = from_json_dict(d.get("system_ref"))
-    parent, children, label = {}, {}, {}
+    parent, label = {}, {}
     try:
         for nd in d["nodes"]:
             v = int(nd["id"])
+            if v in parent:
+                raise ValidationError(f"tree/v1 node {v} appears twice")
             parent[v] = None if nd["parent"] is None else int(nd["parent"])
             label[v] = None if nd["edge_label"] is None else int(nd["edge_label"])
-            children.setdefault(v, [])
         root = int(d["root"])
     except KeyError as exc:
         raise ValidationError(f"tree/v1 tree lacks the field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"tree/v1 node or root malformed: {exc}") from None
+    if root not in parent or parent[root] is not None:
+        raise ValidationError("root must be a node without parent")
+    if label[root] is not None:
+        raise ValidationError(f"root {root} carries the edge label {label[root]}")
+    children = {v: [] for v in parent}
     for v, p in parent.items():
+        if v == root:
+            continue
+        if label[v] is None:
+            raise ValidationError(f"node {v} has no edge label")
+        if not 0 <= label[v] < system.n_oriented:
+            raise ValidationError(
+                f"node {v} has the edge label {label[v]}, not an oriented id "
+                f"of the system (0..{system.n_oriented - 1})")
         if p is not None:
             if p not in children:
                 raise ValidationError(f"node {v} has the unknown parent {p}")
             children[p].append(v)
+    # each node has one parent and the root none, so the walk ends
+    reached, stack = set(), [root]
+    while stack:
+        v = stack.pop()
+        reached.add(v)
+        stack.extend(children[v])
+    if len(reached) < len(parent):
+        v = min(set(parent) - reached)
+        raise ValidationError(f"node {v} cannot be reached from root {root}")
     children = {v: tuple(sorted(cs)) for v, cs in children.items()}
-    tree = StructureTree(system, root, parent, children, label)
-    if tree.root not in parent or parent[tree.root] is not None:
-        raise ValidationError("root must be a node without parent")
-    return tree
+    return StructureTree(system, root, parent, children, label)
 
 
 def dump_tree(tree) -> str:

@@ -244,13 +244,11 @@ def test_criterion_4_reduction(built):
             after = tf.classify_leaf(red, leaf, fam).kind
             assert (before == "forbidden") == (after == "forbidden")
         assert tf.is_efficient(red) and tf.is_ordered(red)
-        classes = tf.tree.classify_all(tree, fam)
         for v in tree.non_leaves():
             for w in tree.children(v):
                 o = tree.label(w)
                 needed = any(tree.is_ancestor(w, leaf) and
-                             tf.necessary_for_leaf(tree, fam, o, leaf,
-                                                   classes[leaf])
+                             tf.necessary_for_leaf(tree, fam, o, leaf)
                              for leaf in tree.leaves())
                 ok = bool(tf.is_structure_tree(tf.contract(tree, v, w), fam))
                 assert ok == (not needed), inst.name

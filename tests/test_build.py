@@ -186,7 +186,7 @@ def test_redundant_split_is_contracted_away():
     system = redundant_split_system()
     fam = redundant_split_family(system)
     t = tf.build(system, fam)
-    red, trace = tf.reduce(t, fam, keep_intermediates=True)
+    red, trace = tf.reduce(t, fam)
     assert len(trace.steps) == 1
     labels = {red.label(v) for v in red.nodes()} - {None}
     assert labels == {2, 3, 4, 5}  # the order-1 separation vanished
@@ -233,12 +233,11 @@ def test_contraction_validity_matches_label_necessity(seed):
     t = tf.build(system, fam)
     if not tf.is_structure_tree(t, fam):
         return
-    classes = tf.tree.classify_all(t, fam)
     for v in t.non_leaves():
         for w in t.children(v):
             o = t.label(w)
             needed = any(t.is_ancestor(w, leaf) and
-                         tf.necessary_for_leaf(t, fam, o, leaf, classes[leaf])
+                         tf.necessary_for_leaf(t, fam, o, leaf)
                          for leaf in t.leaves())
             still_structure = bool(
                 tf.is_structure_tree(tf.contract(t, v, w), fam))

@@ -233,6 +233,22 @@ def edited(base, part, **fields):
 
 SETS_BUILD = ["build", "--system", "{path}", "--family", "cluster:1"]
 GRAPH_BUILD = ["build", "--system", "{path}", "--family", "blocks:2"]
+RESTRICT = ["restrict", "--k", "1", "--tree", "{path}"]
+EXPORT_DOT = ["export-dot", "--tree", "{path}"]
+
+
+def tree_text(*nodes, root=0):
+    """tree/v1 text over the one-separation GRAPH system with the given
+    (id, parent, edge_label) nodes; by default the root split once."""
+    nodes = nodes or ((0, None, None), (1, 0, 0), (2, 0, 1))
+    return json.dumps({"format": "tree/v1", "root": root,
+                       "nodes": [{"id": v, "parent": p, "edge_label": o}
+                                 for v, p, o in nodes],
+                       "system_ref": GRAPH})
+
+
+SPLIT = ((0, None, None), (1, 0, 0))
+DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
 
 
 @pytest.mark.parametrize("argv, name, text, cause", [
@@ -309,6 +325,35 @@ GRAPH_BUILD = ["build", "--system", "{path}", "--family", "blocks:2"]
     pytest.param(["certify", "--graph", K4, "--family", "blocks:3", "--k", "NaN"],
                  None, None, "--k must be a number, got 'NaN'",
                  id="certify-k-nan"),
+    pytest.param(SETS_BUILD, "sys.json",
+                 edited(SETS, "universe", join=[[0, 1, 2, 3], [1, 1, 1, 1],
+                                                [2, 1, 2, 1], [3, 1, 1, 1e30]]),
+                 "'join' and 'meet' must be integer tables", id="join-beyond-int64"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", size=1e30),
+                 "ground of size 1000000000000000019884624838656 (at most 65536)",
+                 id="ground-size-beyond-the-limit"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT[:1], (1, 0, 7), (2, 0, 1)),
+                 "node 1 has the edge label 7", id="restrict-label-7"),
+    pytest.param(EXPORT_DOT, "tree.json", tree_text(*SPLIT[:1], (1, 0, 7), (2, 0, 1)),
+                 "node 1 has the edge label 7", id="export-dot-label-7"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT, (2, 0, -1)),
+                 "node 2 has the edge label -1", id="restrict-label-minus-1"),
+    pytest.param(EXPORT_DOT, "tree.json", tree_text(*SPLIT, (2, 0, -1)),
+                 "node 2 has the edge label -1", id="export-dot-label-minus-1"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*DETACHED_CYCLE),
+                 "node 3 cannot be reached from root 0",
+                 id="restrict-detached-cycle"),
+    pytest.param(EXPORT_DOT, "tree.json", tree_text(*DETACHED_CYCLE),
+                 "node 3 cannot be reached from root 0",
+                 id="export-dot-detached-cycle"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT, (2, 0, 1), (3, None, 0)),
+                 "node 3 cannot be reached from root 0", id="second-parentless-node"),
+    pytest.param(RESTRICT, "tree.json", tree_text((0, None, 1), *SPLIT[1:]),
+                 "root 0 carries the edge label 1", id="label-on-the-root"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT, (2, 0, None)),
+                 "node 2 has no edge label", id="non-root-without-label"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT, (1, 0, 1)),
+                 "tree/v1 node 1 appears twice", id="duplicate-node-id"),
     pytest.param(["TANGLE_FORGE_BUDGET=abc", "oracle", "--graph", K4,
                   "--family", "blocks:3"], None, None,
                  "TANGLE_FORGE_BUDGET must be an integer, got 'abc'",
@@ -332,6 +377,9 @@ def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
                  "side ['a'] must list points", id="side-point-not-an-integer"),
     pytest.param(edited(SETS, None, universe={}),
                  "universe lacks the field 'join'", id="universe-without-join"),
+    pytest.param(edited(SETS, "universe", meet=[[1e30] * 4] * 4),
+                 "'join' and 'meet' must be integer tables",
+                 id="meet-beyond-int64"),
 ])
 def test_validate_reports_a_malformed_payload(text, cause, tmp_path):
     path = tmp_path / "sys.json"

@@ -1,7 +1,10 @@
 """Graph and subset grounds: generation, orders, lattice laws, block duality."""
 
 import math
+import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 
 import tangleforge as tf
@@ -9,7 +12,7 @@ from tangleforge.cli import main
 from tangleforge.errors import (DuplicateQuestionWarning, NotATangle,
                                 NotComplementClosed, ValidationError)
 from tangleforge.oracle import OracleBudget, all_kblocks, all_tangles
-from tangleforge.system import validate
+from tangleforge.system import dump_system, load_system, validate
 
 from conftest import FIXTURES, all_graphs_up_to_iso
 
@@ -50,9 +53,58 @@ def test_graph_universe_lattice_laws_and_submodularity():
 
 
 def test_back_maps_are_bijective(k4):
-    s3 = tf.graph_system(k4, 3)
+    s3 = tf.graph_universe(k4).restrict_below(3)
     assert len(set(s3.back_map)) == s3.count
     assert all(0 <= s < s3.parent.count for s in s3.back_map)
+
+
+def _random_graphs(n, count, seed):
+    rng = random.Random(seed)
+    pairs = list(combinations(range(n), 2))
+    return [tf.Graph.from_edges(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_graph_systems_equal_their_universe_restricted_below_k(n):
+    # Every graph up to five vertices and 25 random six-vertex graphs: the
+    # directly built system is the one restricted out of the full universe.
+    # Orders are integers of at most n, so k = n + 1 and k = inf select the
+    # same separations and share one build.
+    graphs = all_graphs_up_to_iso(n) if n < 6 else _random_graphs(6, 25, 6)
+    for g in graphs:
+        universe = tf.graph_universe(g)
+        for k in [*range(n + 2), math.inf]:
+            if k <= n + 1:
+                got = tf.graph_system(g, k)
+            want = universe.restrict_below(k)
+            assert got.count == want.count
+            assert np.array_equal(got.orders, want.orders)
+            assert np.array_equal(got.leq, want.leq)
+            assert got.has_universe() == want.has_universe()
+            if got.has_universe():
+                assert np.array_equal(got.join, want.join)
+                assert np.array_equal(got.meet, want.meet)
+            assert got.distributive == want.distributive
+            assert got.ground.pairs == want.ground.pairs
+            assert got.allow_degenerate == any(
+                got.is_degenerate(s) for s in got.seps())
+
+
+def test_lattice_tables_up_to_six_vertices_and_for_universes(two_k4):
+    # the one order-0 separation of a path is closed under join and meet;
+    # graph systems attempt tables up to six vertices only
+    for n in (6, 7):
+        path = tf.Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        assert tf.graph_system(path, 1).count == 1
+        assert tf.graph_system(path, 1).has_universe() == (n <= 6)
+    # eight vertices: the universe has tables, the same separations built as
+    # a graph system have none
+    built, universe = tf.graph_system(two_k4, math.inf), tf.graph_universe(two_k4)
+    assert universe.has_universe() and universe.distributive
+    assert not built.has_universe() and not built.distributive
+    assert np.array_equal(built.leq, universe.leq)
+    assert built.ground.pairs == universe.ground.pairs
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
@@ -178,6 +230,22 @@ def test_questionnaire_wider_than_a_machine_word_builds(tmp_path):
     path.write_text("".join(",".join(map(str, row)) + "\n" for row in answers))
     assert main(["build", "--answers", str(path), "--family", "cluster:20",
                  "--out", str(tmp_path / "out.json")]) == 0
+
+
+def test_questionnaire_grounds_round_trip_up_to_the_point_limit(tmp_path):
+    # what questionnaire_system builds, the sepsys/v1 loader reads back;
+    # one person more is refused when the system is made
+    limit = tf.grounds.MAX_GROUND_POINTS
+    answers = [[int(i % 3 == 0), int(i < limit // 2)] for i in range(limit)]
+    sysq = tf.questionnaire_system(answers)
+    again = load_system(dump_system(sysq))
+    assert again.ground == sysq.ground and again.count == sysq.count == 2
+    with pytest.raises(ValidationError, match="limited to 65536 points"):
+        tf.questionnaire_system(answers + [[0, 0]])
+    path = tmp_path / "answers.csv"
+    path.write_text("1\n" * (limit + 1))
+    assert main(["build", "--answers", str(path),
+                 "--out", str(tmp_path / "out.json")]) == 2
 
 
 # -- loaders ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Layering: production modules stay apart from the brute-force oracle,
 only the system and the oracle index the order matrix, family queries
-from outside `families` go through the public, id-translating methods, and
-only `tree` classifies leaves.
+from outside `families` go through the public, id-translating methods,
+only `tree` classifies leaves, and `grounds` builds systems without carving
+them out of larger ones.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
@@ -117,3 +118,11 @@ def test_only_the_tree_classifies_leaves():
     found = {path.stem: _function_calls(path.stem, "classify_leaf")
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {m for m, lines in found.items() if lines} == {"tree"}
+
+
+def test_grounds_build_systems_without_carving():
+    # A graph system is built from its graph's separations, not restricted
+    # out of a larger system; one construction path serves every graph.
+    assert _method_calls("grounds", ("restrict_below", "subsystem")) == []
+    # the walk sees these calls where they are made
+    assert _method_calls("tree", ("restrict_below",)) != []
