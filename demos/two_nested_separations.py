@@ -8,7 +8,7 @@ displays all three consistent orientations at once.
 import numpy as np
 
 import tangleforge as tf
-from tangleforge.system import fmt_oriented
+from tangleforge.system import fmt_oriented, ids_of, mask_of
 
 # Separation 0 has order 1, separation 1 has order 2.  Orientation 2 (the
 # forward side of separation 1) sits below orientation 0; the involution
@@ -23,12 +23,12 @@ print("validation:", tf.validate(system).summary())
 
 print("\nconsistency of each full orientation:")
 for tau in [{0, 2}, {0, 3}, {1, 2}, {1, 3}]:
-    mark = "consistent" if system.is_consistent(tau) else "inconsistent"
+    mark = "consistent" if system.is_consistent(mask_of(tau)) else "inconsistent"
     print(f"  {{{', '.join(fmt_oriented(o) for o in sorted(tau))}}}: {mark}")
 
 print("\nclosure pulls in everything a choice forces:")
 for start in [{2}, {1}]:
-    cl = sorted(system.closure(start))
+    cl = ids_of(system.closure(mask_of(start)))
     print(f"  closure of {{{fmt_oriented(min(start))}}} =",
           "{" + ", ".join(fmt_oriented(o) for o in cl) + "}")
 
@@ -40,7 +40,7 @@ tree = tf.build(system, family)
 print(f"\nbuilt tree: {len(tree)} nodes, splits separation",
       tree.s_of(tree.root), "at the root")
 for leaf in tree.leaves():
-    beta = ", ".join(fmt_oriented(o) for o in sorted(tree.beta(leaf)))
+    beta = ", ".join(fmt_oriented(o) for o in ids_of(tree.beta(leaf)))
     tangle = tf.classify_leaf(tree, leaf, family).tangle
     full = ", ".join(fmt_oriented(o) for o in sorted(tangle))
     print(f"  leaf {leaf}: path labels {{{beta}}} -> tangle {{{full}}}")

@@ -8,9 +8,8 @@ plus a brute-force oracle used as independent ground truth in the tests.
 """
 
 from .build import (BuildConfig, PipelineReport, ReductionTrace, build,
-                    certificates_of, contract, leaf_needs,
-                    necessary_for_leaf, necessary_node, pipeline, reduce,
-                    report_to_json_dict)
+                    certificates_of, leaf_needs, necessary_for_leaf,
+                    necessary_node, pipeline, reduce, report_to_json_dict)
 from .families import (BlocksFamily, ClusterFamily, EmptyFamily,
                        ExplicitFamily, ForbiddenFamily, GraphTangleFamily,
                        ProfileFamily, StrongProfileFamily, Witness,

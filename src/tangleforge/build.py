@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
                      UnresolvedLeaf)
 from .families import ForbiddenFamily
-from .system import SeparationSystem, fmt_oriented
+from .system import SeparationSystem, fmt_oriented, ids_of, mask_of
 from .tree import (StructureTree, classify_all, is_f_tree, is_structure_tree,
                    leaf_class, restrict, tangles, tree_to_json_dict)
 
@@ -60,7 +60,7 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
         beta = tree.beta(v)
         candidates = system.open_separations(beta)
         if not candidates:
-            blockers = [o for o in sorted(beta) if system.is_cotrivial(o)]
+            blockers = [o for o in ids_of(beta) if system.is_cotrivial(o)]
             if blockers:
                 raise NonStandardFamily(
                     f"leaf cannot resolve: co-trivial label "
@@ -73,13 +73,8 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
     return tree
 
 
-def contract(tree: StructureTree, v: int, w: int) -> StructureTree:
-    """The tree with edge vw contracted and v's other branches deleted."""
-    return tree.contracted(v, w)
-
-
-def leaf_needs(tree, family, leaf: int) -> frozenset[int]:
-    """The labels this leaf needs to keep its class.
+def leaf_needs(tree, family, leaf: int) -> int:
+    """The mask of the labels this leaf needs to keep its class.
 
     A tangle leaf needs its minimal labels.  A forbidden leaf needs the
     labels of its witness whose removal leaves no member; removing any other
@@ -90,20 +85,20 @@ def leaf_needs(tree, family, leaf: int) -> frozenset[int]:
     if cls.kind == "tangle":
         return tree.system.minimal_elements(beta)
     if cls.kind == "forbidden":
-        return frozenset(o for o in cls.witness.members
-                         if family.forbidden_subset(tree.system, beta - {o})
-                         is None)
+        return mask_of(o for o in cls.witness.members
+                       if family.forbidden_subset(tree.system, beta & ~(1 << o))
+                       is None)
     raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
 
 
 def necessary_for_leaf(tree, family, o: int, leaf: int) -> bool:
     """Is the oriented separation needed to keep this leaf classified?"""
-    return o in leaf_needs(tree, family, leaf)
+    return bool(leaf_needs(tree, family, leaf) >> o & 1)
 
 
 def necessary_node(tree, family, v: int) -> bool:
     """Every child edge label is needed by some leaf behind it."""
-    return all(any(tree.label(w) in leaf_needs(tree, family, leaf)
+    return all(any(leaf_needs(tree, family, leaf) >> tree.label(w) & 1
                    for leaf in tree.descendants(w) if tree.is_leaf(leaf))
                for w in tree.children(v))
 
@@ -121,10 +116,11 @@ def _dispensable_edge(tree, family, needs) -> tuple[int, int] | None:
                 needs[beta] = leaf_needs(tree, family, v)
             fold[v] = needs[beta]
             continue
+        fold[v] = 0
         for w in kids:
-            if tree.label(w) not in fold[w]:
+            if not fold[w] >> tree.label(w) & 1:
                 return v, w
-        fold[v] = frozenset().union(*(fold[w] for w in kids))
+            fold[v] |= fold[w]
     return None
 
 
@@ -136,7 +132,7 @@ class ReductionTrace:
 
     def replay(self, tree: StructureTree) -> StructureTree:
         for v, w in self.steps:
-            tree = contract(tree, v, w)
+            tree = tree.contracted(v, w)
         return tree
 
 
@@ -157,7 +153,7 @@ def reduce(tree: StructureTree, family: ForbiddenFamily):
         target = _dispensable_edge(tree, family, needs)
         if target is None:
             return tree, trace
-        tree = contract(tree, *target)
+        tree = tree.contracted(*target)
         trace.steps.append(target)
 
 
@@ -198,7 +194,7 @@ def certificates_of(tree, family):
 def tangle_entry(system: SeparationSystem, tangle) -> dict:
     """Output form of a tangle: its members and its minimal elements."""
     return {"members": sorted(tangle),
-            "minimal": sorted(system.minimal_elements(tangle))}
+            "minimal": ids_of(system.minimal_elements(mask_of(tangle)))}
 
 
 def certificate_entry(leaf: int, witness) -> dict:

@@ -106,6 +106,10 @@ def _family_spec(args) -> dict | None:
     kind = FAMILY_ALIASES.get(kind, kind)
     d = {"format": "family/v1", "kind": kind}
     if param and kind in families.PARAMETERS:
+        try:
+            param = int(param)
+        except ValueError:
+            pass  # family_parameter names the value as given
         d[families.PARAMETERS[kind]] = param
     return d
 

@@ -9,13 +9,15 @@ tests re-check every witness against, and implements one scan, ``_extends``:
 is there a member inside a set plus ``x`` that contains ``x``?  The witness
 search ``_search`` is derived from the two in the base class.  ``blocks``
 (closed under supersets), ``explicit`` (a listed family) and ``empty``
-specialise it.
+specialise it.  Queries are masks of oriented ids; a family keeps the
+answer of ``_search`` per mask of its bound system's ids for its lifetime,
+so the trees of one pipeline, level trees included, scan each set once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import MissingCapability, ValidationError
 from .grounds import GraphRealization, SideRealization
@@ -44,11 +46,11 @@ class Witness:
 
 
 class ForbiddenFamily:
-    """Base class: bound to a system, queried with sets of oriented ids.
+    """Base class: bound to a system, queried with masks of oriented ids.
 
     Subclasses define ``is_member`` and ``_extends`` on the bound system's
     canonical ids; ``forbidden_subset`` and ``extends_member`` translate the
-    caller's ids and ask ``_search`` and ``_extends``.
+    caller's mask and ask ``_search`` and ``_extends``.
     """
 
     kind = "abstract"
@@ -56,14 +58,16 @@ class ForbiddenFamily:
 
     def __init__(self, system: SeparationSystem | None):
         self.system = system
+        self._answers: dict[int, int | None] = {}  # _search's, by bound mask
 
     # -- mapping between the caller's system and the bound one ----------------
 
-    def _ids_into(self, system: SeparationSystem) -> tuple[int, ...] | None:
-        """The caller's oriented ids in the bound system, None if the same."""
+    def _ids_into(self, system: SeparationSystem, mask: int) -> int:
+        """The caller's mask in the bound system's ids."""
         if self.system is None or system is self.system:
-            return None
-        return system.oriented_into(self.system)
+            return mask
+        up = system.oriented_into(self.system)
+        return sum(1 << up[x] for x in ids_of(mask))
 
     # -- family-specific hooks -------------------------------------------------
 
@@ -74,58 +78,61 @@ class ForbiddenFamily:
     def evidence(self, members) -> dict:
         return {}
 
-    def _extends(self, work: list[int], x: int) -> bool:
-        """The one scan: is there a member inside ``work`` plus ``x`` that
-        contains ``x``?  ``work`` may itself hold members.  Ids are the bound
-        system's canonical ones."""
+    def _extends(self, work: int, x: int) -> bool:
+        """The one scan: is there a member inside the mask ``work`` plus
+        ``x`` that contains ``x``?  ``work`` may itself hold members.  Ids
+        are the bound system's canonical ones."""
         raise NotImplementedError
 
-    def _search(self, work: list[int]):
-        """Lexicographically least member among subsets of the sorted
-        ``work``, derived from ``is_member`` and ``_extends``.
+    def _search(self, work: int) -> int | None:
+        """Mask of the lexicographically least member (by sorted ids) inside
+        the mask ``work``, derived from ``is_member`` and ``_extends``.
 
         Its least element is the first ``x`` whose scan over the elements
         after it finds a member; the prefix walk below ``x`` completes it.
         """
-        if self.is_member(frozenset()):
-            return frozenset()
-        cap = self.arity if self.arity is not None else len(work)
+        if self.is_member(()):
+            return 0
+        ids = ids_of(work)
+        cap = self.arity if self.arity is not None else len(ids)
 
         def rec(prefix, start):
             if self.is_member(prefix):
-                return frozenset(prefix)
+                return mask_of(prefix)
             if len(prefix) >= cap:
                 return None
-            for i in range(start, len(work)):
-                hit = rec(prefix + [work[i]], i + 1)
+            for i in range(start, len(ids)):
+                hit = rec(prefix + [ids[i]], i + 1)
                 if hit is not None:
                     return hit
             return None
 
-        for i, x in enumerate(work):
-            if self._extends(work[i + 1:], x):
+        for i, x in enumerate(ids):
+            if self._extends(work & -(2 << x), x):
                 return rec([x], i + 1)
         return None
 
     # -- public API --------------------------------------------------------------
 
-    def forbidden_subset(self, system: SeparationSystem, members) -> Witness | None:
-        """Some member inside ``members``, or None; deterministic choice."""
-        up = self._ids_into(system)
-        hit = self._search(sorted(members if up is None
-                                  else (up[x] for x in members)))
+    def forbidden_subset(self, system: SeparationSystem, mask: int) -> Witness | None:
+        """Some member inside the set ``mask``, or None; deterministic choice."""
+        work = self._ids_into(system, mask)
+        if work not in self._answers:
+            self._answers[work] = self._search(work)
+        hit = self._answers[work]
         if hit is None:
             return None
-        out = hit if up is None else frozenset(up.index(x) for x in hit)
-        return Witness(out, self.kind, self.evidence(hit))
+        ids = ids_of(hit)
+        members = frozenset(ids)
+        if self.system is not None and system is not self.system:
+            up = system.oriented_into(self.system)  # back into the caller's ids
+            members = frozenset(x for x in ids_of(mask) if hit >> up[x] & 1)
+        return Witness(members, self.kind, self.evidence(ids))
 
-    def extends_member(self, system: SeparationSystem, members, new: int) -> bool:
-        """Is there a member inside ``members`` plus ``new`` that contains
-        ``new``?"""
-        up = self._ids_into(system)
-        if up is None:
-            return self._extends(sorted(members), new)
-        return self._extends(sorted(up[x] for x in members), up[new])
+    def extends_member(self, system: SeparationSystem, mask: int, new: int) -> bool:
+        """Is there a member inside ``mask`` plus ``new`` containing ``new``?"""
+        return self._extends(self._ids_into(system, mask),
+                             self._ids_into(system, 1 << new).bit_length() - 1)
 
     def to_json_dict(self):
         return {"format": "family/v1", "kind": self.kind}
@@ -149,42 +156,45 @@ class EmptyFamily(ForbiddenFamily):
 
 
 class ExplicitFamily(ForbiddenFamily):
-    """A finite, explicitly listed family of member sets."""
+    """A finite, explicitly listed family of member sets, kept as masks."""
 
     kind = "explicit"
 
     def __init__(self, members, system: SeparationSystem):
         super().__init__(system)
-        self.members = frozenset(frozenset(m) for m in members)
-        for m in self.members:
-            for o in m:
-                if not (0 <= o < system.n_oriented):
-                    raise ValidationError(f"member id {o} out of range")
-        self.arity = max((len(m) for m in self.members), default=0)
-        self._by_mask = {mask_of(m): m for m in self.members}
+        members = [list(m) for m in members]
+        bad = [o for m in members for o in m if not 0 <= o < system.n_oriented]
+        if bad:
+            raise ValidationError(f"member id {bad[0]} out of range")
+        self.members = {mask_of(m) for m in members}
+        self.arity = max((k.bit_count() for k in self.members), default=0)
 
     def is_member(self, members):
-        return mask_of(members) in self._by_mask
+        return mask_of(members) in self.members
 
     def _search(self, work):
         # Kept over the derived search: one pass over the listed members,
         # where the derived one rescans them for each candidate element.
-        ws = mask_of(work)
-        inside = [m for k, m in self._by_mask.items() if not k & ~ws]
-        if not inside:
-            return None
-        return min(inside, key=lambda m: sorted(m))
+        return min((k for k in self.members if not k & ~work), key=ids_of,
+                   default=None)
 
     def _extends(self, work, x):
-        ws = mask_of(work) | 1 << x
-        return any(k >> x & 1 and not k & ~ws for k in self._by_mask)
+        ws = work | 1 << x
+        return any(k >> x & 1 and not k & ~ws for k in self.members)
 
     def to_json_dict(self):
         return {
             "format": "family/v1",
             "kind": "explicit",
-            "explicit_members": sorted([sorted(m) for m in self.members]),
+            "explicit_members": sorted(ids_of(k) for k in self.members),
         }
+
+
+def _meet(sides, members, out: int) -> int:
+    """``out`` intersected with the side of every member."""
+    for o in members:
+        out &= sides[o]
+    return out
 
 
 class BlocksFamily(ForbiddenFamily):
@@ -205,32 +215,27 @@ class BlocksFamily(ForbiddenFamily):
         self._all = (1 << system.ground.graph.n) - 1
         self._big = [b for _, b in system.ground.pairs]
 
-    def _intersection(self, members) -> int:
-        out = self._all
-        for o in members:
-            out &= self._big[o]
-        return out
-
     def is_member(self, members):
-        return self._intersection(members).bit_count() < self.k
+        return _meet(self._big, members, self._all).bit_count() < self.k
 
     def evidence(self, members):
-        return {"big_side_intersection": ids_of(self._intersection(members)),
-                "k": self.k}
+        return {"big_side_intersection":
+                ids_of(_meet(self._big, members, self._all)), "k": self.k}
 
     def _search(self, work):
         # Superset closure makes the lexicographically least member the
         # shortest member prefix of the sorted work: one running AND.
-        meet, i = self._all, 0
+        meet, rest = self._all, work
         while meet.bit_count() >= self.k:
-            if i == len(work):
+            if not rest:
                 return None
-            meet &= self._big[work[i]]
-            i += 1
-        return frozenset(work[:i])
+            low = rest & -rest
+            meet &= self._big[low.bit_length() - 1]
+            rest ^= low
+        return work ^ rest
 
     def _extends(self, work, x):
-        return self.is_member(work + [x])
+        return self.is_member(ids_of(work | 1 << x))
 
     def to_json_dict(self):
         return {"format": "family/v1", "kind": "blocks", "k": self.k}
@@ -250,23 +255,18 @@ class ClusterFamily(ForbiddenFamily):
         self._all = (1 << system.ground.size) - 1
         self._sides = system.ground.sides
 
-    def _agree(self, members) -> int:
-        out = self._all
-        for o in members:
-            out &= self._sides[o]
-        return out
-
     def is_member(self, members):
         # a member is {r, s, t} as a set: 1..3 sides with small agreement
         return 0 < len(members) <= 3 and \
-            self._agree(members).bit_count() < self.n
+            _meet(self._sides, members, self._all).bit_count() < self.n
 
     def evidence(self, members):
-        return {"agreement_set": ids_of(self._agree(members)), "n": self.n}
+        return {"agreement_set": ids_of(_meet(self._sides, members, self._all)),
+                "n": self.n}
 
     def _extends(self, work, x):
         sides = self._sides
-        pool = [sides[y] for y in [x] + work]
+        pool = [sides[y] for y in [x] + ids_of(work)]
         for sy in pool:
             sxy = pool[0] & sy
             for sz in pool:
@@ -318,13 +318,13 @@ class ProfileFamily(ForbiddenFamily):
         # Raw ids, where is_member compares canonical ones: they agree since
         # no query holds the odd alias of a degenerate separation
         # (orientations_of never yields it and closures canonicalise).
-        pool = [x] + work
-        have = mask_of(pool)
+        pool = [x] + ids_of(work)
+        have = work | 1 << x
         for y in pool:
             if have >> self._third(x, y) & 1:
                 return True
-        for y in work:
-            for z in work:
+        for y in pool[1:]:
+            for z in pool[1:]:
                 if self._third(y, z) == x:
                     return True
         return False
@@ -357,17 +357,17 @@ class StrongProfileFamily(ProfileFamily):
         return None
 
     def _extends(self, work, x):
-        pool = [x] + work
-        have = mask_of(pool)
+        pool = [x] + ids_of(work)
+        have = work | 1 << x
         down, above_x = self.system.down, self.system.up[x]
         # new element in the pair position
         row = self._join[inverse(x)]
         if any(down[row[inverse(y)]] & have for y in pool):
             return True
         # new element in the bounded position
-        for y in work:
+        for y in pool[1:]:
             row = self._join[inverse(y)]
-            for z in work:
+            for z in pool[1:]:
                 if above_x >> row[inverse(z)] & 1:
                     return True
         return False
@@ -411,7 +411,7 @@ class GraphTangleFamily(ForbiddenFamily):
                                    for o in sorted(members)]}
 
     def _extends(self, work, x):
-        pool = [x] + work
+        pool = [x] + ids_of(work)
         for y in pool:
             for z in pool:
                 if self._covers((x, y, z)):
@@ -462,12 +462,10 @@ def family_parameter(d: dict) -> int | None:
     field = PARAMETERS.get(d.get("kind"))
     if field is None:
         return None
-    try:
-        return int(d[field])
-    except (KeyError, TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"family kind {d['kind']!r} needs an integer {field!r}, "
-            f"got {d.get(field)!r}") from None
+    if type(d.get(field)) is not int:
+        raise ValidationError(f"family kind {d['kind']!r} needs an integer "
+                              f"{field!r}, got {d.get(field)!r}")
+    return d[field]
 
 
 def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
@@ -486,7 +484,7 @@ def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
                 for m in members):
             raise ValidationError("family/v1 'explicit_members' must list "
                                   f"lists of oriented ids, got {members!r}")
-        return make_explicit([frozenset(m) for m in members], system)
+        return make_explicit(members, system)
     if kind == "blocks":
         return make_blocks(param, system)
     if kind == "cluster":
@@ -512,9 +510,9 @@ def is_standard(family: ForbiddenFamily, system: SeparationSystem):
     Returns (ok, counterexamples) where counterexamples lists trivial
     oriented ids whose inverse singleton is not in the family.
     """
-    up = family._ids_into(system) or system.all_oriented()
     bad = [o for o in system.trivial_orienteds()
-           if not family.is_member(frozenset({up[inverse(o)]}))]
+           if not family.is_member(ids_of(family._ids_into(system,
+                                                           1 << inverse(o))))]
     return (not bad, bad)
 
 
@@ -528,27 +526,17 @@ def is_closed_under_minimization(family: ForbiddenFamily,
     spot check rather than a proof.
     """
     cap = max_size if max_size is not None else (family.arity or 3)
-    up = family._ids_into(system) or system.all_oriented()
     ids = sorted(system.all_oriented())
     bad = []
-
-    def subsets(start, size, acc):
-        yield acc
-        if size == 0:
-            return
-        for i in range(start, len(ids)):
-            yield from subsets(i + 1, size - 1, acc + [ids[i]])
-
-    for sub in subsets(0, cap, []):
-        if not sub:
-            continue
+    for sub in sorted(c for r in range(1, cap + 1) for c in combinations(ids, r)):
         member = frozenset(sub)
-        if not family.is_member(frozenset(up[x] for x in member)):
+        if not family.is_member(ids_of(family._ids_into(system, mask_of(sub)))):
             continue
         downs = [ids_of(system.down[x]) for x in sub]
         for choice in product(*downs):
             lowered = frozenset(choice)
-            if not family.is_member(frozenset(up[x] for x in lowered)):
+            if not family.is_member(
+                    ids_of(family._ids_into(system, mask_of(lowered)))):
                 bad.append((member, lowered))
                 if len(bad) >= 5:
                     return (False, bad)
@@ -561,9 +549,10 @@ def is_rich(family: ForbiddenFamily, system: SeparationSystem, budget=None):
     from .oracle import all_consistent_orientations
     bad = []
     for tau in all_consistent_orientations(system, budget):
-        if family.forbidden_subset(system, tau) is None:
+        m = mask_of(tau)
+        if family.forbidden_subset(system, m) is None:
             continue
-        survivors = frozenset(tau) - system.eclipsed_elements(tau, weak=True)
+        survivors = m & ~system.eclipsed_elements(m, weak=True)
         if family.forbidden_subset(system, survivors) is None:
             bad.append(tau)
     return (not bad, bad)

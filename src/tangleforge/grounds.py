@@ -398,10 +398,11 @@ def block_of_tangle(system: SeparationSystem, tau) -> frozenset[int]:
     ground = system.ground
     if not isinstance(ground, GraphRealization):
         raise MissingCapability("block extraction needs a graph-ground system")
+    tau = mask_of(tau)
     if not system.orients_all(tau) or not system.is_consistent(tau):
         raise NotATangle("expected a consistent orientation of every separation")
     block = (1 << ground.graph.n) - 1
-    for o in tau:
+    for o in ids_of(tau):
         block &= ground.pairs[o][1]
     return frozenset(ids_of(block))
 

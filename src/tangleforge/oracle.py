@@ -12,11 +12,11 @@ filtering the unpruned one on small inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import BudgetExceeded
 from .families import EmptyFamily
-from .system import SeparationSystem, inverse
+from .system import SeparationSystem, inverse, mask_of
 
 DEFAULT_MAX_SEPARATIONS = 16
 DEFAULT_MAX_VISITS = 2_000_000
@@ -50,7 +50,7 @@ def all_tangles(system: SeparationSystem, family,
                 budget: OracleBudget | None = None):
     """Consistent orientations with no subset in the family."""
     b = _check_budget(system, budget)
-    if family.forbidden_subset(system, frozenset()) is not None:
+    if family.forbidden_subset(system, 0) is not None:
         return []
     out = []
     chosen: list[int] = []
@@ -67,7 +67,7 @@ def all_tangles(system: SeparationSystem, family,
         for o in system.orientations_of(s):
             if any(system.leq[o, inverse(c)] for c in chosen):
                 continue
-            if family.extends_member(system, frozenset(chosen), o):
+            if family.extends_member(system, mask_of(chosen), o):
                 continue
             chosen.append(o)
             rec(s + 1)
@@ -107,9 +107,23 @@ def is_strongly_efficient_in(system: SeparationSystem, sigma, tau) -> bool:
 
 
 def vertex_separations_below(graph, k):
-    """All unoriented (A, B) pairs of order below k, as frozenset pairs."""
-    from .grounds import _graph_separations
-    return _graph_separations(graph, k)
+    """All unoriented (A, B) pairs of order below k, as frozenset pairs.
+
+    Tries every assignment of each vertex to A only, to both sides or to B
+    only, and keeps those with no edge between the two strict parts; the
+    degenerate (V, V) is left out.
+    """
+    out = set()
+    for assignment in product("ASB", repeat=graph.n):
+        A = frozenset(v for v, side in enumerate(assignment) if side != "B")
+        B = frozenset(v for v, side in enumerate(assignment) if side != "A")
+        if A == B or len(A & B) >= k:
+            continue
+        if any(graph.has_edge(u, v) for u in A - B for v in B - A):
+            continue
+        out.add(frozenset((A, B)))
+    return sorted((tuple(sorted(pair, key=sorted)) for pair in out),
+                  key=lambda pair: [sorted(side) for side in pair])
 
 
 def separable_pairs(graph, k) -> set[tuple[int, int]]:

@@ -6,8 +6,11 @@ The involution flips the low bit.  The partial order is stored explicitly as a
 boolean ``(2n, 2n)`` matrix, precomputed and validated at load; desk-scale
 sizes make the quadratic storage cheap and every comparison O(1).
 
-Sets of oriented ids are ``frozenset``s at the public API and Python-int
-bitmasks inside, bit ``o`` standing for oriented id ``o``.  The system derives
+Sets of oriented ids are Python-int bitmasks, bit ``o`` standing for oriented
+id ``o``, from the system through trees and construction to the families;
+frozensets are made only where a set leaves the library as a result.
+``mask_of`` and ``ids_of`` convert: with ``2 <= 0``,
+``ids_of(system.closure(mask_of({2})))`` is ``[0, 2]``.  The system derives
 per-element masks (everything above, everything below, ...) from ``leq`` once,
 and every set operation reads them; ``leq``, ``join`` and ``meet`` stay numpy
 arrays for the vectorised checks and the JSON form.
@@ -58,10 +61,11 @@ def mask_of(ids) -> int:
 def ids_of(mask: int) -> list[int]:
     """The set bits of a mask, ascending."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    while mask:  # highest bit first: clearing it needs no negated copy
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask -= 1 << top
+    out.reverse()
     return out
 
 
@@ -252,17 +256,16 @@ class SeparationSystem:
 
     # -- sets of oriented separations ---------------------------------------
 
-    def inconsistent_pair(self, members) -> tuple[int, int] | None:
+    def inconsistent_pair(self, mask: int) -> tuple[int, int] | None:
         """Two elements of distinct separations pointing away from each other."""
-        m = mask_of(members)
-        for x in ids_of(m):
-            later = self._away[x] & m & -(2 << x)
+        for x in ids_of(mask):
+            later = self._away[x] & mask & -(2 << x)
             if later:
                 return x, (later & -later).bit_length() - 1
         return None
 
-    def is_consistent(self, members) -> bool:
-        return self.inconsistent_pair(members) is None
+    def is_consistent(self, mask: int) -> bool:
+        return self.inconsistent_pair(mask) is None
 
     def _closure_mask(self, mask: int) -> int:
         # Upward requirement set: everything strictly above an element of a
@@ -272,60 +275,54 @@ class SeparationSystem:
             out |= self._requires[x]
         return out
 
-    def _closure_raw(self, members) -> frozenset[int]:
-        return frozenset(ids_of(self._closure_mask(mask_of(members))))
-
-    def closure(self, members) -> frozenset[int]:
+    def closure(self, mask: int) -> int:
         """The input plus every separation it requires; input must be consistent."""
-        pair = self.inconsistent_pair(members)
+        pair = self.inconsistent_pair(mask)
         if pair is not None:
             raise InconsistentInput(
                 f"closure of inconsistent set: {fmt_oriented(pair[0])} and "
                 f"{fmt_oriented(pair[1])} point away from each other")
-        return self._closure_raw(members)
+        return self._closure_mask(mask)
 
-    def is_star(self, members) -> bool:
-        m = mask_of(members)
-        if m & self._degenerate:
+    def is_star(self, mask: int) -> bool:
+        if mask & self._degenerate:
             return False
-        for x in ids_of(m):
+        for x in ids_of(mask):
             # Later elements y of other separations need y* <= x, that is
             # x* <= y; both orientations of one separation are admissible
             # only when one of them is small (they are comparable).
             pair = 3 << (x & ~1)
             allowed = self.up[x ^ 1] & ~pair | (self.up[x] | self.down[x]) & pair
-            if m & -(2 << x) & ~allowed:
+            if mask & -(2 << x) & ~allowed:
                 return False
         return True
 
-    def minimal_elements(self, members) -> frozenset[int]:
+    def minimal_elements(self, mask: int) -> int:
         """Elements of the set with nothing of the set strictly below them."""
-        m = mask_of(members)
-        return frozenset(x for x in ids_of(m) if not self._below[x] & m)
+        return mask_of(x for x in ids_of(mask) if not self._below[x] & mask)
 
-    def open_separations(self, members) -> list[int]:
+    def open_separations(self, mask: int) -> list[int]:
         """Separations the closure of the set leaves unoriented, cheapest
         first, ties broken by id."""
-        closure = self._closure_mask(mask_of(members))
+        closure = self._closure_mask(mask)
         oriented = (closure | closure >> 1) & self._even
         return [s for s in self._by_order if not oriented >> forward(s) & 1]
 
-    def orients_all(self, members) -> bool:
+    def orients_all(self, mask: int) -> bool:
         """One orientation per separation, every separation covered."""
-        m = self._canon_mask(mask_of(members))
+        m = self._canon_mask(mask)
         fwd, bwd = m & self._even, m >> 1 & self._even
         return not fwd & bwd and fwd | bwd == self._even
 
-    def eclipsed_elements(self, members, weak: bool) -> set[int]:
+    def eclipsed_elements(self, mask: int, weak: bool) -> int:
         """Elements with a strictly smaller element of the set below them.
 
         ``weak=True`` admits equal orders for the eclipsing element.
         """
-        m = mask_of(members)
         order = self.order_of
-        return {x for x in ids_of(m)
-                if any(order(y) < order(x) or (weak and order(y) <= order(x))
-                       for y in ids_of(self._below[x] & m))}
+        return mask_of(x for x in ids_of(mask)
+                       if any(order(y) < order(x) or (weak and order(y) <= order(x))
+                              for y in ids_of(self._below[x] & mask)))
 
     # -- derived systems -----------------------------------------------------
 
@@ -545,11 +542,14 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
     if d.get("format", "sepsys/v1") != "sepsys/v1":
         raise ValidationError(f"unsupported system format {d.get('format')!r}")
     try:
-        count = int(d["count"])
-        orders = [float(x) for x in d["orders"]]
+        count, orders = d["count"], d["orders"]
+        if type(count) is not int or any(type(x) not in (int, float)
+                                         for x in orders):
+            raise TypeError
+        orders = [float(x) for x in orders]
     except KeyError as exc:
         raise ValidationError(f"sepsys/v1 system lacks the field {exc}") from None
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise ValidationError("sepsys/v1 'count' must be an integer and "
                               "'orders' a list of numbers") from None
     n2 = 2 * count
@@ -563,10 +563,9 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"leq pair {pair} must have two entries")
-        try:
-            a, b = int(pair[0]), int(pair[1])
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"leq pair {pair} must hold integers") from None
+        if any(type(v) is not int for v in pair):
+            raise ValidationError(f"leq pair {pair} must hold integers")
+        a, b = pair
         if not (0 <= a < n2 and 0 <= b < n2):
             raise ValidationError(f"leq pair {pair} out of range")
         leq[a, b] = True
@@ -579,24 +578,27 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
     if "universe" in d:
         universe = expect_object(d["universe"], "sepsys/v1 universe")
         try:
-            join, meet = (np.array(universe[f], dtype=np.int64)
-                          for f in ("join", "meet"))
+            join, meet = (universe[f] for f in ("join", "meet"))
+            if any(type(v) is not int for row in join + meet for v in row):
+                raise TypeError("an entry is not an integer")
+            join, meet = (np.array(t, dtype=np.int64) for t in (join, meet))
         except KeyError as exc:
             raise ValidationError(
                 f"sepsys/v1 universe lacks the field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("sepsys/v1 universe 'join' and 'meet' must "
                                   f"be integer tables: {exc}") from None
+    flags = {f: d.get(f, False) for f in ("distributive", "allow_degenerate")}
+    for f, value in flags.items():
+        if type(value) is not bool:
+            raise ValidationError(f"sepsys/v1 {f!r} must be true or false, "
+                                  f"got {value!r}")
     ground = None
     if "ground" in d:
         from . import grounds
         ground = grounds.realization_from_json(d["ground"], count)
-    return SeparationSystem(
-        leq, orders, join=join, meet=meet,
-        distributive=bool(d.get("distributive", False)),
-        ground=ground,
-        allow_degenerate=bool(d.get("allow_degenerate", False)),
-        check=check)
+    return SeparationSystem(leq, orders, join=join, meet=meet, ground=ground,
+                            check=check, **flags)
 
 
 def dump_system(system: SeparationSystem) -> str:
@@ -621,3 +623,10 @@ def expect_object(d, what: str) -> dict:
         raise ValidationError(
             f"{what} must be a JSON object, got {type(d).__name__}")
     return d
+
+
+def expect_int(value, what: str) -> int:
+    """``value`` itself when it is a JSON integer; ``what`` names it otherwise."""
+    if type(value) is not int:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value

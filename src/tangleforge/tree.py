@@ -1,8 +1,8 @@
 """Rooted trees with oriented-separation edge labels.
 
 Trees are persistent values: structural edits return new trees, so a
-reduction's steps replay every intermediate.  Each node caches the label set of
-its root path, and each leaf its class per family.  The predicate ladder
+reduction's steps replay every intermediate.  Each node keeps the label mask
+of its root path, and each leaf its class per family.  The predicate ladder
 (separation tree, consistent, ordered, thoroughly ordered, efficient,
 structure tree, all-leaves-forbidden) lives here, together with restriction
 to a lower order threshold.
@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .errors import (LeafHasNoSep, MalformedTree, NotAStructureTree,
                      NotOrdered, NotParentChild, ValidationError)
 from .families import ForbiddenFamily, Witness
-from .system import (expect_object, fmt_oriented, from_json_dict, parse_json,
-                     sep_of, to_json_dict)
+from .system import (expect_int, expect_object, fmt_oriented, from_json_dict,
+                     ids_of, mask_of, parse_json, sep_of, to_json_dict)
 
 
 class Check(NamedTuple):
@@ -41,7 +41,8 @@ class LeafClass:
 
 
 class StructureTree:
-    """Immutable rooted tree; every non-root node stores its incoming label."""
+    """Immutable rooted tree; every non-root node stores its incoming label,
+    and every node the mask of the labels on its root path."""
 
     __slots__ = ("system", "root", "_parent", "_children", "_label", "_beta",
                  "_classes")
@@ -52,7 +53,13 @@ class StructureTree:
         self._parent = dict(parent)
         self._children = {v: tuple(c) for v, c in children.items()}
         self._label = dict(label)
-        self._beta: dict[int, frozenset] = {}
+        self._beta = {root: 0}  # each node's mask is its parent's plus its label
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for c in self._children[v]:
+                self._beta[c] = self._beta[v] | 1 << self._label[c]
+                stack.append(c)
         # id(family) -> (family, leaf classes); holding the family keeps
         # its id from being reused while the entry lives
         self._classes: dict[int, tuple] = {}
@@ -109,12 +116,8 @@ class StructureTree:
         """u lies on the root path of v (reflexively)."""
         return u in self.path_from_root(v)
 
-    def beta(self, v) -> frozenset[int]:
-        """Edge labels on the path from the root to v."""
-        if v not in self._beta:
-            labels = [self._label[u] for u in self.path_from_root(v)
-                      if self._label[u] is not None]
-            self._beta[v] = frozenset(labels)
+    def beta(self, v) -> int:
+        """Mask of the edge labels on the path from the root to v."""
         return self._beta[v]
 
     def s_of(self, v) -> int:
@@ -182,7 +185,7 @@ def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
         closure = system.closure(beta)
         if system.orients_all(closure) and system.is_consistent(closure) \
                 and family.forbidden_subset(system, closure) is None:
-            return LeafClass("tangle", tangle=closure)
+            return LeafClass("tangle", tangle=frozenset(ids_of(closure)))
     witness = family.forbidden_subset(system, beta)
     if witness is not None:
         return LeafClass("forbidden", witness=witness)
@@ -299,9 +302,9 @@ def is_efficient(tree) -> Check:
     system = tree.system
     for leaf in tree.leaves():
         beta = tree.beta(leaf)
-        closure = system._closure_raw(beta)
-        for x in sorted(beta):
-            for y in sorted(closure):
+        closure = system._closure_mask(beta)
+        for x in ids_of(beta):
+            for y in ids_of(closure):
                 if y != x and system.lt(y, x) and \
                         system.order_of(y) < system.order_of(x):
                     return Check(False,
@@ -386,15 +389,16 @@ def tree_from_json_dict(d, system=None) -> StructureTree:
     parent, label = {}, {}
     try:
         for nd in d["nodes"]:
-            v = int(nd["id"])
+            v = expect_int(nd["id"], "tree/v1 node id")
             if v in parent:
                 raise ValidationError(f"tree/v1 node {v} appears twice")
-            parent[v] = None if nd["parent"] is None else int(nd["parent"])
-            label[v] = None if nd["edge_label"] is None else int(nd["edge_label"])
-        root = int(d["root"])
+            parent[v], label[v] = (
+                None if nd[f] is None else expect_int(nd[f], f"node {v} {f}")
+                for f in ("parent", "edge_label"))
+        root = expect_int(d["root"], "tree/v1 root")
     except KeyError as exc:
         raise ValidationError(f"tree/v1 tree lacks the field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except TypeError as exc:
         raise ValidationError(f"tree/v1 node or root malformed: {exc}") from None
     if root not in parent or parent[root] is not None:
         raise ValidationError("root must be a node without parent")
@@ -436,7 +440,7 @@ def load_tree(text: str, system=None) -> StructureTree:
 
 
 def _tangle_label(system, tangle) -> str:
-    mins = sorted(system.minimal_elements(tangle))
+    mins = ids_of(system.minimal_elements(mask_of(tangle)))
     return "{" + ",".join(fmt_oriented(o) for o in mins) + "}"
 
 

@@ -12,6 +12,7 @@ from tangleforge.errors import (NonStandardFamily, NotAStructureTree,
                                 NotParentChild, UnresolvedLeaf)
 
 from tangleforge.oracle import minimal_elements
+from tangleforge.system import ids_of, mask_of
 
 from conftest import (FIXTURES, load_nonrich_fixture, random_relation_system,
                       random_subset_system, redundant_split_family,
@@ -40,7 +41,7 @@ def test_nested_pair_build_splits_the_cheap_separation_first(nested_pair):
     got = [sorted(x) for x in tf.tangles(t, fam)]
     assert got == [[0, 2], [0, 3], [1, 3]]
     shallow = [leaf for leaf in t.leaves() if t.depth(leaf) == 1]
-    assert [sorted(t.beta(v)) for v in shallow] == [[1]]
+    assert [ids_of(t.beta(v)) for v in shallow] == [[1]]
 
 
 def test_k4_build_finds_the_single_block(k4):
@@ -79,26 +80,26 @@ def test_build_is_deterministic(k4):
 def test_contracting_into_a_leaf_child_leaves_a_single_node(nested_pair):
     t = tf.StructureTree.single_root(nested_pair)
     t, kids = t.split_leaf(t.root, 0)
-    t2 = tf.contract(t, t.root, kids[0])
+    t2 = t.contracted(t.root, kids[0])
     assert len(t2) == 1 and t2.root == kids[0]
-    assert t2.beta(t2.root) == frozenset()
+    assert t2.beta(t2.root) == 0
 
 
 def test_contracting_the_root_keeps_only_the_deeper_split(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
     deep_child = next(c for c in t.children(t.root) if not t.is_leaf(c))
-    t2 = tf.contract(t, t.root, deep_child)
+    t2 = t.contracted(t.root, deep_child)
     assert t2.root == deep_child
     assert t2.s_of(t2.root) == 1  # only the second separation is split now
-    assert sorted(sorted(t2.beta(l)) for l in t2.leaves()) == [[2], [3]]
+    assert sorted(ids_of(t2.beta(l)) for l in t2.leaves()) == [[2], [3]]
 
 
 def test_contraction_requires_a_parent_child_edge(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
     with pytest.raises(NotParentChild):
-        tf.contract(t, t.leaves()[0], t.root)
+        t.contracted(t.leaves()[0], t.root)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -108,7 +109,7 @@ def test_contraction_preserves_consistency_and_order(seed):
     t = tf.build(system, fam)
     for v in t.non_leaves():
         for w in t.children(v):
-            t2 = tf.contract(t, v, w)
+            t2 = t.contracted(v, w)
             assert tf.is_consistent_tree(t2)
             assert tf.is_ordered(t2)
 
@@ -142,7 +143,7 @@ def test_two_disjoint_witnesses_make_no_label_necessary():
     t, kids2 = t.split_leaf(fwd, 1)
     leaf = next(c for c in kids2 if t.label(c) == 2)
     assert tf.classify_leaf(t, leaf, fam).kind == "forbidden"
-    for o in t.beta(leaf):
+    for o in ids_of(t.beta(leaf)):
         assert not tf.necessary_for_leaf(t, fam, o, leaf)
 
 
@@ -240,7 +241,7 @@ def test_contraction_validity_matches_label_necessity(seed):
                          tf.necessary_for_leaf(t, fam, o, leaf)
                          for leaf in t.leaves())
             still_structure = bool(
-                tf.is_structure_tree(tf.contract(t, v, w), fam))
+                tf.is_structure_tree(t.contracted(v, w), fam))
             assert still_structure == (not needed)
 
 
@@ -248,9 +249,9 @@ def needed_by_definition(tree, family, o, leaf, cls) -> bool:
     """Necessity read off the definition, asked of the family as it stands."""
     beta = tree.beta(leaf)
     if cls.kind == "tangle":
-        return o in minimal_elements(tree.system, beta)
+        return o in minimal_elements(tree.system, ids_of(beta))
     assert cls.kind == "forbidden"
-    return family.forbidden_subset(tree.system, beta - {o}) is None
+    return family.forbidden_subset(tree.system, beta & ~(1 << o)) is None
 
 
 def plain_reduce(tree, family):
@@ -271,7 +272,7 @@ def plain_reduce(tree, family):
             None)
         if target is None:
             return tree, steps
-        tree = tf.contract(tree, *target)
+        tree = tree.contracted(*target)
         steps.append(target)
 
 
@@ -317,9 +318,9 @@ def test_reduce_matches_the_plain_reduction_at_every_level(system, fam):
         assert tree_shape(red) == tree_shape(want)
         for t in (tree, red):
             for leaf, cls in tf.tree.classify_all(t, fam).items():
-                assert tf.leaf_needs(t, fam, leaf) == {
+                assert tf.leaf_needs(t, fam, leaf) == mask_of(
                     o for o in t.system.all_oriented()
-                    if needed_by_definition(t, fam, o, leaf, cls)}
+                    if needed_by_definition(t, fam, o, leaf, cls))
         compared += 1
     assert compared
 

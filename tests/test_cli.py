@@ -358,6 +358,51 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                   "--family", "blocks:3"], None, None,
                  "TANGLE_FORGE_BUDGET must be an integer, got 'abc'",
                  id="budget-variable-not-an-integer"),
+    # numbers that are not JSON integers are refused, not truncated
+    pytest.param(SETS_BUILD, "sys.json",
+                 edited(SETS, "universe", join=[[0.5, 1, 2, 3], *SETS["universe"]
+                                                ["join"][1:]]),
+                 "'join' and 'meet' must be integer tables", id="join-entry-0.5"),
+    pytest.param(SETS_BUILD, "sys.json",
+                 edited(SETS, "universe", meet=[["0", 0, 0, 0], *SETS["universe"]
+                                                ["meet"][1:]]),
+                 "'join' and 'meet' must be integer tables",
+                 id="meet-entry-a-string"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, count=2.5),
+                 "'count' must be an integer", id="count-2.5"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, orders=[0.0, "1"]),
+                 "'orders' a list of numbers", id="order-a-string"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, leq=[[0.25, "1"]]),
+                 "leq pair [0.25, '1'] must hold integers",
+                 id="leq-pair-of-non-integers"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, distributive="false"),
+                 "'distributive' must be true or false, got 'false'",
+                 id="distributive-a-string"),
+    pytest.param(GRAPH_BUILD, "sys.json",
+                 edited(GRAPH, None, allow_degenerate="false"),
+                 "'allow_degenerate' must be true or false, got 'false'",
+                 id="allow-degenerate-a-string"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT, (2.5, 0, 1)),
+                 "tree/v1 node id must be an integer, got 2.5",
+                 id="node-id-2.5"),
+    pytest.param(EXPORT_DOT, "tree.json", tree_text(*SPLIT, (2, 0, "1")),
+                 "node 2 edge_label must be an integer, got '1'",
+                 id="edge-label-a-string"),
+    pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT, (2, 0.0, 1)),
+                 "node 2 parent must be an integer, got 0.0",
+                 id="parent-0.0"),
+    pytest.param(RESTRICT, "tree.json", tree_text(root=0.0),
+                 "tree/v1 root must be an integer, got 0.0", id="root-0.0"),
+    pytest.param(["build", "--graph", K4, "--family", "{path}"], "family.json",
+                 json.dumps({"format": "family/v1", "kind": "blocks", "k": 2.5}),
+                 "needs an integer 'k', got 2.5", id="family-file-k-2.5"),
+    pytest.param(["build", "--similarity", str(FIXTURES / "six_similarity.csv"),
+                  "--family", "{path}"], "family.json",
+                 json.dumps({"format": "family/v1", "kind": "cluster", "n": "3"}),
+                 "needs an integer 'n', got '3'", id="family-file-n-a-string"),
+    # the KIND:PARAM form converts PARAM itself and names it as given
+    pytest.param(["build", "--graph", K4, "--family", "blocks:2.5"], None, None,
+                 "needs an integer 'k', got '2.5'", id="family-parameter-2.5"),
 ])
 def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
                                               tmp_path, capsys, monkeypatch):

@@ -7,8 +7,10 @@ import pytest
 
 import tangleforge as tf
 from tangleforge.errors import GroundMismatch, MissingCapability
+from tangleforge.grounds import load_similarity_csv
 from tangleforge.oracle import all_tangles
-from conftest import (all_graphs_up_to_iso, antichain_system,
+from tangleforge.system import ids_of, mask_of
+from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
                       load_nonrich_fixture, nested_pair_system,
                       random_subset_system, standardized_explicit)
 
@@ -27,7 +29,7 @@ def all_subsets(ids, cap=None):
 
 def test_empty_family_forbids_nothing(nested_pair):
     fam = tf.make_empty()
-    assert fam.forbidden_subset(nested_pair, frozenset({0, 1, 2, 3})) is None
+    assert fam.forbidden_subset(nested_pair, 0b1111) is None
 
 
 def test_blocks_witness_on_k4_orientation_away_from_everything(k4):
@@ -36,7 +38,7 @@ def test_blocks_witness_on_k4_orientation_away_from_everything(k4):
     # orient some separation towards its small side and close up
     small = next(o for o in s3.all_oriented()
                  if s3.is_small(o) and len(s3.ground.big_side(o)) == 2)
-    sigma = s3.closure({small})
+    sigma = s3.closure(1 << small)
     w = b3.forbidden_subset(s3, sigma)
     assert w is not None
     meet = frozenset(k4.vertices())
@@ -54,7 +56,7 @@ def test_cluster_witness_is_the_agreeing_triple(six_cluster_system):
              if sorted(ground.side(o)) == [2, 3, 4, 5])
     b = next(o for o in sysc.all_oriented()
              if sorted(ground.side(o)) == [0, 1, 2, 5])
-    w = c3.forbidden_subset(sysc, frozenset({a, b}))
+    w = c3.forbidden_subset(sysc, mask_of({a, b}))
     assert w is not None and w.members <= {a, b}
     assert w.evidence["agreement_set"] == [2, 5]
 
@@ -63,7 +65,7 @@ def test_cluster_agreement_one_forbids_the_empty_side():
     sysb = tf.bipartition_system(tf.full_bipartition_ground(3))
     c1 = tf.make_cluster(1, sysb)
     empty_side = next(o for o in sysb.all_oriented() if not sysb.ground.side(o))
-    w = c1.forbidden_subset(sysb, frozenset({empty_side}))
+    w = c1.forbidden_subset(sysb, 1 << empty_side)
     assert w is not None and w.members == {empty_side}
 
 
@@ -74,7 +76,7 @@ def test_strong_profile_forbids_small_singletons():
     assert small
     for o in small:
         assert ps.is_member(frozenset({o}))
-        w = ps.forbidden_subset(u, frozenset({o}))
+        w = ps.forbidden_subset(u, 1 << o)
         assert w is not None and w.members == {o}
 
 
@@ -88,7 +90,7 @@ def test_blocks_on_k4_leaves_only_the_block_orientation(k4):
 
 def test_witness_choice_is_lexicographically_least(nested_pair):
     fam = tf.make_explicit([{0}, {0, 2}, {2}], nested_pair)
-    w = fam.forbidden_subset(nested_pair, frozenset({0, 2}))
+    w = fam.forbidden_subset(nested_pair, mask_of({0, 2}))
     assert sorted(w.members) == [0]
 
 
@@ -96,7 +98,7 @@ def test_ground_mismatch_is_detected(nested_pair):
     other = nested_pair_system()
     fam = tf.make_explicit([{0}], nested_pair)
     with pytest.raises(GroundMismatch):
-        fam.forbidden_subset(other, frozenset({0}))
+        fam.forbidden_subset(other, 1 << 0)
 
 
 def test_families_accept_descendant_systems(k4):
@@ -105,7 +107,7 @@ def test_families_accept_descendant_systems(k4):
     s2 = s3.restrict_below(2)
     sigma = frozenset({o for o in s2.all_oriented()
                        if len(s2.ground.big_side(o)) <= 1})
-    w = b3.forbidden_subset(s2, sigma)
+    w = b3.forbidden_subset(s2, mask_of(sigma))
     assert w is not None and w.members <= sigma
 
 
@@ -156,13 +158,14 @@ def test_extends_member_matches_forbidden_subset(seed):
         for sysx in (bound, bound.restrict_below(max(bound.orders))):
             ids = sorted(sysx.all_oriented())
             for members in all_subsets(ids, cap=3):
-                if fam.forbidden_subset(sysx, members) is not None:
+                if fam.forbidden_subset(sysx, mask_of(members)) is not None:
                     continue
                 for new in ids:
                     if new in members:
                         continue
-                    got = fam.extends_member(sysx, members, new)
-                    want = fam.forbidden_subset(sysx, members | {new}) is not None
+                    got = fam.extends_member(sysx, mask_of(members), new)
+                    want = fam.forbidden_subset(
+                        sysx, mask_of(members | {new})) is not None
                     assert got == want, (fam.kind, sysx.count, sorted(members),
                                          new)
 
@@ -200,14 +203,14 @@ def test_the_scan_and_the_search_match_is_member(seed, k4):
             size = int(rng.integers(0, min(6, len(ids)) + 1))
             work = frozenset(int(o) for o in rng.choice(ids, size, replace=False))
             want = least_member(fam, work)
-            got = fam.forbidden_subset(system, work)
+            got = fam.forbidden_subset(system, mask_of(work))
             assert (got and got.members) == want, (fam.kind, sorted(work))
             for x in ids:
                 if x in work:
                     continue
                 hit = any(fam.is_member(sub | {x})
                           for sub in all_subsets(sorted(work)))
-                assert fam._extends(sorted(work), x) == hit, \
+                assert fam._extends(mask_of(work), x) == hit, \
                     (fam.kind, sorted(work), x)
                 seen.add((want is not None, hit))
         # work with and without members, answers of both kinds
@@ -221,7 +224,7 @@ def test_a_leaf_witness_is_the_least_member_of_its_own_label_set():
     fam = tf.make_explicit([{5}, {2}], system)
     tree, (_, inner) = tf.StructureTree.single_root(system).split_leaf(0, 2)
     tree, (leaf, _) = tree.split_leaf(inner, 1)
-    assert tree.beta(inner) == {5} and tree.beta(leaf) == {2, 5}
+    assert ids_of(tree.beta(inner)) == [5] and ids_of(tree.beta(leaf)) == [2, 5]
     assert tf.classify_leaf(tree, leaf, fam).witness.members == {2}
 
 
@@ -244,7 +247,7 @@ def test_witnesses_reverify_independently(kind, k4, six_cluster_system):
     for _ in range(40):
         size = int(rng.integers(1, 6))
         sigma = frozenset(int(x) for x in rng.choice(ids, size=size, replace=False))
-        w = fam.forbidden_subset(system, sigma)
+        w = fam.forbidden_subset(system, mask_of(sigma))
         if w is None:
             continue
         assert w.members <= sigma
@@ -277,7 +280,7 @@ def test_superset_closed_families_decide_by_the_whole_set(k4):
     for _ in range(25):
         sigma = frozenset(int(x) for x in
                           rng.choice(ids, size=6, replace=False))
-        has_subset = b3.forbidden_subset(s3, sigma) is not None
+        has_subset = b3.forbidden_subset(s3, mask_of(sigma)) is not None
         assert has_subset == b3.is_member(sigma)
         brute = any(b3.is_member(s) for s in all_subsets(sorted(sigma)))
         assert has_subset == brute
@@ -290,7 +293,8 @@ def test_cluster_subsets_up_to_arity_decide(six_cluster_system):
     for _ in range(15):
         sigma = frozenset(int(x) for x in
                           rng.choice(ids, size=5, replace=False))
-        has_subset = c3.forbidden_subset(six_cluster_system, sigma) is not None
+        has_subset = c3.forbidden_subset(six_cluster_system,
+                                         mask_of(sigma)) is not None
         brute = any(c3.is_member(s)
                     for s in all_subsets(sorted(sigma), cap=3) if s)
         assert has_subset == brute
@@ -391,3 +395,72 @@ def test_family_json_round_trip(six_cluster_system):
         again = tf.family_from_json(json.loads(text), six_cluster_system)
         assert again.kind == fam.kind
         assert json.dumps(again.to_json_dict(), sort_keys=True) == text
+
+
+# -- one answer per bound-id set ------------------------------------------------------
+
+
+def workload_instances():
+    """(system, make_family) of one instance of each benchmark workload:
+    grid 3x3 under blocks:3, the six-point similarity fixture under
+    cluster:2, the five-point full bipartition universe under strong
+    profiles, and the house graph under blocks:2."""
+    grid = tf.Graph.from_edges(9, [(r * 3 + c, r * 3 + c + 1) for r in range(3)
+                                   for c in range(2)] +
+                               [(r * 3 + c, r * 3 + c + 3) for r in range(2)
+                                for c in range(3)])
+    house = tf.Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4),
+                                    (3, 4)])
+    sim = load_similarity_csv((FIXTURES / "six_similarity.csv").read_text())
+    out = []
+    for name, system, make in (
+            ("grid3x3/blocks3", tf.graph_system(grid, 3),
+             lambda s: tf.make_blocks(3, s)),
+            ("six_similarity/cluster2", tf.bipartition_system(
+                tf.full_bipartition_ground(6, similarity=sim)),
+             lambda s: tf.make_cluster(2, s)),
+            ("universe5/strong-profile", tf.bipartition_system(
+                tf.full_bipartition_ground(5)), tf.make_strong_profile),
+            ("house5/blocks2", tf.graph_system(house, 2),
+             lambda s: tf.make_blocks(2, s))):
+        out.append(pytest.param(system, make, id=name))
+    return out
+
+
+@pytest.mark.parametrize("system, make", workload_instances())
+def test_one_pipeline_scans_each_bound_set_once(system, make, monkeypatch):
+    fam = make(system)
+    cls = type(fam)
+    scans, queries = [], []
+    search, query = cls._search, cls.forbidden_subset
+
+    def counting_search(self, work):
+        scans.append(work)
+        return search(self, work)
+
+    def counting_query(self, caller, mask):
+        queries.append(mask)
+        return query(self, caller, mask)
+
+    monkeypatch.setattr(cls, "_search", counting_search)
+    monkeypatch.setattr(cls, "forbidden_subset", counting_query)
+    tf.pipeline(system, fam)
+    assert len(scans) == len(set(scans)) == len(fam._answers)
+    assert len(scans) < len(queries)  # one scan per query without the memo
+
+
+@pytest.mark.parametrize("system, make", workload_instances())
+def test_kept_answers_match_a_fresh_family(system, make):
+    fam = make(system)
+    report = tf.pipeline(system, fam)
+    trees = [report.tree_full, report.tree_reduced]
+    trees += [t for lv in report.levels for t in (lv.tree, lv.reduced) if t]
+    for tree in trees:
+        for v in tree.nodes():
+            beta = tree.beta(v)
+            assert fam.forbidden_subset(tree.system, beta) == \
+                make(system).forbidden_subset(tree.system, beta)
+    fresh = make(system)
+    assert fam._answers
+    for work, found in fam._answers.items():  # masks of bound ids
+        assert found == fresh._search(work)

@@ -17,7 +17,7 @@ import tangleforge as tf
 from tangleforge import grounds
 from tangleforge.errors import TangleForgeError
 from tangleforge.families import family_from_json
-from tangleforge.system import from_json_dict, to_json_dict, validate
+from tangleforge.system import from_json_dict, mask_of, to_json_dict, validate
 from tangleforge.tree import (restrict, to_dot, tree_from_json_dict,
                               tree_to_json_dict)
 
@@ -124,7 +124,7 @@ def test_families_load_or_are_rejected(doc, system):
     family = _loads_or_rejects(family_from_json, doc, system)
     if family is not None:
         _loads_or_rejects(family.forbidden_subset, system,
-                          frozenset(range(0, system.n_oriented, 2)))
+                          mask_of(range(0, system.n_oriented, 2)))
 
 
 @FUZZ

@@ -11,7 +11,8 @@ import tangleforge as tf
 from tangleforge.cli import main
 from tangleforge.errors import (DuplicateQuestionWarning, NotATangle,
                                 NotComplementClosed, ValidationError)
-from tangleforge.oracle import OracleBudget, all_kblocks, all_tangles
+from tangleforge.oracle import (OracleBudget, all_kblocks, all_tangles,
+                                vertex_separations_below)
 from tangleforge.system import dump_system, load_system, validate
 
 from conftest import FIXTURES, all_graphs_up_to_iso
@@ -89,6 +90,21 @@ def test_graph_systems_equal_their_universe_restricted_below_k(n):
             assert got.ground.pairs == want.ground.pairs
             assert got.allow_degenerate == any(
                 got.is_degenerate(s) for s in got.seps())
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_the_oracle_separations_are_the_graph_system_sides(n):
+    # The oracle's own tri-partition scan against the generator behind
+    # graph_system, on the graphs of the test above.
+    graphs = all_graphs_up_to_iso(n) if n < 6 else _random_graphs(6, 25, 6)
+    for g in graphs:
+        for k in (1, 2, 3, math.inf):
+            system = tf.graph_system(g, k)
+            want = {frozenset(system.ground.side_pair(2 * s))
+                    for s in system.seps() if not system.is_degenerate(s)}
+            got = vertex_separations_below(g, k)
+            assert len(got) == len(want)
+            assert {frozenset(pair) for pair in got} == want
 
 
 def test_lattice_tables_up_to_six_vertices_and_for_universes(two_k4):

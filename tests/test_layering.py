@@ -126,3 +126,59 @@ def test_grounds_build_systems_without_carving():
     assert _method_calls("grounds", ("restrict_below", "subsystem")) == []
     # the walk sees these calls where they are made
     assert _method_calls("tree", ("restrict_below",)) != []
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports, wherever the import sits."""
+    out = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "tangleforge":
+                    continue
+                module = module.removeprefix("tangleforge").lstrip(".")
+            out.update([module.split(".")[0]] if module
+                       else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names
+                       if alias.name.startswith("tangleforge."))
+    return out
+
+
+def test_the_oracle_imports_only_the_system_families_and_errors():
+    # The oracle checks the separation generator in `grounds`; using that
+    # generator itself would check it against itself.
+    assert _package_imports("oracle") == {"system", "families", "errors"}
+    assert "system" in _package_imports("grounds")  # the walk sees imports
+
+
+def _frozenset_callers(module: str) -> set[str]:
+    """Qualified names of the functions in ``module`` that call frozenset."""
+    out = set()
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            inner = name
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{name}.{child.name}" if name else child.name
+            if isinstance(child, ast.Call) and \
+                    getattr(child.func, "id", None) == "frozenset":
+                out.add(f"{module}.{name}")
+            visit(child, inner)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), "")
+    return out
+
+
+def test_sets_cross_layers_as_masks():
+    # Between the system, trees, construction and the families a set of
+    # oriented ids is a mask.  Frozensets are made only where a set leaves
+    # the library as a result: a tangle leaf's tangle (read by `tangles` and
+    # the report entries), a witness's members, and the certifier's
+    # counterexamples.
+    found = set().union(*(_frozenset_callers(m)
+                          for m in ("system", "tree", "build", "families")))
+    assert found == {"tree.classify_leaf",
+                     "families.ForbiddenFamily.forbidden_subset",
+                     "families.is_closed_under_minimization"}

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangleforge as tf
-from tangleforge.system import from_json_dict, to_json_dict
+from tangleforge.system import from_json_dict, ids_of, mask_of, to_json_dict
 
 from conftest import (all_graphs_up_to_iso, antichain_system,
                       random_relation_system, random_subset_system,
@@ -88,16 +88,18 @@ def assert_mask_operations_match(system, rng, samples=12):
         size = int(rng.integers(0, min(5, len(ids)) + 1))
         subsets.append(frozenset(int(x) for x in rng.choice(ids, size, replace=False)))
     for members in subsets:
-        assert system.inconsistent_pair(members) == inconsistent_pair(system, members)
-        assert system._closure_raw(members) == closure_raw(system, members)
-        assert system.minimal_elements(members) == minimal_elements(system, members)
-        assert system.orients_all(members) == orients_all(system, members)
+        m = mask_of(members)
+        assert system.inconsistent_pair(m) == inconsistent_pair(system, members)
+        assert system._closure_mask(m) == mask_of(closure_raw(system, members))
+        assert system.minimal_elements(m) == \
+            mask_of(minimal_elements(system, members))
+        assert system.orients_all(m) == orients_all(system, members)
         for weak in (False, True):
-            assert system.eclipsed_elements(members, weak) == \
-                eclipsed_elements(system, members, weak)
-        assert system.open_separations(members) == open_separations(system, members)
+            assert system.eclipsed_elements(m, weak) == \
+                mask_of(eclipsed_elements(system, members, weak))
+        assert system.open_separations(m) == open_separations(system, members)
     tau = frozenset(2 * s + int(rng.integers(0, 2)) for s in system.seps())
-    assert system.orients_all(tau) and orients_all(system, tau)
+    assert system.orients_all(mask_of(tau)) and orients_all(system, tau)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5))
@@ -130,8 +132,8 @@ def test_mask_operations_on_a_four_vertex_path_universe():
 
 def test_numpy_integer_ids_beyond_64_bits():
     system = antichain_system(40)
-    ids = np.array([3, 70, 71])
-    assert system.minimal_elements(ids) == frozenset({3, 70, 71})
+    ids = mask_of(np.array([3, 70, 71]))
+    assert ids_of(system.minimal_elements(ids)) == [3, 70, 71]
     assert system.inconsistent_pair(ids) is None
     assert not system.orients_all(ids)
 

@@ -8,6 +8,7 @@ from tangleforge.errors import BudgetExceeded
 from tangleforge.oracle import (OracleBudget, all_consistent_orientations,
                                 all_kblocks, all_tangles, is_efficient_in,
                                 is_strongly_efficient_in, minimal_elements)
+from tangleforge.system import ids_of, mask_of
 
 from conftest import (antichain_system, random_subset_system,
                       standardized_explicit)
@@ -46,7 +47,7 @@ def test_pruned_tangle_walk_matches_filtering(seed):
     fam = standardized_explicit(system, seed + 1000)
     pruned = all_tangles(system, fam)
     filtered = [t for t in all_consistent_orientations(system)
-                if fam.forbidden_subset(system, t) is None]
+                if fam.forbidden_subset(system, mask_of(t)) is None]
     assert pruned == filtered
 
 
@@ -131,8 +132,7 @@ def test_two_k4_blocks(two_k4):
 def test_growing_an_explicit_family_never_adds_tangles(seed):
     system = random_subset_system(seed, n_seps=4)
     fam = standardized_explicit(system, seed)
-    bigger = tf.make_explicit(
-        sorted(fam.members | {frozenset({0})}, key=sorted), system)
+    bigger = tf.make_explicit([*map(ids_of, fam.members), [0]], system)
     before = all_tangles(system, fam)
     after = all_tangles(system, bigger)
     assert set(after) <= set(before)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import tangleforge as tf
 from tangleforge.errors import InconsistentInput, ValidationError
 from tangleforge.oracle import all_consistent_orientations
-from tangleforge.system import backward, forward, inverse, sep_of, validate
+from tangleforge.system import (backward, forward, ids_of, inverse, mask_of,
+                               sep_of, validate)
 
 from conftest import (antichain_system, random_relation_system,
                       random_subset_system)
@@ -120,25 +121,25 @@ def test_small_graph_separations_have_full_first_side(k4):
 
 
 def test_towards_pointing_pair_is_consistent(nested_pair):
-    assert nested_pair.is_consistent({0, 3})
-    assert nested_pair.is_consistent(frozenset())
+    assert nested_pair.is_consistent(mask_of({0, 3}))
+    assert nested_pair.is_consistent(0)
 
 
 def test_nested_pair_has_three_consistent_orientations(nested_pair):
     full = [{0, 2}, {0, 3}, {1, 2}, {1, 3}]
-    ok = [sorted(t) for t in full if nested_pair.is_consistent(t)]
+    ok = [sorted(t) for t in full if nested_pair.is_consistent(mask_of(t))]
     assert ok == [[0, 2], [0, 3], [1, 3]]
 
 
 def test_closure_examples(nested_pair):
-    assert nested_pair.closure(frozenset()) == frozenset()
-    assert nested_pair.closure({2}) == {0, 2}
-    assert nested_pair.closure({1}) == {1, 3}
+    assert nested_pair.closure(0) == 0
+    assert ids_of(nested_pair.closure(mask_of({2}))) == [0, 2]
+    assert ids_of(nested_pair.closure(mask_of({1}))) == [1, 3]
 
 
 def test_closure_rejects_inconsistent_input(nested_pair):
     with pytest.raises(InconsistentInput):
-        nested_pair.closure({1, 2})
+        nested_pair.closure(mask_of({1, 2}))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -146,11 +147,11 @@ def test_closure_is_idempotent_and_a_requirement_fixed_point(seed):
     system = random_subset_system(seed, n_seps=4)
     ids = sorted(system.all_oriented())
     for members in all_subsets(ids):
-        if not system.is_consistent(members):
+        if not system.is_consistent(mask_of(members)):
             continue
-        cl = system.closure(members)
+        cl = system.closure(mask_of(members))
         if system.is_consistent(cl):
-            assert system._closure_raw(cl) == cl
+            assert system._closure_mask(cl) == cl
         # independent oracle: a separation is required when taking its inverse
         # instead breaks consistency
         base = {system.canon(x) for x in members}
@@ -158,28 +159,29 @@ def test_closure_is_idempotent_and_a_requirement_fixed_point(seed):
         for y in ids:
             cy = system.canon(y)
             if cy not in required and \
-                    not system.is_consistent(set(members) | {inverse(y)}):
+                    not system.is_consistent(mask_of(members | {inverse(y)})):
                 required.add(cy)
-        assert frozenset(required) == cl
+        assert mask_of(required) == cl
         if not any(system.is_cotrivial(o) for o in members):
             # iterating the requirement step adds nothing more
             grown = set(required)
             for y in ids:
                 cy = system.canon(y)
                 if cy not in grown and \
-                        not system.is_consistent(grown | {inverse(y)}):
+                        not system.is_consistent(mask_of(grown | {inverse(y)})):
                     grown.add(cy)
-            assert frozenset(grown) == cl
+            assert mask_of(grown) == cl
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_closure_monotone_and_fixed_on_full_orientations(seed):
     system = random_subset_system(seed, n_seps=4)
     for tau in all_consistent_orientations(system):
-        assert system.closure(tau) == tau
+        assert system.closure(mask_of(tau)) == mask_of(tau)
         subs = sorted(tau)
         for members in all_subsets(subs):
-            assert system.closure(members) <= system.closure(tau)
+            assert not system.closure(mask_of(members)) & \
+                ~system.closure(mask_of(tau))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -187,13 +189,13 @@ def test_closure_of_cotrivial_free_sets_stays_consistent(seed):
     system = random_relation_system(seed, n_seps=4)
     ids = sorted(system.all_oriented())
     for members in all_subsets(ids):
-        if not system.is_consistent(members):
+        if not system.is_consistent(mask_of(members)):
             continue
         if any(system.is_cotrivial(o) for o in members):
             continue
-        cl = system.closure(members)
+        cl = system.closure(mask_of(members))
         assert system.is_consistent(cl)
-        fresh = cl - frozenset(members)
+        fresh = ids_of(cl & ~mask_of(members))
         per_sep = {}
         for o in fresh:
             per_sep.setdefault(sep_of(o), set()).add(o)
@@ -208,9 +210,9 @@ def test_consistent_orientations_never_contain_cotrivial_elements(seed):
 
 
 def test_star_examples(nested_pair):
-    assert nested_pair.is_star({0, 3})  # pointing towards each other
-    assert nested_pair.is_star({0})
-    assert nested_pair.is_star(frozenset())
+    assert nested_pair.is_star(mask_of({0, 3}))  # pointing towards each other
+    assert nested_pair.is_star(mask_of({0}))
+    assert nested_pair.is_star(0)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -221,7 +223,7 @@ def test_both_orientations_spoil_a_star_unless_comparable(seed):
         comparable = system.le(forward(s), backward(s)) or \
             system.le(backward(s), forward(s))
         if not comparable:
-            assert not system.is_star(members)
+            assert not system.is_star(mask_of(members))
 
 
 # -- towards / nested -----------------------------------------------------------

@@ -7,6 +7,7 @@ import tangleforge.tree as tr
 from tangleforge.errors import (LeafHasNoSep, MalformedTree,
                                 NotAStructureTree, NotOrdered, ValidationError)
 from tangleforge.oracle import all_tangles, is_strongly_efficient_in
+from tangleforge.system import ids_of, mask_of
 
 from conftest import (nested_pair_system, original_labels,
                       random_subset_system, redundant_split_family,
@@ -33,15 +34,15 @@ def nested_tree():
 
 def test_beta_of_root_is_empty(nested_tree):
     _, _, t = nested_tree
-    assert t.beta(t.root) == frozenset()
+    assert t.beta(t.root) == 0
 
 
 def test_betas_of_the_nested_pair_tree(nested_tree):
     system, _, t = nested_tree
-    betas = sorted(sorted(t.beta(leaf)) for leaf in t.leaves())
+    betas = sorted(ids_of(t.beta(leaf)) for leaf in t.leaves())
     assert betas == [[0, 2], [0, 3], [1]]
     for leaf in t.leaves():
-        assert len(t.beta(leaf)) == t.depth(leaf)
+        assert t.beta(leaf).bit_count() == t.depth(leaf)
 
 
 def test_s_of_errors_on_leaves(nested_tree):
@@ -62,7 +63,7 @@ def test_single_node_tree_maps_everything_to_the_root(nested_pair):
 def test_backward_orientation_lands_on_the_shallow_leaf(nested_tree):
     _, _, t = nested_tree
     leaf = tf.leaf_for_orientation(t, frozenset({1, 3}))
-    assert t.beta(leaf) == frozenset({1})
+    assert ids_of(t.beta(leaf)) == [1]
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -74,7 +75,7 @@ def test_every_orientation_chooses_exactly_one_leaf(seed):
     for choice in product(*[system.orientations_of(s) for s in system.seps()]):
         tau = frozenset(choice)
         leaf = tf.leaf_for_orientation(t, tau)
-        holders = [l for l in t.leaves() if t.beta(l) <= tau]
+        holders = [l for l in t.leaves() if not t.beta(l) & ~mask_of(tau)]
         assert holders == [leaf]
 
 
@@ -98,7 +99,7 @@ def test_every_leaf_of_the_nested_tree_is_a_tangle_leaf(nested_tree):
     for leaf in t.leaves():
         cls = tf.classify_leaf(t, leaf, fam)
         assert cls.kind == "tangle"
-        assert cls.tangle == system.closure(t.beta(leaf))
+        assert cls.tangle == frozenset(ids_of(system.closure(t.beta(leaf))))
 
 
 def test_empty_side_is_a_forbidden_leaf_under_agreement_one():
@@ -204,7 +205,7 @@ class CountingFamily:
         self.asked = []
 
     def forbidden_subset(self, system, members):
-        self.asked.append(frozenset(members))
+        self.asked.append(members)
         return self.family.forbidden_subset(system, members)
 
     def __getattr__(self, name):
@@ -264,10 +265,10 @@ def test_split_orientations_are_minimal_next_to_their_path(seed):
         beta = t.beta(v)
         s = t.s_of(v)
         for o in system.orientations_of(s):
-            group = beta | {o}
+            group = ids_of(beta | 1 << o)
             assert not any(system.lt(y, o) for y in group if y != o)
         closure = system.closure(beta)
-        assert 2 * s not in closure and 2 * s + 1 not in closure
+        assert not closure >> 2 * s & 3
 
 
 def test_size_bound(nested_tree):
@@ -284,11 +285,11 @@ def test_strongly_efficient_closure_subsets_live_on_the_path(seed):
     for v in t.nodes():
         beta = t.beta(v)
         closure = system.closure(beta)
-        survivors = closure - system.eclipsed_elements(closure, weak=True)
+        survivors = closure & ~system.eclipsed_elements(closure, weak=True)
         # every strongly efficient subset lives inside the path labels
-        assert survivors <= beta or not system.is_consistent(closure)
-        for sigma in all_subsets(sorted(survivors)):
-            assert is_strongly_efficient_in(system, sigma, closure)
+        assert not survivors & ~beta or not system.is_consistent(closure)
+        for sigma in all_subsets(ids_of(survivors)):
+            assert is_strongly_efficient_in(system, sigma, ids_of(closure))
 
 
 # -- restriction -----------------------------------------------------------------
@@ -351,7 +352,7 @@ def test_restrictions_nest_and_commute_with_tangle_inclusion(seed):
         tau_orig = {up_hi[o] for o in tau_hi}
         tau_lo = frozenset(o for o in rt_lo.system.all_oriented()
                            if up_lo[o] in tau_orig)
-        if not rt_lo.system.orients_all(tau_lo):
+        if not rt_lo.system.orients_all(mask_of(tau_lo)):
             continue
         leaf_hi = tf.leaf_for_orientation(rt_hi, tau_hi)
         leaf_lo = tf.leaf_for_orientation(rt_lo, tau_lo)
