@@ -66,7 +66,9 @@ class NonStandardFamily(TangleForgeError):
 
 
 class BudgetExceeded(TangleForgeError):
-    """Brute-force enumeration refused an input over its configured budget."""
+    """Brute-force enumeration refused an input over its configured budget,
+    or a graph has more separations below the order bound than
+    ``grounds.MAX_GRAPH_SEPARATIONS``."""
 
 
 class DuplicateQuestionWarning(UserWarning):

@@ -15,16 +15,20 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from .errors import (DuplicateQuestionWarning, MissingCapability, NotATangle,
-                     NotComplementClosed, ValidationError)
+from .errors import (BudgetExceeded, DuplicateQuestionWarning,
+                     MissingCapability, NotATangle, NotComplementClosed,
+                     ValidationError)
 from .system import SeparationSystem, expect_object, ids_of, mask_of
 
-# Full graph universes need 3^n side enumerations; keep them on the desk.
+# A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
+# above the 3,281 of the edgeless 8-vertex universe; 4,096 separations give
+# a 64 MiB order matrix
+MAX_GRAPH_SEPARATIONS = 1 << 12
 MAX_TABLE_VERTICES = 6  # of graph systems; closed 8-vertex ones hold ~6.5k ids
 MAX_FULL_BIPARTITION_POINTS = 12
 MAX_GROUND_POINTS = 1 << 16  # built or loaded; sides are point bitmasks
@@ -74,6 +78,9 @@ class Graph:
             u, v = ends
             edges.append((u, v))
             n = max(n, u + 1, v + 1)
+        if n > MAX_GROUND_POINTS:
+            raise ValidationError(f"edge list of {n} vertices; graphs are "
+                                  f"limited to {MAX_GROUND_POINTS}")
         return cls.from_edges(n, edges)
 
     def has_edge(self, u, v) -> bool:
@@ -147,8 +154,9 @@ def realization_from_json(d: dict, count: int):
     kind = expect_object(d, "sepsys/v1 ground").get("kind")
     if kind not in ("graph", "sets"):
         raise ValidationError(f"unknown ground kind {kind!r}")
+    field = "n" if kind == "graph" else "size"
     try:
-        size = int(d["n" if kind == "graph" else "size"])
+        size = int(d[field])
         edges = list(d["edges"]) if kind == "graph" else []
         sides = list(d["sides"])
     except KeyError as exc:
@@ -159,6 +167,9 @@ def realization_from_json(d: dict, count: int):
         raise ValidationError(f"{kind} ground of size {size} (at most "
                               f"{MAX_GROUND_POINTS}) has {len(sides)} sides "
                               f"for {count} separations")
+    if type(d[field]) is not int:  # after the bound, which names huge sizes
+        raise ValidationError(
+            f"{kind} ground '{field}' must be an integer, got {d[field]!r}")
 
     def points(value, what, length=None) -> list[int]:
         """``value`` when it lists points of the ground, ``length`` of them
@@ -187,24 +198,62 @@ def realization_from_json(d: dict, count: int):
     return GraphRealization(g, tuple(pairs))
 
 
-def _graph_separations(g: Graph, k: float):
-    """All oriented (A, B) with A|B covering V, no crossing edge, |A&B| < k.
+def _graph_separations(g: Graph, k: float) -> list[tuple[int, int]]:
+    """All (A, B) vertex-mask pairs with A|B covering V, no edge between
+    A - B and B - A, and |A&B| < k, one per unoriented separation.
 
-    Enumerates tri-partitions (A-only, separator, B-only); the degenerate
-    (V, V) is never generated.
+    Separator first: for each S = A&B, smallest first, the components of
+    G - S are found by a mask BFS, and each assignment of them to the two
+    strict sides gives one separation; the first component's side is fixed,
+    so each pair comes once.  The degenerate (V, V) has no component and is
+    never produced.  A pair is written lesser side first and the list sorted
+    on the (A, B) pair, sides compared as sorted vertex tuples.  More than
+    ``MAX_GRAPH_SEPARATIONS`` raise BudgetExceeded: every S other than V
+    gives at least one separation, so the separators are counted first.
     """
-    seen = set()
-    for assignment in product((0, 1, 2), repeat=g.n):
-        a_only, mid, b_only = (frozenset(v for v, c in enumerate(assignment)
-                                         if c == part) for part in range(3))
-        if len(mid) >= k or not a_only | b_only:  # the latter is (V, V)
-            continue
-        if any(g.has_edge(u, v) for u in a_only for v in b_only):
-            continue
-        A, B = tuple(sorted(a_only | mid)), tuple(sorted(b_only | mid))
-        seen.add(min((A, B), (B, A)))
-    # canonical order: lexicographic on the (A, B) tuple pair
-    return [(frozenset(A), frozenset(B)) for A, B in sorted(seen)]
+    sizes = [size for size in range(g.n) if size < k]
+    separators = 0
+    for size in sizes:
+        separators += math.comb(g.n, size)
+        if separators > MAX_GRAPH_SEPARATIONS:
+            _too_many_separations(g, k, separators)
+    adjacent = [0] * g.n
+    for u, v in g.edges:
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    full = (1 << g.n) - 1
+    out = []
+    for size in sizes:
+        for separator in combinations(range(g.n), size):
+            s = mask_of(separator)
+            rest, components = full & ~s, []
+            while rest:
+                component = frontier = rest & -rest
+                while frontier:
+                    reach = 0
+                    for v in ids_of(frontier):
+                        reach |= adjacent[v]
+                    frontier = reach & rest & ~component
+                    component |= frontier
+                components.append(component)
+                rest &= ~component
+            first, others = components[0], components[1:]
+            for choice in range(1 << len(others)):
+                a_only = first
+                for i, component in enumerate(others):
+                    if choice >> i & 1:
+                        a_only |= component
+                a, b = a_only | s, (full & ~a_only) | s
+                out.append((a, b) if ids_of(a) < ids_of(b) else (b, a))
+                if len(out) > MAX_GRAPH_SEPARATIONS:
+                    _too_many_separations(g, k, len(out))
+    return sorted(out, key=lambda pair: (ids_of(pair[0]), ids_of(pair[1])))
+
+
+def _too_many_separations(g: Graph, k: float, count: int):
+    raise BudgetExceeded(
+        f"graph of {g.n} vertices has at least {count} separations of order "
+        f"below {k}, over the limit of {MAX_GRAPH_SEPARATIONS}")
 
 
 def _subset_lattice(keys: list[int], width: int, with_tables: bool):
@@ -214,7 +263,11 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
     nbytes = max(1, -(-width // 8))
     K = np.frombuffer(b"".join(k.to_bytes(nbytes, "little") for k in keys),
                       dtype=np.uint8).reshape(len(keys), nbytes)
-    leq = ((K[:, None, :] & ~K[None, :, :]) == 0).all(axis=2)
+    # blocks of rows of ~1 MB of key bytes bound memory, whatever the width
+    step = max(1, (1 << 20) // max(1, len(keys) * nbytes))
+    leq = np.empty((len(keys), len(keys)), dtype=bool)
+    for lo in range(0, len(keys), step):
+        leq[lo:lo + step] = ((K[lo:lo + step, None, :] & ~K) == 0).all(axis=2)
     if not with_tables:
         return leq, None, None
     small = nbytes <= 2  # numbers found by a table lookup, else a binary search
@@ -225,7 +278,6 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
         index[unique] = first
     join = np.empty(leq.shape, dtype=np.int64)
     meet = np.empty_like(join)
-    step = max(1, (1 << 20) // max(1, len(keys)))  # ~1M-cell blocks bound memory
     for lo in range(0, len(keys), step):
         rows = K[lo:lo + step, None, :]
         for out, table in ((join, rows | K), (meet, rows & K)):
@@ -244,8 +296,7 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
 def _graph_system(g: Graph, k: float, tables: bool) -> SeparationSystem:
     """``graph_system``, attempting join/meet tables exactly when ``tables``."""
     full = (1 << g.n) - 1
-    sides = [(mask_of(A), mask_of(B)) for A, B in _graph_separations(g, k)]
-    sides += [(full, full)] if g.n < k else []
+    sides = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
     pairs = [p for a, b in sides for p in ((a, b), (b, a))]
     # (A, B) <= (C, D) iff A >= C and B <= D: the subset order on the keys
     # (V - A, B), whose union is the join and whose intersection the meet

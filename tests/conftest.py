@@ -181,6 +181,22 @@ def all_graphs_up_to_iso(n):
     return out
 
 
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex r * cols + c at row r and column c."""
+    return tf.Graph.from_edges(
+        rows * cols,
+        [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols] +
+        [(v, v + cols) for v in range((rows - 1) * cols)])
+
+
+def separation_sides(system):
+    """The (A, B) vertex sides of a graph system's non-degenerate
+    separations, in id order: what `oracle.vertex_separations_below` lists
+    for the same graph and bound."""
+    return [system.ground.side_pair(2 * s) for s in system.seps()
+            if not system.is_degenerate(s)]
+
+
 # -- tree helpers ---------------------------------------------------------------
 
 

@@ -117,6 +117,17 @@ def test_budget_env_var(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_a_graph_over_the_separation_limit_exits_3(tmp_path, capsys):
+    # with no --k and no blocks family every separation of the path is
+    # asked for; its separators alone outnumber the limit
+    path = tmp_path / "path20.edges"
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(19)))
+    code, _ = run(tmp_path, "build", "--graph", str(path))
+    assert code == 3
+    assert "graph of 20 vertices has at least 6196 separations of order " \
+        "below inf, over the limit of 4096" in capsys.readouterr().err
+
+
 def test_restrict_reduce_round_trip_through_files(tmp_path):
     code, text = run(tmp_path, "build",
                      "--graph", str(FIXTURES / "k4.edges"),
@@ -332,6 +343,19 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
     pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", size=1e30),
                  "ground of size 1000000000000000019884624838656 (at most 65536)",
                  id="ground-size-beyond-the-limit"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", size=2.5),
+                 "sets ground 'size' must be an integer, got 2.5",
+                 id="ground-size-2.5"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", size="2"),
+                 "sets ground 'size' must be an integer, got '2'",
+                 id="ground-size-a-string"),
+    pytest.param(GRAPH_BUILD, "sys.json", edited(GRAPH, "ground", n=4.0),
+                 "graph ground 'n' must be an integer, got 4.0",
+                 id="graph-ground-n-4.0"),
+    pytest.param(["build", "--graph", "{path}"], "huge.edges",
+                 "1000000000000\n0 1\n", "edge list of 1000000000000 "
+                 "vertices; graphs are limited to 65536",
+                 id="edge-list-vertex-count-beyond-the-limit"),
     pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT[:1], (1, 0, 7), (2, 0, 1)),
                  "node 1 has the edge label 7", id="restrict-label-7"),
     pytest.param(EXPORT_DOT, "tree.json", tree_text(*SPLIT[:1], (1, 0, 7), (2, 0, 1)),

@@ -17,9 +17,12 @@ import tangleforge as tf
 from tangleforge import grounds
 from tangleforge.errors import TangleForgeError
 from tangleforge.families import family_from_json
+from tangleforge.oracle import vertex_separations_below
 from tangleforge.system import from_json_dict, mask_of, to_json_dict, validate
 from tangleforge.tree import (restrict, to_dot, tree_from_json_dict,
                               tree_to_json_dict)
+
+from conftest import separation_sides
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -93,6 +96,10 @@ def _loads_or_rejects(load, *args):
 def test_edge_lists_load_or_are_rejected(text):
     g = _loads_or_rejects(tf.Graph.from_edge_list, text)
     assert g is None or all(0 <= u < v < g.n for u, v in g.edges)
+    if g is not None and g.n <= 6:
+        for k in (1, 2, 3):
+            assert separation_sides(tf.graph_system(g, k)) == \
+                vertex_separations_below(g, k)
 
 
 @FUZZ

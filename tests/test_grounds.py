@@ -9,13 +9,15 @@ import pytest
 
 import tangleforge as tf
 from tangleforge.cli import main
-from tangleforge.errors import (DuplicateQuestionWarning, NotATangle,
-                                NotComplementClosed, ValidationError)
+from tangleforge.errors import (BudgetExceeded, DuplicateQuestionWarning,
+                                NotATangle, NotComplementClosed,
+                                ValidationError)
 from tangleforge.oracle import (OracleBudget, all_kblocks, all_tangles,
                                 vertex_separations_below)
 from tangleforge.system import dump_system, load_system, validate
 
-from conftest import FIXTURES, all_graphs_up_to_iso
+from conftest import (FIXTURES, all_graphs_up_to_iso, grid_graph,
+                      separation_sides)
 
 
 def test_k4_low_order_separations_all_have_a_full_side(k4):
@@ -92,19 +94,45 @@ def test_graph_systems_equal_their_universe_restricted_below_k(n):
                 got.is_degenerate(s) for s in got.seps())
 
 
-@pytest.mark.parametrize("n", range(7))
+@pytest.mark.parametrize("n", range(8))
 def test_the_oracle_separations_are_the_graph_system_sides(n):
-    # The oracle's own tri-partition scan against the generator behind
-    # graph_system, on the graphs of the test above.
-    graphs = all_graphs_up_to_iso(n) if n < 6 else _random_graphs(6, 25, 6)
+    # The oracle's own tri-partition scan against the separator-first
+    # generator behind graph_system, separation by separation in id order:
+    # every graph up to five vertices, 25 random six-vertex graphs and 20
+    # random seven-vertex ones.
+    graphs = all_graphs_up_to_iso(n) if n < 6 else \
+        _random_graphs(6, 25, 6) if n == 6 else _random_graphs(7, 20, 7)
     for g in graphs:
         for k in (1, 2, 3, math.inf):
-            system = tf.graph_system(g, k)
-            want = {frozenset(system.ground.side_pair(2 * s))
-                    for s in system.seps() if not system.is_degenerate(s)}
-            got = vertex_separations_below(g, k)
-            assert len(got) == len(want)
-            assert {frozenset(pair) for pair in got} == want
+            assert separation_sides(tf.graph_system(g, k)) == \
+                vertex_separations_below(g, k)
+
+
+def test_the_oracle_separations_of_larger_graphs(two_k4):
+    for g in (grid_graph(3, 3), two_k4):
+        assert separation_sides(tf.graph_system(g, 3)) == \
+            vertex_separations_below(g, 3)
+    assert tf.graph_system(grid_graph(4, 4), 3).count == 141
+
+
+def test_graph_separations_stop_at_the_limit():
+    limit = tf.grounds.MAX_GRAPH_SEPARATIONS
+    # the edgeless 8-vertex universe holds (3^8 + 1) / 2 separations
+    assert limit >= 3281
+    # an edgeless graph's separations below 1 split its isolated vertices:
+    # 2^12 of them on 13 vertices, 2^13 on 14
+    edgeless = tf.Graph.from_edges(13, [])
+    assert len(tf.grounds._graph_separations(edgeless, 1)) == limit
+    with pytest.raises(BudgetExceeded, match=f"14 vertices has at least "
+                       f"{limit + 1} separations of order below 1, over "
+                       f"the limit of {limit}"):
+        tf.graph_system(tf.Graph.from_edges(14, []), 1)
+    # 1 + 20 + 190 + 1140 + 4845 separators of at most 4 vertices, each
+    # giving one separation or more: the path's are never enumerated
+    path = tf.Graph.from_edges(20, [(v, v + 1) for v in range(19)])
+    with pytest.raises(BudgetExceeded, match="at least 6196 separations"):
+        tf.graph_system(path, math.inf)
+    assert tf.graph_system(path, 3).count == 688
 
 
 def test_lattice_tables_up_to_six_vertices_and_for_universes(two_k4):
@@ -276,6 +304,11 @@ def test_edge_list_round_trip(two_k4):
 def test_edge_list_vertex_count_line():
     g = tf.Graph.from_edge_list("4\n0 1\n")
     assert g.n == 4 and g.edges == frozenset({(0, 1)})
+    limit = tf.grounds.MAX_GROUND_POINTS
+    assert tf.Graph.from_edge_list(f"{limit}\n0 1\n").n == limit
+    for text in (f"{limit + 1}\n0 1\n", f"0 {limit}\n", "1000000000000\n0 1"):
+        with pytest.raises(ValidationError, match=f"limited to {limit}"):
+            tf.Graph.from_edge_list(text)
 
 
 def test_loaders_reject_ragged_rows():

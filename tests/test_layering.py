@@ -2,7 +2,7 @@
 only the system and the oracle index the order matrix, family queries
 from outside `families` go through the public, id-translating methods,
 only `tree` classifies leaves, and `grounds` builds systems without carving
-them out of larger ones.
+them out of larger ones or scanning every side assignment.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
@@ -126,6 +126,23 @@ def test_grounds_build_systems_without_carving():
     assert _method_calls("grounds", ("restrict_below", "subsystem")) == []
     # the walk sees these calls where they are made
     assert _method_calls("tree", ("restrict_below",)) != []
+
+
+def _product_uses(module: str) -> list[int]:
+    """Lines where the module imports or reads ``itertools.product``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools"
+            and any(alias.name == "product" for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "product"
+            and getattr(node.value, "id", None) == "itertools"]
+
+
+def test_grounds_scan_no_tri_partitions():
+    # Graph separations are enumerated separator first; the scan of all 3^n
+    # side assignments is the oracle's own, the independent check.
+    assert _product_uses("grounds") == []
+    assert _product_uses("oracle") != []  # the walk sees the oracle's import
 
 
 def _package_imports(module: str) -> set[str]:
