@@ -76,18 +76,16 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
 def leaf_needs(tree, family, leaf: int) -> int:
     """The mask of the labels this leaf needs to keep its class.
 
-    A tangle leaf needs its minimal labels.  A forbidden leaf needs the
-    labels of its witness whose removal leaves no member; removing any other
-    label leaves the witness in place.
+    A tangle leaf needs its minimal labels.  A forbidden leaf needs its
+    critical labels, those whose removal leaves no member, which the family
+    gives in one call of ``critical_labels``.
     """
     cls = leaf_class(tree, leaf, family)
     beta = tree.beta(leaf)
     if cls.kind == "tangle":
         return tree.system.minimal_elements(beta)
     if cls.kind == "forbidden":
-        return mask_of(o for o in cls.witness.members
-                       if family.forbidden_subset(tree.system, beta & ~(1 << o))
-                       is None)
+        return family.critical_labels(tree.system, beta)
     raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
 
 

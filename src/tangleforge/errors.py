@@ -67,8 +67,8 @@ class NonStandardFamily(TangleForgeError):
 
 class BudgetExceeded(TangleForgeError):
     """Brute-force enumeration refused an input over its configured budget,
-    or a graph has more separations below the order bound than
-    ``grounds.MAX_GRAPH_SEPARATIONS``."""
+    or a graph or bipartition ground has more separations (below the order
+    bound) than ``grounds.MAX_SEPARATIONS``."""
 
 
 class DuplicateQuestionWarning(UserWarning):

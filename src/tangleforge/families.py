@@ -12,6 +12,10 @@ search ``_search`` is derived from the two in the base class.  ``blocks``
 specialise it.  Queries are masks of oriented ids; a family keeps the
 answer of ``_search`` per mask of its bound system's ids for its lifetime,
 so the trees of one pipeline, level trees included, scan each set once.
+``critical_labels`` gives the labels of a member-holding set whose removal
+leaves no member, what reduction needs of a forbidden leaf: the base class
+tries the labels of the kept answer against the kept answers of the smaller
+sets; ``blocks`` reads them all off prefix and suffix intersections.
 """
 
 from __future__ import annotations
@@ -112,22 +116,43 @@ class ForbiddenFamily:
                 return rec([x], i + 1)
         return None
 
+    def _answer(self, work: int) -> int | None:
+        """``_search`` of the bound mask ``work``, kept once asked."""
+        if work not in self._answers:
+            self._answers[work] = self._search(work)
+        return self._answers[work]
+
+    def _critical(self, work: int) -> int:
+        """The labels of ``work``, which holds a member, whose removal leaves
+        none: each lies in every member, so only the kept answer's are tried."""
+        hit = self._answer(work)
+        return mask_of(b for b in ids_of(hit)
+                       if self._answer(work & ~(1 << b)) is None)
+
+    def _ids_back(self, system: SeparationSystem, mask: int, hit: int) -> int:
+        """The caller's ids in ``mask`` whose bound ids lie in ``hit``."""
+        if self.system is None or system is self.system:
+            return hit
+        up = system.oriented_into(self.system)
+        return mask_of(x for x in ids_of(mask) if hit >> up[x] & 1)
+
     # -- public API --------------------------------------------------------------
 
     def forbidden_subset(self, system: SeparationSystem, mask: int) -> Witness | None:
         """Some member inside the set ``mask``, or None; deterministic choice."""
-        work = self._ids_into(system, mask)
-        if work not in self._answers:
-            self._answers[work] = self._search(work)
-        hit = self._answers[work]
+        hit = self._answer(self._ids_into(system, mask))
         if hit is None:
             return None
         ids = ids_of(hit)
-        members = frozenset(ids)
-        if self.system is not None and system is not self.system:
-            up = system.oriented_into(self.system)  # back into the caller's ids
-            members = frozenset(x for x in ids_of(mask) if hit >> up[x] & 1)
-        return Witness(members, self.kind, self.evidence(ids))
+        back = self._ids_back(system, mask, hit)
+        return Witness(frozenset(ids if back == hit else ids_of(back)),
+                       self.kind, self.evidence(ids))
+
+    def critical_labels(self, system: SeparationSystem, mask: int) -> int:
+        """The labels of ``mask`` whose removal leaves no member; ``mask``
+        must hold a member."""
+        return self._ids_back(system, mask,
+                              self._critical(self._ids_into(system, mask)))
 
     def extends_member(self, system: SeparationSystem, mask: int, new: int) -> bool:
         """Is there a member inside ``mask`` plus ``new`` containing ``new``?"""
@@ -236,6 +261,22 @@ class BlocksFamily(ForbiddenFamily):
 
     def _extends(self, work, x):
         return self.is_member(ids_of(work | 1 << x))
+
+    def _critical(self, work):
+        # Superset closure: a label is critical exactly when the other big
+        # sides still meet in k vertices.  ANDs of the labels before and
+        # after each one give all of them in one pass.
+        ids = ids_of(work)
+        before, meet = [], self._all
+        for o in ids:
+            before.append(meet)
+            meet &= self._big[o]
+        out, after = 0, self._all
+        for o, meet in zip(reversed(ids), reversed(before)):
+            if (meet & after).bit_count() >= self.k:
+                out |= 1 << o
+            after &= self._big[o]
+        return out
 
     def to_json_dict(self):
         return {"format": "family/v1", "kind": "blocks", "k": self.k}

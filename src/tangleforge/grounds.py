@@ -26,9 +26,10 @@ from .system import SeparationSystem, expect_object, ids_of, mask_of
 
 # A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
-# above the 3,281 of the edgeless 8-vertex universe; 4,096 separations give
-# a 64 MiB order matrix
-MAX_GRAPH_SEPARATIONS = 1 << 12
+# of a graph or bipartition system: above the 3,281 of the edgeless 8-vertex
+# universe and the 2,048 of a 12-point full bipartition; 4,096 separations
+# give a 64 MiB order matrix
+MAX_SEPARATIONS = 1 << 12
 MAX_TABLE_VERTICES = 6  # of graph systems; closed 8-vertex ones hold ~6.5k ids
 MAX_FULL_BIPARTITION_POINTS = 12
 MAX_GROUND_POINTS = 1 << 16  # built or loaded; sides are point bitmasks
@@ -208,14 +209,14 @@ def _graph_separations(g: Graph, k: float) -> list[tuple[int, int]]:
     so each pair comes once.  The degenerate (V, V) has no component and is
     never produced.  A pair is written lesser side first and the list sorted
     on the (A, B) pair, sides compared as sorted vertex tuples.  More than
-    ``MAX_GRAPH_SEPARATIONS`` raise BudgetExceeded: every S other than V
+    ``MAX_SEPARATIONS`` raise BudgetExceeded: every S other than V
     gives at least one separation, so the separators are counted first.
     """
     sizes = [size for size in range(g.n) if size < k]
     separators = 0
     for size in sizes:
         separators += math.comb(g.n, size)
-        if separators > MAX_GRAPH_SEPARATIONS:
+        if separators > MAX_SEPARATIONS:
             _too_many_separations(g, k, separators)
     adjacent = [0] * g.n
     for u, v in g.edges:
@@ -245,7 +246,7 @@ def _graph_separations(g: Graph, k: float) -> list[tuple[int, int]]:
                         a_only |= component
                 a, b = a_only | s, (full & ~a_only) | s
                 out.append((a, b) if ids_of(a) < ids_of(b) else (b, a))
-                if len(out) > MAX_GRAPH_SEPARATIONS:
+                if len(out) > MAX_SEPARATIONS:
                     _too_many_separations(g, k, len(out))
     return sorted(out, key=lambda pair: (ids_of(pair[0]), ids_of(pair[1])))
 
@@ -253,7 +254,7 @@ def _graph_separations(g: Graph, k: float) -> list[tuple[int, int]]:
 def _too_many_separations(g: Graph, k: float, count: int):
     raise BudgetExceeded(
         f"graph of {g.n} vertices has at least {count} separations of order "
-        f"below {k}, over the limit of {MAX_GRAPH_SEPARATIONS}")
+        f"below {k}, over the limit of {MAX_SEPARATIONS}")
 
 
 def _subset_lattice(keys: list[int], width: int, with_tables: bool):
@@ -387,6 +388,10 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
     # lexicographically smaller one
     pairs = sorted({tuple(sorted((tuple(sorted(A)), tuple(sorted(full - A)))))
                     for A in ground.sides})
+    if len(pairs) > MAX_SEPARATIONS:
+        raise BudgetExceeded(
+            f"ground of {ground.size} points has {len(pairs)} separations, "
+            f"over the limit of {MAX_SEPARATIONS}")
     sides, orders = [], []
     for fa, fb in pairs:
         sides += [mask_of(fa), mask_of(fb)]

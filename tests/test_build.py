@@ -1,6 +1,7 @@
 """Construction, contraction, necessity, reduction, and the pipeline."""
 
 import json
+import sys
 from collections import Counter
 
 import numpy as np
@@ -14,10 +15,10 @@ from tangleforge.errors import (NonStandardFamily, NotAStructureTree,
 from tangleforge.oracle import minimal_elements
 from tangleforge.system import ids_of, mask_of
 
-from conftest import (FIXTURES, load_nonrich_fixture, random_relation_system,
-                      random_subset_system, redundant_split_family,
-                      redundant_split_system, standardized_explicit,
-                      tree_shape, trivial_top_system)
+from conftest import (FIXTURES, grid_graph, load_nonrich_fixture,
+                      random_relation_system, random_subset_system,
+                      redundant_split_family, redundant_split_system,
+                      standardized_explicit, tree_shape, trivial_top_system)
 
 
 # -- build -------------------------------------------------------------------
@@ -382,6 +383,39 @@ def test_one_pipeline_classifies_each_leaf_of_each_tree_once(two_k4,
     report = tf.pipeline(system, tf.make_blocks(3, system))
     assert report.trace.steps and seen
     assert max(seen.values()) == 1
+
+
+def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
+    # A forbidden leaf's needs come from one critical_labels call; reduce
+    # asks forbidden_subset only to classify the leaves a contraction makes.
+    build_module = sys.modules["tangleforge.build"]
+    system = tf.graph_system(grid_graph(3, 3), 3)
+    fam = tf.make_blocks(3, system)
+    tree = tf.build(system, fam)
+    stack, calls = [], Counter()
+    query = type(fam).forbidden_subset
+
+    def counting_query(self, caller, mask):
+        calls[stack[-1] if stack else None] += 1
+        return query(self, caller, mask)
+
+    def inside(name, fn):
+        def run(*args):
+            stack.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stack.pop()
+        return run
+
+    monkeypatch.setattr(type(fam), "forbidden_subset", counting_query)
+    monkeypatch.setattr(tf.tree, "classify_leaf",
+                        inside("classify_leaf", tf.tree.classify_leaf))
+    monkeypatch.setattr(build_module, "leaf_needs",
+                        inside("leaf_needs", build_module.leaf_needs))
+    _, trace = tf.reduce(tree, fam)
+    assert trace.steps and calls["classify_leaf"]
+    assert calls["leaf_needs"] == 0
 
 
 def test_report_json_is_deterministic_and_wellformed(k4):

@@ -128,6 +128,18 @@ def test_a_graph_over_the_separation_limit_exits_3(tmp_path, capsys):
         "below inf, over the limit of 4096" in capsys.readouterr().err
 
 
+def test_answers_over_the_separation_limit_exit_3(tmp_path, capsys):
+    # 14 persons answering 4,097 distinct questions, one per bit pattern of
+    # the first 13 persons
+    path = tmp_path / "answers.csv"
+    path.write_text("".join(",".join(str(j >> i & 1) for j in range(4097)) + "\n"
+                            for i in range(14)))
+    code, _ = run(tmp_path, "build", "--answers", str(path))
+    assert code == 3
+    assert "ground of 14 points has 4097 separations, over the limit of " \
+        "4096" in capsys.readouterr().err
+
+
 def test_restrict_reduce_round_trip_through_files(tmp_path):
     code, text = run(tmp_path, "build",
                      "--graph", str(FIXTURES / "k4.edges"),

@@ -11,7 +11,7 @@ from tangleforge.grounds import load_similarity_csv
 from tangleforge.oracle import all_tangles
 from tangleforge.system import ids_of, mask_of
 from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
-                      load_nonrich_fixture, nested_pair_system,
+                      grid_graph, load_nonrich_fixture, nested_pair_system,
                       random_subset_system, standardized_explicit)
 
 
@@ -226,6 +226,79 @@ def test_a_leaf_witness_is_the_least_member_of_its_own_label_set():
     tree, (leaf, _) = tree.split_leaf(inner, 1)
     assert ids_of(tree.beta(inner)) == [5] and ids_of(tree.beta(leaf)) == [2, 5]
     assert tf.classify_leaf(tree, leaf, fam).witness.members == {2}
+
+
+# -- critical labels against their definition ------------------------------------
+
+
+def critical_by_definition(fam, system, beta):
+    """The labels of ``beta`` whose removal leaves no member, one query each."""
+    return mask_of(o for o in ids_of(beta)
+                   if fam.forbidden_subset(system, beta & ~(1 << o)) is None)
+
+
+def critical_instances():
+    """(system, make_family) of each family kind with a forbidden leaf."""
+    sim = load_similarity_csv((FIXTURES / "six_similarity.csv").read_text())
+    two_k4 = tf.Graph.from_edge_list((FIXTURES / "two_k4.edges").read_text())
+    explicit = random_subset_system(3, n_seps=5)
+    out = []
+    for name, system, make in (
+            ("grid3x3/blocks3", tf.graph_system(grid_graph(3, 3), 3),
+             lambda s: tf.make_blocks(3, s)),
+            ("six_similarity/cluster2", tf.bipartition_system(
+                tf.full_bipartition_ground(6, similarity=sim)),
+             lambda s: tf.make_cluster(2, s)),
+            ("universe4/strong-profile", tf.bipartition_system(
+                tf.full_bipartition_ground(4)), tf.make_strong_profile),
+            ("subset3/explicit", explicit,
+             lambda s: standardized_explicit(s, 3)),
+            ("two_k4/graph-tangle", tf.graph_system(two_k4, 3),
+             tf.make_graph_tangle)):
+        out.append(pytest.param(system, make, id=name))
+    return out
+
+
+@pytest.mark.parametrize("system, make", critical_instances())
+def test_critical_labels_match_their_definition(system, make):
+    # A fresh family answers the definition, so no kept answer is shared.
+    fam, ref = make(system), make(system)
+    full = tf.build(system, fam)
+    levels = [tf.restrict(full, k)
+              for k in sorted({system.order(s) for s in system.seps()})]
+    leaves = 0
+    for tree in [full, *levels]:  # a level tree's system is not the bound one
+        for leaf, cls in tf.tree.classify_all(tree, fam).items():
+            if cls.kind != "forbidden":
+                continue
+            beta = tree.beta(leaf)
+            assert fam.critical_labels(tree.system, beta) == \
+                critical_by_definition(ref, tree.system, beta)
+            leaves += 1
+    assert leaves
+    rng = np.random.default_rng(5)
+    for sysx in (system, system.restrict_below(max(system.orders))):
+        ids = [o for s in sysx.seps() for o in sysx.orientations_of(s)]
+        held = 0
+        for _ in range(60):
+            size = int(rng.integers(1, min(8, len(ids)) + 1))
+            beta = mask_of(int(o) for o in rng.choice(ids, size, replace=False))
+            if ref.forbidden_subset(sysx, beta) is None:
+                continue
+            assert fam.critical_labels(sysx, beta) == \
+                critical_by_definition(ref, sysx, beta)
+            held += 1
+        assert held
+
+
+def test_no_label_is_critical_when_the_empty_set_is_a_member():
+    # blocks with k above |V|: every set of labels holds the empty member
+    system = tf.graph_system(grid_graph(2, 3), 3)
+    fam = tf.make_blocks(7, system)
+    every = mask_of(system.all_oriented())
+    assert fam.forbidden_subset(system, 0).members == frozenset()
+    assert fam.critical_labels(system, every) == 0
+    assert critical_by_definition(fam, system, every) == 0
 
 
 # -- witness soundness ----------------------------------------------------------

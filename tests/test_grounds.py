@@ -116,7 +116,7 @@ def test_the_oracle_separations_of_larger_graphs(two_k4):
 
 
 def test_graph_separations_stop_at_the_limit():
-    limit = tf.grounds.MAX_GRAPH_SEPARATIONS
+    limit = tf.grounds.MAX_SEPARATIONS
     # the edgeless 8-vertex universe holds (3^8 + 1) / 2 separations
     assert limit >= 3281
     # an edgeless graph's separations below 1 split its isolated vertices:
@@ -223,6 +223,23 @@ def test_unclosed_sides_are_rejected():
 def test_guardrail_on_full_grounds():
     with pytest.raises(ValidationError):
         tf.full_bipartition_ground(13)
+
+
+def test_bipartition_separations_stop_at_the_limit(monkeypatch):
+    # the largest full ground, 12 points, has 2^11 complement pairs
+    assert tf.grounds.MAX_SEPARATIONS >= 2048
+    # 14 persons answering 4,097 distinct questions: refused before the
+    # order matrix is built
+    answers = [[j >> i & 1 for j in range(4097)] for i in range(14)]
+    with pytest.raises(BudgetExceeded, match="ground of 14 points has 4097 "
+                       "separations, over the limit of 4096"):
+        tf.questionnaire_system(answers)
+    # a ground at the limit builds, one pair more is refused
+    monkeypatch.setattr(tf.grounds, "MAX_SEPARATIONS", 8)
+    assert tf.bipartition_system(tf.full_bipartition_ground(4)).count == 8
+    with pytest.raises(BudgetExceeded, match="ground of 5 points has 16 "
+                       "separations, over the limit of 8"):
+        tf.bipartition_system(tf.full_bipartition_ground(5))
 
 
 # -- questionnaires -----------------------------------------------------------

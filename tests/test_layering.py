@@ -88,7 +88,7 @@ def _method_calls(module: str, names) -> list[tuple[str, int]]:
 def test_family_hooks_are_called_only_inside_families():
     # The hooks take the bound system's ids; callers elsewhere would skip the
     # translation from a level system's ids that the public methods make.
-    hooks = ("_search", "_extends", "_witness")
+    hooks = ("_search", "_extends", "_witness", "_answer", "_critical")
     found = {path.stem: _method_calls(path.stem, hooks)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {m for m, calls in found.items() if calls} == {"families"}
@@ -118,6 +118,14 @@ def test_only_the_tree_classifies_leaves():
     found = {path.stem: _function_calls(path.stem, "classify_leaf")
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {m for m, lines in found.items() if lines} == {"tree"}
+
+
+def test_construction_reads_needs_without_member_queries():
+    # A forbidden leaf's needs are its critical labels, one family call;
+    # asking forbidden_subset per label would build a witness for each.
+    assert _function_calls("build", "forbidden_subset") == []
+    assert _function_calls("build", "Witness") == []
+    assert _function_calls("build", "critical_labels") != []  # the walk sees it
 
 
 def test_grounds_build_systems_without_carving():
