@@ -7,9 +7,9 @@ tangle exists.  Ships graph k-block, profile, and dataset-cluster grounds
 plus a brute-force oracle used as independent ground truth in the tests.
 """
 
-from .build import (BuildConfig, PipelineReport, ReductionTrace, build,
-                    certificates_of, leaf_needs, necessary_for_leaf,
-                    necessary_node, pipeline, reduce, report_to_json_dict)
+from .build import (PipelineReport, ReductionTrace, build, certificates_of,
+                    leaf_needs, necessary_for_leaf, necessary_node, pipeline,
+                    reduce, report_to_json_dict)
 from .families import (BlocksFamily, ClusterFamily, EmptyFamily,
                        ExplicitFamily, ForbiddenFamily, GraphTangleFamily,
                        ProfileFamily, StrongProfileFamily, Witness,

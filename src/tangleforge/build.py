@@ -9,6 +9,7 @@ an edge whose label no leaf behind it needs until every node is necessary.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
@@ -19,42 +20,25 @@ from .tree import (StructureTree, classify_all, is_f_tree, is_structure_tree,
                    leaf_class, restrict, tangles, tree_to_json_dict)
 
 
-@dataclass(frozen=True)
-class BuildConfig:
-    """Choices the construction leaves open, pinned for reproducibility.
-
-    Among minimum-order candidate separations the smallest id always wins,
-    and the forward orientation labels the first child.  ``max_nodes`` is a
-    safety cap; exceeding the structural bound would mean a bug.
-    """
-
-    max_nodes: int | None = None
-
-    def node_cap(self, system) -> int:
-        if self.max_nodes is not None:
-            return self.max_nodes
-        if system.count <= 20:
-            return 2 ** (system.count + 1)
-        return 1_000_000
+MAX_TREE_NODES = 1_000_000  # n separations allow 2^(n+1) - 1 nodes
 
 
-def build(system: SeparationSystem, family: ForbiddenFamily,
-          config: BuildConfig | None = None) -> StructureTree:
+def build(system: SeparationSystem, family: ForbiddenFamily) -> StructureTree:
     """Grow a thoroughly ordered structure tree displaying every tangle.
 
-    Every unresolved leaf is split on a separation of minimum order among
-    those its closure does not orient, until each leaf either closes to a
-    tangle or its labels contain a forbidden member.  When a leaf can no
-    longer resolve because of a co-trivial label the family does not forbid,
-    that is the family's fault and an error; a merely non-rich family yields
-    a tree that fails the structure-tree check instead.
+    Every unresolved leaf, least id first, is split on a separation of
+    minimum order among those its closure does not orient, until each leaf
+    either closes to a tangle or its labels contain a forbidden member.  The
+    one tree grows in place and keeps the leaf classes found on the way.
+    When a leaf can no longer resolve because of a co-trivial label the
+    family does not forbid, that is the family's fault and an error; a
+    merely non-rich family yields a tree that fails the structure-tree check
+    instead.  More than ``MAX_TREE_NODES`` nodes raise ``NodeCapExceeded``.
     """
-    cap = (config or BuildConfig()).node_cap(system)
     tree = StructureTree.single_root(system)
-    pending = [tree.root]
+    pending = deque([tree.root])  # ascending: new ids exceed all others
     while pending:
-        pending.sort()
-        v = pending.pop(0)
+        v = pending.popleft()
         if leaf_class(tree, v, family).kind != "unresolved":
             continue
         beta = tree.beta(v)
@@ -66,10 +50,10 @@ def build(system: SeparationSystem, family: ForbiddenFamily,
                     f"leaf cannot resolve: co-trivial label "
                     f"{fmt_oriented(blockers[0])} is not forbidden by the family")
             continue  # family not rich enough; post-checks will flag the tree
-        tree, kids = tree.split_leaf(v, candidates[0])
-        if len(tree) > cap:
-            raise NodeCapExceeded(f"tree exceeded {cap} nodes")
-        pending.extend(kids)
+        pending.extend(tree._split(v, candidates[0]))
+        if len(tree) > MAX_TREE_NODES:
+            raise NodeCapExceeded(f"tree grew to {len(tree)} nodes, over the "
+                                  f"limit of {MAX_TREE_NODES}")
     return tree
 
 
@@ -201,7 +185,6 @@ def certificate_entry(leaf: int, witness) -> dict:
 
 
 def pipeline(system: SeparationSystem, family: ForbiddenFamily,
-             config: BuildConfig | None = None,
              thresholds=None) -> PipelineReport:
     """Build, reduce, and restrict to every order threshold.
 
@@ -209,7 +192,7 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
     hide lower-order tangles) and reduced afterwards, each independently.
     Default thresholds are the distinct order values of the system.
     """
-    tree_full = build(system, family, config)
+    tree_full = build(system, family)
     full_ok = is_structure_tree(tree_full, family)
     if full_ok:
         tree_reduced, trace = reduce(tree_full, family)

@@ -6,7 +6,8 @@ Exit codes form a contract shell pipelines can branch on:
      tree proves it
   2  invalid input: the message names the violated axiom, the bad family
      spec field, or the unreadable input file
-  3  enumeration budget exceeded
+  3  a budget exceeded: the oracle's enumeration, the separations of a
+     ground or a sepsys/v1 file, or the nodes of a built tree
 
 All outputs are byte-identical across runs on identical inputs.
 """

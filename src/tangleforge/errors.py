@@ -57,18 +57,18 @@ class UnresolvedLeaf(TangleForgeError):
     """Necessity is undefined for a leaf that is neither tangle nor forbidden."""
 
 
-class NodeCapExceeded(TangleForgeError):
-    """Tree construction exceeded its node cap; indicates a bug or bad input."""
-
-
 class NonStandardFamily(TangleForgeError):
     """Construction got blocked by a co-trivial element the family does not forbid."""
 
 
 class BudgetExceeded(TangleForgeError):
     """Brute-force enumeration refused an input over its configured budget,
-    or a graph or bipartition ground has more separations (below the order
-    bound) than ``grounds.MAX_SEPARATIONS``."""
+    or a system loaded or generated from a ground has more separations
+    (below the order bound) than ``system.MAX_SEPARATIONS``."""
+
+
+class NodeCapExceeded(BudgetExceeded):
+    """Tree construction grew past ``build.MAX_TREE_NODES`` nodes."""
 
 
 class DuplicateQuestionWarning(UserWarning):

@@ -22,14 +22,11 @@ import numpy as np
 from .errors import (BudgetExceeded, DuplicateQuestionWarning,
                      MissingCapability, NotATangle, NotComplementClosed,
                      ValidationError)
-from .system import SeparationSystem, expect_object, ids_of, mask_of
+from .system import (MAX_SEPARATIONS, SeparationSystem, expect_object, ids_of,
+                     mask_of)
 
 # A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
-# of a graph or bipartition system: above the 3,281 of the edgeless 8-vertex
-# universe and the 2,048 of a 12-point full bipartition; 4,096 separations
-# give a 64 MiB order matrix
-MAX_SEPARATIONS = 1 << 12
 MAX_TABLE_VERTICES = 6  # of graph systems; closed 8-vertex ones hold ~6.5k ids
 MAX_FULL_BIPARTITION_POINTS = 12
 MAX_GROUND_POINTS = 1 << 16  # built or loaded; sides are point bitmasks

@@ -24,12 +24,17 @@ from operator import index
 
 import numpy as np
 
-from .errors import GroundMismatch, InconsistentInput, ValidationError
+from .errors import (BudgetExceeded, GroundMismatch, InconsistentInput,
+                     ValidationError)
 
 # Above this many oriented elements, the cubic lattice-law checks switch from
 # exhaustive to deterministic sampling (the report says which one ran).
 LATTICE_EXHAUSTIVE_LIMIT = 260
 _SAMPLED_TRIPLES = 20000
+# of a loaded system or one generated from a graph or bipartition ground:
+# above the 3,281 of the edgeless 8-vertex universe and the 2,048 of a
+# 12-point full bipartition; 4,096 separations give a 64 MiB order matrix
+MAX_SEPARATIONS = 1 << 12
 
 
 def inverse(o: int) -> int:
@@ -531,12 +536,12 @@ def to_json_dict(system: SeparationSystem) -> dict:
     return out
 
 
-def from_json_dict(d: dict, *, transitive_close: bool = False,
-                   check: bool = True) -> SeparationSystem:
+def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
     """Load a sepsys/v1 object.
 
-    The relation must already be transitively closed unless
-    ``transitive_close`` asks for closure to be computed at load.
+    The relation must already be transitively closed.  More than
+    ``MAX_SEPARATIONS`` separations raise BudgetExceeded before the order
+    matrix is allocated.
     """
     expect_object(d, "sepsys/v1 system")
     if d.get("format", "sepsys/v1") != "sepsys/v1":
@@ -555,6 +560,9 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
     n2 = 2 * count
     if count < 0 or len(orders) != count:
         raise ValidationError("orders length does not match count")
+    if count > MAX_SEPARATIONS:
+        raise BudgetExceeded(f"sepsys/v1 system has {count} separations, over "
+                             f"the limit of {MAX_SEPARATIONS}")
     leq = np.zeros((n2, n2), dtype=bool)
     np.fill_diagonal(leq, True)
     pairs = d.get("leq", [])
@@ -569,11 +577,6 @@ def from_json_dict(d: dict, *, transitive_close: bool = False,
         if not (0 <= a < n2 and 0 <= b < n2):
             raise ValidationError(f"leq pair {pair} out of range")
         leq[a, b] = True
-    if transitive_close:
-        prev = None
-        while prev is None or not np.array_equal(prev, leq):
-            prev = leq
-            leq = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
     join = meet = None
     if "universe" in d:
         universe = expect_object(d["universe"], "sepsys/v1 universe")

@@ -1,8 +1,9 @@
 """Rooted trees with oriented-separation edge labels.
 
 Trees are persistent values: structural edits return new trees, so a
-reduction's steps replay every intermediate.  Each node keeps the label mask
-of its root path, and each leaf its class per family.  The predicate ladder
+reduction's steps replay every intermediate.  Only construction grows a tree
+in place, before anyone else holds it.  Each node keeps the label mask of its
+root path, and each leaf its class per family.  The predicate ladder
 (separation tree, consistent, ordered, thoroughly ordered, efficient,
 structure tree, all-leaves-forbidden) lives here, together with restriction
 to a lower order threshold.
@@ -41,11 +42,11 @@ class LeafClass:
 
 
 class StructureTree:
-    """Immutable rooted tree; every non-root node stores its incoming label,
-    and every node the mask of the labels on its root path."""
+    """Rooted tree, immutable once built; every non-root node stores its
+    incoming label, and every node the mask of the labels on its root path."""
 
     __slots__ = ("system", "root", "_parent", "_children", "_label", "_beta",
-                 "_classes")
+                 "_classes", "_next")
 
     def __init__(self, system, root, parent, children, label):
         self.system = system
@@ -63,6 +64,7 @@ class StructureTree:
         # id(family) -> (family, leaf classes); holding the family keeps
         # its id from being reused while the entry lives
         self._classes: dict[int, tuple] = {}
+        self._next = max(self._parent) + 1  # the id the next split starts at
 
     @classmethod
     def single_root(cls, system) -> "StructureTree":
@@ -131,16 +133,28 @@ class StructureTree:
 
     def split_leaf(self, v, s):
         """Attach children labelled with the orientations of s, forward
-        first; returns (tree, child_ids)."""
-        if not self.is_leaf(v):
+        first, to a copy of the tree; returns (copy, child_ids)."""
+        tree = StructureTree(self.system, self.root, self._parent,
+                             self._children, self._label)
+        return tree, tree._split(v, s)
+
+    def _split(self, v, s) -> tuple[int, ...]:
+        """``split_leaf`` in place, for a tree no one else holds yet.
+
+        Leaf classes stay valid: a class depends only on the label set, and
+        a split node is no longer asked for as a leaf."""
+        if self._children[v]:
             raise MalformedTree(f"node {v} is not a leaf")
         orients = self.system.orientations_of(s)
-        base = max(self._parent) + 1
-        kids = tuple(range(base, base + len(orients)))
-        parent = {**self._parent, **dict.fromkeys(kids, v)}
-        children = {**self._children, **dict.fromkeys(kids, ()), v: kids}
-        label = {**self._label, **dict(zip(kids, orients))}
-        return StructureTree(self.system, self.root, parent, children, label), kids
+        kids = tuple(range(self._next, self._next + len(orients)))
+        self._next += len(orients)
+        self._children[v] = kids
+        for c, o in zip(kids, orients):
+            self._parent[c] = v
+            self._children[c] = ()
+            self._label[c] = o
+            self._beta[c] = self._beta[v] | 1 << o
+        return kids
 
     def contracted(self, v, w) -> "StructureTree":
         """Contract the edge vw and delete v's other children with their
@@ -182,7 +196,7 @@ def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
     beta = tree.beta(leaf)
     system = tree.system
     if system.is_consistent(beta):
-        closure = system.closure(beta)
+        closure = system._closure_mask(beta)
         if system.orients_all(closure) and system.is_consistent(closure) \
                 and family.forbidden_subset(system, closure) is None:
             return LeafClass("tangle", tangle=frozenset(ids_of(closure)))
@@ -193,8 +207,8 @@ def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
 
 
 def leaf_class(tree, leaf, family) -> LeafClass:
-    """The leaf's class, classified once per tree and family: the tree is
-    immutable, so the class is kept on it."""
+    """The leaf's class, classified once per tree and family: a class
+    depends only on the leaf's label set, so it is kept on the tree."""
     memo = tree._classes.setdefault(id(family), (family, {}))[1]
     if leaf not in memo:
         memo[leaf] = classify_leaf(tree, leaf, family)

@@ -9,16 +9,18 @@ import pytest
 
 import tangleforge as tf
 from tangleforge.build import dump_report
-from tangleforge.errors import (NonStandardFamily, NotAStructureTree,
-                                NotParentChild, UnresolvedLeaf)
+from tangleforge.errors import (NodeCapExceeded, NonStandardFamily,
+                                NotAStructureTree, NotParentChild,
+                                UnresolvedLeaf)
 
 from tangleforge.oracle import minimal_elements
 from tangleforge.system import ids_of, mask_of
 
-from conftest import (FIXTURES, grid_graph, load_nonrich_fixture,
-                      random_relation_system, random_subset_system,
-                      redundant_split_family, redundant_split_system,
-                      standardized_explicit, tree_shape, trivial_top_system)
+from conftest import (FIXTURES, antichain_system, grid_graph,
+                      load_nonrich_fixture, random_relation_system,
+                      random_subset_system, redundant_split_family,
+                      redundant_split_system, standardized_explicit,
+                      tree_shape, trivial_top_system)
 
 
 # -- build -------------------------------------------------------------------
@@ -326,6 +328,49 @@ def test_reduce_matches_the_plain_reduction_at_every_level(system, fam):
     assert compared
 
 
+def grown_by_split_leaf(system, family):
+    """The construction rule with one persistent ``split_leaf`` per split."""
+    tree = tf.StructureTree.single_root(system)
+    pending = [tree.root]
+    while pending:
+        v = min(pending)
+        pending.remove(v)
+        if tf.classify_leaf(tree, v, family).kind == "unresolved":
+            candidates = system.open_separations(tree.beta(v))
+            if candidates:
+                tree, kids = tree.split_leaf(v, candidates[0])
+                pending += kids
+    return tree
+
+
+@pytest.mark.parametrize("system, fam", [
+    *_reference_instances(),
+    pytest.param(antichain_system(12), tf.make_empty(), id="independent12/empty")])
+def test_build_equals_the_tree_grown_by_split_leaf(system, fam):
+    built, want = tf.build(system, fam), grown_by_split_leaf(system, fam)
+
+    def nodes(t):
+        return {v: (t.parent(v), t.children(v), t.label(v)) for v in t.nodes()}
+
+    assert built.root == want.root and nodes(built) == nodes(want)
+    for leaf in want.leaves():  # the classes kept while growing
+        assert tf.tree.leaf_class(built, leaf, fam) == \
+            tf.classify_leaf(want, leaf, fam)
+
+
+def test_build_constructs_one_tree(monkeypatch):
+    made = []
+    init = tf.StructureTree.__init__
+
+    def counting(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(tf.StructureTree, "__init__", counting)
+    tree = tf.build(antichain_system(4), tf.make_empty())
+    assert len(tree) == 31 and made == [tree]
+
+
 def test_reduce_rejects_non_structure_trees(k4):
     s3 = tf.graph_system(k4, 3)
     fam = tf.make_blocks(3, s3)
@@ -430,12 +475,13 @@ def test_report_json_is_deterministic_and_wellformed(k4):
             "per_k"} <= d.keys()
 
 
-def test_node_cap_guards_against_runaway_builds(k4):
+def test_node_cap_guards_against_runaway_builds(k4, monkeypatch):
     s3 = tf.graph_system(k4, 3)
     fam = tf.make_blocks(3, s3)
-    from tangleforge.errors import NodeCapExceeded
-    with pytest.raises(NodeCapExceeded):
-        tf.build(s3, fam, tf.BuildConfig(max_nodes=3))
+    monkeypatch.setattr(sys.modules["tangleforge.build"], "MAX_TREE_NODES", 3)
+    with pytest.raises(NodeCapExceeded,
+                       match="tree grew to 5 nodes, over the limit of 3"):
+        tf.build(s3, fam)
 
 
 def test_degenerate_separation_builds_a_one_child_split():

@@ -1,6 +1,7 @@
 """Command-line exit codes, file round-trips, and byte determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -140,6 +141,29 @@ def test_answers_over_the_separation_limit_exit_3(tmp_path, capsys):
         "4096" in capsys.readouterr().err
 
 
+def test_a_system_over_the_separation_limit_exits_3(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(OVER_THE_SEPARATION_LIMIT))
+    code, _ = run(tmp_path, "build", "--system", str(path))
+    assert code == 3
+    assert "sepsys/v1 system has 4097 separations, over the limit of 4096" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "tangles", "certify"])
+def test_a_build_over_the_node_cap_exits_3(command, tmp_path, capsys,
+                                           monkeypatch):
+    # with no family, 6 independent separations grow all 127 nodes
+    monkeypatch.setattr(sys.modules["tangleforge.build"], "MAX_TREE_NODES", 50)
+    path = tmp_path / "independent6.json"
+    path.write_text(json.dumps(
+        {"format": "sepsys/v1", "count": 6, "orders": [1.0] * 6}))
+    code, _ = run(tmp_path, command, "--system", str(path))
+    assert code == 3
+    assert "tree grew to 51 nodes, over the limit of 50" \
+        in capsys.readouterr().err
+
+
 def test_restrict_reduce_round_trip_through_files(tmp_path):
     code, text = run(tmp_path, "build",
                      "--graph", str(FIXTURES / "k4.edges"),
@@ -254,6 +278,8 @@ def edited(base, part, **fields):
     return json.dumps(d)
 
 
+OVER_THE_SEPARATION_LIMIT = {"format": "sepsys/v1", "count": 4097,
+                             "orders": [1.0] * 4097}
 SETS_BUILD = ["build", "--system", "{path}", "--family", "cluster:1"]
 GRAPH_BUILD = ["build", "--system", "{path}", "--family", "blocks:2"]
 RESTRICT = ["restrict", "--k", "1", "--tree", "{path}"]
@@ -461,6 +487,9 @@ def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
     pytest.param(edited(SETS, "universe", meet=[[1e30] * 4] * 4),
                  "'join' and 'meet' must be integer tables",
                  id="meet-beyond-int64"),
+    pytest.param(json.dumps(OVER_THE_SEPARATION_LIMIT),
+                 "4097 separations, over the limit of 4096",
+                 id="over-the-separation-limit"),
 ])
 def test_validate_reports_a_malformed_payload(text, cause, tmp_path):
     path = tmp_path / "sys.json"

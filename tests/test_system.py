@@ -43,13 +43,11 @@ def test_broken_involution_is_rejected():
         tf.SeparationSystem(leq, [1.0, 1.0])
 
 
-def test_missing_transitivity_is_rejected_and_closable():
+def test_missing_transitivity_is_rejected():
     d = {"format": "sepsys/v1", "count": 3, "orders": [1, 1, 1],
          "leq": [[0, 2], [3, 1], [2, 4], [5, 3]]}
     with pytest.raises(ValidationError, match="transitivity"):
         tf.from_json_dict(d)
-    sys2 = tf.from_json_dict(d, transitive_close=True)
-    assert sys2.le(0, 4)
 
 
 def test_nan_orders_rejected():
