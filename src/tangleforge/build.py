@@ -8,14 +8,14 @@ an edge whose label no leaf behind it needs until every node is necessary.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
                      UnresolvedLeaf)
 from .families import ForbiddenFamily
-from .system import SeparationSystem, fmt_oriented, ids_of, mask_of
+from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
+                     mask_of, to_json_dict)
 from .tree import (StructureTree, classify_all, is_f_tree, is_structure_tree,
                    leaf_class, restrict, tangles, tree_to_json_dict)
 
@@ -232,11 +232,12 @@ def report_to_json_dict(report: PipelineReport) -> dict:
             "certificates": [certificate_entry(*c) for c in lv.certificates],
         }
 
+    top = to_json_dict(report.system)  # the system of both top-level trees
     return {
         "format": "report/v1",
         "family": report.family.to_json_dict(),
-        "tree_full": tree_to_json_dict(report.tree_full),
-        "tree_reduced": tree_to_json_dict(report.tree_reduced),
+        "tree_full": tree_to_json_dict(report.tree_full, top),
+        "tree_reduced": tree_to_json_dict(report.tree_reduced, top),
         "reduction_steps": [list(s) for s in report.trace.steps],
         "tangles": [tangle_entry(report.system, t) for t in report.tangles],
         "certificates": [certificate_entry(*c) for c in report.certificates],
@@ -245,4 +246,4 @@ def report_to_json_dict(report: PipelineReport) -> dict:
 
 
 def dump_report(report: PipelineReport) -> str:
-    return json.dumps(report_to_json_dict(report), sort_keys=True, indent=1)
+    return dump_json(report_to_json_dict(report))

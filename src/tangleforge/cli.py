@@ -5,7 +5,7 @@ Exit codes form a contract shell pipelines can branch on:
   1  certificate: the requested level has no tangle and an all-forbidden
      tree proves it
   2  invalid input: the message names the violated axiom, the bad family
-     spec field, or the unreadable input file
+     spec field, the unreadable input file or the unwritable --out path
   3  a budget exceeded: the oracle's enumeration, the separations of a
      ground or a sepsys/v1 file, or the nodes of a built tree
 
@@ -15,7 +15,6 @@ All outputs are byte-identical across runs on identical inputs.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -131,15 +130,16 @@ def _load_inputs(args):
 def _write(args, text: str):
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    return system_mod.dump_json(payload) + "\n"
 
 
 def cmd_validate(args) -> int:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import index
 
 import numpy as np
@@ -525,8 +527,8 @@ def to_json_dict(system: SeparationSystem) -> dict:
     }
     if system.has_universe():
         out["universe"] = {
-            "join": [[int(v) for v in row] for row in system.join],
-            "meet": [[int(v) for v in row] for row in system.meet],
+            "join": system.join.tolist(),
+            "meet": system.meet.tolist(),
         }
         out["distributive"] = system.distributive
     if system.allow_degenerate:
@@ -605,7 +607,7 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
 
 
 def dump_system(system: SeparationSystem) -> str:
-    return json.dumps(to_json_dict(system), sort_keys=True, indent=1)
+    return dump_json(to_json_dict(system))
 
 
 def load_system(text: str, **kwargs) -> SeparationSystem:
@@ -618,6 +620,42 @@ def parse_json(text: str, what: str):
         return json.loads(text)
     except ValueError as exc:
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+
+
+def dump_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=1)`` without the pure-Python
+    encoder: a join per container and per row of ``type(v) is int`` ints."""
+    def text(x, nl: str) -> str:
+        t, inner = type(x), nl + " "
+        if t is str:
+            return encode_basestring_ascii(x)
+        if t is int:
+            return int.__repr__(x)
+        if (t is list or t is tuple) and x:
+            types = set(map(type, x))
+            if types == {int}:
+                items = map(int.__repr__, x)
+            elif types == {list} and all(x) and \
+                    set(map(type, chain.from_iterable(x))) == {int}:
+                row, sep = inner + " ", "," + inner + " "
+                items = ["[" + row + sep.join(map(int.__repr__, r)) + inner + "]"
+                         for r in x]
+            else:
+                items = [text(v, inner) for v in x]
+            return "[" + inner + ("," + inner).join(items) + nl + "]"
+        if t is dict and x and all(type(k) is str for k in x):
+            return "{" + inner + ("," + inner).join(
+                [encode_basestring_ascii(k) + ": " + text(v, inner)
+                 for k, v in sorted(x.items())]) + nl + "}"
+        if t is float:
+            return (float.__repr__(x) if -np.inf < x < np.inf else "NaN"
+                    if x != x else "Infinity" if x > 0 else "-Infinity")
+        if x is None or x is True or x is False:
+            return "null" if x is None else "true" if x else "false"
+        # the rest is json's text, re-indented: its strings hold no raw newline
+        return json.dumps(x, sort_keys=True, indent=1).replace("\n", nl)
+
+    return text(value, "\n")
 
 
 def expect_object(d, what: str) -> dict:

@@ -11,15 +11,15 @@ to a lower order threshold.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (LeafHasNoSep, MalformedTree, NotAStructureTree,
                      NotOrdered, NotParentChild, ValidationError)
 from .families import ForbiddenFamily, Witness
-from .system import (expect_int, expect_object, fmt_oriented, from_json_dict,
-                     ids_of, mask_of, parse_json, sep_of, to_json_dict)
+from .system import (dump_json, expect_int, expect_object, fmt_oriented,
+                     from_json_dict, ids_of, mask_of, parse_json, sep_of,
+                     to_json_dict)
 
 
 class Check(NamedTuple):
@@ -380,7 +380,8 @@ def restrict(tree, k: float) -> StructureTree:
 # -- JSON (format "tree/v1") and DOT export -------------------------------------
 
 
-def tree_to_json_dict(tree) -> dict:
+def tree_to_json_dict(tree, system_ref: dict | None = None) -> dict:
+    """The tree/v1 object; ``system_ref`` is its system's sepsys/v1 object."""
     return {
         "format": "tree/v1",
         "root": tree.root,
@@ -388,7 +389,7 @@ def tree_to_json_dict(tree) -> dict:
                    "parent": tree.parent(v),
                    "edge_label": tree.label(v)}
                   for v in tree.nodes()],
-        "system_ref": to_json_dict(tree.system),
+        "system_ref": system_ref or to_json_dict(tree.system),
     }
 
 
@@ -446,7 +447,7 @@ def tree_from_json_dict(d, system=None) -> StructureTree:
 
 
 def dump_tree(tree) -> str:
-    return json.dumps(tree_to_json_dict(tree), sort_keys=True, indent=1)
+    return dump_json(tree_to_json_dict(tree))
 
 
 def load_tree(text: str, system=None) -> StructureTree:

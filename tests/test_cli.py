@@ -465,6 +465,11 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
     # the KIND:PARAM form converts PARAM itself and names it as given
     pytest.param(["build", "--graph", K4, "--family", "blocks:2.5"], None, None,
                  "needs an integer 'k', got '2.5'", id="family-parameter-2.5"),
+    # an output path that cannot be written is bad input too, not a certificate
+    pytest.param(["build", "--graph", K4, "--family", "blocks:2", "--out", "{path}"],
+                 "missing-directory/x.json", None,
+                 "x.json: No such file or directory",
+                 id="out-in-a-missing-directory"),
 ])
 def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
                                               tmp_path, capsys, monkeypatch):
@@ -475,7 +480,9 @@ def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
     while "=" in argv[0]:  # leading VARIABLE=value items set the environment
         variable, _, value = argv.pop(0).partition("=")
         monkeypatch.setenv(variable, value)
-    assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out.json")]
+    assert main(argv) == 2
     assert cause in capsys.readouterr().err
 
 

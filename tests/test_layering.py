@@ -1,8 +1,9 @@
 """Layering: production modules stay apart from the brute-force oracle,
 only the system and the oracle index the order matrix, family queries
 from outside `families` go through the public, id-translating methods,
-only `tree` classifies leaves, and `grounds` builds systems without carving
-them out of larger ones or scanning every side assignment.
+only `tree` classifies leaves, `grounds` builds systems without carving
+them out of larger ones or scanning every side assignment, and every JSON
+output goes through the one writer `system.dump_json`.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
@@ -207,3 +208,28 @@ def test_sets_cross_layers_as_masks():
     assert found == {"tree.classify_leaf",
                      "families.ForbiddenFamily.forbidden_subset",
                      "families.is_closed_under_minimization"}
+
+
+def _json_dumps_calls(module: str) -> set[str | None]:
+    """The top-level functions of ``module`` (None outside any) that call
+    ``json.dumps`` or a ``dumps`` imported from json, nested calls included."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "json"
+                for alias in node.names if alias.name == "dumps"}
+    return {top.name if isinstance(top, ast.FunctionDef) else None
+            for top in tree.body for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) in imported
+                 or getattr(node.func, "attr", None) == "dumps"
+                 and getattr(node.func.value, "id", None) == "json")}
+
+
+def test_every_json_output_goes_through_the_one_writer():
+    # dump_json writes json.dumps(sort_keys=True, indent=1) bytes without the
+    # standard library's pure-Python indenting encoder; another json.dumps
+    # would be a second writer whose bytes and cost could drift.  The walk
+    # sees the one call dump_json makes for values it leaves to json.
+    found = {(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
+             for func in _json_dumps_calls(path.stem)}
+    assert found == {("system", "dump_json")}
