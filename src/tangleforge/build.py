@@ -16,8 +16,8 @@ from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
 from .families import ForbiddenFamily
 from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
                      mask_of, to_json_dict)
-from .tree import (StructureTree, classify_all, is_f_tree, is_structure_tree,
-                   leaf_class, restrict, tangles, tree_to_json_dict)
+from .tree import (StructureTree, classify_all, is_structure_tree, leaf_class,
+                   restrict, tangles, tree_to_json_dict)
 
 
 MAX_TREE_NODES = 1_000_000  # n separations allow 2^(n+1) - 1 nodes
@@ -88,9 +88,10 @@ def necessary_node(tree, family, v: int) -> bool:
 def _dispensable_edge(tree, family, needs) -> tuple[int, int] | None:
     """The edge (v, w), deepest v, then least v, then first w, whose label
     the needs folded up from the leaves below w lack.  ``needs`` keeps a
-    leaf's needs by its label set and gains the sets not seen before."""
+    leaf's needs by its label set and gains the sets not seen before.  On a
+    separation tree a node's depth is the size of its label set."""
     fold = {}
-    for v in sorted(tree.nodes(), key=lambda u: (-tree.depth(u), u)):
+    for v in sorted(tree.nodes(), key=lambda u: (-tree.beta(u).bit_count(), u)):
         kids = tree.children(v)
         if not kids:
             beta = tree.beta(v)
@@ -209,7 +210,7 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
         if ok:
             tkred, _ = reduce(tk, family)
             tl = tangles(tkred, family)
-            ftree = bool(is_f_tree(tkred, family))
+            ftree = not tl  # a structure tree with no tangle leaf
             certs = certificates_of(tkred, family)
         else:
             tkred, tl, ftree, certs = None, [], False, []

@@ -47,11 +47,13 @@ def _number(text: str, kind, name: str):
 
 
 def _budget(args) -> oracle.OracleBudget:
-    n = args.budget
+    n, name = args.budget, "--budget"
     if n is None and os.environ.get(ENV_BUDGET):
-        n = _number(os.environ[ENV_BUDGET], int, ENV_BUDGET)
+        n, name = _number(os.environ[ENV_BUDGET], int, ENV_BUDGET), ENV_BUDGET
     if n is None:
         return oracle.OracleBudget()
+    if n < 0:
+        raise ValidationError(f"{name} must not be negative, got {n}")
     return oracle.OracleBudget(max_separations=n)
 
 

@@ -517,13 +517,12 @@ def _validate_universe(system, rep):
 
 def to_json_dict(system: SeparationSystem) -> dict:
     """Canonical JSON form; reflexive pairs omitted, keys sorted on dump."""
-    n2 = system.n_oriented
-    pairs = [[a, b] for a in range(n2) for b in ids_of(system.up[a]) if a != b]
+    strict = system.leq & ~np.eye(system.n_oriented, dtype=bool)
     out = {
         "format": "sepsys/v1",
         "count": system.count,
-        "orders": [float(x) for x in system.orders],
-        "leq": pairs,
+        "orders": system.orders.tolist(),
+        "leq": np.argwhere(strict).tolist(),  # row-major: ascending pairs
     }
     if system.has_universe():
         out["universe"] = {

@@ -248,6 +248,7 @@ def tangles(tree, family) -> list[frozenset[int]]:
 
 
 def is_separation_tree(tree) -> Check:
+    """Each split's separation is new to its root path, so none repeats."""
     system = tree.system
     for v in tree.nodes():
         for c in tree.children(v):
@@ -265,34 +266,30 @@ def is_separation_tree(tree) -> Check:
         if len(labels) > 2:
             return Check(False, f"node {v} has {len(labels)} children")
         s = seps.pop()
-        u = tree.parent(v)
-        while u is not None:
-            if not tree.is_leaf(u) and tree.s_of(u) == s:
-                return Check(False,
-                             f"separation {s} split at {v} and its ancestor {u}")
-            u = tree.parent(u)
+        if tree.beta(v) >> 2 * s & 3:
+            return Check(False, f"separation {s} split at {v} and above it")
     return Check(True)
 
 
 def is_consistent_tree(tree) -> Check:
+    """No label points away from one above it; pointing away is symmetric."""
+    system = tree.system
     for v in tree.nodes():
-        pair = tree.system.inconsistent_pair(tree.beta(v))
-        if pair is not None:
-            return Check(False,
-                         f"labels {fmt_oriented(pair[0])}, {fmt_oriented(pair[1])} "
-                         f"on the path to {v} point away from each other")
+        u = tree.parent(v)
+        if u is not None and system._away[tree.label(v)] & tree.beta(u):
+            x, y = system.inconsistent_pair(tree.beta(v))
+            return Check(False, f"labels {fmt_oriented(x)}, {fmt_oriented(y)} "
+                                f"on the path to {v} point away from each other")
     return Check(True)
 
 
 def is_ordered(tree) -> Check:
+    """Orders rise from each inner node's parent to it, so along every path."""
+    order = tree.system.order
     for v in tree.non_leaves():
         u = tree.parent(v)
-        while u is not None:
-            if not tree.is_leaf(u):
-                if tree.system.order(tree.s_of(u)) > tree.system.order(tree.s_of(v)):
-                    return Check(False,
-                                 f"order drops from node {u} to its descendant {v}")
-            u = tree.parent(u)
+        if u is not None and order(tree.s_of(u)) > order(tree.s_of(v)):
+            return Check(False, f"order drops from node {u} to its child {v}")
     return Check(True)
 
 
@@ -316,14 +313,11 @@ def is_efficient(tree) -> Check:
     system = tree.system
     for leaf in tree.leaves():
         beta = tree.beta(leaf)
-        closure = system._closure_mask(beta)
-        for x in ids_of(beta):
-            for y in ids_of(closure):
-                if y != x and system.lt(y, x) and \
-                        system.order_of(y) < system.order_of(x):
-                    return Check(False,
-                                 f"label {fmt_oriented(x)} at leaf {leaf} is "
-                                 f"eclipsed by {fmt_oriented(y)}")
+        eclipsed = system.eclipsed_elements(
+            system._closure_mask(beta) | beta, weak=False) & beta
+        if eclipsed:
+            return Check(False, f"label {fmt_oriented(ids_of(eclipsed)[0])} "
+                                f"at leaf {leaf} is eclipsed")
     return Check(True)
 
 

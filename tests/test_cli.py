@@ -420,6 +420,13 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                   "--family", "blocks:3"], None, None,
                  "TANGLE_FORGE_BUDGET must be an integer, got 'abc'",
                  id="budget-variable-not-an-integer"),
+    pytest.param(["oracle", "--graph", K4, "--family", "blocks:3", "--budget",
+                  "-1"], None, None, "--budget must not be negative, got -1",
+                 id="budget-negative"),
+    pytest.param(["TANGLE_FORGE_BUDGET=-1", "oracle", "--graph", K4,
+                  "--family", "blocks:3"], None, None,
+                 "TANGLE_FORGE_BUDGET must not be negative, got -1",
+                 id="budget-variable-negative"),
     # numbers that are not JSON integers are refused, not truncated
     pytest.param(SETS_BUILD, "sys.json",
                  edited(SETS, "universe", join=[[0.5, 1, 2, 3], *SETS["universe"]

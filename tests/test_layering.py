@@ -2,8 +2,9 @@
 only the system and the oracle index the order matrix, family queries
 from outside `families` go through the public, id-translating methods,
 only `tree` classifies leaves, `grounds` builds systems without carving
-them out of larger ones or scanning every side assignment, and every JSON
-output goes through the one writer `system.dump_json`.
+them out of larger ones or scanning every side assignment, every JSON
+output goes through the one writer `system.dump_json`, and the tree checks
+read each node against its parent instead of walking its ancestors.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
@@ -233,3 +234,25 @@ def test_every_json_output_goes_through_the_one_writer():
     found = {(path.stem, func) for path in sorted(PACKAGE.glob("*.py"))
              for func in _json_dumps_calls(path.stem)}
     assert found == {("system", "dump_json")}
+
+
+def _while_loops(module: str) -> dict[str, list[int]]:
+    """Top-level function -> lines of the while loops inside it."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {top.name: [node.lineno for node in ast.walk(top)
+                       if isinstance(node, ast.While)]
+            for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+
+def test_tree_checks_read_each_node_against_its_parent():
+    # Each rule of the ladder holds on every root path exactly when it holds
+    # on every edge, read against the root-path label mask the tree keeps;
+    # reduction orders nodes by that mask's size, which is the depth on a
+    # separation tree.  A walk to the root per node would be quadratic.
+    assert _function_calls("build", "depth") == []
+    assert _function_calls("build", "path_from_root") == []
+    assert _function_calls("build", "bit_count") != []  # the walk sees it
+    loops = _while_loops("tree")
+    for name in ("is_separation_tree", "is_consistent_tree", "is_ordered"):
+        assert loops[name] == [], name
+    assert loops["leaf_for_orientation"] != []  # the walk sees while loops

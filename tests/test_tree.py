@@ -1,5 +1,6 @@
 """Tree structure, leaf lookup/classification, the predicate ladder, restriction."""
 
+import numpy as np
 import pytest
 
 import tangleforge as tf
@@ -9,7 +10,8 @@ from tangleforge.errors import (LeafHasNoSep, MalformedTree,
 from tangleforge.oracle import all_tangles, is_strongly_efficient_in
 from tangleforge.system import ids_of, mask_of
 
-from conftest import (nested_pair_system, original_labels,
+from conftest import (all_graphs_up_to_iso, nested_pair_system,
+                      original_labels, random_relation_system,
                       random_subset_system, redundant_split_family,
                       redundant_split_system, standardized_explicit,
                       tree_shape)
@@ -399,3 +401,234 @@ def test_reduced_block_tree_keeps_structure_and_efficiency(k4):
     red, _ = tf.reduce(tf.build(s3, fam), fam)
     assert tf.is_structure_tree(red, fam)
     assert tf.is_efficient(red)
+
+
+# -- the edge rules against the ancestor-walk definitions ------------------------
+
+
+def walked_separation_tree(tree) -> bool:
+    """Each inner node splits one separation, and no ancestor splits it."""
+    system = tree.system
+    for v in tree.non_leaves():
+        labels = [tree.label(c) for c in tree.children(v)]
+        if len({o >> 1 for o in labels}) != 1 or len(labels) > 2 or \
+                len(labels) != len({system.canon(o) for o in labels}):
+            return False
+        u = tree.parent(v)
+        while u is not None:
+            if tree.s_of(u) == tree.s_of(v):
+                return False
+            u = tree.parent(u)
+    return True
+
+
+def walked_consistent_tree(tree) -> bool:
+    """No two labels on a root path point away from each other."""
+    system = tree.system
+    for v in tree.nodes():
+        path = ids_of(tree.beta(v))
+        if any(x >> 1 != y >> 1 and system.le(y, x ^ 1)
+               for x in path for y in path):
+            return False
+    return True
+
+
+def walked_ordered(tree) -> bool:
+    """No inner node splits a lower order than any inner ancestor."""
+    order = tree.system.order
+    for v in tree.non_leaves():
+        u = tree.parent(v)
+        while u is not None:
+            if order(tree.s_of(u)) > order(tree.s_of(v)):
+                return False
+            u = tree.parent(u)
+    return True
+
+
+def walked_efficient(tree) -> bool:
+    """No leaf label has a strictly smaller element of lower order in the
+    closure of the leaf's labels."""
+    system = tree.system
+    for leaf in tree.leaves():
+        beta = tree.beta(leaf)
+        closure = ids_of(system._closure_mask(beta))
+        if any(y != x and system.lt(y, x) and
+               system.order_of(y) < system.order_of(x)
+               for x in ids_of(beta) for y in closure):
+            return False
+    return True
+
+
+LADDER = [(tf.is_separation_tree, walked_separation_tree),
+          (tf.is_consistent_tree, walked_consistent_tree),
+          (tf.is_ordered, walked_ordered),
+          (tf.is_efficient, walked_efficient)]
+
+
+def assert_ladder_matches_the_walks(tree):
+    for rule, walk in LADDER:
+        assert bool(rule(tree)) == walk(tree), (rule.__name__, tree_shape(tree))
+
+
+def degenerate_graph_systems():
+    """Graph systems with k > |V|, which hold the degenerate (V, V)."""
+    out = []
+    for g in [tf.Graph.from_edges(3, [(0, 1)]),
+              tf.Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+              tf.Graph.from_edges(4, [(0, 1), (2, 3)])]:
+        system = tf.graph_system(g, g.n + 1)
+        assert any(system.is_degenerate(s) for s in system.seps())
+        out.append((system, tf.make_blocks(g.n + 1, system)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def ladder_pool():
+    """(system, family) pairs: the conftest generators, small graphs and a
+    clustering, and systems with a degenerate separation."""
+    out = []
+    for seed in range(12):
+        for system in (random_relation_system(seed, n_seps=2 + seed % 4),
+                       random_subset_system(seed, n_seps=2 + seed % 4)):
+            out.append((system, standardized_explicit(system, seed + 500)))
+            if tf.is_standard(tf.make_empty(), system)[0]:
+                out.append((system, tf.make_empty()))
+    for n in (3, 4):
+        for g in all_graphs_up_to_iso(n):
+            for k in (1, 2, 3):
+                system = tf.graph_system(g, k)
+                out.append((system, tf.make_blocks(k, system)))
+    ground = tf.full_bipartition_ground(5)
+    system = tf.bipartition_system(ground)
+    out.append((system, tf.make_cluster(2, system)))
+    system = redundant_split_system()
+    out.append((system, redundant_split_family(system)))
+    return out + degenerate_graph_systems()
+
+
+def test_edge_rules_match_the_walks_on_built_reduced_and_restricted_trees(
+        ladder_pool):
+    contractions = levels = 0
+    for system, fam in ladder_pool:
+        tree = tf.build(system, fam)
+        assert_ladder_matches_the_walks(tree)
+        if tf.is_structure_tree(tree, fam):
+            _, trace = tf.reduce(tree, fam)
+            step_tree = tree
+            for step in trace.steps:  # every intermediate of the replay
+                step_tree = step_tree.contracted(*step)
+                assert_ladder_matches_the_walks(step_tree)
+            assert tree_shape(step_tree) == tree_shape(trace.replay(tree))
+            contractions += len(trace.steps)
+        for k in sorted({system.order(s) for s in system.seps()}):
+            level = tf.restrict(tree, k)
+            assert_ladder_matches_the_walks(level)
+            if tf.is_structure_tree(level, fam):
+                reduced, _ = tf.reduce(level, fam)
+                assert_ladder_matches_the_walks(reduced)
+            levels += 1
+    assert contractions >= 100 and levels >= 200  # the pool reaches them
+
+
+def test_level_f_tree_is_an_empty_tangle_list(ladder_pool):
+    for system, fam in ladder_pool[::3]:
+        for lv in tf.pipeline(system, fam).levels:
+            if lv.structure_ok:
+                assert lv.f_tree == bool(tf.is_f_tree(lv.reduced, fam))
+
+
+def three_separation_system():
+    """The nested pair (2 < 0, 1 < 3, so 1 and 2 point away from each
+    other) and a third separation nested with neither; orders 1, 2, 3."""
+    leq = np.eye(6, dtype=bool)
+    leq[2, 0] = leq[1, 3] = True
+    return tf.SeparationSystem(leq, [1.0, 2.0, 3.0])
+
+
+def tree_of(system, edges):
+    """A tree/v1 tree from (node, parent, label) triples, root 0."""
+    return tf.tree_from_json_dict({
+        "format": "tree/v1", "root": 0,
+        "nodes": [{"id": 0, "parent": None, "edge_label": None}] +
+                 [{"id": v, "parent": p, "edge_label": o} for v, p, o in edges],
+        "system_ref": tf.to_json_dict(system)}, system)
+
+
+def two_edges_apart(first, middle, last):
+    """Root splits by ``first``; its first child by ``middle``; that
+    child's first child by ``last``: each an (label, label) pair."""
+    return [(1, 0, first[0]), (2, 0, first[1]),
+            (3, 1, middle[0]), (4, 1, middle[1]),
+            (5, 3, last[0]), (6, 3, last[1])]
+
+
+def hand_made_trees():
+    system = three_separation_system()
+    deg_system = degenerate_graph_systems()[0][0]
+    s = next(s for s in deg_system.seps() if deg_system.is_degenerate(s))
+    t = next(t for t in deg_system.seps() if t != s)
+    return {
+        # separation 0 split at the root and again two edges below
+        "split-twice": tree_of(system, two_edges_apart((0, 1), (4, 5), (0, 1))),
+        # labels 1 and 2 point away from each other, two edges apart
+        "away-two-edges-apart": tree_of(system, two_edges_apart(
+            (1, 0), (4, 5), (2, 3))),
+        "away-one-edge-apart": tree_of(system, [
+            (1, 0, 1), (2, 0, 0), (3, 1, 2), (4, 1, 3)]),
+        # order 3 at the root, 1 below it, 2 below that
+        "order-drops-below-the-grandparent": tree_of(system, two_edges_apart(
+            (4, 5), (0, 1), (2, 3))),
+        "order-drops-at-the-grandchild": tree_of(system, two_edges_apart(
+            (0, 1), (4, 5), (2, 3))),
+        "ordered": tree_of(system, two_edges_apart((0, 1), (2, 3), (4, 5))),
+        # the odd id of the degenerate separation, alone and under a split
+        "degenerate-odd-id": tree_of(deg_system, [(1, 0, 2 * s + 1)]),
+        "degenerate-odd-id-below": tree_of(deg_system, [
+            (1, 0, 2 * t), (2, 0, 2 * t + 1), (3, 1, 2 * s + 1)]),
+        "degenerate-both-ids": tree_of(deg_system, [
+            (1, 0, 2 * s), (2, 0, 2 * s + 1)]),
+        "degenerate-twice": tree_of(deg_system, [
+            (1, 0, 2 * s + 1), (2, 1, 2 * t), (3, 1, 2 * t + 1),
+            (4, 2, 2 * s)]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(hand_made_trees()))
+def test_edge_rules_match_the_walks_on_hand_made_trees(name):
+    assert_ladder_matches_the_walks(hand_made_trees()[name])
+
+
+def test_hand_made_trees_break_the_rules_they_are_made_to_break():
+    trees = hand_made_trees()
+    for name in ("split-twice", "degenerate-both-ids", "degenerate-twice"):
+        assert not tf.is_separation_tree(trees[name])
+    for name in ("away-two-edges-apart", "away-one-edge-apart"):
+        assert tf.is_separation_tree(trees[name])
+        assert not tf.is_consistent_tree(trees[name])
+    for name in ("order-drops-below-the-grandparent",
+                 "order-drops-at-the-grandchild"):
+        assert not tf.is_ordered(trees[name])
+    assert tf.is_ordered(trees["ordered"])
+    assert tf.is_consistent_tree(trees["ordered"])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_edge_rules_match_the_walks_on_random_labellings(seed, ladder_pool):
+    # any labels at all, so that the rules meet trees that break several
+    # of them at once, in any node order
+    rng = np.random.default_rng(seed)
+    system, _ = ladder_pool[int(rng.integers(len(ladder_pool)))]
+    if not system.count:
+        return
+    parent, label, nodes = {0: None}, {0: None}, [0]
+    while len(nodes) < 9:
+        v = nodes[int(rng.integers(len(nodes)))]
+        if sum(p == v for p in parent.values()) < 2:
+            w = int(rng.integers(100))
+            if w not in parent:
+                parent[w], label[w] = v, int(rng.integers(system.n_oriented))
+                nodes.append(w)
+    children = {v: tuple(sorted(w for w, p in parent.items() if p == v))
+                for v in parent}
+    assert_ladder_matches_the_walks(
+        tr.StructureTree(system, 0, parent, children, label))
