@@ -23,7 +23,7 @@ from .errors import (BudgetExceeded, DuplicateQuestionWarning,
                      MissingCapability, NotATangle, NotComplementClosed,
                      ValidationError)
 from .system import (MAX_SEPARATIONS, SeparationSystem, expect_object, ids_of,
-                     mask_of)
+                     mask_of, words_of)
 
 # A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
@@ -258,21 +258,19 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
     """The subset order on ``width``-bit keys, and when ``with_tables`` and
     every union and intersection of two keys is again a key, join and meet
     tables holding their ids; the least id wins for a repeated key."""
-    nbytes = max(1, -(-width // 8))
-    K = np.frombuffer(b"".join(k.to_bytes(nbytes, "little") for k in keys),
-                      dtype=np.uint8).reshape(len(keys), nbytes)
-    # blocks of rows of ~1 MB of key bytes bound memory, whatever the width
-    step = max(1, (1 << 20) // max(1, len(keys) * nbytes))
+    K = words_of(keys, width)
+    # blocks of rows of ~1 MB of key words bound memory, whatever the width
+    step = max(1, (1 << 20) // max(1, K.nbytes))
     leq = np.empty((len(keys), len(keys)), dtype=bool)
     for lo in range(0, len(keys), step):
-        leq[lo:lo + step] = ((K[lo:lo + step, None, :] & ~K) == 0).all(axis=2)
+        leq[lo:lo + step] = ~(K[lo:lo + step, None, :] & ~K).any(axis=2)
     if not with_tables:
         return leq, None, None
-    small = nbytes <= 2  # numbers found by a table lookup, else a binary search
-    as_key = np.dtype(f"<u{nbytes}") if small else np.dtype((np.void, nbytes))
+    small = width <= 16  # numbers found by a table lookup, else a binary search
+    as_key = np.dtype("<u8") if small else np.dtype((np.void, 8 * K.shape[1]))
     unique, first = np.unique(K.view(as_key).ravel(), return_index=True)
     if small:
-        index = np.full(1 << 8 * nbytes, -1)
+        index = np.full(1 << width, -1)
         index[unique] = first
     join = np.empty(leq.shape, dtype=np.int64)
     meet = np.empty_like(join)
@@ -371,11 +369,9 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
         sim = [list(map(float, row)) for row in sim]
         if len(sim) != ground.size or any(len(r) != ground.size for r in sim):
             raise ValidationError("similarity matrix shape does not match points")
-        for u in range(ground.size):
-            for v in range(ground.size):
-                if sim[u][v] != sim[v][u] or not 0 <= sim[u][v] < math.inf:
-                    raise ValidationError(
-                        "similarity must be symmetric nonnegative finite")
+        if any(sim[u][v] != sim[v][u] or not 0 <= sim[u][v] < math.inf
+               for u in range(ground.size) for v in range(ground.size)):
+            raise ValidationError("similarity must be symmetric nonnegative finite")
         # each entry at its shortest decimal form, as it was written, scaled
         # to integers; int / int division rounds once
         exact = [[Fraction(repr(x)) for x in row] for row in sim]

@@ -108,9 +108,7 @@ class ValidationReport:
         self.issues.append(ValidationIssue(code, detail))
 
     def summary(self) -> str:
-        if self.ok:
-            return "ok"
-        return "; ".join(str(i) for i in self.issues[:10])
+        return "; ".join(str(i) for i in self.issues[:10]) or "ok"
 
 
 class SeparationSystem:
@@ -155,12 +153,9 @@ class SeparationSystem:
         self.parent = parent
         self.back_map = None if back_map is None else tuple(back_map)
         self.allow_degenerate = bool(allow_degenerate)
-        self.leq.setflags(write=False)
-        self.orders.setflags(write=False)
-        if self.join is not None:
-            self.join.setflags(write=False)
-        if self.meet is not None:
-            self.meet.setflags(write=False)
+        for table in (self.leq, self.orders, self.join, self.meet):
+            if table is not None:
+                table.setflags(write=False)
         self.up, self.down = (tuple(
             int.from_bytes(row.tobytes(), "little")
             for row in np.packbits(m, axis=1, bitorder="little"))
@@ -341,8 +336,7 @@ class SeparationSystem:
         orders = self.orders[list(sep_ids)]
         join = meet = None
         if self.has_universe():
-            jvals = self.join[np.ix_(idx, idx)]
-            mvals = self.meet[np.ix_(idx, idx)]
+            jvals, mvals = (T[np.ix_(idx, idx)] for T in (self.join, self.meet))
             if np.isin(jvals, idx).all() and np.isin(mvals, idx).all():
                 lut = np.full(self.n_oriented, -1, dtype=np.int64)
                 lut[list(idx)] = np.arange(len(idx))
@@ -384,7 +378,6 @@ def validate(system: SeparationSystem) -> ValidationReport:
     rep = ValidationReport()
     L = system.leq
     n2 = system.n_oriented
-    ids = np.arange(n2)
 
     if not np.all(np.isfinite(system.orders)):
         bad = np.flatnonzero(~np.isfinite(system.orders)).tolist()
@@ -405,8 +398,7 @@ def validate(system: SeparationSystem) -> ValidationReport:
                 rep.add("degenerate",
                         f"separation {sep_of(a)} has equal orientations "
                         "(pass allow_degenerate to admit)")
-            elif not (system.up[a] == system.up[b] and
-                      system.down[a] == system.down[b]):
+            elif (system.up[a], system.down[a]) != (system.up[b], system.down[b]):
                 rep.add("degenerate",
                         f"degenerate separation {sep_of(a)} has diverging rows")
     rep.checked["antisymmetry"] = "exhaustive"
@@ -423,7 +415,7 @@ def validate(system: SeparationSystem) -> ValidationReport:
     rep.checked["transitivity"] = "exhaustive"
 
     if n2:
-        perm = ids ^ 1
+        perm = np.arange(n2) ^ 1
         mirrored = L[np.ix_(perm, perm)].T
         if not np.array_equal(L, mirrored):
             a, b = map(int, np.argwhere(L != mirrored)[0])
@@ -464,43 +456,48 @@ def _validate_universe(system, rep):
     if not eq(inv[J], M[np.ix_(inv, inv)]):
         rep.add("universe", "involution does not swap join and meet")
     # order compatibility: a <= b iff a v b = b iff a ^ b = a
-    rows = np.arange(n2)[:, None]
     if not np.array_equal(L, canon[J] == canon[None, :]):
         rep.add("universe", "a <= b does not match join(a,b) == b")
     if not np.array_equal(L, canon[M] == canon[:, None]):
         rep.add("universe", "a <= b does not match meet(a,b) == a")
     # bounds
-    if not (L[rows, J].all() and L[M, rows].all()):
+    if not (np.take_along_axis(L, J, 1) & np.take_along_axis(L.T, M, 1)).all():
         rep.add("universe", "join not an upper bound or meet not a lower bound")
 
     if n2 <= LATTICE_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
-        for a in range(n2):
-            ub = L[a][None, :] & L  # ub[b, c]: c is a common upper bound of a, b
-            if not (~ub | L[J[a]]).all():
-                rep.add("universe", f"join({fmt_oriented(a)}, .) not least upper bound")
-                break
-            lb = L.T[a][None, :] & L.T  # lb[b, c]: c is a common lower bound of a, b
-            if not (~lb | L.T[M[a]]).all():
-                rep.add("universe", f"meet({fmt_oriented(a)}, .) not greatest lower bound")
-                break
-        if system.distributive:
-            # canonical ids of joins and meets, small enough to stay in cache
-            cJ, cM = (canon[T].astype(np.int16) for T in (J, M))
-            for a in range(n2):
-                # meet(a, join(b,c)) against join(meet(a,b), meet(a,c))
-                if not np.array_equal(cM[a].take(J),
-                                      cJ.take(M[a], 0).take(M[a], 1)):
-                    rep.add("distributivity",
-                            f"meet({fmt_oriented(a)}, join(b,c)) != "
-                            "join(meet(a,b), meet(a,c)) for some b, c")
-                    break
+        # a bit c of up[a] & up[b] & ~up[join(a, b)] is an upper bound of a
+        # and b not above their join; down and meet alike for lower bounds
+        U, D = words_of(system.up, n2), words_of(system.down, n2)
+        bad_join = (U[:, None] & U & ~U[J]).any(axis=(1, 2))
+        bad_meet = (D[:, None] & D & ~D[M]).any(axis=(1, 2))
+        bad = bad_join | bad_meet
+        if bad.any():
+            a = int(bad.argmax())
+            rep.add("universe", f"join({fmt_oriented(a)}, .) not least upper bound"
+                    if bad_join[a] else
+                    f"meet({fmt_oriented(a)}, .) not greatest lower bound")
+        if system.distributive and rep.issues:
+            rep.checked["distributivity"] = "skipped: not a lattice"
+        elif system.distributive:
             rep.checked["distributivity"] = mode
+            # Birkhoff: distributive iff each join-irreducible is join-prime; j
+            # is join-irreducible iff all strictly below j is one down-set
+            down, downs = system.down, set(system.down)
+            irr = mask_of(j for j in range(n2) if system._canon[j] == j
+                          and system._below[j] in downs)
+            Jd = words_of([d & irr for d in down], n2)
+            wrong = (Jd[J] != Jd[:, None] | Jd).any(2)
+            if wrong.any():
+                x, y = np.argwhere(wrong)[0].tolist()
+                j = (down[J[x, y]] & irr & ~(down[x] | down[y])).bit_length() - 1
+                a, b, c = map(fmt_oriented, (j, x, y))
+                rep.add("distributivity", f"meet({a}, join({b}, {c})) != "
+                        f"join(meet({a}, {b}), meet({a}, {c}))")
     else:
         mode = f"sampled(n={_SAMPLED_TRIPLES})"
         rng = np.random.default_rng(n2)
-        abc = rng.integers(0, n2, size=(_SAMPLED_TRIPLES, 3))
-        a, b, c = abc[:, 0], abc[:, 1], abc[:, 2]
+        a, b, c = rng.integers(0, n2, size=(_SAMPLED_TRIPLES, 3)).T
         if not np.array_equal(canon[J[J[a, b], c]], canon[J[a, J[b, c]]]):
             rep.add("universe", "join not associative on sampled triples")
         if not np.array_equal(canon[M[M[a, b], c]], canon[M[a, M[b, c]]]):
@@ -510,6 +507,13 @@ def _validate_universe(system, rep):
                 rep.add("distributivity", "fails on sampled triples")
             rep.checked["distributivity"] = mode
     rep.checked["universe"] = mode
+
+
+def words_of(masks, width: int) -> np.ndarray:
+    """``width``-bit masks as rows of little-endian 64-bit words."""
+    nbytes = 8 * max(1, -(-width // 64))
+    return np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                         dtype="<u8").reshape(len(masks), nbytes // 8)
 
 
 # -- JSON (format "sepsys/v1") -------------------------------------------------

@@ -234,6 +234,46 @@ def submodular_subsystems(universe, max_size):
     return out
 
 
+def lattice_times_chain(elements, covers, star, distributive=True):
+    """L x 2 with the involution (x, i) -> (x', 1 - i) and join and meet
+    tables found from the order.  ``covers`` are pairs x < y of L
+    generating its order; ``star`` maps x to x'."""
+    below = {(x, x) for x in elements} | set(covers)
+    while True:
+        more = {(x, z) for x, y in below for w, z in below if y == w} - below
+        if not more:
+            break
+        below |= more
+    points = []
+    for x in elements:
+        for i in (0, 1):
+            if (x, i) not in points:
+                points += [(x, i), (star[x], 1 - i)]
+    n2 = len(points)
+    L = np.array([[(p[0], q[0]) in below and p[1] <= q[1] for q in points]
+                  for p in points])
+
+    def least(bounds):
+        return next(c for c in bounds if all(L[c, d] for d in bounds))
+
+    join = [[least([c for c in range(n2) if L[a, c] and L[b, c]])
+             for b in range(n2)] for a in range(n2)]
+    # the involution reverses the order: meets are mirrored joins
+    meet = [[join[a ^ 1][b ^ 1] ^ 1 for b in range(n2)] for a in range(n2)]
+    return tf.SeparationSystem(L, [1.0] * (n2 // 2), join=join, meet=meet,
+                               distributive=distributive, check=False)
+
+
+# M3 and N5, the two smallest lattices that are not distributive, with
+# order-reversing involutions
+M3 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+      {"0": "1", "1": "0", "a": "a", "b": "b", "c": "c"})
+N5 = (["0", "a", "b", "c", "1"],
+      [("0", "a"), ("a", "b"), ("0", "c"), ("b", "1"), ("c", "1")],
+      {"0": "1", "1": "0", "a": "b", "b": "a", "c": "c"})
+
+
 @pytest.fixture(scope="session")
 def nested_pair():
     return nested_pair_system()

@@ -8,7 +8,7 @@ import pytest
 import tangleforge as tf
 from tangleforge.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, M3, lattice_times_chain
 
 
 def run(tmp_path, *argv):
@@ -84,6 +84,15 @@ def test_validate_names_the_broken_axiom(tmp_path):
     assert code == 2
     payload = json.loads(text)
     assert any(issue["axiom"] == "antisymmetry" for issue in payload["issues"])
+
+
+def test_validate_names_a_failed_lattice_law(tmp_path):
+    bad = tmp_path / "m3x2.json"
+    bad.write_text(tf.dump_system(lattice_times_chain(*M3)))
+    code, text = run(tmp_path, "validate", "--system", str(bad))
+    assert code == 2
+    payload = json.loads(text)
+    assert [issue["axiom"] for issue in payload["issues"]] == ["distributivity"]
 
 
 def test_validate_accepts_ground_inputs(tmp_path):

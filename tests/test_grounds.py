@@ -151,6 +151,25 @@ def test_lattice_tables_up_to_six_vertices_and_for_universes(two_k4):
     assert built.ground.pairs == universe.ground.pairs
 
 
+@pytest.mark.parametrize("width", [12, 20, 70])
+def test_subset_lattice_keys_of_every_width(width):
+    # the unions of four atoms spread over the width, repeated keys
+    # included: closed under union and intersection, the least id wins
+    atoms = [sum(1 << v for v in range(a, width, 4)) for a in range(4)]
+    keys = [sum(atoms[i] for i in range(4) if bits >> i & 1)
+            for bits in range(16)] + [atoms[0], 0]
+    leq, join, meet = tf.grounds._subset_lattice(keys, width, True)
+    ids = {}
+    for i, key in enumerate(keys):
+        ids.setdefault(key, i)
+    for a, x in enumerate(keys):
+        assert leq[a].tolist() == [x & ~y == 0 for y in keys]
+        assert join[a].tolist() == [ids[x | y] for y in keys]
+        assert meet[a].tolist() == [ids[x & y] for y in keys]
+    # without the top key, unions leave the keys: no tables
+    assert tf.grounds._subset_lattice(keys[:-3], width, True)[1] is None
+
+
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
 def test_block_tangle_correspondence_both_ways(n, k):
     for g in all_graphs_up_to_iso(n):

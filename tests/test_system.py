@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangleforge as tf
+from tangleforge import grounds
 from tangleforge.errors import InconsistentInput, ValidationError
 from tangleforge.oracle import all_consistent_orientations
-from tangleforge.system import (backward, forward, ids_of, inverse, mask_of,
+from tangleforge.system import (LATTICE_EXHAUSTIVE_LIMIT, backward,
+                               fmt_oriented, forward, ids_of, inverse, mask_of,
                                sep_of, validate)
 
-from conftest import (antichain_system, random_relation_system,
-                      random_subset_system)
+from conftest import (FIXTURES, M3, N5, all_graphs_up_to_iso,
+                      antichain_system, lattice_times_chain,
+                      random_relation_system, random_subset_system,
+                      submodular_subsystems, two_cluster_similarity)
 
 
 def all_subsets(ids):
@@ -77,6 +81,166 @@ def test_validate_report_carries_all_failures():
     report = validate(sysb)
     codes = {i.code for i in report.issues}
     assert "antisymmetry" in codes and "order-function" in codes
+
+
+# -- lattice laws against the cubic loops ----------------------------------------
+
+
+def looped_least_bounds(system):
+    """The detail of the first element whose joins or meets miss a common
+    bound, checked bound by bound; None when there is none."""
+    L, J, M = system.leq, system.join, system.meet
+    for a in system.all_oriented():
+        ub = L[a][None, :] & L  # ub[b, c]: c is a common upper bound of a, b
+        if not (~ub | L[J[a]]).all():
+            return f"join({fmt_oriented(a)}, .) not least upper bound"
+        lb = L.T[a][None, :] & L.T  # lb[b, c]: c is a common lower bound of a, b
+        if not (~lb | L.T[M[a]]).all():
+            return f"meet({fmt_oriented(a)}, .) not greatest lower bound"
+    return None
+
+
+def looped_distributive(system):
+    """meet(a, join(b, c)) == join(meet(a, b), meet(a, c)) on every triple,
+    compared as canonical ids."""
+    canon = np.array(system._canon)
+    J, M = system.join, system.meet
+    cJ, cM = canon[J], canon[M]
+    return all(np.array_equal(cM[a].take(J), cJ.take(M[a], 0).take(M[a], 1))
+               for a in system.all_oriented())
+
+
+def assert_laws_match_the_loops(system):
+    report = validate(system)
+    looped = looped_least_bounds(system)
+    bounds = [(i.code, i.detail) for i in report.issues
+              if i.detail.endswith(("least upper bound", "greatest lower bound"))]
+    assert bounds == ([("universe", looped)] if looped else [])
+    others = [i for i in report.issues if i.code != "distributivity"]
+    if not system.distributive:
+        assert "distributivity" not in report.checked
+    elif others:
+        assert report.checked["distributivity"] == "skipped: not a lattice"
+        assert report.issues == others
+    else:
+        assert report.checked["distributivity"] == "exhaustive"
+        assert report.ok == looped_distributive(system)
+        assert [i.code for i in report.issues] in ([], ["distributivity"])
+    return report
+
+
+def _with_tables(system, join, meet):
+    return tf.SeparationSystem(system.leq, system.orders, join=join, meet=meet,
+                               distributive=system.distributive,
+                               allow_degenerate=system.allow_degenerate,
+                               check=False)
+
+
+def planted_wrong(system, seed):
+    """One join and one meet entry each set to another element, and the
+    join of an incomparable pair raised to a larger upper bound, its meet
+    mirrored through the involution: at most three systems."""
+    rng = np.random.default_rng(seed)
+    n2 = system.n_oriented
+    out = []
+    for table in ("join", "meet"):
+        tables = {"join": system.join.copy(), "meet": system.meet.copy()}
+        a, b = (int(x) for x in rng.integers(0, n2, size=2))
+        others = [c for c in range(n2)
+                  if system.canon(c) != system.canon(tables[table][a, b])]
+        if others:
+            tables[table][a, b] = others[rng.integers(len(others))]
+            out.append(_with_tables(system, **tables))
+    L, J = system.leq, system.join
+    for a in range(n2):
+        for b in range(a + 1, n2):
+            above = [c for c in range(n2)
+                     if L[J[a, b], c] and system.canon(c) != system.canon(J[a, b])]
+            if not (L[a, b] or L[b, a]) and above:
+                join, meet = system.join.copy(), system.meet.copy()
+                join[a, b] = join[b, a] = above[0]
+                meet[a ^ 1, b ^ 1] = meet[b ^ 1, a ^ 1] = above[0] ^ 1
+                return out + [_with_tables(system, join, meet)]
+    return out
+
+
+def fixture_universes():
+    """Every system with tables that the fixtures and the conftest
+    generators make, and every graph universe of at most four vertices and
+    of the 5-cycle (these hold the degenerate (V, V))."""
+    sim = grounds.load_similarity_csv((FIXTURES / "six_similarity.csv").read_text())
+    k4 = tf.Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u)])
+    c5 = tf.Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
+    out = {
+        "six_cluster": tf.bipartition_system(tf.full_bipartition_ground(
+            6, similarity=two_cluster_similarity())),
+        "six_similarity.csv": tf.bipartition_system(
+            tf.full_bipartition_ground(len(sim), similarity=sim)),
+        "k4_k5": tf.graph_system(k4, 5),
+        "c5": tf.graph_universe(c5),
+        "6-vertex_k7": tf.graph_system(tf.Graph.from_edges(
+            6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (2, 3)]), 7),
+    }
+    for points in range(1, 6):
+        universe = tf.bipartition_system(tf.full_bipartition_ground(points))
+        out[f"bipartitions_{points}"] = universe
+    for i, sub in enumerate(submodular_subsystems(out["bipartitions_3"], 3)):
+        if sub.has_universe():
+            out[f"bipartitions_3_sub{i}"] = sub
+    for n in range(1, 5):
+        for i, g in enumerate(all_graphs_up_to_iso(n)):
+            out[f"graph{n}_{i}"] = tf.graph_universe(g)
+    return out
+
+
+UNIVERSES = fixture_universes()
+
+
+@pytest.mark.parametrize("name", sorted(UNIVERSES))
+def test_lattice_laws_match_the_cubic_loops(name):
+    system = UNIVERSES[name]
+    assert system.has_universe() and system.n_oriented <= LATTICE_EXHAUSTIVE_LIMIT
+    assert assert_laws_match_the_loops(system).ok
+    for i, wrong in enumerate(planted_wrong(system, len(name))):
+        assert not assert_laws_match_the_loops(wrong).ok, i
+
+
+def test_the_reference_universes_hold_degenerate_separations():
+    degenerate = [name for name, system in UNIVERSES.items()
+                  if any(system.is_degenerate(s) for s in system.seps())]
+    assert "c5" in degenerate and "graph4_0" in degenerate
+
+
+@pytest.mark.parametrize("lattice", [M3, N5], ids=["M3x2", "N5x2"])
+def test_non_distributive_lattices_fail_only_distributivity(lattice):
+    system = lattice_times_chain(*lattice)
+    report = assert_laws_match_the_loops(system)
+    assert [i.code for i in report.issues] == ["distributivity"]
+    # an involutive lattice all the same
+    assert validate(lattice_times_chain(*lattice, distributive=False)).ok
+
+
+def test_a_join_entry_raised_above_the_join_is_not_least():
+    system = tf.bipartition_system(tf.full_bipartition_ground(3))
+    *_, raised = planted_wrong(system, 0)
+    report = validate(raised)
+    assert [i.code for i in report.issues] == ["universe"]
+    assert report.issues[0].detail.endswith("not least upper bound")
+    assert report.checked["distributivity"] == "skipped: not a lattice"
+
+
+def test_sampled_mode_finds_a_non_associative_join():
+    system = tf.bipartition_system(tf.full_bipartition_ground(9))
+    assert system.n_oriented > LATTICE_EXHAUSTIVE_LIMIT
+    # incomparable pairs join to the top: commutative, an upper bound, and
+    # not associative, since a v (b v c) stays below the top for b <= c
+    L, join = system.leq, system.join.copy()
+    top = int(np.flatnonzero(L.all(axis=0))[0])
+    join[~(L | L.T)] = top
+    report = validate(_with_tables(system, join, system.meet))
+    assert report.checked["universe"] == "sampled(n=20000)"
+    assert ("universe", "join not associative on sampled triples") in \
+        [(i.code, i.detail) for i in report.issues]
 
 
 # -- element predicates ------------------------------------------------------
