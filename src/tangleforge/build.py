@@ -41,10 +41,9 @@ def build(system: SeparationSystem, family: ForbiddenFamily) -> StructureTree:
         v = pending.popleft()
         if leaf_class(tree, v, family).kind != "unresolved":
             continue
-        beta = tree.beta(v)
-        candidates = system.open_separations(beta)
+        candidates = system.open_separations(tree.closure(v))
         if not candidates:
-            blockers = [o for o in ids_of(beta) if system.is_cotrivial(o)]
+            blockers = [o for o in ids_of(tree.beta(v)) if system.is_cotrivial(o)]
             if blockers:
                 raise NonStandardFamily(
                     f"leaf cannot resolve: co-trivial label "

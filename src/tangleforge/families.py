@@ -1,7 +1,8 @@
 """Forbidden-set families as witness-producing membership oracles.
 
 A family never materializes its members: it answers "does this set contain a
-member, and show one".  Witness choice is deterministic (lexicographically
+member" (``holds_member``), and "show one" (``forbidden_subset``) only when
+a witness is read.  Witness choice is deterministic (lexicographically
 least by sorted oriented-id sequence) so golden files stay stable.
 
 Each family states what a member is with ``is_member``, the definition the
@@ -53,8 +54,8 @@ class ForbiddenFamily:
     """Base class: bound to a system, queried with masks of oriented ids.
 
     Subclasses define ``is_member`` and ``_extends`` on the bound system's
-    canonical ids; ``forbidden_subset`` and ``extends_member`` translate the
-    caller's mask and ask ``_search`` and ``_extends``.
+    canonical ids; the public queries translate the caller's mask and ask
+    ``_search`` and ``_extends``.
     """
 
     kind = "abstract"
@@ -148,6 +149,10 @@ class ForbiddenFamily:
         return Witness(frozenset(ids if back == hit else ids_of(back)),
                        self.kind, self.evidence(ids))
 
+    def holds_member(self, system: SeparationSystem, mask: int) -> bool:
+        """Does the set ``mask`` contain a member?  No witness is built."""
+        return self._answer(self._ids_into(system, mask)) is not None
+
     def critical_labels(self, system: SeparationSystem, mask: int) -> int:
         """The labels of ``mask`` whose removal leaves no member; ``mask``
         must hold a member."""
@@ -160,7 +165,10 @@ class ForbiddenFamily:
                              self._ids_into(system, 1 << new).bit_length() - 1)
 
     def to_json_dict(self):
-        return {"format": "family/v1", "kind": self.kind}
+        """The family/v1 object: its kind, and the parameter of kinds with one."""
+        field = PARAMETERS.get(self.kind)
+        return {"format": "family/v1", "kind": self.kind,
+                **({field: getattr(self, field)} if field else {})}
 
 
 class EmptyFamily(ForbiddenFamily):
@@ -208,11 +216,8 @@ class ExplicitFamily(ForbiddenFamily):
         return any(k >> x & 1 and not k & ~ws for k in self.members)
 
     def to_json_dict(self):
-        return {
-            "format": "family/v1",
-            "kind": "explicit",
-            "explicit_members": sorted(ids_of(k) for k in self.members),
-        }
+        return {**super().to_json_dict(),
+                "explicit_members": sorted(ids_of(k) for k in self.members)}
 
 
 def _meet(sides, members, out: int) -> int:
@@ -278,9 +283,6 @@ class BlocksFamily(ForbiddenFamily):
             after &= self._big[o]
         return out
 
-    def to_json_dict(self):
-        return {"format": "family/v1", "kind": "blocks", "k": self.k}
-
 
 class ClusterFamily(ForbiddenFamily):
     """Triples of sides (repetition allowed) agreeing on fewer than n points."""
@@ -314,9 +316,6 @@ class ClusterFamily(ForbiddenFamily):
                 if (sxy & sz).bit_count() < self.n:
                     return True
         return False
-
-    def to_json_dict(self):
-        return {"format": "family/v1", "kind": "cluster", "n": self.n}
 
 
 class ProfileFamily(ForbiddenFamily):
@@ -370,9 +369,6 @@ class ProfileFamily(ForbiddenFamily):
                     return True
         return False
 
-    def to_json_dict(self):
-        return {"format": "family/v1", "kind": "profile"}
-
 
 class StrongProfileFamily(ProfileFamily):
     """Pairs with any element below the join of their inverses."""
@@ -412,9 +408,6 @@ class StrongProfileFamily(ProfileFamily):
                 if above_x >> row[inverse(z)] & 1:
                     return True
         return False
-
-    def to_json_dict(self):
-        return {"format": "family/v1", "kind": "strong_profile"}
 
 
 class GraphTangleFamily(ForbiddenFamily):
@@ -458,9 +451,6 @@ class GraphTangleFamily(ForbiddenFamily):
                 if self._covers((x, y, z)):
                     return True
         return False
-
-    def to_json_dict(self):
-        return {"format": "family/v1", "kind": "graph_tangle"}
 
 
 # -- constructors -----------------------------------------------------------
@@ -591,9 +581,9 @@ def is_rich(family: ForbiddenFamily, system: SeparationSystem, budget=None):
     bad = []
     for tau in all_consistent_orientations(system, budget):
         m = mask_of(tau)
-        if family.forbidden_subset(system, m) is None:
+        if not family.holds_member(system, m):
             continue
         survivors = m & ~system.eclipsed_elements(m, weak=True)
-        if family.forbidden_subset(system, survivors) is None:
+        if not family.holds_member(system, survivors):
             bad.append(tau)
     return (not bad, bad)

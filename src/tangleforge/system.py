@@ -303,10 +303,9 @@ class SeparationSystem:
         """Elements of the set with nothing of the set strictly below them."""
         return mask_of(x for x in ids_of(mask) if not self._below[x] & mask)
 
-    def open_separations(self, mask: int) -> list[int]:
-        """Separations the closure of the set leaves unoriented, cheapest
-        first, ties broken by id."""
-        closure = self._closure_mask(mask)
+    def open_separations(self, closure: int) -> list[int]:
+        """Separations the closure mask ``closure`` leaves unoriented,
+        cheapest first, ties broken by id."""
         oriented = (closure | closure >> 1) & self._even
         return [s for s in self._by_order if not oriented >> forward(s) & 1]
 
@@ -627,7 +626,8 @@ def parse_json(text: str, what: str):
 
 def dump_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=1)`` without the pure-Python
-    encoder: a join per container and per row of ``type(v) is int`` ints."""
+    encoder: a join per container, one %-format per table of rows of
+    ``type(v) is int`` ints."""
     def text(x, nl: str) -> str:
         t, inner = type(x), nl + " "
         if t is str:
@@ -641,8 +641,10 @@ def dump_json(value) -> str:
             elif types == {list} and all(x) and \
                     set(map(type, chain.from_iterable(x))) == {int}:
                 row, sep = inner + " ", "," + inner + " "
-                items = ["[" + row + sep.join(map(int.__repr__, r)) + inner + "]"
-                         for r in x]
+                cell = {n: "[" + row + sep.join(["%d"] * n) + inner + "]"
+                        for n in set(map(len, x))}  # one per row length
+                return ("[" + inner + ("," + inner).join([cell[len(r)] for r in x])
+                        + nl + "]") % tuple(chain.from_iterable(x))
             else:
                 items = [text(v, inner) for v in x]
             return "[" + inner + ("," + inner).join(items) + nl + "]"

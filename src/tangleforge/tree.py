@@ -11,7 +11,8 @@ to a lower order threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (LeafHasNoSep, MalformedTree, NotAStructureTree,
@@ -32,35 +33,41 @@ class Check(NamedTuple):
         return self.ok
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeafClass:
-    """Classification of a leaf: tangle, forbidden, or neither yet."""
+    """Classification of a leaf: tangle, forbidden, or neither yet.  A
+    forbidden leaf's witness is found on first read."""
 
     kind: str  # "tangle" | "forbidden" | "unresolved"
     tangle: frozenset | None = None
-    witness: Witness | None = None
+    found: tuple | None = field(default=None, repr=False)  # family, system, mask
+
+    @cached_property
+    def witness(self) -> Witness | None:
+        return self.found and self.found[0].forbidden_subset(*self.found[1:])
+
+    def __eq__(self, other):
+        if not isinstance(other, LeafClass):
+            return NotImplemented
+        return (self.kind, self.tangle, self.witness) == \
+            (other.kind, other.tangle, other.witness)
 
 
 class StructureTree:
     """Rooted tree, immutable once built; every non-root node stores its
-    incoming label, and every node the mask of the labels on its root path."""
+    incoming label.  A node's values (see ``_node``) derive from its
+    parent's on first read, so a copy pays nothing for them until asked."""
 
-    __slots__ = ("system", "root", "_parent", "_children", "_label", "_beta",
+    __slots__ = ("system", "root", "_parent", "_children", "_label", "_state",
                  "_classes", "_next")
 
-    def __init__(self, system, root, parent, children, label):
+    def __init__(self, system, root, parent, children, label, state=None):
         self.system = system
         self.root = root
         self._parent = dict(parent)
         self._children = {v: tuple(c) for v, c in children.items()}
         self._label = dict(label)
-        self._beta = {root: 0}  # each node's mask is its parent's plus its label
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for c in self._children[v]:
-                self._beta[c] = self._beta[v] | 1 << self._label[c]
-                stack.append(c)
+        self._state = {root: (0, 0, 0, False)} if state is None else state
         # id(family) -> (family, leaf classes); holding the family keeps
         # its id from being reused while the entry lives
         self._classes: dict[int, tuple] = {}
@@ -118,9 +125,35 @@ class StructureTree:
         """u lies on the root path of v (reflexively)."""
         return u in self.path_from_root(v)
 
+    def _node(self, v) -> tuple[int, int, int, bool]:
+        """v's label mask, closure mask, away-union and co-trivial flag,
+        each its parent's plus one label, derived down on first read."""
+        state, path = self._state, []
+        while v not in state:
+            path.append(v)
+            v = self._parent[v]
+        node, system = state[v], self.system
+        for u in reversed(path):
+            beta, closure, away, cotrivial = node
+            o = self._label[u]
+            node = state[u] = (beta | 1 << o, closure | system._requires[o],
+                               away | system._away[o],
+                               cotrivial or system.is_cotrivial(o))
+        return node
+
     def beta(self, v) -> int:
         """Mask of the edge labels on the path from the root to v."""
-        return self._beta[v]
+        return (self._state.get(v) or self._node(v))[0]
+
+    def closure(self, v) -> int:
+        """Mask of the closure of v's labels."""
+        return self._node(v)[1]
+
+    def consistency(self, v) -> tuple[bool, bool]:
+        """Are v's labels, and is their closure, consistent?  (README,
+        "Node values", says why the away-union decides both.)"""
+        beta, closure, away, cotrivial = self._node(v)
+        return not away & beta, not (away & closure or cotrivial)
 
     def s_of(self, v) -> int:
         """The separation split at a non-leaf."""
@@ -135,7 +168,7 @@ class StructureTree:
         """Attach children labelled with the orientations of s, forward
         first, to a copy of the tree; returns (copy, child_ids)."""
         tree = StructureTree(self.system, self.root, self._parent,
-                             self._children, self._label)
+                             self._children, self._label, dict(self._state))
         return tree, tree._split(v, s)
 
     def _split(self, v, s) -> tuple[int, ...]:
@@ -153,7 +186,6 @@ class StructureTree:
             self._parent[c] = v
             self._children[c] = ()
             self._label[c] = o
-            self._beta[c] = self._beta[v] | 1 << o
         return kids
 
     def contracted(self, v, w) -> "StructureTree":
@@ -170,8 +202,12 @@ class StructureTree:
         label[w] = self._label[v]  # None when v is the root
         if gp is not None:
             children[gp] = tuple(w if c == v else c for c in self._children[gp])
+        state = dict(self._state)  # the values of v's subtree change
+        for u in self.descendants(v):
+            state.pop(u, None)
+        state[w] = self._node(v)  # w takes v's place
         return StructureTree(self.system, w if gp is None else self.root,
-                             parent, children, label)
+                             parent, children, label, state)
 
     def relabelled(self, system, label_map, keep_nodes) -> "StructureTree":
         keep = set(keep_nodes)
@@ -193,16 +229,14 @@ def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
     a forbidden leaf's own label set contains a member.  Returning a third
     state instead of raising lets construction use this as its loop test.
     """
-    beta = tree.beta(leaf)
     system = tree.system
-    if system.is_consistent(beta):
-        closure = system._closure_mask(beta)
-        if system.orients_all(closure) and system.is_consistent(closure) \
-                and family.forbidden_subset(system, closure) is None:
-            return LeafClass("tangle", tangle=frozenset(ids_of(closure)))
-    witness = family.forbidden_subset(system, beta)
-    if witness is not None:
-        return LeafClass("forbidden", witness=witness)
+    closure = tree.closure(leaf)
+    if all(tree.consistency(leaf)) and system.orients_all(closure) and \
+            not family.holds_member(system, closure):
+        return LeafClass("tangle", tangle=frozenset(ids_of(closure)))
+    beta = tree.beta(leaf)
+    if family.holds_member(system, beta):
+        return LeafClass("forbidden", found=(family, system, beta))
     return LeafClass("unresolved")
 
 
@@ -272,12 +306,10 @@ def is_separation_tree(tree) -> Check:
 
 
 def is_consistent_tree(tree) -> Check:
-    """No label points away from one above it; pointing away is symmetric."""
-    system = tree.system
+    """No two labels on a root path point away from each other."""
     for v in tree.nodes():
-        u = tree.parent(v)
-        if u is not None and system._away[tree.label(v)] & tree.beta(u):
-            x, y = system.inconsistent_pair(tree.beta(v))
+        if not tree.consistency(v)[0]:
+            x, y = tree.system.inconsistent_pair(tree.beta(v))
             return Check(False, f"labels {fmt_oriented(x)}, {fmt_oriented(y)} "
                                 f"on the path to {v} point away from each other")
     return Check(True)
@@ -297,7 +329,7 @@ def is_thoroughly_ordered(tree) -> Check:
     system = tree.system
     for v in tree.non_leaves():
         s = tree.s_of(v)
-        unoriented = system.open_separations(tree.beta(v))
+        unoriented = system.open_separations(tree.closure(v))
         if s not in unoriented:
             return Check(False, f"split separation {s} at node {v} is already "
                                 "oriented by the closure of the path labels")
@@ -314,7 +346,7 @@ def is_efficient(tree) -> Check:
     for leaf in tree.leaves():
         beta = tree.beta(leaf)
         eclipsed = system.eclipsed_elements(
-            system._closure_mask(beta) | beta, weak=False) & beta
+            tree.closure(leaf) | beta, weak=False) & beta
         if eclipsed:
             return Check(False, f"label {fmt_oriented(ids_of(eclipsed)[0])} "
                                 f"at leaf {leaf} is eclipsed")
@@ -329,7 +361,7 @@ def is_structure_tree(tree, family) -> Check:
     if not cons:
         return cons
     for v in tree.non_leaves():
-        if family.forbidden_subset(tree.system, tree.beta(v)) is not None:
+        if family.holds_member(tree.system, tree.beta(v)):
             return Check(False, f"inner node {v} has a forbidden label set")
     for leaf in tree.leaves():
         if leaf_class(tree, leaf, family).kind == "unresolved":

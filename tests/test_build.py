@@ -20,7 +20,7 @@ from conftest import (FIXTURES, antichain_system, grid_graph,
                       load_nonrich_fixture, random_relation_system,
                       random_subset_system, redundant_split_family,
                       redundant_split_system, standardized_explicit,
-                      tree_shape, trivial_top_system)
+                      tree_shape, trivial_top_system, two_cluster_similarity)
 
 
 # -- build -------------------------------------------------------------------
@@ -336,7 +336,8 @@ def grown_by_split_leaf(system, family):
         v = min(pending)
         pending.remove(v)
         if tf.classify_leaf(tree, v, family).kind == "unresolved":
-            candidates = system.open_separations(tree.beta(v))
+            candidates = system.open_separations(
+                system._closure_mask(tree.beta(v)))
             if candidates:
                 tree, kids = tree.split_leaf(v, candidates[0])
                 pending += kids
@@ -432,17 +433,18 @@ def test_one_pipeline_classifies_each_leaf_of_each_tree_once(two_k4,
 
 def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
     # A forbidden leaf's needs come from one critical_labels call; reduce
-    # asks forbidden_subset only to classify the leaves a contraction makes.
+    # asks member queries only to classify the leaves a contraction makes.
     build_module = sys.modules["tangleforge.build"]
     system = tf.graph_system(grid_graph(3, 3), 3)
     fam = tf.make_blocks(3, system)
     tree = tf.build(system, fam)
     stack, calls = [], Counter()
-    query = type(fam).forbidden_subset
 
-    def counting_query(self, caller, mask):
-        calls[stack[-1] if stack else None] += 1
-        return query(self, caller, mask)
+    def counting(query):
+        def run(self, caller, mask):
+            calls[stack[-1] if stack else None] += 1
+            return query(self, caller, mask)
+        return run
 
     def inside(name, fn):
         def run(*args):
@@ -453,7 +455,8 @@ def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
                 stack.pop()
         return run
 
-    monkeypatch.setattr(type(fam), "forbidden_subset", counting_query)
+    for name in ("holds_member", "forbidden_subset"):
+        monkeypatch.setattr(type(fam), name, counting(getattr(type(fam), name)))
     monkeypatch.setattr(tf.tree, "classify_leaf",
                         inside("classify_leaf", tf.tree.classify_leaf))
     monkeypatch.setattr(build_module, "leaf_needs",
@@ -461,6 +464,53 @@ def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
     _, trace = tf.reduce(tree, fam)
     assert trace.steps and calls["classify_leaf"]
     assert calls["leaf_needs"] == 0
+
+
+@pytest.fixture
+def witnesses_made(monkeypatch):
+    """The witnesses constructed while the fixture lives, in order."""
+    families = sys.modules["tangleforge.families"]
+    witness, made = families.Witness, []
+
+    def counting(*args):
+        made.append(witness(*args))
+        return made[-1]
+
+    monkeypatch.setattr(families, "Witness", counting)
+    return made
+
+
+def _blocks_and_cluster_instances():
+    grid = tf.graph_system(grid_graph(3, 3), 3)
+    six = tf.bipartition_system(tf.full_bipartition_ground(
+        6, similarity=two_cluster_similarity()))
+    return [pytest.param(grid, tf.make_blocks(3, grid), id="grid3x3/blocks3"),
+            pytest.param(six, tf.make_cluster(3, six), id="six/cluster3")]
+
+
+@pytest.mark.parametrize("system, fam", _blocks_and_cluster_instances())
+def test_build_and_reduce_construct_no_witness(system, fam, witnesses_made):
+    reduced, trace = tf.reduce(tf.build(system, fam), fam)
+    assert trace.steps and not witnesses_made
+    forbidden = [leaf for leaf, cls in tf.tree.classify_all(reduced, fam).items()
+                 if cls.kind == "forbidden"]
+    assert forbidden and not witnesses_made  # classes carry no witness
+    certs = tf.certificates_of(reduced, fam)
+    # one witness per forbidden leaf, built on read and kept with the class
+    assert [w for _, w in certs] == witnesses_made
+    assert len(witnesses_made) == len(forbidden)
+    tf.certificates_of(reduced, fam)
+    assert len(witnesses_made) == len(forbidden)
+
+
+@pytest.mark.parametrize("system, fam", _blocks_and_cluster_instances())
+def test_a_pipeline_constructs_the_witnesses_of_its_certificates(
+        system, fam, witnesses_made):
+    report = tf.pipeline(system, fam)
+    # the level trees' certificates first, as pipeline() reads them
+    certs = [c for lv in report.levels for c in lv.certificates]
+    certs += report.certificates
+    assert certs and [w for _, w in certs] == witnesses_made
 
 
 def test_report_json_is_deterministic_and_wellformed(k4):

@@ -505,18 +505,21 @@ def test_one_pipeline_scans_each_bound_set_once(system, make, monkeypatch):
     fam = make(system)
     cls = type(fam)
     scans, queries = [], []
-    search, query = cls._search, cls.forbidden_subset
+    search = cls._search
 
     def counting_search(self, work):
         scans.append(work)
         return search(self, work)
 
-    def counting_query(self, caller, mask):
-        queries.append(mask)
-        return query(self, caller, mask)
+    def counting(query):
+        def run(self, caller, mask):
+            queries.append(mask)
+            return query(self, caller, mask)
+        return run
 
     monkeypatch.setattr(cls, "_search", counting_search)
-    monkeypatch.setattr(cls, "forbidden_subset", counting_query)
+    for name in ("holds_member", "forbidden_subset"):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
     tf.pipeline(system, fam)
     assert len(scans) == len(set(scans)) == len(fam._answers)
     assert len(scans) < len(queries)  # one scan per query without the memo

@@ -61,6 +61,19 @@ def test_dump_json_spells_edge_cases_as_the_stdlib(value):
 
 
 @pytest.mark.parametrize("value", [
+    [[0, 1, 2], [3, 4, 5]],  # rectangular: one format for the table
+    [[7]], [[1, 2], [3], [4, 5, 6]], [[1], [2, 3]],  # ragged
+    [[1, 2], []], [[], [1, 2]], [[], []],  # an empty row
+    [[1, True], [2, 3]], [[False, 0], [1, 1]], [[True], [False]],  # bools
+    [[-1, -2], [0, -(2 ** 63)]], [[-5], [5]],  # negative
+    [[2 ** 64, 1], [-(2 ** 70), 10 ** 30]], [[2 ** 200]],  # beyond 64 bits
+    {"leq": [[0, 2], [1, 3]], "join": [[0, 1], [1, 1]]},
+])
+def test_integer_tables_are_spelled_as_the_stdlib(value):
+    assert dump_json(value) == _stdlib(value)
+
+
+@pytest.mark.parametrize("value", [
     {1: "a", 2: [3]}, {"x": {True: 1, False: 2}}, [{1.5: "b"}], {"z": [{2: [0]}]},
 ])
 def test_values_the_writer_leaves_to_json_keep_its_bytes(value):

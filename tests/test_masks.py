@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangleforge as tf
+from tangleforge.grounds import load_answers_csv, load_similarity_csv
 from tangleforge.system import from_json_dict, ids_of, mask_of, to_json_dict
 
-from conftest import (all_graphs_up_to_iso, antichain_system,
+from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
+                      load_nonrich_fixture, nested_pair_system,
                       random_relation_system, random_subset_system,
+                      redundant_split_system, trivial_top_system,
                       two_cluster_similarity)
 
 
@@ -97,9 +100,22 @@ def assert_mask_operations_match(system, rng, samples=12):
         for weak in (False, True):
             assert system.eclipsed_elements(m, weak) == \
                 mask_of(eclipsed_elements(system, members, weak))
-        assert system.open_separations(m) == open_separations(system, members)
+        assert system.open_separations(system._closure_mask(m)) == \
+            open_separations(system, members)
     tau = frozenset(2 * s + int(rng.integers(0, 2)) for s in system.seps())
     assert system.orients_all(mask_of(tau)) and orients_all(system, tau)
+    assert_cotrivial_identity(system)
+
+
+def assert_cotrivial_identity(system):
+    # What a tree node's closure verdict rests on: the union of ``_away``
+    # over the closure of {o} is ``_away[o]``, plus o itself exactly when o
+    # is co-trivial (its inverse trivial, read cell by cell).
+    for o in system.all_oriented():
+        union = 0
+        for x in ids_of(system._requires[o]):
+            union |= system._away[x]
+        assert union == system._away[o] | is_trivial(system, o ^ 1) << o, o
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5))
@@ -136,6 +152,23 @@ def test_numpy_integer_ids_beyond_64_bits():
     assert ids_of(system.minimal_elements(ids)) == [3, 70, 71]
     assert system.inconsistent_pair(ids) is None
     assert not system.orients_all(ids)
+
+
+def test_cotrivial_identity_on_the_fixture_and_named_systems(k4, p5, two_k4):
+    systems = [nested_pair_system(), antichain_system(3),
+               redundant_split_system(), trivial_top_system(),
+               load_nonrich_fixture()[0], *_graph_and_subset_systems(k4)]
+    for g in (k4, p5):  # up to k > |V|, with the degenerate (V, V)
+        systems += [tf.graph_system(g, k) for k in range(1, g.n + 2)]
+    systems += [tf.graph_system(two_k4, k) for k in (1, 2, 3)]
+    sim = load_similarity_csv((FIXTURES / "six_similarity.csv").read_text())
+    systems += [tf.bipartition_system(tf.full_bipartition_ground(6, similarity=sim)),
+                tf.questionnaire_system(load_answers_csv(
+                    (FIXTURES / "mindsets.csv").read_text()))]
+    assert any(s.is_degenerate(r) for s in systems for r in s.seps())
+    assert any(s.is_cotrivial(o) for s in systems for o in s.all_oriented())
+    for system in systems:
+        assert_cotrivial_identity(system)
 
 
 def _graph_and_subset_systems(k4):

@@ -200,14 +200,20 @@ def test_tangles_requires_a_structure_tree(nested_pair):
 
 
 class CountingFamily:
-    """A family that records every set it is asked about."""
+    """A family that records every set it is asked about: ``asked`` whether
+    it holds a member, ``witnessed`` for the member itself."""
 
     def __init__(self, family):
         self.family = family
         self.asked = []
+        self.witnessed = []
+
+    def holds_member(self, system, members):
+        self.asked.append(members)
+        return self.family.holds_member(system, members)
 
     def forbidden_subset(self, system, members):
-        self.asked.append(members)
+        self.witnessed.append(members)
         return self.family.forbidden_subset(system, members)
 
     def __getattr__(self, name):
@@ -228,6 +234,7 @@ def test_a_classified_tree_makes_no_leaf_query_again(first, two_k4):
         leaf_sets = set(betas) | {tree.system.closure(b) for b in betas
                                   if tree.system.is_consistent(b)}
         fam.asked.clear()
+        fam.witnessed.clear()
         first(tree, fam)
         # the first reader classifies a tree not yet classified
         assert bool(leaf_sets & set(fam.asked)) is not classified
@@ -235,6 +242,8 @@ def test_a_classified_tree_makes_no_leaf_query_again(first, two_k4):
         for again in CLASS_READERS:
             again(tree, fam)
         assert not leaf_sets & set(fam.asked)
+        # a witness is built on its first read and kept with its class
+        assert len(fam.witnessed) == len(set(fam.witnessed))
 
 
 def test_leaf_classes_are_kept_per_family(two_k4):
@@ -530,6 +539,49 @@ def test_edge_rules_match_the_walks_on_built_reduced_and_restricted_trees(
     assert contractions >= 100 and levels >= 200  # the pool reaches them
 
 
+def assert_node_values_match_the_system(tree, order):
+    """Each node's derived values, read in ``order``, against the system's
+    own set methods on its label mask."""
+    system = tree.system
+    for v in order:
+        beta = tree.beta(v)
+        closure = system._closure_mask(beta)
+        away = 0
+        for o in ids_of(beta):
+            away |= system._away[o]
+        assert tree._node(v)[1:3] == (tree.closure(v), away) == (closure, away)
+        consistent = system.is_consistent(beta)
+        assert consistent == (system.inconsistent_pair(beta) is None)
+        assert tree.consistency(v) == (consistent, system.is_consistent(closure))
+        if consistent:
+            assert closure == system.closure(beta)
+
+
+def test_node_values_match_the_system_on_built_reduced_and_restricted_trees(
+        ladder_pool):
+    contractions = levels = 0
+    for system, fam in ladder_pool:
+        tree = tf.build(system, fam)
+        assert_node_values_match_the_system(tree, tree.nodes())
+        if tf.is_structure_tree(tree, fam):
+            _, trace = tf.reduce(tree, fam)
+            step_tree = tree
+            for step in trace.steps:  # values kept outside v's subtree
+                step_tree = step_tree.contracted(*step)
+                assert_node_values_match_the_system(step_tree,
+                                                    step_tree.nodes())
+            contractions += len(trace.steps)
+            # a loaded tree knows only its root; contract before any read
+            loaded = trace.replay(tf.tree_from_json_dict(
+                tf.tree_to_json_dict(tree), system))
+            assert_node_values_match_the_system(loaded, loaded.nodes()[::-1])
+        for k in sorted({system.order(s) for s in system.seps()}):
+            level = tf.restrict(tree, k)  # deepest first: from the root down
+            assert_node_values_match_the_system(level, level.nodes()[::-1])
+            levels += 1
+    assert contractions >= 100 and levels >= 200  # the pool reaches them
+
+
 def test_level_f_tree_is_an_empty_tangle_list(ladder_pool):
     for system, fam in ladder_pool[::3]:
         for lv in tf.pipeline(system, fam).levels:
@@ -598,6 +650,13 @@ def test_edge_rules_match_the_walks_on_hand_made_trees(name):
     assert_ladder_matches_the_walks(hand_made_trees()[name])
 
 
+@pytest.mark.parametrize("name", sorted(hand_made_trees()))
+def test_node_values_match_the_system_on_hand_made_trees(name):
+    # inconsistent paths, repeated separations and the degenerate odd id
+    tree = hand_made_trees()[name]
+    assert_node_values_match_the_system(tree, tree.nodes()[::-1])
+
+
 def test_hand_made_trees_break_the_rules_they_are_made_to_break():
     trees = hand_made_trees()
     for name in ("split-twice", "degenerate-both-ids", "degenerate-twice"):
@@ -630,5 +689,6 @@ def test_edge_rules_match_the_walks_on_random_labellings(seed, ladder_pool):
                 nodes.append(w)
     children = {v: tuple(sorted(w for w, p in parent.items() if p == v))
                 for v in parent}
-    assert_ladder_matches_the_walks(
-        tr.StructureTree(system, 0, parent, children, label))
+    tree = tr.StructureTree(system, 0, parent, children, label)
+    assert_ladder_matches_the_walks(tree)
+    assert_node_values_match_the_system(tree, tree.nodes())
