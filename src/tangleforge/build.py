@@ -17,7 +17,7 @@ from .families import ForbiddenFamily
 from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
                      mask_of, to_json_dict)
 from .tree import (StructureTree, classify_all, is_structure_tree, leaf_class,
-                   restrict, tangles, tree_to_json_dict)
+                   restrict, tangles, tree_nodes_to_json_dict)
 
 
 MAX_TREE_NODES = 1_000_000  # n separations allow 2^(n+1) - 1 nodes
@@ -220,24 +220,26 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
 
 
 def report_to_json_dict(report: PipelineReport) -> dict:
-    """Canonical JSON for a pipeline run (format "report/v1")."""
+    """Canonical JSON for a pipeline run (format "report/v2"): the system
+    once, and trees without ``system_ref``, the one of a level entry over
+    ``system.restrict_below(k)``."""
     def level_entry(lv: LevelReport):
         return {
             "k": lv.k,
-            "tree": tree_to_json_dict(lv.reduced if lv.reduced is not None
-                                      else lv.tree),
+            "tree": tree_nodes_to_json_dict(lv.reduced if lv.reduced is not None
+                                            else lv.tree),
             "structure_ok": lv.structure_ok,
             "tangles": [tangle_entry(lv.tree.system, t) for t in lv.tangles],
             "f_tree": lv.f_tree,
             "certificates": [certificate_entry(*c) for c in lv.certificates],
         }
 
-    top = to_json_dict(report.system)  # the system of both top-level trees
     return {
-        "format": "report/v1",
+        "format": "report/v2",
+        "system": to_json_dict(report.system),
         "family": report.family.to_json_dict(),
-        "tree_full": tree_to_json_dict(report.tree_full, top),
-        "tree_reduced": tree_to_json_dict(report.tree_reduced, top),
+        "tree_full": tree_nodes_to_json_dict(report.tree_full),
+        "tree_reduced": tree_nodes_to_json_dict(report.tree_reduced),
         "reduction_steps": [list(s) for s in report.trace.steps],
         "tangles": [tangle_entry(report.system, t) for t in report.tangles],
         "certificates": [certificate_entry(*c) for c in report.certificates],

@@ -187,25 +187,18 @@ def cmd_certify(args) -> int:
     level = sys_obj.restrict_below(args.levels[0] if args.levels else math.inf)
     t = build_tree(level, fam)
     ts = tree_mod.tangles(t, fam)
+    payload = {"level": args.k[0] if args.k else "inf", "tangle_exists": bool(ts)}
     if ts:
-        payload = {
-            "level": args.k[0] if args.k else "inf",
-            "tangle_exists": True,
-            "tangles": [tangle_entry(level, tau) for tau in ts],
-        }
+        payload["tangles"] = [tangle_entry(level, tau) for tau in ts]
         _write(args, _dump(payload))
         return 0
     reduced, _ = reduce_tree(t, fam)
     if args.format == "dot":
         _write(args, tree_mod.to_dot(reduced, fam))
     else:
-        payload = {
-            "level": args.k[0] if args.k else "inf",
-            "tangle_exists": False,
-            "certificate_tree": tree_mod.tree_to_json_dict(reduced),
-            "certificates": [certificate_entry(*c)
-                             for c in certificates_of(reduced, fam)],
-        }
+        payload["certificate_tree"] = tree_mod.tree_to_json_dict(reduced)
+        payload["certificates"] = [certificate_entry(*c)
+                                   for c in certificates_of(reduced, fam)]
         _write(args, _dump(payload))
     return 1
 

@@ -345,7 +345,7 @@ class SeparationSystem:
             leq, orders, join=join, meet=meet,
             distributive=self.distributive and join is not None,
             ground=ground, parent=self, back_map=sep_ids,
-            allow_degenerate=self.allow_degenerate, check=False)
+            allow_degenerate=any(map(self.is_degenerate, sep_ids)), check=False)
 
     def restrict_below(self, k: float) -> "SeparationSystem":
         """Subsystem of all separations of order strictly below ``k``."""

@@ -406,29 +406,27 @@ def restrict(tree, k: float) -> StructureTree:
 # -- JSON (format "tree/v1") and DOT export -------------------------------------
 
 
-def tree_to_json_dict(tree, system_ref: dict | None = None) -> dict:
-    """The tree/v1 object; ``system_ref`` is its system's sepsys/v1 object."""
-    return {
-        "format": "tree/v1",
-        "root": tree.root,
-        "nodes": [{"id": v,
-                   "parent": tree.parent(v),
-                   "edge_label": tree.label(v)}
-                  for v in tree.nodes()],
-        "system_ref": system_ref or to_json_dict(tree.system),
-    }
+def tree_nodes_to_json_dict(tree) -> dict:
+    """The tree/v1 object without ``system_ref``, as a report/v2 holds it."""
+    return {"format": "tree/v1", "root": tree.root,
+            "nodes": [{"id": v, "parent": tree.parent(v), "edge_label": tree.label(v)}
+                      for v in tree.nodes()]}
+
+
+def tree_to_json_dict(tree) -> dict:
+    """The standalone tree/v1 object, its system inlined as ``system_ref``."""
+    return {**tree_nodes_to_json_dict(tree), "system_ref": to_json_dict(tree.system)}
 
 
 def tree_from_json_dict(d, system=None) -> StructureTree:
-    """Load a tree/v1 object: node ids unique, every node reachable from the
-    root, and every non-root node labelled with an oriented id of the
-    system."""
+    """Load a tree/v1 object over ``system``, by default its ``system_ref``
+    (which a tree in a report/v2 lacks): node ids unique, every node
+    reachable from the root, and every non-root label an oriented id."""
     if expect_object(d, "tree/v1 tree").get("format") != "tree/v1":
         raise ValidationError(f"unsupported tree format {d.get('format')!r}")
-    if system is None:
-        system = from_json_dict(d.get("system_ref"))
     parent, label = {}, {}
     try:
+        ref = d["system_ref"] if system is None else None
         for nd in d["nodes"]:
             v = expect_int(nd["id"], "tree/v1 node id")
             if v in parent:
@@ -441,6 +439,8 @@ def tree_from_json_dict(d, system=None) -> StructureTree:
         raise ValidationError(f"tree/v1 tree lacks the field {exc}") from None
     except TypeError as exc:
         raise ValidationError(f"tree/v1 node or root malformed: {exc}") from None
+    if system is None:
+        system = from_json_dict(expect_object(ref, "tree/v1 'system_ref'"))
     if root not in parent or parent[root] is not None:
         raise ValidationError("root must be a node without parent")
     if label[root] is not None:

@@ -520,8 +520,8 @@ def test_report_json_is_deterministic_and_wellformed(k4):
     b = dump_report(tf.pipeline(s3, fam))
     assert a == b
     d = json.loads(a)
-    assert d["format"] == "report/v1"
-    assert {"tree_full", "tree_reduced", "tangles", "certificates",
+    assert d["format"] == "report/v2"
+    assert {"system", "tree_full", "tree_reduced", "tangles", "certificates",
             "per_k"} <= d.keys()
 
 

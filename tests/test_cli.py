@@ -17,13 +17,20 @@ def run(tmp_path, *argv):
     return code, (out.read_text() if out.exists() else "")
 
 
+def standalone(report_text, name):
+    """A top-level tree of a report/v2, with the report's system added as
+    its ``system_ref``."""
+    report = json.loads(report_text)
+    return {**report[name], "system_ref": report["system"]}
+
+
 def test_build_k4_reports_one_tangle(tmp_path):
     code, text = run(tmp_path, "build",
                      "--graph", str(FIXTURES / "k4.edges"),
                      "--family", "blocks:3")
     assert code == 0
     report = json.loads(text)
-    assert report["format"] == "report/v1"
+    assert report["format"] == "report/v2"
     assert len(report["tangles"]) == 1
     assert not any(level["f_tree"] for level in report["per_k"])
 
@@ -177,9 +184,8 @@ def test_restrict_reduce_round_trip_through_files(tmp_path):
     code, text = run(tmp_path, "build",
                      "--graph", str(FIXTURES / "k4.edges"),
                      "--family", "blocks:3")
-    tree_json = json.loads(text)["tree_full"]
     tree_path = tmp_path / "tree.json"
-    tree_path.write_text(json.dumps(tree_json, sort_keys=True))
+    tree_path.write_text(json.dumps(standalone(text, "tree_full"), sort_keys=True))
 
     code, text = run(tmp_path, "restrict", "--tree", str(tree_path), "--k", "2")
     assert code == 0
@@ -199,8 +205,7 @@ def test_loaded_tree_passes_the_same_predicates(tmp_path):
     code, text = run(tmp_path, "build",
                      "--graph", str(FIXTURES / "k4.edges"),
                      "--family", "blocks:3")
-    tree_json = json.loads(text)["tree_full"]
-    t = tf.tree.tree_from_json_dict(tree_json)
+    t = tf.tree.tree_from_json_dict(standalone(text, "tree_full"))
     fam = tf.make_blocks(3, t.system)
     assert tf.is_separation_tree(t)
     assert tf.is_thoroughly_ordered(t)
@@ -212,7 +217,7 @@ def test_export_dot(tmp_path):
                      "--graph", str(FIXTURES / "k4.edges"),
                      "--family", "blocks:3")
     tree_path = tmp_path / "tree.json"
-    tree_path.write_text(json.dumps(json.loads(text)["tree_reduced"],
+    tree_path.write_text(json.dumps(standalone(text, "tree_reduced"),
                                     sort_keys=True))
     code, text = run(tmp_path, "export-dot", "--tree", str(tree_path),
                      "--family", "blocks:3")
@@ -253,8 +258,31 @@ def test_restrict_requires_a_threshold(tmp_path):
                      "--graph", str(FIXTURES / "k4.edges"),
                      "--family", "blocks:3")
     tree_path = tmp_path / "tree.json"
-    tree_path.write_text(json.dumps(json.loads(text)["tree_full"]))
+    tree_path.write_text(json.dumps(standalone(text, "tree_full")))
     assert main(["restrict", "--tree", str(tree_path)]) == 2
+
+
+@pytest.mark.parametrize("command", [["restrict", "--k", "2"],
+                                     ["reduce", "--family", "blocks:3"],
+                                     ["export-dot", "--family", "blocks:3"]],
+                         ids=lambda argv: argv[0])
+def test_a_tree_cut_from_a_report_needs_a_system_ref(command, tmp_path, capsys):
+    code, text = run(tmp_path, "build", "--graph", str(FIXTURES / "k4.edges"),
+                     "--family", "blocks:3")
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(json.loads(text)["per_k"][-1]["tree"]))
+    code, _ = run(tmp_path, *command, "--tree", str(tree_path))
+    assert code == 2
+    assert "lacks the field 'system_ref'" in capsys.readouterr().err
+
+
+def test_certify_below_the_vertex_count_writes_no_degenerate_flag(tmp_path):
+    # blocks:5 on k4 admits the degenerate (V, V) of order 4; below k = 3
+    # the certificate tree's system holds no degenerate separation
+    code, text = run(tmp_path, "certify", "--graph", str(FIXTURES / "k4.edges"),
+                     "--family", "blocks:5", "--k", "3")
+    assert code == 1
+    assert "allow_degenerate" not in json.loads(text)["certificate_tree"]["system_ref"]
 
 
 
@@ -425,6 +453,10 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                  "node 2 has no edge label", id="non-root-without-label"),
     pytest.param(RESTRICT, "tree.json", tree_text(*SPLIT, (1, 0, 1)),
                  "tree/v1 node 1 appears twice", id="duplicate-node-id"),
+    pytest.param(RESTRICT, "tree.json",
+                 json.dumps({**json.loads(tree_text()), "system_ref": None}),
+                 "tree/v1 'system_ref' must be a JSON object, got NoneType",
+                 id="system-ref-null"),
     pytest.param(["TANGLE_FORGE_BUDGET=abc", "oracle", "--graph", K4,
                   "--family", "blocks:3"], None, None,
                  "TANGLE_FORGE_BUDGET must be an integer, got 'abc'",

@@ -430,6 +430,20 @@ def test_restrict_below_edges(nested_pair):
     assert only_r.count == 1 and only_r.back_map == (0,)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_a_restriction_admits_degenerate_separations_only_when_it_keeps_one(n):
+    # with k > |V| a graph system holds the degenerate (V, V), of order |V|
+    for g in all_graphs_up_to_iso(n):
+        system = tf.graph_system(g, n + 2)
+        assert system.allow_degenerate
+        for k in (n - 1, n, n + 0.5, n + 2, float("inf")):
+            sub = system.restrict_below(k)
+            kept = any(sub.is_degenerate(s) for s in sub.seps())
+            assert kept == (k > n)
+            assert sub.allow_degenerate == kept
+            assert ("allow_degenerate" in tf.to_json_dict(sub)) == kept
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_restriction_composes_to_the_minimum_threshold(seed):
     system = random_subset_system(seed, n_seps=5)
