@@ -8,8 +8,7 @@ plus a brute-force oracle used as independent ground truth in the tests.
 """
 
 from .build import (PipelineReport, ReductionTrace, build, certificates_of,
-                    leaf_needs, necessary_for_leaf, necessary_node, pipeline,
-                    reduce, report_to_json_dict)
+                    leaf_needs, pipeline, reduce, report_to_json_dict)
 from .families import (BlocksFamily, ClusterFamily, EmptyFamily,
                        ExplicitFamily, ForbiddenFamily, GraphTangleFamily,
                        ProfileFamily, StrongProfileFamily, Witness,

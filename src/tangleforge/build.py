@@ -72,18 +72,6 @@ def leaf_needs(tree, family, leaf: int) -> int:
     raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
 
 
-def necessary_for_leaf(tree, family, o: int, leaf: int) -> bool:
-    """Is the oriented separation needed to keep this leaf classified?"""
-    return bool(leaf_needs(tree, family, leaf) >> o & 1)
-
-
-def necessary_node(tree, family, v: int) -> bool:
-    """Every child edge label is needed by some leaf behind it."""
-    return all(any(leaf_needs(tree, family, leaf) >> tree.label(w) & 1
-                   for leaf in tree.descendants(w) if tree.is_leaf(leaf))
-               for w in tree.children(v))
-
-
 def _dispensable_edge(tree, family, needs) -> tuple[int, int] | None:
     """The edge (v, w), deepest v, then least v, then first w, whose label
     the needs folded up from the leaves below w lack.  ``needs`` keeps a
@@ -144,7 +132,8 @@ def reduce(tree: StructureTree, family: ForbiddenFamily):
 
 @dataclass
 class LevelReport:
-    """One order threshold: the restricted tree and what it displays."""
+    """One order threshold: the restricted tree and what it displays, in
+    the ids of the report's system (the tree's system is a view of it)."""
 
     k: float
     tree: StructureTree
@@ -174,14 +163,20 @@ def certificates_of(tree, family):
 
 
 def tangle_entry(system: SeparationSystem, tangle) -> dict:
-    """Output form of a tangle: its members and its minimal elements."""
-    return {"members": sorted(tangle),
-            "minimal": ids_of(system.minimal_elements(mask_of(tangle)))}
+    """Output form of a tangle: its members and its minimal elements, in
+    the local ids of a view."""
+    local = system.local
+    return {"members": [local(o) for o in sorted(tangle)],
+            "minimal": [local(o) for o in
+                        ids_of(system.minimal_elements(mask_of(tangle)))]}
 
 
-def certificate_entry(leaf: int, witness) -> dict:
-    """Output form of a forbidden leaf and the member it contains."""
-    return {"leaf": leaf, "witness": witness.to_json_dict()}
+def certificate_entry(system: SeparationSystem, leaf: int, witness) -> dict:
+    """Output form of a forbidden leaf and the member it contains, its
+    members in the local ids of a view."""
+    out = witness.to_json_dict()
+    out["members"] = [system.local(o) for o in out["members"]]
+    return {"leaf": leaf, "witness": out}
 
 
 def pipeline(system: SeparationSystem, family: ForbiddenFamily,
@@ -189,7 +184,8 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
     """Build, reduce, and restrict to every order threshold.
 
     Restrictions are always taken from the unreduced tree (reduction can
-    hide lower-order tangles) and reduced afterwards, each independently.
+    hide lower-order tangles) and reduced afterwards, each independently,
+    over a view of the system (``restrict``): no level builds a system.
     Default thresholds are the distinct order values of the system.
     """
     tree_full = build(system, family)
@@ -221,17 +217,21 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
 
 def report_to_json_dict(report: PipelineReport) -> dict:
     """Canonical JSON for a pipeline run (format "report/v2"): the system
-    once, and trees without ``system_ref``, the one of a level entry over
-    ``system.restrict_below(k)``."""
+    once, and trees without ``system_ref``.  A level entry is written over
+    ``system.restrict_below(k)``: its tree labels, tangles and witness
+    members in that system's ids, which ``local`` gives for the view its
+    level holds (witness evidence stays in the family's ids)."""
     def level_entry(lv: LevelReport):
+        level = lv.tree.system
         return {
             "k": lv.k,
             "tree": tree_nodes_to_json_dict(lv.reduced if lv.reduced is not None
                                             else lv.tree),
             "structure_ok": lv.structure_ok,
-            "tangles": [tangle_entry(lv.tree.system, t) for t in lv.tangles],
+            "tangles": [tangle_entry(level, t) for t in lv.tangles],
             "f_tree": lv.f_tree,
-            "certificates": [certificate_entry(*c) for c in lv.certificates],
+            "certificates": [certificate_entry(level, *c)
+                             for c in lv.certificates],
         }
 
     return {
@@ -242,7 +242,8 @@ def report_to_json_dict(report: PipelineReport) -> dict:
         "tree_reduced": tree_nodes_to_json_dict(report.tree_reduced),
         "reduction_steps": [list(s) for s in report.trace.steps],
         "tangles": [tangle_entry(report.system, t) for t in report.tangles],
-        "certificates": [certificate_entry(*c) for c in report.certificates],
+        "certificates": [certificate_entry(report.system, *c)
+                         for c in report.certificates],
         "per_k": [level_entry(lv) for lv in report.levels],
     }
 

@@ -197,7 +197,7 @@ def cmd_certify(args) -> int:
         _write(args, tree_mod.to_dot(reduced, fam))
     else:
         payload["certificate_tree"] = tree_mod.tree_to_json_dict(reduced)
-        payload["certificates"] = [certificate_entry(*c)
+        payload["certificates"] = [certificate_entry(level, *c)
                                    for c in certificates_of(reduced, fam)]
         _write(args, _dump(payload))
     return 1

@@ -21,6 +21,10 @@ class GroundMismatch(TangleForgeError):
     """A partial orientation comes from a system the family is not bound to."""
 
 
+class SystemIsAView(TangleForgeError):
+    """A check over every id of a system was given a view of one."""
+
+
 class MissingCapability(TangleForgeError):
     """The system lacks structure (lattice ops, ground data) the caller needs."""
 

@@ -54,8 +54,9 @@ class ForbiddenFamily:
     """Base class: bound to a system, queried with masks of oriented ids.
 
     Subclasses define ``is_member`` and ``_extends`` on the bound system's
-    canonical ids; the public queries translate the caller's mask and ask
-    ``_search`` and ``_extends``.
+    canonical ids; the public queries translate the caller's mask, unless
+    the caller is the bound system or a view of it, and ask ``_search``
+    and ``_extends``.
     """
 
     kind = "abstract"
@@ -69,7 +70,7 @@ class ForbiddenFamily:
 
     def _ids_into(self, system: SeparationSystem, mask: int) -> int:
         """The caller's mask in the bound system's ids."""
-        if self.system is None or system is self.system:
+        if self.system is None or system.base is self.system:
             return mask
         up = system.oriented_into(self.system)
         return sum(1 << up[x] for x in ids_of(mask))
@@ -132,7 +133,7 @@ class ForbiddenFamily:
 
     def _ids_back(self, system: SeparationSystem, mask: int, hit: int) -> int:
         """The caller's ids in ``mask`` whose bound ids lie in ``hit``."""
-        if self.system is None or system is self.system:
+        if self.system is None or system.base is self.system:
             return hit
         up = system.oriented_into(self.system)
         return mask_of(x for x in ids_of(mask) if hit >> up[x] & 1)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, SystemIsAView
 from .families import EmptyFamily
 from .system import SeparationSystem, inverse, mask_of
 
@@ -31,6 +31,9 @@ class OracleBudget:
 
 
 def _check_budget(system, budget):
+    if system.base is not system:
+        raise SystemIsAView("the oracle takes a whole system, such as a "
+                            "view's restrict_below, not the view")
     b = budget or OracleBudget()
     if system.count > b.max_separations:
         raise BudgetExceeded(

@@ -19,15 +19,16 @@ arrays for the vectorised checks and the JSON form.
 from __future__ import annotations
 
 import json
+from copy import copy
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, takewhile
 from json.encoder import encode_basestring_ascii
 from operator import index
 
 import numpy as np
 
 from .errors import (BudgetExceeded, GroundMismatch, InconsistentInput,
-                     ValidationError)
+                     SystemIsAView, ValidationError)
 
 # Above this many oriented elements, the cubic lattice-law checks switch from
 # exhaustive to deterministic sampling (the report says which one ran).
@@ -123,13 +124,21 @@ class SeparationSystem:
     distributive : claim that the lattice is distributive (validated).
     ground : optional realization payload (graph side pairs, subset sides)
         used by concrete forbidden families.
-    parent, back_map : when this system was carved out of another one,
-        ``back_map[s]`` is the parent's unoriented id for local id ``s``.
+    parent, back_map : when this system was carved out of another one
+        (``subsystem``, ``restrict_below``), ``back_map[s]`` is the parent's
+        unoriented id for local id ``s``.
     allow_degenerate : admit separations whose two orientations coincide
         (both ids then alias one element; rejected by default).
 
     ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
     below ``a`` (``a`` included), derived from ``leq`` at construction.
+
+    ``view_below`` gives a view instead of a carved system: its ``base``
+    (a system is its own ``base``) with only the ids in the mask ``live``
+    present.  A view keeps the base's ids, and with them its ``count``,
+    tables, ``parent`` and ``back_map``; only its per-element masks are
+    masked.  ``seps()`` and ``all_oriented()`` list its live ids, and
+    ``local`` maps them to those of the carved ``restrict_below``.
     """
 
     def __init__(self, leq, orders, *, join=None, meet=None, distributive=False,
@@ -153,6 +162,7 @@ class SeparationSystem:
         self.parent = parent
         self.back_map = None if back_map is None else tuple(back_map)
         self.allow_degenerate = bool(allow_degenerate)
+        self.base, self.live = self, (1 << n2) - 1
         for table in (self.leq, self.orders, self.join, self.meet):
             if table is not None:
                 table.setflags(write=False)
@@ -188,10 +198,15 @@ class SeparationSystem:
         return 2 * self.count
 
     def all_oriented(self):
-        return range(self.n_oriented)
+        return range(self.n_oriented) if self.base is self else ids_of(self.live)
 
     def seps(self):
-        return range(self.count)
+        return range(self.count) if self.base is self else \
+            [o >> 1 for o in ids_of(self._even)]
+
+    def local(self, o: int) -> int:
+        """The id of the live id ``o`` in the system a view stands for."""
+        return (self.live & ((1 << o) - 1)).bit_count()
 
     def has_universe(self) -> bool:
         return self.join is not None and self.meet is not None
@@ -224,9 +239,6 @@ class SeparationSystem:
             return (forward(s),)
         return (forward(s), backward(s))
 
-    def injective_orders(self) -> bool:
-        return len(set(self.orders.tolist())) == self.count
-
     # -- element predicates ------------------------------------------------
 
     def is_small(self, o: int) -> bool:
@@ -242,12 +254,6 @@ class SeparationSystem:
 
     def trivial_orienteds(self) -> list[int]:
         return [o for o in self.all_oriented() if self.is_trivial(o)]
-
-    def points_towards(self, o: int, s: int) -> bool:
-        return bool(self.down[o] >> forward(s) & 3)
-
-    def points_away(self, o: int, s: int) -> bool:
-        return self.points_towards(inverse(o), s)
 
     def is_nested(self, r: int, s: int) -> bool:
         if r == s:
@@ -285,19 +291,6 @@ class SeparationSystem:
                 f"closure of inconsistent set: {fmt_oriented(pair[0])} and "
                 f"{fmt_oriented(pair[1])} point away from each other")
         return self._closure_mask(mask)
-
-    def is_star(self, mask: int) -> bool:
-        if mask & self._degenerate:
-            return False
-        for x in ids_of(mask):
-            # Later elements y of other separations need y* <= x, that is
-            # x* <= y; both orientations of one separation are admissible
-            # only when one of them is small (they are comparable).
-            pair = 3 << (x & ~1)
-            allowed = self.up[x ^ 1] & ~pair | (self.up[x] | self.down[x]) & pair
-            if mask & -(2 << x) & ~allowed:
-                return False
-        return True
 
     def minimal_elements(self, mask: int) -> int:
         """Elements of the set with nothing of the set strictly below them."""
@@ -352,11 +345,28 @@ class SeparationSystem:
         keep = [s for s in self.seps() if self.orders[s] < k]
         return self.subsystem(keep)
 
+    def view_below(self, k: float) -> "SeparationSystem":
+        """``restrict_below(k)`` as a view: the base with the separations
+        of order below ``k`` live, each per-element mask the base's ANDed
+        with the live mask.  The order is induced, so every mask query is
+        the carved system's in the base's ids."""
+        base = self.base
+        keep = list(takewhile(lambda s: self.orders[s] < k, self._by_order))
+        view = copy(base)
+        view.live = live = sum(3 << 2 * s for s in keep)
+        view.up, view.down, view._below, view._requires, view._away = (
+            tuple(map(live.__and__, masks)) for masks in
+            (base.up, base.down, base._below, base._requires, base._away))
+        view._even, view._degenerate = base._even & live, base._degenerate & live
+        view._by_order = keep
+        return view
+
     def oriented_into(self, ancestor: "SeparationSystem") -> tuple[int, ...]:
         """Map of local oriented ids into an ancestor system's oriented ids,
-        computed once per ancestor."""
-        if ancestor is self:
-            return tuple(self.all_oriented())
+        computed once per ancestor; systems of one base share their ids."""
+        ancestor = ancestor.base
+        if ancestor is self.base:
+            return tuple(range(self.n_oriented))
         # keyed by id: a cached ancestor lies on the parent chain, so it
         # lives as long as this system does
         if id(ancestor) not in self._into:
@@ -374,6 +384,8 @@ class SeparationSystem:
 
 def validate(system: SeparationSystem) -> ValidationReport:
     """Check every structural axiom; the report carries all violations found."""
+    if system.base is not system:
+        raise SystemIsAView("validate a view's base, or its restrict_below")
     rep = ValidationReport()
     L = system.leq
     n2 = system.n_oriented
@@ -519,7 +531,10 @@ def words_of(masks, width: int) -> np.ndarray:
 
 
 def to_json_dict(system: SeparationSystem) -> dict:
-    """Canonical JSON form; reflexive pairs omitted, keys sorted on dump."""
+    """Canonical JSON form; reflexive pairs omitted, keys sorted on dump.  A
+    view is written as the system it stands for, in its local ids."""
+    if system.base is not system:
+        system = system.subsystem(system.seps())
     strict = system.leq & ~np.eye(system.n_oriented, dtype=bool)
     out = {
         "format": "sepsys/v1",

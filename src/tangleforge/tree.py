@@ -104,15 +104,6 @@ class StructureTree:
     def non_leaves(self) -> list[int]:
         return [v for v in self.nodes() if not self.is_leaf(v)]
 
-    def depth(self, v) -> int:
-        return len(self.path_from_root(v)) - 1
-
-    def path_from_root(self, v) -> list[int]:
-        out = [v]
-        while self._parent[out[-1]] is not None:
-            out.append(self._parent[out[-1]])
-        return out[::-1]
-
     def descendants(self, v) -> list[int]:
         out, stack = [], [v]
         while stack:
@@ -120,10 +111,6 @@ class StructureTree:
             out.append(u)
             stack.extend(self._children[u])
         return sorted(out)
-
-    def is_ancestor(self, u, v) -> bool:
-        """u lies on the root path of v (reflexively)."""
-        return u in self.path_from_root(v)
 
     def _node(self, v) -> tuple[int, int, int, bool]:
         """v's label mask, closure mask, away-union and co-trivial flag,
@@ -164,15 +151,9 @@ class StructureTree:
 
     # -- structural edits (persistent) ----------------------------------------
 
-    def split_leaf(self, v, s):
-        """Attach children labelled with the orientations of s, forward
-        first, to a copy of the tree; returns (copy, child_ids)."""
-        tree = StructureTree(self.system, self.root, self._parent,
-                             self._children, self._label, dict(self._state))
-        return tree, tree._split(v, s)
-
     def _split(self, v, s) -> tuple[int, ...]:
-        """``split_leaf`` in place, for a tree no one else holds yet.
+        """Attach children labelled with the orientations of s, forward
+        first, to the leaf v; in place, for a tree no one else holds yet.
 
         Leaf classes stay valid: a class depends only on the label set, and
         a split node is no longer asked for as a leaf."""
@@ -208,15 +189,6 @@ class StructureTree:
         state[w] = self._node(v)  # w takes v's place
         return StructureTree(self.system, w if gp is None else self.root,
                              parent, children, label, state)
-
-    def relabelled(self, system, label_map, keep_nodes) -> "StructureTree":
-        keep = set(keep_nodes)
-        parent = {u: p for u, p in self._parent.items() if u in keep}
-        children = {u: tuple(c for c in cs if c in keep)
-                    for u, cs in self._children.items() if u in keep}
-        label = {u: (None if self._label[u] is None else label_map[self._label[u]])
-                 for u in keep}
-        return StructureTree(system, self.root, parent, children, label)
 
 
 # -- derived data -----------------------------------------------------------
@@ -384,37 +356,39 @@ def is_f_tree(tree, family) -> Check:
 
 
 def restrict(tree, k: float) -> StructureTree:
-    """The subtree of edges below order k, over the correspondingly
-    restricted system; node identities are preserved."""
+    """The subtree of edges below order k, over the system's
+    ``view_below(k)``: node ids and labels are kept."""
     ok = is_ordered(tree)
     if not ok:
         raise NotOrdered(ok.why)
-    sub = tree.system.restrict_below(k)
-    label_map = {old: new
-                 for new, old in enumerate(sub.oriented_into(tree.system))}
-    keep = []
+    view = tree.system.view_below(k)
+    parent, children, label = {}, {}, {}
     stack = [tree.root]
     while stack:
         v = stack.pop()
-        keep.append(v)
-        for c in tree.children(v):
-            if tree.system.order_of(tree.label(c)) < k:
-                stack.append(c)
-    return tree.relabelled(sub, label_map, keep)
+        parent[v], label[v] = tree.parent(v), tree.label(v)
+        children[v] = tuple(c for c in tree.children(v)
+                            if view.live >> tree.label(c) & 1)
+        stack.extend(children[v])
+    return StructureTree(view, tree.root, parent, children, label)
 
 
 # -- JSON (format "tree/v1") and DOT export -------------------------------------
 
 
 def tree_nodes_to_json_dict(tree) -> dict:
-    """The tree/v1 object without ``system_ref``, as a report/v2 holds it."""
+    """The tree/v1 object without ``system_ref``, as a report/v2 holds it;
+    a tree over a view has its labels in the view's local ids."""
+    local = tree.system.local
     return {"format": "tree/v1", "root": tree.root,
-            "nodes": [{"id": v, "parent": tree.parent(v), "edge_label": tree.label(v)}
+            "nodes": [{"id": v, "parent": tree.parent(v),
+                       "edge_label": None if v == tree.root else local(tree.label(v))}
                       for v in tree.nodes()]}
 
 
 def tree_to_json_dict(tree) -> dict:
-    """The standalone tree/v1 object, its system inlined as ``system_ref``."""
+    """The standalone tree/v1 object, its system inlined as ``system_ref``
+    (for a tree over a view, the system the view stands for)."""
     return {**tree_nodes_to_json_dict(tree), "system_ref": to_json_dict(tree.system)}
 
 

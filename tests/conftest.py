@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import tangleforge as tf
+import tangleforge.tree as tr
 from tangleforge.system import inverse
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -60,6 +61,19 @@ def trivial_top_system():
     for a, b in strict:
         leq[a, b] = True
     return tf.SeparationSystem(leq, [1.0, 2.0])
+
+
+def degenerate_pair_system():
+    """A degenerate separation 0 of order 1 between the orientations of
+    separation 1, of order 2: 3 <= 0 = 1 <= 2."""
+    leq = np.eye(4, dtype=bool)
+    for a, b in [(0, 1), (1, 0), (0, 2), (1, 2), (3, 0), (3, 1)]:
+        leq[a, b] = True
+    prev = None
+    while prev is None or not np.array_equal(prev, leq):
+        prev = leq
+        leq = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
+    return tf.SeparationSystem(leq, [1.0, 2.0], allow_degenerate=True)
 
 
 def load_nonrich_fixture():
@@ -205,11 +219,133 @@ def tree_shape(tree):
             {v: (tree.parent(v), tree.label(v)) for v in tree.nodes()})
 
 
+def materialised(system):
+    """The carved system a view stands for: ``restrict_below(k)`` of its
+    base for a view ``view_below(k)``; a system stands for itself."""
+    return system if system.base is system else \
+        system.base.subsystem(system.seps())
+
+
 def original_labels(tree, ancestor):
-    """Node -> oriented id in the ancestor system, for comparing restrictions."""
-    up = tree.system.oriented_into(ancestor)
-    return {v: (None if tree.label(v) is None else up[tree.label(v)])
+    """Node -> oriented id in the ancestor system, for comparing
+    restrictions: each label read through ``local`` in the carved system
+    its view stands for, and mapped up from there."""
+    system = tree.system
+    up = materialised(system).oriented_into(ancestor)
+    return {v: (None if tree.label(v) is None else up[system.local(tree.label(v))])
             for v in tree.nodes()}
+
+
+def local_tangles(system, found):
+    """Sorted tangles, each in the local ids of the view ``system``."""
+    return sorted(sorted(map(system.local, t)) for t in found)
+
+
+def restrict_relabelled(tree, k):
+    """The subtree of edges below order k over ``restrict_below(k)``, its
+    labels carried into that system's ids: the carving restriction that
+    ``restrict``'s views stand in for, kept as their reference."""
+    sub = tree.system.restrict_below(k)
+    label_map = {old: new
+                 for new, old in enumerate(sub.oriented_into(tree.system))}
+    keep, stack = set(), [tree.root]
+    while stack:
+        v = stack.pop()
+        keep.add(v)
+        stack += [c for c in tree.children(v)
+                  if tree.system.order_of(tree.label(c)) < k]
+    return tr.StructureTree(
+        sub, tree.root, {v: tree.parent(v) for v in keep},
+        {v: [c for c in tree.children(v) if c in keep] for v in keep},
+        {v: None if tree.label(v) is None else label_map[tree.label(v)]
+         for v in keep})
+
+
+def local_mask(system, mask):
+    """A mask of a view's ids in the local ids of the system it stands for."""
+    return sum(1 << system.local(o) for o in tf.system.ids_of(mask))
+
+
+def assert_level_matches_carved(tree_full, level, family):
+    """A pipeline level, whose tree is a view tree, read through ``local``
+    against ``restrict_relabelled`` of the full tree: node by node, its
+    label mask, closure, consistency and leaf class; then its structure
+    check, tangles, critical labels, reduction steps and the level's
+    stored tangles and certificates."""
+    ref = restrict_relabelled(tree_full, level.k)
+    tree, view = level.tree, level.tree.system
+    assert view.base is tree_full.system.base
+    assert (tree.root, tree.nodes()) == (ref.root, ref.nodes())
+    for v in ref.nodes():
+        assert tree.parent(v) == ref.parent(v)
+        assert v == tree.root or view.local(tree.label(v)) == ref.label(v)
+        assert local_mask(view, tree.beta(v)) == ref.beta(v)
+        assert local_mask(view, tree.closure(v)) == ref.closure(v)
+        assert tree.consistency(v) == ref.consistency(v)
+    for leaf in ref.leaves():
+        got, want = (tr.leaf_class(t, leaf, family) for t in (tree, ref))
+        assert got.kind == want.kind
+        if got.kind == "tangle":
+            assert sorted(map(view.local, got.tangle)) == sorted(want.tangle)
+        if got.kind == "forbidden":
+            assert sorted(map(view.local, got.witness.members)) == \
+                sorted(want.witness.members)
+            assert got.witness.evidence == want.witness.evidence
+            assert local_mask(view, family.critical_labels(
+                view, tree.beta(leaf))) == \
+                family.critical_labels(ref.system, ref.beta(leaf))
+    for check in (tf.is_thoroughly_ordered, tf.is_efficient):
+        assert bool(check(tree)) == bool(check(ref))
+    ok = bool(tf.is_structure_tree(ref, family))
+    assert bool(tf.is_structure_tree(tree, family)) == ok == level.structure_ok
+    if not ok:
+        return
+    reduced, trace = tf.reduce(ref, family)
+    assert tf.reduce(tree, family)[1].steps == trace.steps
+    assert level.reduced.nodes() == reduced.nodes()
+    assert local_tangles(view, level.tangles) == \
+        sorted(map(sorted, tf.tangles(reduced, family)))
+    assert [(leaf, sorted(map(view.local, w.members)))
+            for leaf, w in level.certificates] == \
+        [(leaf, sorted(w.members))
+         for leaf, w in tf.certificates_of(reduced, family)]
+
+
+def split_leaf(tree, v, s):
+    """A copy of the tree with the leaf v split on s, and the new children:
+    construction's in-place split made persistent."""
+    out = tr.StructureTree(tree.system, tree.root, tree._parent,
+                           tree._children, tree._label, dict(tree._state))
+    return out, out._split(v, s)
+
+
+def path_from_root(tree, v):
+    """The nodes from the root down to v, by a walk up parent links."""
+    out = [v]
+    while tree.parent(out[-1]) is not None:
+        out.append(tree.parent(out[-1]))
+    return out[::-1]
+
+
+def depth(tree, v):
+    return len(path_from_root(tree, v)) - 1
+
+
+def is_ancestor(tree, u, v):
+    """u lies on the root path of v (reflexively)."""
+    return u in path_from_root(tree, v)
+
+
+def necessary_for_leaf(tree, family, o, leaf):
+    """Is the oriented separation needed to keep this leaf classified?"""
+    return bool(tf.leaf_needs(tree, family, leaf) >> o & 1)
+
+
+def necessary_node(tree, family, v):
+    """Every child edge label is needed by some leaf behind it."""
+    return all(any(necessary_for_leaf(tree, family, tree.label(w), leaf)
+                   for leaf in tree.descendants(w) if tree.is_leaf(leaf))
+               for w in tree.children(v))
 
 
 def two_cluster_similarity():

@@ -20,10 +20,13 @@ from tangleforge.oracle import (OracleBudget, all_kblocks, all_tangles,
                                 is_efficient_in)
 from tangleforge.system import ids_of, inverse, mask_of
 
-from conftest import (FIXTURES, all_graphs_up_to_iso, load_nonrich_fixture,
-                      random_relation_system, random_subset_system,
-                      redundant_split_family, redundant_split_system,
-                      standardized_explicit, submodular_subsystems)
+from conftest import (FIXTURES, all_graphs_up_to_iso,
+                      assert_level_matches_carved, is_ancestor,
+                      load_nonrich_fixture, local_tangles, necessary_for_leaf,
+                      necessary_node, path_from_root, random_relation_system,
+                      random_subset_system, redundant_split_family,
+                      redundant_split_system, standardized_explicit,
+                      submodular_subsystems)
 
 EXHAUSTIVE_SEPS = 12
 BIG_BUDGET = OracleBudget(max_separations=128)
@@ -184,7 +187,7 @@ def test_criterion_3_display_properties(built):
                     assert not any(system.lt(y, o) for y in ids_of(beta)), \
                         inst.name
                 anc_orders = [system.order(t.s_of(u))
-                              for u in t.path_from_root(v) if not t.is_leaf(u)]
+                              for u in path_from_root(t, v) if not t.is_leaf(u)]
                 assert system.order(s) == max(anc_orders), inst.name
         # (orientations) unique leaf, inclusion, and efficiency in the tree
         if system.count <= EXHAUSTIVE_SEPS:
@@ -236,10 +239,10 @@ def test_criterion_4_reduction(built):
         assert sorted(map(sorted, tf.tangles(red, fam))) == \
             sorted(map(sorted, want)), inst.name
         for v in red.nodes():
-            assert tf.necessary_node(red, fam, v), inst.name
+            assert necessary_node(red, fam, v), inst.name
         for u in red.nodes():
             for v in red.nodes():
-                assert red.is_ancestor(u, v) == tree.is_ancestor(u, v)
+                assert is_ancestor(red, u, v) == is_ancestor(tree, u, v)
         for leaf in red.leaves():
             assert tree.is_leaf(leaf)
             before = tf.classify_leaf(tree, leaf, fam).kind
@@ -249,8 +252,8 @@ def test_criterion_4_reduction(built):
         for v in tree.non_leaves():
             for w in tree.children(v):
                 o = tree.label(w)
-                needed = any(tree.is_ancestor(w, leaf) and
-                             tf.necessary_for_leaf(tree, fam, o, leaf)
+                needed = any(is_ancestor(tree, w, leaf) and
+                             necessary_for_leaf(tree, fam, o, leaf)
                              for leaf in tree.leaves())
                 ok = bool(tf.is_structure_tree(tree.contracted(v, w), fam))
                 assert ok == (not needed), inst.name
@@ -268,11 +271,11 @@ def test_criterion_5_restriction(built):
         system, fam = inst.system, inst.family
         for k in sorted({float(system.order(s)) for s in system.seps()}):
             rk = tf.restrict(tree, k)
-            sub = rk.system
+            sub = system.restrict_below(k)
             assert tf.is_structure_tree(rk, fam), (inst.name, k)
             want = all_tangles(sub, fam, BIG_BUDGET)
             got = tf.tangles(rk, fam)
-            assert sorted(map(sorted, got)) == \
+            assert local_tangles(rk.system, got) == \
                 sorted(map(sorted, want)), (inst.name, k)
             levels += 1
     # negative: reduce first and the low-order tangle disappears
@@ -286,6 +289,18 @@ def test_criterion_5_restriction(built):
     assert [sorted(t) for t in tf.tangles(low, fam)] == [[0]]
     print(f"\nACCEPTANCE criterion 5 PASS: {levels} restriction levels match "
           f"the oracle; reduce-then-restrict counterexample reproduced")
+
+
+def test_pipeline_levels_stand_for_their_carved_systems(instances):
+    """Each level of pipeline() is a view of the system; read through local
+    ids, it is node by node the level over restrict_below(k)."""
+    levels = 0
+    for inst in instances:
+        report = tf.pipeline(inst.system, inst.family)
+        for lv in report.levels:
+            assert_level_matches_carved(report.tree_full, lv, inst.family)
+            levels += 1
+    assert levels >= 600
 
 
 def test_criterion_6_block_duality(k4, p5, two_k4, tmp_path):
@@ -352,7 +367,7 @@ def test_criterion_7_richness(built):
             converse += 1
     assert converse >= 20
     system, family = load_nonrich_fixture()
-    assert system.injective_orders()
+    assert len(set(system.orders.tolist())) == system.count  # injective
     ok, bad = tf.is_rich(family, system)
     assert not ok and frozenset({0, 2}) in set(bad)
     tree = tf.build(system, family)

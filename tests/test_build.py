@@ -16,11 +16,13 @@ from tangleforge.errors import (NodeCapExceeded, NonStandardFamily,
 from tangleforge.oracle import minimal_elements
 from tangleforge.system import ids_of, mask_of
 
-from conftest import (FIXTURES, antichain_system, grid_graph,
-                      load_nonrich_fixture, random_relation_system,
+from conftest import (FIXTURES, antichain_system, degenerate_pair_system,
+                      depth, grid_graph, is_ancestor, load_nonrich_fixture,
+                      necessary_for_leaf, necessary_node, random_relation_system,
                       random_subset_system, redundant_split_family,
-                      redundant_split_system, standardized_explicit,
-                      tree_shape, trivial_top_system, two_cluster_similarity)
+                      redundant_split_system, split_leaf,
+                      standardized_explicit, tree_shape, trivial_top_system,
+                      two_cluster_similarity)
 
 
 # -- build -------------------------------------------------------------------
@@ -43,7 +45,7 @@ def test_nested_pair_build_splits_the_cheap_separation_first(nested_pair):
     assert [t.label(c) for c in t.children(t.root)] == [0, 1]  # forward first
     got = [sorted(x) for x in tf.tangles(t, fam)]
     assert got == [[0, 2], [0, 3], [1, 3]]
-    shallow = [leaf for leaf in t.leaves() if t.depth(leaf) == 1]
+    shallow = [leaf for leaf in t.leaves() if depth(t, leaf) == 1]
     assert [ids_of(t.beta(v)) for v in shallow] == [[1]]
 
 
@@ -82,7 +84,7 @@ def test_build_is_deterministic(k4):
 
 def test_contracting_into_a_leaf_child_leaves_a_single_node(nested_pair):
     t = tf.StructureTree.single_root(nested_pair)
-    t, kids = t.split_leaf(t.root, 0)
+    t, kids = split_leaf(t, t.root, 0)
     t2 = t.contracted(t.root, kids[0])
     assert len(t2) == 1 and t2.root == kids[0]
     assert t2.beta(t2.root) == 0
@@ -124,8 +126,8 @@ def test_both_minimal_elements_are_necessary(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
     leaf = tf.leaf_for_orientation(t, frozenset({0, 3}))
-    assert tf.necessary_for_leaf(t, fam, 0, leaf)
-    assert tf.necessary_for_leaf(t, fam, 3, leaf)
+    assert necessary_for_leaf(t, fam, 0, leaf)
+    assert necessary_for_leaf(t, fam, 3, leaf)
 
 
 def test_dominated_label_is_not_necessary(nested_pair):
@@ -133,21 +135,21 @@ def test_dominated_label_is_not_necessary(nested_pair):
     t = tf.build(nested_pair, fam)
     leaf = tf.leaf_for_orientation(t, frozenset({0, 2}))
     # 2 < 0, so 0 is not minimal there
-    assert not tf.necessary_for_leaf(t, fam, 0, leaf)
-    assert tf.necessary_for_leaf(t, fam, 2, leaf)
+    assert not necessary_for_leaf(t, fam, 0, leaf)
+    assert necessary_for_leaf(t, fam, 2, leaf)
 
 
 def test_two_disjoint_witnesses_make_no_label_necessary():
     system = random_subset_system(3, n_seps=4)
     fam = tf.make_explicit([{0}, {2}], system)
     t = tf.StructureTree.single_root(system)
-    t, kids = t.split_leaf(t.root, 0)
+    t, kids = split_leaf(t, t.root, 0)
     fwd = next(c for c in kids if t.label(c) == 0)
-    t, kids2 = t.split_leaf(fwd, 1)
+    t, kids2 = split_leaf(t, fwd, 1)
     leaf = next(c for c in kids2 if t.label(c) == 2)
     assert tf.classify_leaf(t, leaf, fam).kind == "forbidden"
     for o in ids_of(t.beta(leaf)):
-        assert not tf.necessary_for_leaf(t, fam, o, leaf)
+        assert not necessary_for_leaf(t, fam, o, leaf)
 
 
 def test_necessity_undefined_for_unresolved_leaves(k4):
@@ -155,24 +157,24 @@ def test_necessity_undefined_for_unresolved_leaves(k4):
     fam = tf.make_blocks(3, s3)
     t = tf.StructureTree.single_root(s3)
     with pytest.raises(UnresolvedLeaf):
-        tf.necessary_for_leaf(t, fam, 0, t.root)
+        necessary_for_leaf(t, fam, 0, t.root)
 
 
 def test_leaves_are_vacuously_necessary(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
     for leaf in t.leaves():
-        assert tf.necessary_node(t, fam, leaf)
+        assert necessary_node(t, fam, leaf)
 
 
 def test_redundant_split_root_is_unnecessary():
     system = redundant_split_system()
     fam = redundant_split_family(system)
     t = tf.build(system, fam)
-    assert not tf.necessary_node(t, fam, t.root)
+    assert not necessary_node(t, fam, t.root)
     for v in t.non_leaves():
         if v != t.root:
-            assert tf.necessary_node(t, fam, v)
+            assert necessary_node(t, fam, v)
 
 
 # -- reduction ---------------------------------------------------------------------
@@ -209,14 +211,14 @@ def test_reduction_postconditions(seed):
     red, trace = tf.reduce(t, fam)
     # every node necessary
     for v in red.nodes():
-        assert tf.necessary_node(red, fam, v)
+        assert necessary_node(red, fam, v)
     # tangles preserved
     assert sorted(map(sorted, tf.tangles(red, fam))) == \
         sorted(map(sorted, tf.tangles(t, fam)))
     # surviving nodes keep their relative order
     for u in red.nodes():
         for v in red.nodes():
-            assert red.is_ancestor(u, v) == t.is_ancestor(u, v)
+            assert is_ancestor(red, u, v) == is_ancestor(t, u, v)
     # surviving leaves were leaves before, with the same incoming edge
     for leaf in red.leaves():
         assert t.is_leaf(leaf)
@@ -240,8 +242,8 @@ def test_contraction_validity_matches_label_necessity(seed):
     for v in t.non_leaves():
         for w in t.children(v):
             o = t.label(w)
-            needed = any(t.is_ancestor(w, leaf) and
-                         tf.necessary_for_leaf(t, fam, o, leaf)
+            needed = any(is_ancestor(t, w, leaf) and
+                         necessary_for_leaf(t, fam, o, leaf)
                          for leaf in t.leaves())
             still_structure = bool(
                 tf.is_structure_tree(t.contracted(v, w), fam))
@@ -267,9 +269,9 @@ def plain_reduce(tree, family):
                    for leaf in tree.leaves()}
         target = next(
             ((v, w) for v in sorted(tree.nodes(),
-                                    key=lambda u: (-tree.depth(u), u))
+                                    key=lambda u: (-depth(tree, u), u))
              for w in tree.children(v)
-             if not any(tree.is_ancestor(w, leaf) and needed_by_definition(
+             if not any(is_ancestor(tree, w, leaf) and needed_by_definition(
                  tree, family, tree.label(w), leaf, classes[leaf])
                  for leaf in tree.leaves())),
             None)
@@ -339,7 +341,7 @@ def grown_by_split_leaf(system, family):
             candidates = system.open_separations(
                 system._closure_mask(tree.beta(v)))
             if candidates:
-                tree, kids = tree.split_leaf(v, candidates[0])
+                tree, kids = split_leaf(tree, v, candidates[0])
                 pending += kids
     return tree
 
@@ -535,15 +537,7 @@ def test_node_cap_guards_against_runaway_builds(k4, monkeypatch):
 
 
 def test_degenerate_separation_builds_a_one_child_split():
-    import numpy as np
-    leq = np.eye(4, dtype=bool)
-    for a, b in [(0, 1), (1, 0), (0, 2), (1, 2), (3, 0), (3, 1)]:
-        leq[a, b] = True
-    prev = None
-    while prev is None or not np.array_equal(prev, leq):
-        prev = leq
-        leq = leq | ((leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0)
-    system = tf.SeparationSystem(leq, [1.0, 2.0], allow_degenerate=True)
+    system = degenerate_pair_system()
     fam = tf.make_empty()
     tree = tf.build(system, fam)
     assert len(tree.children(tree.root)) == 1  # one orientation exists

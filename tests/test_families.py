@@ -12,7 +12,7 @@ from tangleforge.oracle import all_tangles
 from tangleforge.system import ids_of, mask_of
 from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
                       grid_graph, load_nonrich_fixture, nested_pair_system,
-                      random_subset_system, standardized_explicit)
+                      random_subset_system, split_leaf, standardized_explicit)
 
 
 def all_subsets(ids, cap=None):
@@ -222,8 +222,8 @@ def test_a_leaf_witness_is_the_least_member_of_its_own_label_set():
     # holds the lexicographically smaller member {2}
     system = antichain_system(3)
     fam = tf.make_explicit([{5}, {2}], system)
-    tree, (_, inner) = tf.StructureTree.single_root(system).split_leaf(0, 2)
-    tree, (leaf, _) = tree.split_leaf(inner, 1)
+    tree, (_, inner) = split_leaf(tf.StructureTree.single_root(system), 0, 2)
+    tree, (leaf, _) = split_leaf(tree, inner, 1)
     assert ids_of(tree.beta(inner)) == [5] and ids_of(tree.beta(leaf)) == [2, 5]
     assert tf.classify_leaf(tree, leaf, fam).witness.members == {2}
 

@@ -130,12 +130,37 @@ def test_construction_reads_needs_without_member_queries():
     assert _function_calls("build", "critical_labels") != []  # the walk sees it
 
 
+def _calls_in(module: str, function: str, names) -> list[tuple[str, int]]:
+    """``_method_calls`` inside one top-level function or method."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    [top] = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [(node.func.attr, node.lineno) for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names]
+
+
+CARVING = ("restrict_below", "subsystem")
+
+
 def test_grounds_build_systems_without_carving():
     # A graph system is built from its graph's separations, not restricted
     # out of a larger system; one construction path serves every graph.
-    assert _method_calls("grounds", ("restrict_below", "subsystem")) == []
+    assert _method_calls("grounds", CARVING) == []
     # the walk sees these calls where they are made
-    assert _method_calls("tree", ("restrict_below",)) != []
+    assert _method_calls("cli", ("restrict_below",)) != []
+
+
+def test_levels_are_views_not_carved_systems():
+    # A pipeline level is a view of the top system: neither the pipeline
+    # nor restrict nor the view itself builds a system for it.
+    for module, function in (("build", "pipeline"), ("tree", "restrict"),
+                             ("system", "view_below")):
+        assert _calls_in(module, function, CARVING) == [], function
+    # the walk sees these calls where they are made
+    assert _calls_in("cli", "cmd_certify", CARVING) != []
+    assert _calls_in("system", "to_json_dict", CARVING) != []
 
 
 def _product_uses(module: str) -> list[int]:

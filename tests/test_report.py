@@ -32,7 +32,8 @@ def write_v1(report) -> dict:
             "structure_ok": lv.structure_ok,
             "tangles": [tangle_entry(lv.tree.system, t) for t in lv.tangles],
             "f_tree": lv.f_tree,
-            "certificates": [certificate_entry(*c) for c in lv.certificates],
+            "certificates": [certificate_entry(lv.tree.system, *c)
+                             for c in lv.certificates],
         }
 
     return {
@@ -42,7 +43,8 @@ def write_v1(report) -> dict:
         "tree_reduced": tree_to_json_dict(report.tree_reduced),
         "reduction_steps": [list(s) for s in report.trace.steps],
         "tangles": [tangle_entry(report.system, t) for t in report.tangles],
-        "certificates": [certificate_entry(*c) for c in report.certificates],
+        "certificates": [certificate_entry(report.system, *c)
+                         for c in report.certificates],
         "per_k": [level_entry(lv) for lv in report.levels],
     }
 

@@ -10,11 +10,11 @@ from tangleforge.errors import (LeafHasNoSep, MalformedTree,
 from tangleforge.oracle import all_tangles, is_strongly_efficient_in
 from tangleforge.system import ids_of, mask_of
 
-from conftest import (all_graphs_up_to_iso, nested_pair_system,
-                      original_labels, random_relation_system,
-                      random_subset_system, redundant_split_family,
-                      redundant_split_system, standardized_explicit,
-                      tree_shape)
+from conftest import (all_graphs_up_to_iso, depth, is_ancestor,
+                      local_tangles, nested_pair_system, original_labels,
+                      random_relation_system, random_subset_system,
+                      redundant_split_family, redundant_split_system,
+                      split_leaf, standardized_explicit, tree_shape)
 
 
 def all_subsets(ids):
@@ -44,7 +44,7 @@ def test_betas_of_the_nested_pair_tree(nested_tree):
     betas = sorted(ids_of(t.beta(leaf)) for leaf in t.leaves())
     assert betas == [[0, 2], [0, 3], [1]]
     for leaf in t.leaves():
-        assert t.beta(leaf).bit_count() == t.depth(leaf)
+        assert t.beta(leaf).bit_count() == depth(t, leaf)
 
 
 def test_s_of_errors_on_leaves(nested_tree):
@@ -83,7 +83,7 @@ def test_every_orientation_chooses_exactly_one_leaf(seed):
 
 def test_walk_raises_on_a_stuck_one_child_node(nested_pair):
     base = tf.StructureTree.single_root(nested_pair)
-    grown, kids = base.split_leaf(0, 0)
+    grown, kids = split_leaf(base, 0, 0)
     # drop one child by hand: a one-child inner node remains
     t = tr.StructureTree(nested_pair, 0,
                          {0: None, kids[0]: 0},
@@ -109,7 +109,7 @@ def test_empty_side_is_a_forbidden_leaf_under_agreement_one():
     c1 = tf.make_cluster(1, sysb)
     t = tf.StructureTree.single_root(sysb)
     empty_side = next(o for o in sysb.all_oriented() if not sysb.ground.side(o))
-    t, kids = t.split_leaf(t.root, empty_side // 2)
+    t, kids = split_leaf(t, t.root, empty_side // 2)
     leaf = next(c for c in kids if t.label(c) == empty_side)
     cls = tf.classify_leaf(t, leaf, c1)
     assert cls.kind == "forbidden" and cls.witness.members == {empty_side}
@@ -338,8 +338,7 @@ def test_k4_restriction_matches_the_low_level_oracle(k4):
     assert tf.is_structure_tree(r2, fam)
     low = s3.restrict_below(2.0)
     want = sorted(sorted(x) for x in all_tangles(low, fam))
-    got = sorted(sorted(x) for x in tf.tangles(r2, fam))
-    assert got == want
+    assert local_tangles(r2.system, tf.tangles(r2, fam)) == want
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -358,19 +357,25 @@ def test_restrictions_nest_and_commute_with_tangle_inclusion(seed):
     rt_hi, rt_lo = tf.restrict(t, hi), one_step
     if not (tf.is_structure_tree(rt_hi, fam) and tf.is_structure_tree(rt_lo, fam)):
         return
-    up_hi = rt_hi.system.oriented_into(system)
-    up_lo = rt_lo.system.oriented_into(system)
-    keep_lo = set(rt_lo.system.oriented_into(system))
+    # each level's tangles, read in local ids, are its carved system's, and
+    # a tangle's elements map up through that system into the top one
+    low_hi, low_lo = system.restrict_below(hi), system.restrict_below(lo)
+    up_hi = low_hi.oriented_into(system)
+    up_lo = low_lo.oriented_into(system)
+    for rt, low in ((rt_hi, low_hi), (rt_lo, low_lo)):
+        assert local_tangles(rt.system, tf.tangles(rt, fam)) == \
+            sorted(sorted(x) for x in all_tangles(low, fam))
+    local_hi, local_lo = rt_hi.system.local, rt_lo.system.local
     for tau_hi in tf.tangles(rt_hi, fam):
-        tau_orig = {up_hi[o] for o in tau_hi}
+        tau_orig = {up_hi[local_hi(o)] for o in tau_hi}
         tau_lo = frozenset(o for o in rt_lo.system.all_oriented()
-                           if up_lo[o] in tau_orig)
+                           if up_lo[local_lo(o)] in tau_orig)
         if not rt_lo.system.orients_all(mask_of(tau_lo)):
             continue
         leaf_hi = tf.leaf_for_orientation(rt_hi, tau_hi)
         leaf_lo = tf.leaf_for_orientation(rt_lo, tau_lo)
         # both restrictions preserve node identities from the parent tree
-        assert t.is_ancestor(leaf_lo, leaf_hi)
+        assert is_ancestor(t, leaf_lo, leaf_hi)
 
 
 # -- serialization -----------------------------------------------------------------
