@@ -13,15 +13,15 @@ from .families import (BlocksFamily, ClusterFamily, EmptyFamily,
                        ExplicitFamily, ForbiddenFamily, GraphTangleFamily,
                        ProfileFamily, StrongProfileFamily, Witness,
                        family_from_json, is_closed_under_minimization,
-                       is_rich, is_standard, make_blocks, make_cluster,
-                       make_empty, make_explicit, make_graph_tangle,
-                       make_profile, make_strong_profile)
+                       is_standard, make_blocks, make_cluster, make_empty,
+                       make_explicit, make_graph_tangle, make_profile,
+                       make_strong_profile)
 from .grounds import (BipartitionGround, Graph, bipartition_system,
                       block_of_tangle, full_bipartition_ground,
                       graph_system, graph_universe, questionnaire_system)
 from .oracle import (OracleBudget, all_consistent_orientations, all_kblocks,
-                     all_tangles, is_efficient_in, is_strongly_efficient_in,
-                     minimal_elements)
+                     all_tangles, is_efficient_in, is_rich,
+                     is_strongly_efficient_in, minimal_elements)
 from .system import (SeparationSystem, ValidationReport, backward, dump_system,
                      forward, from_json_dict, inverse, load_system, sep_of,
                      to_json_dict, validate)

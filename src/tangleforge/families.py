@@ -549,22 +549,21 @@ def is_standard(family: ForbiddenFamily, system: SeparationSystem):
 
 
 def is_closed_under_minimization(family: ForbiddenFamily,
-                                 system: SeparationSystem,
-                                 max_size: int | None = None):
+                                 system: SeparationSystem):
     """Every pointwise lowering of every (small) member is again a member.
 
-    Members are enumerated up to the family's witness arity (or ``max_size``);
-    unbounded families get a default cap of 3, which keeps this a desk-scale
-    spot check rather than a proof.
+    Members are enumerated up to the family's witness arity; unbounded
+    families get a cap of 3, which keeps this a desk-scale spot check rather
+    than a proof.  A view lowers to its live elements only.
     """
-    cap = max_size if max_size is not None else (family.arity or 3)
+    cap = family.arity or 3
     ids = sorted(system.all_oriented())
     bad = []
     for sub in sorted(c for r in range(1, cap + 1) for c in combinations(ids, r)):
         member = frozenset(sub)
         if not family.is_member(ids_of(family._ids_into(system, mask_of(sub)))):
             continue
-        downs = [ids_of(system.down[x]) for x in sub]
+        downs = [ids_of(system.down[x] & system.live) for x in sub]
         for choice in product(*downs):
             lowered = frozenset(choice)
             if not family.is_member(
@@ -572,19 +571,4 @@ def is_closed_under_minimization(family: ForbiddenFamily,
                 bad.append((member, lowered))
                 if len(bad) >= 5:
                     return (False, bad)
-    return (not bad, bad)
-
-
-def is_rich(family: ForbiddenFamily, system: SeparationSystem, budget=None):
-    """Forbidden-containing consistent orientations must contain strongly
-    efficient forbidden subsets.  Decided by exhaustive enumeration."""
-    from .oracle import all_consistent_orientations
-    bad = []
-    for tau in all_consistent_orientations(system, budget):
-        m = mask_of(tau)
-        if not family.holds_member(system, m):
-            continue
-        survivors = m & ~system.eclipsed_elements(m, weak=True)
-        if not family.holds_member(system, survivors):
-            bad.append(tau)
     return (not bad, bad)

@@ -6,7 +6,8 @@ test suite is checked against these functions, so they must be obviously
 correct.  Tangle enumeration additionally prunes branches as soon as the
 partial choice already contains a forbidden member (sound, because avoidance
 is inherited by subsets); a test cross-checks the pruned walk against
-filtering the unpruned one on small inputs.
+filtering the unpruned one on small inputs.  The certifier ``is_rich``
+enumerates every consistent orientation, so it is the oracle's too.
 """
 
 from __future__ import annotations
@@ -104,6 +105,21 @@ def is_strongly_efficient_in(system: SeparationSystem, sigma, tau) -> bool:
             if y != x and system.lt(y, x) and system.order_of(y) <= system.order_of(x):
                 return False
     return True
+
+
+def is_rich(family, system: SeparationSystem,
+            budget: OracleBudget | None = None):
+    """Forbidden-containing consistent orientations must contain strongly
+    efficient forbidden subsets: (ok, the orientations that do not)."""
+    bad = []
+    for tau in all_consistent_orientations(system, budget):
+        if family.forbidden_subset(system, mask_of(tau)) is None:
+            continue
+        survivors = [x for x in sorted(tau)
+                     if is_strongly_efficient_in(system, [x], tau)]
+        if family.forbidden_subset(system, mask_of(survivors)) is None:
+            bad.append(tau)
+    return (not bad, bad)
 
 
 # -- graph-side ground truth -----------------------------------------------

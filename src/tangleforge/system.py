@@ -124,26 +124,29 @@ class SeparationSystem:
     distributive : claim that the lattice is distributive (validated).
     ground : optional realization payload (graph side pairs, subset sides)
         used by concrete forbidden families.
-    parent, back_map : when this system was carved out of another one
-        (``subsystem``, ``restrict_below``), ``back_map[s]`` is the parent's
-        unoriented id for local id ``s``.
     allow_degenerate : admit separations whose two orientations coincide
         (both ids then alias one element; rejected by default).
 
     ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
     below ``a`` (``a`` included), derived from ``leq`` at construction.
+    A system carved out of another one (``subsystem``, ``restrict_below``)
+    has that one as ``parent``, and ``back_map[s]`` is the parent's
+    unoriented id for local id ``s``; any other system has None for both.
 
     ``view_below`` gives a view instead of a carved system: its ``base``
     (a system is its own ``base``) with only the ids in the mask ``live``
     present.  A view keeps the base's ids, and with them its ``count``,
-    tables, ``parent`` and ``back_map``; only its per-element masks are
-    masked.  ``seps()`` and ``all_oriented()`` list its live ids, and
-    ``local`` maps them to those of the carved ``restrict_below``.
+    tables, ``parent`` and ``back_map``.  It clips only the closure table
+    ``_requires`` and the forward-id mask ``_even`` (which ``seps``,
+    ``orients_all`` and co-triviality read) to ``live``; ``up``, ``down``,
+    ``_below``, ``_away`` and ``_degenerate`` are the base's, since their
+    readers AND them with a live mask or read them at live ids only, where
+    the order is induced.  ``seps()`` and ``all_oriented()`` list its live
+    ids, and ``local`` maps them to those of the carved ``restrict_below``.
     """
 
     def __init__(self, leq, orders, *, join=None, meet=None, distributive=False,
-                 ground=None, parent=None, back_map=None,
-                 allow_degenerate=False, check=True):
+                 ground=None, allow_degenerate=False, check=True):
         leq = np.array(leq, dtype=bool)
         orders = np.array(orders, dtype=float)
         n2 = leq.shape[0]
@@ -159,8 +162,7 @@ class SeparationSystem:
         self.meet = None if meet is None else np.array(meet, dtype=np.int64)
         self.distributive = bool(distributive)
         self.ground = ground
-        self.parent = parent
-        self.back_map = None if back_map is None else tuple(back_map)
+        self.parent = self.back_map = None
         self.allow_degenerate = bool(allow_degenerate)
         self.base, self.live = self, (1 << n2) - 1
         for table in (self.leq, self.orders, self.join, self.meet):
@@ -308,14 +310,11 @@ class SeparationSystem:
         fwd, bwd = m & self._even, m >> 1 & self._even
         return not fwd & bwd and fwd | bwd == self._even
 
-    def eclipsed_elements(self, mask: int, weak: bool) -> int:
-        """Elements with a strictly smaller element of the set below them.
-
-        ``weak=True`` admits equal orders for the eclipsing element.
-        """
+    def eclipsed_elements(self, mask: int) -> int:
+        """Elements with a strictly smaller element of the set below them."""
         order = self.order_of
         return mask_of(x for x in ids_of(mask)
-                       if any(order(y) < order(x) or (weak and order(y) <= order(x))
+                       if any(order(y) < order(x)
                               for y in ids_of(self._below[x] & mask)))
 
     # -- derived systems -----------------------------------------------------
@@ -334,11 +333,12 @@ class SeparationSystem:
                 lut[list(idx)] = np.arange(len(idx))
                 join, meet = lut[jvals], lut[mvals]
         ground = self.ground.subset(idx) if self.ground is not None else None
-        return SeparationSystem(
+        sub = SeparationSystem(
             leq, orders, join=join, meet=meet,
-            distributive=self.distributive and join is not None,
-            ground=ground, parent=self, back_map=sep_ids,
+            distributive=self.distributive and join is not None, ground=ground,
             allow_degenerate=any(map(self.is_degenerate, sep_ids)), check=False)
+        sub.parent, sub.back_map = self, sep_ids
+        return sub
 
     def restrict_below(self, k: float) -> "SeparationSystem":
         """Subsystem of all separations of order strictly below ``k``."""
@@ -347,18 +347,15 @@ class SeparationSystem:
 
     def view_below(self, k: float) -> "SeparationSystem":
         """``restrict_below(k)`` as a view: the base with the separations
-        of order below ``k`` live, each per-element mask the base's ANDed
-        with the live mask.  The order is induced, so every mask query is
-        the carved system's in the base's ids."""
+        of order below ``k`` live and its closure table and forward ids
+        ANDed with the live mask.  The order is induced, so every mask
+        query on live ids is the carved system's in the base's ids."""
         base = self.base
         keep = list(takewhile(lambda s: self.orders[s] < k, self._by_order))
         view = copy(base)
         view.live = live = sum(3 << 2 * s for s in keep)
-        view.up, view.down, view._below, view._requires, view._away = (
-            tuple(map(live.__and__, masks)) for masks in
-            (base.up, base.down, base._below, base._requires, base._away))
-        view._even, view._degenerate = base._even & live, base._degenerate & live
-        view._by_order = keep
+        view._requires = tuple(map(live.__and__, base._requires))
+        view._even, view._by_order = base._even & live, keep
         return view
 
     def oriented_into(self, ancestor: "SeparationSystem") -> tuple[int, ...]:

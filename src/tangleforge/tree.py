@@ -317,8 +317,7 @@ def is_efficient(tree) -> Check:
     system = tree.system
     for leaf in tree.leaves():
         beta = tree.beta(leaf)
-        eclipsed = system.eclipsed_elements(
-            tree.closure(leaf) | beta, weak=False) & beta
+        eclipsed = system.eclipsed_elements(tree.closure(leaf) | beta) & beta
         if eclipsed:
             return Check(False, f"label {fmt_oriented(ids_of(eclipsed)[0])} "
                                 f"at leaf {leaf} is eclipsed")

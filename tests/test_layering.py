@@ -8,9 +8,9 @@ read each node against its parent instead of walking its ancestors.
 
 The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
-(its `oracle` command and `--budget`) and the exponential certifier
-`families.is_rich` may import it; the package `__init__` re-exports it as
-part of the public namespace without running any of it.
+(its `oracle` command and `--budget`) may import it; the package `__init__`
+re-exports it, the certifier `is_rich` included, as part of the public
+namespace without running any of it.
 """
 
 import ast
@@ -46,18 +46,12 @@ def _oracle_imports(module: str):
     return out
 
 
-def _allowed(module, func) -> bool:
-    return module in ("__init__", "cli") or (module, func) == ("families",
-                                                               "is_rich")
-
-
-def test_only_the_cli_and_is_rich_import_the_oracle():
+def test_only_the_cli_imports_the_oracle():
     found = [imp for path in sorted(PACKAGE.glob("*.py"))
              for imp in _oracle_imports(path.stem)]
-    assert [imp for imp in found if not _allowed(imp[0], imp[1])] == []
+    assert [imp for imp in found if imp[0] not in ("__init__", "cli")] == []
     # the walk sees the imports that are allowed, so it cannot pass vacuously
-    assert {(m, f) for m, f, _ in found} >= {("cli", None),
-                                             ("families", "is_rich")}
+    assert {m for m, _, _ in found} == {"__init__", "cli"}
 
 
 def _leq_subscripts(module: str):

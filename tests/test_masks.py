@@ -62,12 +62,10 @@ def orients_all(system, members):
     return len(chosen) == system.count
 
 
-def eclipsed_elements(system, members, weak):
+def eclipsed_elements(system, members):
     order = system.orders
     return {x for x in members for y in members
-            if y != x and lt(system, y, x) and
-            (order[y >> 1] < order[x >> 1] or
-             (weak and order[y >> 1] <= order[x >> 1]))}
+            if y != x and lt(system, y, x) and order[y >> 1] < order[x >> 1]}
 
 
 def is_trivial(system, o):
@@ -97,9 +95,8 @@ def assert_mask_operations_match(system, rng, samples=12):
         assert system.minimal_elements(m) == \
             mask_of(minimal_elements(system, members))
         assert system.orients_all(m) == orients_all(system, members)
-        for weak in (False, True):
-            assert system.eclipsed_elements(m, weak) == \
-                mask_of(eclipsed_elements(system, members, weak))
+        assert system.eclipsed_elements(m) == \
+            mask_of(eclipsed_elements(system, members))
         assert system.open_separations(system._closure_mask(m)) == \
             open_separations(system, members)
     tau = frozenset(2 * s + int(rng.integers(0, 2)) for s in system.seps())

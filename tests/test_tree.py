@@ -17,13 +17,6 @@ from conftest import (all_graphs_up_to_iso, depth, is_ancestor,
                       split_leaf, standardized_explicit, tree_shape)
 
 
-def all_subsets(ids):
-    out = [frozenset()]
-    for x in ids:
-        out += [s | {x} for s in out]
-    return out
-
-
 @pytest.fixture(scope="module")
 def nested_tree():
     system = nested_pair_system()
@@ -298,11 +291,11 @@ def test_strongly_efficient_closure_subsets_live_on_the_path(seed):
     for v in t.nodes():
         beta = t.beta(v)
         closure = system.closure(beta)
-        survivors = closure & ~system.eclipsed_elements(closure, weak=True)
-        # every strongly efficient subset lives inside the path labels
+        # the union of the strongly efficient subsets of the closure, and so
+        # each of them, lives inside the path labels
+        survivors = mask_of(x for x in ids_of(closure) if
+                            is_strongly_efficient_in(system, [x], ids_of(closure)))
         assert not survivors & ~beta or not system.is_consistent(closure)
-        for sigma in all_subsets(ids_of(survivors)):
-            assert is_strongly_efficient_in(system, sigma, ids_of(closure))
 
 
 # -- restriction -----------------------------------------------------------------

@@ -29,7 +29,8 @@ def _graph(name):
 
 def _named():
     """(name, system, family, thresholds) of the named systems, two of them
-    holding a degenerate separation that levels above its order keep."""
+    holding a degenerate separation that levels above its order keep, and
+    one a member above an element of higher order."""
     six = tf.bipartition_system(
         tf.full_bipartition_ground(6, similarity=two_cluster_similarity()))
     bip4 = tf.bipartition_system(tf.full_bipartition_ground(4))
@@ -37,7 +38,10 @@ def _named():
     trivial = trivial_top_system()
     redundant = redundant_split_system()
     nonrich, nonrich_family = load_nonrich_fixture()
-    out = [("nested-pair", nested_pair_system(), tf.make_empty(), None),
+    nested = nested_pair_system()
+    out = [("nested-pair", nested, tf.make_empty(), None),
+           ("nested-pair/explicit", nested, tf.make_explicit([[0]], nested),
+            None),
            ("antichain", antichain_system(3, [1.0, 2.0, 3.0]),
             tf.make_empty(), None),
            ("redundant-split", redundant, redundant_split_family(redundant),
@@ -73,8 +77,40 @@ def test_named_levels_stand_for_their_carved_systems(name, system, family,
 def test_some_level_keeps_a_degenerate_separation():
     kept = [lv.k for name, system, family, thresholds in NAMED
             for lv in tf.pipeline(system, family, thresholds).levels
-            if lv.tree.system._degenerate]
+            if lv.tree.system._degenerate & lv.tree.system.live]
     assert kept
+
+
+def _levels(system):
+    """Every threshold between the system's orders, and infinity."""
+    return sorted({system.order(s) for s in system.seps()}) + [np.inf]
+
+
+def assert_masks_match_carved(view, carved):
+    """Each mask of the view, clipped to its live ids and read through
+    ``local``, is the carved system's."""
+    for name in ("up", "down", "_below", "_requires", "_away"):
+        assert [local_mask(view, getattr(view, name)[o] & view.live)
+                for o in view.all_oriented()] == \
+            list(getattr(carved, name)), name
+    for name in ("_even", "_degenerate"):
+        assert local_mask(view, getattr(view, name) & view.live) == \
+            getattr(carved, name), name
+    assert [view.local(2 * s) // 2 for s in view._by_order] == \
+        carved._by_order
+
+
+@pytest.mark.parametrize("name, system, family, thresholds", NAMED,
+                         ids=[n[0] for n in NAMED])
+def test_a_view_shares_the_order_masks_of_its_base(name, system, family,
+                                                   thresholds):
+    # Only the closure table and the forward ids are clipped to the live
+    # ids; every reader of the order masks reads them at live ids.
+    for k in _levels(system):
+        view = system.view_below(k)
+        for table in ("up", "down", "_below", "_away"):
+            assert getattr(view, table) is getattr(system, table), table
+        assert view._degenerate == system._degenerate
 
 
 def cotrivial_through_a_high_separation():
@@ -116,9 +152,7 @@ def test_a_view_of_a_view_ands_the_live_masks_over_the_top_system(seed):
     view, direct = two_step.system, lo.system
     assert view.base is system and hi.system.base is system
     assert view.live == hi.system.live & direct.live == direct.live
-    for name in ("up", "down", "_below", "_requires", "_away", "_even",
-                 "_degenerate", "_by_order"):
-        assert getattr(view, name) == getattr(direct, name), name
+    assert_masks_match_carved(view, system.restrict_below(2.0))
     assert {v: two_step.label(v) for v in two_step.nodes()} == \
         {v: lo.label(v) for v in lo.nodes()}
     assert dump_tree(two_step) == dump_tree(restrict_relabelled(tree, 2.0))
@@ -129,7 +163,7 @@ def test_a_view_of_a_view_ands_the_live_masks_over_the_top_system(seed):
 def test_whole_system_readers_answer_for_the_carved_system_or_refuse(
         name, system, family, thresholds):
     tree = tf.build(system, family)
-    for k in sorted({system.order(s) for s in system.seps()}) + [np.inf]:
+    for k in _levels(system):
         view = tf.restrict(tree, k).system
         carved = system.restrict_below(k)
         # written as the carved system, bytes and all
@@ -137,16 +171,7 @@ def test_whole_system_readers_answer_for_the_carved_system_or_refuse(
         assert dump_tree(tf.restrict(tree, k)) == \
             dump_tree(restrict_relabelled(tree, k))
         assert to_json_dict(view.restrict_below(k)) == to_json_dict(carved)
-        # per-element masks are the carved system's, read through local
-        for name in ("up", "down", "_below", "_requires", "_away"):
-            assert [local_mask(view, getattr(view, name)[o])
-                    for o in view.all_oriented()] == \
-                list(getattr(carved, name)), name
-        for name in ("_even", "_degenerate"):
-            assert local_mask(view, getattr(view, name)) == \
-                getattr(carved, name), name
-        assert [view.local(2 * s) // 2 for s in view._by_order] == \
-            carved._by_order
+        assert_masks_match_carved(view, carved)
         # enumerations list the live ids, which local numbers as the carved
         assert [view.local(o) for o in view.all_oriented()] == \
             list(carved.all_oriented())
@@ -169,6 +194,26 @@ def test_whole_system_readers_answer_for_the_carved_system_or_refuse(
             all_consistent_orientations(view)
         with pytest.raises(SystemIsAView):
             tf.is_rich(family, view)
+
+
+@pytest.mark.parametrize("name, system, family, thresholds", NAMED,
+                         ids=[n[0] for n in NAMED])
+def test_a_view_is_closed_under_minimization_as_its_carved_system(
+        name, system, family, thresholds):
+    # The certifier lowers each member within the view's live ids.  It
+    # enumerates every lowering of every small member, seconds a level
+    # above 9 separations, so larger levels are left out.
+    checked = 0
+    for k in _levels(system):
+        view, carved = system.view_below(k), system.restrict_below(k)
+        if carved.count > 9:
+            continue
+        ok, bad = tf.is_closed_under_minimization(family, view)
+        assert (ok, [tuple(frozenset(map(view.local, m)) for m in pair)
+                     for pair in bad]) == \
+            tf.is_closed_under_minimization(family, carved)
+        checked += 1
+    assert checked
 
 
 def test_a_family_bound_to_a_view_answers_queries_from_its_system():
