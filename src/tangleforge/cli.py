@@ -5,7 +5,8 @@ Exit codes form a contract shell pipelines can branch on:
   1  certificate: the requested level has no tangle and an all-forbidden
      tree proves it
   2  invalid input: the message names the violated axiom, the bad family
-     spec field, the unreadable input file or the unwritable --out path
+     spec field, the unreadable input file, the unwritable --out path, or
+     a flag the command does not read (each reads its row of ``COMMANDS``)
   3  a budget exceeded: the oracle's enumeration, the separations of a
      ground or a sepsys/v1 file, or the nodes of a built tree
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -27,34 +27,29 @@ from .build import build as build_tree
 from .build import reduce as reduce_tree
 from .errors import BudgetExceeded, TangleForgeError, ValidationError
 
-ENV_BUDGET = "TANGLE_FORGE_BUDGET"
 # --family spellings of family/v1 kinds
 FAMILY_ALIASES = {"strong-profile": "strong_profile", "tangle": "graph_tangle",
                   "graph-tangle": "graph_tangle"}
 
 
-def _number(text: str, kind, name: str):
-    """``text`` read with ``kind`` (int or float); anything else, NaN
-    included, is bad input named by ``name``."""
+def _threshold(text: str) -> float:
+    """A ``--k`` value as a number; anything else, NaN included, is bad
+    input."""
     try:
-        value = kind(text)
+        value = float(text)
     except ValueError:
         value = math.nan
     if math.isnan(value):
-        noun = "an integer" if kind is int else "a number"
-        raise ValidationError(f"{name} must be {noun}, got {text!r}")
+        raise ValidationError(f"--k must be a number, got {text!r}")
     return value
 
 
 def _budget(args) -> oracle.OracleBudget:
-    n, name = args.budget, "--budget"
-    if n is None and os.environ.get(ENV_BUDGET):
-        n, name = _number(os.environ[ENV_BUDGET], int, ENV_BUDGET), ENV_BUDGET
-    if n is None:
+    if args.budget is None:
         return oracle.OracleBudget()
-    if n < 0:
-        raise ValidationError(f"{name} must not be negative, got {n}")
-    return oracle.OracleBudget(max_separations=n)
+    if args.budget < 0:
+        raise ValidationError(f"--budget must not be negative, got {args.budget}")
+    return oracle.OracleBudget(max_separations=args.budget)
 
 
 def _read_text(path: str) -> str:
@@ -70,7 +65,7 @@ def _read_json(path: str):
 
 def _load_ground_system(args, spec):
     chosen = [name for name in ("graph", "similarity", "answers", "system")
-              if getattr(args, name, None)]
+              if getattr(args, name)]
     if len(chosen) != 1:
         raise TangleForgeError(
             "exactly one of --graph/--similarity/--answers/--system is required")
@@ -99,7 +94,7 @@ def _system_bound(args, spec) -> float:
 
 def _family_spec(args) -> dict | None:
     """``--family`` as a family/v1 dict: a JSON path or ``KIND[:PARAM]``."""
-    spec = getattr(args, "family", None)
+    spec = args.family
     if spec is None:
         return None
     if spec.endswith(".json") or "/" in spec:
@@ -130,12 +125,12 @@ def _load_inputs(args):
 
 
 def _write(args, text: str):
-    out = getattr(args, "out", None)
-    if out:
+    if args.out:
         try:
-            Path(out).write_text(text)
+            Path(args.out).write_text(text)
         except OSError as exc:
-            raise ValidationError(f"cannot write {out}: {exc.strerror}") from None
+            raise ValidationError(
+                f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -145,10 +140,10 @@ def _dump(payload) -> str:
 
 
 def cmd_validate(args) -> int:
-    chosen = getattr(args, "system", None)
-    if chosen:
+    if args.system:
         try:
-            sys_obj = system_mod.from_json_dict(_read_json(chosen), check=False)
+            sys_obj = system_mod.from_json_dict(_read_json(args.system),
+                                                check=False)
         except TangleForgeError as exc:
             _write(args, _dump({"ok": False, "issues": [str(exc)]}))
             return 2
@@ -238,21 +233,36 @@ def cmd_export_dot(args) -> int:
     return 0
 
 
-def _add_io_flags(p, tree_input=False):
-    if tree_input:
-        p.add_argument("--tree", required=True, help="tree/v1 JSON file")
-    else:
-        p.add_argument("--graph", help="edge-list file, one 'u v' per line")
-        p.add_argument("--similarity", help="CSV similarity matrix")
-        p.add_argument("--answers", help="CSV binary answer matrix")
-        p.add_argument("--system", help="sepsys/v1 JSON file")
-    p.add_argument("--family", help="KIND[:PARAM] or a family/v1 JSON path")
-    p.add_argument("--k", action="append", default=None,
-                   help="order threshold (repeatable)")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"oracle separation budget (or ${ENV_BUDGET})")
+FLAGS = {  # each flag's argparse keywords
+    "--graph": {"help": "edge-list file, one 'u v' per line"},
+    "--similarity": {"help": "CSV similarity matrix"},
+    "--answers": {"help": "CSV binary answer matrix"},
+    "--system": {"help": "sepsys/v1 JSON file"},
+    "--tree": {"required": True, "help": "tree/v1 JSON file"},
+    "--family": {"help": "KIND[:PARAM] or a family/v1 JSON path"},
+    "--k": {"action": "append", "help": "order threshold (repeatable)"},
+    "--out": {"help": "output path (default: stdout)"},
+    "--format": {"choices": ("json", "dot"), "default": "json"},
+    "--budget": {"type": int, "help": "oracle separation budget"},
+}
+GROUND = ("--graph", "--similarity", "--answers", "--system", "--family",
+          "--k", "--out")
+COMMANDS = {  # each command's handler, exactly the flags it reads, its help
+    "validate": (cmd_validate, GROUND, "check the axioms of a system"),
+    "build": (cmd_build, GROUND + ("--format",),
+              "run the full pipeline and emit a report"),
+    "tangles": (cmd_tangles, GROUND, "list the tangles the tree displays"),
+    "certify": (cmd_certify, GROUND + ("--format",),
+                "exit 0 with tangles, or 1 with an all-forbidden certificate tree"),
+    "oracle": (cmd_oracle, GROUND + ("--budget",),
+               "brute-force orientation/tangle lists"),
+    "restrict": (cmd_restrict, ("--tree", "--k", "--out"),
+                 "restrict a tree to orders below k"),
+    "reduce": (cmd_reduce, ("--tree", "--family", "--out"),
+               "contract a tree until irreducible"),
+    "export-dot": (cmd_export_dot, ("--tree", "--family", "--out"),
+                   "emit Graphviz for a tree"),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -260,20 +270,10 @@ def make_parser() -> argparse.ArgumentParser:
         prog="tangleforge",
         description="Build, reduce, restrict and verify tangle structure trees")
     sub = p.add_subparsers(dest="command", required=True)
-    specs = [
-        ("validate", cmd_validate, False, "check the axioms of a system"),
-        ("build", cmd_build, False, "run the full pipeline and emit a report"),
-        ("tangles", cmd_tangles, False, "list the tangles the tree displays"),
-        ("certify", cmd_certify, False,
-         "exit 0 with tangles, or 1 with an all-forbidden certificate tree"),
-        ("oracle", cmd_oracle, False, "brute-force orientation/tangle lists"),
-        ("restrict", cmd_restrict, True, "restrict a tree to orders below k"),
-        ("reduce", cmd_reduce, True, "contract a tree until irreducible"),
-        ("export-dot", cmd_export_dot, True, "emit Graphviz for a tree"),
-    ]
-    for name, fn, tree_input, help_text in specs:
+    for name, (fn, flags, help_text) in COMMANDS.items():
         q = sub.add_parser(name, help=help_text)
-        _add_io_flags(q, tree_input=tree_input)
+        for flag in flags:
+            q.add_argument(flag, **FLAGS[flag])
         q.set_defaults(fn=fn)
     return p
 
@@ -281,7 +281,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        args.levels = [_number(k, float, "--k") for k in args.k or ()]
+        args.levels = [_threshold(k) for k in getattr(args, "k", None) or ()]
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

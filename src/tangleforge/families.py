@@ -22,7 +22,7 @@ sets; ``blocks`` reads them all off prefix and suffix intersections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import MissingCapability, ValidationError
 from .grounds import GraphRealization, SideRealization
@@ -456,35 +456,18 @@ class GraphTangleFamily(ForbiddenFamily):
 
 # -- constructors -----------------------------------------------------------
 
+make_empty = EmptyFamily
+make_explicit = ExplicitFamily
+make_blocks = BlocksFamily
+make_cluster = ClusterFamily
+make_profile = ProfileFamily
+make_strong_profile = StrongProfileFamily
+make_graph_tangle = GraphTangleFamily
 
-def make_empty() -> EmptyFamily:
-    return EmptyFamily()
-
-
-def make_explicit(members, system) -> ExplicitFamily:
-    return ExplicitFamily(members, system)
-
-
-def make_blocks(k, system) -> BlocksFamily:
-    return BlocksFamily(k, system)
-
-
-def make_cluster(n, system) -> ClusterFamily:
-    return ClusterFamily(n, system)
-
-
-def make_profile(universe) -> ProfileFamily:
-    return ProfileFamily(universe)
-
-
-def make_strong_profile(universe) -> StrongProfileFamily:
-    return StrongProfileFamily(universe)
-
-
-def make_graph_tangle(system) -> GraphTangleFamily:
-    return GraphTangleFamily(system)
-
-
+# the family class of each family/v1 kind
+KINDS = {cls.kind: cls for cls in (EmptyFamily, ExplicitFamily, BlocksFamily,
+                                   ClusterFamily, ProfileFamily,
+                                   StrongProfileFamily, GraphTangleFamily)}
 # family/v1 kinds that take an integer parameter, and its field name
 PARAMETERS = {"blocks": "k", "cluster": "n"}
 
@@ -504,11 +487,10 @@ def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
     if expect_object(d, "family/v1 spec").get("format", "family/v1") != "family/v1":
         raise ValidationError(f"unsupported family format {d.get('format')!r}")
     kind = d.get("kind")
-    if not isinstance(kind, str):
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ValidationError(f"unknown family kind {kind!r}")
-    param = family_parameter(d)
     if kind == "empty":
-        return make_empty()
+        return EmptyFamily()
     if kind == "explicit":
         members = d.get("explicit_members", [])
         if not isinstance(members, list) or any(
@@ -516,18 +498,9 @@ def family_from_json(d: dict, system: SeparationSystem) -> ForbiddenFamily:
                 for m in members):
             raise ValidationError("family/v1 'explicit_members' must list "
                                   f"lists of oriented ids, got {members!r}")
-        return make_explicit(members, system)
-    if kind == "blocks":
-        return make_blocks(param, system)
-    if kind == "cluster":
-        return make_cluster(param, system)
-    if kind == "profile":
-        return make_profile(system)
-    if kind == "strong_profile":
-        return make_strong_profile(system)
-    if kind == "graph_tangle":
-        return make_graph_tangle(system)
-    raise ValidationError(f"unknown family kind {kind!r}")
+        return ExplicitFamily(members, system)
+    param, cls = family_parameter(d), KINDS[kind]
+    return cls(system) if param is None else cls(param, system)
 
 
 # -- desk-scale certifiers -----------------------------------------------------
@@ -554,7 +527,11 @@ def is_closed_under_minimization(family: ForbiddenFamily,
 
     Members are enumerated up to the family's witness arity; unbounded
     families get a cap of 3, which keeps this a desk-scale spot check rather
-    than a proof.  A view lowers to its live elements only.
+    than a proof.  Only single lowerings, one element replaced by a smaller
+    one, are tried: any pointwise lowering is a chain of them through sets
+    no larger than the member (a slot lowered onto another slot's old value
+    goes after that slot, and antisymmetry leaves no cycle).  A view lowers
+    to its live elements only.
     """
     cap = family.arity or 3
     ids = sorted(system.all_oriented())
@@ -563,12 +540,12 @@ def is_closed_under_minimization(family: ForbiddenFamily,
         member = frozenset(sub)
         if not family.is_member(ids_of(family._ids_into(system, mask_of(sub)))):
             continue
-        downs = [ids_of(system.down[x] & system.live) for x in sub]
-        for choice in product(*downs):
-            lowered = frozenset(choice)
-            if not family.is_member(
-                    ids_of(family._ids_into(system, mask_of(lowered)))):
-                bad.append((member, lowered))
-                if len(bad) >= 5:
-                    return (False, bad)
+        for x in sub:
+            for y in ids_of(system.down[x] & system.live & ~(1 << x)):
+                lowered = (member - {x}) | {y}
+                if not family.is_member(
+                        ids_of(family._ids_into(system, mask_of(lowered)))):
+                    bad.append((member, lowered))
+                    if len(bad) >= 5:
+                        return (False, bad)
     return (not bad, bad)

@@ -68,9 +68,7 @@ class StructureTree:
         self._children = {v: tuple(c) for v, c in children.items()}
         self._label = dict(label)
         self._state = {root: (0, 0, 0, False)} if state is None else state
-        # id(family) -> (family, leaf classes); holding the family keeps
-        # its id from being reused while the entry lives
-        self._classes: dict[int, tuple] = {}
+        self._classes: dict = {}  # family -> {leaf: LeafClass}
         self._next = max(self._parent) + 1  # the id the next split starts at
 
     @classmethod
@@ -215,7 +213,7 @@ def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
 def leaf_class(tree, leaf, family) -> LeafClass:
     """The leaf's class, classified once per tree and family: a class
     depends only on the leaf's label set, so it is kept on the tree."""
-    memo = tree._classes.setdefault(id(family), (family, {}))[1]
+    memo = tree._classes.setdefault(family, {})
     if leaf not in memo:
         memo[leaf] = classify_leaf(tree, leaf, family)
     return memo[leaf]

@@ -16,7 +16,7 @@ import pytest
 
 import tangleforge as tf
 import tangleforge.tree as tr
-from tangleforge.system import inverse
+from tangleforge.system import ids_of, inverse, mask_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -151,6 +151,21 @@ def minimization_closure(system, members):
         for choice in product(*downs):
             out.add(frozenset(choice))
     return out
+
+
+def closed_under_pointwise_lowering(family, system):
+    """The verdict of ``is_closed_under_minimization`` by its definition:
+    every pointwise lowering, within the live elements, of every member up
+    to the certifier's cap is a member."""
+    def member(sub):
+        return family.is_member(ids_of(family._ids_into(system, mask_of(sub))))
+
+    ids = sorted(system.all_oriented())
+    subs = (c for r in range(1, (family.arity or 3) + 1)
+            for c in combinations(ids, r))
+    return all(member(set(choice)) for sub in subs if member(sub)
+               for choice in product(*(ids_of(system.down[x] & system.live)
+                                       for x in sub)))
 
 
 def standardized_explicit(system, seed):

@@ -1,12 +1,13 @@
 """Command-line exit codes, file round-trips, and byte determinism."""
 
+import argparse
 import json
 import sys
 
 import pytest
 
 import tangleforge as tf
-from tangleforge.cli import main
+from tangleforge.cli import main, make_parser
 
 from conftest import FIXTURES, M3, lattice_times_chain
 
@@ -124,13 +125,6 @@ def test_oracle_subcommand_and_budget(tmp_path):
     code, _ = run(tmp_path, "oracle",
                   "--graph", str(FIXTURES / "two_k4.edges"),
                   "--family", "blocks:3", "--budget", "4")
-    assert code == 3
-
-
-def test_budget_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("TANGLE_FORGE_BUDGET", "4")
-    code, _ = run(tmp_path, "oracle",
-                  "--graph", str(FIXTURES / "k4.edges"), "--family", "blocks:3")
     assert code == 3
 
 
@@ -457,17 +451,9 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                  json.dumps({**json.loads(tree_text()), "system_ref": None}),
                  "tree/v1 'system_ref' must be a JSON object, got NoneType",
                  id="system-ref-null"),
-    pytest.param(["TANGLE_FORGE_BUDGET=abc", "oracle", "--graph", K4,
-                  "--family", "blocks:3"], None, None,
-                 "TANGLE_FORGE_BUDGET must be an integer, got 'abc'",
-                 id="budget-variable-not-an-integer"),
     pytest.param(["oracle", "--graph", K4, "--family", "blocks:3", "--budget",
                   "-1"], None, None, "--budget must not be negative, got -1",
                  id="budget-negative"),
-    pytest.param(["TANGLE_FORGE_BUDGET=-1", "oracle", "--graph", K4,
-                  "--family", "blocks:3"], None, None,
-                 "TANGLE_FORGE_BUDGET must not be negative, got -1",
-                 id="budget-variable-negative"),
     # numbers that are not JSON integers are refused, not truncated
     pytest.param(SETS_BUILD, "sys.json",
                  edited(SETS, "universe", join=[[0.5, 1, 2, 3], *SETS["universe"]
@@ -520,14 +506,11 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                  id="out-in-a-missing-directory"),
 ])
 def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
-                                              tmp_path, capsys, monkeypatch):
+                                              tmp_path, capsys):
     path = tmp_path / (name or "unused")
     if text is not None:
         path.write_text(text)
     argv = [str(path) if a == "{path}" else a for a in argv]
-    while "=" in argv[0]:  # leading VARIABLE=value items set the environment
-        variable, _, value = argv.pop(0).partition("=")
-        monkeypatch.setenv(variable, value)
     if "--out" not in argv:
         argv += ["--out", str(tmp_path / "out.json")]
     assert main(argv) == 2
@@ -561,3 +544,45 @@ def test_the_unedited_payloads_build(base, argv, tmp_path):
     path.write_text(json.dumps(base))
     assert main([str(path) if a == "{path}" else a for a in argv]
                 + ["--out", str(tmp_path / "out.json")]) == 0
+
+
+# -- the flags each command reads --------------------------------------------------
+
+GROUND_FLAGS = ["--graph", "--similarity", "--answers", "--system", "--family",
+                "--k", "--out"]
+ROWS = {
+    "validate": GROUND_FLAGS,
+    "build": GROUND_FLAGS + ["--format"],
+    "tangles": GROUND_FLAGS,
+    "certify": GROUND_FLAGS + ["--format"],
+    "oracle": GROUND_FLAGS + ["--budget"],
+    "restrict": ["--tree", "--k", "--out"],
+    "reduce": ["--tree", "--family", "--out"],
+    "export-dot": ["--tree", "--family", "--out"],
+}
+UNREAD = [(command, flag) for command in ROWS
+          for flag in sorted(set().union(*ROWS.values()) - set(ROWS[command]))]
+# the values each unread flag is given: ones its reading commands accept,
+# so that `tangles --format dot` and `export-dot --format json` are tried
+VALUES = {"--format": ("json", "dot"), "--budget": ("1",), "--k": ("2",)}
+
+
+def test_each_command_takes_exactly_the_flags_its_handler_reads():
+    sub = next(a for a in make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(ROWS)
+    for command, parser in sub.choices.items():
+        assert [o for a in parser._actions for o in a.option_strings
+                if o not in ("-h", "--help")] == ROWS[command], command
+    assert sum(map(len, ROWS.values())) == 47
+
+
+@pytest.mark.parametrize("command, flag", UNREAD,
+                         ids=[f"{c}{f}" for c, f in UNREAD])
+def test_a_flag_the_command_does_not_read_exits_2(command, flag, capsys):
+    needed = ["--tree", "tree.json"] if "--tree" in ROWS[command] else []
+    for value in VALUES.get(flag, ("x",)):
+        with pytest.raises(SystemExit) as stop:
+            main([command, *needed, flag, value])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err

@@ -11,7 +11,8 @@ from tangleforge.grounds import load_similarity_csv
 from tangleforge.oracle import all_tangles
 from tangleforge.system import ids_of, mask_of
 from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
-                      grid_graph, load_nonrich_fixture, nested_pair_system,
+                      closed_under_pointwise_lowering, grid_graph,
+                      load_nonrich_fixture, nested_pair_system,
                       random_subset_system, split_leaf, standardized_explicit)
 
 
@@ -415,6 +416,22 @@ def test_explicit_family_with_a_missing_lowering_is_not_closed(nested_pair):
     ok, bad = tf.is_closed_under_minimization(fam, nested_pair)
     assert not ok
     assert (frozenset({0}), frozenset({2})) in bad
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_single_lowerings_decide_every_pointwise_lowering(seed):
+    # a closed family, and the same family without each of its members in
+    # turn, which leaves it closed only when that member lowers no other
+    system = random_subset_system(seed, n_seps=4)
+    closed = standardized_explicit(system, seed)
+    members = sorted(ids_of(k) for k in closed.members)
+    families = [closed] + [tf.make_explicit(members[:i] + members[i + 1:], system)
+                           for i in range(len(members))]
+    verdicts = [tf.is_closed_under_minimization(fam, system)[0]
+                for fam in families]
+    assert verdicts == [closed_under_pointwise_lowering(fam, system)
+                        for fam in families]
+    assert verdicts[0] and not all(verdicts)
 
 
 @pytest.mark.parametrize("seed", range(10))

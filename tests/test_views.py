@@ -16,7 +16,8 @@ from tangleforge.system import ids_of, mask_of, to_json_dict, validate
 from tangleforge.tree import dump_tree
 
 from conftest import (FIXTURES, antichain_system, assert_level_matches_carved,
-                      degenerate_pair_system, load_nonrich_fixture, local_mask, nested_pair_system,
+                      closed_under_pointwise_lowering, degenerate_pair_system,
+                      load_nonrich_fixture, local_mask, nested_pair_system,
                       random_subset_system, redundant_split_family,
                       redundant_split_system, restrict_relabelled, split_leaf,
                       standardized_explicit, trivial_top_system,
@@ -201,17 +202,35 @@ def test_whole_system_readers_answer_for_the_carved_system_or_refuse(
 def test_a_view_is_closed_under_minimization_as_its_carved_system(
         name, system, family, thresholds):
     # The certifier lowers each member within the view's live ids.  It
-    # enumerates every lowering of every small member, seconds a level
-    # above 9 separations, so larger levels are left out.
+    # tries every member of up to three elements, seconds a level above 16
+    # separations, so larger levels are left out.
     checked = 0
     for k in _levels(system):
         view, carved = system.view_below(k), system.restrict_below(k)
-        if carved.count > 9:
+        if carved.count > 16:
             continue
         ok, bad = tf.is_closed_under_minimization(family, view)
         assert (ok, [tuple(frozenset(map(view.local, m)) for m in pair)
                      for pair in bad]) == \
             tf.is_closed_under_minimization(family, carved)
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name, system, family, thresholds", NAMED,
+                         ids=[n[0] for n in NAMED])
+def test_single_lowerings_decide_every_pointwise_lowering(
+        name, system, family, thresholds):
+    # The reference tries every pointwise lowering, seconds a level above 9
+    # separations, so larger levels are left out.
+    checked = 0
+    for k in _levels(system):
+        view, carved = system.view_below(k), system.restrict_below(k)
+        if carved.count > 9:
+            continue
+        for level in (view, carved):
+            assert tf.is_closed_under_minimization(family, level)[0] == \
+                closed_under_pointwise_lowering(family, level)
         checked += 1
     assert checked
 
