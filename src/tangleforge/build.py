@@ -12,12 +12,13 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
-                     UnresolvedLeaf)
+                     NotOrdered, UnresolvedLeaf)
 from .families import ForbiddenFamily
 from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
                      mask_of, to_json_dict)
-from .tree import (StructureTree, classify_all, is_structure_tree, leaf_class,
-                   restrict, tangles, tree_nodes_to_json_dict)
+from .tree import (StructureTree, _leaves_resolve, _restrict, _tangles,
+                   classify_all, is_ordered, is_structure_tree, leaf_class,
+                   tree_nodes_to_json_dict)
 
 
 MAX_TREE_NODES = 1_000_000  # n separations allow 2^(n+1) - 1 nodes
@@ -114,11 +115,13 @@ def reduce(tree: StructureTree, family: ForbiddenFamily):
     under the contracted node only, so the needs of every other leaf carry
     over, remembered by label set.
     """
-    ok = is_structure_tree(tree, family)
-    if not ok:
-        raise NotAStructureTree(ok.why)
+    is_structure_tree(tree, family).require(NotAStructureTree)
+    return _reduce(tree, family, {})
+
+
+def _reduce(tree, family, needs):
+    """Unchecked ``reduce``, with ``needs`` shared by ``pipeline``."""
     trace = ReductionTrace()
-    needs = {}
     while True:
         target = _dispensable_edge(tree, family, needs)
         if target is None:
@@ -187,24 +190,28 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
     hide lower-order tangles) and reduced afterwards, each independently,
     over a view of the system (``restrict``): no level builds a system.
     Default thresholds are the distinct order values of the system.
+
+    The full tree is checked once, a level by its leaves, and reductions
+    share one ``needs``; README, "Library tour", says why that is exact.
     """
     tree_full = build(system, family)
     full_ok = is_structure_tree(tree_full, family)
+    needs = {}
     if full_ok:
-        tree_reduced, trace = reduce(tree_full, family)
-        tangle_list = tangles(tree_reduced, family)
+        tree_reduced, trace = _reduce(tree_full, family, needs)
+        tangle_list = _tangles(tree_reduced, family)
     else:
-        tree_reduced, trace = tree_full, ReductionTrace()
-        tangle_list = []
+        tree_reduced, trace, tangle_list = tree_full, ReductionTrace(), []
+    is_ordered(tree_full).require(NotOrdered)
     if thresholds is None:
         thresholds = sorted({float(system.order(s)) for s in system.seps()})
     levels = []
     for k in thresholds:
-        tk = restrict(tree_full, k)
-        ok = is_structure_tree(tk, family)
+        tk = _restrict(tree_full, k)
+        ok = (_leaves_resolve if full_ok else is_structure_tree)(tk, family)
         if ok:
-            tkred, _ = reduce(tk, family)
-            tl = tangles(tkred, family)
+            tkred, _ = _reduce(tk, family, needs)
+            tl = _tangles(tkred, family)
             ftree = not tl  # a structure tree with no tangle leaf
             certs = certificates_of(tkred, family)
         else:

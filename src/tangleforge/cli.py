@@ -6,7 +6,8 @@ Exit codes form a contract shell pipelines can branch on:
      tree proves it
   2  invalid input: the message names the violated axiom, the bad family
      spec field, the unreadable input file, the unwritable --out path, or
-     a flag the command does not read (each reads its row of ``COMMANDS``)
+     a flag the command does not read (each reads its row of ``COMMANDS``,
+     and ``--k`` only where it takes effect)
   3  a budget exceeded: the oracle's enumeration, the separations of a
      ground or a sepsys/v1 file, or the nodes of a built tree
 
@@ -70,26 +71,26 @@ def _load_ground_system(args, spec):
         raise TangleForgeError(
             "exactly one of --graph/--similarity/--answers/--system is required")
     kind = chosen[0]
+    blocks = spec and spec.get("kind") == "blocks"
+    if args.levels and args.command in ("validate", "tangles", "oracle") and \
+            (kind != "graph" or blocks):
+        raise ValidationError(f"{args.command} reads --k only as the order "
+                              "bound of a --graph ground without a blocks family")
     if kind == "system":
         return system_mod.from_json_dict(_read_json(args.system))
     text = _read_text(getattr(args, kind))
     if kind == "graph":
         g = grounds.Graph.from_edge_list(text)
-        return grounds.graph_system(g, _system_bound(args, spec))
+        # orders below k of a blocks:k family, else below the largest --k
+        bound = (float(families.family_parameter(spec)) if blocks
+                 else max(args.levels, default=math.inf))
+        return grounds.graph_system(g, bound)
     if kind == "similarity":
         sim = grounds.load_similarity_csv(text)
         ground = grounds.full_bipartition_ground(len(sim), similarity=sim)
         return grounds.bipartition_system(ground)
     g = grounds.load_answers_csv(text)
     return grounds.questionnaire_system(g)
-
-
-def _system_bound(args, spec) -> float:
-    """Order bound for graph systems: the blocks parameter when the family
-    is a blocks family, else the largest requested level, else everything."""
-    if spec and spec.get("kind") == "blocks":
-        return float(families.family_parameter(spec))
-    return max(args.levels, default=float("inf"))
 
 
 def _family_spec(args) -> dict | None:
@@ -140,7 +141,7 @@ def _dump(payload) -> str:
 
 
 def cmd_validate(args) -> int:
-    if args.system:
+    if args.system and not args.levels:  # a --k is refused on loading
         try:
             sys_obj = system_mod.from_json_dict(_read_json(args.system),
                                                 check=False)
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         args.levels = [_threshold(k) for k in getattr(args, "k", None) or ()]
+        if len(args.levels) > 1 and args.command in ("certify", "restrict"):
+            raise ValidationError(
+                f"{args.command} reads one --k, got {len(args.levels)}")
         return args.fn(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

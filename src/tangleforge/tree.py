@@ -32,6 +32,10 @@ class Check(NamedTuple):
     def __bool__(self):
         return self.ok
 
+    def require(self, error):
+        if not self.ok:
+            raise error(self.why)
+
 
 @dataclass(frozen=True, eq=False)
 class LeafClass:
@@ -239,9 +243,12 @@ def leaf_for_orientation(tree, tau) -> int:
 
 def tangles(tree, family) -> list[frozenset[int]]:
     """Closures of the tangle leaves; the complete tangle list of the system."""
-    ok = is_structure_tree(tree, family)
-    if not ok:
-        raise NotAStructureTree(ok.why)
+    is_structure_tree(tree, family).require(NotAStructureTree)
+    return _tangles(tree, family)
+
+
+def _tangles(tree, family) -> list[frozenset[int]]:
+    """``tangles`` of a tree known to be a structure tree."""
     out = {tuple(sorted(cls.tangle)): cls.tangle
            for cls in classify_all(tree, family).values()
            if cls.kind == "tangle"}
@@ -332,6 +339,12 @@ def is_structure_tree(tree, family) -> Check:
     for v in tree.non_leaves():
         if family.holds_member(tree.system, tree.beta(v)):
             return Check(False, f"inner node {v} has a forbidden label set")
+    return _leaves_resolve(tree, family)
+
+
+def _leaves_resolve(tree, family) -> Check:
+    """Every leaf resolves: the one part of ``is_structure_tree`` that a
+    restriction of a structure tree can fail."""
     for leaf in tree.leaves():
         if leaf_class(tree, leaf, family).kind == "unresolved":
             return Check(False, f"leaf {leaf} is neither a tangle leaf nor forbidden")
@@ -355,9 +368,12 @@ def is_f_tree(tree, family) -> Check:
 def restrict(tree, k: float) -> StructureTree:
     """The subtree of edges below order k, over the system's
     ``view_below(k)``: node ids and labels are kept."""
-    ok = is_ordered(tree)
-    if not ok:
-        raise NotOrdered(ok.why)
+    is_ordered(tree).require(NotOrdered)
+    return _restrict(tree, k)
+
+
+def _restrict(tree, k: float) -> StructureTree:
+    """``restrict`` of a tree known to be ordered."""
     view = tree.system.view_below(k)
     parent, children, label = {}, {}, {}
     stack = [tree.root]

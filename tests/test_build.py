@@ -433,6 +433,54 @@ def test_one_pipeline_classifies_each_leaf_of_each_tree_once(two_k4,
     assert max(seen.values()) == 1
 
 
+def _counting(monkeypatch, modules, name, seen):
+    """Wrap ``name`` in each module that binds it; ``seen`` gets the
+    arguments of every call."""
+    for module in modules:
+        fn = getattr(module, name)
+
+        def run(*args, _fn=fn):
+            seen.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, run)
+
+
+@pytest.mark.parametrize("system, fam", _reference_instances())
+def test_one_pipeline_checks_the_full_tree_once_and_each_label_set_once(
+        system, fam, monkeypatch):
+    modules = (sys.modules["tangleforge.build"], sys.modules["tangleforge.tree"])
+    checks, orders, needs = [], [], []
+    _counting(monkeypatch, modules, "is_structure_tree", checks)
+    _counting(monkeypatch, modules, "is_ordered", orders)
+    _counting(monkeypatch, modules[:1], "leaf_needs", needs)
+    report = tf.pipeline(system, fam)
+    assert [t for t, _ in checks] == [report.tree_full]
+    assert [t for t, in orders] == [report.tree_full]
+    masks = [tree.beta(leaf) for tree, _, leaf in needs]
+    assert len(masks) == len(set(masks))
+
+
+@pytest.mark.parametrize("system, fam", [
+    *_reference_instances(),
+    pytest.param(*load_nonrich_fixture(), id="nonrich")])
+def test_pipeline_levels_equal_the_checked_public_path(system, fam):
+    report = tf.pipeline(system, fam)
+    full = tf.build(system, fam)
+    assert tree_shape(report.tree_full) == tree_shape(full)
+    for lv in report.levels:
+        tk = tf.restrict(full, lv.k)
+        ok = bool(tf.is_structure_tree(tk, fam))
+        assert lv.structure_ok == ok == bool(tf.is_structure_tree(lv.tree, fam))
+        if not ok:
+            assert (lv.reduced, lv.tangles, lv.certificates) == (None, [], [])
+            continue
+        reduced, _ = tf.reduce(tk, fam)
+        assert tree_shape(lv.reduced) == tree_shape(reduced)
+        assert lv.tangles == tf.tangles(reduced, fam)
+        assert lv.certificates == tf.certificates_of(reduced, fam)
+
+
 def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
     # A forbidden leaf's needs come from one critical_labels call; reduce
     # asks member queries only to classify the leaves a contraction makes.

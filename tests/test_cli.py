@@ -281,6 +281,9 @@ def test_certify_below_the_vertex_count_writes_no_degenerate_flag(tmp_path):
 
 
 K4 = str(FIXTURES / "k4.edges")
+SIX = str(FIXTURES / "six_similarity.csv")
+UNREAD_K = ("{} reads --k only as the order bound of a --graph ground "
+            "without a blocks family")
 
 # sepsys/v1 systems with a nested payload each: the 2-point full bipartition
 # universe with its sets ground, and one vertex separation of the path 0-1-2
@@ -499,6 +502,40 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
     # the KIND:PARAM form converts PARAM itself and names it as given
     pytest.param(["build", "--graph", K4, "--family", "blocks:2.5"], None, None,
                  "needs an integer 'k', got '2.5'", id="family-parameter-2.5"),
+    # tangles, oracle and validate read --k only as the order bound of a
+    # --graph ground without a blocks family; certify and restrict read one
+    pytest.param(["tangles", "--similarity", SIX, "--family", "cluster:3",
+                  "--k", "2"], None, None, UNREAD_K.format("tangles"),
+                 id="tangles-k-on-a-similarity"),
+    pytest.param(["tangles", "--similarity", SIX, "--family", "cluster:3",
+                  "--k", "1.5"], None, None, UNREAD_K.format("tangles"),
+                 id="tangles-k-1.5-on-a-similarity"),
+    pytest.param(["tangles", "--graph", K4, "--family", "blocks:3", "--k", "1"],
+                 None, None, UNREAD_K.format("tangles"),
+                 id="tangles-k-with-blocks"),
+    pytest.param(["tangles", "--answers", str(FIXTURES / "mindsets.csv"),
+                  "--family", "cluster:3", "--k", "2"], None, None,
+                 UNREAD_K.format("tangles"), id="tangles-k-on-answers"),
+    pytest.param(["oracle", "--similarity", SIX, "--family", "cluster:3",
+                  "--k", "2"], None, None, UNREAD_K.format("oracle"),
+                 id="oracle-k-on-a-similarity"),
+    pytest.param(["oracle", "--graph", K4, "--family", "blocks:3", "--k", "2"],
+                 None, None, UNREAD_K.format("oracle"), id="oracle-k-with-blocks"),
+    pytest.param(["validate", "--system", "{path}", "--k", "1"], "sys.json",
+                 json.dumps(SETS), UNREAD_K.format("validate"),
+                 id="validate-k-on-a-system"),
+    pytest.param(["validate", "--graph", K4, "--family", "blocks:3", "--k", "2"],
+                 None, None, UNREAD_K.format("validate"),
+                 id="validate-k-with-blocks"),
+    pytest.param(["certify", "--graph", K4, "--family", "blocks:3", "--k", "2",
+                  "--k", "3"], None, None, "certify reads one --k, got 2",
+                 id="certify-two-k"),
+    pytest.param(["certify", "--similarity", SIX, "--family", "cluster:3",
+                  "--k", "2", "--k", "4", "--k", "6"], None, None,
+                 "certify reads one --k, got 3", id="certify-three-k"),
+    pytest.param(["restrict", "--k", "1", "--k", "2", "--tree", "{path}"],
+                 "tree.json", tree_text(), "restrict reads one --k, got 2",
+                 id="restrict-two-k"),
     # an output path that cannot be written is bad input too, not a certificate
     pytest.param(["build", "--graph", K4, "--family", "blocks:2", "--out", "{path}"],
                  "missing-directory/x.json", None,

@@ -150,7 +150,7 @@ def test_levels_are_views_not_carved_systems():
     # A pipeline level is a view of the top system: neither the pipeline
     # nor restrict nor the view itself builds a system for it.
     for module, function in (("build", "pipeline"), ("tree", "restrict"),
-                             ("system", "view_below")):
+                             ("tree", "_restrict"), ("system", "view_below")):
         assert _calls_in(module, function, CARVING) == [], function
     # the walk sees these calls where they are made
     assert _calls_in("cli", "cmd_certify", CARVING) != []
