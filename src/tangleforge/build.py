@@ -48,7 +48,8 @@ def build(system: SeparationSystem, family: ForbiddenFamily) -> StructureTree:
             if blockers:
                 raise NonStandardFamily(
                     f"leaf cannot resolve: co-trivial label "
-                    f"{fmt_oriented(blockers[0])} is not forbidden by the family")
+                    f"{fmt_oriented(system.local(blockers[0]))} is not "
+                    "forbidden by the family")
             continue  # family not rich enough; post-checks will flag the tree
         pending.extend(tree._split(v, candidates[0]))
         if len(tree) > MAX_TREE_NODES:

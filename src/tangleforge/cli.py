@@ -22,11 +22,12 @@ import sys
 from pathlib import Path
 
 from . import families, grounds, oracle, system as system_mod, tree as tree_mod
-from .build import (certificate_entry, certificates_of, dump_report, pipeline,
-                    tangle_entry)
+from .build import (_reduce, certificate_entry, certificates_of, dump_report,
+                    pipeline, tangle_entry)
 from .build import build as build_tree
 from .build import reduce as reduce_tree
-from .errors import BudgetExceeded, TangleForgeError, ValidationError
+from .errors import (BudgetExceeded, NotAStructureTree, TangleForgeError,
+                     ValidationError)
 
 # --family spellings of family/v1 kinds
 FAMILY_ALIASES = {"strong-profile": "strong_profile", "tangle": "graph_tangle",
@@ -64,13 +65,18 @@ def _read_json(path: str):
     return system_mod.parse_json(_read_text(path), path)
 
 
-def _load_ground_system(args, spec):
+def _ground_kind(args) -> str:
+    """The one ground flag given."""
     chosen = [name for name in ("graph", "similarity", "answers", "system")
               if getattr(args, name)]
     if len(chosen) != 1:
         raise TangleForgeError(
             "exactly one of --graph/--similarity/--answers/--system is required")
-    kind = chosen[0]
+    return chosen[0]
+
+
+def _load_ground_system(args, spec):
+    kind = _ground_kind(args)
     blocks = spec and spec.get("kind") == "blocks"
     if args.levels and args.command in ("validate", "tangles", "oracle") and \
             (kind != "graph" or blocks):
@@ -141,7 +147,8 @@ def _dump(payload) -> str:
 
 
 def cmd_validate(args) -> int:
-    if args.system and not args.levels:  # a --k is refused on loading
+    # a --k with --system is refused on loading, by _load_ground_system
+    if _ground_kind(args) == "system" and not args.levels:
         try:
             sys_obj = system_mod.from_json_dict(_read_json(args.system),
                                                 check=False)
@@ -179,16 +186,19 @@ def cmd_tangles(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    """Build over a view of the level: the writers give its local ids, and
+    only the certificate tree's ``system_ref`` carves the level."""
     sys_obj, fam = _load_inputs(args)
-    level = sys_obj.restrict_below(args.levels[0] if args.levels else math.inf)
+    level = sys_obj.view_below(args.levels[0] if args.levels else math.inf)
     t = build_tree(level, fam)
-    ts = tree_mod.tangles(t, fam)
+    tree_mod.is_structure_tree(t, fam).require(NotAStructureTree)
+    ts = tree_mod._tangles(t, fam)
     payload = {"level": args.k[0] if args.k else "inf", "tangle_exists": bool(ts)}
     if ts:
         payload["tangles"] = [tangle_entry(level, tau) for tau in ts]
         _write(args, _dump(payload))
         return 0
-    reduced, _ = reduce_tree(t, fam)
+    reduced, _ = _reduce(t, fam, {})
     if args.format == "dot":
         _write(args, tree_mod.to_dot(reduced, fam))
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import MissingCapability, ValidationError
-from .grounds import GraphRealization, SideRealization
+from .grounds import realization_of
 from .system import SeparationSystem, expect_object, ids_of, inverse, mask_of
 
 
@@ -239,12 +239,11 @@ class BlocksFamily(ForbiddenFamily):
     arity = None
 
     def __init__(self, k: int, system: SeparationSystem):
-        if not isinstance(system.ground, GraphRealization):
-            raise MissingCapability("blocks family needs a graph-ground system")
+        ground = realization_of(system, "blocks family")
         super().__init__(system)
         self.k = int(k)
-        self._all = (1 << system.ground.graph.n) - 1
-        self._big = [b for _, b in system.ground.pairs]
+        self._all = (1 << ground.size) - 1
+        self._big = ground.sides
 
     def is_member(self, members):
         return _meet(self._big, members, self._all).bit_count() < self.k
@@ -292,12 +291,11 @@ class ClusterFamily(ForbiddenFamily):
     arity = 3
 
     def __init__(self, n: int, system: SeparationSystem):
-        if not isinstance(system.ground, SideRealization):
-            raise MissingCapability("cluster family needs a subset-ground system")
+        ground = realization_of(system, "cluster family", graph=False)
         super().__init__(system)
         self.n = int(n)
-        self._all = (1 << system.ground.size) - 1
-        self._sides = system.ground.sides
+        self._all = (1 << ground.size) - 1
+        self._sides = ground.sides
 
     def is_member(self, members):
         # a member is {r, s, t} as a set: 1..3 sides with small agreement
@@ -418,15 +416,14 @@ class GraphTangleFamily(ForbiddenFamily):
     arity = 3
 
     def __init__(self, system: SeparationSystem):
-        if not isinstance(system.ground, GraphRealization):
-            raise MissingCapability("graph-tangle family needs a graph-ground system")
+        ground = realization_of(system, "graph-tangle family")
         super().__init__(system)
-        g = system.ground.graph
-        edges = sorted(g.edges)
-        self._all_vertices = (1 << g.n) - 1
+        edges = sorted(ground.graph.edges)
+        self._all_vertices = (1 << ground.size) - 1
         self._all_edges = (1 << len(edges)) - 1
-        # each small side, and the edges it induces as a mask over ``edges``
-        self._small = [a for a, _ in system.ground.pairs]
+        # each small side, the inverse's, and the edges it induces as a
+        # mask over ``edges``
+        self._small = [ground.sides[o ^ 1] for o in range(len(ground.sides))]
         self._induced = [mask_of(i for i, (u, v) in enumerate(edges)
                                  if a >> u & 1 and a >> v & 1)
                          for a in self._small]

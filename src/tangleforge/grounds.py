@@ -3,8 +3,8 @@
 Two kinds are provided: vertex separations of a finite graph, ordered by the
 separator size, and bipartitions (or arbitrary complement-closed subset
 families) of a finite point set, ordered by a similarity cut weight.  Each
-generated system carries a realization payload so that forbidden families can
-look up the concrete side sets behind every oriented id.
+generated system carries one realization, a side per oriented id, so that
+forbidden families can look up the concrete sets behind every oriented id.
 """
 
 from __future__ import annotations
@@ -87,68 +87,46 @@ class Graph:
     def vertices(self):
         return range(self.n)
 
-    def induced_edges(self, part) -> frozenset:
-        s = set(part)
-        return frozenset(e for e in self.edges if e[0] in s and e[1] in s)
-
-
-@dataclass(frozen=True)
-class GraphRealization:
-    """Per-oriented-id (A, B) vertex side pairs of a graph system, each side a
-    vertex bitmask."""
-
-    graph: Graph
-    pairs: tuple[tuple[int, int], ...]
-
-    kind = "graph"
-
-    def side_pair(self, o: int) -> tuple[frozenset, frozenset]:
-        a, b = self.pairs[o]
-        return frozenset(ids_of(a)), frozenset(ids_of(b))
-
-    def big_side(self, o: int) -> frozenset:
-        return frozenset(ids_of(self.pairs[o][1]))
-
-    def subset(self, oriented_ids):
-        return GraphRealization(self.graph,
-                                tuple(self.pairs[o] for o in oriented_ids))
-
-    def to_json_dict(self):
-        return {
-            "kind": "graph",
-            "n": self.graph.n,
-            "edges": sorted([list(e) for e in self.graph.edges]),
-            "sides": [[ids_of(a), ids_of(b)] for a, b in self.pairs[::2]],
-        }
-
 
 @dataclass(frozen=True)
 class SideRealization:
-    """Per-oriented-id subset sides of a bipartition-style system, each side
-    a point bitmask."""
+    """The ground of a graph or bipartition-style system: per oriented id,
+    the side that grows along the order, a bitmask of ``size`` points.  A
+    graph separation (A, B) has B as its side and A as its inverse's, and
+    keeps its graph as ``graph``; a bipartition side's inverse is its
+    complement, and ``graph`` is None."""
 
     size: int
     sides: tuple[int, ...]
-
-    kind = "sets"
+    graph: Graph | None = None
 
     def side(self, o: int) -> frozenset:
         return frozenset(ids_of(self.sides[o]))
 
-    def subset(self, oriented_ids):
-        return SideRealization(self.size, tuple(self.sides[o] for o in oriented_ids))
-
     def to_json_dict(self):
-        return {
-            "kind": "sets",
-            "size": self.size,
-            "sides": [ids_of(m) for m in self.sides[::2]],
-        }
+        if self.graph is None:
+            return {"kind": "sets", "size": self.size,
+                    "sides": [ids_of(m) for m in self.sides[::2]]}
+        return {"kind": "graph", "n": self.size,
+                "edges": sorted([list(e) for e in self.graph.edges]),
+                "sides": [[ids_of(a), ids_of(b)]
+                          for b, a in zip(self.sides[::2], self.sides[1::2])]}
+
+
+def realization_of(system: SeparationSystem, what: str,
+                   graph: bool = True) -> SideRealization:
+    """The system's ground when it is a graph's, or with ``graph`` false a
+    point set's; else ``what`` cannot run on the system."""
+    ground = system.ground
+    if ground is None or (ground.graph is None) == graph:
+        raise MissingCapability(
+            f"{what} needs a {'graph' if graph else 'subset'}-ground system")
+    return ground
 
 
 def realization_from_json(d: dict, count: int):
     """The ground payload of a sepsys/v1 system with ``count`` separations:
-    one side (sets) or side pair (graph) per separation."""
+    one side (sets) or side pair (graph) per separation, written forward."""
     kind = expect_object(d, "sepsys/v1 ground").get("kind")
     if kind not in ("graph", "sets"):
         raise ValidationError(f"unknown ground kind {kind!r}")
@@ -186,14 +164,14 @@ def realization_from_json(d: dict, count: int):
         return SideRealization(size, tuple(m for a in masks
                                            for m in (a, full & ~a)))
     g = Graph.from_edges(size, [tuple(points(e, "edge", 2)) for e in edges])
-    pairs = []
+    out = []
     for pair in sides:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"graph ground side pair {pair!r} must hold "
                                   "two sides")
         a, b = (mask_of(points(side, "side")) for side in pair)
-        pairs += [(a, b), (b, a)]
-    return GraphRealization(g, tuple(pairs))
+        out += [b, a]
+    return SideRealization(size, tuple(out), g)
 
 
 def _graph_separations(g: Graph, k: float) -> list[tuple[int, int]]:
@@ -292,16 +270,16 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
 def _graph_system(g: Graph, k: float, tables: bool) -> SeparationSystem:
     """``graph_system``, attempting join/meet tables exactly when ``tables``."""
     full = (1 << g.n) - 1
-    sides = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
-    pairs = [p for a, b in sides for p in ((a, b), (b, a))]
+    pairs = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
+    sides = [side for a, b in pairs for side in (b, a)]  # B of (A, B), then A
     # (A, B) <= (C, D) iff A >= C and B <= D: the subset order on the keys
     # (V - A, B), whose union is the join and whose intersection the meet
-    keys = [(full & ~a) << g.n | b for a, b in pairs]
+    keys = [(full & ~sides[o ^ 1]) << g.n | b for o, b in enumerate(sides)]
     leq, join, meet = _subset_lattice(keys, 2 * g.n, tables)
     return SeparationSystem(
-        leq, [(a & b).bit_count() for a, b in pairs[::2]], join=join,
+        leq, [(a & b).bit_count() for a, b in pairs], join=join,
         meet=meet, distributive=join is not None,
-        ground=GraphRealization(g, tuple(pairs)),
+        ground=SideRealization(g.n, tuple(sides), g),
         allow_degenerate=g.n < k)
 
 
@@ -444,15 +422,13 @@ def questionnaire_system(answers) -> SeparationSystem:
 
 def block_of_tangle(system: SeparationSystem, tau) -> frozenset[int]:
     """Intersection of the big sides of a block-style graph tangle."""
-    ground = system.ground
-    if not isinstance(ground, GraphRealization):
-        raise MissingCapability("block extraction needs a graph-ground system")
+    ground = realization_of(system, "block extraction")
     tau = mask_of(tau)
     if not system.orients_all(tau) or not system.is_consistent(tau):
         raise NotATangle("expected a consistent orientation of every separation")
-    block = (1 << ground.graph.n) - 1
+    block = (1 << ground.size) - 1
     for o in ids_of(tau):
-        block &= ground.pairs[o][1]
+        block &= ground.sides[o]
     return frozenset(ids_of(block))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, takewhile
 from json.encoder import encode_basestring_ascii
 from operator import index
@@ -122,27 +122,30 @@ class SeparationSystem:
     join, meet : optional (2n, 2n) integer tables of oriented ids making the
         system a lattice ("universe").  Both or neither.
     distributive : claim that the lattice is distributive (validated).
-    ground : optional realization payload (graph side pairs, subset sides)
-        used by concrete forbidden families.
+    ground : optional realization payload (a ``SideRealization``: one side
+        per oriented id) used by concrete forbidden families.
     allow_degenerate : admit separations whose two orientations coincide
         (both ids then alias one element; rejected by default).
 
     ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
     below ``a`` (``a`` included), derived from ``leq`` at construction.
-    A system carved out of another one (``subsystem``, ``restrict_below``)
-    has that one as ``parent``, and ``back_map[s]`` is the parent's
-    unoriented id for local id ``s``; any other system has None for both.
 
-    ``view_below`` gives a view instead of a carved system: its ``base``
-    (a system is its own ``base``) with only the ids in the mask ``live``
+    ``view_below`` gives a lower-order level as a view: its ``base`` (a
+    system is its own ``base``) with only the ids in the mask ``live``
     present.  A view keeps the base's ids, and with them its ``count``,
-    tables, ``parent`` and ``back_map``.  It clips only the closure table
+    tables and ``top``.  It clips only the closure table
     ``_requires`` and the forward-id mask ``_even`` (which ``seps``,
     ``orients_all`` and co-triviality read) to ``live``; ``up``, ``down``,
     ``_below``, ``_away`` and ``_degenerate`` are the base's, since their
     readers AND them with a live mask or read them at live ids only, where
     the order is induced.  ``seps()`` and ``all_oriented()`` list its live
     ids, and ``local`` maps them to those of the carved ``restrict_below``.
+
+    Carving (``subsystem``, ``restrict_below``) builds the system a view
+    stands for, for an output that inlines it or for the oracle.  A carved
+    system keeps the system at the top of its carving as ``top`` and the
+    map of its oriented ids into that one's (``oriented_into``); any other
+    system has None for both.
     """
 
     def __init__(self, leq, orders, *, join=None, meet=None, distributive=False,
@@ -162,7 +165,7 @@ class SeparationSystem:
         self.meet = None if meet is None else np.array(meet, dtype=np.int64)
         self.distributive = bool(distributive)
         self.ground = ground
-        self.parent = self.back_map = None
+        self.top = self._into_top = None
         self.allow_degenerate = bool(allow_degenerate)
         self.base, self.live = self, (1 << n2) - 1
         for table in (self.leq, self.orders, self.join, self.meet):
@@ -186,7 +189,6 @@ class SeparationSystem:
             for o in range(n2))
         self._away = tuple(self.down[o ^ 1] & ~(3 << (o & ~1)) for o in range(n2))
         self._by_order = sorted(self.seps(), key=lambda s: (orders[s], s))
-        self._into: dict[int, tuple[int, ...]] = {}  # see oriented_into
         if check:
             report = validate(self)
             if not report.ok:
@@ -320,7 +322,8 @@ class SeparationSystem:
     # -- derived systems -----------------------------------------------------
 
     def subsystem(self, sep_ids) -> "SeparationSystem":
-        """The system induced on the given separations, parent-linked."""
+        """The system induced on the given separations, mapped into the
+        top system of this one's carving."""
         sep_ids = tuple(sep_ids)
         idx = [o for s in sep_ids for o in (forward(s), backward(s))]
         leq = self.leq[np.ix_(idx, idx)]
@@ -332,12 +335,15 @@ class SeparationSystem:
                 lut = np.full(self.n_oriented, -1, dtype=np.int64)
                 lut[list(idx)] = np.arange(len(idx))
                 join, meet = lut[jvals], lut[mvals]
-        ground = self.ground.subset(idx) if self.ground is not None else None
+        ground = self.ground and replace(
+            self.ground, sides=tuple(self.ground.sides[o] for o in idx))
         sub = SeparationSystem(
             leq, orders, join=join, meet=meet,
             distributive=self.distributive and join is not None, ground=ground,
             allow_degenerate=any(map(self.is_degenerate, sep_ids)), check=False)
-        sub.parent, sub.back_map = self, sep_ids
+        sub.top = self.top or self.base
+        sub._into_top = tuple(idx) if self.top is None else \
+            tuple(self._into_top[o] for o in idx)
         return sub
 
     def restrict_below(self, k: float) -> "SeparationSystem":
@@ -359,21 +365,15 @@ class SeparationSystem:
         return view
 
     def oriented_into(self, ancestor: "SeparationSystem") -> tuple[int, ...]:
-        """Map of local oriented ids into an ancestor system's oriented ids,
-        computed once per ancestor; systems of one base share their ids."""
-        ancestor = ancestor.base
-        if ancestor is self.base:
+        """Map of oriented ids into ``ancestor``'s: the identity when both
+        share a base, the map kept at carving when ``ancestor`` is the top
+        system this one was carved from."""
+        if ancestor.base is self.base:
             return tuple(range(self.n_oriented))
-        # keyed by id: a cached ancestor lies on the parent chain, so it
-        # lives as long as this system does
-        if id(ancestor) not in self._into:
-            if self.parent is None:
-                raise GroundMismatch(
-                    "system does not descend from the family's system")
-            up = self.parent.oriented_into(ancestor)
-            self._into[id(ancestor)] = tuple(
-                up[2 * s + side] for s in self.back_map for side in (0, 1))
-        return self._into[id(ancestor)]
+        if ancestor.base is not self.top:
+            raise GroundMismatch(
+                "system does not descend from the family's system")
+        return self._into_top
 
 
 # -- validation --------------------------------------------------------------

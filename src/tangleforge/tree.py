@@ -467,41 +467,42 @@ def load_tree(text: str, system=None) -> StructureTree:
     return tree_from_json_dict(parse_json(text, "tree/v1 text"), system)
 
 
-def _tangle_label(system, tangle) -> str:
-    mins = ids_of(system.minimal_elements(mask_of(tangle)))
-    return "{" + ",".join(fmt_oriented(o) for o in mins) + "}"
-
-
 def to_dot(tree, family=None) -> str:
     """Graphviz form: split separations with orders on inner nodes, leaves
     coloured by classification and annotated with minimal tangle elements or
-    witness members."""
+    witness members.  A tree over a view is written in the view's local
+    ids, as its JSON is."""
+    system, local = tree.system, tree.system.local
+
+    def names(ids) -> str:
+        return ",".join(fmt_oriented(local(o)) for o in ids)
+
     lines = ["digraph structure_tree {", '  node [fontname="Helvetica"];']
     classes = classify_all(tree, family) if family is not None else {}
     for v in tree.nodes():
         if not tree.is_leaf(v):
             s = tree.s_of(v)
-            lines.append(
-                f'  n{v} [shape=circle label="s{s}\\n|s|={tree.system.order(s):g}"];')
+            lines.append(f'  n{v} [shape=circle label="s{local(2 * s) >> 1}'
+                         f'\\n|s|={system.order(s):g}"];')
             continue
         cls = classes.get(v)
         if cls is None:
             lines.append(f'  n{v} [shape=box label="leaf {v}"];')
         elif cls.kind == "tangle":
+            mins = ids_of(system.minimal_elements(mask_of(cls.tangle)))
             lines.append(
                 f'  n{v} [shape=box style=filled fillcolor=palegreen '
-                f'label="tangle {_tangle_label(tree.system, cls.tangle)}"];')
+                f'label="tangle {{{names(mins)}}}"];')
         elif cls.kind == "forbidden":
-            members = ",".join(fmt_oriented(o) for o in sorted(cls.witness.members))
             lines.append(
                 f'  n{v} [shape=box style=filled fillcolor=lightcoral '
-                f'label="forbidden {{{members}}}"];')
+                f'label="forbidden {{{names(sorted(cls.witness.members))}}}"];')
         else:
             lines.append(
                 f'  n{v} [shape=box style=filled fillcolor=lightgray '
                 f'label="unresolved"];')
     for v in tree.nodes():
         for c in tree.children(v):
-            lines.append(f'  n{v} -> n{c} [label="{fmt_oriented(tree.label(c))}"];')
+            lines.append(f'  n{v} -> n{c} [label="{fmt_oriented(local(tree.label(c)))}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

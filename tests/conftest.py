@@ -222,8 +222,14 @@ def separation_sides(system):
     """The (A, B) vertex sides of a graph system's non-degenerate
     separations, in id order: what `oracle.vertex_separations_below` lists
     for the same graph and bound."""
-    return [system.ground.side_pair(2 * s) for s in system.seps()
+    return [side_pair(system.ground, 2 * s) for s in system.seps()
             if not system.is_degenerate(s)]
+
+
+def side_pair(ground, o):
+    """The (A, B) vertex sets of the separation a graph ground's oriented id
+    ``o`` stands for: its inverse's side, then its own."""
+    return ground.side(o ^ 1), ground.side(o)
 
 
 # -- tree helpers ---------------------------------------------------------------

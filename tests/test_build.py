@@ -64,6 +64,22 @@ def test_non_standard_family_blocked_by_a_cotrivial_label():
         tf.build(system, tf.make_empty())
 
 
+def test_a_view_names_its_blocking_label_in_local_ids():
+    # trivial_top_system behind a separation 0 of order 5, which is not
+    # live below 3: the view's error names the carved level's label
+    leq = np.eye(6, dtype=bool)
+    for a, b in [(4, 2), (5, 2), (3, 5), (3, 4), (3, 2)]:
+        leq[a, b] = True
+    system = tf.SeparationSystem(leq, [5.0, 1.0, 2.0])
+    messages = []
+    for level in (system.view_below(3), system.restrict_below(3)):
+        with pytest.raises(NonStandardFamily) as err:
+            tf.build(level, tf.make_empty())
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert "label 0-" in messages[0]
+
+
 def test_non_rich_family_yields_an_unresolved_leaf_not_an_error():
     system, family = load_nonrich_fixture()
     t = tf.build(system, family)

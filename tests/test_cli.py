@@ -69,6 +69,25 @@ def test_certify_exit_codes(tmp_path):
     assert payload["certificates"]
 
 
+def test_certify_checks_its_tree_once(tmp_path, monkeypatch):
+    # As in pipeline, the built tree is checked once; its tangles and its
+    # reduction then take that verdict.  Every module binding the check is
+    # watched.
+    seen = []
+    for name in ("tangleforge.tree", "tangleforge.build"):
+        module = sys.modules[name]
+
+        def counting(tree, family, _check=module.is_structure_tree):
+            seen.append(tree)
+            return _check(tree, family)
+
+        monkeypatch.setattr(module, "is_structure_tree", counting)
+    code, _ = run(tmp_path, "certify", "--graph", str(FIXTURES / "p5.edges"),
+                  "--family", "blocks:3")
+    assert code == 1
+    assert len(seen) == 1
+
+
 def test_certify_cluster_level_switch(tmp_path):
     code, text = run(tmp_path, "certify",
                      "--similarity", str(FIXTURES / "six_similarity.csv"),
@@ -527,6 +546,10 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
     pytest.param(["validate", "--graph", K4, "--family", "blocks:3", "--k", "2"],
                  None, None, UNREAD_K.format("validate"),
                  id="validate-k-with-blocks"),
+    # validate, like build, reads exactly one ground
+    pytest.param(["validate", "--system", "{path}", "--graph", K4], "sys.json",
+                 json.dumps(SETS), "exactly one of --graph/--similarity/"
+                 "--answers/--system is required", id="validate-system-and-graph"),
     pytest.param(["certify", "--graph", K4, "--family", "blocks:3", "--k", "2",
                   "--k", "3"], None, None, "certify reads one --k, got 2",
                  id="certify-two-k"),

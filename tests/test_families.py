@@ -13,7 +13,8 @@ from tangleforge.system import ids_of, mask_of
 from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
                       closed_under_pointwise_lowering, grid_graph,
                       load_nonrich_fixture, nested_pair_system,
-                      random_subset_system, split_leaf, standardized_explicit)
+                      random_subset_system, side_pair, split_leaf,
+                      standardized_explicit)
 
 
 def all_subsets(ids, cap=None):
@@ -38,13 +39,13 @@ def test_blocks_witness_on_k4_orientation_away_from_everything(k4):
     b3 = tf.make_blocks(3, s3)
     # orient some separation towards its small side and close up
     small = next(o for o in s3.all_oriented()
-                 if s3.is_small(o) and len(s3.ground.big_side(o)) == 2)
+                 if s3.is_small(o) and len(s3.ground.side(o)) == 2)
     sigma = s3.closure(1 << small)
     w = b3.forbidden_subset(s3, sigma)
     assert w is not None
     meet = frozenset(k4.vertices())
     for o in w.members:
-        meet &= s3.ground.big_side(o)
+        meet &= s3.ground.side(o)
     assert len(meet) < 3
     assert sorted(meet) == w.evidence["big_side_intersection"]
 
@@ -107,7 +108,7 @@ def test_families_accept_descendant_systems(k4):
     b3 = tf.make_blocks(3, s3)
     s2 = s3.restrict_below(2)
     sigma = frozenset({o for o in s2.all_oriented()
-                       if len(s2.ground.big_side(o)) <= 1})
+                       if len(s2.ground.side(o)) <= 1})
     w = b3.forbidden_subset(s2, mask_of(sigma))
     assert w is not None and w.members <= sigma
 
@@ -124,11 +125,11 @@ def test_graph_tangle_family_on_k4(k4):
     t3 = tf.make_graph_tangle(s3)
     verts = frozenset(k4.vertices())
     towards_v = next(o for o in s3.all_oriented()
-                     if s3.ground.side_pair(o)[0] == verts)
+                     if side_pair(s3.ground, o)[0] == verts)
     assert t3.is_member(frozenset({towards_v}))
     tangles = all_tangles(s3, t3)
     assert len(tangles) == 1
-    assert all(s3.ground.side_pair(o)[0] != verts for o in tangles[0])
+    assert all(side_pair(s3.ground, o)[0] != verts for o in tangles[0])
 
 
 # -- incremental scan agrees with the full one -------------------------------------
@@ -329,7 +330,7 @@ def test_witnesses_reverify_independently(kind, k4, six_cluster_system):
         if kind == "blocks":
             meet = frozenset(system.ground.graph.vertices())
             for o in w.members:
-                meet &= system.ground.big_side(o)
+                meet &= system.ground.side(o)
             assert len(meet) < 3
         elif kind == "cluster":
             agree = frozenset(range(system.ground.size))
@@ -340,9 +341,9 @@ def test_witnesses_reverify_independently(kind, k4, six_cluster_system):
             g = system.ground.graph
             verts, edges = set(), set()
             for o in w.members:
-                A = system.ground.side_pair(o)[0]
+                A = side_pair(system.ground, o)[0]
                 verts |= A
-                edges |= g.induced_edges(A)
+                edges |= {e for e in g.edges if A.issuperset(e)}
             assert verts == set(g.vertices()) and edges == set(g.edges)
 
 

@@ -17,7 +17,7 @@ from tangleforge.oracle import (OracleBudget, all_kblocks, all_tangles,
 from tangleforge.system import dump_system, load_system, validate
 
 from conftest import (FIXTURES, all_graphs_up_to_iso, grid_graph,
-                      separation_sides)
+                      separation_sides, side_pair)
 
 
 def test_k4_low_order_separations_all_have_a_full_side(k4):
@@ -25,7 +25,7 @@ def test_k4_low_order_separations_all_have_a_full_side(k4):
     assert s3.count == 11
     verts = frozenset(k4.vertices())
     for s in s3.seps():
-        A, B = s3.ground.side_pair(2 * s)
+        A, B = side_pair(s3.ground, 2 * s)
         assert verts in (A, B)
         assert len(A & B) < 3
     assert validate(s3).ok
@@ -35,7 +35,7 @@ def test_single_edge_graph_owns_one_zero_order_separation():
     k2 = tf.Graph.from_edges(2, [(0, 1)])
     s1 = tf.graph_system(k2, 1)
     assert s1.count == 1
-    A, B = s1.ground.side_pair(0)
+    A, B = side_pair(s1.ground, 0)
     assert {A, B} == {frozenset(), frozenset({0, 1})}
 
 
@@ -57,8 +57,10 @@ def test_graph_universe_lattice_laws_and_submodularity():
 
 def test_back_maps_are_bijective(k4):
     s3 = tf.graph_universe(k4).restrict_below(3)
-    assert len(set(s3.back_map)) == s3.count
-    assert all(0 <= s < s3.parent.count for s in s3.back_map)
+    up = s3.oriented_into(s3.top)
+    assert len(set(up)) == s3.n_oriented
+    assert all(0 <= o < s3.top.n_oriented for o in up)
+    assert [o ^ 1 for o in up[::2]] == list(up[1::2])
 
 
 def _random_graphs(n, count, seed):
@@ -89,7 +91,7 @@ def test_graph_systems_equal_their_universe_restricted_below_k(n):
                 assert np.array_equal(got.join, want.join)
                 assert np.array_equal(got.meet, want.meet)
             assert got.distributive == want.distributive
-            assert got.ground.pairs == want.ground.pairs
+            assert got.ground == want.ground
             assert got.allow_degenerate == any(
                 got.is_degenerate(s) for s in got.seps())
 
@@ -148,7 +150,7 @@ def test_lattice_tables_up_to_six_vertices_and_for_universes(two_k4):
     assert universe.has_universe() and universe.distributive
     assert not built.has_universe() and not built.distributive
     assert np.array_equal(built.leq, universe.leq)
-    assert built.ground.pairs == universe.ground.pairs
+    assert built.ground == universe.ground
 
 
 @pytest.mark.parametrize("width", [12, 20, 70])
@@ -184,7 +186,7 @@ def test_block_tangle_correspondence_both_ways(n, k):
             tau = set()
             for s in system.seps():
                 side = [o for o in (2 * s, 2 * s + 1)
-                        if block <= system.ground.big_side(o)]
+                        if block <= system.ground.side(o)]
                 assert len(side) == 1
                 tau.add(side[0])
             assert frozenset(tau) in tangles

@@ -143,17 +143,20 @@ def test_grounds_build_systems_without_carving():
     # out of a larger system; one construction path serves every graph.
     assert _method_calls("grounds", CARVING) == []
     # the walk sees these calls where they are made
-    assert _method_calls("cli", ("restrict_below",)) != []
+    assert _method_calls("system", ("subsystem",)) != []
 
 
 def test_levels_are_views_not_carved_systems():
-    # A pipeline level is a view of the top system: neither the pipeline
-    # nor restrict nor the view itself builds a system for it.
+    # A pipeline or certify level is a view of the top system: neither the
+    # pipeline nor restrict nor certify nor the view itself builds a system
+    # for it, and the CLI carves nowhere.
     for module, function in (("build", "pipeline"), ("tree", "restrict"),
-                             ("tree", "_restrict"), ("system", "view_below")):
+                             ("tree", "_restrict"), ("system", "view_below"),
+                             ("cli", "cmd_certify")):
         assert _calls_in(module, function, CARVING) == [], function
+    assert _method_calls("cli", CARVING) == []
     # the walk sees these calls where they are made
-    assert _calls_in("cli", "cmd_certify", CARVING) != []
+    assert _calls_in("system", "restrict_below", CARVING) != []
     assert _calls_in("system", "to_json_dict", CARVING) != []
 
 

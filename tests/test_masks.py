@@ -18,7 +18,7 @@ from tangleforge.system import from_json_dict, ids_of, mask_of, to_json_dict
 from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
                       load_nonrich_fixture, nested_pair_system,
                       random_relation_system, random_subset_system,
-                      redundant_split_system, trivial_top_system,
+                      redundant_split_system, side_pair, trivial_top_system,
                       two_cluster_similarity)
 
 
@@ -181,13 +181,14 @@ def test_side_views_match_the_json_sides_and_the_ground(k4):
         ground = system.ground
         d = to_json_dict(system)["ground"]
         again = from_json_dict(to_json_dict(system)).ground
+        assert again == ground
+        assert d["kind"] == ("sets" if ground.graph is None else "graph")
         for o in system.all_oriented():
             forward_sides = d["sides"][o >> 1]
-            if ground.kind == "graph":
+            if ground.graph is not None:
                 A, B = forward_sides if o % 2 == 0 else forward_sides[::-1]
-                assert ground.side_pair(o) == again.side_pair(o) == \
-                    (frozenset(A), frozenset(B))
-                assert ground.big_side(o) == again.big_side(o) == frozenset(B)
+                assert side_pair(ground, o) == (frozenset(A), frozenset(B))
+                assert ground.side(o) == frozenset(B)
                 # a separation: the sides cover V with no edge across
                 A, B = frozenset(A), frozenset(B)
                 assert A | B == frozenset(k4.vertices())
@@ -197,13 +198,13 @@ def test_side_views_match_the_json_sides_and_the_ground(k4):
                 points = frozenset(range(ground.size))
                 side = frozenset(forward_sides)
                 expected = side if o % 2 == 0 else points - side
-                assert ground.side(o) == again.side(o) == expected
+                assert ground.side(o) == expected
                 assert ground.side(o ^ 1) == points - ground.side(o)
         for a in system.all_oriented():
             for b in system.all_oriented():
-                if ground.kind == "sets":
+                if ground.graph is None:
                     assert bool(system.leq[a, b]) == \
                         (ground.side(a) <= ground.side(b))
                 else:
-                    (A, B), (C, D) = ground.side_pair(a), ground.side_pair(b)
+                    (A, B), (C, D) = side_pair(ground, a), side_pair(ground, b)
                     assert bool(system.leq[a, b]) == (A >= C and B <= D)

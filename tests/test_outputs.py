@@ -1,7 +1,7 @@
 """The CLI writes exactly the bytes it always has on the fixtures.
 
-`build` (json), `tangles` and `certify --k 2` run on each fixture input with
-its family.  The sha256 of each output and the exit code are pinned, so a
+`build` (json), `tangles`, `certify --k 2` and `certify --k 2 --format dot`
+run on each fixture input with its family.  The sha256 of each output and the exit code are pinned, so a
 change that moves any byte of a report, tangle list or certificate shows up
 here; a change meant to alter an output updates its digest in the same
 commit.
@@ -26,7 +26,8 @@ INPUTS = {
     "mindsets/cluster3": ["--answers", "mindsets.csv", "--family", "cluster:3"],
 }
 COMMANDS = {"build": ["build"], "tangles": ["tangles"],
-            "certify": ["certify", "--k", "2"]}
+            "certify": ["certify", "--k", "2"],
+            "certify-dot": ["certify", "--k", "2", "--format", "dot"]}
 
 # (exit code, sha256 of the output) per "input command"
 OUTPUT_SHA256 = {
@@ -36,17 +37,23 @@ OUTPUT_SHA256 = {
         (0, "f7d9b0a55f2c036a23a0276b111c185a237e3a35361c5dfc3911007681014fb8"),
     "k4/blocks3 certify":
         (0, "d881e3503c29670c17fad1f8b3623bd98bfc9d21a0ac1be3e84d8a247ed91bb9"),
+    "k4/blocks3 certify-dot":
+        (0, "d881e3503c29670c17fad1f8b3623bd98bfc9d21a0ac1be3e84d8a247ed91bb9"),
     "p5/blocks3 build":
         (0, "bfa62807ec615fcc0a8e68cc3f2e0b47d851d55aeeb58fb4a29a00f266946f5e"),
     "p5/blocks3 tangles":
         (0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "p5/blocks3 certify":
         (1, "f7c963aae20c6c10fa41aed2a5525b1273d023a7d43db75264de2697b6b28e40"),
+    "p5/blocks3 certify-dot":
+        (1, "823d9b1fb38769286a872fc3eba644c10e10a45e84114062ad15fdf53c98d6a7"),
     "two_k4/blocks3 build":
         (0, "0f4288a8ebbc5454b8920e57d0087869b222d95ce3da5550a0b77fcc66685240"),
     "two_k4/blocks3 tangles":
         (0, "ff3d60d84846064c39575c2b6d9171d8c669fdb49ede9feeef91288213a384fb"),
     "two_k4/blocks3 certify":
+        (0, "bcb4f4158c50ee85dee81f2a73b2de8fcfcbde102fd6f453bae6ad14bbf278fd"),
+    "two_k4/blocks3 certify-dot":
         (0, "bcb4f4158c50ee85dee81f2a73b2de8fcfcbde102fd6f453bae6ad14bbf278fd"),
     "six_similarity/cluster2 build":
         (0, "fcdc4c366e204da6490fd5f5154625d930c11d886fab602d79d9272e2a024634"),
@@ -54,17 +61,23 @@ OUTPUT_SHA256 = {
         (0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "six_similarity/cluster2 certify":
         (0, "1cef15a625237aaece6c576f000763a931b33289f3ea8c617fe9a0f9924d05e9"),
+    "six_similarity/cluster2 certify-dot":
+        (0, "1cef15a625237aaece6c576f000763a931b33289f3ea8c617fe9a0f9924d05e9"),
     "six_similarity/cluster3 build":
         (0, "d0f042b304989583d98dc4e081701a1253db524b84655f600e1ea6002822f768"),
     "six_similarity/cluster3 tangles":
         (0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     "six_similarity/cluster3 certify":
         (0, "1cef15a625237aaece6c576f000763a931b33289f3ea8c617fe9a0f9924d05e9"),
+    "six_similarity/cluster3 certify-dot":
+        (0, "1cef15a625237aaece6c576f000763a931b33289f3ea8c617fe9a0f9924d05e9"),
     "mindsets/cluster3 build":
         (0, "931814c09e2d9ecbee819144132d6af03a161171c141b7bc832d81e8f95ede35"),
     "mindsets/cluster3 tangles":
         (0, "e53cb43a2937d3ac91ba5dffe2576317b69b09a5369bd4abd516d6129de92f73"),
     "mindsets/cluster3 certify":
+        (0, "ca8961b019f9bbc5f4536c6d2c2aedd11b364ed0ecdc3bf58a80205af5404b49"),
+    "mindsets/cluster3 certify-dot":
         (0, "ca8961b019f9bbc5f4536c6d2c2aedd11b364ed0ecdc3bf58a80205af5404b49"),
 }
 

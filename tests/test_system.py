@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import tangleforge as tf
 from tangleforge import grounds
-from tangleforge.errors import InconsistentInput, ValidationError
+from tangleforge.errors import (GroundMismatch, InconsistentInput,
+                               ValidationError)
 from tangleforge.oracle import all_consistent_orientations
 from tangleforge.system import (LATTICE_EXHAUSTIVE_LIMIT, backward,
                                fmt_oriented, forward, ids_of, inverse, mask_of,
@@ -16,7 +17,8 @@ from tangleforge.system import (LATTICE_EXHAUSTIVE_LIMIT, backward,
 from conftest import (FIXTURES, M3, N5, all_graphs_up_to_iso,
                       antichain_system, lattice_times_chain,
                       random_relation_system, random_subset_system,
-                      submodular_subsystems, two_cluster_similarity)
+                      side_pair, submodular_subsystems,
+                      two_cluster_similarity)
 
 
 def all_subsets(ids):
@@ -274,7 +276,7 @@ def test_small_graph_separations_have_full_first_side(k4):
     s3 = tf.graph_system(k4, 3)
     verts = frozenset(k4.vertices())
     for o in s3.all_oriented():
-        A, B = s3.ground.side_pair(o)
+        A, B = side_pair(s3.ground, o)
         if A == verts:
             assert s3.is_small(o)
 
@@ -444,9 +446,9 @@ def test_involution_is_an_order_reversing_bijection(seed):
 def test_restrict_below_edges(nested_pair):
     assert nested_pair.restrict_below(0.5).count == 0
     full = nested_pair.restrict_below(float("inf"))
-    assert full.count == 2 and full.back_map == (0, 1)
+    assert full.count == 2 and full.oriented_into(nested_pair) == (0, 1, 2, 3)
     only_r = nested_pair.restrict_below(2)
-    assert only_r.count == 1 and only_r.back_map == (0,)
+    assert only_r.count == 1 and only_r.oriented_into(nested_pair) == (0, 1)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -467,9 +469,13 @@ def test_a_restriction_admits_degenerate_separations_only_when_it_keeps_one(n):
 def test_restriction_composes_to_the_minimum_threshold(seed):
     system = random_subset_system(seed, n_seps=5)
     k1, k2 = 3.0, 2.0
-    a = system.restrict_below(k1).restrict_below(k2)
-    b = system.restrict_below(min(k1, k2))
-    assert [a.parent.back_map[s] for s in a.back_map] == list(b.back_map)
+    mid = system.restrict_below(k1)
+    a, b = mid.restrict_below(k2), system.restrict_below(min(k1, k2))
+    # the carving map is composed once, into the top system only
+    assert a.top is b.top is system
+    assert a.oriented_into(system) == b.oriented_into(system)
+    with pytest.raises(GroundMismatch):
+        a.oriented_into(mid)
     assert np.array_equal(a.leq, b.leq)
     assert np.array_equal(a.orders, b.orders)
 

@@ -75,6 +75,22 @@ def test_named_levels_stand_for_their_carved_systems(name, system, family,
         assert_level_matches_carved(report.tree_full, lv, family)
 
 
+@pytest.mark.parametrize("name, system, family, thresholds", NAMED,
+                         ids=[n[0] for n in NAMED])
+def test_a_view_tree_writes_the_dot_of_its_carved_tree(name, system, family,
+                                                       thresholds):
+    # to_dot, like the JSON writers, writes a view's tree in local ids;
+    # without a family too, and after reduction where the level allows one
+    full = tf.build(system, family)
+    for k in _levels(system):
+        tree, carved = tf.restrict(full, k), restrict_relabelled(full, k)
+        for fam in (None, family):
+            assert tf.to_dot(tree, fam) == tf.to_dot(carved, fam)
+        if tf.is_structure_tree(carved, family):
+            assert tf.to_dot(tf.reduce(tree, family)[0], family) == \
+                tf.to_dot(tf.reduce(carved, family)[0], family)
+
+
 def test_some_level_keeps_a_degenerate_separation():
     kept = [lv.k for name, system, family, thresholds in NAMED
             for lv in tf.pipeline(system, family, thresholds).levels
