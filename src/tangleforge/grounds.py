@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (BudgetExceeded, DuplicateQuestionWarning,
                      MissingCapability, NotATangle, NotComplementClosed,
                      ValidationError)
-from .system import (MAX_SEPARATIONS, SeparationSystem, expect_object, ids_of,
-                     mask_of, words_of)
+from .system import (MAX_SEPARATIONS, SeparationSystem, expect_object,
+                     fmt_oriented, ids_of, mask_of, words_of)
 
 # A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
@@ -103,6 +103,17 @@ class SideRealization:
     def side(self, o: int) -> frozenset:
         return frozenset(ids_of(self.sides[o]))
 
+    def keys(self) -> tuple[list[int], int]:
+        """Per oriented id a key, and their width in bits, whose subset
+        order is the separations' order: a bipartition side itself, and
+        for a graph separation (A, B) the pair (V - A, B), since (A, B) <=
+        (C, D) iff A >= C and B <= D."""
+        if self.graph is None:
+            return list(self.sides), self.size
+        full = (1 << self.size) - 1
+        return [(full & ~self.sides[o ^ 1]) << self.size | b
+                for o, b in enumerate(self.sides)], 2 * self.size
+
     def to_json_dict(self):
         if self.graph is None:
             return {"kind": "sets", "size": self.size,
@@ -124,9 +135,13 @@ def realization_of(system: SeparationSystem, what: str,
     return ground
 
 
-def realization_from_json(d: dict, count: int):
-    """The ground payload of a sepsys/v1 system with ``count`` separations:
-    one side (sets) or side pair (graph) per separation, written forward."""
+def realization_from_json(d: dict, orders, leq) -> SideRealization:
+    """The ground payload of a sepsys/v1 system with the given ``orders`` and
+    order matrix ``leq``: one side (sets) or side pair (graph) per
+    separation, written forward.  The sides must realize the system: their
+    subset order is ``leq``, and a graph's side pairs are separations of
+    the graph whose separators hold as many vertices as their orders say."""
+    count = len(orders)
     kind = expect_object(d, "sepsys/v1 ground").get("kind")
     if kind not in ("graph", "sets"):
         raise ValidationError(f"unknown ground kind {kind!r}")
@@ -158,20 +173,39 @@ def realization_from_json(d: dict, count: int):
                 f"{f'{length} ' if length else ''}points of 0..{size - 1}")
         return value
 
+    full = (1 << size) - 1
     if kind == "sets":
-        full = (1 << size) - 1
         masks = [mask_of(points(a, "side")) for a in sides]
-        return SideRealization(size, tuple(m for a in masks
-                                           for m in (a, full & ~a)))
-    g = Graph.from_edges(size, [tuple(points(e, "edge", 2)) for e in edges])
-    out = []
-    for pair in sides:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"graph ground side pair {pair!r} must hold "
-                                  "two sides")
-        a, b = (mask_of(points(side, "side")) for side in pair)
-        out += [b, a]
-    return SideRealization(size, tuple(out), g)
+        ground = SideRealization(size, tuple(m for a in masks
+                                             for m in (a, full & ~a)))
+    else:
+        g = Graph.from_edges(size, [tuple(points(e, "edge", 2)) for e in edges])
+        ends, out = sorted(g.edges), []
+        for s, pair in enumerate(sides):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValidationError(f"graph ground side pair {pair!r} must "
+                                      "hold two sides")
+            a, b = (mask_of(points(side, "side")) for side in pair)
+            a_only, b_only = a & ~b, b & ~a
+            cut = [[u, v] for u, v in ends
+                   if (a_only >> u & b_only >> v | b_only >> u & a_only >> v) & 1]
+            fault = ("does not cover the vertices" if a | b != full else
+                     f"has the edge {cut[0]} across" if cut else
+                     f"meets in {(a & b).bit_count()} vertices"
+                     if (a & b).bit_count() != orders[s] else None)
+            if fault:
+                raise ValidationError(
+                    f"graph ground side pair {pair!r} of separation {s} "
+                    f"(order {orders[s]:g}) {fault}")
+            out += [b, a]
+        ground = SideRealization(size, tuple(out), g)
+    wrong = np.argwhere(_subset_lattice(*ground.keys(), False)[0] != leq)
+    if len(wrong):
+        a, b = wrong[0].tolist()
+        raise ValidationError(
+            f"{kind} ground sides put {fmt_oriented(a)} "
+            f"{'not ' * bool(leq[a, b])}below {fmt_oriented(b)}, unlike 'leq'")
+    return ground
 
 
 def _graph_separations(g: Graph, k: float) -> list[tuple[int, int]]:
@@ -232,18 +266,19 @@ def _too_many_separations(g: Graph, k: float, count: int):
         f"below {k}, over the limit of {MAX_SEPARATIONS}")
 
 
-def _subset_lattice(keys: list[int], width: int, with_tables: bool):
-    """The subset order on ``width``-bit keys, and when ``with_tables`` and
-    every union and intersection of two keys is again a key, join and meet
-    tables holding their ids; the least id wins for a repeated key."""
+def _subset_lattice(keys: list[int], width: int, with_join: bool):
+    """The subset order on ``width``-bit keys, and when ``with_join`` and
+    every union of two keys is again a key, the join table holding their
+    ids; the least id wins for a repeated key.  A system's keys are closed
+    under its involution, and so then under intersections, its meets."""
     K = words_of(keys, width)
     # blocks of rows of ~1 MB of key words bound memory, whatever the width
     step = max(1, (1 << 20) // max(1, K.nbytes))
     leq = np.empty((len(keys), len(keys)), dtype=bool)
     for lo in range(0, len(keys), step):
         leq[lo:lo + step] = ~(K[lo:lo + step, None, :] & ~K).any(axis=2)
-    if not with_tables:
-        return leq, None, None
+    if not with_join:
+        return leq, None
     small = width <= 16  # numbers found by a table lookup, else a binary search
     as_key = np.dtype("<u8") if small else np.dtype((np.void, 8 * K.shape[1]))
     unique, first = np.unique(K.view(as_key).ravel(), return_index=True)
@@ -251,43 +286,36 @@ def _subset_lattice(keys: list[int], width: int, with_tables: bool):
         index = np.full(1 << width, -1)
         index[unique] = first
     join = np.empty(leq.shape, dtype=np.int64)
-    meet = np.empty_like(join)
     for lo in range(0, len(keys), step):
-        rows = K[lo:lo + step, None, :]
-        for out, table in ((join, rows | K), (meet, rows & K)):
-            found = table.view(as_key)[..., 0]
-            if small:
-                ids = index[found]
-            else:
-                pos = np.searchsorted(unique, found).clip(max=len(unique) - 1)
-                ids = np.where(unique[pos] == found, first[pos], -1)
-            if (ids < 0).any():
-                return leq, None, None
-            out[lo:lo + step] = ids
-    return leq, join, meet
+        found = (K[lo:lo + step, None, :] | K).view(as_key)[..., 0]
+        if small:
+            ids = index[found]
+        else:
+            pos = np.searchsorted(unique, found).clip(max=len(unique) - 1)
+            ids = np.where(unique[pos] == found, first[pos], -1)
+        if (ids < 0).any():
+            return leq, None
+        join[lo:lo + step] = ids
+    return leq, join
 
 
 def _graph_system(g: Graph, k: float, tables: bool) -> SeparationSystem:
-    """``graph_system``, attempting join/meet tables exactly when ``tables``."""
+    """``graph_system``, attempting a join table exactly when ``tables``."""
     full = (1 << g.n) - 1
     pairs = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
-    sides = [side for a, b in pairs for side in (b, a)]  # B of (A, B), then A
-    # (A, B) <= (C, D) iff A >= C and B <= D: the subset order on the keys
-    # (V - A, B), whose union is the join and whose intersection the meet
-    keys = [(full & ~sides[o ^ 1]) << g.n | b for o, b in enumerate(sides)]
-    leq, join, meet = _subset_lattice(keys, 2 * g.n, tables)
+    # B of (A, B), then A
+    ground = SideRealization(g.n, tuple(s for a, b in pairs for s in (b, a)), g)
+    leq, join = _subset_lattice(*ground.keys(), tables)
     return SeparationSystem(
         leq, [(a & b).bit_count() for a, b in pairs], join=join,
-        meet=meet, distributive=join is not None,
-        ground=SideRealization(g.n, tuple(sides), g),
-        allow_degenerate=g.n < k)
+        distributive=join is not None, ground=ground, allow_degenerate=g.n < k)
 
 
 def graph_system(g: Graph, k: float) -> SeparationSystem:
     """The separations of order below ``k``, built directly from the graph,
     the degenerate (V, V) last when its order |V| is below ``k``.  Graphs of
-    at most ``MAX_TABLE_VERTICES`` vertices get join and meet tables whenever
-    the system is closed under them, and it is then distributive."""
+    at most ``MAX_TABLE_VERTICES`` vertices get a join table whenever
+    the system is closed under joins, and it is then distributive."""
     return _graph_system(g, k, g.n <= MAX_TABLE_VERTICES)
 
 
@@ -370,10 +398,10 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
             orders.append(_cut_weight(frozenset(fa), ground.size, scaled, scale))
         else:
             orders.append(float(len(fa) * len(fb)))
-    leq, join, meet = _subset_lattice(sides, ground.size, True)
-    return SeparationSystem(
-        leq, orders, join=join, meet=meet, distributive=join is not None,
-        ground=SideRealization(ground.size, tuple(sides)))
+    realization = SideRealization(ground.size, tuple(sides))
+    leq, join = _subset_lattice(*realization.keys(), True)
+    return SeparationSystem(leq, orders, join=join, distributive=join is not None,
+                            ground=realization)
 
 
 def full_bipartition_ground(size: int, similarity=None) -> BipartitionGround:

@@ -12,8 +12,8 @@ frozensets are made only where a set leaves the library as a result.
 ``mask_of`` and ``ids_of`` convert: with ``2 <= 0``,
 ``ids_of(system.closure(mask_of({2})))`` is ``[0, 2]``.  The system derives
 per-element masks (everything above, everything below, ...) from ``leq`` once,
-and every set operation reads them; ``leq``, ``join`` and ``meet`` stay numpy
-arrays for the vectorised checks and the JSON form.
+and every set operation reads them; ``leq`` and ``join`` stay numpy arrays
+for the vectorised checks and the JSON form.
 """
 
 from __future__ import annotations
@@ -119,8 +119,8 @@ class SeparationSystem:
     ----------
     leq : (2n, 2n) boolean matrix; ``leq[a, b]`` means ``a <= b``.
     orders : length-n reals; the order ``|s|`` attaches to the unoriented id.
-    join, meet : optional (2n, 2n) integer tables of oriented ids making the
-        system a lattice ("universe").  Both or neither.
+    join : optional (2n, 2n) integer table of oriented ids making the system
+        a lattice ("universe"); ``meet`` derives the meet table from it.
     distributive : claim that the lattice is distributive (validated).
     ground : optional realization payload (a ``SideRealization``: one side
         per oriented id) used by concrete forbidden families.
@@ -131,7 +131,8 @@ class SeparationSystem:
     below ``a`` (``a`` included), derived from ``leq`` at construction.
 
     ``view_below`` gives a lower-order level as a view: its ``base`` (a
-    system is its own ``base``) with only the ids in the mask ``live``
+    whole system is its own ``base``, and stores no reference to itself,
+    so that reference counting frees it) with only the ids in the mask ``live``
     present.  A view keeps the base's ids, and with them its ``count``,
     tables and ``top``.  It clips only the closure table
     ``_requires`` and the forward-id mask ``_even`` (which ``seps``,
@@ -148,7 +149,7 @@ class SeparationSystem:
     system has None for both.
     """
 
-    def __init__(self, leq, orders, *, join=None, meet=None, distributive=False,
+    def __init__(self, leq, orders, *, join=None, distributive=False,
                  ground=None, allow_degenerate=False, check=True):
         leq = np.array(leq, dtype=bool)
         orders = np.array(orders, dtype=float)
@@ -162,13 +163,12 @@ class SeparationSystem:
         self.leq = leq
         self.orders = orders
         self.join = None if join is None else np.array(join, dtype=np.int64)
-        self.meet = None if meet is None else np.array(meet, dtype=np.int64)
         self.distributive = bool(distributive)
         self.ground = ground
-        self.top = self._into_top = None
+        self.top = self._into_top = self._base = None
         self.allow_degenerate = bool(allow_degenerate)
-        self.base, self.live = self, (1 << n2) - 1
-        for table in (self.leq, self.orders, self.join, self.meet):
+        self.live = (1 << n2) - 1
+        for table in (self.leq, self.orders, self.join):
             if table is not None:
                 table.setflags(write=False)
         self.up, self.down = (tuple(
@@ -198,6 +198,11 @@ class SeparationSystem:
     # -- basic structure ---------------------------------------------------
 
     @property
+    def base(self) -> "SeparationSystem":
+        """The system a view stands over; a whole system is its own."""
+        return self if self._base is None else self._base
+
+    @property
     def n_oriented(self) -> int:
         return 2 * self.count
 
@@ -213,7 +218,15 @@ class SeparationSystem:
         return (self.live & ((1 << o) - 1)).bit_count()
 
     def has_universe(self) -> bool:
-        return self.join is not None and self.meet is not None
+        return self.join is not None
+
+    @property
+    def meet(self):
+        """The (2n, 2n) meet table, built on each read, or None without a
+        join: the involution reverses the order, so (r v s)* = r* ^ s*."""
+        inv = np.arange(self.n_oriented) ^ 1
+        return None if self.join is None else \
+            np.array(self._canon, dtype=np.int64)[inv][self.join[np.ix_(inv, inv)]]
 
     def order(self, s: int) -> float:
         return float(self.orders[s])
@@ -328,17 +341,17 @@ class SeparationSystem:
         idx = [o for s in sep_ids for o in (forward(s), backward(s))]
         leq = self.leq[np.ix_(idx, idx)]
         orders = self.orders[list(sep_ids)]
-        join = meet = None
-        if self.has_universe():
-            jvals, mvals = (T[np.ix_(idx, idx)] for T in (self.join, self.meet))
-            if np.isin(jvals, idx).all() and np.isin(mvals, idx).all():
-                lut = np.full(self.n_oriented, -1, dtype=np.int64)
-                lut[list(idx)] = np.arange(len(idx))
-                join, meet = lut[jvals], lut[mvals]
+        join = None
+        if self.has_universe():  # meets, mirrored joins, stay in idx if joins do
+            lut = np.full(self.n_oriented, -1, dtype=np.int64)
+            lut[idx] = np.arange(len(idx))
+            join = lut[self.join[np.ix_(idx, idx)]]
+            if (join < 0).any():
+                join = None
         ground = self.ground and replace(
             self.ground, sides=tuple(self.ground.sides[o] for o in idx))
         sub = SeparationSystem(
-            leq, orders, join=join, meet=meet,
+            leq, orders, join=join,
             distributive=self.distributive and join is not None, ground=ground,
             allow_degenerate=any(map(self.is_degenerate, sep_ids)), check=False)
         sub.top = self.top or self.base
@@ -359,6 +372,7 @@ class SeparationSystem:
         base = self.base
         keep = list(takewhile(lambda s: self.orders[s] < k, self._by_order))
         view = copy(base)
+        view._base = base
         view.live = live = sum(3 << 2 * s for s in keep)
         view._requires = tuple(map(live.__and__, base._requires))
         view._even, view._by_order = base._even & live, keep
@@ -431,60 +445,45 @@ def validate(system: SeparationSystem) -> ValidationReport:
                     f"a <= b disagrees with b* <= a* at ({fmt_oriented(a)}, {fmt_oriented(b)})")
     rep.checked["involution"] = "exhaustive"
 
-    if (system.join is None) != (system.meet is None):
-        rep.add("universe", "join and meet tables must come together")
     if system.has_universe():
         _validate_universe(system, rep)
     elif system.distributive:
-        rep.add("universe", "distributive flag without join/meet tables")
+        rep.add("universe", "distributive flag without a join table")
     return rep
 
 
 def _validate_universe(system, rep):
-    L, J, M = system.leq, system.join, system.meet
+    # the join's laws: the meet's mirror them through the checked involution
+    L, J = system.leq, system.join
     n2 = system.n_oriented
-    if J.shape != (n2, n2) or M.shape != (n2, n2):
-        rep.add("universe", f"join/meet tables must be ({n2},{n2})")
+    if J.shape != (n2, n2):
+        rep.add("universe", f"the join table must be ({n2},{n2})")
         return
     if n2 == 0:
         return
-    if J.min() < 0 or J.max() >= n2 or M.min() < 0 or M.max() >= n2:
-        rep.add("universe", "join/meet values out of range")
+    if J.min() < 0 or J.max() >= n2:
+        rep.add("universe", "join values out of range")
         return
     canon = np.array(system._canon)
-
-    def eq(a, b):
-        return np.array_equal(canon[a], canon[b])
-
-    if not (eq(J, J.T) and eq(M, M.T)):
-        rep.add("universe", "join or meet not commutative")
-    if not (eq(J.diagonal(), np.arange(n2)) and eq(M.diagonal(), np.arange(n2))):
-        rep.add("universe", "join or meet not idempotent")
-    inv = np.arange(n2) ^ 1
-    if not eq(inv[J], M[np.ix_(inv, inv)]):
-        rep.add("universe", "involution does not swap join and meet")
-    # order compatibility: a <= b iff a v b = b iff a ^ b = a
+    if not np.array_equal(canon[J], canon[J.T]):
+        rep.add("universe", "join not commutative")
+    if not np.array_equal(canon[J.diagonal()], canon):
+        rep.add("universe", "join not idempotent")
+    # order compatibility: a <= b iff a v b = b
     if not np.array_equal(L, canon[J] == canon[None, :]):
         rep.add("universe", "a <= b does not match join(a,b) == b")
-    if not np.array_equal(L, canon[M] == canon[:, None]):
-        rep.add("universe", "a <= b does not match meet(a,b) == a")
-    # bounds
-    if not (np.take_along_axis(L, J, 1) & np.take_along_axis(L.T, M, 1)).all():
-        rep.add("universe", "join not an upper bound or meet not a lower bound")
+    if not np.take_along_axis(L, J, 1).all():
+        rep.add("universe", "join not an upper bound")
 
     if n2 <= LATTICE_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         # a bit c of up[a] & up[b] & ~up[join(a, b)] is an upper bound of a
-        # and b not above their join; down and meet alike for lower bounds
-        U, D = words_of(system.up, n2), words_of(system.down, n2)
-        bad_join = (U[:, None] & U & ~U[J]).any(axis=(1, 2))
-        bad_meet = (D[:, None] & D & ~D[M]).any(axis=(1, 2))
-        bad = bad_join | bad_meet
+        # and b not above their join
+        U = words_of(system.up, n2)
+        bad = (U[:, None] & U & ~U[J]).any(axis=(1, 2))
         if bad.any():
-            a = int(bad.argmax())
-            rep.add("universe", f"join({fmt_oriented(a)}, .) not least upper bound"
-                    if bad_join[a] else
-                    f"meet({fmt_oriented(a)}, .) not greatest lower bound")
+            rep.add("universe", f"join({fmt_oriented(int(bad.argmax()))}, .) "
+                    "not least upper bound")
         if system.distributive and rep.issues:
             rep.checked["distributivity"] = "skipped: not a lattice"
         elif system.distributive:
@@ -506,6 +505,7 @@ def _validate_universe(system, rep):
         mode = f"sampled(n={_SAMPLED_TRIPLES})"
         rng = np.random.default_rng(n2)
         a, b, c = rng.integers(0, n2, size=(_SAMPLED_TRIPLES, 3)).T
+        M = system.meet
         if not np.array_equal(canon[J[J[a, b], c]], canon[J[a, J[b, c]]]):
             rep.add("universe", "join not associative on sampled triples")
         if not np.array_equal(canon[M[M[a, b], c]], canon[M[a, M[b, c]]]):
@@ -555,9 +555,9 @@ def to_json_dict(system: SeparationSystem) -> dict:
 def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
     """Load a sepsys/v1 object.
 
-    The relation must already be transitively closed.  More than
-    ``MAX_SEPARATIONS`` separations raise BudgetExceeded before the order
-    matrix is allocated.
+    The relation must already be transitively closed, and ``meet`` the
+    mirror of ``join``.  More than ``MAX_SEPARATIONS`` separations raise
+    BudgetExceeded before the order matrix is allocated.
     """
     expect_object(d, "sepsys/v1 system")
     if d.get("format", "sepsys/v1") != "sepsys/v1":
@@ -600,13 +600,18 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
             join, meet = (universe[f] for f in ("join", "meet"))
             if any(type(v) is not int for row in join + meet for v in row):
                 raise TypeError("an entry is not an integer")
-            join, meet = (np.array(t, dtype=np.int64) for t in (join, meet))
+            join, meet = (np.array(t, dtype=np.int64).reshape(len(t), -1 if t else 0)
+                          for t in (join, meet))  # [] of an empty system too
         except KeyError as exc:
             raise ValidationError(
                 f"sepsys/v1 universe lacks the field {exc}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("sepsys/v1 universe 'join' and 'meet' must "
                                   f"be integer tables: {exc}") from None
+        for f, t in (("join", join), ("meet", meet)):
+            if t.shape != (n2, n2) or t.size and not 0 <= t.min() <= t.max() < n2:
+                raise ValidationError(f"sepsys/v1 universe {f!r} must be a "
+                                      f"({n2},{n2}) table of ids below {n2}")
     flags = {f: d.get(f, False) for f in ("distributive", "allow_degenerate")}
     for f, value in flags.items():
         if type(value) is not bool:
@@ -615,9 +620,12 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
     ground = None
     if "ground" in d:
         from . import grounds
-        ground = grounds.realization_from_json(d["ground"], count)
-    return SeparationSystem(leq, orders, join=join, meet=meet, ground=ground,
-                            check=check, **flags)
+        ground = grounds.realization_from_json(d["ground"], orders, leq)
+    system = SeparationSystem(leq, orders, join=join, ground=ground,
+                              check=check, **flags)
+    if meet is not None and (np.array(system._canon)[meet] != system.meet).any():
+        raise ValidationError("sepsys/v1 universe 'meet' is not the mirror of 'join'")
+    return system
 
 
 def dump_system(system: SeparationSystem) -> str:

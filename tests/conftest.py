@@ -377,14 +377,14 @@ def two_cluster_similarity():
 def submodular_subsystems(universe, max_size):
     """Subsystems in which every pair keeps its join or meet, parent-linked."""
     out = []
-    seps = list(universe.seps())
+    seps, meet = list(universe.seps()), universe.meet
     for bits in range(1, 2 ** len(seps)):
         ids = [s for i, s in enumerate(seps) if (bits >> i) & 1]
         if len(ids) > max_size:
             continue
         keep = {o for s in ids for o in (2 * s, 2 * s + 1)}
         good = all(int(universe.join[a, b]) in keep or
-                   int(universe.meet[a, b]) in keep
+                   int(meet[a, b]) in keep
                    for a in keep for b in keep)
         if good:
             out.append(universe.subsystem(ids))
@@ -392,8 +392,8 @@ def submodular_subsystems(universe, max_size):
 
 
 def lattice_times_chain(elements, covers, star, distributive=True):
-    """L x 2 with the involution (x, i) -> (x', 1 - i) and join and meet
-    tables found from the order.  ``covers`` are pairs x < y of L
+    """L x 2 with the involution (x, i) -> (x', 1 - i) and the join table
+    found from the order.  ``covers`` are pairs x < y of L
     generating its order; ``star`` maps x to x'."""
     below = {(x, x) for x in elements} | set(covers)
     while True:
@@ -415,9 +415,7 @@ def lattice_times_chain(elements, covers, star, distributive=True):
 
     join = [[least([c for c in range(n2) if L[a, c] and L[b, c]])
              for b in range(n2)] for a in range(n2)]
-    # the involution reverses the order: meets are mirrored joins
-    meet = [[join[a ^ 1][b ^ 1] ^ 1 for b in range(n2)] for a in range(n2)]
-    return tf.SeparationSystem(L, [1.0] * (n2 // 2), join=join, meet=meet,
+    return tf.SeparationSystem(L, [1.0] * (n2 // 2), join=join,
                                distributive=distributive, check=False)
 
 

@@ -585,6 +585,17 @@ def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
     pytest.param(edited(SETS, "universe", meet=[[1e30] * 4] * 4),
                  "'join' and 'meet' must be integer tables",
                  id="meet-beyond-int64"),
+    pytest.param(edited(SETS, "universe", meet=[[0, 0, 0, 0]] * 3),
+                 "universe 'meet' must be a (4,4) table of ids below 4",
+                 id="meet-of-three-rows"),
+    pytest.param(edited(SETS, "universe", join=[[0, 1, 2, 4], *SETS["universe"]
+                                                ["join"][1:]]),
+                 "universe 'join' must be a (4,4) table of ids below 4",
+                 id="join-entry-out-of-range"),
+    pytest.param(edited(SETS, "universe", meet=[[0, 0, 0, 0], [0, 1, 2, 3],
+                                                [0, 2, 2, 0], [0, 3, 3, 3]]),
+                 "universe 'meet' is not the mirror of 'join'",
+                 id="meet-not-the-mirror-of-join"),
     pytest.param(json.dumps(OVER_THE_SEPARATION_LIMIT),
                  "4097 separations, over the limit of 4096",
                  id="over-the-separation-limit"),

@@ -1,7 +1,11 @@
 """Graph and subset grounds: generation, orders, lattice laws, block duality."""
 
+import importlib.util
+import json
 import math
 import random
+import re
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -48,9 +52,10 @@ def test_graph_universe_lattice_laws_and_submodularity():
         for g in all_graphs_up_to_iso(n):
             u = tf.graph_universe(g)
             assert validate(u).ok  # includes exhaustive lattice checking
+            meet = u.meet
             for a in u.all_oriented():
                 for b in u.all_oriented():
-                    j, m = int(u.join[a, b]), int(u.meet[a, b])
+                    j, m = int(u.join[a, b]), int(meet[a, b])
                     assert u.order_of(j) + u.order_of(m) <= \
                         u.order_of(a) + u.order_of(b) + 1e-9
 
@@ -156,20 +161,20 @@ def test_lattice_tables_up_to_six_vertices_and_for_universes(two_k4):
 @pytest.mark.parametrize("width", [12, 20, 70])
 def test_subset_lattice_keys_of_every_width(width):
     # the unions of four atoms spread over the width, repeated keys
-    # included: closed under union and intersection, the least id wins
+    # included: closed under union, the least id wins
     atoms = [sum(1 << v for v in range(a, width, 4)) for a in range(4)]
     keys = [sum(atoms[i] for i in range(4) if bits >> i & 1)
             for bits in range(16)] + [atoms[0], 0]
-    leq, join, meet = tf.grounds._subset_lattice(keys, width, True)
+    leq, join = tf.grounds._subset_lattice(keys, width, True)
     ids = {}
     for i, key in enumerate(keys):
         ids.setdefault(key, i)
     for a, x in enumerate(keys):
         assert leq[a].tolist() == [x & ~y == 0 for y in keys]
         assert join[a].tolist() == [ids[x | y] for y in keys]
-        assert meet[a].tolist() == [ids[x & y] for y in keys]
-    # without the top key, unions leave the keys: no tables
+    # without the top key, unions leave the keys: no table
     assert tf.grounds._subset_lattice(keys[:-3], width, True)[1] is None
+    assert tf.grounds._subset_lattice(keys, width, False)[1] is None
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
@@ -328,6 +333,96 @@ def test_questionnaire_grounds_round_trip_up_to_the_point_limit(tmp_path):
     path.write_text("1\n" * (limit + 1))
     assert main(["build", "--answers", str(path),
                  "--out", str(tmp_path / "out.json")]) == 2
+
+
+# -- sepsys/v1 grounds ------------------------------------------------------------
+
+# the path 0-1-2 with one separation of order 1, ({0, 1}, {1, 2}); and the
+# 2-point full bipartition universe, ids 0..3 the sides {}, {0, 1}, {0}, {1}
+PATH = {"format": "sepsys/v1", "count": 1, "orders": [1.0], "leq": [],
+        "ground": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]],
+                   "sides": [[[0, 1], [1, 2]]]}}
+SETS = {"format": "sepsys/v1", "count": 2, "orders": [0.0, 1.0],
+        "leq": [[0, 1], [0, 2], [0, 3], [2, 1], [3, 1]],
+        "ground": {"kind": "sets", "size": 2, "sides": [[], [0]]}}
+
+
+def edited(base, **fields):
+    d = json.loads(json.dumps(base))
+    d.update(fields)
+    return d
+
+
+def path_sides(*pairs, orders=None, leq=()):
+    ground = dict(PATH["ground"], sides=list(pairs))
+    return edited(PATH, count=len(pairs), orders=orders or [1.0] * len(pairs),
+                  leq=list(leq), ground=ground)
+
+
+@pytest.mark.parametrize("d, cause", [
+    pytest.param(path_sides([[0], [2]]), "graph ground side pair [[0], [2]] of "
+                 "separation 0 (order 1) does not cover the vertices",
+                 id="sides-not-covering"),
+    pytest.param(path_sides([[0, 1], [2]], orders=[0.0]), "side pair [[0, 1], "
+                 "[2]] of separation 0 (order 0) has the edge [1, 2] across",
+                 id="edge-across"),
+    pytest.param(path_sides([[0, 1], [1, 2]], orders=[2.0]), "separation 0 "
+                 "(order 2) meets in 1 vertices", id="separator-not-the-order"),
+    pytest.param(path_sides([[0, 1], [1, 2]], [[0], [0, 1, 2]]),
+                 "graph ground sides put 0+ below 1+, unlike 'leq'",
+                 id="graph-sides-ordered-unlike-leq"),
+    pytest.param(path_sides([[0], [0, 1, 2]], [[0, 1], [1, 2]],
+                            leq=[[0, 3], [2, 1]]),
+                 "graph ground sides put 0+ not below 1-, unlike 'leq'",
+                 id="graph-leq-unlike-the-sides"),
+    pytest.param(edited(SETS, leq=[[0, 1], [0, 3], [2, 1]]),
+                 "sets ground sides put 0+ below 1+, unlike 'leq'",
+                 id="sets-sides-ordered-unlike-leq"),
+])
+def test_ground_sides_that_realize_nothing_are_refused(d, cause, tmp_path,
+                                                       capsys):
+    with pytest.raises(ValidationError, match=re.escape(cause)):
+        tf.from_json_dict(d, check=False)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(d))
+    assert main(["validate", "--system", str(path)]) == 2
+    assert cause in json.loads(capsys.readouterr().out)["issues"][0]
+    kind = "blocks:1" if d["ground"]["kind"] == "graph" else "cluster:1"
+    assert main(["tangles", "--system", str(path), "--family", kind]) == 2
+    assert cause in capsys.readouterr().err
+
+
+def _benchmark_systems():
+    """The system of every instance of the benchmark's workloads at seeds 1
+    and 2."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", FIXTURES.parents[1] / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)  # its dataclass looks itself up there
+    return {f"{name}/{seed}/{instance.name}": instance.make()[0]
+            for name, make in workloads.WORKLOADS.items() for seed in (1, 2)
+            for instance in make(seed)}
+
+
+def test_fixture_and_benchmark_grounds_round_trip():
+    graphs = [tf.Graph.from_edge_list((FIXTURES / f"{name}.edges").read_text())
+              for name in ("k4", "p5", "two_k4")]
+    systems = {f"{g.n}/{i}/{k}": tf.graph_system(g, k)
+               for i, g in enumerate(graphs) for k in (1, 2, 3, math.inf)}
+    systems.update({f"universe{g.n}": tf.graph_universe(g) for g in graphs})
+    sim = tf.grounds.load_similarity_csv(
+        (FIXTURES / "six_similarity.csv").read_text())
+    systems["six_similarity"] = tf.bipartition_system(
+        tf.full_bipartition_ground(len(sim), similarity=sim))
+    systems["mindsets"] = tf.questionnaire_system(tf.grounds.load_answers_csv(
+        (FIXTURES / "mindsets.csv").read_text()))
+    systems.update(_benchmark_systems())
+    assert sum(s.ground is not None for s in systems.values()) > 100
+    for name, system in systems.items():
+        text = dump_system(system)
+        again = load_system(text)
+        assert dump_system(again) == text, name
+        assert again.ground == system.ground, name
 
 
 # -- loaders ---------------------------------------------------------------------

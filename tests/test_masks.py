@@ -116,14 +116,16 @@ def assert_cotrivial_identity(system):
 
 
 @given(st.integers(0, 10_000), st.integers(1, 5))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True,
+          database=None)
 def test_mask_operations_on_random_subset_systems(seed, n):
     system = random_subset_system(seed, n_seps=n)
     assert_mask_operations_match(system, np.random.default_rng(seed))
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4))
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True,
+          database=None)
 def test_mask_operations_on_random_relation_systems(seed, n):
     system = random_relation_system(seed, n_seps=n)
     assert_mask_operations_match(system, np.random.default_rng(seed))

@@ -6,6 +6,9 @@ test reads a view through ``local`` against the carved ``restrict_below(k)``,
 which ``restrict_relabelled`` (conftest) builds the level over.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,25 @@ def test_a_view_of_a_view_ands_the_live_masks_over_the_top_system(seed):
     assert {v: two_step.label(v) for v in two_step.nodes()} == \
         {v: lo.label(v) for v in lo.nodes()}
     assert dump_tree(two_step) == dump_tree(restrict_relabelled(tree, 2.0))
+
+
+def test_a_dropped_system_is_freed_without_the_cyclic_collector():
+    # a whole system is its own base without a reference to itself, and a
+    # view holds its base
+    gc.disable()
+    try:
+        system = tf.graph_system(_graph("k4.edges"), 3)
+        dropped = weakref.ref(system)
+        del system
+        assert dropped() is None
+        system = tf.graph_system(_graph("k4.edges"), 3)
+        view, kept = system.view_below(2), weakref.ref(system)
+        del system
+        assert kept() is not None and view.base is kept()
+        del view
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name, system, family, thresholds", NAMED,
