@@ -4,7 +4,9 @@ Two kinds are provided: vertex separations of a finite graph, ordered by the
 separator size, and bipartitions (or arbitrary complement-closed subset
 families) of a finite point set, ordered by a similarity cut weight.  Each
 generated system carries one realization, a side per oriented id, so that
-forbidden families can look up the concrete sets behind every oriented id.
+forbidden families can look up the concrete sets behind every oriented id;
+the system's order, lattice operations, validation and ``sepsys/v2`` form
+are read off the same sides.
 """
 
 from __future__ import annotations
@@ -114,14 +116,56 @@ class SideRealization:
         return [(full & ~self.sides[o ^ 1]) << self.size | b
                 for o, b in enumerate(self.sides)], 2 * self.size
 
+    def lattice(self, closure: bool):
+        """``_subset_lattice`` of the keys: the order, and with ``closure``
+        whether every union of two keys is again a key."""
+        return _subset_lattice(*self.keys(), closure)
+
+    def closed(self) -> bool:
+        """Whether every union of two keys is again a key."""
+        keys, width = self.keys()
+        return _closed(words_of(keys, width), width)
+
+    def joins(self) -> np.ndarray:
+        """The join table of a lattice of keys: per pair of ids the id of
+        their keys' union, the least id for a repeated key, and -1 where
+        the union is no key."""
+        keys, width = self.keys()
+        return np.concatenate([np.empty((0, len(keys)), dtype=np.int64),
+                               *_union_ids(words_of(keys, width), width)])
+
+    def faults(self, orders):
+        """A message per separation whose two sides are not inverse: a
+        set's side and its complement, or a graph's (A, B) that covers V,
+        has no edge between A - B and B - A, and meets in as many vertices
+        as its order in ``orders`` says."""
+        full, g = (1 << self.size) - 1, self.graph
+        edges = sorted(g.edges) if g is not None else []
+        for s in range(len(self.sides) // 2):
+            b, a = self.sides[2 * s], self.sides[2 * s + 1]
+            if g is None:
+                if a != full & ~b:
+                    yield (f"sets ground side {ids_of(b)} of separation {s} "
+                           f"lacks its complement: the other side is {ids_of(a)}")
+                continue
+            a_only, b_only = a & ~b, b & ~a
+            cut = next(([u, v] for u, v in edges if (
+                a_only >> u & b_only >> v | b_only >> u & a_only >> v) & 1), None)
+            fault = ("does not cover the vertices" if a | b != full else
+                     f"has the edge {cut} across" if cut else
+                     f"meets in {(a & b).bit_count()} vertices"
+                     if (a & b).bit_count() != orders[s] else None)
+            if fault:
+                yield (f"graph ground side pair {[ids_of(a), ids_of(b)]} of "
+                       f"separation {s} (order {orders[s]:g}) {fault}")
+
     def to_json_dict(self):
-        if self.graph is None:
-            return {"kind": "sets", "size": self.size,
-                    "sides": [ids_of(m) for m in self.sides[::2]]}
-        return {"kind": "graph", "n": self.size,
-                "edges": sorted([list(e) for e in self.graph.edges]),
-                "sides": [[ids_of(a), ids_of(b)]
-                          for b, a in zip(self.sides[::2], self.sides[1::2])]}
+        """The sepsys/v2 ground: the side of every oriented id."""
+        out = {"kind": "sets", "size": self.size} if self.graph is None else \
+            {"kind": "graph", "n": self.size,
+             "edges": sorted([list(e) for e in self.graph.edges])}
+        out["sides"] = [ids_of(m) for m in self.sides]
+        return out
 
 
 def realization_of(system: SeparationSystem, what: str,
@@ -135,14 +179,15 @@ def realization_of(system: SeparationSystem, what: str,
     return ground
 
 
-def realization_from_json(d: dict, orders, leq) -> SideRealization:
-    """The ground payload of a sepsys/v1 system with the given ``orders`` and
-    order matrix ``leq``: one side (sets) or side pair (graph) per
-    separation, written forward.  The sides must realize the system: their
-    subset order is ``leq``, and a graph's side pairs are separations of
-    the graph whose separators hold as many vertices as their orders say."""
-    count = len(orders)
-    kind = expect_object(d, "sepsys/v1 ground").get("kind")
+def realization_from_json(d: dict, orders, leq=None) -> SideRealization:
+    """The ground of a system with the given ``orders``: in a sepsys/v2
+    object the side of every oriented id; in a sepsys/v1 object, whose
+    order matrix is ``leq``, one side (sets) or side pair [A, B] (graph)
+    per separation, written forward.  Each separation's sides must be
+    inverse (``SideRealization.faults``), and a sepsys/v1 ground's subset
+    order must be ``leq``."""
+    count, fmt = len(orders), "sepsys/v2" if leq is None else "sepsys/v1"
+    kind = expect_object(d, f"{fmt} ground").get("kind")
     if kind not in ("graph", "sets"):
         raise ValidationError(f"unknown ground kind {kind!r}")
     field = "n" if kind == "graph" else "size"
@@ -154,10 +199,12 @@ def realization_from_json(d: dict, orders, leq) -> SideRealization:
         raise ValidationError(f"{kind} ground lacks the field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{kind} ground is malformed: {exc}") from None
-    if not 0 <= size <= MAX_GROUND_POINTS or len(sides) != count:
+    per = ("separations", count) if leq is not None else \
+        ("oriented ids", 2 * count)
+    if not 0 <= size <= MAX_GROUND_POINTS or len(sides) != per[1]:
         raise ValidationError(f"{kind} ground of size {size} (at most "
                               f"{MAX_GROUND_POINTS}) has {len(sides)} sides "
-                              f"for {count} separations")
+                              f"for {per[1]} {per[0]}")
     if type(d[field]) is not int:  # after the bound, which names huge sizes
         raise ValidationError(
             f"{kind} ground '{field}' must be an integer, got {d[field]!r}")
@@ -174,37 +221,31 @@ def realization_from_json(d: dict, orders, leq) -> SideRealization:
         return value
 
     full = (1 << size) - 1
-    if kind == "sets":
-        masks = [mask_of(points(a, "side")) for a in sides]
-        ground = SideRealization(size, tuple(m for a in masks
-                                             for m in (a, full & ~a)))
-    else:
-        g = Graph.from_edges(size, [tuple(points(e, "edge", 2)) for e in edges])
-        ends, out = sorted(g.edges), []
-        for s, pair in enumerate(sides):
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValidationError(f"graph ground side pair {pair!r} must "
-                                      "hold two sides")
-            a, b = (mask_of(points(side, "side")) for side in pair)
-            a_only, b_only = a & ~b, b & ~a
-            cut = [[u, v] for u, v in ends
-                   if (a_only >> u & b_only >> v | b_only >> u & a_only >> v) & 1]
-            fault = ("does not cover the vertices" if a | b != full else
-                     f"has the edge {cut[0]} across" if cut else
-                     f"meets in {(a & b).bit_count()} vertices"
-                     if (a & b).bit_count() != orders[s] else None)
-            if fault:
-                raise ValidationError(
-                    f"graph ground side pair {pair!r} of separation {s} "
-                    f"(order {orders[s]:g}) {fault}")
-            out += [b, a]
-        ground = SideRealization(size, tuple(out), g)
-    wrong = np.argwhere(_subset_lattice(*ground.keys(), False)[0] != leq)
-    if len(wrong):
-        a, b = wrong[0].tolist()
-        raise ValidationError(
-            f"{kind} ground sides put {fmt_oriented(a)} "
-            f"{'not ' * bool(leq[a, b])}below {fmt_oriented(b)}, unlike 'leq'")
+    g = None if kind == "sets" else Graph.from_edges(
+        size, [tuple(points(e, "edge", 2)) for e in edges])
+    masks = []
+    for value in sides:
+        if leq is None:  # the side of one oriented id
+            masks.append(mask_of(points(value, "side")))
+        elif kind == "sets":  # a forward side; its inverse's is the complement
+            a = mask_of(points(value, "side"))
+            masks += [a, full & ~a]
+        elif isinstance(value, list) and len(value) == 2:  # [A, B], B forward
+            a, b = (mask_of(points(x, "side")) for x in value)
+            masks += [b, a]
+        else:
+            raise ValidationError(f"graph ground side pair {value!r} must "
+                                  "hold two sides")
+    ground = SideRealization(size, tuple(masks), g)
+    for fault in ground.faults(orders):
+        raise ValidationError(fault)
+    if leq is not None:
+        wrong = np.argwhere(ground.lattice(False)[0] != leq)
+        if len(wrong):
+            a, b = wrong[0].tolist()
+            raise ValidationError(
+                f"{kind} ground sides put {fmt_oriented(a)} "
+                f"{'not ' * bool(leq[a, b])}below {fmt_oriented(b)}, unlike 'leq'")
     return ground
 
 
@@ -266,56 +307,66 @@ def _too_many_separations(g: Graph, k: float, count: int):
         f"below {k}, over the limit of {MAX_SEPARATIONS}")
 
 
-def _subset_lattice(keys: list[int], width: int, with_join: bool):
-    """The subset order on ``width``-bit keys, and when ``with_join`` and
-    every union of two keys is again a key, the join table holding their
-    ids; the least id wins for a repeated key.  A system's keys are closed
-    under its involution, and so then under intersections, its meets."""
+def _subset_lattice(keys: list[int], width: int, closure: bool):
+    """The subset order on ``width``-bit keys, and with ``closure`` whether
+    every union of two keys is again a key, without a table of the unions.
+    A system's keys are closed under its involution, and so then under
+    intersections, its meets."""
     K = words_of(keys, width)
-    # blocks of rows of ~1 MB of key words bound memory, whatever the width
-    step = max(1, (1 << 20) // max(1, K.nbytes))
+    step = _block_rows(K)
     leq = np.empty((len(keys), len(keys)), dtype=bool)
     for lo in range(0, len(keys), step):
         leq[lo:lo + step] = ~(K[lo:lo + step, None, :] & ~K).any(axis=2)
-    if not with_join:
-        return leq, None
+    return leq, closure and _closed(K, width)
+
+
+def _closed(K, width: int) -> bool:
+    return all((ids >= 0).all() for ids in _union_ids(K, width))
+
+
+def _block_rows(K) -> int:
+    """Rows of the key words ``K`` per block of about 1 MB of pair words,
+    which bounds memory whatever the width."""
+    return max(1, (1 << 20) // max(1, K.nbytes))
+
+
+def _union_ids(K, width: int):
+    """Per block of rows of the key words ``K``, the id of the union of
+    each two keys: the least id for a repeated key, -1 for no key."""
     small = width <= 16  # numbers found by a table lookup, else a binary search
     as_key = np.dtype("<u8") if small else np.dtype((np.void, 8 * K.shape[1]))
     unique, first = np.unique(K.view(as_key).ravel(), return_index=True)
     if small:
-        index = np.full(1 << width, -1)
+        index = np.full(1 << width, -1, dtype=np.int64)
         index[unique] = first
-    join = np.empty(leq.shape, dtype=np.int64)
-    for lo in range(0, len(keys), step):
+    step = _block_rows(K)
+    for lo in range(0, len(K), step):
         found = (K[lo:lo + step, None, :] | K).view(as_key)[..., 0]
         if small:
-            ids = index[found]
+            yield index[found]
         else:
             pos = np.searchsorted(unique, found).clip(max=len(unique) - 1)
-            ids = np.where(unique[pos] == found, first[pos], -1)
-        if (ids < 0).any():
-            return leq, None
-        join[lo:lo + step] = ids
-    return leq, join
+            yield np.where(unique[pos] == found, first[pos], -1)
 
 
-def _graph_system(g: Graph, k: float, tables: bool) -> SeparationSystem:
-    """``graph_system``, attempting a join table exactly when ``tables``."""
+def _graph_system(g: Graph, k: float, lattice: bool) -> SeparationSystem:
+    """``graph_system``, offering lattice operations exactly when
+    ``lattice`` and the sides are closed under them."""
     full = (1 << g.n) - 1
     pairs = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
     # B of (A, B), then A
     ground = SideRealization(g.n, tuple(s for a, b in pairs for s in (b, a)), g)
-    leq, join = _subset_lattice(*ground.keys(), tables)
+    leq, closed = ground.lattice(lattice)
     return SeparationSystem(
-        leq, [(a & b).bit_count() for a, b in pairs], join=join,
-        distributive=join is not None, ground=ground, allow_degenerate=g.n < k)
+        leq, [(a & b).bit_count() for a, b in pairs], lattice=closed,
+        distributive=closed, ground=ground, allow_degenerate=g.n < k)
 
 
 def graph_system(g: Graph, k: float) -> SeparationSystem:
     """The separations of order below ``k``, built directly from the graph,
     the degenerate (V, V) last when its order |V| is below ``k``.  Graphs of
-    at most ``MAX_TABLE_VERTICES`` vertices get a join table whenever
-    the system is closed under joins, and it is then distributive."""
+    at most ``MAX_TABLE_VERTICES`` vertices offer join and meet whenever
+    the sides are closed under them, and the lattice is then distributive."""
     return _graph_system(g, k, g.n <= MAX_TABLE_VERTICES)
 
 
@@ -399,8 +450,8 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
         else:
             orders.append(float(len(fa) * len(fb)))
     realization = SideRealization(ground.size, tuple(sides))
-    leq, join = _subset_lattice(*realization.keys(), True)
-    return SeparationSystem(leq, orders, join=join, distributive=join is not None,
+    leq, closed = realization.lattice(True)
+    return SeparationSystem(leq, orders, lattice=closed, distributive=closed,
                             ground=realization)
 
 

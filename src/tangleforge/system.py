@@ -2,9 +2,15 @@
 
 A system holds ``count`` unoriented separations.  Each separation ``s`` has two
 orientations encoded as integers: ``2*s`` (forward) and ``2*s + 1`` (backward).
-The involution flips the low bit.  The partial order is stored explicitly as a
-boolean ``(2n, 2n)`` matrix, precomputed and validated at load; desk-scale
-sizes make the quadratic storage cheap and every comparison O(1).
+The involution flips the low bit.  The partial order is held as a boolean
+``(2n, 2n)`` matrix, precomputed and validated at load; desk-scale sizes make
+the quadratic storage cheap and every comparison O(1).
+
+A system with a ground (``grounds.SideRealization``: a side per oriented id)
+takes its order from its sides, and its lattice operations too: it stores no
+join or meet table, builds them from the sides on read, and is validated and
+written (``sepsys/v2``) by its sides.  Any other system is given its order,
+and a lattice its join table, and is written with them (``sepsys/v1``).
 
 Sets of oriented ids are Python-int bitmasks, bit ``o`` standing for oriented
 id ``o``, from the system through trees and construction to the families;
@@ -13,7 +19,7 @@ frozensets are made only where a set leaves the library as a result.
 ``ids_of(system.closure(mask_of({2})))`` is ``[0, 2]``.  The system derives
 per-element masks (everything above, everything below, ...) from ``leq`` once,
 and every set operation reads them; ``leq`` and ``join`` stay numpy arrays
-for the vectorised checks and the JSON form.
+for the vectorised checks and the sepsys/v1 form.
 """
 
 from __future__ import annotations
@@ -117,15 +123,22 @@ class SeparationSystem:
 
     Parameters
     ----------
-    leq : (2n, 2n) boolean matrix; ``leq[a, b]`` means ``a <= b``.
+    leq : (2n, 2n) boolean matrix; ``leq[a, b]`` means ``a <= b``.  With a
+        ground it is the subset order of the sides' keys
+        (``SideRealization.keys``), which the ground code derives.
     orders : length-n reals; the order ``|s|`` attaches to the unoriented id.
-    join : optional (2n, 2n) integer table of oriented ids making the system
-        a lattice ("universe"); ``meet`` derives the meet table from it.
+    join : optional (2n, 2n) integer table of oriented ids making a system
+        without a ground a lattice ("universe").
+    lattice : a ground system's claim to be a lattice: its keys are closed
+        under union (validated).  ``join`` then builds its table from the
+        sides' unions on each read.
     distributive : claim that the lattice is distributive (validated).
-    ground : optional realization payload (a ``SideRealization``: one side
-        per oriented id) used by concrete forbidden families.
+    ground : optional realization (a ``SideRealization``: one side per
+        oriented id) used by concrete forbidden families.
     allow_degenerate : admit separations whose two orientations coincide
         (both ids then alias one element; rejected by default).
+
+    ``meet`` is derived from ``join`` on each read, through the involution.
 
     ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
     below ``a`` (``a`` included), derived from ``leq`` at construction.
@@ -143,14 +156,17 @@ class SeparationSystem:
     ids, and ``local`` maps them to those of the carved ``restrict_below``.
 
     Carving (``subsystem``, ``restrict_below``) builds the system a view
-    stands for, for an output that inlines it or for the oracle.  A carved
+    stands for, for the oracle or for the sepsys/v1 of a view of a system
+    without a ground (a view with a ground is written from its live
+    sides, ``to_json_dict``).  A carved
     system keeps the system at the top of its carving as ``top`` and the
     map of its oriented ids into that one's (``oriented_into``); any other
     system has None for both.
     """
 
-    def __init__(self, leq, orders, *, join=None, distributive=False,
-                 ground=None, allow_degenerate=False, check=True):
+    def __init__(self, leq, orders, *, join=None, lattice=False,
+                 distributive=False, ground=None, allow_degenerate=False,
+                 check=True):
         leq = np.array(leq, dtype=bool)
         orders = np.array(orders, dtype=float)
         n2 = leq.shape[0]
@@ -159,16 +175,20 @@ class SeparationSystem:
         if orders.shape != (n2 // 2,):
             raise ValidationError(
                 f"orders must have one entry per separation, got {orders.shape}")
+        if (ground is None and lattice) or (ground is not None and join is not None):
+            raise ValidationError("a system with a ground claims a lattice "
+                                  "by lattice=, any other by its join table")
         self.count = n2 // 2
         self.leq = leq
         self.orders = orders
-        self.join = None if join is None else np.array(join, dtype=np.int64)
+        self._join = None if join is None else np.array(join, dtype=np.int64)
+        self._lattice = bool(lattice) or join is not None
         self.distributive = bool(distributive)
         self.ground = ground
         self.top = self._into_top = self._base = None
         self.allow_degenerate = bool(allow_degenerate)
         self.live = (1 << n2) - 1
-        for table in (self.leq, self.orders, self.join):
+        for table in (self.leq, self.orders, self._join):
             if table is not None:
                 table.setflags(write=False)
         self.up, self.down = (tuple(
@@ -218,15 +238,24 @@ class SeparationSystem:
         return (self.live & ((1 << o) - 1)).bit_count()
 
     def has_universe(self) -> bool:
-        return self.join is not None
+        return self._lattice
+
+    @property
+    def join(self):
+        """The (2n, 2n) join table, or None without a lattice.  A system
+        with a ground builds it on each read from its sides' unions, the
+        least id winning for a repeated side; any other stores it."""
+        if not self._lattice:
+            return None
+        return self._join if self.ground is None else self.ground.joins()
 
     @property
     def meet(self):
         """The (2n, 2n) meet table, built on each read, or None without a
-        join: the involution reverses the order, so (r v s)* = r* ^ s*."""
-        inv = np.arange(self.n_oriented) ^ 1
-        return None if self.join is None else \
-            np.array(self._canon, dtype=np.int64)[inv][self.join[np.ix_(inv, inv)]]
+        lattice: the involution reverses the order, so (r v s)* = r* ^ s*."""
+        join, inv = self.join, np.arange(self.n_oriented) ^ 1
+        return None if join is None else \
+            np.array(self._canon, dtype=np.int64)[inv][join[np.ix_(inv, inv)]]
 
     def order(self, s: int) -> float:
         return float(self.orders[s])
@@ -334,26 +363,35 @@ class SeparationSystem:
 
     # -- derived systems -----------------------------------------------------
 
+    def _induced(self, sep_ids, idx) -> dict:
+        """The constructor's arguments but ``leq`` for the system induced
+        on the separations ``sep_ids``, of oriented ids ``idx``."""
+        out = {"orders": self.orders[list(sep_ids)],
+               "allow_degenerate": any(map(self.is_degenerate, sep_ids))}
+        if self.ground is not None:
+            out["ground"] = ground = replace(
+                self.ground, sides=tuple(self.ground.sides[o] for o in idx))
+            out["lattice"] = lattice = self.has_universe() and (
+                len(sep_ids) == self.count or ground.closed())  # all: same keys
+        else:
+            join = None
+            if self.has_universe():  # meets, mirrored joins, stay in idx if joins do
+                lut = np.full(self.n_oriented, -1, dtype=np.int64)
+                lut[idx] = np.arange(len(idx))
+                join = lut[self._join[np.ix_(idx, idx)]]
+                if (join < 0).any():
+                    join = None
+            out["join"], lattice = join, join is not None
+        out["distributive"] = self.distributive and lattice
+        return out
+
     def subsystem(self, sep_ids) -> "SeparationSystem":
         """The system induced on the given separations, mapped into the
         top system of this one's carving."""
         sep_ids = tuple(sep_ids)
         idx = [o for s in sep_ids for o in (forward(s), backward(s))]
-        leq = self.leq[np.ix_(idx, idx)]
-        orders = self.orders[list(sep_ids)]
-        join = None
-        if self.has_universe():  # meets, mirrored joins, stay in idx if joins do
-            lut = np.full(self.n_oriented, -1, dtype=np.int64)
-            lut[idx] = np.arange(len(idx))
-            join = lut[self.join[np.ix_(idx, idx)]]
-            if (join < 0).any():
-                join = None
-        ground = self.ground and replace(
-            self.ground, sides=tuple(self.ground.sides[o] for o in idx))
-        sub = SeparationSystem(
-            leq, orders, join=join,
-            distributive=self.distributive and join is not None, ground=ground,
-            allow_degenerate=any(map(self.is_degenerate, sep_ids)), check=False)
+        sub = SeparationSystem(self.leq[np.ix_(idx, idx)], check=False,
+                               **self._induced(sep_ids, idx))
         sub.top = self.top or self.base
         sub._into_top = tuple(idx) if self.top is None else \
             tuple(self._into_top[o] for o in idx)
@@ -394,7 +432,9 @@ class SeparationSystem:
 
 
 def validate(system: SeparationSystem) -> ValidationReport:
-    """Check every structural axiom; the report carries all violations found."""
+    """Check every structural axiom; the report carries all violations found.
+    A system with a ground has its sides checked in place of the order and
+    lattice laws (``_validate_ground``)."""
     if system.base is not system:
         raise SystemIsAView("validate a view's base, or its restrict_below")
     rep = ValidationReport()
@@ -405,6 +445,9 @@ def validate(system: SeparationSystem) -> ValidationReport:
         bad = np.flatnonzero(~np.isfinite(system.orders)).tolist()
         rep.add("order-function", f"non-finite order at separations {bad}")
     rep.checked["order-function"] = "exhaustive"
+    if system.ground is not None:
+        _validate_ground(system, rep)
+        return rep
 
     if n2 and not L.diagonal().all():
         bad = np.flatnonzero(~L.diagonal()).tolist()
@@ -452,9 +495,48 @@ def validate(system: SeparationSystem) -> ValidationReport:
     return rep
 
 
+def _validate_ground(system, rep):
+    """The sides of a system with a ground: each separation's two sides are
+    inverse, no two separations share a key, ``leq`` is the keys' subset
+    order and a claimed lattice has its keys closed under union.  The order
+    and lattice laws then hold: a subset order is one, the keys' involution
+    reverses it, and keys closed under union, and so through the involution
+    under intersection, form a distributive lattice of sets."""
+    ground = system.ground
+    for fault in ground.faults(system.orders):
+        rep.add("ground", fault)
+    first = {}
+    for o, key in enumerate(ground.keys()[0]):
+        p = first.setdefault(key, o)
+        if p == o ^ 1 and not system.allow_degenerate:
+            rep.add("degenerate", f"separation {sep_of(o)} has equal "
+                    "orientations (pass allow_degenerate to admit)")
+        elif p not in (o, o ^ 1):
+            rep.add("ground", f"duplicate side: {fmt_oriented(o)} has the "
+                    f"side of {fmt_oriented(p)}")
+    leq, closed = ground.lattice(system.has_universe())
+    if not np.array_equal(leq, system.leq):
+        a, b = np.argwhere(leq != system.leq)[0].tolist()
+        rep.add("ground", f"the sides put {fmt_oriented(a)} "
+                f"{'not ' * bool(system.leq[a, b])}below {fmt_oriented(b)}, "
+                "unlike leq")
+    rep.checked["ground"] = "exhaustive"
+    if system.has_universe():
+        if not closed:
+            a, b = np.argwhere(ground.joins() < 0)[0].tolist()
+            rep.add("universe", "lattice claimed, but the sides are not closed "
+                    f"under union: {fmt_oriented(a)} v {fmt_oriented(b)}")
+        rep.checked["universe"] = "exhaustive"
+        if system.distributive:
+            rep.checked["distributivity"] = \
+                "skipped: not a lattice" if rep.issues else "exhaustive"
+    elif system.distributive:
+        rep.add("universe", "distributive flag without a lattice")
+
+
 def _validate_universe(system, rep):
     # the join's laws: the meet's mirror them through the checked involution
-    L, J = system.leq, system.join
+    L, J = system.leq, system._join
     n2 = system.n_oriented
     if J.shape != (n2, n2):
         rep.add("universe", f"the join table must be ({n2},{n2})")
@@ -524,12 +606,24 @@ def words_of(masks, width: int) -> np.ndarray:
                          dtype="<u8").reshape(len(masks), nbytes // 8)
 
 
-# -- JSON (format "sepsys/v1") -------------------------------------------------
+# -- JSON (formats "sepsys/v1" and "sepsys/v2") ---------------------------------
 
 
 def to_json_dict(system: SeparationSystem) -> dict:
-    """Canonical JSON form; reflexive pairs omitted, keys sorted on dump.  A
-    view is written as the system it stands for, in its local ids."""
+    """Canonical JSON form, keys sorted on dump: ``sepsys/v2`` (orders and
+    the ground's sides) for a system with a ground, ``sepsys/v1`` (orders,
+    the strict order pairs and a lattice's tables) for any other.  A view
+    is written as the system it stands for, in its local ids."""
+    if system.ground is not None:
+        seps = list(system.seps())
+        d = system._induced(seps, [o for s in seps for o in (2 * s, 2 * s + 1)])
+        out = {"format": "sepsys/v2", "count": len(seps),
+               "orders": d["orders"].tolist(), "ground": d["ground"].to_json_dict()}
+        if d["lattice"]:
+            out["lattice"], out["distributive"] = True, d["distributive"]
+        if d["allow_degenerate"]:
+            out["allow_degenerate"] = True
+        return out
     if system.base is not system:
         system = system.subsystem(system.seps())
     strict = system.leq & ~np.eye(system.n_oriented, dtype=bool)
@@ -547,21 +641,23 @@ def to_json_dict(system: SeparationSystem) -> dict:
         out["distributive"] = system.distributive
     if system.allow_degenerate:
         out["allow_degenerate"] = True
-    if system.ground is not None:
-        out["ground"] = system.ground.to_json_dict()
     return out
 
 
 def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
-    """Load a sepsys/v1 object.
+    """Load a sepsys/v1 or sepsys/v2 object.
 
-    The relation must already be transitively closed, and ``meet`` the
-    mirror of ``join``.  More than ``MAX_SEPARATIONS`` separations raise
+    A sepsys/v2 object is rebuilt from its ground, by the code that builds
+    ground systems: its order is the sides' subset order, and ``lattice``
+    claims their closure under union.  A sepsys/v1 object lists its order,
+    which must already be transitively closed, and a lattice's ``join`` and
+    ``meet``, ``meet`` the mirror of ``join``; a ground it holds must
+    realize both.  More than ``MAX_SEPARATIONS`` separations raise
     BudgetExceeded before the order matrix is allocated.
     """
-    expect_object(d, "sepsys/v1 system")
-    if d.get("format", "sepsys/v1") != "sepsys/v1":
-        raise ValidationError(f"unsupported system format {d.get('format')!r}")
+    fmt = expect_object(d, "sepsys system").get("format", "sepsys/v1")
+    if fmt not in ("sepsys/v1", "sepsys/v2"):
+        raise ValidationError(f"unsupported system format {fmt!r}")
     try:
         count, orders = d["count"], d["orders"]
         if type(count) is not int or any(type(x) not in (int, float)
@@ -569,16 +665,29 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
             raise TypeError
         orders = [float(x) for x in orders]
     except KeyError as exc:
-        raise ValidationError(f"sepsys/v1 system lacks the field {exc}") from None
+        raise ValidationError(f"{fmt} system lacks the field {exc}") from None
     except (TypeError, OverflowError):
-        raise ValidationError("sepsys/v1 'count' must be an integer and "
+        raise ValidationError(f"{fmt} 'count' must be an integer and "
                               "'orders' a list of numbers") from None
     n2 = 2 * count
     if count < 0 or len(orders) != count:
         raise ValidationError("orders length does not match count")
     if count > MAX_SEPARATIONS:
-        raise BudgetExceeded(f"sepsys/v1 system has {count} separations, over "
+        raise BudgetExceeded(f"{fmt} system has {count} separations, over "
                              f"the limit of {MAX_SEPARATIONS}")
+    flags = {f: d.get(f, False) for f in ("distributive", "allow_degenerate")
+             + (("lattice",) if fmt == "sepsys/v2" else ())}
+    for f, value in flags.items():
+        if type(value) is not bool:
+            raise ValidationError(f"{fmt} {f!r} must be true or false, "
+                                  f"got {value!r}")
+    from . import grounds
+    if fmt == "sepsys/v2":
+        if "ground" not in d:
+            raise ValidationError("sepsys/v2 system lacks the field 'ground'")
+        ground = grounds.realization_from_json(d["ground"], orders)
+        return SeparationSystem(ground.lattice(False)[0], orders, ground=ground,
+                                check=check, **flags)
     leq = np.zeros((n2, n2), dtype=bool)
     np.fill_diagonal(leq, True)
     pairs = d.get("leq", [])
@@ -612,18 +721,19 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
             if t.shape != (n2, n2) or t.size and not 0 <= t.min() <= t.max() < n2:
                 raise ValidationError(f"sepsys/v1 universe {f!r} must be a "
                                       f"({n2},{n2}) table of ids below {n2}")
-    flags = {f: d.get(f, False) for f in ("distributive", "allow_degenerate")}
-    for f, value in flags.items():
-        if type(value) is not bool:
-            raise ValidationError(f"sepsys/v1 {f!r} must be true or false, "
-                                  f"got {value!r}")
-    ground = None
-    if "ground" in d:
-        from . import grounds
+    if "ground" not in d:
+        system = SeparationSystem(leq, orders, join=join, check=check, **flags)
+    else:
         ground = grounds.realization_from_json(d["ground"], orders, leq)
-    system = SeparationSystem(leq, orders, join=join, ground=ground,
-                              check=check, **flags)
-    if meet is not None and (np.array(system._canon)[meet] != system.meet).any():
+        system = SeparationSystem(leq, orders, lattice=join is not None,
+                                  ground=ground, check=check, **flags)
+    canon = np.array(system._canon)
+    if join is not None and system.ground is not None:
+        unions = system.join
+        if (unions < 0).any() or (canon[unions] != canon[join]).any():
+            raise ValidationError(
+                "sepsys/v1 universe 'join' is not the union of the ground's sides")
+    if meet is not None and (canon[meet] != system.meet).any():
         raise ValidationError("sepsys/v1 universe 'meet' is not the mirror of 'join'")
     return system
 
@@ -633,7 +743,7 @@ def dump_system(system: SeparationSystem) -> str:
 
 
 def load_system(text: str, **kwargs) -> SeparationSystem:
-    return from_json_dict(parse_json(text, "sepsys/v1 text"), **kwargs)
+    return from_json_dict(parse_json(text, "sepsys text"), **kwargs)
 
 
 def parse_json(text: str, what: str):

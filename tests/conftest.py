@@ -232,6 +232,81 @@ def side_pair(ground, o):
     return ground.side(o ^ 1), ground.side(o)
 
 
+# -- sepsys/v2 expanded into sepsys/v1 --------------------------------------------
+
+
+def expand_sepsys_v2(d):
+    """The sepsys/v1 dict of a sepsys/v2 dict, worked out from its sides
+    alone: a key per oriented id (a set's side, and (V - A, B) for a graph
+    separation (A, B)), the strict subset order of the keys as ``leq``, and
+    for a lattice the ids of the keys' unions and intersections as ``join``
+    and ``meet``, the least id for a repeated key."""
+    ground = d["ground"]
+    sides = [frozenset(side) for side in ground["sides"]]
+    forward = range(0, len(sides), 2)
+    if ground["kind"] == "graph":
+        points = frozenset(range(ground["n"]))
+        keys = [(points - sides[o ^ 1], side) for o, side in enumerate(sides)]
+        payload = {"kind": "graph", "n": ground["n"], "edges": ground["edges"],
+                   "sides": [[sorted(sides[o + 1]), sorted(sides[o])]
+                             for o in forward]}
+    else:
+        keys = [(frozenset(), side) for side in sides]  # pairs, as a graph's
+        payload = {"kind": "sets", "size": ground["size"],
+                   "sides": [sorted(sides[o]) for o in forward]}
+    ids = {}
+    for o, key in enumerate(keys):
+        ids.setdefault(key, o)
+    out = {"format": "sepsys/v1", "count": d["count"], "orders": d["orders"],
+           "leq": [[a, b] for a, x in enumerate(keys) for b, y in enumerate(keys)
+                   if a != b and x[0] <= y[0] and x[1] <= y[1]],
+           "ground": payload}
+    if d.get("lattice"):
+        out["universe"] = {
+            "join": [[ids[x[0] | y[0], x[1] | y[1]] for y in keys] for x in keys],
+            "meet": [[ids[x[0] & y[0], x[1] & y[1]] for y in keys] for x in keys]}
+        out["distributive"] = d["distributive"]
+    if d.get("allow_degenerate"):
+        out["allow_degenerate"] = True
+    return out
+
+
+def expand_systems(value):
+    """``value`` with every sepsys/v2 object in it expanded into sepsys/v1."""
+    if isinstance(value, dict):
+        if value.get("format") == "sepsys/v2":
+            return expand_sepsys_v2(value)
+        return {key: expand_systems(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [expand_systems(item) for item in value]
+    return value
+
+
+def v1_of(system):
+    """The sepsys/v1 dict of a whole system, read off its ``leq``, ``join``
+    and ``meet``: what the sepsys/v1 writer wrote of a system with a
+    ground."""
+    ground, n2 = system.ground, system.n_oriented
+    out = {"format": "sepsys/v1", "count": system.count,
+           "orders": system.orders.tolist(),
+           "leq": np.argwhere(system.leq & ~np.eye(n2, dtype=bool)).tolist()}
+    if system.has_universe():
+        out["universe"] = {"join": system.join.tolist(),
+                           "meet": system.meet.tolist()}
+        out["distributive"] = system.distributive
+    if system.allow_degenerate:
+        out["allow_degenerate"] = True
+    if ground is not None and ground.graph is None:
+        out["ground"] = {"kind": "sets", "size": ground.size,
+                         "sides": [ids_of(m) for m in ground.sides[::2]]}
+    elif ground is not None:
+        out["ground"] = {"kind": "graph", "n": ground.size,
+                         "edges": sorted([list(e) for e in ground.graph.edges]),
+                         "sides": [[ids_of(a), ids_of(b)] for b, a in
+                                   zip(ground.sides[::2], ground.sides[1::2])]}
+    return out
+
+
 # -- tree helpers ---------------------------------------------------------------
 
 
@@ -377,13 +452,13 @@ def two_cluster_similarity():
 def submodular_subsystems(universe, max_size):
     """Subsystems in which every pair keeps its join or meet, parent-linked."""
     out = []
-    seps, meet = list(universe.seps()), universe.meet
+    seps, join, meet = list(universe.seps()), universe.join, universe.meet
     for bits in range(1, 2 ** len(seps)):
         ids = [s for i, s in enumerate(seps) if (bits >> i) & 1]
         if len(ids) > max_size:
             continue
         keep = {o for s in ids for o in (2 * s, 2 * s + 1)}
-        good = all(int(universe.join[a, b]) in keep or
+        good = all(int(join[a, b]) in keep or
                    int(meet[a, b]) in keep
                    for a in keep for b in keep)
         if good:

@@ -8,13 +8,17 @@ reproducible and quick.
 """
 
 import copy
+import json
 import math
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tangleforge as tf
 from tangleforge import grounds
+from tangleforge.cli import main
 from tangleforge.errors import TangleForgeError
 from tangleforge.families import family_from_json
 from tangleforge.oracle import vertex_separations_below
@@ -22,7 +26,7 @@ from tangleforge.system import from_json_dict, mask_of, to_json_dict, validate
 from tangleforge.tree import (restrict, to_dot, tree_from_json_dict,
                               tree_to_json_dict)
 
-from conftest import separation_sides
+from conftest import expand_sepsys_v2, separation_sides
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 database=None, suppress_health_check=[HealthCheck.too_slow])
@@ -73,6 +77,10 @@ def _path_graph(n):
 GRAPH_SYSTEM = tf.graph_system(_path_graph(3), 2)
 SETS_SYSTEM = tf.bipartition_system(tf.full_bipartition_ground(2))
 SYSTEMS = [GRAPH_SYSTEM, SETS_SYSTEM, tf.graph_universe(_path_graph(2))]
+# the systems as sepsys/v2, as they are written, and as the sepsys/v1 they
+# were written as before
+V2_DOCS = [to_json_dict(s) for s in SYSTEMS]
+SYSTEM_DOCS = V2_DOCS + [expand_sepsys_v2(d) for d in V2_DOCS]
 FAMILIES = [{"format": "family/v1", "kind": kind, "k": 2, "n": 1,
              "explicit_members": [[0], [1, 2]]}
             for kind in ("empty", "explicit", "blocks", "cluster", "profile",
@@ -115,7 +123,7 @@ def test_csv_matrices_load_or_are_rejected(text):
 
 
 @FUZZ
-@given(st.sampled_from([to_json_dict(s) for s in SYSTEMS]).flatmap(mutated))
+@given(st.sampled_from(SYSTEM_DOCS).flatmap(mutated))
 def test_systems_load_or_are_rejected(doc):
     system = _loads_or_rejects(from_json_dict, doc)
     assert system is None or validate(system).ok
@@ -123,6 +131,21 @@ def test_systems_load_or_are_rejected(doc):
     unchecked = _loads_or_rejects(lambda d: from_json_dict(d, check=False), doc)
     if unchecked is not None:
         validate(unchecked)
+
+
+@FUZZ
+@given(st.sampled_from(V2_DOCS).flatmap(mutated))
+def test_v2_systems_exit_0_2_or_3_in_the_cli(doc):
+    # no traceback: a bad system is named (2) or over a budget (3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "sys.json", str(Path(tmp) / "out")
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--system", str(path), "--out", out]) in (0, 2)
+        ground = doc.get("ground")
+        graph = isinstance(ground, dict) and ground.get("kind") == "graph"
+        family = "blocks:1" if graph else "cluster:1"
+        assert main(["tangles", "--system", str(path), "--family", family,
+                     "--out", out]) in (0, 2, 3)
 
 
 @FUZZ

@@ -18,10 +18,10 @@ from tangleforge.errors import (BudgetExceeded, DuplicateQuestionWarning,
                                 ValidationError)
 from tangleforge.oracle import (OracleBudget, all_kblocks, all_tangles,
                                 vertex_separations_below)
-from tangleforge.system import dump_system, load_system, validate
+from tangleforge.system import dump_system, load_system, validate, words_of
 
-from conftest import (FIXTURES, all_graphs_up_to_iso, grid_graph,
-                      separation_sides, side_pair)
+from conftest import (FIXTURES, all_graphs_up_to_iso, expand_sepsys_v2,
+                      grid_graph, separation_sides, side_pair, v1_of)
 
 
 def test_k4_low_order_separations_all_have_a_full_side(k4):
@@ -52,10 +52,10 @@ def test_graph_universe_lattice_laws_and_submodularity():
         for g in all_graphs_up_to_iso(n):
             u = tf.graph_universe(g)
             assert validate(u).ok  # includes exhaustive lattice checking
-            meet = u.meet
+            join, meet = u.join, u.meet
             for a in u.all_oriented():
                 for b in u.all_oriented():
-                    j, m = int(u.join[a, b]), int(meet[a, b])
+                    j, m = int(join[a, b]), int(meet[a, b])
                     assert u.order_of(j) + u.order_of(m) <= \
                         u.order_of(a) + u.order_of(b) + 1e-9
 
@@ -165,16 +165,23 @@ def test_subset_lattice_keys_of_every_width(width):
     atoms = [sum(1 << v for v in range(a, width, 4)) for a in range(4)]
     keys = [sum(atoms[i] for i in range(4) if bits >> i & 1)
             for bits in range(16)] + [atoms[0], 0]
-    leq, join = tf.grounds._subset_lattice(keys, width, True)
+    leq, closed = tf.grounds._subset_lattice(keys, width, True)
+    join = np.concatenate([*tf.grounds._union_ids(words_of(keys, width), width)])
     ids = {}
     for i, key in enumerate(keys):
         ids.setdefault(key, i)
     for a, x in enumerate(keys):
         assert leq[a].tolist() == [x & ~y == 0 for y in keys]
         assert join[a].tolist() == [ids[x | y] for y in keys]
-    # without the top key, unions leave the keys: no table
-    assert tf.grounds._subset_lattice(keys[:-3], width, True)[1] is None
-    assert tf.grounds._subset_lattice(keys, width, False)[1] is None
+    assert closed is True
+    # without the top key, unions leave the keys: not closed, and the
+    # unions that are no key have the id -1
+    assert tf.grounds._subset_lattice(keys[:-3], width, True)[1] is False
+    assert tf.grounds._subset_lattice(keys, width, False)[1] is False
+    cut = keys[:-3]  # distinct keys: each has its own id
+    assert np.concatenate([*tf.grounds._union_ids(words_of(cut, width), width)]
+                          ).tolist() == [[cut.index(x | y) if x | y in cut else -1
+                                          for y in cut] for x in cut]
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
@@ -392,6 +399,77 @@ def test_ground_sides_that_realize_nothing_are_refused(d, cause, tmp_path,
     assert cause in capsys.readouterr().err
 
 
+# sepsys/v2: the 2-point full bipartition universe, ids 0..3 the sides {},
+# {0, 1}, {0}, {1}, and the path 0-1-2 with its separation ({0, 1}, {1, 2})
+SETS_V2 = {"format": "sepsys/v2", "count": 2, "orders": [0.0, 1.0],
+           "lattice": True, "distributive": True,
+           "ground": {"kind": "sets", "size": 2,
+                      "sides": [[], [0, 1], [0], [1]]}}
+PATH_V2 = {"format": "sepsys/v2", "count": 1, "orders": [1.0],
+           "ground": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]],
+                      "sides": [[1, 2], [0, 1]]}}
+
+
+def v2_edited(base, orders=None, **ground):
+    """A copy of ``base`` with ``ground`` fields and ``orders`` set."""
+    d = json.loads(json.dumps(base))
+    d["ground"].update(ground)
+    if orders is not None:
+        d["orders"] = orders
+    return d
+
+
+@pytest.mark.parametrize("d, cause", [
+    pytest.param(v2_edited(SETS_V2, sides=[[], [0, 1], [0], [0]]),
+                 "sets ground side [0] of separation 1 lacks its complement: "
+                 "the other side is [0]", id="side-without-its-complement"),
+    pytest.param(v2_edited(SETS_V2, sides=[[], [0, 1], [], [0, 1]]),
+                 "duplicate side: 1+ has the side of 0+", id="duplicate-side"),
+    pytest.param(v2_edited(PATH_V2, sides=[[2], [0]]),
+                 "graph ground side pair [[0], [2]] of separation 0 (order 1) "
+                 "does not cover the vertices", id="pair-not-covering"),
+    pytest.param(v2_edited(PATH_V2, [0.0], sides=[[2], [0, 1]]),
+                 "side pair [[0, 1], [2]] of separation 0 (order 0) has the "
+                 "edge [1, 2] across", id="edge-across"),
+    pytest.param(v2_edited(PATH_V2, [2.0]), "separation 0 (order 2) meets "
+                 "in 1 vertices", id="separator-not-the-order"),
+    pytest.param({**v2_edited(SETS_V2, size=3, sides=[[0], [1, 2], [1], [0, 2]]),
+                  "orders": [1.0, 1.0]},
+                 "lattice claimed, but the sides are not closed under union: "
+                 "0+ v 0-", id="lattice-not-closed"),
+    pytest.param({**SETS_V2, "orders": [0.0]},
+                 "orders length does not match count", id="orders-length"),
+    pytest.param(v2_edited(SETS_V2, sides=[[], [0, 1], [0]]),
+                 "sets ground of size 2 (at most 65536) has 3 sides for 4 "
+                 "oriented ids", id="a-side-short"),
+    pytest.param({k: v for k, v in SETS_V2.items() if k != "ground"},
+                 "sepsys/v2 system lacks the field 'ground'", id="no-ground"),
+    pytest.param({**SETS_V2, "lattice": 1},
+                 "sepsys/v2 'lattice' must be true or false, got 1",
+                 id="lattice-not-a-bool"),
+    pytest.param({**SETS_V2, "lattice": False}, "distributive flag without a "
+                 "lattice", id="distributive-without-lattice"),
+])
+def test_v2_faults_are_named_and_exit_2(d, cause, tmp_path, capsys):
+    with pytest.raises(ValidationError, match=re.escape(cause)):
+        tf.from_json_dict(d)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(d))
+    assert main(["validate", "--system", str(path)]) == 2
+    issues = json.loads(capsys.readouterr().out)["issues"]
+    assert cause in [i if isinstance(i, str) else i["detail"] for i in issues][0]
+    kind = "blocks:1" if d.get("ground", {}).get("kind") == "graph" else "cluster:1"
+    assert main(["tangles", "--system", str(path), "--family", kind]) == 2
+    assert cause in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [SETS_V2, PATH_V2])
+def test_the_unedited_v2_payloads_load(d):
+    system = tf.from_json_dict(d)
+    assert tf.to_json_dict(system) == d
+    assert system.has_universe() == d.get("lattice", False)
+
+
 def _benchmark_systems():
     """The system of every instance of the benchmark's workloads at seeds 1
     and 2."""
@@ -404,7 +482,9 @@ def _benchmark_systems():
             for instance in make(seed)}
 
 
-def test_fixture_and_benchmark_grounds_round_trip():
+def _fixture_and_benchmark_systems():
+    """The fixture graphs' systems and universes, the CSV grounds, and the
+    system of every benchmark instance at seeds 1 and 2."""
     graphs = [tf.Graph.from_edge_list((FIXTURES / f"{name}.edges").read_text())
               for name in ("k4", "p5", "two_k4")]
     systems = {f"{g.n}/{i}/{k}": tf.graph_system(g, k)
@@ -417,12 +497,44 @@ def test_fixture_and_benchmark_grounds_round_trip():
     systems["mindsets"] = tf.questionnaire_system(tf.grounds.load_answers_csv(
         (FIXTURES / "mindsets.csv").read_text()))
     systems.update(_benchmark_systems())
-    assert sum(s.ground is not None for s in systems.values()) > 100
-    for name, system in systems.items():
+    return systems
+
+
+SYSTEMS = _fixture_and_benchmark_systems()
+
+
+def test_fixture_and_benchmark_grounds_round_trip():
+    assert sum(s.ground is not None for s in SYSTEMS.values()) > 100
+    for name, system in SYSTEMS.items():
         text = dump_system(system)
         again = load_system(text)
         assert dump_system(again) == text, name
         assert again.ground == system.ground, name
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_the_expanded_v2_is_the_v1_of_the_tables(name):
+    # the sides alone give the sepsys/v1 written before from leq, join and
+    # meet; that sepsys/v1 loads as the same system.  Levels are written
+    # from views, and equal the v1 of the carved level.
+    system = SYSTEMS[name]
+    d = tf.to_json_dict(system)
+    if system.ground is None:
+        assert d["format"] == "sepsys/v1" and d == v1_of(system)
+        return
+    flags = {"lattice": system.has_universe(),
+             "distributive": system.has_universe(),
+             "allow_degenerate": system.allow_degenerate}
+    assert d["format"] == "sepsys/v2"
+    assert sorted(d) == sorted(["format", "count", "orders", "ground",
+                                *(f for f, on in flags.items() if on)])
+    v1 = expand_sepsys_v2(d)
+    assert v1 == v1_of(system)
+    assert dump_system(tf.from_json_dict(v1)) == dump_system(system)
+    ks = sorted({system.order(s) for s in system.seps()})
+    for k in ks[:2] + ks[-1:]:
+        assert expand_sepsys_v2(tf.to_json_dict(system.view_below(k))) == \
+            v1_of(system.restrict_below(k)), k
 
 
 # -- loaders ---------------------------------------------------------------------

@@ -186,22 +186,19 @@ def test_side_views_match_the_json_sides_and_the_ground(k4):
         assert again == ground
         assert d["kind"] == ("sets" if ground.graph is None else "graph")
         for o in system.all_oriented():
-            forward_sides = d["sides"][o >> 1]
+            # sepsys/v2 lists the side of every oriented id
+            side, other = frozenset(d["sides"][o]), frozenset(d["sides"][o ^ 1])
+            assert ground.side(o) == side
             if ground.graph is not None:
-                A, B = forward_sides if o % 2 == 0 else forward_sides[::-1]
-                assert side_pair(ground, o) == (frozenset(A), frozenset(B))
-                assert ground.side(o) == frozenset(B)
-                # a separation: the sides cover V with no edge across
-                A, B = frozenset(A), frozenset(B)
+                assert side_pair(ground, o) == (other, side)
+                # a separation (A, B) = (other, side): the sides cover V
+                # with no edge across
+                A, B = other, side
                 assert A | B == frozenset(k4.vertices())
                 assert not any(k4.has_edge(u, v) for u in A - B for v in B - A)
                 assert system.order_of(o) == len(A & B)
             else:
-                points = frozenset(range(ground.size))
-                side = frozenset(forward_sides)
-                expected = side if o % 2 == 0 else points - side
-                assert ground.side(o) == expected
-                assert ground.side(o ^ 1) == points - ground.side(o)
+                assert other == frozenset(range(ground.size)) - side
         for a in system.all_oriented():
             for b in system.all_oriented():
                 if ground.graph is None:

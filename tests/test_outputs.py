@@ -5,15 +5,22 @@ run on each fixture input with its family.  The sha256 of each output and the ex
 change that moves any byte of a report, tangle list or certificate shows up
 here; a change meant to alter an output updates its digest in the same
 commit.
+
+A system with a ground is written as ``sepsys/v2``.  ``OUTPUT_SHA256`` pins
+each output with every inlined sepsys/v2 system expanded by the tests' own
+``expand_sepsys_v2`` into the sepsys/v1 it was written as before, and
+``V2_SHA256`` the bytes written of the outputs that inline one.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from tangleforge.cli import main
+from tangleforge.system import dump_json
 
-from conftest import FIXTURES
+from conftest import FIXTURES, expand_systems
 
 INPUTS = {
     "k4/blocks3": ["--graph", "k4.edges", "--family", "blocks:3"],
@@ -82,6 +89,33 @@ OUTPUT_SHA256 = {
 }
 
 
+# the sha256 of the bytes written, where an output inlines a sepsys/v2 system
+V2_SHA256 = {
+    "k4/blocks3 build":
+        "37a9d3d154f0e3634e0960b08475782b1e3f35bcd73cbed1e93d6df5099d8526",
+    "mindsets/cluster3 build":
+        "f8f0f3eca085b14842ec4188ff05c49f0ce1e2dcd66be4642e39945e7ca24211",
+    "p5/blocks3 build":
+        "6d0cb871e2efdbf162bd2f242eaf0b26424225fd1f0b887637775ba57e3225e7",
+    "p5/blocks3 certify":
+        "00f0d14a603e76fe1fcaf508006620e7bf60205d901ec3a82b39ed99433fc12e",
+    "six_similarity/cluster2 build":
+        "35f43d1fd58e9e7e066121f7b8979a56eb7a47d340248dd555c25631f1b39cc0",
+    "six_similarity/cluster3 build":
+        "1d01b53e9fb217480195c27976c5b31301a88ff7fe3e9a7557fc5a360a740359",
+    "two_k4/blocks3 build":
+        "7b0152d86248ebf813b75783f165911eb13d3ac64efe14069cc98a61fb00a815",
+}
+
+
+def expanded(data: bytes) -> bytes:
+    """A JSON output as written with its sepsys/v2 systems expanded; a
+    Graphviz output as it is."""
+    if data.startswith(b"digraph"):
+        return data
+    return (dump_json(expand_systems(json.loads(data))) + "\n").encode()
+
+
 def test_every_input_and_command_is_pinned():
     assert sorted(OUTPUT_SHA256) == sorted(f"{i} {c}" for i in INPUTS
                                            for c in COMMANDS)
@@ -94,5 +128,9 @@ def test_command_writes_its_pinned_output(name, tmp_path):
             for a in INPUTS[inp]]
     out = tmp_path / "out"
     code = main([*COMMANDS[command], *args, "--out", str(out)])
-    assert (code, hashlib.sha256(out.read_bytes()).hexdigest()) == \
+    data = out.read_bytes()
+    assert (code, hashlib.sha256(expanded(data)).hexdigest()) == \
         OUTPUT_SHA256[name]
+    assert hashlib.sha256(data).hexdigest() == \
+        V2_SHA256.get(name, OUTPUT_SHA256[name][1])
+    assert (b'"sepsys/v2"' in data) == (name in V2_SHA256)

@@ -168,7 +168,11 @@ def test_a_report_writes_its_system_once(report):
     for tree in trees:
         assert sorted(tree) == ["format", "nodes", "root"]
         assert tree["format"] == "tree/v1"
-    assert dump_report(report).count('"format": "sepsys/v1"') == 1
+    # sepsys/v2 when the system has a ground, else sepsys/v1
+    text = dump_report(report)
+    version = "v1" if report.system.ground is None else "v2"
+    assert text.count(f'"format": "sepsys/{version}"') == 1
+    assert text.count('"format": "sepsys/') == 1
 
 
 def test_expanded_v2_has_the_bytes_of_v1(report):

@@ -18,7 +18,7 @@ from tangleforge.system import (LATTICE_EXHAUSTIVE_LIMIT, backward,
                                sep_of, validate)
 
 from conftest import (FIXTURES, M3, N5, all_graphs_up_to_iso,
-                      antichain_system, lattice_times_chain,
+                      antichain_system, expand_sepsys_v2, lattice_times_chain,
                       random_relation_system, random_subset_system,
                       side_pair, submodular_subsystems,
                       two_cluster_similarity)
@@ -209,6 +209,8 @@ def test_lattice_laws_match_the_cubic_loops(name):
     system = UNIVERSES[name]
     assert system.has_universe() and system.n_oriented <= LATTICE_EXHAUSTIVE_LIMIT
     assert assert_laws_match_the_loops(system).ok
+    # checked by its sides; its join table alone is checked by the laws
+    assert assert_laws_match_the_loops(_with_join(system, system.join)).ok
     for i, wrong in enumerate(planted_wrong(system, len(name))):
         assert not assert_laws_match_the_loops(wrong).ok, i
 
@@ -242,15 +244,24 @@ def test_the_derived_meet_is_the_key_intersection(name):
             assert np.array_equal(meet, key_meet(level)), level.count
 
 
-def test_a_universe_stores_one_integer_table():
+def integer_tables(system):
+    return [name for name, value in vars(system).items()
+            if isinstance(value, np.ndarray) and value.ndim == 2
+            and value.dtype.kind in "iu"]
+
+
+def test_a_ground_system_stores_no_integer_table():
+    # a lattice with a ground builds its join from its sides on read; one
+    # without a ground stores its join table alone
     c5 = tf.Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
     for system in (tf.graph_universe(c5),
                    tf.bipartition_system(tf.full_bipartition_ground(4))):
         n2 = system.n_oriented
-        tables = [name for name, value in vars(system).items()
-                  if isinstance(value, np.ndarray) and value.ndim == 2
-                  and value.dtype.kind in "iu"]
-        assert tables == ["join"] and system.join.shape == (n2, n2)
+        assert system.has_universe() and integer_tables(system) == []
+        assert system.join.shape == (n2, n2) and system.join.dtype == np.int64
+        table = _with_join(system, system.join)
+        assert integer_tables(table) == ["_join"]
+        assert np.array_equal(table.join, system.join)
 
 
 @pytest.mark.parametrize("name", sorted(UNIVERSES))
@@ -258,7 +269,7 @@ def test_a_planted_wrong_meet_is_refused_on_loading(name, tmp_path, capsys):
     # one meet entry of the dump set to another element, or out of range
     # where every element is the entry's own
     system = UNIVERSES[name]
-    n2, d = system.n_oriented, tf.to_json_dict(system)
+    n2, d = system.n_oriented, expand_sepsys_v2(tf.to_json_dict(system))
     rng = np.random.default_rng(len(name))
     a, b = (int(x) for x in rng.integers(0, n2, size=2))
     meet = d["universe"]["meet"]
@@ -300,7 +311,10 @@ def test_a_join_entry_raised_above_the_join_is_not_least():
 def test_sampled_mode_finds_a_non_associative_join():
     system = tf.bipartition_system(tf.full_bipartition_ground(9))
     assert system.n_oriented > LATTICE_EXHAUSTIVE_LIMIT
-    assert validate(system).checked["distributivity"] == "sampled(n=20000)"
+    # the ground system is checked by its sides, its join table as a table
+    assert validate(system).checked["distributivity"] == "exhaustive"
+    assert validate(_with_join(system, system.join)).checked[
+        "distributivity"] == "sampled(n=20000)"
     # incomparable pairs join to the top: commutative, an upper bound, and
     # not associative, since a v (b v c) stays below the top for b <= c; the
     # derived meets of incomparable pairs are the bottom, alike
