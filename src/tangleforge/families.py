@@ -328,10 +328,15 @@ class ProfileFamily(ForbiddenFamily):
             raise MissingCapability(
                 f"{self.kind.replace('_', '-')} family needs lattice operations")
         super().__init__(system)
-        self._join = system.join.tolist()
-
-    def _third(self, x, y):
-        return self._join[inverse(x)][inverse(y)]
+        # the join of the inverses; with a ground, the id of the union of
+        # their keys, the least for a repeated key, and no table
+        if system.ground is None:
+            join = system.join.cell
+            self._third = lambda x, y: join(x ^ 1, y ^ 1)
+        else:
+            keys, ids = system.ground.keys()[0], system.ground.ids()
+            inverse_keys = [keys[o ^ 1] for o in range(len(keys))]
+            self._third = lambda x, y: ids[inverse_keys[x] | inverse_keys[y]]
 
     def _witness(self, members) -> dict | None:
         """Evidence that the set is a member, or None when it is not."""
@@ -396,15 +401,16 @@ class StrongProfileFamily(ProfileFamily):
         pool = [x] + ids_of(work)
         have = work | 1 << x
         down, above_x = self.system.down, self.system.up[x]
+        third = self._third
         # new element in the pair position
-        row = self._join[inverse(x)]
-        if any(down[row[inverse(y)]] & have for y in pool):
+        if any(down[third(x, y)] & have for y in pool):
             return True
-        # new element in the bounded position
-        for y in pool[1:]:
-            row = self._join[inverse(y)]
-            for z in pool[1:]:
-                if above_x >> row[inverse(z)] & 1:
+        # new element in the bounded position; the join is commutative, so
+        # each unordered pair is tried once
+        rest = pool[1:]
+        for i, y in enumerate(rest):
+            for z in rest[i:]:
+                if above_x >> third(y, z) & 1:
                     return True
         return False
 

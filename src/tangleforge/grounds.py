@@ -19,13 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .errors import (BudgetExceeded, DuplicateQuestionWarning,
                      MissingCapability, NotATangle, NotComplementClosed,
                      ValidationError)
-from .system import (MAX_SEPARATIONS, SeparationSystem, expect_object,
-                     fmt_oriented, ids_of, mask_of, words_of)
+from .system import (MAX_SEPARATIONS, SeparationSystem, _first_difference,
+                     expect_object, fmt_oriented, ids_of, mask_of)
 
 # A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
@@ -116,23 +114,23 @@ class SideRealization:
         return [(full & ~self.sides[o ^ 1]) << self.size | b
                 for o, b in enumerate(self.sides)], 2 * self.size
 
-    def lattice(self, closure: bool):
-        """``_subset_lattice`` of the keys: the order, and with ``closure``
-        whether every union of two keys is again a key."""
-        return _subset_lattice(*self.keys(), closure)
+    def order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``up`` and ``down``, the words of the keys' subset order.  The
+        involution reverses it (b <= a iff a* <= b*, for sides without
+        ``faults``), so ``down[a]`` is ``up[a*]`` with its bit pairs swapped."""
+        up = _subset_order(*self.keys())
+        even = ((1 << len(up)) - 1) // 3
+        return up, tuple((w & even) << 1 | w >> 1 & even
+                         for w in (up[a ^ 1] for a in range(len(up))))
 
     def closed(self) -> bool:
         """Whether every union of two keys is again a key."""
-        keys, width = self.keys()
-        return _closed(words_of(keys, width), width)
+        return _union_closed(*self.keys())
 
-    def joins(self) -> np.ndarray:
-        """The join table of a lattice of keys: per pair of ids the id of
-        their keys' union, the least id for a repeated key, and -1 where
-        the union is no key."""
-        keys, width = self.keys()
-        return np.concatenate([np.empty((0, len(keys)), dtype=np.int64),
-                               *_union_ids(words_of(keys, width), width)])
+    def ids(self) -> dict[int, int]:
+        """Each key's id, the least for a repeated key."""
+        keys = self.keys()[0]
+        return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
 
     def faults(self, orders):
         """A message per separation whose two sides are not inverse: a
@@ -182,7 +180,7 @@ def realization_of(system: SeparationSystem, what: str,
 def realization_from_json(d: dict, orders, leq=None) -> SideRealization:
     """The ground of a system with the given ``orders``: in a sepsys/v2
     object the side of every oriented id; in a sepsys/v1 object, whose
-    order matrix is ``leq``, one side (sets) or side pair [A, B] (graph)
+    order is ``leq`` (an ``Order``), one side (sets) or side pair [A, B] (graph)
     per separation, written forward.  Each separation's sides must be
     inverse (``SideRealization.faults``), and a sepsys/v1 ground's subset
     order must be ``leq``."""
@@ -239,13 +237,13 @@ def realization_from_json(d: dict, orders, leq=None) -> SideRealization:
     ground = SideRealization(size, tuple(masks), g)
     for fault in ground.faults(orders):
         raise ValidationError(fault)
-    if leq is not None:
-        wrong = np.argwhere(ground.lattice(False)[0] != leq)
-        if len(wrong):
-            a, b = wrong[0].tolist()
-            raise ValidationError(
-                f"{kind} ground sides put {fmt_oriented(a)} "
-                f"{'not ' * bool(leq[a, b])}below {fmt_oriented(b)}, unlike 'leq'")
+    wrong = None if leq is None else _first_difference(ground.order()[0], leq.up)
+    if wrong:
+        a, b = wrong
+        raise ValidationError(
+            f"{kind} ground sides put {fmt_oriented(a)} "
+            f"{'not ' * (leq.up[a] >> b & 1)}below {fmt_oriented(b)}, "
+            "unlike 'leq'")
     return ground
 
 
@@ -307,46 +305,46 @@ def _too_many_separations(g: Graph, k: float, count: int):
         f"below {k}, over the limit of {MAX_SEPARATIONS}")
 
 
-def _subset_lattice(keys: list[int], width: int, closure: bool):
-    """The subset order on ``width``-bit keys, and with ``closure`` whether
-    every union of two keys is again a key, without a table of the unions.
-    A system's keys are closed under its involution, and so then under
-    intersections, its meets."""
-    K = words_of(keys, width)
-    step = _block_rows(K)
-    leq = np.empty((len(keys), len(keys)), dtype=bool)
-    for lo in range(0, len(keys), step):
-        leq[lo:lo + step] = ~(K[lo:lo + step, None, :] & ~K).any(axis=2)
-    return leq, closure and _closed(K, width)
+def _subset_order(keys: list[int], width: int) -> tuple[int, ...]:
+    """Per id ``o`` the word of the ids whose ``width``-bit key holds key
+    ``o``: with a column the ids whose key has a given bit, the AND of the
+    columns that hold ``o``, equal columns counted once."""
+    every, has = (1 << len(keys)) - 1, [0] * width
+    for o, key in enumerate(keys):
+        for j in ids_of(key):
+            has[j] |= 1 << o
+    up = [every] * len(keys)
+    for column in set(has):
+        for o in ids_of(column):
+            up[o] &= column
+    return tuple(up)
 
 
-def _closed(K, width: int) -> bool:
-    return all((ids >= 0).all() for ids in _union_ids(K, width))
-
-
-def _block_rows(K) -> int:
-    """Rows of the key words ``K`` per block of about 1 MB of pair words,
-    which bounds memory whatever the width."""
-    return max(1, (1 << 20) // max(1, K.nbytes))
-
-
-def _union_ids(K, width: int):
-    """Per block of rows of the key words ``K``, the id of the union of
-    each two keys: the least id for a repeated key, -1 for no key."""
-    small = width <= 16  # numbers found by a table lookup, else a binary search
-    as_key = np.dtype("<u8") if small else np.dtype((np.void, 8 * K.shape[1]))
-    unique, first = np.unique(K.view(as_key).ravel(), return_index=True)
-    if small:
-        index = np.full(1 << width, -1, dtype=np.int64)
-        index[unique] = first
-    step = _block_rows(K)
-    for lo in range(0, len(K), step):
-        found = (K[lo:lo + step, None, :] | K).view(as_key)[..., 0]
-        if small:
-            yield index[found]
-        else:
-            pos = np.searchsorted(unique, found).clip(max=len(unique) - 1)
-            yield np.where(unique[pos] == found, first[pos], -1)
+def _union_closed(keys: list[int], width: int) -> bool:
+    """Whether every union of two ``width``-bit keys is again a key.  Where
+    there are more pairs of keys than points in the cube of 2^width, one
+    pass over the cube decides, bit ``x`` of a word for the point ``x``: a
+    point is the union of the keys within it when each of its bits ``p``
+    is in one of them, that is when it lies above a key with bit ``p``, and
+    the keys are closed exactly when every such point but the empty one is
+    a key.  Elsewhere every pair is tried."""
+    present, size = set(keys), 1 << width
+    if size > len(present) ** 2:
+        return all(a | b in present for a in present for b in present)
+    has = []  # the points with bit p: alternate runs of 2^p points
+    for p in range(width):
+        word, span = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+        while span < size:
+            word, span = word | word << span, 2 * span
+        has.append(word)
+    points = mask_of(present)
+    unions = (1 << size) - 1
+    for p in range(width):
+        above = points & has[p]
+        for j in range(width):  # each point passes itself on to x + 2^j
+            above |= (above & ~has[j]) << (1 << j)
+        unions &= above | ~has[p]
+    return not unions & ~points & ~1
 
 
 def _graph_system(g: Graph, k: float, lattice: bool) -> SeparationSystem:
@@ -356,9 +354,9 @@ def _graph_system(g: Graph, k: float, lattice: bool) -> SeparationSystem:
     pairs = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
     # B of (A, B), then A
     ground = SideRealization(g.n, tuple(s for a, b in pairs for s in (b, a)), g)
-    leq, closed = ground.lattice(lattice)
+    closed = lattice and ground.closed()
     return SeparationSystem(
-        leq, [(a & b).bit_count() for a, b in pairs], lattice=closed,
+        None, [(a & b).bit_count() for a, b in pairs], lattice=closed,
         distributive=closed, ground=ground, allow_degenerate=g.n < k)
 
 
@@ -450,8 +448,8 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
         else:
             orders.append(float(len(fa) * len(fb)))
     realization = SideRealization(ground.size, tuple(sides))
-    leq, closed = realization.lattice(True)
-    return SeparationSystem(leq, orders, lattice=closed, distributive=closed,
+    closed = realization.closed()
+    return SeparationSystem(None, orders, lattice=closed, distributive=closed,
                             ground=realization)
 
 

@@ -2,13 +2,13 @@
 
 A system holds ``count`` unoriented separations.  Each separation ``s`` has two
 orientations encoded as integers: ``2*s`` (forward) and ``2*s + 1`` (backward).
-The involution flips the low bit.  The partial order is held as a boolean
-``(2n, 2n)`` matrix, precomputed and validated at load; desk-scale sizes make
-the quadratic storage cheap and every comparison O(1).
+The involution flips the low bit.  The partial order is held as two words per
+element, ``up`` and ``down``, precomputed and validated at load; desk-scale
+sizes make the quadratic bits cheap and every comparison O(1).
 
 A system with a ground (``grounds.SideRealization``: a side per oriented id)
 takes its order from its sides, and its lattice operations too: it stores no
-join or meet table, builds them from the sides on read, and is validated and
+join or meet table, answers them from the sides' unions, and is validated and
 written (``sepsys/v2``) by its sides.  Any other system is given its order,
 and a lattice its join table, and is written with them (``sepsys/v1``).
 
@@ -17,21 +17,22 @@ id ``o``, from the system through trees and construction to the families;
 frozensets are made only where a set leaves the library as a result.
 ``mask_of`` and ``ids_of`` convert: with ``2 <= 0``,
 ``ids_of(system.closure(mask_of({2})))`` is ``[0, 2]``.  The system derives
-per-element masks (everything above, everything below, ...) from ``leq`` once,
-and every set operation reads them; ``leq`` and ``join`` stay numpy arrays
-for the vectorised checks and the sepsys/v1 form.
+per-element masks (everything above, everything below, ...) from its order
+words once, and every set operation reads them; ``leq``, ``join`` and
+``meet`` are read-only ``Table`` views for per-cell reads and the sepsys/v1
+form.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from copy import copy
 from dataclasses import dataclass, field, replace
-from itertools import chain, takewhile
+from itertools import chain, compress, repeat, takewhile
 from json.encoder import encode_basestring_ascii
-from operator import index
-
-import numpy as np
+from operator import eq, index
 
 from .errors import (BudgetExceeded, GroundMismatch, InconsistentInput,
                      SystemIsAView, ValidationError)
@@ -42,7 +43,8 @@ LATTICE_EXHAUSTIVE_LIMIT = 260
 _SAMPLED_TRIPLES = 20000
 # of a loaded system or one generated from a graph or bipartition ground:
 # above the 3,281 of the edgeless 8-vertex universe and the 2,048 of a
-# 12-point full bipartition; 4,096 separations give a 64 MiB order matrix
+# 12-point full bipartition; 4,096 separations give 2 x 8,192 order words
+# of 8,192 bits, 16 MiB
 MAX_SEPARATIONS = 1 << 12
 
 
@@ -68,7 +70,7 @@ def mask_of(ids) -> int:
     """Bitmask with bit ``o`` set for each id ``o``."""
     m = 0
     for o in ids:
-        m |= 1 << index(o)  # a numpy integer would shift in 64 bits
+        m |= 1 << index(o)  # a fixed-width integer would shift in its width
     return m
 
 
@@ -86,6 +88,47 @@ def ids_of(mask: int) -> list[int]:
 def fmt_oriented(o: int) -> str:
     """Human-readable oriented id: separation index plus side marker."""
     return f"{sep_of(o)}{'+' if o % 2 == 0 else '-'}"
+
+
+class Table:
+    """A read-only square table of a function of two ids: ``t[a, b]`` is
+    ``cell(a, b)`` and ``t[a]`` row ``a`` as a list, so that nested-list
+    and array constructors read a table as its rows."""
+
+    def __init__(self, cell, size: int):
+        self.cell, self.size = cell, size
+
+    def __len__(self):
+        return self.size
+
+    def __getitem__(self, key):
+        if type(key) is tuple:
+            return self.cell(*map(index, key))
+        if not 0 <= index(key) < self.size:  # ends iteration
+            raise IndexError(f"row {key} of a table of {self.size}")
+        return list(map(self.cell, repeat(index(key), self.size),
+                        range(self.size)))
+
+
+class Order(Table):
+    """The order as a table over its words: ``leq[a, b]`` is whether
+    ``a <= b``, bit ``b`` of ``up[a]``; ``down[b]`` then has bit ``a``."""
+
+    def __init__(self, up, down):
+        self.up, self.down, self.size = up, down, len(up)
+
+    def cell(self, a: int, b: int) -> bool:
+        return self.up[a] >> b & 1 == 1
+
+    @classmethod
+    def of_rows(cls, rows) -> "Order":
+        """The order given as a square matrix of truth values."""
+        rows = list(rows)
+        if len(rows) % 2 or any(len(row) != len(rows) for row in rows):
+            raise ValueError(f"{len(rows)} rows of lengths "
+                             f"{sorted(set(map(len, rows)))}")
+        return cls(*(tuple(mask_of(compress(range(len(rows)), row))
+                           for row in matrix) for matrix in (rows, zip(*rows))))
 
 
 @dataclass
@@ -123,25 +166,29 @@ class SeparationSystem:
 
     Parameters
     ----------
-    leq : (2n, 2n) boolean matrix; ``leq[a, b]`` means ``a <= b``.  With a
-        ground it is the subset order of the sides' keys
-        (``SideRealization.keys``), which the ground code derives.
+    leq : (2n, 2n) matrix of truth values (nested lists or tuples, an
+        array, or another system's ``leq``); ``leq[a, b]`` means ``a <= b``.
+        None for a system with a ground, whose order is then the subset
+        order of the sides' keys (``SideRealization.keys``).
     orders : length-n reals; the order ``|s|`` attaches to the unoriented id.
     join : optional (2n, 2n) integer table of oriented ids making a system
-        without a ground a lattice ("universe").
+        without a ground a lattice ("universe"), held as ``array`` rows.
     lattice : a ground system's claim to be a lattice: its keys are closed
-        under union (validated).  ``join`` then builds its table from the
-        sides' unions on each read.
+        under union (validated).  ``join`` then answers from the sides'
+        unions.
     distributive : claim that the lattice is distributive (validated).
     ground : optional realization (a ``SideRealization``: one side per
         oriented id) used by concrete forbidden families.
     allow_degenerate : admit separations whose two orientations coincide
         (both ids then alias one element; rejected by default).
 
-    ``meet`` is derived from ``join`` on each read, through the involution.
+    ``orders`` is held as a tuple of floats.  ``leq`` is an ``Order``, a
+    read-only table over the words ``up`` and ``down``; ``join`` and
+    ``meet`` are tables built on each read, ``meet`` derived from ``join``
+    through the involution.
 
     ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
-    below ``a`` (``a`` included), derived from ``leq`` at construction.
+    below ``a`` (``a`` included).
 
     ``view_below`` gives a lower-order level as a view: its ``base`` (a
     whole system is its own ``base``, and stores no reference to itself,
@@ -167,34 +214,32 @@ class SeparationSystem:
     def __init__(self, leq, orders, *, join=None, lattice=False,
                  distributive=False, ground=None, allow_degenerate=False,
                  check=True):
-        leq = np.array(leq, dtype=bool)
-        orders = np.array(orders, dtype=float)
-        n2 = leq.shape[0]
-        if leq.ndim != 2 or leq.shape[1] != n2 or n2 % 2 != 0:
-            raise ValidationError(f"leq must be square with even side, got {leq.shape}")
-        if orders.shape != (n2 // 2,):
-            raise ValidationError(
-                f"orders must have one entry per separation, got {orders.shape}")
         if (ground is None and lattice) or (ground is not None and join is not None):
             raise ValidationError("a system with a ground claims a lattice "
                                   "by lattice=, any other by its join table")
+        try:
+            if not isinstance(leq, Order):
+                leq = Order.of_rows(leq) if leq is not None or ground is None \
+                    else Order(*ground.order())
+            orders = tuple(map(float, orders))
+            join = None if join is None else tuple(array("h", row) for row in join)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError("leq must be a square matrix of even side, "
+                                  "orders reals and join rows of ids: "
+                                  f"{exc}") from None
+        n2 = leq.size
+        if len(orders) != n2 // 2:
+            raise ValidationError(
+                f"orders must have one entry per separation, got {len(orders)}")
         self.count = n2 // 2
-        self.leq = leq
-        self.orders = orders
-        self._join = None if join is None else np.array(join, dtype=np.int64)
+        self.leq, self.up, self.down, self.orders = leq, leq.up, leq.down, orders
+        self._join = join
         self._lattice = bool(lattice) or join is not None
         self.distributive = bool(distributive)
         self.ground = ground
         self.top = self._into_top = self._base = None
         self.allow_degenerate = bool(allow_degenerate)
         self.live = (1 << n2) - 1
-        for table in (self.leq, self.orders, self._join):
-            if table is not None:
-                table.setflags(write=False)
-        self.up, self.down = (tuple(
-            int.from_bytes(row.tobytes(), "little")
-            for row in np.packbits(m, axis=1, bitorder="little"))
-            for m in (leq, leq.T))
         self._even = ((1 << n2) - 1) // 3  # the forward id of every separation
         self._degenerate = mask_of(o for o in range(n2)
                                    if (self.up[o] & self.down[o]) >> (o ^ 1) & 1)
@@ -241,27 +286,33 @@ class SeparationSystem:
         return self._lattice
 
     @property
-    def join(self):
-        """The (2n, 2n) join table, or None without a lattice.  A system
-        with a ground builds it on each read from its sides' unions, the
-        least id winning for a repeated side; any other stores it."""
+    def join(self) -> Table | None:
+        """The join as a (2n, 2n) table, or None without a lattice.  A
+        system with a ground answers from its keys: the id of the union of
+        two keys, the least id for a repeated key and -1 where the union is
+        no key; any other reads its stored rows."""
         if not self._lattice:
             return None
-        return self._join if self.ground is None else self.ground.joins()
+        if self.ground is None:
+            rows = self._join
+            return Table(lambda a, b: rows[a][b], self.n_oriented)
+        keys, ids = self.ground.keys()[0], self.ground.ids()
+        return Table(lambda a, b: ids.get(keys[a] | keys[b], -1),
+                     self.n_oriented)
 
     @property
-    def meet(self):
-        """The (2n, 2n) meet table, built on each read, or None without a
-        lattice: the involution reverses the order, so (r v s)* = r* ^ s*."""
-        join, inv = self.join, np.arange(self.n_oriented) ^ 1
-        return None if join is None else \
-            np.array(self._canon, dtype=np.int64)[inv][join[np.ix_(inv, inv)]]
+    def meet(self) -> Table | None:
+        """The meet as a (2n, 2n) table, or None without a lattice: the
+        involution reverses the order, so (r v s)* = r* ^ s*."""
+        join, canon = self.join, self._canon
+        return None if join is None else Table(
+            lambda a, b: canon[join.cell(a ^ 1, b ^ 1) ^ 1], self.n_oriented)
 
     def order(self, s: int) -> float:
-        return float(self.orders[s])
+        return self.orders[s]
 
     def order_of(self, o: int) -> float:
-        return float(self.orders[sep_of(o)])
+        return self.orders[sep_of(o)]
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.up[a] >> b & 1)
@@ -364,22 +415,26 @@ class SeparationSystem:
     # -- derived systems -----------------------------------------------------
 
     def _induced(self, sep_ids, idx) -> dict:
-        """The constructor's arguments but ``leq`` for the system induced
-        on the separations ``sep_ids``, of oriented ids ``idx``."""
-        out = {"orders": self.orders[list(sep_ids)],
+        """The constructor's arguments for the system induced on the
+        separations ``sep_ids``, of oriented ids ``idx``: a ground system's
+        order comes from its sides, any other's is gathered from the words."""
+        out = {"orders": [self.orders[s] for s in sep_ids],
                "allow_degenerate": any(map(self.is_degenerate, sep_ids))}
         if self.ground is not None:
+            out["leq"] = None
             out["ground"] = ground = replace(
                 self.ground, sides=tuple(self.ground.sides[o] for o in idx))
             out["lattice"] = lattice = self.has_universe() and (
                 len(sep_ids) == self.count or ground.closed())  # all: same keys
         else:
+            out["leq"] = Order.of_rows([[self.up[a] >> b & 1 for b in idx]
+                                        for a in idx])
             join = None
             if self.has_universe():  # meets, mirrored joins, stay in idx if joins do
-                lut = np.full(self.n_oriented, -1, dtype=np.int64)
-                lut[idx] = np.arange(len(idx))
-                join = lut[self._join[np.ix_(idx, idx)]]
-                if (join < 0).any():
+                new = dict(zip(idx, range(len(idx))))
+                try:
+                    join = [[new[self._join[a][b]] for b in idx] for a in idx]
+                except KeyError:
                     join = None
             out["join"], lattice = join, join is not None
         out["distributive"] = self.distributive and lattice
@@ -390,8 +445,7 @@ class SeparationSystem:
         top system of this one's carving."""
         sep_ids = tuple(sep_ids)
         idx = [o for s in sep_ids for o in (forward(s), backward(s))]
-        sub = SeparationSystem(self.leq[np.ix_(idx, idx)], check=False,
-                               **self._induced(sep_ids, idx))
+        sub = SeparationSystem(check=False, **self._induced(sep_ids, idx))
         sub.top = self.top or self.base
         sub._into_top = tuple(idx) if self.top is None else \
             tuple(self._into_top[o] for o in idx)
@@ -438,24 +492,23 @@ def validate(system: SeparationSystem) -> ValidationReport:
     if system.base is not system:
         raise SystemIsAView("validate a view's base, or its restrict_below")
     rep = ValidationReport()
-    L = system.leq
-    n2 = system.n_oriented
+    up, down, n2 = system.up, system.down, system.n_oriented
 
-    if not np.all(np.isfinite(system.orders)):
-        bad = np.flatnonzero(~np.isfinite(system.orders)).tolist()
+    bad = [s for s, x in enumerate(system.orders) if not math.isfinite(x)]
+    if bad:
         rep.add("order-function", f"non-finite order at separations {bad}")
     rep.checked["order-function"] = "exhaustive"
     if system.ground is not None:
         _validate_ground(system, rep)
         return rep
 
-    if n2 and not L.diagonal().all():
-        bad = np.flatnonzero(~L.diagonal()).tolist()
+    bad = [o for o in range(n2) if not up[o] >> o & 1]
+    if bad:
         rep.add("reflexivity", f"missing a <= a for oriented ids {bad}")
     rep.checked["reflexivity"] = "exhaustive"
 
     for a in range(n2):
-        for b in ids_of(system.up[a] & system.down[a] & -(2 << a)):
+        for b in ids_of(up[a] & down[a] & -(2 << a)):
             if sep_of(a) != sep_of(b):
                 rep.add("antisymmetry",
                         f"{fmt_oriented(a)} <= {fmt_oriented(b)} and back")
@@ -463,29 +516,29 @@ def validate(system: SeparationSystem) -> ValidationReport:
                 rep.add("degenerate",
                         f"separation {sep_of(a)} has equal orientations "
                         "(pass allow_degenerate to admit)")
-            elif (system.up[a], system.down[a]) != (system.up[b], system.down[b]):
+            elif (up[a], down[a]) != (up[b], down[b]):
                 rep.add("degenerate",
                         f"degenerate separation {sep_of(a)} has diverging rows")
     rep.checked["antisymmetry"] = "exhaustive"
 
     for a in range(n2):
         reach = 0
-        for c in ids_of(system.up[a]):
-            reach |= system.up[c]
-        if reach & ~system.up[a]:
-            b = ids_of(reach & ~system.up[a])[0]
+        for c in ids_of(up[a]):
+            reach |= up[c]
+        if reach & ~up[a]:
+            b = ids_of(reach & ~up[a])[0]
             rep.add("transitivity",
                     f"{fmt_oriented(a)} <= ... <= {fmt_oriented(b)} but not directly")
             break
     rep.checked["transitivity"] = "exhaustive"
 
-    if n2:
-        perm = np.arange(n2) ^ 1
-        mirrored = L[np.ix_(perm, perm)].T
-        if not np.array_equal(L, mirrored):
-            a, b = map(int, np.argwhere(L != mirrored)[0])
-            rep.add("involution",
-                    f"a <= b disagrees with b* <= a* at ({fmt_oriented(a)}, {fmt_oriented(b)})")
+    # b* <= a* puts b in the mirror of down[a*]: its bit pairs swapped
+    even = system._even
+    wrong = _first_difference(up, [(w & even) << 1 | w >> 1 & even
+                                   for w in (down[a ^ 1] for a in range(n2))])
+    if wrong:
+        rep.add("involution", "a <= b disagrees with b* <= a* at "
+                f"({fmt_oriented(wrong[0])}, {fmt_oriented(wrong[1])})")
     rep.checked["involution"] = "exhaustive"
 
     if system.has_universe():
@@ -495,9 +548,16 @@ def validate(system: SeparationSystem) -> ValidationReport:
     return rep
 
 
+def _first_difference(words, others) -> tuple[int, int] | None:
+    """The first ``(a, b)``, row by row, where bit ``b`` of ``words[a]``
+    and of ``others[a]`` differ, or None."""
+    return next(((a, ((x ^ y) & -(x ^ y)).bit_length() - 1)
+                 for a, (x, y) in enumerate(zip(words, others)) if x != y), None)
+
+
 def _validate_ground(system, rep):
     """The sides of a system with a ground: each separation's two sides are
-    inverse, no two separations share a key, ``leq`` is the keys' subset
+    inverse, no two separations share a key, the order is the keys' subset
     order and a claimed lattice has its keys closed under union.  The order
     and lattice laws then hold: a subset order is one, the keys' involution
     reverses it, and keys closed under union, and so through the involution
@@ -505,25 +565,27 @@ def _validate_ground(system, rep):
     ground = system.ground
     for fault in ground.faults(system.orders):
         rep.add("ground", fault)
-    first = {}
+    ids = ground.ids()
     for o, key in enumerate(ground.keys()[0]):
-        p = first.setdefault(key, o)
+        p = ids[key]
         if p == o ^ 1 and not system.allow_degenerate:
             rep.add("degenerate", f"separation {sep_of(o)} has equal "
                     "orientations (pass allow_degenerate to admit)")
         elif p not in (o, o ^ 1):
             rep.add("ground", f"duplicate side: {fmt_oriented(o)} has the "
                     f"side of {fmt_oriented(p)}")
-    leq, closed = ground.lattice(system.has_universe())
-    if not np.array_equal(leq, system.leq):
-        a, b = np.argwhere(leq != system.leq)[0].tolist()
+    wrong = _first_difference(ground.order()[0], system.up)
+    if wrong:
+        a, b = wrong
         rep.add("ground", f"the sides put {fmt_oriented(a)} "
-                f"{'not ' * bool(system.leq[a, b])}below {fmt_oriented(b)}, "
+                f"{'not ' * system.le(a, b)}below {fmt_oriented(b)}, "
                 "unlike leq")
     rep.checked["ground"] = "exhaustive"
     if system.has_universe():
-        if not closed:
-            a, b = np.argwhere(ground.joins() < 0)[0].tolist()
+        if not ground.closed():
+            join, n2 = system.join.cell, system.n_oriented
+            a, b = next((a, b) for a in range(n2) for b in range(n2)
+                        if join(a, b) < 0)
             rep.add("universe", "lattice claimed, but the sides are not closed "
                     f"under union: {fmt_oriented(a)} v {fmt_oriented(b)}")
         rep.checked["universe"] = "exhaustive"
@@ -535,36 +597,39 @@ def _validate_ground(system, rep):
 
 
 def _validate_universe(system, rep):
-    # the join's laws: the meet's mirror them through the checked involution
-    L, J = system.leq, system._join
-    n2 = system.n_oriented
-    if J.shape != (n2, n2):
+    # the join's laws, on the stored rows: the meet's mirror them through
+    # the checked involution
+    J, up, n2 = system._join, system.up, system.n_oriented
+    if len(J) != n2 or any(len(row) != n2 for row in J):
         rep.add("universe", f"the join table must be ({n2},{n2})")
         return
     if n2 == 0:
         return
-    if J.min() < 0 or J.max() >= n2:
+    if min(map(min, J)) < 0 or max(map(max, J)) >= n2:
         rep.add("universe", "join values out of range")
         return
-    canon = np.array(system._canon)
-    if not np.array_equal(canon[J], canon[J.T]):
+    canon = system._canon
+    cj = [[canon[v] for v in row] for row in J]
+    if cj != [list(column) for column in zip(*cj)]:
         rep.add("universe", "join not commutative")
-    if not np.array_equal(canon[J.diagonal()], canon):
+    if [cj[a][a] for a in range(n2)] != list(canon):
         rep.add("universe", "join not idempotent")
     # order compatibility: a <= b iff a v b = b
-    if not np.array_equal(L, canon[J] == canon[None, :]):
+    if any(mask_of(compress(range(n2), map(eq, row, canon))) != up[a]
+           for a, row in enumerate(cj)):
         rep.add("universe", "a <= b does not match join(a,b) == b")
-    if not np.take_along_axis(L, J, 1).all():
+    if not all(up[a] >> v & 1 for a, row in enumerate(J) for v in row):
         rep.add("universe", "join not an upper bound")
 
     if n2 <= LATTICE_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
         # a bit c of up[a] & up[b] & ~up[join(a, b)] is an upper bound of a
         # and b not above their join
-        U = words_of(system.up, n2)
-        bad = (U[:, None] & U & ~U[J]).any(axis=(1, 2))
-        if bad.any():
-            rep.add("universe", f"join({fmt_oriented(int(bad.argmax()))}, .) "
+        bad = next((a for a, row in enumerate(J)
+                    if any(up[a] & up[b] & ~up[v] for b, v in enumerate(row))),
+                   None)
+        if bad is not None:
+            rep.add("universe", f"join({fmt_oriented(bad)}, .) "
                     "not least upper bound")
         if system.distributive and rep.issues:
             rep.checked["distributivity"] = "skipped: not a lattice"
@@ -573,37 +638,35 @@ def _validate_universe(system, rep):
             # Birkhoff: distributive iff each join-irreducible is join-prime; j
             # is join-irreducible iff all strictly below j is one down-set
             down, downs = system.down, set(system.down)
-            irr = mask_of(j for j in range(n2) if system._canon[j] == j
+            irr = mask_of(j for j in range(n2) if canon[j] == j
                           and system._below[j] in downs)
-            Jd = words_of([d & irr for d in down], n2)
-            wrong = (Jd[J] != Jd[:, None] | Jd).any(2)
-            if wrong.any():
-                x, y = np.argwhere(wrong)[0].tolist()
-                j = (down[J[x, y]] & irr & ~(down[x] | down[y])).bit_length() - 1
+            jd = [d & irr for d in down]
+            wrong = next(((x, y) for x, row in enumerate(J)
+                          for y, v in enumerate(row) if jd[v] != jd[x] | jd[y]),
+                         None)
+            if wrong:
+                x, y = wrong
+                j = (down[J[x][y]] & irr & ~(down[x] | down[y])).bit_length() - 1
                 a, b, c = map(fmt_oriented, (j, x, y))
                 rep.add("distributivity", f"meet({a}, join({b}, {c})) != "
                         f"join(meet({a}, {b}), meet({a}, {c}))")
     else:
+        import random
+
         mode = f"sampled(n={_SAMPLED_TRIPLES})"
-        rng = np.random.default_rng(n2)
-        a, b, c = rng.integers(0, n2, size=(_SAMPLED_TRIPLES, 3)).T
-        M = system.meet
-        if not np.array_equal(canon[J[J[a, b], c]], canon[J[a, J[b, c]]]):
+        r = random.Random(n2).randrange
+        triples = [(r(n2), r(n2), r(n2)) for _ in range(_SAMPLED_TRIPLES)]
+        j, m = (lambda a, b: J[a][b]), system.meet.cell
+        if any(canon[j(j(a, b), c)] != canon[j(a, j(b, c))] for a, b, c in triples):
             rep.add("universe", "join not associative on sampled triples")
-        if not np.array_equal(canon[M[M[a, b], c]], canon[M[a, M[b, c]]]):
+        if any(canon[m(m(a, b), c)] != canon[m(a, m(b, c))] for a, b, c in triples):
             rep.add("universe", "meet not associative on sampled triples")
         if system.distributive:
-            if not np.array_equal(canon[M[a, J[b, c]]], canon[J[M[a, b], M[a, c]]]):
+            if any(canon[m(a, j(b, c))] != canon[j(m(a, b), m(a, c))]
+                   for a, b, c in triples):
                 rep.add("distributivity", "fails on sampled triples")
             rep.checked["distributivity"] = mode
     rep.checked["universe"] = mode
-
-
-def words_of(masks, width: int) -> np.ndarray:
-    """``width``-bit masks as rows of little-endian 64-bit words."""
-    nbytes = 8 * max(1, -(-width // 64))
-    return np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
-                         dtype="<u8").reshape(len(masks), nbytes // 8)
 
 
 # -- JSON (formats "sepsys/v1" and "sepsys/v2") ---------------------------------
@@ -618,7 +681,7 @@ def to_json_dict(system: SeparationSystem) -> dict:
         seps = list(system.seps())
         d = system._induced(seps, [o for s in seps for o in (2 * s, 2 * s + 1)])
         out = {"format": "sepsys/v2", "count": len(seps),
-               "orders": d["orders"].tolist(), "ground": d["ground"].to_json_dict()}
+               "orders": d["orders"], "ground": d["ground"].to_json_dict()}
         if d["lattice"]:
             out["lattice"], out["distributive"] = True, d["distributive"]
         if d["allow_degenerate"]:
@@ -626,18 +689,13 @@ def to_json_dict(system: SeparationSystem) -> dict:
         return out
     if system.base is not system:
         system = system.subsystem(system.seps())
-    strict = system.leq & ~np.eye(system.n_oriented, dtype=bool)
-    out = {
-        "format": "sepsys/v1",
-        "count": system.count,
-        "orders": system.orders.tolist(),
-        "leq": np.argwhere(strict).tolist(),  # row-major: ascending pairs
-    }
+    out = {"format": "sepsys/v1", "count": system.count,
+           "orders": list(system.orders),
+           "leq": [[a, b] for a, word in enumerate(system.up)  # ascending pairs
+                   for b in ids_of(word & ~(1 << a))]}
     if system.has_universe():
-        out["universe"] = {
-            "join": system.join.tolist(),
-            "meet": system.meet.tolist(),
-        }
+        out["universe"] = {"join": [list(row) for row in system._join],
+                           "meet": list(system.meet)}
         out["distributive"] = system.distributive
     if system.allow_degenerate:
         out["allow_degenerate"] = True
@@ -653,7 +711,7 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
     which must already be transitively closed, and a lattice's ``join`` and
     ``meet``, ``meet`` the mirror of ``join``; a ground it holds must
     realize both.  More than ``MAX_SEPARATIONS`` separations raise
-    BudgetExceeded before the order matrix is allocated.
+    BudgetExceeded before the order words are built.
     """
     fmt = expect_object(d, "sepsys system").get("format", "sepsys/v1")
     if fmt not in ("sepsys/v1", "sepsys/v2"):
@@ -686,10 +744,9 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
         if "ground" not in d:
             raise ValidationError("sepsys/v2 system lacks the field 'ground'")
         ground = grounds.realization_from_json(d["ground"], orders)
-        return SeparationSystem(ground.lattice(False)[0], orders, ground=ground,
-                                check=check, **flags)
-    leq = np.zeros((n2, n2), dtype=bool)
-    np.fill_diagonal(leq, True)
+        return SeparationSystem(None, orders, ground=ground, check=check,
+                                **flags)
+    up, down = [1 << o for o in range(n2)], [1 << o for o in range(n2)]
     pairs = d.get("leq", [])
     if not isinstance(pairs, list):
         raise ValidationError("sepsys/v1 'leq' must be a list of pairs")
@@ -701,7 +758,9 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
         a, b = pair
         if not (0 <= a < n2 and 0 <= b < n2):
             raise ValidationError(f"leq pair {pair} out of range")
-        leq[a, b] = True
+        up[a] |= 1 << b
+        down[b] |= 1 << a
+    leq = Order(tuple(up), tuple(down))
     join = meet = None
     if "universe" in d:
         universe = expect_object(d["universe"], "sepsys/v1 universe")
@@ -709,8 +768,8 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
             join, meet = (universe[f] for f in ("join", "meet"))
             if any(type(v) is not int for row in join + meet for v in row):
                 raise TypeError("an entry is not an integer")
-            join, meet = (np.array(t, dtype=np.int64).reshape(len(t), -1 if t else 0)
-                          for t in (join, meet))  # [] of an empty system too
+            if any(len(set(map(len, t))) > 1 for t in (join, meet)):
+                raise ValueError("rows of unequal length")
         except KeyError as exc:
             raise ValidationError(
                 f"sepsys/v1 universe lacks the field {exc}") from None
@@ -718,7 +777,8 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
             raise ValidationError("sepsys/v1 universe 'join' and 'meet' must "
                                   f"be integer tables: {exc}") from None
         for f, t in (("join", join), ("meet", meet)):
-            if t.shape != (n2, n2) or t.size and not 0 <= t.min() <= t.max() < n2:
+            if len(t) != n2 or any(len(row) != n2 or not all(0 <= v < n2 for v in row)
+                                   for row in t):
                 raise ValidationError(f"sepsys/v1 universe {f!r} must be a "
                                       f"({n2},{n2}) table of ids below {n2}")
     if "ground" not in d:
@@ -727,13 +787,18 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
         ground = grounds.realization_from_json(d["ground"], orders, leq)
         system = SeparationSystem(leq, orders, lattice=join is not None,
                                   ground=ground, check=check, **flags)
-    canon = np.array(system._canon)
-    if join is not None and system.ground is not None:
-        unions = system.join
-        if (unions < 0).any() or (canon[unions] != canon[join]).any():
-            raise ValidationError(
-                "sepsys/v1 universe 'join' is not the union of the ground's sides")
-    if meet is not None and (canon[meet] != system.meet).any():
+    canon = system._canon
+
+    def differs(given, table):  # compared as canonical ids
+        cell = table.cell
+        return any(cell(a, b) < 0 or canon[cell(a, b)] != canon[v]
+                   for a, row in enumerate(given) for b, v in enumerate(row))
+
+    if join is not None and system.ground is not None and \
+            differs(join, system.join):
+        raise ValidationError(
+            "sepsys/v1 universe 'join' is not the union of the ground's sides")
+    if meet is not None and differs(meet, system.meet):
         raise ValidationError("sepsys/v1 universe 'meet' is not the mirror of 'join'")
     return system
 
@@ -783,7 +848,7 @@ def dump_json(value) -> str:
                 [encode_basestring_ascii(k) + ": " + text(v, inner)
                  for k, v in sorted(x.items())]) + nl + "}"
         if t is float:
-            return (float.__repr__(x) if -np.inf < x < np.inf else "NaN"
+            return (float.__repr__(x) if -math.inf < x < math.inf else "NaN"
                     if x != x else "Infinity" if x > 0 else "-Infinity")
         if x is None or x is True or x is False:
             return "null" if x is None else "true" if x else "false"

@@ -288,11 +288,12 @@ def v1_of(system):
     ground."""
     ground, n2 = system.ground, system.n_oriented
     out = {"format": "sepsys/v1", "count": system.count,
-           "orders": system.orders.tolist(),
-           "leq": np.argwhere(system.leq & ~np.eye(n2, dtype=bool)).tolist()}
+           "orders": list(system.orders),
+           "leq": np.argwhere(np.array(system.leq, dtype=bool)
+                              & ~np.eye(n2, dtype=bool)).tolist()}
     if system.has_universe():
-        out["universe"] = {"join": system.join.tolist(),
-                           "meet": system.meet.tolist()}
+        out["universe"] = {"join": np.array(system.join).tolist(),
+                           "meet": np.array(system.meet).tolist()}
         out["distributive"] = system.distributive
     if system.allow_degenerate:
         out["allow_degenerate"] = True

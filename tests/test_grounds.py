@@ -18,7 +18,8 @@ from tangleforge.errors import (BudgetExceeded, DuplicateQuestionWarning,
                                 ValidationError)
 from tangleforge.oracle import (OracleBudget, all_kblocks, all_tangles,
                                 vertex_separations_below)
-from tangleforge.system import dump_system, load_system, validate, words_of
+from tangleforge.system import (dump_system, ids_of, load_system, mask_of,
+                               validate)
 
 from conftest import (FIXTURES, all_graphs_up_to_iso, expand_sepsys_v2,
                       grid_graph, separation_sides, side_pair, v1_of)
@@ -89,12 +90,12 @@ def test_graph_systems_equal_their_universe_restricted_below_k(n):
                 got = tf.graph_system(g, k)
             want = universe.restrict_below(k)
             assert got.count == want.count
-            assert np.array_equal(got.orders, want.orders)
-            assert np.array_equal(got.leq, want.leq)
+            assert got.orders == want.orders
+            assert list(got.leq) == list(want.leq)
             assert got.has_universe() == want.has_universe()
             if got.has_universe():
-                assert np.array_equal(got.join, want.join)
-                assert np.array_equal(got.meet, want.meet)
+                assert list(got.join) == list(want.join)
+                assert list(got.meet) == list(want.meet)
             assert got.distributive == want.distributive
             assert got.ground == want.ground
             assert got.allow_degenerate == any(
@@ -165,23 +166,50 @@ def test_subset_lattice_keys_of_every_width(width):
     atoms = [sum(1 << v for v in range(a, width, 4)) for a in range(4)]
     keys = [sum(atoms[i] for i in range(4) if bits >> i & 1)
             for bits in range(16)] + [atoms[0], 0]
-    leq, closed = tf.grounds._subset_lattice(keys, width, True)
-    join = np.concatenate([*tf.grounds._union_ids(words_of(keys, width), width)])
+    up = tf.grounds._subset_order(keys, width)
     ids = {}
     for i, key in enumerate(keys):
         ids.setdefault(key, i)
     for a, x in enumerate(keys):
-        assert leq[a].tolist() == [x & ~y == 0 for y in keys]
-        assert join[a].tolist() == [ids[x | y] for y in keys]
-    assert closed is True
-    # without the top key, unions leave the keys: not closed, and the
-    # unions that are no key have the id -1
-    assert tf.grounds._subset_lattice(keys[:-3], width, True)[1] is False
-    assert tf.grounds._subset_lattice(keys, width, False)[1] is False
-    cut = keys[:-3]  # distinct keys: each has its own id
-    assert np.concatenate([*tf.grounds._union_ids(words_of(cut, width), width)]
-                          ).tolist() == [[cut.index(x | y) if x | y in cut else -1
-                                          for y in cut] for x in cut]
+        assert ids_of(up[a]) == [b for b, y in enumerate(keys) if x & ~y == 0]
+    ground = tf.grounds.SideRealization(width, tuple(keys))
+    assert ground.keys() == (keys, width) and ground.ids() == ids
+    assert ground.closed() is True
+    # without the top key, unions leave the keys: not closed
+    assert tf.grounds._union_closed(keys[:-3], width) is False
+
+
+def test_ground_down_words_are_the_transposed_up_words(k4, p5):
+    # a ground system reads ``down`` off ``up`` through the involution; it
+    # must be the transpose, degenerate (V, V) included
+    systems = [tf.graph_universe(g) for n in range(1, 5)
+               for g in all_graphs_up_to_iso(n)]
+    systems += [tf.graph_system(g, k) for g in (k4, p5) for k in (1, 2, 3)]
+    systems += [tf.bipartition_system(tf.full_bipartition_ground(n))
+                for n in range(1, 6)]
+    for system in systems:
+        n2 = system.n_oriented
+        assert [mask_of(a for a in range(n2) if system.up[a] >> b & 1)
+                for b in range(n2)] == list(system.down)
+
+
+def _closed_by_pairs(keys):
+    return all(a | b in keys for a in keys for b in keys)
+
+
+@pytest.mark.parametrize("width", range(5))
+def test_the_cube_pass_decides_closure_as_the_pairs_do(width):
+    # every family of keys of at most three bits, and a seeded sample of
+    # those of four: families of more keys than the square root of the
+    # cube's points go through the cube pass, the others through pairs
+    rng = random.Random(width)
+    points = 1 << width
+    families = range(1 << points) if width <= 3 else \
+        [rng.getrandbits(points) for _ in range(400)]
+    for bits in families:
+        keys = {x for x in range(points) if bits >> x & 1}
+        assert tf.grounds._union_closed(sorted(keys), width) is \
+            _closed_by_pairs(keys), sorted(keys)
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])

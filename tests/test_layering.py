@@ -1,5 +1,6 @@
 """Layering: production modules stay apart from the brute-force oracle,
-only the system and the oracle index the order matrix, family queries
+only the oracle indexes the order table, no module imports numpy and the
+CLI writes its pinned outputs without it, family queries
 from outside `families` go through the public, id-translating methods,
 only `tree` classifies leaves, `grounds` builds systems without carving
 them out of larger ones or scanning every side assignment, every JSON
@@ -14,9 +15,16 @@ namespace without running any of it.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import tangleforge
+
+from conftest import FIXTURES
+from test_outputs import INPUTS, OUTPUT_SHA256, V2_SHA256
 
 PACKAGE = Path(tangleforge.__file__).parent
 
@@ -63,13 +71,79 @@ def _leq_subscripts(module: str):
             and node.value.attr == "leq"]
 
 
-def test_only_the_system_and_the_oracle_index_leq():
-    # Set operations read the system's bitmasks; per-cell reads of the numpy
-    # order belong to the system's vectorised code and to the oracle, which
-    # keeps its own so that it stays independent of the masks.
+def test_only_the_oracle_indexes_leq():
+    # Set operations and the system's own checks read its order words;
+    # per-cell reads of the order table are the oracle's, which keeps them
+    # so that it stays independent of the masks.
     found = {path.stem: _leq_subscripts(path.stem)
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert {m for m, lines in found.items() if lines} == {"system", "oracle"}
+    assert {m for m, lines in found.items() if lines} == {"oracle"}
+
+
+def _imported_roots(module: str) -> set[str]:
+    """The top-level names of the modules ``module`` imports, wherever the
+    import sits; relative imports count as the package."""
+    out = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            out.add("tangleforge" if node.level else node.module.split(".")[0])
+    return out
+
+
+def test_no_module_imports_numpy():
+    # Orders and lattices are Python-int words, so the library starts
+    # without numpy; the tests, demos and benchmark use it on their own.
+    found = {path.stem: _imported_roots(path.stem)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert [m for m, roots in found.items() if "numpy" in roots] == []
+    assert "json" in found["system"]  # the walk sees imports
+
+
+# Run in a fresh interpreter in which importing numpy fails: each fixture's
+# build, the validate of the system its report inlines, and certify --k 2;
+# prints (exit code, sha256 of the output) per run.
+WITHOUT_NUMPY = """
+import hashlib, json, sys
+sys.modules["numpy"] = None
+import tangleforge, tangleforge.cli
+from tangleforge.cli import main
+out = {}
+for name, args, tmp in json.loads(sys.argv[1]):
+    def run(command, *argv):
+        code = main([*argv, "--out", f"{tmp}/{command}"])
+        data = open(f"{tmp}/{command}", "rb").read()
+        out[f"{name} {command}"] = [code, hashlib.sha256(data).hexdigest()]
+        return data
+    report = json.loads(run("build", "build", *args))
+    with open(f"{tmp}/system.json", "w") as f:
+        json.dump(report["system"], f)
+    run("validate", "validate", "--system", f"{tmp}/system.json")
+    run("certify", "certify", "--k", "2", *args)
+print(json.dumps([out, sorted(m for m in sys.modules if m.startswith("numpy"))]))
+"""
+
+
+def test_the_cli_writes_its_pinned_outputs_without_numpy(tmp_path):
+    jobs = []
+    for name, argv in INPUTS.items():
+        (tmp_path / name).mkdir(parents=True)
+        jobs.append([name, [str(FIXTURES / a) if a.endswith((".edges", ".csv"))
+                            else a for a in argv], str(tmp_path / name)])
+    done = subprocess.run(
+        [sys.executable, "-c", WITHOUT_NUMPY, json.dumps(jobs)],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    got, numpy_modules = json.loads(done.stdout)
+    assert numpy_modules == ["numpy"]  # the blocked entry, nothing imported
+    for name in INPUTS:
+        for command in ("build", "certify"):
+            run = f"{name} {command}"
+            assert got[run] == [OUTPUT_SHA256[run][0],
+                                V2_SHA256.get(run, OUTPUT_SHA256[run][1])], run
+        assert got[f"{name} validate"][0] == 0, name
 
 
 def _method_calls(module: str, names) -> list[tuple[str, int]]:

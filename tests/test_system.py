@@ -1,6 +1,7 @@
 """Separation-system structure: validation, predicates, closure, restriction."""
 
 import json
+from array import array
 
 import numpy as np
 import pytest
@@ -95,7 +96,7 @@ def looped_least_bounds(system):
     """The details of the first element whose joins miss a common upper
     bound and of the first whose (derived) meets miss a common lower bound,
     checked bound by bound; None for each when there is none."""
-    L, J, M = system.leq, system.join, system.meet
+    L, J, M = map(np.array, (system.leq, system.join, system.meet))
     join_detail = meet_detail = None
     for a in system.all_oriented():
         ub = L[a][None, :] & L  # ub[b, c]: c is a common upper bound of a, b
@@ -111,7 +112,7 @@ def looped_distributive(system):
     """meet(a, join(b, c)) == join(meet(a, b), meet(a, c)) on every triple,
     compared as canonical ids."""
     canon = np.array(system._canon)
-    J, M = system.join, system.meet
+    J, M = np.array(system.join), np.array(system.meet)
     cJ, cM = canon[J], canon[M]
     return all(np.array_equal(cM[a].take(J), cJ.take(M[a], 0).take(M[a], 1))
                for a in system.all_oriented())
@@ -153,20 +154,20 @@ def planted_wrong(system, seed):
     rng = np.random.default_rng(seed)
     n2 = system.n_oriented
     out = []
-    join = system.join.copy()
+    join = np.array(system.join)
     a, b = (int(x) for x in rng.integers(0, n2, size=2))
     others = [c for c in range(n2)
               if system.canon(c) != system.canon(join[a, b])]
     if others:
         join[a, b] = others[rng.integers(len(others))]
         out.append(_with_join(system, join))
-    L, J = system.leq, system.join
+    L, J = np.array(system.leq), np.array(system.join)
     for a in range(n2):
         for b in range(a + 1, n2):
             above = [c for c in range(n2)
                      if L[J[a, b], c] and system.canon(c) != system.canon(J[a, b])]
             if not (L[a, b] or L[b, a]) and above:
-                join = system.join.copy()
+                join = np.array(system.join)
                 join[a, b] = join[b, a] = above[0]
                 return out + [_with_join(system, join)]
     return out
@@ -239,15 +240,21 @@ def test_the_derived_meet_is_the_key_intersection(name):
               for k in sorted({system.order(s) for s in system.seps()})]
     for level in [system, *levels]:
         if level.has_universe():
-            meet = level.meet
-            assert meet.dtype == np.int64, level.count
-            assert np.array_equal(meet, key_meet(level)), level.count
+            meet, n2 = level.meet, level.n_oriented
+            assert all(type(v) is int for row in meet for v in row), level.count
+            assert np.array_equal(np.array(meet, dtype=np.int64).reshape(n2, n2),
+                                  key_meet(level)), level.count
 
 
 def integer_tables(system):
+    """The attributes holding a table of integers: rows of integer
+    ``array``s, or a two-dimensional integer ndarray."""
     return [name for name, value in vars(system).items()
             if isinstance(value, np.ndarray) and value.ndim == 2
-            and value.dtype.kind in "iu"]
+            and value.dtype.kind in "iu"
+            or isinstance(value, tuple) and value
+            and all(isinstance(row, array) and row.typecode in "bBhHiIlLqQ"
+                    for row in value)]
 
 
 def test_a_ground_system_stores_no_integer_table():
@@ -258,7 +265,8 @@ def test_a_ground_system_stores_no_integer_table():
                    tf.bipartition_system(tf.full_bipartition_ground(4))):
         n2 = system.n_oriented
         assert system.has_universe() and integer_tables(system) == []
-        assert system.join.shape == (n2, n2) and system.join.dtype == np.int64
+        join = np.array(system.join)
+        assert join.shape == (n2, n2) and join.dtype == np.int64
         table = _with_join(system, system.join)
         assert integer_tables(table) == ["_join"]
         assert np.array_equal(table.join, system.join)
@@ -318,7 +326,7 @@ def test_sampled_mode_finds_a_non_associative_join():
     # incomparable pairs join to the top: commutative, an upper bound, and
     # not associative, since a v (b v c) stays below the top for b <= c; the
     # derived meets of incomparable pairs are the bottom, alike
-    L, join = system.leq, system.join.copy()
+    L, join = np.array(system.leq), np.array(system.join)
     top = int(np.flatnonzero(L.all(axis=0))[0])
     join[~(L | L.T)] = top
     report = validate(_with_join(system, join))
@@ -565,6 +573,41 @@ def test_restriction_composes_to_the_minimum_threshold(seed):
 
 
 # -- JSON -----------------------------------------------------------------------
+
+
+def _matrix_forms(table):
+    """One table as an array, nested lists, nested tuples of ints and the
+    system's own read-only table."""
+    a = np.array(table)
+    return [a, a.tolist(), tuple(map(tuple, a.astype(int).tolist())), table]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_constructor_reads_arrays_lists_and_tuples_alike(seed):
+    # orders in 1..3, integers: numpy floats, ints and floats give one
+    # system, written with float orders
+    poset = random_relation_system(seed, n_seps=4)
+    ints = [int(x) for x in poset.orders]
+    built = [tf.SeparationSystem(leq, orders)
+             for leq in _matrix_forms(poset.leq)
+             for orders in (np.array(ints, dtype=float), ints,
+                            [float(x) for x in ints])]
+    universe = tf.bipartition_system(tf.full_bipartition_ground(3))
+    lattices = [tf.SeparationSystem(leq, np.array(universe.orders), join=join,
+                                    distributive=True)
+                for leq, join in zip(_matrix_forms(universe.leq),
+                                     _matrix_forms(universe.join))]
+    for systems in (built, lattices):
+        first = systems[0]
+        assert all(type(x) is float for x in first.orders)
+        for other in systems[1:]:
+            assert (other.up, other.down, other.orders) == \
+                (first.up, first.down, first.orders)
+            assert other._join == first._join
+            assert tf.dump_system(other) == tf.dump_system(first)
+    # integer orders are written as floats: 3 as 3.0
+    assert tf.to_json_dict(built[1])["orders"] == [float(x) for x in ints]
+    assert f'"orders": [\n  {ints[0]}.0,' in tf.dump_system(built[1])
 
 
 @pytest.mark.parametrize("seed", range(6))
