@@ -328,15 +328,10 @@ class ProfileFamily(ForbiddenFamily):
             raise MissingCapability(
                 f"{self.kind.replace('_', '-')} family needs lattice operations")
         super().__init__(system)
-        # the join of the inverses; with a ground, the id of the union of
-        # their keys, the least for a repeated key, and no table
-        if system.ground is None:
-            join = system.join.cell
-            self._third = lambda x, y: join(x ^ 1, y ^ 1)
-        else:
-            keys, ids = system.ground.keys()[0], system.ground.ids()
-            inverse_keys = [keys[o ^ 1] for o in range(len(keys))]
-            self._third = lambda x, y: ids[inverse_keys[x] | inverse_keys[y]]
+        # the join of the inverses: the id of the union of their keys
+        keys, _, ids = system.lattice_keys()
+        inverse_keys = [keys[o ^ 1] for o in range(len(keys))]
+        self._third = lambda x, y: ids[inverse_keys[x] | inverse_keys[y]]
 
     def _witness(self, members) -> dict | None:
         """Evidence that the set is a member, or None when it is not."""

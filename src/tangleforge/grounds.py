@@ -23,11 +23,12 @@ from .errors import (BudgetExceeded, DuplicateQuestionWarning,
                      MissingCapability, NotATangle, NotComplementClosed,
                      ValidationError)
 from .system import (MAX_SEPARATIONS, SeparationSystem, _first_difference,
-                     expect_object, fmt_oriented, ids_of, mask_of)
+                     _union_closed, expect_object, fmt_oriented, ids_of,
+                     mask_of)
 
 # A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
-MAX_TABLE_VERTICES = 6  # of graph systems; closed 8-vertex ones hold ~6.5k ids
+MAX_TABLE_VERTICES = 6  # graph systems of more vertices claim no lattice
 MAX_FULL_BIPARTITION_POINTS = 12
 MAX_GROUND_POINTS = 1 << 16  # built or loaded; sides are point bitmasks
 
@@ -126,11 +127,6 @@ class SideRealization:
     def closed(self) -> bool:
         """Whether every union of two keys is again a key."""
         return _union_closed(*self.keys())
-
-    def ids(self) -> dict[int, int]:
-        """Each key's id, the least for a repeated key."""
-        keys = self.keys()[0]
-        return dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
 
     def faults(self, orders):
         """A message per separation whose two sides are not inverse: a
@@ -320,33 +316,6 @@ def _subset_order(keys: list[int], width: int) -> tuple[int, ...]:
     return tuple(up)
 
 
-def _union_closed(keys: list[int], width: int) -> bool:
-    """Whether every union of two ``width``-bit keys is again a key.  Where
-    there are more pairs of keys than points in the cube of 2^width, one
-    pass over the cube decides, bit ``x`` of a word for the point ``x``: a
-    point is the union of the keys within it when each of its bits ``p``
-    is in one of them, that is when it lies above a key with bit ``p``, and
-    the keys are closed exactly when every such point but the empty one is
-    a key.  Elsewhere every pair is tried."""
-    present, size = set(keys), 1 << width
-    if size > len(present) ** 2:
-        return all(a | b in present for a in present for b in present)
-    has = []  # the points with bit p: alternate runs of 2^p points
-    for p in range(width):
-        word, span = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
-        while span < size:
-            word, span = word | word << span, 2 * span
-        has.append(word)
-    points = mask_of(present)
-    unions = (1 << size) - 1
-    for p in range(width):
-        above = points & has[p]
-        for j in range(width):  # each point passes itself on to x + 2^j
-            above |= (above & ~has[j]) << (1 << j)
-        unions &= above | ~has[p]
-    return not unions & ~points & ~1
-
-
 def _graph_system(g: Graph, k: float, lattice: bool) -> SeparationSystem:
     """``graph_system``, offering lattice operations exactly when
     ``lattice`` and the sides are closed under them."""
@@ -472,7 +441,7 @@ def questionnaire_system(answers) -> SeparationSystem:
     same bipartition are collapsed with a warning.  Orders default to the
     uniform cut weight |A| * |B|.
     """
-    rows = [list(map(int, row)) for row in answers]
+    rows = [list(row) for row in answers]
     if not rows:
         raise ValidationError("empty answer matrix")
     q = len(rows[0])

@@ -7,10 +7,12 @@ element, ``up`` and ``down``, precomputed and validated at load; desk-scale
 sizes make the quadratic bits cheap and every comparison O(1).
 
 A system with a ground (``grounds.SideRealization``: a side per oriented id)
-takes its order from its sides, and its lattice operations too: it stores no
-join or meet table, answers them from the sides' unions, and is validated and
-written (``sepsys/v2``) by its sides.  Any other system is given its order,
-and a lattice its join table, and is written with them (``sepsys/v1``).
+takes its order from its sides, and is validated and written (``sepsys/v2``)
+by its sides.  Any other system is given its order, and is written with it
+(``sepsys/v1``).  Either kind may claim a lattice, and stores no table for
+it: each oriented id has a key whose subset order is the order (a ground
+system's side keys, any other's ids not above it), and the join of two ids
+is the id of the union of their keys, when that is a key.
 
 Sets of oriented ids are Python-int bitmasks, bit ``o`` standing for oriented
 id ``o``, from the system through trees and construction to the families;
@@ -27,20 +29,15 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from copy import copy
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, repeat, takewhile
+from itertools import chain, compress, takewhile
 from json.encoder import encode_basestring_ascii
-from operator import eq, index
+from operator import index
 
 from .errors import (BudgetExceeded, GroundMismatch, InconsistentInput,
                      SystemIsAView, ValidationError)
 
-# Above this many oriented elements, the cubic lattice-law checks switch from
-# exhaustive to deterministic sampling (the report says which one ran).
-LATTICE_EXHAUSTIVE_LIMIT = 260
-_SAMPLED_TRIPLES = 20000
 # of a loaded system or one generated from a graph or bipartition ground:
 # above the 3,281 of the edgeless 8-vertex universe and the 2,048 of a
 # 12-point full bipartition; 4,096 separations give 2 x 8,192 order words
@@ -92,11 +89,11 @@ def fmt_oriented(o: int) -> str:
 
 class Table:
     """A read-only square table of a function of two ids: ``t[a, b]`` is
-    ``cell(a, b)`` and ``t[a]`` row ``a`` as a list, so that nested-list
-    and array constructors read a table as its rows."""
+    ``cell(a, b)`` and ``t[a]`` row ``a`` as a list, ``row(a)``, so that
+    nested-list and array constructors read a table as its rows."""
 
-    def __init__(self, cell, size: int):
-        self.cell, self.size = cell, size
+    def __init__(self, cell, row, size: int):
+        self.cell, self.row, self.size = cell, row, size
 
     def __len__(self):
         return self.size
@@ -106,8 +103,11 @@ class Table:
             return self.cell(*map(index, key))
         if not 0 <= index(key) < self.size:  # ends iteration
             raise IndexError(f"row {key} of a table of {self.size}")
-        return list(map(self.cell, repeat(index(key), self.size),
-                        range(self.size)))
+        return self.row(index(key))
+
+
+# per byte value its eight bits, lowest first, as truth values
+_BITS = tuple(tuple(b >> i & 1 == 1 for i in range(8)) for b in range(256))
 
 
 class Order(Table):
@@ -119,6 +119,12 @@ class Order(Table):
 
     def cell(self, a: int, b: int) -> bool:
         return self.up[a] >> b & 1 == 1
+
+    def row(self, a: int) -> list[bool]:
+        word = self.up[a].to_bytes(-(-self.size // 8), "little")
+        out = list(chain.from_iterable(map(_BITS.__getitem__, word)))
+        del out[self.size:]
+        return out
 
     @classmethod
     def of_rows(cls, rows) -> "Order":
@@ -168,14 +174,12 @@ class SeparationSystem:
     ----------
     leq : (2n, 2n) matrix of truth values (nested lists or tuples, an
         array, or another system's ``leq``); ``leq[a, b]`` means ``a <= b``.
-        None for a system with a ground, whose order is then the subset
-        order of the sides' keys (``SideRealization.keys``).
+        None for a system with a ground, whose order is the subset order
+        of the sides' keys (``SideRealization.keys``); a system with a
+        ground given any other ``leq`` is refused.
     orders : length-n reals; the order ``|s|`` attaches to the unoriented id.
-    join : optional (2n, 2n) integer table of oriented ids making a system
-        without a ground a lattice ("universe"), held as ``array`` rows.
-    lattice : a ground system's claim to be a lattice: its keys are closed
-        under union (validated).  ``join`` then answers from the sides'
-        unions.
+    lattice : claim that the order is a lattice (validated): every two
+        elements have a join.  ``join`` and ``meet`` then answer from keys.
     distributive : claim that the lattice is distributive (validated).
     ground : optional realization (a ``SideRealization``: one side per
         oriented id) used by concrete forbidden families.
@@ -184,8 +188,8 @@ class SeparationSystem:
 
     ``orders`` is held as a tuple of floats.  ``leq`` is an ``Order``, a
     read-only table over the words ``up`` and ``down``; ``join`` and
-    ``meet`` are tables built on each read, ``meet`` derived from ``join``
-    through the involution.
+    ``meet`` are tables built on each read from the keys of
+    ``lattice_keys``, ``meet`` derived from ``join`` through the involution.
 
     ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
     below ``a`` (``a`` included).
@@ -194,7 +198,7 @@ class SeparationSystem:
     whole system is its own ``base``, and stores no reference to itself,
     so that reference counting frees it) with only the ids in the mask ``live``
     present.  A view keeps the base's ids, and with them its ``count``,
-    tables and ``top``.  It clips only the closure table
+    keys and ``top``.  It clips only the closure table
     ``_requires`` and the forward-id mask ``_even`` (which ``seps``,
     ``orients_all`` and co-triviality read) to ``live``; ``up``, ``down``,
     ``_below``, ``_away`` and ``_degenerate`` are the base's, since their
@@ -211,33 +215,28 @@ class SeparationSystem:
     system has None for both.
     """
 
-    def __init__(self, leq, orders, *, join=None, lattice=False,
-                 distributive=False, ground=None, allow_degenerate=False,
-                 check=True):
-        if (ground is None and lattice) or (ground is not None and join is not None):
-            raise ValidationError("a system with a ground claims a lattice "
-                                  "by lattice=, any other by its join table")
+    def __init__(self, leq, orders, *, lattice=False, distributive=False,
+                 ground=None, allow_degenerate=False, check=True):
+        if ground is not None and leq is not None:
+            raise ValidationError("a system with a ground takes its order "
+                                  "from its sides: leq must be None")
         try:
-            if not isinstance(leq, Order):
-                leq = Order.of_rows(leq) if leq is not None or ground is None \
-                    else Order(*ground.order())
+            leq = Order(*ground.order()) if ground is not None else \
+                leq if isinstance(leq, Order) else Order.of_rows(leq)
             orders = tuple(map(float, orders))
-            join = None if join is None else tuple(array("h", row) for row in join)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError("leq must be a square matrix of even side, "
-                                  "orders reals and join rows of ids: "
-                                  f"{exc}") from None
+            raise ValidationError("leq must be a square matrix of even side "
+                                  f"and orders reals: {exc}") from None
         n2 = leq.size
         if len(orders) != n2 // 2:
             raise ValidationError(
                 f"orders must have one entry per separation, got {len(orders)}")
         self.count = n2 // 2
         self.leq, self.up, self.down, self.orders = leq, leq.up, leq.down, orders
-        self._join = join
-        self._lattice = bool(lattice) or join is not None
+        self._lattice = bool(lattice)
         self.distributive = bool(distributive)
         self.ground = ground
-        self.top = self._into_top = self._base = None
+        self.top = self._into_top = self._base = self._keys = None
         self.allow_degenerate = bool(allow_degenerate)
         self.live = (1 << n2) - 1
         self._even = ((1 << n2) - 1) // 3  # the forward id of every separation
@@ -285,28 +284,48 @@ class SeparationSystem:
     def has_universe(self) -> bool:
         return self._lattice
 
+    def lattice_keys(self) -> tuple[list[int], int, dict[int, int]]:
+        """Per oriented id a key whose subset order is the order, the keys'
+        width in bits, and each key's id, the least for a repeated key: a
+        ground system's ``SideRealization.keys``, any other's ids not above
+        it, the complement of its ``up`` word.  The join of ``a`` and ``b``
+        is the id of ``keys[a] | keys[b]``, when that is a key.  Built once,
+        by the base, and shared with its views."""
+        base = self.base
+        if base._keys is None:
+            keys, width = base.ground.keys() if base.ground is not None else \
+                ([base.live & ~w for w in base.up], base.n_oriented)
+            base._keys = keys, width, dict(
+                zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        return base._keys
+
     @property
     def join(self) -> Table | None:
-        """The join as a (2n, 2n) table, or None without a lattice.  A
-        system with a ground answers from its keys: the id of the union of
-        two keys, the least id for a repeated key and -1 where the union is
-        no key; any other reads its stored rows."""
+        """The join as a (2n, 2n) table, or None without a lattice: the id
+        of the union of two keys, -1 where that is no key."""
         if not self._lattice:
             return None
-        if self.ground is None:
-            rows = self._join
-            return Table(lambda a, b: rows[a][b], self.n_oriented)
-        keys, ids = self.ground.keys()[0], self.ground.ids()
-        return Table(lambda a, b: ids.get(keys[a] | keys[b], -1),
+        keys, _, ids = self.lattice_keys()
+        get = ids.get
+        return Table(lambda a, b: get(keys[a] | keys[b], -1),
+                     lambda a: [get(keys[a] | key, -1) for key in keys],
                      self.n_oriented)
 
     @property
     def meet(self) -> Table | None:
         """The meet as a (2n, 2n) table, or None without a lattice: the
-        involution reverses the order, so (r v s)* = r* ^ s*."""
-        join, canon = self.join, self._canon
-        return None if join is None else Table(
-            lambda a, b: canon[join.cell(a ^ 1, b ^ 1) ^ 1], self.n_oriented)
+        involution reverses the order, so (r v s)* = r* ^ s*.  A missing
+        join, -1, is read at -1 ^ 1 = -2 as a missing meet."""
+        join, canon = self.join, self._canon + (-1, -1)
+        if join is None:
+            return None
+
+        def row(a):
+            mirror = join.row(a ^ 1)
+            return [canon[mirror[b ^ 1] ^ 1] for b in range(len(mirror))]
+
+        return Table(lambda a, b: canon[join.cell(a ^ 1, b ^ 1) ^ 1], row,
+                     self.n_oriented)
 
     def order(self, s: int) -> float:
         return self.orders[s]
@@ -417,27 +436,26 @@ class SeparationSystem:
     def _induced(self, sep_ids, idx) -> dict:
         """The constructor's arguments for the system induced on the
         separations ``sep_ids``, of oriented ids ``idx``: a ground system's
-        order comes from its sides, any other's is gathered from the words."""
+        order comes from its sides, any other's is gathered from the words.
+        A lattice stays one when it keeps the join of any two kept ids, that
+        is when their keys stay closed under union."""
         out = {"orders": [self.orders[s] for s in sep_ids],
                "allow_degenerate": any(map(self.is_degenerate, sep_ids))}
         if self.ground is not None:
             out["leq"] = None
             out["ground"] = ground = replace(
                 self.ground, sides=tuple(self.ground.sides[o] for o in idx))
-            out["lattice"] = lattice = self.has_universe() and (
-                len(sep_ids) == self.count or ground.closed())  # all: same keys
         else:
             out["leq"] = Order.of_rows([[self.up[a] >> b & 1 for b in idx]
                                         for a in idx])
-            join = None
-            if self.has_universe():  # meets, mirrored joins, stay in idx if joins do
-                new = dict(zip(idx, range(len(idx))))
-                try:
-                    join = [[new[self._join[a][b]] for b in idx] for a in idx]
-                except KeyError:
-                    join = None
-            out["join"], lattice = join, join is not None
-        out["distributive"] = self.distributive and lattice
+        lattice = self.has_universe()
+        if lattice and len(sep_ids) < self.count:  # all: the same keys
+            if self.ground is not None:
+                lattice = ground.closed()
+            else:
+                keys, width, _ = self.lattice_keys()
+                lattice = _union_closed([keys[o] for o in idx], width)
+        out["lattice"], out["distributive"] = lattice, self.distributive and lattice
         return out
 
     def subsystem(self, sep_ids) -> "SeparationSystem":
@@ -487,21 +505,30 @@ class SeparationSystem:
 
 def validate(system: SeparationSystem) -> ValidationReport:
     """Check every structural axiom; the report carries all violations found.
-    A system with a ground has its sides checked in place of the order and
-    lattice laws (``_validate_ground``)."""
+    A system with a ground has its sides checked in place of the order laws
+    (``_validate_ground``); a lattice claim is checked on keys for both
+    kinds (``_validate_lattice``)."""
     if system.base is not system:
         raise SystemIsAView("validate a view's base, or its restrict_below")
     rep = ValidationReport()
-    up, down, n2 = system.up, system.down, system.n_oriented
-
     bad = [s for s, x in enumerate(system.orders) if not math.isfinite(x)]
     if bad:
         rep.add("order-function", f"non-finite order at separations {bad}")
     rep.checked["order-function"] = "exhaustive"
     if system.ground is not None:
         _validate_ground(system, rep)
-        return rep
+    else:
+        _validate_order(system, rep)
+    if system.has_universe():
+        _validate_lattice(system, rep)
+    elif system.distributive:
+        rep.add("universe", "distributive flag without a lattice")
+    return rep
 
+
+def _validate_order(system, rep):
+    """The poset laws and the order-reversing involution, on the words."""
+    up, down, n2 = system.up, system.down, system.n_oriented
     bad = [o for o in range(n2) if not up[o] >> o & 1]
     if bad:
         rep.add("reflexivity", f"missing a <= a for oriented ids {bad}")
@@ -541,12 +568,6 @@ def validate(system: SeparationSystem) -> ValidationReport:
                 f"({fmt_oriented(wrong[0])}, {fmt_oriented(wrong[1])})")
     rep.checked["involution"] = "exhaustive"
 
-    if system.has_universe():
-        _validate_universe(system, rep)
-    elif system.distributive:
-        rep.add("universe", "distributive flag without a join table")
-    return rep
-
 
 def _first_difference(words, others) -> tuple[int, int] | None:
     """The first ``(a, b)``, row by row, where bit ``b`` of ``words[a]``
@@ -557,16 +578,13 @@ def _first_difference(words, others) -> tuple[int, int] | None:
 
 def _validate_ground(system, rep):
     """The sides of a system with a ground: each separation's two sides are
-    inverse, no two separations share a key, the order is the keys' subset
-    order and a claimed lattice has its keys closed under union.  The order
-    and lattice laws then hold: a subset order is one, the keys' involution
-    reverses it, and keys closed under union, and so through the involution
-    under intersection, form a distributive lattice of sets."""
-    ground = system.ground
-    for fault in ground.faults(system.orders):
+    inverse and no two separations share a key.  The order, the keys'
+    subset order, then satisfies the poset laws, and the keys' involution
+    reverses it."""
+    for fault in system.ground.faults(system.orders):
         rep.add("ground", fault)
-    ids = ground.ids()
-    for o, key in enumerate(ground.keys()[0]):
+    keys, _, ids = system.lattice_keys()
+    for o, key in enumerate(keys):
         p = ids[key]
         if p == o ^ 1 and not system.allow_degenerate:
             rep.add("degenerate", f"separation {sep_of(o)} has equal "
@@ -574,99 +592,82 @@ def _validate_ground(system, rep):
         elif p not in (o, o ^ 1):
             rep.add("ground", f"duplicate side: {fmt_oriented(o)} has the "
                     f"side of {fmt_oriented(p)}")
-    wrong = _first_difference(ground.order()[0], system.up)
-    if wrong:
-        a, b = wrong
-        rep.add("ground", f"the sides put {fmt_oriented(a)} "
-                f"{'not ' * system.le(a, b)}below {fmt_oriented(b)}, "
-                "unlike leq")
     rep.checked["ground"] = "exhaustive"
-    if system.has_universe():
-        if not ground.closed():
-            join, n2 = system.join.cell, system.n_oriented
-            a, b = next((a, b) for a in range(n2) for b in range(n2)
-                        if join(a, b) < 0)
-            rep.add("universe", "lattice claimed, but the sides are not closed "
-                    f"under union: {fmt_oriented(a)} v {fmt_oriented(b)}")
-        rep.checked["universe"] = "exhaustive"
-        if system.distributive:
-            rep.checked["distributivity"] = \
-                "skipped: not a lattice" if rep.issues else "exhaustive"
-    elif system.distributive:
-        rep.add("universe", "distributive flag without a lattice")
 
 
-def _validate_universe(system, rep):
-    # the join's laws, on the stored rows: the meet's mirror them through
-    # the checked involution
-    J, up, n2 = system._join, system.up, system.n_oriented
-    if len(J) != n2 or any(len(row) != n2 for row in J):
-        rep.add("universe", f"the join table must be ({n2},{n2})")
+def _validate_lattice(system, rep):
+    """A lattice claim: in a finite poset two elements have a join exactly
+    when the union of their keys is a key, so a lattice is a key set closed
+    under union, and the join it derives is a least upper bound by
+    construction.  Keys of a ground are sets, which then form a
+    distributive lattice.  Any other system's ``distributive`` flag is
+    checked by Birkhoff's criterion, in the one pass over pairs that also
+    names a pair with no join; without that pass, ``_union_closed``
+    decides, and a pair is sought only when it fails."""
+    keys, width, ids = system.lattice_keys()
+    rep.checked["universe"] = "exhaustive"
+    if system.distributive:
+        rep.checked["distributivity"] = \
+            "skipped: not a lattice" if rep.issues else "exhaustive"
+    birkhoff = system.ground is None and \
+        rep.checked.get("distributivity") == "exhaustive"
+    if not birkhoff and _union_closed(keys, width):
         return
-    if n2 == 0:
-        return
-    if min(map(min, J)) < 0 or max(map(max, J)) >= n2:
-        rep.add("universe", "join values out of range")
-        return
-    canon = system._canon
-    cj = [[canon[v] for v in row] for row in J]
-    if cj != [list(column) for column in zip(*cj)]:
-        rep.add("universe", "join not commutative")
-    if [cj[a][a] for a in range(n2)] != list(canon):
-        rep.add("universe", "join not idempotent")
-    # order compatibility: a <= b iff a v b = b
-    if any(mask_of(compress(range(n2), map(eq, row, canon))) != up[a]
-           for a, row in enumerate(cj)):
-        rep.add("universe", "a <= b does not match join(a,b) == b")
-    if not all(up[a] >> v & 1 for a, row in enumerate(J) for v in row):
-        rep.add("universe", "join not an upper bound")
+    # a finite lattice is distributive iff each join-irreducible j is
+    # join-prime: j below x v y lies below x or below y.  j is
+    # join-irreducible iff all strictly below j is one down-set.
+    n2, down, canon = system.n_oriented, system.down, system._canon
+    downs = set(down)
+    irr = mask_of(j for j in range(n2) if canon[j] == j
+                  and system._below[j] in downs)
+    jd = [d & irr for d in down]
+    wrong = None
+    for x in range(n2):
+        joins = [ids.get(keys[x] | key, -1) for key in keys[x + 1:]]
+        if -1 in joins:
+            y = x + 1 + joins.index(-1)
+            rep.add("universe", f"lattice claimed, but {fmt_oriented(x)} and "
+                    f"{fmt_oriented(y)} have no join")
+            if system.distributive:
+                rep.checked["distributivity"] = "skipped: not a lattice"
+            return
+        if birkhoff and wrong is None:
+            y = next((y for y, v in enumerate(joins, x + 1)
+                      if jd[v] != jd[x] | jd[y]), None)
+            if y is not None:
+                j = down[joins[y - x - 1]] & irr & ~(down[x] | down[y])
+                wrong = j.bit_length() - 1, x, y
+    if wrong:
+        a, b, c = map(fmt_oriented, wrong)
+        rep.add("distributivity", f"meet({a}, join({b}, {c})) != "
+                f"join(meet({a}, {b}), meet({a}, {c}))")
 
-    if n2 <= LATTICE_EXHAUSTIVE_LIMIT:
-        mode = "exhaustive"
-        # a bit c of up[a] & up[b] & ~up[join(a, b)] is an upper bound of a
-        # and b not above their join
-        bad = next((a for a, row in enumerate(J)
-                    if any(up[a] & up[b] & ~up[v] for b, v in enumerate(row))),
-                   None)
-        if bad is not None:
-            rep.add("universe", f"join({fmt_oriented(bad)}, .) "
-                    "not least upper bound")
-        if system.distributive and rep.issues:
-            rep.checked["distributivity"] = "skipped: not a lattice"
-        elif system.distributive:
-            rep.checked["distributivity"] = mode
-            # Birkhoff: distributive iff each join-irreducible is join-prime; j
-            # is join-irreducible iff all strictly below j is one down-set
-            down, downs = system.down, set(system.down)
-            irr = mask_of(j for j in range(n2) if canon[j] == j
-                          and system._below[j] in downs)
-            jd = [d & irr for d in down]
-            wrong = next(((x, y) for x, row in enumerate(J)
-                          for y, v in enumerate(row) if jd[v] != jd[x] | jd[y]),
-                         None)
-            if wrong:
-                x, y = wrong
-                j = (down[J[x][y]] & irr & ~(down[x] | down[y])).bit_length() - 1
-                a, b, c = map(fmt_oriented, (j, x, y))
-                rep.add("distributivity", f"meet({a}, join({b}, {c})) != "
-                        f"join(meet({a}, {b}), meet({a}, {c}))")
-    else:
-        import random
 
-        mode = f"sampled(n={_SAMPLED_TRIPLES})"
-        r = random.Random(n2).randrange
-        triples = [(r(n2), r(n2), r(n2)) for _ in range(_SAMPLED_TRIPLES)]
-        j, m = (lambda a, b: J[a][b]), system.meet.cell
-        if any(canon[j(j(a, b), c)] != canon[j(a, j(b, c))] for a, b, c in triples):
-            rep.add("universe", "join not associative on sampled triples")
-        if any(canon[m(m(a, b), c)] != canon[m(a, m(b, c))] for a, b, c in triples):
-            rep.add("universe", "meet not associative on sampled triples")
-        if system.distributive:
-            if any(canon[m(a, j(b, c))] != canon[j(m(a, b), m(a, c))]
-                   for a, b, c in triples):
-                rep.add("distributivity", "fails on sampled triples")
-            rep.checked["distributivity"] = mode
-    rep.checked["universe"] = mode
+def _union_closed(keys: list[int], width: int) -> bool:
+    """Whether every union of two ``width``-bit keys is again a key.  Where
+    there are more pairs of keys than points in the cube of 2^width, one
+    pass over the cube decides, bit ``x`` of a word for the point ``x``: a
+    point is the union of the keys within it when each of its bits ``p``
+    is in one of them, that is when it lies above a key with bit ``p``, and
+    the keys are closed exactly when every such point but the empty one is
+    a key.  Elsewhere every pair is tried."""
+    present, size = set(keys), 1 << width
+    if size > len(present) ** 2:
+        return all(a | b in present for a in present for b in present)
+    has = []  # the points with bit p: alternate runs of 2^p points
+    for p in range(width):
+        word, span = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
+        while span < size:
+            word, span = word | word << span, 2 * span
+        has.append(word)
+    points = mask_of(present)
+    unions = (1 << size) - 1
+    for p in range(width):
+        above = points & has[p]
+        for j in range(width):  # each point passes itself on to x + 2^j
+            above |= (above & ~has[j]) << (1 << j)
+        unions &= above | ~has[p]
+    return not unions & ~points & ~1
 
 
 # -- JSON (formats "sepsys/v1" and "sepsys/v2") ---------------------------------
@@ -694,8 +695,7 @@ def to_json_dict(system: SeparationSystem) -> dict:
            "leq": [[a, b] for a, word in enumerate(system.up)  # ascending pairs
                    for b in ids_of(word & ~(1 << a))]}
     if system.has_universe():
-        out["universe"] = {"join": [list(row) for row in system._join],
-                           "meet": list(system.meet)}
+        out["universe"] = {"join": list(system.join), "meet": list(system.meet)}
         out["distributive"] = system.distributive
     if system.allow_degenerate:
         out["allow_degenerate"] = True
@@ -709,9 +709,9 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
     ground systems: its order is the sides' subset order, and ``lattice``
     claims their closure under union.  A sepsys/v1 object lists its order,
     which must already be transitively closed, and a lattice's ``join`` and
-    ``meet``, ``meet`` the mirror of ``join``; a ground it holds must
-    realize both.  More than ``MAX_SEPARATIONS`` separations raise
-    BudgetExceeded before the order words are built.
+    ``meet``, which must be the order's join and its mirror; a ground it
+    holds must realize the order.  More than ``MAX_SEPARATIONS``
+    separations raise BudgetExceeded before the order words are built.
     """
     fmt = expect_object(d, "sepsys system").get("format", "sepsys/v1")
     if fmt not in ("sepsys/v1", "sepsys/v2"):
@@ -781,25 +781,19 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
                                    for row in t):
                 raise ValidationError(f"sepsys/v1 universe {f!r} must be a "
                                       f"({n2},{n2}) table of ids below {n2}")
-    if "ground" not in d:
-        system = SeparationSystem(leq, orders, join=join, check=check, **flags)
-    else:
-        ground = grounds.realization_from_json(d["ground"], orders, leq)
-        system = SeparationSystem(leq, orders, lattice=join is not None,
-                                  ground=ground, check=check, **flags)
+    ground = None
+    if "ground" in d:  # sides found to realize leq give the order
+        ground, leq = grounds.realization_from_json(d["ground"], orders, leq), None
+    system = SeparationSystem(leq, orders, lattice=join is not None,
+                              ground=ground, check=check, **flags)
     canon = system._canon
-
-    def differs(given, table):  # compared as canonical ids
-        cell = table.cell
-        return any(cell(a, b) < 0 or canon[cell(a, b)] != canon[v]
-                   for a, row in enumerate(given) for b, v in enumerate(row))
-
-    if join is not None and system.ground is not None and \
-            differs(join, system.join):
-        raise ValidationError(
-            "sepsys/v1 universe 'join' is not the union of the ground's sides")
-    if meet is not None and differs(meet, system.meet):
-        raise ValidationError("sepsys/v1 universe 'meet' is not the mirror of 'join'")
+    checks = ((join, system.join, "'join' is not the order's join"),
+              (meet, system.meet, "'meet' is not the mirror of 'join'"))
+    for given, table, fault in checks:
+        # compared as canonical ids: the derived tables hold no odd alias
+        if given is not None and any([canon[v] for v in row] != table.row(a)
+                                     for a, row in enumerate(given)):
+            raise ValidationError(f"sepsys/v1 universe {fault}")
     return system
 
 

@@ -468,9 +468,9 @@ def submodular_subsystems(universe, max_size):
 
 
 def lattice_times_chain(elements, covers, star, distributive=True):
-    """L x 2 with the involution (x, i) -> (x', 1 - i) and the join table
-    found from the order.  ``covers`` are pairs x < y of L
-    generating its order; ``star`` maps x to x'."""
+    """L x 2 with the involution (x, i) -> (x', 1 - i), claiming a
+    lattice.  ``covers`` are pairs x < y of L generating its order;
+    ``star`` maps x to x'."""
     below = {(x, x) for x in elements} | set(covers)
     while True:
         more = {(x, z) for x, y in below for w, z in below if y == w} - below
@@ -485,13 +485,7 @@ def lattice_times_chain(elements, covers, star, distributive=True):
     n2 = len(points)
     L = np.array([[(p[0], q[0]) in below and p[1] <= q[1] for q in points]
                   for p in points])
-
-    def least(bounds):
-        return next(c for c in bounds if all(L[c, d] for d in bounds))
-
-    join = [[least([c for c in range(n2) if L[a, c] and L[b, c]])
-             for b in range(n2)] for a in range(n2)]
-    return tf.SeparationSystem(L, [1.0] * (n2 // 2), join=join,
+    return tf.SeparationSystem(L, [1.0] * (n2 // 2), lattice=True,
                                distributive=distributive, check=False)
 
 

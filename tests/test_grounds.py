@@ -173,7 +173,9 @@ def test_subset_lattice_keys_of_every_width(width):
     for a, x in enumerate(keys):
         assert ids_of(up[a]) == [b for b, y in enumerate(keys) if x & ~y == 0]
     ground = tf.grounds.SideRealization(width, tuple(keys))
-    assert ground.keys() == (keys, width) and ground.ids() == ids
+    system = tf.SeparationSystem(None, [0.0] * 9, ground=ground, check=False)
+    assert ground.keys() == (keys, width)
+    assert system.lattice_keys() == (keys, width, ids)
     assert ground.closed() is True
     # without the top key, unions leave the keys: not closed
     assert tf.grounds._union_closed(keys[:-3], width) is False
@@ -320,6 +322,16 @@ def test_duplicate_questions_collapse_with_warning():
     assert sysq.count == 1
 
 
+@pytest.mark.parametrize("answers", [
+    [[0.5, 1], [1, 0], [0, 1.9]], [[1, 2], [0, 1]], [["1", 0], [0, 1]],
+    [[1, -1], [0, 1]]])
+def test_answers_other_than_0_or_1_are_refused(answers):
+    # the given values are checked, not their conversions: 0.5 and 1.9
+    # are no answers, and not 0 and 1
+    with pytest.raises(ValidationError, match="answers must be 0 or 1"):
+        tf.questionnaire_system(answers)
+
+
 def test_unanimous_question_gives_a_small_empty_side():
     answers = [[1, 1], [1, 0], [1, 0]]
     sysq = tf.questionnaire_system(answers)
@@ -463,8 +475,8 @@ def v2_edited(base, orders=None, **ground):
                  "in 1 vertices", id="separator-not-the-order"),
     pytest.param({**v2_edited(SETS_V2, size=3, sides=[[0], [1, 2], [1], [0, 2]]),
                   "orders": [1.0, 1.0]},
-                 "lattice claimed, but the sides are not closed under union: "
-                 "0+ v 0-", id="lattice-not-closed"),
+                 "lattice claimed, but 0+ and 0- have no join",
+                 id="lattice-not-closed"),
     pytest.param({**SETS_V2, "orders": [0.0]},
                  "orders length does not match count", id="orders-length"),
     pytest.param(v2_edited(SETS_V2, sides=[[], [0, 1], [0]]),

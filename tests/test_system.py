@@ -14,9 +14,8 @@ from tangleforge.cli import main
 from tangleforge.errors import (GroundMismatch, InconsistentInput,
                                ValidationError)
 from tangleforge.oracle import all_consistent_orientations
-from tangleforge.system import (LATTICE_EXHAUSTIVE_LIMIT, backward,
-                               fmt_oriented, forward, ids_of, inverse, mask_of,
-                               sep_of, validate)
+from tangleforge.system import (backward, fmt_oriented, forward, ids_of,
+                               inverse, mask_of, sep_of, validate)
 
 from conftest import (FIXTURES, M3, N5, all_graphs_up_to_iso,
                       antichain_system, expand_sepsys_v2, lattice_times_chain,
@@ -79,6 +78,17 @@ def test_degenerate_rejected_by_default_and_admitted_on_request():
     assert sysd.orientations_of(0) == (0,)
 
 
+def test_a_system_with_a_ground_takes_no_leq(k4):
+    # the order of a ground system comes from its sides alone: its own
+    # order, as an Order or as rows, is refused all the same
+    for system in (tf.graph_system(k4, 3),
+                   tf.bipartition_system(tf.full_bipartition_ground(3))):
+        for leq in (system.leq, list(system.leq)):
+            with pytest.raises(ValidationError, match="takes its order from "
+                               "its sides: leq must be None"):
+                tf.SeparationSystem(leq, system.orders, ground=system.ground)
+
+
 def test_validate_report_carries_all_failures():
     leq = np.eye(4, dtype=bool)
     leq[0, 2] = leq[2, 0] = True
@@ -119,21 +129,13 @@ def looped_distributive(system):
 
 
 def assert_laws_match_the_loops(system):
+    """A validated lattice claim against the loops: the joins and meets
+    derived from keys are least and greatest bounds, so only a flagged
+    distributivity can fail, exactly when the loops find a failing triple."""
     report = validate(system)
-    looped, looped_meet = looped_least_bounds(system)
-    bounds = [(i.code, i.detail) for i in report.issues
-              if i.detail.endswith(("least upper bound", "greatest lower bound"))]
-    assert bounds == ([("universe", looped)] if looped else [])
-    # the meet mirrors the join through the order-reversing involution, so
-    # it misses a greatest lower bound exactly when the join misses a least
-    # upper bound, and validate reports the join alone
-    assert (looped_meet is None) == (looped is None)
-    others = [i for i in report.issues if i.code != "distributivity"]
+    assert looped_least_bounds(system) == (None, None)
     if not system.distributive:
         assert "distributivity" not in report.checked
-    elif others:
-        assert report.checked["distributivity"] == "skipped: not a lattice"
-        assert report.issues == others
     else:
         assert report.checked["distributivity"] == "exhaustive"
         assert report.ok == looped_distributive(system)
@@ -141,16 +143,18 @@ def assert_laws_match_the_loops(system):
     return report
 
 
-def _with_join(system, join):
-    return tf.SeparationSystem(system.leq, system.orders, join=join,
+def as_table_lattice(system):
+    """The system rebuilt without its ground, claiming a lattice."""
+    return tf.SeparationSystem(system.leq, system.orders, lattice=True,
                                distributive=system.distributive,
                                allow_degenerate=system.allow_degenerate,
                                check=False)
 
 
 def planted_wrong(system, seed):
-    """One join entry set to another element, and the join of an
-    incomparable pair raised to a larger upper bound: at most two systems."""
+    """Join tables with one entry set to another element, and with the
+    join of an incomparable pair raised to a larger upper bound: at most
+    two tables."""
     rng = np.random.default_rng(seed)
     n2 = system.n_oriented
     out = []
@@ -160,7 +164,7 @@ def planted_wrong(system, seed):
               if system.canon(c) != system.canon(join[a, b])]
     if others:
         join[a, b] = others[rng.integers(len(others))]
-        out.append(_with_join(system, join))
+        out.append(join.tolist())
     L, J = np.array(system.leq), np.array(system.join)
     for a in range(n2):
         for b in range(a + 1, n2):
@@ -169,8 +173,25 @@ def planted_wrong(system, seed):
             if not (L[a, b] or L[b, a]) and above:
                 join = np.array(system.join)
                 join[a, b] = join[b, a] = above[0]
-                return out + [_with_join(system, join)]
+                return out + [join.tolist()]
     return out
+
+
+def assert_the_loader_refuses_the_join(system, join, tmp_path, capsys):
+    """The sepsys/v1 of the system with ``join`` in place of its join, with
+    its sides and without, exits 2 naming ``'join'``."""
+    docs = [tf.to_json_dict(as_table_lattice(system))]
+    if system.ground is not None:
+        docs.append(expand_sepsys_v2(tf.to_json_dict(system)))
+    for d in docs:
+        d["universe"]["join"] = join
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(d))
+        assert main(["validate", "--system", str(path)]) == 2
+        issues = json.loads(capsys.readouterr().out)["issues"]
+        assert issues == ["sepsys/v1 universe 'join' is not the order's join"]
+        with pytest.raises(ValidationError, match="universe 'join'"):
+            tf.load_system(path.read_text(), check=False)
 
 
 def fixture_universes():
@@ -206,14 +227,15 @@ UNIVERSES = fixture_universes()
 
 
 @pytest.mark.parametrize("name", sorted(UNIVERSES))
-def test_lattice_laws_match_the_cubic_loops(name):
+def test_lattice_laws_match_the_cubic_loops(name, tmp_path, capsys):
     system = UNIVERSES[name]
-    assert system.has_universe() and system.n_oriented <= LATTICE_EXHAUSTIVE_LIMIT
-    assert assert_laws_match_the_loops(system).ok
-    # checked by its sides; its join table alone is checked by the laws
-    assert assert_laws_match_the_loops(_with_join(system, system.join)).ok
-    for i, wrong in enumerate(planted_wrong(system, len(name))):
-        assert not assert_laws_match_the_loops(wrong).ok, i
+    table = as_table_lattice(system)
+    # checked by its sides, and as an order whose lattice claim holds
+    for each in (system, table):
+        assert each.has_universe() and assert_laws_match_the_loops(each).ok
+    assert np.array_equal(table.join, system.join)
+    for wrong in planted_wrong(system, len(name)):
+        assert_the_loader_refuses_the_join(system, wrong, tmp_path, capsys)
 
 
 def key_meet(system):
@@ -258,17 +280,15 @@ def integer_tables(system):
 
 
 def test_a_ground_system_stores_no_integer_table():
-    # a lattice with a ground builds its join from its sides on read; one
-    # without a ground stores its join table alone
+    # a lattice derives its join from keys, with a ground or without
     c5 = tf.Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
     for system in (tf.graph_universe(c5),
                    tf.bipartition_system(tf.full_bipartition_ground(4))):
-        n2 = system.n_oriented
-        assert system.has_universe() and integer_tables(system) == []
-        join = np.array(system.join)
-        assert join.shape == (n2, n2) and join.dtype == np.int64
-        table = _with_join(system, system.join)
-        assert integer_tables(table) == ["_join"]
+        n2, table = system.n_oriented, as_table_lattice(system)
+        for each in (system, table):
+            assert each.has_universe() and integer_tables(each) == []
+            join = np.array(each.join)
+            assert join.shape == (n2, n2) and join.dtype == np.int64
         assert np.array_equal(table.join, system.join)
 
 
@@ -307,34 +327,53 @@ def test_non_distributive_lattices_fail_only_distributivity(lattice):
     assert validate(lattice_times_chain(*lattice, distributive=False)).ok
 
 
-def test_a_join_entry_raised_above_the_join_is_not_least():
+def test_a_join_entry_raised_above_the_join_is_not_least(tmp_path, capsys):
     system = tf.bipartition_system(tf.full_bipartition_ground(3))
     *_, raised = planted_wrong(system, 0)
-    report = validate(raised)
-    assert [i.code for i in report.issues] == ["universe"]
-    assert report.issues[0].detail.endswith("not least upper bound")
-    assert report.checked["distributivity"] == "skipped: not a lattice"
+    assert_the_loader_refuses_the_join(system, raised, tmp_path, capsys)
 
 
-def test_sampled_mode_finds_a_non_associative_join():
-    system = tf.bipartition_system(tf.full_bipartition_ground(9))
-    assert system.n_oriented > LATTICE_EXHAUSTIVE_LIMIT
-    # the ground system is checked by its sides, its join table as a table
+def test_a_table_lattice_is_validated_on_every_pair():
+    system = as_table_lattice(tf.bipartition_system(
+        tf.full_bipartition_ground(9)))
+    assert system.n_oriented == 512
+    assert validate(system).ok
+    assert validate(system).checked["universe"] == "exhaustive"
     assert validate(system).checked["distributivity"] == "exhaustive"
-    assert validate(_with_join(system, system.join)).checked[
-        "distributivity"] == "sampled(n=20000)"
-    # incomparable pairs join to the top: commutative, an upper bound, and
-    # not associative, since a v (b v c) stays below the top for b <= c; the
-    # derived meets of incomparable pairs are the bottom, alike
+    # incomparable pairs joined to the top: commutative, an upper bound,
+    # and not associative, since a v (b v c) stays below the top for b <= c
     L, join = np.array(system.leq), np.array(system.join)
     top = int(np.flatnonzero(L.all(axis=0))[0])
     join[~(L | L.T)] = top
-    report = validate(_with_join(system, join))
-    assert report.checked["universe"] == "sampled(n=20000)"
-    assert [(i.code, i.detail) for i in report.issues] == [
-        ("universe", "join not associative on sampled triples"),
-        ("universe", "meet not associative on sampled triples"),
-        ("distributivity", "fails on sampled triples")]
+    d = tf.to_json_dict(system)
+    d["universe"]["join"] = join.tolist()
+    with pytest.raises(ValidationError,
+                       match="universe 'join' is not the order's join"):
+        tf.from_json_dict(d)
+
+
+def test_a_lattice_claim_on_an_order_that_is_none_is_refused():
+    # the two orientations of one separation have no upper bound; in the
+    # bipartitions of 4 points without {0, 1} | {2, 3}, 1+ = {0} and
+    # 5- = {1} have the upper bounds {0, 1, 2} and {0, 1, 3} but no least
+    universe = tf.bipartition_system(tf.full_bipartition_ground(4))
+    sub = universe.subsystem([s for s in universe.seps() if
+                              universe.ground.sides[2 * s] not in (3, 12)])
+    cases = [(np.eye(2, dtype=bool), [1.0], 0, 1),
+             (sub.leq, sub.orders, 2, 11)]
+    for leq, orders, a, b in cases:
+        pair = f"{fmt_oriented(a)} and {fmt_oriented(b)} have no join"
+        with pytest.raises(ValidationError, match=f"universe: lattice "
+                           f"claimed, but {pair}".replace("+", r"\+")):
+            tf.SeparationSystem(leq, orders, lattice=True)
+        unchecked = tf.SeparationSystem(leq, orders, lattice=True,
+                                        distributive=True, check=False)
+        report = validate(unchecked)
+        assert [i.code for i in report.issues] == ["universe"]
+        # the pair has neither a join nor, mirrored, a meet of its inverses
+        assert unchecked.join[a, b] == unchecked.meet[a ^ 1, b ^ 1] == -1
+        assert list(unchecked.meet)[a ^ 1][b ^ 1] == -1
+        assert report.checked["distributivity"] == "skipped: not a lattice"
 
 
 # -- element predicates ------------------------------------------------------
@@ -593,17 +632,15 @@ def test_the_constructor_reads_arrays_lists_and_tuples_alike(seed):
              for orders in (np.array(ints, dtype=float), ints,
                             [float(x) for x in ints])]
     universe = tf.bipartition_system(tf.full_bipartition_ground(3))
-    lattices = [tf.SeparationSystem(leq, np.array(universe.orders), join=join,
-                                    distributive=True)
-                for leq, join in zip(_matrix_forms(universe.leq),
-                                     _matrix_forms(universe.join))]
+    lattices = [tf.SeparationSystem(leq, np.array(universe.orders),
+                                    lattice=True, distributive=True)
+                for leq in _matrix_forms(universe.leq)]
     for systems in (built, lattices):
         first = systems[0]
         assert all(type(x) is float for x in first.orders)
         for other in systems[1:]:
             assert (other.up, other.down, other.orders) == \
                 (first.up, first.down, first.orders)
-            assert other._join == first._join
             assert tf.dump_system(other) == tf.dump_system(first)
     # integer orders are written as floats: 3 as 3.0
     assert tf.to_json_dict(built[1])["orders"] == [float(x) for x in ints]
