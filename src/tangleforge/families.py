@@ -6,17 +6,26 @@ a witness is read.  Witness choice is deterministic (lexicographically
 least by sorted oriented-id sequence) so golden files stay stable.
 
 Each family states what a member is with ``is_member``, the definition the
-tests re-check every witness against, and implements one scan, ``_extends``:
-is there a member inside a set plus ``x`` that contains ``x``?  The witness
-search ``_search`` is derived from the two in the base class.  ``blocks``
-(closed under supersets), ``explicit`` (a listed family) and ``empty``
-specialise it.  Queries are masks of oriented ids; a family keeps the
-answer of ``_search`` per mask of its bound system's ids for its lifetime,
-so the trees of one pipeline, level trees included, scan each set once.
-``critical_labels`` gives the labels of a member-holding set whose removal
-leaves no member, what reduction needs of a forbidden leaf: the base class
-tries the labels of the kept answer against the kept answers of the smaller
-sets; ``blocks`` reads them all off prefix and suffix intersections.
+tests re-check every witness against, and finds the least member inside a
+set with its own search, ``_search``.  ``blocks`` (closed under supersets)
+takes the shortest member prefix of the sorted set; ``explicit`` (a listed
+family) the least listed member inside it; ``profile`` each pair x <= y of
+the set whose join of inverses lies in it, and ``strong_profile`` each pair
+with elements of the set below that join, completed by the least of them or
+the least other than x, keeping the least; ``cluster`` walks x, then x with
+each later y, then with each z after y, in the order of sorted ids, and
+stops at the first sides that meet in fewer than n points, and
+``graph_tangle`` walks the same on what each side leaves uncovered;
+``empty`` has none.  A second scan, ``_extends``: is there a member inside a
+set plus ``x`` that contains ``x``?, serves ``extends_member`` alone, which
+only the oracle's enumeration asks, so that enumeration and the tree's
+search share no family code.  Queries are masks of oriented ids; a family
+keeps the answer of ``_search`` per mask of its bound system's ids for its
+lifetime, so the trees of one pipeline, level trees included, scan each set
+once.  ``critical_labels`` gives the labels of a member-holding set whose
+removal leaves no member, what reduction needs of a forbidden leaf: the base
+class tries the labels of the kept answer against the kept answers of the
+smaller sets; ``blocks`` reads them all off prefix and suffix intersections.
 """
 
 from __future__ import annotations
@@ -53,10 +62,10 @@ class Witness:
 class ForbiddenFamily:
     """Base class: bound to a system, queried with masks of oriented ids.
 
-    Subclasses define ``is_member`` and ``_extends`` on the bound system's
-    canonical ids; the public queries translate the caller's mask, unless
-    the caller is the bound system or a view of it, and ask ``_search``
-    and ``_extends``.
+    Subclasses define ``is_member``, ``_search`` and ``_extends`` on the
+    bound system's canonical ids; the public queries translate the caller's
+    mask, unless the caller is the bound system or a view of it, and ask
+    ``_search``, or ``_extends`` for ``extends_member``.
     """
 
     kind = "abstract"
@@ -85,38 +94,15 @@ class ForbiddenFamily:
         return {}
 
     def _extends(self, work: int, x: int) -> bool:
-        """The one scan: is there a member inside the mask ``work`` plus
-        ``x`` that contains ``x``?  ``work`` may itself hold members.  Ids
-        are the bound system's canonical ones."""
+        """``extends_member``'s scan: is there a member inside the mask
+        ``work`` plus ``x`` that contains ``x``?  ``work`` may itself hold
+        members.  Ids are the bound system's canonical ones."""
         raise NotImplementedError
 
     def _search(self, work: int) -> int | None:
         """Mask of the lexicographically least member (by sorted ids) inside
-        the mask ``work``, derived from ``is_member`` and ``_extends``.
-
-        Its least element is the first ``x`` whose scan over the elements
-        after it finds a member; the prefix walk below ``x`` completes it.
-        """
-        if self.is_member(()):
-            return 0
-        ids = ids_of(work)
-        cap = self.arity if self.arity is not None else len(ids)
-
-        def rec(prefix, start):
-            if self.is_member(prefix):
-                return mask_of(prefix)
-            if len(prefix) >= cap:
-                return None
-            for i in range(start, len(ids)):
-                hit = rec(prefix + [ids[i]], i + 1)
-                if hit is not None:
-                    return hit
-            return None
-
-        for i, x in enumerate(ids):
-            if self._extends(work & -(2 << x), x):
-                return rec([x], i + 1)
-        return None
+        the mask ``work``, or None.  Each family enumerates its own members."""
+        raise NotImplementedError
 
     def _answer(self, work: int) -> int | None:
         """``_search`` of the bound mask ``work``, kept once asked."""
@@ -207,8 +193,7 @@ class ExplicitFamily(ForbiddenFamily):
         return mask_of(members) in self.members
 
     def _search(self, work):
-        # Kept over the derived search: one pass over the listed members,
-        # where the derived one rescans them for each candidate element.
+        # one pass over the listed members: the least inside the work
         return min((k for k in self.members if not k & ~work), key=ids_of,
                    default=None)
 
@@ -284,6 +269,26 @@ class BlocksFamily(ForbiddenFamily):
         return out
 
 
+def _least_small_meet(words, n, work) -> int | None:
+    """Mask of the least set of one to three ids of the mask ``work`` whose
+    ``words`` meet in fewer than ``n`` bits, or None.  x, then x with each
+    later y, then with each z after y is the order of sorted id sequences,
+    so the first hit is least."""
+    ids = ids_of(work)
+    for i, x in enumerate(ids):
+        wx = words[x]
+        if wx.bit_count() < n:
+            return 1 << x
+        for j in range(i + 1, len(ids)):
+            wxy = wx & words[ids[j]]
+            if wxy.bit_count() < n:
+                return 1 << x | 1 << ids[j]
+            for z in ids[j + 1:]:
+                if (wxy & words[z]).bit_count() < n:
+                    return 1 << x | 1 << ids[j] | 1 << z
+    return None
+
+
 class ClusterFamily(ForbiddenFamily):
     """Triples of sides (repetition allowed) agreeing on fewer than n points."""
 
@@ -305,6 +310,9 @@ class ClusterFamily(ForbiddenFamily):
     def evidence(self, members):
         return {"agreement_set": ids_of(_meet(self._sides, members, self._all)),
                 "n": self.n}
+
+    def _search(self, work):
+        return _least_small_meet(self._sides, self.n, work)
 
     def _extends(self, work, x):
         sides = self._sides
@@ -353,6 +361,14 @@ class ProfileFamily(ForbiddenFamily):
     def evidence(self, members):
         return self._witness(members) or {}
 
+    def _search(self, work):
+        # A member is a pair x <= y with its join of inverses: the least of
+        # those the work holds.
+        ids, third = ids_of(work), self._third
+        return min((1 << x | 1 << y | 1 << t for i, x in enumerate(ids)
+                    for y in ids[i:] if work >> (t := third(x, y)) & 1),
+                   key=ids_of, default=None)
+
     def _extends(self, work, x):
         # Raw ids, where is_member compares canonical ones: they agree since
         # no query holds the odd alias of a degenerate separation
@@ -392,6 +408,16 @@ class StrongProfileFamily(ProfileFamily):
                                 "join_of_inverses": bound}
         return None
 
+    def _search(self, work):
+        # A pair x <= y with any element below its join of inverses.  The
+        # pair's least member takes the least such element, or the least
+        # other than x, which is smaller when it lies between x and y.
+        ids, third, down = ids_of(work), self._third, self.system.down
+        return min((1 << x | 1 << y | z & -z for i, x in enumerate(ids)
+                    for y in ids[i:] if (d := down[third(x, y)] & work)
+                    for z in (d, d & ~(1 << x)) if z),
+                   key=ids_of, default=None)
+
     def _extends(self, work, x):
         pool = [x] + ids_of(work)
         have = work | 1 << x
@@ -428,6 +454,10 @@ class GraphTangleFamily(ForbiddenFamily):
         self._induced = [mask_of(i for i, (u, v) in enumerate(edges)
                                  if a >> u & 1 and a >> v & 1)
                          for a in self._small]
+        # per side the vertices (above the edges) and edges it leaves out
+        full = self._all_vertices << len(edges) | self._all_edges
+        self._uncovered = [full & ~(a << len(edges) | e)
+                           for a, e in zip(self._small, self._induced)]
 
     def _covers(self, members) -> bool:
         verts = edges = 0
@@ -442,6 +472,11 @@ class GraphTangleFamily(ForbiddenFamily):
     def evidence(self, members):
         return {"covering_sides": [ids_of(self._small[o])
                                    for o in sorted(members)]}
+
+    def _search(self, work):
+        # a cover leaves no vertex and no edge out: the uncovered words meet
+        # in nothing
+        return _least_small_meet(self._uncovered, 1, work)
 
     def _extends(self, work, x):
         pool = [x] + ids_of(work)
@@ -478,6 +513,9 @@ def family_parameter(d: dict) -> int | None:
     if type(d.get(field)) is not int:
         raise ValidationError(f"family kind {d['kind']!r} needs an integer "
                               f"{field!r}, got {d.get(field)!r}")
+    if d[field] < 1:
+        raise ValidationError(f"family kind {d['kind']!r} needs {field!r} of "
+                              f"at least 1, got {d[field]!r}")
     return d[field]
 
 

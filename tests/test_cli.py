@@ -521,6 +521,17 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
     # the KIND:PARAM form converts PARAM itself and names it as given
     pytest.param(["build", "--graph", K4, "--family", "blocks:2.5"], None, None,
                  "needs an integer 'k', got '2.5'", id="family-parameter-2.5"),
+    # a parameter below 1 is refused by name, before any system is built
+    # over it (blocks) or any leaf blamed for it (cluster)
+    pytest.param(["build", "--graph", K4, "--family", "blocks:0"], None, None,
+                 "needs 'k' of at least 1, got 0", id="family-parameter-k-0"),
+    pytest.param(["build", "--graph", K4, "--family", "blocks:-3"], None, None,
+                 "needs 'k' of at least 1, got -3", id="family-parameter-k-minus-3"),
+    pytest.param(["build", "--similarity", SIX, "--family", "cluster:0"], None,
+                 None, "needs 'n' of at least 1, got 0", id="family-parameter-n-0"),
+    pytest.param(["build", "--similarity", SIX, "--family", "cluster:-1"], None,
+                 None, "needs 'n' of at least 1, got -1",
+                 id="family-parameter-n-minus-1"),
     # tangles, oracle and validate read --k only as the order bound of a
     # --graph ground without a blocks family; certify and restrict read one
     pytest.param(["tangles", "--similarity", SIX, "--family", "cluster:3",

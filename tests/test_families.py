@@ -1,6 +1,7 @@
 """Forbidden families: membership, witnesses, and the theory-side certifiers."""
 
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,20 +11,19 @@ from tangleforge.errors import GroundMismatch, MissingCapability
 from tangleforge.grounds import load_similarity_csv
 from tangleforge.oracle import all_tangles
 from tangleforge.system import ids_of, mask_of
-from conftest import (FIXTURES, all_graphs_up_to_iso, antichain_system,
-                      closed_under_pointwise_lowering, grid_graph,
-                      load_nonrich_fixture, nested_pair_system,
+from conftest import (FIXTURES, M3, N5, all_graphs_up_to_iso,
+                      antichain_system, closed_under_pointwise_lowering,
+                      grid_graph, lattice_times_chain, load_nonrich_fixture,
+                      nested_pair_system,
                       random_subset_system, side_pair, split_leaf,
                       standardized_explicit)
 
 
 def all_subsets(ids, cap=None):
-    out = [frozenset()]
-    for x in ids:
-        out += [s | {x} for s in out]
-    if cap is not None:
-        out = [s for s in out if len(s) <= cap]
-    return out
+    """Every subset of ``ids`` with at most ``cap`` elements, all without one."""
+    ids = list(ids)
+    cap = len(ids) if cap is None else min(cap, len(ids))
+    return [frozenset(c) for r in range(cap + 1) for c in combinations(ids, r)]
 
 
 # -- forbidden_subset ---------------------------------------------------------
@@ -172,18 +172,26 @@ def test_extends_member_matches_forbidden_subset(seed):
                                          new)
 
 
-# -- the one scan and the derived search against is_member alone -------------------
+# -- each family's search and its scan against is_member alone ---------------------
 #
-# The search and extends_member both rest on each family's _extends scan, so
-# these references are written with is_member only.
+# Every family has its own search, and extends_member rests on its _extends
+# scan, so these references are written with is_member only.
 
 
 def least_member(fam, members):
-    """The lexicographically least is_member subset, by brute force."""
-    for sub in sorted(sorted(s) for s in all_subsets(sorted(members))):
-        if fam.is_member(frozenset(sub)):
-            return frozenset(sub)
-    return None
+    """The lexicographically least is_member subset, by brute force over the
+    subsets up to the family's arity.  A family without one (blocks) is
+    closed under supersets, so its least member is a prefix of the sorted
+    set: a member's prefix up to its largest element holds it and is no
+    larger.  Above 12 ids only the prefixes are tried, which reaches a
+    tree's sets; below, every subset."""
+    ids = sorted(members)
+    if fam.arity is None and len(ids) > 12:
+        subsets = [ids[:i] for i in range(len(ids) + 1)]
+    else:
+        subsets = sorted(sorted(s) for s in all_subsets(ids, fam.arity))
+    return next((frozenset(s) for s in subsets if fam.is_member(frozenset(s))),
+                None)
 
 
 def k4_universe_families(k4):
@@ -194,29 +202,106 @@ def k4_universe_families(k4):
             tf.make_graph_tangle(u), tf.make_blocks(3, u)]
 
 
+def scan_and_search_against_is_member(fam, works):
+    """Assert that each work's witness is its least member and that
+    ``_extends`` of each other id agrees with brute force; return the
+    (holds a member, extends) pairs seen."""
+    system = fam.system
+    ids = sorted({system.canon(o) for o in system.all_oriented()})
+    # a member through x is x with at most arity - 1 elements of the work
+    cap = None if fam.arity is None else fam.arity - 1
+    seen = set()
+    for work in works:
+        want = least_member(fam, work)
+        got = fam.forbidden_subset(system, mask_of(work))
+        assert (got and got.members) == want, (fam.kind, sorted(work))
+        for x in ids:
+            if x in work:
+                continue
+            hit = any(fam.is_member(sub | {x})
+                      for sub in all_subsets(sorted(work), cap))
+            assert fam._extends(mask_of(work), x) == hit, \
+                (fam.kind, sorted(work), x)
+            seen.add((want is not None, hit))
+    return seen
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_the_scan_and_the_search_match_is_member(seed, k4):
     rng = np.random.default_rng(seed)
     for fam in six_families(seed) + k4_universe_families(k4):
-        system = fam.system
-        ids = sorted({system.canon(o) for o in system.all_oriented()})
-        seen = set()
-        for _ in range(40):
-            size = int(rng.integers(0, min(6, len(ids)) + 1))
-            work = frozenset(int(o) for o in rng.choice(ids, size, replace=False))
-            want = least_member(fam, work)
-            got = fam.forbidden_subset(system, mask_of(work))
-            assert (got and got.members) == want, (fam.kind, sorted(work))
-            for x in ids:
-                if x in work:
-                    continue
-                hit = any(fam.is_member(sub | {x})
-                          for sub in all_subsets(sorted(work)))
-                assert fam._extends(mask_of(work), x) == hit, \
-                    (fam.kind, sorted(work), x)
-                seen.add((want is not None, hit))
+        ids = sorted({fam.system.canon(o) for o in fam.system.all_oriented()})
+        works = [frozenset(int(o) for o in rng.choice(
+                     ids, int(rng.integers(0, min(6, len(ids)) + 1)),
+                     replace=False))
+                 for _ in range(40)]
+        seen = scan_and_search_against_is_member(fam, works)
         # work with and without members, answers of both kinds
         assert {(True, True), (False, False), (False, True)} <= seen, fam.kind
+
+
+def twisted_boolean_system():
+    """The subsets of {s, a, b} under inclusion, with the involution
+    S -> {s, a, b} minus S with a and b swapped: a distributive lattice in
+    which an element x below the join of inverses of x and y need not be
+    below that of each z between x and y."""
+    sets = [{"s", "b"}, {"b"}, {"s", "a", "b"}, set(), {"a"}, {"s", "a"},
+            {"s"}, {"a", "b"}]
+    leq = np.array([[p <= q for q in sets] for p in sets])
+    return tf.SeparationSystem(leq, [1.0] * 4, lattice=True, distributive=True)
+
+
+@pytest.mark.parametrize("system", [
+    twisted_boolean_system(), lattice_times_chain(*M3),
+    lattice_times_chain(*N5)], ids=["twisted-boolean", "M3x2", "N5x2"])
+def test_the_profile_searches_match_is_member_on_every_work(system):
+    # Every work of small lattices that are not set-separation universes,
+    # where a pair's least member need not take the least bounded element:
+    # in the twisted one the join of inverses of 0 and 4 is the top, 2, so
+    # the pair makes {0, 4} and {0, 2, 4} of the work {0, 2, 4}, and the
+    # second is least.
+    ids = list(system.all_oriented())
+    works = all_subsets(ids)
+    for make in (tf.make_profile, tf.make_strong_profile):
+        seen = scan_and_search_against_is_member(make(system), works)
+        assert {(True, True), (False, False), (False, True)} <= seen
+
+
+def tree_set_instances():
+    """(system, make_family, make_builder): a family and the family whose
+    full tree over the system gives the works.  The profile family is not
+    standard on the k4 universe, so it is asked about the strong-profile
+    tree's sets there."""
+    sim = load_similarity_csv((FIXTURES / "six_similarity.csv").read_text())
+    k4 = tf.graph_universe(tf.Graph.from_edge_list(
+        (FIXTURES / "k4.edges").read_text()))
+    out = []
+    for name, system, make, builder in (
+            ("universe5/strong-profile", tf.bipartition_system(
+                tf.full_bipartition_ground(5)), tf.make_strong_profile,
+             tf.make_strong_profile),
+            ("six_similarity/cluster2", tf.bipartition_system(
+                tf.full_bipartition_ground(6, similarity=sim)),
+             lambda s: tf.make_cluster(2, s), lambda s: tf.make_cluster(2, s)),
+            ("k4_universe/profile", k4, tf.make_profile, tf.make_strong_profile),
+            ("k4_universe/graph-tangle", k4, tf.make_graph_tangle,
+             tf.make_graph_tangle)):
+        out.append(pytest.param(system, make, builder, id=name))
+    return out
+
+
+@pytest.mark.parametrize("system, make, builder", tree_set_instances())
+def test_the_scan_and_the_search_match_is_member_on_tree_sets(system, make,
+                                                              builder):
+    # The searches serve a tree's label sets and closures, which hold far
+    # more ids than the random works above.
+    tree = tf.build(system, builder(system))
+    works = {frozenset(ids_of(m)) for v in tree.nodes()
+             for m in (tree.beta(v), tree.closure(v))}
+    fam = make(system)
+    seen = scan_and_search_against_is_member(fam, sorted(works, key=sorted))
+    assert {held for held, _ in seen} == {True, False}, fam.kind
+    assert max(len(w) for w in works) >= 15
 
 
 def test_a_leaf_witness_is_the_least_member_of_its_own_label_set():
@@ -554,7 +639,7 @@ def test_kept_answers_match_a_fresh_family(system, make):
             beta = tree.beta(v)
             assert fam.forbidden_subset(tree.system, beta) == \
                 make(system).forbidden_subset(tree.system, beta)
-    fresh = make(system)
     assert fam._answers
     for work, found in fam._answers.items():  # masks of bound ids
-        assert found == fresh._search(work)
+        want = least_member(fam, ids_of(work))
+        assert found == (None if want is None else mask_of(want)), ids_of(work)
