@@ -9,7 +9,7 @@ Exit codes form a contract shell pipelines can branch on:
      a flag the command does not read (each reads its row of ``COMMANDS``,
      and ``--k`` only where it takes effect)
   3  a budget exceeded: the oracle's enumeration, the separations of a
-     ground or a sepsys/v1 or sepsys/v2 file, or the nodes of a built tree
+     ground or a system file, or the nodes of a built tree
 
 All outputs are byte-identical across runs on identical inputs.
 """
@@ -248,7 +248,8 @@ FLAGS = {  # each flag's argparse keywords
     "--graph": {"help": "edge-list file, one 'u v' per line"},
     "--similarity": {"help": "CSV similarity matrix"},
     "--answers": {"help": "CSV binary answer matrix"},
-    "--system": {"help": "sepsys/v1 or sepsys/v2 JSON file"},
+    "--system": {"help": "sepsys/v2 JSON file (a sepsys/v1 one without "
+                          "'universe' or 'ground' is read too)"},
     "--tree": {"required": True, "help": "tree/v1 JSON file"},
     "--family": {"help": "KIND[:PARAM] or a family/v1 JSON path"},
     "--k": {"action": "append", "help": "order threshold (repeatable)"},

@@ -337,7 +337,7 @@ class ProfileFamily(ForbiddenFamily):
                 f"{self.kind.replace('_', '-')} family needs lattice operations")
         super().__init__(system)
         # the join of the inverses: the id of the union of their keys
-        keys, _, ids = system.lattice_keys()
+        keys, ids = system.lattice_keys()
         inverse_keys = [keys[o ^ 1] for o in range(len(keys))]
         self._third = lambda x, y: ids[inverse_keys[x] | inverse_keys[y]]
 

@@ -17,18 +17,17 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (BudgetExceeded, DuplicateQuestionWarning,
                      MissingCapability, NotATangle, NotComplementClosed,
                      ValidationError)
-from .system import (MAX_SEPARATIONS, SeparationSystem, _first_difference,
-                     _union_closed, expect_object, fmt_oriented, ids_of,
-                     mask_of)
+from .system import (MAX_SEPARATIONS, SeparationSystem, _union_closed,
+                     expect_object, ids_of, mask_of)
 
 # A graph universe has up to (3^n + 1) / 2 separations; keep them on the desk.
 MAX_UNIVERSE_VERTICES = 8
-MAX_TABLE_VERTICES = 6  # graph systems of more vertices claim no lattice
 MAX_FULL_BIPARTITION_POINTS = 12
 MAX_GROUND_POINTS = 1 << 16  # built or loaded; sides are point bitmasks
 
@@ -115,10 +114,12 @@ class SideRealization:
         return [(full & ~self.sides[o ^ 1]) << self.size | b
                 for o, b in enumerate(self.sides)], 2 * self.size
 
+    @cached_property
     def order(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """``up`` and ``down``, the words of the keys' subset order.  The
-        involution reverses it (b <= a iff a* <= b*, for sides without
-        ``faults``), so ``down[a]`` is ``up[a*]`` with its bit pairs swapped."""
+        """``up`` and ``down``, the words of the keys' subset order, worked
+        out once per ground.  The involution reverses it (b <= a iff a* <=
+        b*, for sides without ``faults``), so ``down[a]`` is ``up[a*]`` with
+        its bit pairs swapped."""
         up = _subset_order(*self.keys())
         even = ((1 << len(up)) - 1) // 3
         return up, tuple((w & even) << 1 | w >> 1 & even
@@ -126,7 +127,7 @@ class SideRealization:
 
     def closed(self) -> bool:
         """Whether every union of two keys is again a key."""
-        return _union_closed(*self.keys())
+        return _union_closed(self.keys()[0], *self.order)
 
     def faults(self, orders):
         """A message per separation whose two sides are not inverse: a
@@ -173,15 +174,11 @@ def realization_of(system: SeparationSystem, what: str,
     return ground
 
 
-def realization_from_json(d: dict, orders, leq=None) -> SideRealization:
-    """The ground of a system with the given ``orders``: in a sepsys/v2
-    object the side of every oriented id; in a sepsys/v1 object, whose
-    order is ``leq`` (an ``Order``), one side (sets) or side pair [A, B] (graph)
-    per separation, written forward.  Each separation's sides must be
-    inverse (``SideRealization.faults``), and a sepsys/v1 ground's subset
-    order must be ``leq``."""
-    count, fmt = len(orders), "sepsys/v2" if leq is None else "sepsys/v1"
-    kind = expect_object(d, f"{fmt} ground").get("kind")
+def realization_from_json(d: dict, orders) -> SideRealization:
+    """The ground of a sepsys/v2 system with the given ``orders``: the side
+    of every oriented id, each separation's two sides inverse
+    (``SideRealization.faults``)."""
+    kind = expect_object(d, "sepsys/v2 ground").get("kind")
     if kind not in ("graph", "sets"):
         raise ValidationError(f"unknown ground kind {kind!r}")
     field = "n" if kind == "graph" else "size"
@@ -193,12 +190,10 @@ def realization_from_json(d: dict, orders, leq=None) -> SideRealization:
         raise ValidationError(f"{kind} ground lacks the field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{kind} ground is malformed: {exc}") from None
-    per = ("separations", count) if leq is not None else \
-        ("oriented ids", 2 * count)
-    if not 0 <= size <= MAX_GROUND_POINTS or len(sides) != per[1]:
+    if not 0 <= size <= MAX_GROUND_POINTS or len(sides) != 2 * len(orders):
         raise ValidationError(f"{kind} ground of size {size} (at most "
                               f"{MAX_GROUND_POINTS}) has {len(sides)} sides "
-                              f"for {per[1]} {per[0]}")
+                              f"for {2 * len(orders)} oriented ids")
     if type(d[field]) is not int:  # after the bound, which names huge sizes
         raise ValidationError(
             f"{kind} ground '{field}' must be an integer, got {d[field]!r}")
@@ -214,32 +209,12 @@ def realization_from_json(d: dict, orders, leq=None) -> SideRealization:
                 f"{f'{length} ' if length else ''}points of 0..{size - 1}")
         return value
 
-    full = (1 << size) - 1
     g = None if kind == "sets" else Graph.from_edges(
         size, [tuple(points(e, "edge", 2)) for e in edges])
-    masks = []
-    for value in sides:
-        if leq is None:  # the side of one oriented id
-            masks.append(mask_of(points(value, "side")))
-        elif kind == "sets":  # a forward side; its inverse's is the complement
-            a = mask_of(points(value, "side"))
-            masks += [a, full & ~a]
-        elif isinstance(value, list) and len(value) == 2:  # [A, B], B forward
-            a, b = (mask_of(points(x, "side")) for x in value)
-            masks += [b, a]
-        else:
-            raise ValidationError(f"graph ground side pair {value!r} must "
-                                  "hold two sides")
-    ground = SideRealization(size, tuple(masks), g)
+    ground = SideRealization(
+        size, tuple(mask_of(points(side, "side")) for side in sides), g)
     for fault in ground.faults(orders):
         raise ValidationError(fault)
-    wrong = None if leq is None else _first_difference(ground.order()[0], leq.up)
-    if wrong:
-        a, b = wrong
-        raise ValidationError(
-            f"{kind} ground sides put {fmt_oriented(a)} "
-            f"{'not ' * (leq.up[a] >> b & 1)}below {fmt_oriented(b)}, "
-            "unlike 'leq'")
     return ground
 
 
@@ -316,29 +291,24 @@ def _subset_order(keys: list[int], width: int) -> tuple[int, ...]:
     return tuple(up)
 
 
-def _graph_system(g: Graph, k: float, lattice: bool) -> SeparationSystem:
-    """``graph_system``, offering lattice operations exactly when
-    ``lattice`` and the sides are closed under them."""
+def graph_system(g: Graph, k: float) -> SeparationSystem:
+    """The separations of order below ``k``, built directly from the graph,
+    the degenerate (V, V) last when its order |V| is below ``k``.  The
+    system offers join and meet whenever its sides are closed under them,
+    and the lattice is then distributive."""
     full = (1 << g.n) - 1
     pairs = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
     # B of (A, B), then A
     ground = SideRealization(g.n, tuple(s for a, b in pairs for s in (b, a)), g)
-    closed = lattice and ground.closed()
+    closed = ground.closed()
     return SeparationSystem(
         None, [(a & b).bit_count() for a, b in pairs], lattice=closed,
         distributive=closed, ground=ground, allow_degenerate=g.n < k)
 
 
-def graph_system(g: Graph, k: float) -> SeparationSystem:
-    """The separations of order below ``k``, built directly from the graph,
-    the degenerate (V, V) last when its order |V| is below ``k``.  Graphs of
-    at most ``MAX_TABLE_VERTICES`` vertices offer join and meet whenever
-    the sides are closed under them, and the lattice is then distributive."""
-    return _graph_system(g, k, g.n <= MAX_TABLE_VERTICES)
-
-
 def graph_universe(g: Graph) -> SeparationSystem:
-    """All separations of the graph with lattice operations attached.
+    """All separations of the graph, ``graph_system`` without a bound: a
+    distributive lattice.
 
     Includes the one degenerate separation (V, V); lattice closure needs it.
     Order-bounded systems hold it only when its order |V| is below the bound.
@@ -346,7 +316,7 @@ def graph_universe(g: Graph) -> SeparationSystem:
     if g.n > MAX_UNIVERSE_VERTICES:
         raise ValidationError(
             f"graph universe limited to {MAX_UNIVERSE_VERTICES} vertices, got {g.n}")
-    return _graph_system(g, math.inf, True)
+    return graph_system(g, math.inf)
 
 
 # -- bipartitions and subset systems -------------------------------------------

@@ -7,12 +7,12 @@ element, ``up`` and ``down``, precomputed and validated at load; desk-scale
 sizes make the quadratic bits cheap and every comparison O(1).
 
 A system with a ground (``grounds.SideRealization``: a side per oriented id)
-takes its order from its sides, and is validated and written (``sepsys/v2``)
-by its sides.  Any other system is given its order, and is written with it
-(``sepsys/v1``).  Either kind may claim a lattice, and stores no table for
-it: each oriented id has a key whose subset order is the order (a ground
-system's side keys, any other's ids not above it), and the join of two ids
-is the id of the union of their keys, when that is a key.
+takes its order from its sides, and is validated and written by its sides.
+Any other system is given its order, and is written with it.  Both are
+written as ``sepsys/v2``.  Either kind may claim a lattice, and stores no
+table for it: each oriented id has a key whose subset order is the order (a
+ground system's side keys, any other's ids not above it), and the join of
+two ids is the id of the union of their keys, when that is a key.
 
 Sets of oriented ids are Python-int bitmasks, bit ``o`` standing for oriented
 id ``o``, from the system through trees and construction to the families;
@@ -20,9 +20,8 @@ frozensets are made only where a set leaves the library as a result.
 ``mask_of`` and ``ids_of`` convert: with ``2 <= 0``,
 ``ids_of(system.closure(mask_of({2})))`` is ``[0, 2]``.  The system derives
 per-element masks (everything above, everything below, ...) from its order
-words once, and every set operation reads them; ``leq``, ``join`` and
-``meet`` are read-only ``Table`` views for per-cell reads and the sepsys/v1
-form.
+words once, and every set operation reads them; ``leq`` is a read-only
+``Order`` view of the words for per-cell reads.
 """
 
 from __future__ import annotations
@@ -87,41 +86,29 @@ def fmt_oriented(o: int) -> str:
     return f"{sep_of(o)}{'+' if o % 2 == 0 else '-'}"
 
 
-class Table:
-    """A read-only square table of a function of two ids: ``t[a, b]`` is
-    ``cell(a, b)`` and ``t[a]`` row ``a`` as a list, ``row(a)``, so that
-    nested-list and array constructors read a table as its rows."""
+# per byte value its eight bits, lowest first, as truth values
+_BITS = tuple(tuple(b >> i & 1 == 1 for i in range(8)) for b in range(256))
 
-    def __init__(self, cell, row, size: int):
-        self.cell, self.row, self.size = cell, row, size
+
+class Order:
+    """The order as a read-only table over its words: ``leq[a, b]`` is
+    whether ``a <= b``, bit ``b`` of ``up[a]`` (``down[b]`` then has bit
+    ``a``), and ``leq[a]`` row ``a`` as a list, so that nested-list and
+    array constructors read the order as its rows."""
+
+    def __init__(self, up, down):
+        self.up, self.down, self.size = up, down, len(up)
 
     def __len__(self):
         return self.size
 
     def __getitem__(self, key):
         if type(key) is tuple:
-            return self.cell(*map(index, key))
+            a, b = map(index, key)
+            return self.up[a] >> b & 1 == 1
         if not 0 <= index(key) < self.size:  # ends iteration
-            raise IndexError(f"row {key} of a table of {self.size}")
-        return self.row(index(key))
-
-
-# per byte value its eight bits, lowest first, as truth values
-_BITS = tuple(tuple(b >> i & 1 == 1 for i in range(8)) for b in range(256))
-
-
-class Order(Table):
-    """The order as a table over its words: ``leq[a, b]`` is whether
-    ``a <= b``, bit ``b`` of ``up[a]``; ``down[b]`` then has bit ``a``."""
-
-    def __init__(self, up, down):
-        self.up, self.down, self.size = up, down, len(up)
-
-    def cell(self, a: int, b: int) -> bool:
-        return self.up[a] >> b & 1 == 1
-
-    def row(self, a: int) -> list[bool]:
-        word = self.up[a].to_bytes(-(-self.size // 8), "little")
+            raise IndexError(f"row {key} of an order of {self.size}")
+        word = self.up[index(key)].to_bytes(-(-self.size // 8), "little")
         out = list(chain.from_iterable(map(_BITS.__getitem__, word)))
         del out[self.size:]
         return out
@@ -179,7 +166,8 @@ class SeparationSystem:
         ground given any other ``leq`` is refused.
     orders : length-n reals; the order ``|s|`` attaches to the unoriented id.
     lattice : claim that the order is a lattice (validated): every two
-        elements have a join.  ``join`` and ``meet`` then answer from keys.
+        elements have a join, the id of the union of their keys
+        (``lattice_keys``).
     distributive : claim that the lattice is distributive (validated).
     ground : optional realization (a ``SideRealization``: one side per
         oriented id) used by concrete forbidden families.
@@ -187,9 +175,7 @@ class SeparationSystem:
         (both ids then alias one element; rejected by default).
 
     ``orders`` is held as a tuple of floats.  ``leq`` is an ``Order``, a
-    read-only table over the words ``up`` and ``down``; ``join`` and
-    ``meet`` are tables built on each read from the keys of
-    ``lattice_keys``, ``meet`` derived from ``join`` through the involution.
+    read-only table over the words ``up`` and ``down``.
 
     ``up[a]`` and ``down[a]`` are the bitmasks of the elements above and
     below ``a`` (``a`` included).
@@ -207,10 +193,9 @@ class SeparationSystem:
     ids, and ``local`` maps them to those of the carved ``restrict_below``.
 
     Carving (``subsystem``, ``restrict_below``) builds the system a view
-    stands for, for the oracle or for the sepsys/v1 of a view of a system
-    without a ground (a view with a ground is written from its live
-    sides, ``to_json_dict``).  A carved
-    system keeps the system at the top of its carving as ``top`` and the
+    stands for, for the oracle; ``to_json_dict`` writes a view from the
+    constructor's arguments of that system, ``_induced``.  A carved system
+    keeps the system at the top of its carving as ``top`` and the
     map of its oriented ids into that one's (``oriented_into``); any other
     system has None for both.
     """
@@ -221,7 +206,7 @@ class SeparationSystem:
             raise ValidationError("a system with a ground takes its order "
                                   "from its sides: leq must be None")
         try:
-            leq = Order(*ground.order()) if ground is not None else \
+            leq = Order(*ground.order) if ground is not None else \
                 leq if isinstance(leq, Order) else Order.of_rows(leq)
             orders = tuple(map(float, orders))
         except (TypeError, ValueError, OverflowError) as exc:
@@ -284,48 +269,20 @@ class SeparationSystem:
     def has_universe(self) -> bool:
         return self._lattice
 
-    def lattice_keys(self) -> tuple[list[int], int, dict[int, int]]:
-        """Per oriented id a key whose subset order is the order, the keys'
-        width in bits, and each key's id, the least for a repeated key: a
-        ground system's ``SideRealization.keys``, any other's ids not above
-        it, the complement of its ``up`` word.  The join of ``a`` and ``b``
-        is the id of ``keys[a] | keys[b]``, when that is a key.  Built once,
-        by the base, and shared with its views."""
+    def lattice_keys(self) -> tuple[list[int], dict[int, int]]:
+        """Per oriented id a key whose subset order is the order, and each
+        key's id, the least for a repeated key: a ground system's
+        ``SideRealization.keys``, any other's ids not above it, the
+        complement of its ``up`` word.  The join of ``a`` and ``b`` is the
+        id of ``keys[a] | keys[b]``, when that is a key.  Built once, by
+        the base, and shared with its views."""
         base = self.base
         if base._keys is None:
-            keys, width = base.ground.keys() if base.ground is not None else \
-                ([base.live & ~w for w in base.up], base.n_oriented)
-            base._keys = keys, width, dict(
+            keys = base.ground.keys()[0] if base.ground is not None else \
+                [base.live & ~w for w in base.up]
+            base._keys = keys, dict(
                 zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         return base._keys
-
-    @property
-    def join(self) -> Table | None:
-        """The join as a (2n, 2n) table, or None without a lattice: the id
-        of the union of two keys, -1 where that is no key."""
-        if not self._lattice:
-            return None
-        keys, _, ids = self.lattice_keys()
-        get = ids.get
-        return Table(lambda a, b: get(keys[a] | keys[b], -1),
-                     lambda a: [get(keys[a] | key, -1) for key in keys],
-                     self.n_oriented)
-
-    @property
-    def meet(self) -> Table | None:
-        """The meet as a (2n, 2n) table, or None without a lattice: the
-        involution reverses the order, so (r v s)* = r* ^ s*.  A missing
-        join, -1, is read at -1 ^ 1 = -2 as a missing meet."""
-        join, canon = self.join, self._canon + (-1, -1)
-        if join is None:
-            return None
-
-        def row(a):
-            mirror = join.row(a ^ 1)
-            return [canon[mirror[b ^ 1] ^ 1] for b in range(len(mirror))]
-
-        return Table(lambda a, b: canon[join.cell(a ^ 1, b ^ 1) ^ 1], row,
-                     self.n_oriented)
 
     def order(self, s: int) -> float:
         return self.orders[s]
@@ -436,25 +393,29 @@ class SeparationSystem:
     def _induced(self, sep_ids, idx) -> dict:
         """The constructor's arguments for the system induced on the
         separations ``sep_ids``, of oriented ids ``idx``: a ground system's
-        order comes from its sides, any other's is gathered from the words.
-        A lattice stays one when it keeps the join of any two kept ids, that
-        is when their keys stay closed under union."""
+        order comes from its sides, any other's is gathered from the words,
+        or is its own ``leq`` when ``idx`` is every id in order.  A lattice
+        stays one when it keeps the join of any two kept ids, that is when
+        their keys stay closed under union."""
         out = {"orders": [self.orders[s] for s in sep_ids],
-               "allow_degenerate": any(map(self.is_degenerate, sep_ids))}
+               "allow_degenerate": any(map(self.is_degenerate, sep_ids)),
+               "ground": None, "leq": None}
         if self.ground is not None:
-            out["leq"] = None
-            out["ground"] = ground = replace(
+            out["ground"] = replace(
                 self.ground, sides=tuple(self.ground.sides[o] for o in idx))
+        elif idx == list(range(self.n_oriented)):
+            out["leq"] = self.leq
         else:
             out["leq"] = Order.of_rows([[self.up[a] >> b & 1 for b in idx]
                                         for a in idx])
         lattice = self.has_universe()
         if lattice and len(sep_ids) < self.count:  # all: the same keys
             if self.ground is not None:
-                lattice = ground.closed()
+                lattice = out["ground"].closed()
             else:
-                keys, width, _ = self.lattice_keys()
-                lattice = _union_closed([keys[o] for o in idx], width)
+                keys = self.lattice_keys()[0]
+                lattice = _union_closed([keys[o] for o in idx], out["leq"].up,
+                                        out["leq"].down)
         out["lattice"], out["distributive"] = lattice, self.distributive and lattice
         return out
 
@@ -561,19 +522,14 @@ def _validate_order(system, rep):
 
     # b* <= a* puts b in the mirror of down[a*]: its bit pairs swapped
     even = system._even
-    wrong = _first_difference(up, [(w & even) << 1 | w >> 1 & even
-                                   for w in (down[a ^ 1] for a in range(n2))])
+    mirror = ((w & even) << 1 | w >> 1 & even
+              for w in (down[a ^ 1] for a in range(n2)))
+    wrong = next(((a, ((x ^ y) & -(x ^ y)).bit_length() - 1)
+                  for a, (x, y) in enumerate(zip(up, mirror)) if x != y), None)
     if wrong:
         rep.add("involution", "a <= b disagrees with b* <= a* at "
                 f"({fmt_oriented(wrong[0])}, {fmt_oriented(wrong[1])})")
     rep.checked["involution"] = "exhaustive"
-
-
-def _first_difference(words, others) -> tuple[int, int] | None:
-    """The first ``(a, b)``, row by row, where bit ``b`` of ``words[a]``
-    and of ``others[a]`` differ, or None."""
-    return next(((a, ((x ^ y) & -(x ^ y)).bit_length() - 1)
-                 for a, (x, y) in enumerate(zip(words, others)) if x != y), None)
 
 
 def _validate_ground(system, rep):
@@ -583,7 +539,7 @@ def _validate_ground(system, rep):
     reverses it."""
     for fault in system.ground.faults(system.orders):
         rep.add("ground", fault)
-    keys, _, ids = system.lattice_keys()
+    keys, ids = system.lattice_keys()
     for o, key in enumerate(keys):
         p = ids[key]
         if p == o ^ 1 and not system.allow_degenerate:
@@ -604,14 +560,14 @@ def _validate_lattice(system, rep):
     checked by Birkhoff's criterion, in the one pass over pairs that also
     names a pair with no join; without that pass, ``_union_closed``
     decides, and a pair is sought only when it fails."""
-    keys, width, ids = system.lattice_keys()
+    keys, ids = system.lattice_keys()
     rep.checked["universe"] = "exhaustive"
     if system.distributive:
         rep.checked["distributivity"] = \
             "skipped: not a lattice" if rep.issues else "exhaustive"
     birkhoff = system.ground is None and \
         rep.checked.get("distributivity") == "exhaustive"
-    if not birkhoff and _union_closed(keys, width):
+    if not birkhoff and _union_closed(keys, system.up, system.down):
         return
     # a finite lattice is distributive iff each join-irreducible j is
     # join-prime: j below x v y lies below x or below y.  j is
@@ -643,79 +599,83 @@ def _validate_lattice(system, rep):
                 f"join(meet({a}, {b}), meet({a}, {c}))")
 
 
-def _union_closed(keys: list[int], width: int) -> bool:
-    """Whether every union of two ``width``-bit keys is again a key.  Where
-    there are more pairs of keys than points in the cube of 2^width, one
-    pass over the cube decides, bit ``x`` of a word for the point ``x``: a
-    point is the union of the keys within it when each of its bits ``p``
-    is in one of them, that is when it lies above a key with bit ``p``, and
-    the keys are closed exactly when every such point but the empty one is
-    a key.  Elsewhere every pair is tried."""
-    present, size = set(keys), 1 << width
-    if size > len(present) ** 2:
-        return all(a | b in present for a in present for b in present)
-    has = []  # the points with bit p: alternate runs of 2^p points
-    for p in range(width):
-        word, span = ((1 << (1 << p)) - 1) << (1 << p), 2 << p
-        while span < size:
-            word, span = word | word << span, 2 * span
-        has.append(word)
-    points = mask_of(present)
-    unions = (1 << size) - 1
-    for p in range(width):
-        above = points & has[p]
-        for j in range(width):  # each point passes itself on to x + 2^j
-            above |= (above & ~has[j]) << (1 << j)
-        unions &= above | ~has[p]
-    return not unions & ~points & ~1
+def _union_closed(keys: list[int], up, down) -> bool:
+    """Whether every union of two keys is again a key, given ``up`` and
+    ``down``, the words of the keys' subset order.  A key right above two
+    keys x and y is x | y when that is a key, and then, by induction on
+    the keys below, has its union with every key when x and y have.  So
+    the keys are closed exactly when each key with at most one key right
+    below it has its union with every key; one that compares with every
+    key has."""
+    present, downs, every = set(keys), set(down), (1 << len(keys)) - 1
+    for j, key in enumerate(keys):
+        below = down[j] & ~up[j]
+        if (not below or below in downs) and up[j] | down[j] != every and \
+                any(key | k not in present for k in present):
+            return False
+    return True
 
 
-# -- JSON (formats "sepsys/v1" and "sepsys/v2") ---------------------------------
+# -- JSON (format "sepsys/v2"; "sepsys/v1" read) ------------------------------
+
+# the fields refused in a sepsys/v1 object, and what sepsys/v2 has instead
+_V1_REFUSED = {
+    "universe": "'universe' tables are no longer read: write the system as "
+                "sepsys/v2, with \"lattice\": true in their place",
+    "ground": "'ground' is no longer read: write the system as sepsys/v2, "
+              "whose 'ground' holds the side of every oriented id",
+    "lattice": "has no field 'lattice': write the system as sepsys/v2 to "
+               "claim a lattice",
+}
 
 
 def to_json_dict(system: SeparationSystem) -> dict:
-    """Canonical JSON form, keys sorted on dump: ``sepsys/v2`` (orders and
-    the ground's sides) for a system with a ground, ``sepsys/v1`` (orders,
-    the strict order pairs and a lattice's tables) for any other.  A view
-    is written as the system it stands for, in its local ids."""
-    if system.ground is not None:
-        seps = list(system.seps())
-        d = system._induced(seps, [o for s in seps for o in (2 * s, 2 * s + 1)])
-        out = {"format": "sepsys/v2", "count": len(seps),
-               "orders": d["orders"], "ground": d["ground"].to_json_dict()}
-        if d["lattice"]:
-            out["lattice"], out["distributive"] = True, d["distributive"]
-        if d["allow_degenerate"]:
-            out["allow_degenerate"] = True
-        return out
-    if system.base is not system:
-        system = system.subsystem(system.seps())
-    out = {"format": "sepsys/v1", "count": system.count,
-           "orders": list(system.orders),
-           "leq": [[a, b] for a, word in enumerate(system.up)  # ascending pairs
-                   for b in ids_of(word & ~(1 << a))]}
-    if system.has_universe():
-        out["universe"] = {"join": list(system.join), "meet": list(system.meet)}
-        out["distributive"] = system.distributive
-    if system.allow_degenerate:
+    """Canonical ``sepsys/v2`` form, keys sorted on dump: ``count``,
+    ``orders``, and a ground's sides as ``ground`` or any other order's
+    strict pairs as ``leq``; ``lattice`` and ``distributive`` for a
+    lattice, and ``allow_degenerate`` when a separation is degenerate.  A
+    view is written as the system it stands for, in its local ids."""
+    seps = list(system.seps())
+    d = system._induced(seps, [o for s in seps for o in (2 * s, 2 * s + 1)])
+    out = {"format": "sepsys/v2", "count": len(seps), "orders": d["orders"]}
+    if d["ground"] is not None:
+        out["ground"] = d["ground"].to_json_dict()
+    else:
+        out["leq"] = [[a, b] for a, word in enumerate(d["leq"].up)  # ascending
+                      for b in ids_of(word & ~(1 << a))]
+    if d["lattice"]:
+        out["lattice"], out["distributive"] = True, d["distributive"]
+    if d["allow_degenerate"]:
         out["allow_degenerate"] = True
     return out
 
 
 def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
-    """Load a sepsys/v1 or sepsys/v2 object.
+    """Load a sepsys/v2 object, or a sepsys/v1 object without a lattice or
+    a ground.
 
-    A sepsys/v2 object is rebuilt from its ground, by the code that builds
-    ground systems: its order is the sides' subset order, and ``lattice``
-    claims their closure under union.  A sepsys/v1 object lists its order,
-    which must already be transitively closed, and a lattice's ``join`` and
-    ``meet``, which must be the order's join and its mirror; a ground it
-    holds must realize the order.  More than ``MAX_SEPARATIONS``
-    separations raise BudgetExceeded before the order words are built.
+    A sepsys/v2 object holds exactly one of ``ground`` and ``leq``.  A
+    ground system is rebuilt by the code that builds ground systems: its
+    order is the sides' subset order.  Any other lists its strict order
+    pairs as ``leq``, which must already be transitively closed.
+    ``lattice`` claims a lattice, checked on keys.  A sepsys/v1 object is
+    read as ``count``, ``orders`` and ``leq``; its ``universe`` tables and
+    ``ground`` are refused by name, as is a ``lattice``, which only
+    sepsys/v2 has.  More than ``MAX_SEPARATIONS`` separations raise
+    BudgetExceeded before the order words are built.
     """
     fmt = expect_object(d, "sepsys system").get("format", "sepsys/v1")
     if fmt not in ("sepsys/v1", "sepsys/v2"):
         raise ValidationError(f"unsupported system format {fmt!r}")
+    if fmt == "sepsys/v1":
+        for f, refusal in _V1_REFUSED.items():
+            if f in d:
+                raise ValidationError(f"sepsys/v1 {refusal}")
+    elif ("ground" in d) == ("leq" in d):
+        raise ValidationError(
+            "sepsys/v2 system holds both 'ground' and 'leq': give exactly one"
+            if "ground" in d else
+            "sepsys/v2 system lacks the field 'ground' or 'leq'")
     try:
         count, orders = d["count"], d["orders"]
         if type(count) is not int or any(type(x) not in (int, float)
@@ -733,23 +693,21 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
     if count > MAX_SEPARATIONS:
         raise BudgetExceeded(f"{fmt} system has {count} separations, over "
                              f"the limit of {MAX_SEPARATIONS}")
-    flags = {f: d.get(f, False) for f in ("distributive", "allow_degenerate")
-             + (("lattice",) if fmt == "sepsys/v2" else ())}
+    flags = {f: d.get(f, False)
+             for f in ("lattice", "distributive", "allow_degenerate")}
     for f, value in flags.items():
         if type(value) is not bool:
             raise ValidationError(f"{fmt} {f!r} must be true or false, "
                                   f"got {value!r}")
-    from . import grounds
-    if fmt == "sepsys/v2":
-        if "ground" not in d:
-            raise ValidationError("sepsys/v2 system lacks the field 'ground'")
-        ground = grounds.realization_from_json(d["ground"], orders)
+    if "ground" in d:
+        from .grounds import realization_from_json
+        ground = realization_from_json(d["ground"], orders)
         return SeparationSystem(None, orders, ground=ground, check=check,
                                 **flags)
     up, down = [1 << o for o in range(n2)], [1 << o for o in range(n2)]
     pairs = d.get("leq", [])
     if not isinstance(pairs, list):
-        raise ValidationError("sepsys/v1 'leq' must be a list of pairs")
+        raise ValidationError(f"{fmt} 'leq' must be a list of pairs")
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValidationError(f"leq pair {pair} must have two entries")
@@ -760,41 +718,8 @@ def from_json_dict(d: dict, *, check: bool = True) -> SeparationSystem:
             raise ValidationError(f"leq pair {pair} out of range")
         up[a] |= 1 << b
         down[b] |= 1 << a
-    leq = Order(tuple(up), tuple(down))
-    join = meet = None
-    if "universe" in d:
-        universe = expect_object(d["universe"], "sepsys/v1 universe")
-        try:
-            join, meet = (universe[f] for f in ("join", "meet"))
-            if any(type(v) is not int for row in join + meet for v in row):
-                raise TypeError("an entry is not an integer")
-            if any(len(set(map(len, t))) > 1 for t in (join, meet)):
-                raise ValueError("rows of unequal length")
-        except KeyError as exc:
-            raise ValidationError(
-                f"sepsys/v1 universe lacks the field {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError("sepsys/v1 universe 'join' and 'meet' must "
-                                  f"be integer tables: {exc}") from None
-        for f, t in (("join", join), ("meet", meet)):
-            if len(t) != n2 or any(len(row) != n2 or not all(0 <= v < n2 for v in row)
-                                   for row in t):
-                raise ValidationError(f"sepsys/v1 universe {f!r} must be a "
-                                      f"({n2},{n2}) table of ids below {n2}")
-    ground = None
-    if "ground" in d:  # sides found to realize leq give the order
-        ground, leq = grounds.realization_from_json(d["ground"], orders, leq), None
-    system = SeparationSystem(leq, orders, lattice=join is not None,
-                              ground=ground, check=check, **flags)
-    canon = system._canon
-    checks = ((join, system.join, "'join' is not the order's join"),
-              (meet, system.meet, "'meet' is not the mirror of 'join'"))
-    for given, table, fault in checks:
-        # compared as canonical ids: the derived tables hold no odd alias
-        if given is not None and any([canon[v] for v in row] != table.row(a)
-                                     for a, row in enumerate(given)):
-            raise ValidationError(f"sepsys/v1 universe {fault}")
-    return system
+    return SeparationSystem(Order(tuple(up), tuple(down)), orders,
+                            check=check, **flags)
 
 
 def dump_system(system: SeparationSystem) -> str:

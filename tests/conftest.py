@@ -232,15 +232,62 @@ def side_pair(ground, o):
     return ground.side(o ^ 1), ground.side(o)
 
 
+# -- reference joins, by loops over the order ------------------------------------
+
+
+def looped_joins(leq):
+    """The join and the meet tables of a poset given as a (2n, 2n) matrix of
+    truth values, as lists of rows: for two ids the least id among their
+    common upper bounds that lie below every common upper bound, and the
+    least id among their common lower bounds that lie above every common
+    lower bound; -1 where there is none.  Read off the matrix alone, apart
+    from the library's keys: by transitivity all that lies above a common
+    upper bound c is a common upper bound, so c is the least exactly when
+    as many ids lie above it as bound the pair (and dually for the meet)."""
+    L = np.array(leq, dtype=bool).reshape(len(leq), len(leq))
+    tables = []
+    for beyond in (L, L.T):  # upper bounds, then lower bounds
+        counts = beyond.sum(axis=1)
+        table = []
+        for row in beyond:
+            common = row[None, :] & beyond  # [b, c]: c bounds a and b
+            best = common & (counts[None, :] == common.sum(axis=1)[:, None])
+            table.append(np.where(best.any(axis=1), best.argmax(axis=1),
+                                  -1).tolist())
+        tables.append(table)
+    return tables
+
+
+def order_matrix(d):
+    """The (2n, 2n) truth matrix of a sepsys object's ``count`` and strict
+    ``leq`` pairs."""
+    leq = np.eye(2 * d["count"], dtype=bool)
+    for a, b in d.get("leq", []):
+        leq[a, b] = True
+    return leq
+
+
 # -- sepsys/v2 expanded into sepsys/v1 --------------------------------------------
 
 
 def expand_sepsys_v2(d):
-    """The sepsys/v1 dict of a sepsys/v2 dict, worked out from its sides
-    alone: a key per oriented id (a set's side, and (V - A, B) for a graph
-    separation (A, B)), the strict subset order of the keys as ``leq``, and
-    for a lattice the ids of the keys' unions and intersections as ``join``
-    and ``meet``, the least id for a repeated key."""
+    """The sepsys/v1 dict of a sepsys/v2 dict, the format with tables that
+    was written before, worked out by the tests alone.  Of a ground: a key
+    per oriented id (a set's side, and (V - A, B) for a graph separation
+    (A, B)), the strict subset order of the keys as ``leq``, and for a
+    lattice the ids of the keys' unions and intersections as ``join`` and
+    ``meet``, the least id for a repeated key.  Of an order: its ``leq``,
+    and for a lattice ``looped_joins`` of it."""
+    if "ground" not in d:
+        out = {"format": "sepsys/v1", "count": d["count"],
+               "orders": d["orders"], "leq": d["leq"]}
+        if d.get("lattice"):
+            join, meet = looped_joins(order_matrix(d))
+            out["universe"] = {"join": join, "meet": meet}
+            out["distributive"] = d["distributive"]
+        if d.get("allow_degenerate"):
+            out["allow_degenerate"] = True
+        return out
     ground = d["ground"]
     sides = [frozenset(side) for side in ground["sides"]]
     forward = range(0, len(sides), 2)
@@ -283,17 +330,17 @@ def expand_systems(value):
 
 
 def v1_of(system):
-    """The sepsys/v1 dict of a whole system, read off its ``leq``, ``join``
-    and ``meet``: what the sepsys/v1 writer wrote of a system with a
-    ground."""
+    """The sepsys/v1 dict of a whole system, read off its ``leq`` and, for
+    a lattice, ``looped_joins`` of it: what the sepsys/v1 writer wrote of
+    a system, with a ground in the per-separation layout of that format."""
     ground, n2 = system.ground, system.n_oriented
     out = {"format": "sepsys/v1", "count": system.count,
            "orders": list(system.orders),
            "leq": np.argwhere(np.array(system.leq, dtype=bool)
                               & ~np.eye(n2, dtype=bool)).tolist()}
     if system.has_universe():
-        out["universe"] = {"join": np.array(system.join).tolist(),
-                           "meet": np.array(system.meet).tolist()}
+        join, meet = looped_joins(system.leq)
+        out["universe"] = {"join": join, "meet": meet}
         out["distributive"] = system.distributive
     if system.allow_degenerate:
         out["allow_degenerate"] = True
@@ -453,14 +500,13 @@ def two_cluster_similarity():
 def submodular_subsystems(universe, max_size):
     """Subsystems in which every pair keeps its join or meet, parent-linked."""
     out = []
-    seps, join, meet = list(universe.seps()), universe.join, universe.meet
+    seps, (join, meet) = list(universe.seps()), looped_joins(universe.leq)
     for bits in range(1, 2 ** len(seps)):
         ids = [s for i, s in enumerate(seps) if (bits >> i) & 1]
         if len(ids) > max_size:
             continue
         keep = {o for s in ids for o in (2 * s, 2 * s + 1)}
-        good = all(int(join[a, b]) in keep or
-                   int(meet[a, b]) in keep
+        good = all(join[a][b] in keep or meet[a][b] in keep
                    for a in keep for b in keep)
         if good:
             out.append(universe.subsystem(ids))

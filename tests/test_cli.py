@@ -304,18 +304,32 @@ SIX = str(FIXTURES / "six_similarity.csv")
 UNREAD_K = ("{} reads --k only as the order bound of a --graph ground "
             "without a blocks family")
 
-# sepsys/v1 systems with a nested payload each: the 2-point full bipartition
-# universe with its sets ground, and one vertex separation of the path 0-1-2
-SETS = {"format": "sepsys/v1", "count": 2, "orders": [0.0, 1.0],
-        "leq": [[0, 1], [0, 2], [0, 3], [2, 1], [3, 1]],
-        "universe": {"join": [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 2, 1],
-                              [3, 1, 1, 3]],
-                     "meet": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0],
-                              [0, 3, 0, 3]]},
-        "ground": {"kind": "sets", "size": 2, "sides": [[], [0]]}}
-GRAPH = {"format": "sepsys/v1", "count": 1, "orders": [1.0], "leq": [],
+# sepsys/v2 systems with a nested payload each: the 2-point full bipartition
+# universe with its sets ground (ids 0..3 the sides {}, {0, 1}, {0}, {1}),
+# one vertex separation of the path 0-1-2, and the universe's order alone
+SETS = {"format": "sepsys/v2", "count": 2, "orders": [0.0, 1.0],
+        "lattice": True, "distributive": True,
+        "ground": {"kind": "sets", "size": 2, "sides": [[], [0, 1], [0], [1]]}}
+GRAPH = {"format": "sepsys/v2", "count": 1, "orders": [1.0],
          "ground": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]],
-                    "sides": [[[0, 1], [1, 2]]]}}
+                    "sides": [[1, 2], [0, 1]]}}
+ORDER = {"format": "sepsys/v2", "count": 2, "orders": [0.0, 1.0],
+         "leq": [[0, 1], [0, 2], [0, 3], [2, 1], [3, 1]],
+         "lattice": True, "distributive": True}
+# ... and the universe and the path as sepsys/v1 wrote them: the order with
+# the join and meet tables, and the path's ground as one side pair [A, B]
+TABLES = {"format": "sepsys/v1", "count": 2, "orders": [0.0, 1.0],
+          "leq": ORDER["leq"], "distributive": True,
+          "universe": {"join": [[0, 1, 2, 3], [1, 1, 1, 1], [2, 1, 2, 1],
+                                [3, 1, 1, 3]],
+                       "meet": [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 2, 0],
+                                [0, 3, 0, 3]]}}
+GRAPH_V1 = {"format": "sepsys/v1", "count": 1, "orders": [1.0], "leq": [],
+            "ground": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]],
+                       "sides": [[[0, 1], [1, 2]]]}}
+V1_UNIVERSE = ("sepsys/v1 'universe' tables are no longer read: write the "
+               "system as sepsys/v2, with \"lattice\": true in their place")
+V1_GROUND = "sepsys/v1 'ground' is no longer read"
 
 
 def edited(base, part, **fields):
@@ -386,14 +400,27 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                  "line 2", id="edge-list-token-not-an-integer"),
     pytest.param(["build", "--graph", "{path}"], "bad.edges", "0 1\nabc\n",
                  "line 2", id="edge-list-vertex-count-not-an-integer"),
-    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, universe={}),
-                 "universe lacks the field 'join'", id="universe-without-join"),
+    # a sepsys/v1 'universe' is refused by its field, whatever its tables
+    pytest.param(SETS_BUILD, "sys.json", edited(TABLES, None, universe={}),
+                 V1_UNIVERSE, id="universe-without-join"),
     pytest.param(SETS_BUILD, "sys.json",
-                 edited(SETS, "universe", join=[[0, 1], [1]]),
-                 "'join' and 'meet' must be integer tables", id="join-ragged"),
-    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "universe", join="x"),
-                 "'join' and 'meet' must be integer tables",
-                 id="join-not-a-table"),
+                 edited(TABLES, "universe", join=[[0, 1], [1]]),
+                 V1_UNIVERSE, id="join-ragged"),
+    pytest.param(SETS_BUILD, "sys.json", edited(TABLES, "universe", join="x"),
+                 V1_UNIVERSE, id="join-not-a-table"),
+    pytest.param(SETS_BUILD, "sys.json", json.dumps(TABLES), V1_UNIVERSE,
+                 id="v1-universe"),
+    pytest.param(GRAPH_BUILD, "sys.json", json.dumps(GRAPH_V1), V1_GROUND,
+                 id="v1-ground"),
+    pytest.param(SETS_BUILD, "sys.json",
+                 edited(TABLES, None, universe=None, lattice=True),
+                 "sepsys/v1 has no field 'lattice'", id="v1-lattice"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, leq=ORDER["leq"]),
+                 "sepsys/v2 system holds both 'ground' and 'leq'",
+                 id="v2-ground-and-leq"),
+    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, ground=None),
+                 "sepsys/v2 system lacks the field 'ground' or 'leq'",
+                 id="v2-neither-ground-nor-leq"),
     pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", size=None),
                  "sets ground lacks the field 'size'",
                  id="sets-ground-without-size"),
@@ -401,14 +428,15 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                  "graph ground lacks the field 'edges'",
                  id="graph-ground-without-edges"),
     pytest.param(SETS_BUILD, "sys.json",
-                 edited(SETS, "ground", sides=[[], ["a"]]),
+                 edited(SETS, "ground", sides=[[], ["a"], [0], [1]]),
                  "side ['a'] must list points", id="side-point-not-an-integer"),
     pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", sides=[[]]),
-                 "has 1 sides for 2 separations", id="one-side-for-two"),
-    pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", sides=[[], [5]]),
+                 "has 1 sides for 4 oriented ids", id="one-side-for-two"),
+    pytest.param(SETS_BUILD, "sys.json",
+                 edited(SETS, "ground", sides=[[], [5], [0], [1]]),
                  "side [5] must list points of 0..1",
                  id="side-point-outside-the-ground"),
-    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, leq=5),
+    pytest.param(SETS_BUILD, "sys.json", edited(ORDER, None, leq=5),
                  "'leq' must be a list", id="leq-not-a-list"),
     pytest.param(GRAPH_BUILD, "sys.json",
                  edited(GRAPH, "ground", edges=[[0, 1.5]]),
@@ -428,9 +456,9 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                  None, None, "--k must be a number, got 'NaN'",
                  id="certify-k-nan"),
     pytest.param(SETS_BUILD, "sys.json",
-                 edited(SETS, "universe", join=[[0, 1, 2, 3], [1, 1, 1, 1],
-                                                [2, 1, 2, 1], [3, 1, 1, 1e30]]),
-                 "'join' and 'meet' must be integer tables", id="join-beyond-int64"),
+                 edited(TABLES, "universe", join=[[0, 1, 2, 3], [1, 1, 1, 1],
+                                                  [2, 1, 2, 1], [3, 1, 1, 1e30]]),
+                 V1_UNIVERSE, id="join-beyond-int64"),
     pytest.param(SETS_BUILD, "sys.json", edited(SETS, "ground", size=1e30),
                  "ground of size 1000000000000000019884624838656 (at most 65536)",
                  id="ground-size-beyond-the-limit"),
@@ -478,19 +506,18 @@ DETACHED_CYCLE = (*SPLIT, (2, 0, 1), (3, 4, 0), (4, 3, 1))
                  id="budget-negative"),
     # numbers that are not JSON integers are refused, not truncated
     pytest.param(SETS_BUILD, "sys.json",
-                 edited(SETS, "universe", join=[[0.5, 1, 2, 3], *SETS["universe"]
-                                                ["join"][1:]]),
-                 "'join' and 'meet' must be integer tables", id="join-entry-0.5"),
+                 edited(TABLES, "universe", join=[[0.5, 1, 2, 3], *TABLES[
+                     "universe"]["join"][1:]]),
+                 V1_UNIVERSE, id="join-entry-0.5"),
     pytest.param(SETS_BUILD, "sys.json",
-                 edited(SETS, "universe", meet=[["0", 0, 0, 0], *SETS["universe"]
-                                                ["meet"][1:]]),
-                 "'join' and 'meet' must be integer tables",
-                 id="meet-entry-a-string"),
+                 edited(TABLES, "universe", meet=[["0", 0, 0, 0], *TABLES[
+                     "universe"]["meet"][1:]]),
+                 V1_UNIVERSE, id="meet-entry-a-string"),
     pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, count=2.5),
                  "'count' must be an integer", id="count-2.5"),
     pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, orders=[0.0, "1"]),
                  "'orders' a list of numbers", id="order-a-string"),
-    pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, leq=[[0.25, "1"]]),
+    pytest.param(SETS_BUILD, "sys.json", edited(ORDER, None, leq=[[0.25, "1"]]),
                  "leq pair [0.25, '1'] must hold integers",
                  id="leq-pair-of-non-integers"),
     pytest.param(SETS_BUILD, "sys.json", edited(SETS, None, distributive="false"),
@@ -589,24 +616,29 @@ def test_bad_inputs_exit_2_with_a_named_cause(argv, name, text, cause,
 
 
 @pytest.mark.parametrize("text, cause", [
-    pytest.param(edited(SETS, "ground", sides=[[], ["a"]]),
+    pytest.param(edited(SETS, "ground", sides=[[], ["a"], [0], [1]]),
                  "side ['a'] must list points", id="side-point-not-an-integer"),
-    pytest.param(edited(SETS, None, universe={}),
-                 "universe lacks the field 'join'", id="universe-without-join"),
-    pytest.param(edited(SETS, "universe", meet=[[1e30] * 4] * 4),
-                 "'join' and 'meet' must be integer tables",
-                 id="meet-beyond-int64"),
-    pytest.param(edited(SETS, "universe", meet=[[0, 0, 0, 0]] * 3),
-                 "universe 'meet' must be a (4,4) table of ids below 4",
-                 id="meet-of-three-rows"),
-    pytest.param(edited(SETS, "universe", join=[[0, 1, 2, 4], *SETS["universe"]
-                                                ["join"][1:]]),
-                 "universe 'join' must be a (4,4) table of ids below 4",
-                 id="join-entry-out-of-range"),
-    pytest.param(edited(SETS, "universe", meet=[[0, 0, 0, 0], [0, 1, 2, 3],
-                                                [0, 2, 2, 0], [0, 3, 3, 3]]),
-                 "universe 'meet' is not the mirror of 'join'",
-                 id="meet-not-the-mirror-of-join"),
+    # a sepsys/v1 'universe' is refused by its field, whatever its tables
+    pytest.param(edited(TABLES, None, universe={}), V1_UNIVERSE,
+                 id="universe-without-join"),
+    pytest.param(edited(TABLES, "universe", meet=[[1e30] * 4] * 4),
+                 V1_UNIVERSE, id="meet-beyond-int64"),
+    pytest.param(edited(TABLES, "universe", meet=[[0, 0, 0, 0]] * 3),
+                 V1_UNIVERSE, id="meet-of-three-rows"),
+    pytest.param(edited(TABLES, "universe", join=[[0, 1, 2, 4], *TABLES[
+        "universe"]["join"][1:]]), V1_UNIVERSE, id="join-entry-out-of-range"),
+    pytest.param(edited(TABLES, "universe", meet=[[0, 0, 0, 0], [0, 1, 2, 3],
+                                                  [0, 2, 2, 0], [0, 3, 3, 3]]),
+                 V1_UNIVERSE, id="meet-not-the-mirror-of-join"),
+    pytest.param(json.dumps(GRAPH_V1), V1_GROUND, id="v1-ground"),
+    pytest.param(edited(TABLES, None, universe=None, lattice=True),
+                 "sepsys/v1 has no field 'lattice'", id="v1-lattice"),
+    pytest.param(edited(SETS, None, leq=ORDER["leq"]),
+                 "sepsys/v2 system holds both 'ground' and 'leq'",
+                 id="v2-ground-and-leq"),
+    pytest.param(edited(SETS, None, ground=None),
+                 "sepsys/v2 system lacks the field 'ground' or 'leq'",
+                 id="v2-neither-ground-nor-leq"),
     pytest.param(json.dumps(OVER_THE_SEPARATION_LIMIT),
                  "4097 separations, over the limit of 4096",
                  id="over-the-separation-limit"),
@@ -619,13 +651,29 @@ def test_validate_reports_a_malformed_payload(text, cause, tmp_path):
     assert cause in json.loads(out)["issues"][0]
 
 
-@pytest.mark.parametrize("base, argv", [(SETS, SETS_BUILD),
-                                        (GRAPH, GRAPH_BUILD)])
+@pytest.mark.parametrize("base, argv", [
+    (SETS, SETS_BUILD), (GRAPH, GRAPH_BUILD),
+    (ORDER, ["build", "--system", "{path}", "--family", "strong-profile"])])
 def test_the_unedited_payloads_build(base, argv, tmp_path):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(base))
     assert main([str(path) if a == "{path}" else a for a in argv]
                 + ["--out", str(tmp_path / "out.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["reduce", "restrict", "export-dot"])
+def test_a_tree_over_a_v1_universe_exits_2_naming_the_field(command, tmp_path,
+                                                            capsys):
+    # a tree/v1 file whose system_ref is a sepsys/v1 table lattice, as such
+    # files were written before
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({**json.loads(tree_text()),
+                                "system_ref": TABLES}))
+    extra = {"reduce": ["--family", "strong-profile"], "restrict": ["--k", "1"],
+             "export-dot": []}[command]
+    assert main([command, "--tree", str(path), *extra,
+                 "--out", str(tmp_path / "out.json")]) == 2
+    assert V1_UNIVERSE in capsys.readouterr().err
 
 
 # -- the flags each command reads --------------------------------------------------

@@ -10,16 +10,18 @@ reproducible and quick.
 import copy
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import tangleforge as tf
 from tangleforge import grounds
 from tangleforge.cli import main
-from tangleforge.errors import TangleForgeError
+from tangleforge.errors import TangleForgeError, ValidationError
 from tangleforge.families import family_from_json
 from tangleforge.oracle import vertex_separations_below
 from tangleforge.system import from_json_dict, mask_of, to_json_dict, validate
@@ -76,11 +78,23 @@ def _path_graph(n):
 
 GRAPH_SYSTEM = tf.graph_system(_path_graph(3), 2)
 SETS_SYSTEM = tf.bipartition_system(tf.full_bipartition_ground(2))
+# the 2-point universe's order, a lattice without a ground
+ORDER_SYSTEM = tf.SeparationSystem(SETS_SYSTEM.leq, SETS_SYSTEM.orders,
+                                   lattice=True, distributive=True)
 SYSTEMS = [GRAPH_SYSTEM, SETS_SYSTEM, tf.graph_universe(_path_graph(2))]
-# the systems as sepsys/v2, as they are written, and as the sepsys/v1 they
-# were written as before
-V2_DOCS = [to_json_dict(s) for s in SYSTEMS]
-SYSTEM_DOCS = V2_DOCS + [expand_sepsys_v2(d) for d in V2_DOCS]
+# the systems as sepsys/v2, as they are written; as the sepsys/v1 they were
+# written as before, with tables and grounds, which are refused; the order
+# as the sepsys/v1 that is still read; and that one with a 'lattice', and a
+# sepsys/v2 with both a ground and an order, which are refused
+V2_DOCS = [to_json_dict(s) for s in [*SYSTEMS, ORDER_SYSTEM]]
+V1_ORDER = {"format": "sepsys/v1", "count": 2, "orders": [0.0, 1.0],
+            "leq": V2_DOCS[-1]["leq"]}
+REFUSED_DOCS = {"universe": expand_sepsys_v2(V2_DOCS[-1]),
+                "ground": expand_sepsys_v2(V2_DOCS[0]),
+                "lattice": {**V1_ORDER, "lattice": True},
+                "'ground' and 'leq'": {**V2_DOCS[1], "leq": V1_ORDER["leq"]}}
+SYSTEM_DOCS = V2_DOCS + [expand_sepsys_v2(d) for d in V2_DOCS] + \
+    [V1_ORDER, *REFUSED_DOCS.values()]
 FAMILIES = [{"format": "family/v1", "kind": kind, "k": 2, "n": 1,
              "explicit_members": [[0], [1, 2]]}
             for kind in ("empty", "explicit", "blocks", "cluster", "profile",
@@ -131,6 +145,20 @@ def test_systems_load_or_are_rejected(doc):
     unchecked = _loads_or_rejects(lambda d: from_json_dict(d, check=False), doc)
     if unchecked is not None:
         validate(unchecked)
+
+
+def test_the_fuzzed_documents_hold_each_refusal():
+    # the unmutated documents the fuzz starts from: each refused one names
+    # its field, and the rest load
+    for field, doc in REFUSED_DOCS.items():
+        with pytest.raises(ValidationError, match=re.escape(field)):
+            from_json_dict(doc)
+    for doc in [*V2_DOCS, V1_ORDER]:
+        assert validate(from_json_dict(doc)).ok
+    missing = {k: v for k, v in V2_DOCS[-1].items() if k != "leq"}
+    with pytest.raises(ValidationError, match="lacks the field 'ground' or "
+                       "'leq'"):
+        from_json_dict(missing)
 
 
 @FUZZ

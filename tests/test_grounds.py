@@ -18,11 +18,11 @@ from tangleforge.errors import (BudgetExceeded, DuplicateQuestionWarning,
                                 ValidationError)
 from tangleforge.oracle import (OracleBudget, all_kblocks, all_tangles,
                                 vertex_separations_below)
-from tangleforge.system import (dump_system, ids_of, load_system, mask_of,
-                               validate)
+from tangleforge.system import dump_system, load_system, mask_of, validate
 
 from conftest import (FIXTURES, all_graphs_up_to_iso, expand_sepsys_v2,
-                      grid_graph, separation_sides, side_pair, v1_of)
+                      grid_graph, looped_joins, separation_sides, side_pair,
+                      v1_of)
 
 
 def test_k4_low_order_separations_all_have_a_full_side(k4):
@@ -53,10 +53,10 @@ def test_graph_universe_lattice_laws_and_submodularity():
         for g in all_graphs_up_to_iso(n):
             u = tf.graph_universe(g)
             assert validate(u).ok  # includes exhaustive lattice checking
-            join, meet = u.join, u.meet
+            join, meet = looped_joins(u.leq)
             for a in u.all_oriented():
                 for b in u.all_oriented():
-                    j, m = int(join[a, b]), int(meet[a, b])
+                    j, m = join[a][b], meet[a][b]
                     assert u.order_of(j) + u.order_of(m) <= \
                         u.order_of(a) + u.order_of(b) + 1e-9
 
@@ -93,9 +93,6 @@ def test_graph_systems_equal_their_universe_restricted_below_k(n):
             assert got.orders == want.orders
             assert list(got.leq) == list(want.leq)
             assert got.has_universe() == want.has_universe()
-            if got.has_universe():
-                assert list(got.join) == list(want.join)
-                assert list(got.meet) == list(want.meet)
             assert got.distributive == want.distributive
             assert got.ground == want.ground
             assert got.allow_degenerate == any(
@@ -143,20 +140,40 @@ def test_graph_separations_stop_at_the_limit():
     assert tf.graph_system(path, 3).count == 688
 
 
-def test_lattice_tables_up_to_six_vertices_and_for_universes(two_k4):
-    # the one order-0 separation of a path is closed under join and meet;
-    # graph systems attempt tables up to six vertices only
-    for n in (6, 7):
+def test_graph_systems_claim_a_lattice_whenever_their_sides_are_closed(two_k4):
+    # the one order-0 separation of a path is closed under join and meet,
+    # at any number of vertices
+    for n in (6, 7, 12):
         path = tf.Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
         assert tf.graph_system(path, 1).count == 1
-        assert tf.graph_system(path, 1).has_universe() == (n <= 6)
-    # eight vertices: the universe has tables, the same separations built as
-    # a graph system have none
+        assert tf.graph_system(path, 1).has_universe()
+    # eight vertices: the universe and the same separations built as a
+    # graph system are one system
     built, universe = tf.graph_system(two_k4, math.inf), tf.graph_universe(two_k4)
     assert universe.has_universe() and universe.distributive
-    assert not built.has_universe() and not built.distributive
+    assert built.has_universe() and built.distributive
     assert np.array_equal(built.leq, universe.leq)
     assert built.ground == universe.ground
+    # below 3, the sides of two_k4 are not closed under union
+    assert not tf.graph_system(two_k4, 3).has_universe()
+    # the 2,048 splits of 12 isolated vertices, a Boolean lattice of 2^12
+    # sides, of which only the single vertices are irreducible
+    edgeless = tf.graph_system(tf.Graph.from_edges(12, []), 1)
+    assert edgeless.count == 2048 and edgeless.has_universe()
+
+
+def test_a_graph_system_of_seven_vertices_admits_profiles():
+    # the 289 separations of the 7-vertex path are closed under union;
+    # built with or without a bound, the system admits the profile families
+    path7 = tf.Graph.from_edges(7, [(v, v + 1) for v in range(6)])
+    built, universe = tf.graph_system(path7, math.inf), tf.graph_universe(path7)
+    assert built.count == universe.count == 289
+    assert (built.has_universe(), built.distributive) == \
+        (universe.has_universe(), universe.distributive) == (True, True)
+    for system in (built, universe):
+        assert tf.make_profile(system).system is system
+        assert tf.make_strong_profile(system).system is system
+    assert dump_system(built) == dump_system(universe)
 
 
 @pytest.mark.parametrize("width", [12, 20, 70])
@@ -170,15 +187,15 @@ def test_subset_lattice_keys_of_every_width(width):
     ids = {}
     for i, key in enumerate(keys):
         ids.setdefault(key, i)
-    for a, x in enumerate(keys):
-        assert ids_of(up[a]) == [b for b, y in enumerate(keys) if x & ~y == 0]
+    assert up == subset_words(keys)[0]
     ground = tf.grounds.SideRealization(width, tuple(keys))
     system = tf.SeparationSystem(None, [0.0] * 9, ground=ground, check=False)
     assert ground.keys() == (keys, width)
-    assert system.lattice_keys() == (keys, width, ids)
-    assert ground.closed() is True
+    assert system.lattice_keys() == (keys, ids)
+    assert tf.grounds._union_closed(keys, *subset_words(keys)) is True
     # without the top key, unions leave the keys: not closed
-    assert tf.grounds._union_closed(keys[:-3], width) is False
+    assert tf.grounds._union_closed(keys[:-3], *subset_words(keys[:-3])) \
+        is False
 
 
 def test_ground_down_words_are_the_transposed_up_words(k4, p5):
@@ -199,19 +216,42 @@ def _closed_by_pairs(keys):
     return all(a | b in keys for a in keys for b in keys)
 
 
+def subset_words(keys):
+    """The words of the keys' subset order, ``up`` and ``down``, by loops
+    over every pair of keys."""
+    return tuple(tuple(mask_of(b for b, y in enumerate(keys) if inside(x, y))
+                       for x in keys)
+                 for inside in (lambda x, y: x & ~y == 0,
+                                lambda x, y: y & ~x == 0))
+
+
+def _closed_by_the_cube(keys, width):
+    """Closure decided over the cube of all 2^width points: a point is the
+    union of the keys within it when each of its bits is in one of them,
+    and the keys are closed exactly when every such point but the empty
+    one is a key."""
+    unions = {x for x in range(1, 1 << width)
+              if all(any(k & ~x == 0 and k >> p & 1 for k in keys)
+                     for p in range(width) if x >> p & 1)}
+    return unions <= set(keys)
+
+
 @pytest.mark.parametrize("width", range(5))
 def test_the_cube_pass_decides_closure_as_the_pairs_do(width):
     # every family of keys of at most three bits, and a seeded sample of
-    # those of four: families of more keys than the square root of the
-    # cube's points go through the cube pass, the others through pairs
+    # those of four, decided three ways: by every pair, by the cube of
+    # points, and by the library, which tries only the unions with a key
+    # that has at most one key right below it
     rng = random.Random(width)
     points = 1 << width
     families = range(1 << points) if width <= 3 else \
         [rng.getrandbits(points) for _ in range(400)]
     for bits in families:
-        keys = {x for x in range(points) if bits >> x & 1}
-        assert tf.grounds._union_closed(sorted(keys), width) is \
-            _closed_by_pairs(keys), sorted(keys)
+        keys = sorted(x for x in range(points) if bits >> x & 1)
+        closed = _closed_by_pairs(keys)
+        assert _closed_by_the_cube(keys, width) is closed, keys
+        assert tf.grounds._union_closed(keys, *subset_words(keys)) is \
+            closed, keys
 
 
 @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3)])
@@ -382,16 +422,20 @@ def test_questionnaire_grounds_round_trip_up_to_the_point_limit(tmp_path):
                  "--out", str(tmp_path / "out.json")]) == 2
 
 
-# -- sepsys/v1 grounds ------------------------------------------------------------
+# -- grounds that realize nothing ---------------------------------------------------
 
 # the path 0-1-2 with one separation of order 1, ({0, 1}, {1, 2}); and the
-# 2-point full bipartition universe, ids 0..3 the sides {}, {0, 1}, {0}, {1}
+# 2-point full bipartition universe, ids 0..3 the sides {}, {0, 1}, {0}, {1},
+# as sepsys/v1 held them: one side pair [A, B] or one forward side per
+# separation, and the order as 'leq'
 PATH = {"format": "sepsys/v1", "count": 1, "orders": [1.0], "leq": [],
         "ground": {"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2]],
                    "sides": [[[0, 1], [1, 2]]]}}
 SETS = {"format": "sepsys/v1", "count": 2, "orders": [0.0, 1.0],
         "leq": [[0, 1], [0, 2], [0, 3], [2, 1], [3, 1]],
         "ground": {"kind": "sets", "size": 2, "sides": [[], [0]]}}
+V1_GROUND = "sepsys/v1 'ground' is no longer read: write the system as " \
+    "sepsys/v2, whose 'ground' holds the side of every oriented id"
 
 
 def edited(base, **fields):
@@ -401,9 +445,16 @@ def edited(base, **fields):
 
 
 def path_sides(*pairs, orders=None, leq=()):
+    """The path's sepsys/v1 with the given side pairs, or with no ``leq``
+    its sepsys/v2: the sides B, A of each pair (A, B)."""
     ground = dict(PATH["ground"], sides=list(pairs))
-    return edited(PATH, count=len(pairs), orders=orders or [1.0] * len(pairs),
-                  leq=list(leq), ground=ground)
+    d = edited(PATH, count=len(pairs), orders=orders or [1.0] * len(pairs),
+               leq=list(leq), ground=ground)
+    if leq:
+        return d
+    del d["leq"]
+    ground["sides"] = [side for a, b in pairs for side in (b, a)]
+    return {**d, "format": "sepsys/v2", "ground": ground}
 
 
 @pytest.mark.parametrize("d, cause", [
@@ -415,15 +466,15 @@ def path_sides(*pairs, orders=None, leq=()):
                  id="edge-across"),
     pytest.param(path_sides([[0, 1], [1, 2]], orders=[2.0]), "separation 0 "
                  "(order 2) meets in 1 vertices", id="separator-not-the-order"),
-    pytest.param(path_sides([[0, 1], [1, 2]], [[0], [0, 1, 2]]),
-                 "graph ground sides put 0+ below 1+, unlike 'leq'",
+    # a sepsys/v1 ground, whose 'leq' was compared with its sides, is
+    # refused by its field, whatever its sides and order
+    pytest.param(edited(PATH, count=2, orders=[1.0, 1.0], sides=[
+        [[0, 1], [1, 2]], [[0], [0, 1, 2]]]), V1_GROUND,
                  id="graph-sides-ordered-unlike-leq"),
     pytest.param(path_sides([[0], [0, 1, 2]], [[0, 1], [1, 2]],
-                            leq=[[0, 3], [2, 1]]),
-                 "graph ground sides put 0+ not below 1-, unlike 'leq'",
+                            leq=[[0, 3], [2, 1]]), V1_GROUND,
                  id="graph-leq-unlike-the-sides"),
-    pytest.param(edited(SETS, leq=[[0, 1], [0, 3], [2, 1]]),
-                 "sets ground sides put 0+ below 1+, unlike 'leq'",
+    pytest.param(edited(SETS, leq=[[0, 1], [0, 3], [2, 1]]), V1_GROUND,
                  id="sets-sides-ordered-unlike-leq"),
 ])
 def test_ground_sides_that_realize_nothing_are_refused(d, cause, tmp_path,
@@ -554,23 +605,28 @@ def test_fixture_and_benchmark_grounds_round_trip():
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_the_expanded_v2_is_the_v1_of_the_tables(name):
-    # the sides alone give the sepsys/v1 written before from leq, join and
-    # meet; that sepsys/v1 loads as the same system.  Levels are written
-    # from views, and equal the v1 of the carved level.
+    # the sides, or the order, alone give the sepsys/v1 written before from
+    # leq, join and meet, and so does the system the sepsys/v2 loads as;
+    # that sepsys/v1 is refused by its first field that is no longer read.
+    # Levels are written from views, and equal the v1 of the carved level.
     system = SYSTEMS[name]
     d = tf.to_json_dict(system)
-    if system.ground is None:
-        assert d["format"] == "sepsys/v1" and d == v1_of(system)
-        return
     flags = {"lattice": system.has_universe(),
              "distributive": system.has_universe(),
              "allow_degenerate": system.allow_degenerate}
     assert d["format"] == "sepsys/v2"
-    assert sorted(d) == sorted(["format", "count", "orders", "ground",
+    assert sorted(d) == sorted(["format", "count", "orders",
+                                "leq" if system.ground is None else "ground",
                                 *(f for f, on in flags.items() if on)])
     v1 = expand_sepsys_v2(d)
-    assert v1 == v1_of(system)
-    assert dump_system(tf.from_json_dict(v1)) == dump_system(system)
+    assert v1 == v1_of(system) == v1_of(tf.from_json_dict(d))
+    refused = next((f for f in ("universe", "ground") if f in v1), None)
+    if refused:
+        with pytest.raises(ValidationError, match=f"sepsys/v1 '{refused}' "
+                           ".*no longer read"):
+            tf.from_json_dict(v1)
+    else:
+        assert dump_system(tf.from_json_dict(v1)) == dump_system(system)
     ks = sorted({system.order(s) for s in system.seps()})
     for k in ks[:2] + ks[-1:]:
         assert expand_sepsys_v2(tf.to_json_dict(system.view_below(k))) == \

@@ -168,10 +168,10 @@ def test_a_report_writes_its_system_once(report):
     for tree in trees:
         assert sorted(tree) == ["format", "nodes", "root"]
         assert tree["format"] == "tree/v1"
-    # sepsys/v2 when the system has a ground, else sepsys/v1
+    # sepsys/v2, with a ground or without; report/v2 keeps its format
+    # string, since the inlined system names its own
     text = dump_report(report)
-    version = "v1" if report.system.ground is None else "v2"
-    assert text.count(f'"format": "sepsys/{version}"') == 1
+    assert text.count('"format": "sepsys/v2"') == 1
     assert text.count('"format": "sepsys/') == 1
 
 

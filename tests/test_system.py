@@ -18,10 +18,13 @@ from tangleforge.system import (backward, fmt_oriented, forward, ids_of,
                                inverse, mask_of, sep_of, validate)
 
 from conftest import (FIXTURES, M3, N5, all_graphs_up_to_iso,
-                      antichain_system, expand_sepsys_v2, lattice_times_chain,
+                      antichain_system, degenerate_pair_system,
+                      expand_sepsys_v2, lattice_times_chain,
+                      load_nonrich_fixture, looped_joins, nested_pair_system,
+                      order_matrix, redundant_split_system,
                       random_relation_system, random_subset_system,
                       side_pair, submodular_subsystems,
-                      two_cluster_similarity)
+                      trivial_top_system, two_cluster_similarity, v1_of)
 
 
 def all_subsets(ids):
@@ -102,27 +105,24 @@ def test_validate_report_carries_all_failures():
 # -- lattice laws against the cubic loops ----------------------------------------
 
 
-def looped_least_bounds(system):
-    """The details of the first element whose joins miss a common upper
-    bound and of the first whose (derived) meets miss a common lower bound,
-    checked bound by bound; None for each when there is none."""
-    L, J, M = map(np.array, (system.leq, system.join, system.meet))
-    join_detail = meet_detail = None
-    for a in system.all_oriented():
-        ub = L[a][None, :] & L  # ub[b, c]: c is a common upper bound of a, b
-        if join_detail is None and not (~ub | L[J[a]]).all():
-            join_detail = f"join({fmt_oriented(a)}, .) not least upper bound"
-        lb = L.T[a][None, :] & L.T  # lb[b, c]: c is a common lower bound of a, b
-        if meet_detail is None and not (~lb | L.T[M[a]]).all():
-            meet_detail = f"meet({fmt_oriented(a)}, .) not greatest lower bound"
-    return join_detail, meet_detail
+def key_joins(system):
+    """The join and the meet tables as the library derives them from
+    ``lattice_keys``: the id of the union of two keys, -1 where that is no
+    key, and the meet through the involution, (r v s)* = r* ^ s*, as a
+    canonical id, a missing join read as a missing meet."""
+    keys, ids = system.lattice_keys()
+    join = [[ids.get(x | y, -1) for y in keys] for x in keys]
+    mirror = [[-1 if v < 0 else system.canon(v ^ 1) for v in row]
+              for row in join]
+    return [join, [[mirror[a ^ 1][b ^ 1] for b in range(len(keys))]
+                   for a in range(len(keys))]]
 
 
 def looped_distributive(system):
     """meet(a, join(b, c)) == join(meet(a, b), meet(a, c)) on every triple,
-    compared as canonical ids."""
+    compared as canonical ids, with the looped join and meet."""
     canon = np.array(system._canon)
-    J, M = np.array(system.join), np.array(system.meet)
+    J, M = map(np.array, looped_joins(system.leq))
     cJ, cM = canon[J], canon[M]
     return all(np.array_equal(cM[a].take(J), cJ.take(M[a], 0).take(M[a], 1))
                for a in system.all_oriented())
@@ -130,10 +130,11 @@ def looped_distributive(system):
 
 def assert_laws_match_the_loops(system):
     """A validated lattice claim against the loops: the joins and meets
-    derived from keys are least and greatest bounds, so only a flagged
-    distributivity can fail, exactly when the loops find a failing triple."""
+    derived from keys are the looped least and greatest bounds, so only a
+    flagged distributivity can fail, exactly when the loops find a failing
+    triple."""
     report = validate(system)
-    assert looped_least_bounds(system) == (None, None)
+    assert key_joins(system) == looped_joins(system.leq)
     if not system.distributive:
         assert "distributivity" not in report.checked
     else:
@@ -143,8 +144,8 @@ def assert_laws_match_the_loops(system):
     return report
 
 
-def as_table_lattice(system):
-    """The system rebuilt without its ground, claiming a lattice."""
+def without_ground(system):
+    """The system rebuilt from its order alone, claiming a lattice."""
     return tf.SeparationSystem(system.leq, system.orders, lattice=True,
                                distributive=system.distributive,
                                allow_degenerate=system.allow_degenerate,
@@ -154,33 +155,39 @@ def as_table_lattice(system):
 def planted_wrong(system, seed):
     """Join tables with one entry set to another element, and with the
     join of an incomparable pair raised to a larger upper bound: at most
-    two tables."""
+    two tables, each unlike the looped join."""
     rng = np.random.default_rng(seed)
     n2 = system.n_oriented
     out = []
-    join = np.array(system.join)
+    J = np.array(looped_joins(system.leq)[0])
+    join = J.copy()
     a, b = (int(x) for x in rng.integers(0, n2, size=2))
     others = [c for c in range(n2)
               if system.canon(c) != system.canon(join[a, b])]
     if others:
         join[a, b] = others[rng.integers(len(others))]
         out.append(join.tolist())
-    L, J = np.array(system.leq), np.array(system.join)
+    L = np.array(system.leq)
     for a in range(n2):
         for b in range(a + 1, n2):
             above = [c for c in range(n2)
                      if L[J[a, b], c] and system.canon(c) != system.canon(J[a, b])]
             if not (L[a, b] or L[b, a]) and above:
-                join = np.array(system.join)
+                join = J.copy()
                 join[a, b] = join[b, a] = above[0]
                 return out + [join.tolist()]
     return out
 
 
+V1_UNIVERSE = "sepsys/v1 'universe' tables are no longer read"
+
+
 def assert_the_loader_refuses_the_join(system, join, tmp_path, capsys):
     """The sepsys/v1 of the system with ``join`` in place of its join, with
-    its sides and without, exits 2 naming ``'join'``."""
-    docs = [tf.to_json_dict(as_table_lattice(system))]
+    its sides and without, exits 2 naming ``'universe'`` and its
+    replacement ``"lattice"``: no sepsys/v1 table is read."""
+    assert join != looped_joins(system.leq)[0]
+    docs = [expand_sepsys_v2(tf.to_json_dict(without_ground(system)))]
     if system.ground is not None:
         docs.append(expand_sepsys_v2(tf.to_json_dict(system)))
     for d in docs:
@@ -189,8 +196,9 @@ def assert_the_loader_refuses_the_join(system, join, tmp_path, capsys):
         path.write_text(json.dumps(d))
         assert main(["validate", "--system", str(path)]) == 2
         issues = json.loads(capsys.readouterr().out)["issues"]
-        assert issues == ["sepsys/v1 universe 'join' is not the order's join"]
-        with pytest.raises(ValidationError, match="universe 'join'"):
+        assert len(issues) == 1 and V1_UNIVERSE in issues[0]
+        assert '"lattice": true' in issues[0]
+        with pytest.raises(ValidationError, match=V1_UNIVERSE):
             tf.load_system(path.read_text(), check=False)
 
 
@@ -229,11 +237,11 @@ UNIVERSES = fixture_universes()
 @pytest.mark.parametrize("name", sorted(UNIVERSES))
 def test_lattice_laws_match_the_cubic_loops(name, tmp_path, capsys):
     system = UNIVERSES[name]
-    table = as_table_lattice(system)
+    table = without_ground(system)
     # checked by its sides, and as an order whose lattice claim holds
     for each in (system, table):
         assert each.has_universe() and assert_laws_match_the_loops(each).ok
-    assert np.array_equal(table.join, system.join)
+    assert key_joins(table) == key_joins(system)
     for wrong in planted_wrong(system, len(name)):
         assert_the_loader_refuses_the_join(system, wrong, tmp_path, capsys)
 
@@ -262,7 +270,7 @@ def test_the_derived_meet_is_the_key_intersection(name):
               for k in sorted({system.order(s) for s in system.seps()})]
     for level in [system, *levels]:
         if level.has_universe():
-            meet, n2 = level.meet, level.n_oriented
+            meet, n2 = key_joins(level)[1], level.n_oriented
             assert all(type(v) is int for row in meet for v in row), level.count
             assert np.array_equal(np.array(meet, dtype=np.int64).reshape(n2, n2),
                                   key_meet(level)), level.count
@@ -284,18 +292,19 @@ def test_a_ground_system_stores_no_integer_table():
     c5 = tf.Graph.from_edges(5, [(v, (v + 1) % 5) for v in range(5)])
     for system in (tf.graph_universe(c5),
                    tf.bipartition_system(tf.full_bipartition_ground(4))):
-        n2, table = system.n_oriented, as_table_lattice(system)
+        n2, table = system.n_oriented, without_ground(system)
         for each in (system, table):
             assert each.has_universe() and integer_tables(each) == []
-            join = np.array(each.join)
+            join = np.array(key_joins(each)[0])
             assert join.shape == (n2, n2) and join.dtype == np.int64
-        assert np.array_equal(table.join, system.join)
+        assert key_joins(table) == key_joins(system)
 
 
 @pytest.mark.parametrize("name", sorted(UNIVERSES))
 def test_a_planted_wrong_meet_is_refused_on_loading(name, tmp_path, capsys):
-    # one meet entry of the dump set to another element, or out of range
-    # where every element is the entry's own
+    # one meet entry of the old sepsys/v1 table file set to another
+    # element, or out of range where every element is the entry's own: a
+    # table is never read, and the file is refused by its field
     system = UNIVERSES[name]
     n2, d = system.n_oriented, expand_sepsys_v2(tf.to_json_dict(system))
     rng = np.random.default_rng(len(name))
@@ -307,8 +316,8 @@ def test_a_planted_wrong_meet_is_refused_on_loading(name, tmp_path, capsys):
     path.write_text(json.dumps(d))
     assert main(["validate", "--system", str(path)]) == 2
     issues = json.loads(capsys.readouterr().out)["issues"]
-    assert "sepsys/v1 universe 'meet'" in issues[0]
-    with pytest.raises(ValidationError, match="universe 'meet'"):
+    assert V1_UNIVERSE in issues[0]
+    with pytest.raises(ValidationError, match=V1_UNIVERSE):
         tf.load_system(path.read_text(), check=False)
 
 
@@ -334,22 +343,25 @@ def test_a_join_entry_raised_above_the_join_is_not_least(tmp_path, capsys):
 
 
 def test_a_table_lattice_is_validated_on_every_pair():
-    system = as_table_lattice(tf.bipartition_system(
+    system = without_ground(tf.bipartition_system(
         tf.full_bipartition_ground(9)))
     assert system.n_oriented == 512
     assert validate(system).ok
     assert validate(system).checked["universe"] == "exhaustive"
     assert validate(system).checked["distributivity"] == "exhaustive"
-    # incomparable pairs joined to the top: commutative, an upper bound,
-    # and not associative, since a v (b v c) stays below the top for b <= c
-    L, join = np.array(system.leq), np.array(system.join)
-    top = int(np.flatnonzero(L.all(axis=0))[0])
-    join[~(L | L.T)] = top
+    # written without tables, and loaded with its claim checked again
     d = tf.to_json_dict(system)
-    d["universe"]["join"] = join.tolist()
-    with pytest.raises(ValidationError,
-                       match="universe 'join' is not the order's join"):
-        tf.from_json_dict(d)
+    assert (d["format"], d["lattice"], d["distributive"]) == \
+        ("sepsys/v2", True, True) and "universe" not in d
+    again = tf.from_json_dict(d)
+    assert again.has_universe() and again.up == system.up
+    # the sepsys/v1 table file it was written as before is refused by its
+    # field, its tables unread
+    old = {**d, "format": "sepsys/v1", "universe": dict(zip(
+        ("join", "meet"), key_joins(system)))}
+    del old["lattice"]
+    with pytest.raises(ValidationError, match=V1_UNIVERSE):
+        tf.from_json_dict(old)
 
 
 def test_a_lattice_claim_on_an_order_that_is_none_is_refused():
@@ -371,9 +383,69 @@ def test_a_lattice_claim_on_an_order_that_is_none_is_refused():
         report = validate(unchecked)
         assert [i.code for i in report.issues] == ["universe"]
         # the pair has neither a join nor, mirrored, a meet of its inverses
-        assert unchecked.join[a, b] == unchecked.meet[a ^ 1, b ^ 1] == -1
-        assert list(unchecked.meet)[a ^ 1][b ^ 1] == -1
+        for join, meet in (key_joins(unchecked), looped_joins(leq)):
+            assert join[a][b] == meet[a ^ 1][b ^ 1] == -1
         assert report.checked["distributivity"] == "skipped: not a lattice"
+
+
+# -- systems without a ground, written and read --------------------------------
+
+
+def systems_without_a_ground():
+    """The conftest posets, seeded random ones, M3 x 2 and N5 x 2 with and
+    without their distributivity claim, a full bipartition universe's
+    order, and the sepsys/v1 fixture."""
+    out = {"nested_pair": nested_pair_system(),
+           "antichain3": antichain_system(3, [1.0, 2.0, 2.0]),
+           "redundant_split": redundant_split_system(),
+           "trivial_top": trivial_top_system(),
+           "degenerate_pair": degenerate_pair_system(),
+           "nonrich_system.json": load_nonrich_fixture()[0],
+           "bipartitions_3/order": without_ground(
+               tf.bipartition_system(tf.full_bipartition_ground(3)))}
+    for seed in range(4):
+        out[f"random_subset{seed}"] = random_subset_system(seed)
+        out[f"random_relation{seed}"] = random_relation_system(seed)
+    for name, lattice in (("M3x2", M3), ("N5x2", N5)):
+        for flag in (True, False):
+            out[f"{name}/distributive={flag}"] = lattice_times_chain(
+                *lattice, distributive=flag)
+    return out
+
+
+GROUNDLESS = systems_without_a_ground()
+
+
+@pytest.mark.parametrize("name", sorted(GROUNDLESS))
+def test_a_system_without_a_ground_round_trips(name):
+    system = GROUNDLESS[name]
+    text = tf.dump_system(system)
+    d = json.loads(text)
+    assert d["format"] == "sepsys/v2" and "ground" not in d
+    assert "universe" not in d and d.get("lattice", False) == system.has_universe()
+    # unchecked: a distributivity claim on M3 x 2 is written as it is made
+    again = tf.load_system(text, check=False)
+    assert (again.up, again.down, again.orders) == \
+        (system.up, system.down, system.orders)
+    def flags(s):
+        return s.has_universe(), s.distributive, s.allow_degenerate
+
+    assert flags(again) == flags(system)
+    assert looped_joins(again.leq) == looped_joins(system.leq)
+    if system.has_universe():
+        assert key_joins(again) == key_joins(system) == \
+            looped_joins(system.leq)
+    assert tf.dump_system(again) == text
+    # the sepsys/v1 file the system was written as before, tables and all,
+    # rebuilt from the new file: the same order, orders and joins
+    old = expand_sepsys_v2(d)
+    assert old == v1_of(system)
+    assert [mask_of(np.flatnonzero(row)) for row in order_matrix(old)] == \
+        list(system.up)
+    assert old["orders"] == list(system.orders)
+    if system.has_universe():
+        assert [old["universe"]["join"], old["universe"]["meet"]] == \
+            key_joins(again)
 
 
 # -- element predicates ------------------------------------------------------
