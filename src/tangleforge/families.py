@@ -289,40 +289,43 @@ def _least_small_meet(words, n, work) -> int | None:
     return None
 
 
-class ClusterFamily(ForbiddenFamily):
+class _SmallMeetFamily(ForbiddenFamily):
+    """Sets of one to three ids whose ``_words`` meet, within the full mask
+    ``_all``, in fewer than ``n`` bits."""
+
+    def is_member(self, members):
+        return 0 < len(members) <= 3 and \
+            _meet(self._words, members, self._all).bit_count() < self.n
+
+    def _search(self, work):
+        return _least_small_meet(self._words, self.n, work)
+
+    def _extends(self, work, x):
+        words = self._words
+        pool = [words[y] for y in [x] + ids_of(work)]
+        for wy in pool:
+            wxy = pool[0] & wy
+            for wz in pool:
+                if (wxy & wz).bit_count() < self.n:
+                    return True
+        return False
+
+
+class ClusterFamily(_SmallMeetFamily):
     """Triples of sides (repetition allowed) agreeing on fewer than n points."""
 
     kind = "cluster"
-    arity = 3
 
     def __init__(self, n: int, system: SeparationSystem):
         ground = realization_of(system, "cluster family", graph=False)
         super().__init__(system)
         self.n = int(n)
         self._all = (1 << ground.size) - 1
-        self._sides = ground.sides
-
-    def is_member(self, members):
-        # a member is {r, s, t} as a set: 1..3 sides with small agreement
-        return 0 < len(members) <= 3 and \
-            _meet(self._sides, members, self._all).bit_count() < self.n
+        self._words = ground.sides
 
     def evidence(self, members):
-        return {"agreement_set": ids_of(_meet(self._sides, members, self._all)),
+        return {"agreement_set": ids_of(_meet(self._words, members, self._all)),
                 "n": self.n}
-
-    def _search(self, work):
-        return _least_small_meet(self._sides, self.n, work)
-
-    def _extends(self, work, x):
-        sides = self._sides
-        pool = [sides[y] for y in [x] + ids_of(work)]
-        for sy in pool:
-            sxy = pool[0] & sy
-            for sz in pool:
-                if (sxy & sz).bit_count() < self.n:
-                    return True
-        return False
 
 
 class ProfileFamily(ForbiddenFamily):
@@ -436,55 +439,32 @@ class StrongProfileFamily(ProfileFamily):
         return False
 
 
-class GraphTangleFamily(ForbiddenFamily):
-    """Triples of small sides whose induced subgraphs cover the whole graph."""
+class GraphTangleFamily(_SmallMeetFamily):
+    """Triples of small sides whose induced subgraphs cover the whole graph.
+
+    A cover leaves no vertex and no edge out: the words of what each side
+    leaves uncovered meet in nothing."""
 
     kind = "graph_tangle"
-    arity = 3
+    n = 1
 
     def __init__(self, system: SeparationSystem):
         ground = realization_of(system, "graph-tangle family")
         super().__init__(system)
         edges = sorted(ground.graph.edges)
-        self._all_vertices = (1 << ground.size) - 1
-        self._all_edges = (1 << len(edges)) - 1
         # each small side, the inverse's, and the edges it induces as a
         # mask over ``edges``
         self._small = [ground.sides[o ^ 1] for o in range(len(ground.sides))]
-        self._induced = [mask_of(i for i, (u, v) in enumerate(edges)
-                                 if a >> u & 1 and a >> v & 1)
-                         for a in self._small]
+        induced = [mask_of(i for i, (u, v) in enumerate(edges)
+                           if a >> u & 1 and a >> v & 1) for a in self._small]
         # per side the vertices (above the edges) and edges it leaves out
-        full = self._all_vertices << len(edges) | self._all_edges
-        self._uncovered = [full & ~(a << len(edges) | e)
-                           for a, e in zip(self._small, self._induced)]
-
-    def _covers(self, members) -> bool:
-        verts = edges = 0
-        for o in members:
-            verts |= self._small[o]
-            edges |= self._induced[o]
-        return verts == self._all_vertices and edges == self._all_edges
-
-    def is_member(self, members):
-        return 0 < len(members) <= 3 and self._covers(members)
+        self._all = (1 << (ground.size + len(edges))) - 1
+        self._words = [self._all & ~(a << len(edges) | e)
+                       for a, e in zip(self._small, induced)]
 
     def evidence(self, members):
         return {"covering_sides": [ids_of(self._small[o])
                                    for o in sorted(members)]}
-
-    def _search(self, work):
-        # a cover leaves no vertex and no edge out: the uncovered words meet
-        # in nothing
-        return _least_small_meet(self._uncovered, 1, work)
-
-    def _extends(self, work, x):
-        pool = [x] + ids_of(work)
-        for y in pool:
-            for z in pool:
-                if self._covers((x, y, z)):
-                    return True
-        return False
 
 
 # -- constructors -----------------------------------------------------------

@@ -125,8 +125,10 @@ class SideRealization:
         return up, tuple((w & even) << 1 | w >> 1 & even
                          for w in (up[a ^ 1] for a in range(len(up))))
 
+    @cached_property
     def closed(self) -> bool:
-        """Whether every union of two keys is again a key."""
+        """Whether every union of two keys is again a key, decided once per
+        ground: the constructor's lattice claim and ``validate`` share it."""
         return _union_closed(self.keys()[0], *self.order)
 
     def faults(self, orders):
@@ -300,7 +302,7 @@ def graph_system(g: Graph, k: float) -> SeparationSystem:
     pairs = _graph_separations(g, k) + ([(full, full)] if g.n < k else [])
     # B of (A, B), then A
     ground = SideRealization(g.n, tuple(s for a, b in pairs for s in (b, a)), g)
-    closed = ground.closed()
+    closed = ground.closed
     return SeparationSystem(
         None, [(a & b).bit_count() for a, b in pairs], lattice=closed,
         distributive=closed, ground=ground, allow_degenerate=g.n < k)
@@ -387,7 +389,7 @@ def bipartition_system(ground: BipartitionGround) -> SeparationSystem:
         else:
             orders.append(float(len(fa) * len(fb)))
     realization = SideRealization(ground.size, tuple(sides))
-    closed = realization.closed()
+    closed = realization.closed
     return SeparationSystem(None, orders, lattice=closed, distributive=closed,
                             ground=realization)
 

@@ -184,13 +184,14 @@ class SeparationSystem:
     whole system is its own ``base``, and stores no reference to itself,
     so that reference counting frees it) with only the ids in the mask ``live``
     present.  A view keeps the base's ids, and with them its ``count``,
-    keys and ``top``.  It clips only the closure table
-    ``_requires`` and the forward-id mask ``_even`` (which ``seps``,
-    ``orients_all`` and co-triviality read) to ``live``; ``up``, ``down``,
-    ``_below``, ``_away`` and ``_degenerate`` are the base's, since their
-    readers AND them with a live mask or read them at live ids only, where
-    the order is induced.  ``seps()`` and ``all_oriented()`` list its live
-    ids, and ``local`` maps them to those of the carved ``restrict_below``.
+    keys and ``top``.  It clips only the forward-id mask ``_even`` (which
+    ``seps``, ``orients_all`` and co-triviality read) to ``live``; every
+    other table is the base's.  A closure, an OR of ``_requires`` rows, is
+    ANDed with ``live`` where it is formed; the readers of ``up``,
+    ``down``, ``_below``, ``_away`` and ``_degenerate`` AND them with a live
+    mask or read them at live ids only, where the order is induced.
+    ``seps()`` and ``all_oriented()`` list its live ids, and ``local`` maps
+    them to those of the carved ``restrict_below``.
 
     Carving (``subsystem``, ``restrict_below``) builds the system a view
     stands for, for the oracle; ``to_json_dict`` writes a view from the
@@ -354,7 +355,7 @@ class SeparationSystem:
         out = 0
         for x in ids_of(mask):
             out |= self._requires[x]
-        return out
+        return out & self.live
 
     def closure(self, mask: int) -> int:
         """The input plus every separation it requires; input must be consistent."""
@@ -411,7 +412,7 @@ class SeparationSystem:
         lattice = self.has_universe()
         if lattice and len(sep_ids) < self.count:  # all: the same keys
             if self.ground is not None:
-                lattice = out["ground"].closed()
+                lattice = out["ground"].closed
             else:
                 keys = self.lattice_keys()[0]
                 lattice = _union_closed([keys[o] for o in idx], out["leq"].up,
@@ -437,15 +438,15 @@ class SeparationSystem:
 
     def view_below(self, k: float) -> "SeparationSystem":
         """``restrict_below(k)`` as a view: the base with the separations
-        of order below ``k`` live and its closure table and forward ids
-        ANDed with the live mask.  The order is induced, so every mask
-        query on live ids is the carved system's in the base's ids."""
+        of order below ``k`` live and its forward ids ANDed with the live
+        mask; it shares every table with the base.  The order is induced,
+        so every mask query on live ids is the carved system's in the
+        base's ids."""
         base = self.base
         keep = list(takewhile(lambda s: self.orders[s] < k, self._by_order))
         view = copy(base)
         view._base = base
         view.live = live = sum(3 << 2 * s for s in keep)
-        view._requires = tuple(map(live.__and__, base._requires))
         view._even, view._by_order = base._even & live, keep
         return view
 
@@ -559,7 +560,8 @@ def _validate_lattice(system, rep):
     distributive lattice.  Any other system's ``distributive`` flag is
     checked by Birkhoff's criterion, in the one pass over pairs that also
     names a pair with no join; without that pass, ``_union_closed``
-    decides, and a pair is sought only when it fails."""
+    decides (a ground's, kept as ``closed``), and a pair is sought only
+    when it fails."""
     keys, ids = system.lattice_keys()
     rep.checked["universe"] = "exhaustive"
     if system.distributive:
@@ -567,7 +569,8 @@ def _validate_lattice(system, rep):
             "skipped: not a lattice" if rep.issues else "exhaustive"
     birkhoff = system.ground is None and \
         rep.checked.get("distributivity") == "exhaustive"
-    if not birkhoff and _union_closed(keys, system.up, system.down):
+    if not birkhoff and (system.ground.closed if system.ground is not None
+                         else _union_closed(keys, system.up, system.down)):
         return
     # a finite lattice is distributive iff each join-irreducible j is
     # join-prime: j below x v y lies below x or below y.  j is

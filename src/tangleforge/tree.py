@@ -116,7 +116,8 @@ class StructureTree:
 
     def _node(self, v) -> tuple[int, int, int, bool]:
         """v's label mask, closure mask, away-union and co-trivial flag,
-        each its parent's plus one label, derived down on first read."""
+        each its parent's plus one label, derived down on first read; the
+        closure is clipped to the system's live ids."""
         state, path = self._state, []
         while v not in state:
             path.append(v)
@@ -125,7 +126,8 @@ class StructureTree:
         for u in reversed(path):
             beta, closure, away, cotrivial = node
             o = self._label[u]
-            node = state[u] = (beta | 1 << o, closure | system._requires[o],
+            node = state[u] = (beta | 1 << o,
+                               (closure | system._requires[o]) & system.live,
                                away | system._away[o],
                                cotrivial or system.is_cotrivial(o))
         return node

@@ -132,6 +132,21 @@ def test_graph_tangle_family_on_k4(k4):
     assert all(side_pair(s3.ground, o)[0] != verts for o in tangles[0])
 
 
+@pytest.mark.parametrize("graph", ["k4", "p5"])
+def test_graph_tangle_membership_is_a_cover(graph, request):
+    # every one to three orientations, against the definition on vertex
+    # sets: each vertex lies in a small side, each edge inside one
+    g = request.getfixturevalue(graph)
+    system = tf.graph_system(g, 3)
+    fam = tf.make_graph_tangle(system)
+    for size in (1, 2, 3):
+        for members in combinations(system.all_oriented(), size):
+            small = [side_pair(system.ground, o)[0] for o in members]
+            cover = all(any(v in a for a in small) for v in g.vertices()) and \
+                all(any({u, v} <= a for a in small) for u, v in g.edges)
+            assert fam.is_member(frozenset(members)) == cover, members
+
+
 # -- incremental scan agrees with the full one -------------------------------------
 
 

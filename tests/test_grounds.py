@@ -554,6 +554,34 @@ def test_v2_faults_are_named_and_exit_2(d, cause, tmp_path, capsys):
     assert cause in capsys.readouterr().err
 
 
+def counted_union_closed(monkeypatch) -> list:
+    """The calls of ``_union_closed`` through both of its module bindings."""
+    calls, real = [], importlib.import_module("tangleforge.system")._union_closed
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    for module in ("tangleforge.system", "tangleforge.grounds"):
+        monkeypatch.setattr(importlib.import_module(module), "_union_closed",
+                            counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda k4: tf.bipartition_system(tf.full_bipartition_ground(6)),
+    lambda k4: tf.graph_universe(k4),
+    lambda k4: tf.from_json_dict(SETS_V2)],
+    ids=["full-bipartition-6", "k4-universe", "loaded-claim"])
+def test_a_ground_system_decides_its_union_closure_once(make, k4, monkeypatch):
+    # the lattice claim, or the check of a loaded one, and validate read
+    # one answer of the ground; a loaded claim over sides that are not
+    # closed exits 2 (test_v2_faults_are_named_and_exit_2, lattice-not-closed)
+    calls = counted_union_closed(monkeypatch)
+    system = make(k4)
+    assert system.has_universe() and validate(system).ok
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("d", [SETS_V2, PATH_V2])
 def test_the_unedited_v2_payloads_load(d):
     system = tf.from_json_dict(d)

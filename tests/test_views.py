@@ -124,11 +124,12 @@ def assert_masks_match_carved(view, carved):
                          ids=[n[0] for n in NAMED])
 def test_a_view_shares_the_order_masks_of_its_base(name, system, family,
                                                    thresholds):
-    # Only the closure table and the forward ids are clipped to the live
-    # ids; every reader of the order masks reads them at live ids.
+    # Only the forward ids are clipped to the live ids; a closure is
+    # clipped where it is formed, and every reader of the order masks reads
+    # them at live ids.
     for k in _levels(system):
         view = system.view_below(k)
-        for table in ("up", "down", "_below", "_away"):
+        for table in ("up", "down", "_below", "_requires", "_away"):
             assert getattr(view, table) is getattr(system, table), table
         assert view._degenerate == system._degenerate
 
