@@ -3,22 +3,25 @@
 Construction grows a single root by repeatedly splitting an unresolved leaf
 on a cheapest separation its closure leaves open.  A leaf needs the labels
 that keep its class; reduction folds these needs up the tree and contracts
-an edge whose label no leaf behind it needs until every node is necessary.
+an edge whose label no leaf behind it needs until every node is necessary,
+in one pass over a working copy that carries the leaves' classes through
+each contraction.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
                      NotOrdered, UnresolvedLeaf)
 from .families import ForbiddenFamily
 from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
                      mask_of, to_json_dict)
-from .tree import (StructureTree, _leaves_resolve, _restrict, _tangles,
-                   classify_all, is_ordered, is_structure_tree, leaf_class,
-                   tree_nodes_to_json_dict)
+from .tree import (LeafClass, StructureTree, _leaves_resolve, _restrict,
+                   _tangles, classify_all, is_ordered, is_structure_tree,
+                   leaf_class, tree_nodes_to_json_dict)
 
 
 MAX_TREE_NODES = 1_000_000  # n separations allow 2^(n+1) - 1 nodes
@@ -59,41 +62,21 @@ def build(system: SeparationSystem, family: ForbiddenFamily) -> StructureTree:
 
 
 def leaf_needs(tree, family, leaf: int) -> int:
-    """The mask of the labels this leaf needs to keep its class.
-
-    A tangle leaf needs its minimal labels.  A forbidden leaf needs its
-    critical labels, those whose removal leaves no member, which the family
-    gives in one call of ``critical_labels``.
-    """
+    """The mask of the labels this leaf needs to keep its class."""
     cls = leaf_class(tree, leaf, family)
-    beta = tree.beta(leaf)
+    if cls.kind == "unresolved":
+        raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
+    return _class_needs(tree.system, family, cls, tree.beta(leaf))
+
+
+def _class_needs(system, family, cls, beta: int) -> int:
+    """What a resolved leaf of class ``cls`` and label mask ``beta`` needs:
+    a tangle leaf its minimal labels; a forbidden leaf its critical labels,
+    those whose removal leaves no member, which the family gives in one
+    call of ``critical_labels``."""
     if cls.kind == "tangle":
-        return tree.system.minimal_elements(beta)
-    if cls.kind == "forbidden":
-        return family.critical_labels(tree.system, beta)
-    raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
-
-
-def _dispensable_edge(tree, family, needs) -> tuple[int, int] | None:
-    """The edge (v, w), deepest v, then least v, then first w, whose label
-    the needs folded up from the leaves below w lack.  ``needs`` keeps a
-    leaf's needs by its label set and gains the sets not seen before.  On a
-    separation tree a node's depth is the size of its label set."""
-    fold = {}
-    for v in sorted(tree.nodes(), key=lambda u: (-tree.beta(u).bit_count(), u)):
-        kids = tree.children(v)
-        if not kids:
-            beta = tree.beta(v)
-            if beta not in needs:
-                needs[beta] = leaf_needs(tree, family, v)
-            fold[v] = needs[beta]
-            continue
-        fold[v] = 0
-        for w in kids:
-            if not fold[w] >> tree.label(w) & 1:
-                return v, w
-            fold[v] |= fold[w]
-    return None
+        return system.minimal_elements(beta)
+    return family.critical_labels(system, beta)
 
 
 @dataclass
@@ -111,24 +94,86 @@ class ReductionTrace:
 def reduce(tree: StructureTree, family: ForbiddenFamily):
     """Contract until every node is necessary; returns (tree, trace).
 
-    Each round contracts the deepest, least-id edge whose label no leaf
-    behind it needs.  A contraction changes the label sets of the leaves
-    under the contracted node only, so the needs of every other leaf carry
-    over, remembered by label set.
+    Each step contracts the deepest, least-id edge whose label no leaf
+    behind it needs, and ``trace.replay`` redoes the steps one persistent
+    ``contracted`` at a time.  The reduction itself is one pass over a
+    working copy of the tree (see ``_reduce``), and the reduced tree comes
+    with the classes of its leaves.
     """
     is_structure_tree(tree, family).require(NotAStructureTree)
     return _reduce(tree, family, {})
 
 
 def _reduce(tree, family, needs):
-    """Unchecked ``reduce``, with ``needs`` shared by ``pipeline``."""
-    trace = ReductionTrace()
-    while True:
-        target = _dispensable_edge(tree, family, needs)
-        if target is None:
-            return tree, trace
-        tree = tree.contracted(*target)
-        trace.steps.append(target)
+    """Unchecked ``reduce``, with ``needs``, the needs of a leaf by its label
+    mask, shared by ``pipeline``.
+
+    Non-leaves are scanned deepest first, then least id (on a separation
+    tree a node's depth is the size of its label mask), once the needs
+    folded up from below each child are final; the first child ``w`` whose
+    label its fold lacks gives the contraction ``(v, w)``.  Contracting
+    drops ``v``'s other subtrees, moves ``w`` into ``v``'s place and clears
+    ``w``'s label from the masks below ``w``, whose non-leaves are scanned
+    again; no other fold changes, and ``v``'s ancestors are not scanned yet.
+    No leaf below ``w`` needs the label, so each keeps its class: a tangle
+    leaf's closure still holds the label, required by a label below it, and
+    a forbidden leaf still holds a member, read from its new mask.
+    """
+    system = tree.system
+    parent, children = dict(tree._parent), dict(tree._children)
+    label = dict(tree._label)
+    mask = {v: tree.beta(v) for v in parent}
+    classes = {v: leaf_class(tree, v, family)
+               for v, kids in children.items() if not kids}
+    heap = [(-mask[v].bit_count(), v) for v, kids in children.items() if kids]
+    heapify(heap)
+    fold, root, trace = {}, tree.root, ReductionTrace()
+    while heap:
+        v = heappop(heap)[1]
+        folded = 0
+        for w in children[v]:
+            if children[w]:
+                below = fold[w]
+            else:
+                below = needs.get(mask[w])
+                if below is None:
+                    below = needs[mask[w]] = _class_needs(
+                        system, family, classes[w], mask[w])
+            if not below >> label[w] & 1:
+                break
+            folded |= below
+        else:
+            fold[v] = folded
+            continue
+        trace.steps.append((v, w))
+        stack = [c for c in children[v] if c != w]
+        while stack:
+            u = stack.pop()
+            stack.extend(children.pop(u))
+            del parent[u], label[u]
+        gp = parent[w] = parent.pop(v)
+        del children[v]
+        keep = ~(1 << label[w])
+        label[w] = label.pop(v)
+        if gp is None:
+            root = w
+        else:
+            children[gp] = tuple(w if c == v else c for c in children[gp])
+        stack = [w]
+        while stack:
+            u = stack.pop()
+            mask[u] &= keep
+            if children[u]:
+                heappush(heap, (-mask[u].bit_count(), u))
+                stack.extend(children[u])
+            elif classes[u].kind == "forbidden":
+                classes[u] = LeafClass("forbidden", found=(family, system, mask[u]))
+    if not trace.steps:
+        return tree, trace
+    reduced = StructureTree(system, root, parent, children, label)
+    reduced._classes[family] = {v: classes[v]
+                                for v, kids in children.items() if not kids}
+    return reduced, trace
 
 
 # -- the full pipeline -----------------------------------------------------

@@ -744,14 +744,17 @@ def parse_json(text: str, what: str):
 def dump_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=1)`` without the pure-Python
     encoder: a join per container, one %-format per table of rows of
-    ``type(v) is int`` ints."""
+    ``type(v) is int`` ints, and an empty list, tuple or dict spelled
+    directly."""
     def text(x, nl: str) -> str:
         t, inner = type(x), nl + " "
         if t is str:
             return encode_basestring_ascii(x)
         if t is int:
             return int.__repr__(x)
-        if (t is list or t is tuple) and x:
+        if (t is list or t is tuple or t is dict) and not x:
+            return "{}" if t is dict else "[]"
+        if t is list or t is tuple:
             types = set(map(type, x))
             if types == {int}:
                 items = map(int.__repr__, x)
@@ -765,7 +768,7 @@ def dump_json(value) -> str:
             else:
                 items = [text(v, inner) for v in x]
             return "[" + inner + ("," + inner).join(items) + nl + "]"
-        if t is dict and x and all(type(k) is str for k in x):
+        if t is dict and all(type(k) is str for k in x):
             return "{" + inner + ("," + inner).join(
                 [encode_basestring_ascii(k) + ": " + text(v, inner)
                  for k, v in sorted(x.items())]) + nl + "}"

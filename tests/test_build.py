@@ -469,11 +469,11 @@ def test_one_pipeline_checks_the_full_tree_once_and_each_label_set_once(
     checks, orders, needs = [], [], []
     _counting(monkeypatch, modules, "is_structure_tree", checks)
     _counting(monkeypatch, modules, "is_ordered", orders)
-    _counting(monkeypatch, modules[:1], "leaf_needs", needs)
+    _counting(monkeypatch, modules[:1], "_class_needs", needs)
     report = tf.pipeline(system, fam)
     assert [t for t, _ in checks] == [report.tree_full]
     assert [t for t, in orders] == [report.tree_full]
-    masks = [tree.beta(leaf) for tree, _, leaf in needs]
+    masks = [beta for *_, beta in needs]
     assert len(masks) == len(set(masks))
 
 
@@ -498,22 +498,19 @@ def test_pipeline_levels_equal_the_checked_public_path(system, fam):
 
 
 def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
-    # A forbidden leaf's needs come from one critical_labels call; reduce
-    # asks member queries only to classify the leaves a contraction makes.
+    # A contraction carries the classes of the leaves below it, so inside
+    # the reduction no leaf is classified and the family answers only the
+    # critical labels of forbidden leaves.
     build_module = sys.modules["tangleforge.build"]
     system = tf.graph_system(grid_graph(3, 3), 3)
     fam = tf.make_blocks(3, system)
     tree = tf.build(system, fam)
     stack, calls = [], Counter()
 
-    def counting(query):
-        def run(self, caller, mask):
-            calls[stack[-1] if stack else None] += 1
-            return query(self, caller, mask)
-        return run
-
     def inside(name, fn):
         def run(*args):
+            if "_reduce" in stack:
+                calls[name] += 1
             stack.append(name)
             try:
                 return fn(*args)
@@ -521,15 +518,14 @@ def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
                 stack.pop()
         return run
 
-    for name in ("holds_member", "forbidden_subset"):
-        monkeypatch.setattr(type(fam), name, counting(getattr(type(fam), name)))
+    for name in ("holds_member", "forbidden_subset", "critical_labels"):
+        monkeypatch.setattr(type(fam), name, inside(name, getattr(type(fam), name)))
     monkeypatch.setattr(tf.tree, "classify_leaf",
                         inside("classify_leaf", tf.tree.classify_leaf))
-    monkeypatch.setattr(build_module, "leaf_needs",
-                        inside("leaf_needs", build_module.leaf_needs))
+    monkeypatch.setattr(build_module, "_reduce",
+                        inside("_reduce", build_module._reduce))
     _, trace = tf.reduce(tree, fam)
-    assert trace.steps and calls["classify_leaf"]
-    assert calls["leaf_needs"] == 0
+    assert trace.steps and set(calls) == {"critical_labels"}
 
 
 @pytest.fixture
@@ -552,6 +548,22 @@ def _blocks_and_cluster_instances():
         6, similarity=two_cluster_similarity()))
     return [pytest.param(grid, tf.make_blocks(3, grid), id="grid3x3/blocks3"),
             pytest.param(six, tf.make_cluster(3, six), id="six/cluster3")]
+
+
+@pytest.mark.parametrize("system, fam", [
+    *_reference_instances(), *_blocks_and_cluster_instances()])
+def test_reduce_carries_exact_leaf_classes(system, fam):
+    full = tf.build(system, fam)
+    levels = [tf.restrict(full, k)
+              for k in sorted({system.order(s) for s in system.seps()})]
+    for tree in [full, *levels]:
+        if not tf.is_structure_tree(tree, fam):
+            continue
+        red, trace = tf.reduce(tree, fam)
+        assert tree_shape(trace.replay(tree)) == tree_shape(red)
+        carried = red._classes[fam]
+        for leaf in red.leaves():  # equal kinds, tangles and witnesses
+            assert carried[leaf] == tf.classify_leaf(red, leaf, fam)
 
 
 @pytest.mark.parametrize("system, fam", _blocks_and_cluster_instances())
