@@ -16,16 +16,18 @@ the least other than x, keeping the least; ``cluster`` walks x, then x with
 each later y, then with each z after y, in the order of sorted ids, and
 stops at the first sides that meet in fewer than n points, and
 ``graph_tangle`` walks the same on what each side leaves uncovered;
-``empty`` has none.  A second scan, ``_extends``: is there a member inside a
-set plus ``x`` that contains ``x``?, serves ``extends_member`` alone, which
-only the oracle's enumeration asks, so that enumeration and the tree's
-search share no family code.  Queries are masks of oriented ids; a family
-keeps the answer of ``_search`` per mask of its bound system's ids for its
-lifetime, so the trees of one pipeline, level trees included, scan each set
-once.  ``critical_labels`` gives the labels of a member-holding set whose
-removal leaves no member, what reduction needs of a forbidden leaf: the base
-class tries the labels of the kept answer against the kept answers of the
-smaller sets; ``blocks`` reads them all off prefix and suffix intersections.
+``empty`` has none.  The arity contract: no member has more than ``arity``
+ids, and a family of unbounded arity (``blocks``) is closed under supersets
+within its system.  The brute-force oracle and ``is_rich`` rest on it and
+ask ``is_member`` alone, so that they share no search with the tree.
+
+Queries are masks of oriented ids; a family keeps the answer of ``_search``
+per mask of its bound system's ids for its lifetime, so the trees of one
+pipeline, level trees included, scan each set once.  ``critical_labels``
+gives the labels of a member-holding set whose removal leaves no member,
+what reduction needs of a forbidden leaf: the base class tries the labels of
+the kept answer against the kept answers of the smaller sets; ``blocks``
+reads them all off prefix and suffix intersections.
 """
 
 from __future__ import annotations
@@ -62,14 +64,14 @@ class Witness:
 class ForbiddenFamily:
     """Base class: bound to a system, queried with masks of oriented ids.
 
-    Subclasses define ``is_member``, ``_search`` and ``_extends`` on the
-    bound system's canonical ids; the public queries translate the caller's
-    mask, unless the caller is the bound system or a view of it, and ask
-    ``_search``, or ``_extends`` for ``extends_member``.
+    Subclasses define ``is_member`` and ``_search`` on the bound system's
+    canonical ids; the public queries translate the caller's mask, unless
+    the caller is the bound system or a view of it, and ask ``_search``.
     """
 
     kind = "abstract"
-    arity: int | None = 3  # max member size; None means unbounded
+    # no member has more ids; None: unbounded, and closed under supersets
+    arity: int | None = 3
 
     def __init__(self, system: SeparationSystem | None):
         self.system = system
@@ -92,12 +94,6 @@ class ForbiddenFamily:
 
     def evidence(self, members) -> dict:
         return {}
-
-    def _extends(self, work: int, x: int) -> bool:
-        """``extends_member``'s scan: is there a member inside the mask
-        ``work`` plus ``x`` that contains ``x``?  ``work`` may itself hold
-        members.  Ids are the bound system's canonical ones."""
-        raise NotImplementedError
 
     def _search(self, work: int) -> int | None:
         """Mask of the lexicographically least member (by sorted ids) inside
@@ -146,11 +142,6 @@ class ForbiddenFamily:
         return self._ids_back(system, mask,
                               self._critical(self._ids_into(system, mask)))
 
-    def extends_member(self, system: SeparationSystem, mask: int, new: int) -> bool:
-        """Is there a member inside ``mask`` plus ``new`` containing ``new``?"""
-        return self._extends(self._ids_into(system, mask),
-                             self._ids_into(system, 1 << new).bit_length() - 1)
-
     def to_json_dict(self):
         """The family/v1 object: its kind, and the parameter of kinds with one."""
         field = PARAMETERS.get(self.kind)
@@ -170,9 +161,6 @@ class EmptyFamily(ForbiddenFamily):
 
     def _search(self, work):
         return None
-
-    def _extends(self, work, x):
-        return False
 
 
 class ExplicitFamily(ForbiddenFamily):
@@ -196,10 +184,6 @@ class ExplicitFamily(ForbiddenFamily):
         # one pass over the listed members: the least inside the work
         return min((k for k in self.members if not k & ~work), key=ids_of,
                    default=None)
-
-    def _extends(self, work, x):
-        ws = work | 1 << x
-        return any(k >> x & 1 and not k & ~ws for k in self.members)
 
     def to_json_dict(self):
         return {**super().to_json_dict(),
@@ -249,9 +233,6 @@ class BlocksFamily(ForbiddenFamily):
             rest ^= low
         return work ^ rest
 
-    def _extends(self, work, x):
-        return self.is_member(ids_of(work | 1 << x))
-
     def _critical(self, work):
         # Superset closure: a label is critical exactly when the other big
         # sides still meet in k vertices.  ANDs of the labels before and
@@ -299,16 +280,6 @@ class _SmallMeetFamily(ForbiddenFamily):
 
     def _search(self, work):
         return _least_small_meet(self._words, self.n, work)
-
-    def _extends(self, work, x):
-        words = self._words
-        pool = [words[y] for y in [x] + ids_of(work)]
-        for wy in pool:
-            wxy = pool[0] & wy
-            for wz in pool:
-                if (wxy & wz).bit_count() < self.n:
-                    return True
-        return False
 
 
 class ClusterFamily(_SmallMeetFamily):
@@ -372,21 +343,6 @@ class ProfileFamily(ForbiddenFamily):
                     for y in ids[i:] if work >> (t := third(x, y)) & 1),
                    key=ids_of, default=None)
 
-    def _extends(self, work, x):
-        # Raw ids, where is_member compares canonical ones: they agree since
-        # no query holds the odd alias of a degenerate separation
-        # (orientations_of never yields it and closures canonicalise).
-        pool = [x] + ids_of(work)
-        have = work | 1 << x
-        for y in pool:
-            if have >> self._third(x, y) & 1:
-                return True
-        for y in pool[1:]:
-            for z in pool[1:]:
-                if self._third(y, z) == x:
-                    return True
-        return False
-
 
 class StrongProfileFamily(ProfileFamily):
     """Pairs with any element below the join of their inverses."""
@@ -420,23 +376,6 @@ class StrongProfileFamily(ProfileFamily):
                     for y in ids[i:] if (d := down[third(x, y)] & work)
                     for z in (d, d & ~(1 << x)) if z),
                    key=ids_of, default=None)
-
-    def _extends(self, work, x):
-        pool = [x] + ids_of(work)
-        have = work | 1 << x
-        down, above_x = self.system.down, self.system.up[x]
-        third = self._third
-        # new element in the pair position
-        if any(down[third(x, y)] & have for y in pool):
-            return True
-        # new element in the bounded position; the join is commutative, so
-        # each unordered pair is tried once
-        rest = pool[1:]
-        for i, y in enumerate(rest):
-            for z in rest[i:]:
-                if above_x >> third(y, z) & 1:
-                    return True
-        return False
 
 
 class GraphTangleFamily(_SmallMeetFamily):

@@ -8,6 +8,11 @@ partial choice already contains a forbidden member (sound, because avoidance
 is inherited by subsets); a test cross-checks the pruned walk against
 filtering the unpruned one on small inputs.  The certifier ``is_rich``
 enumerates every consistent orientation, so it is the oracle's too.
+
+A family is asked nothing but ``is_member``, its definition, so that the
+oracle shares no search with the tree it checks.  That rests on the arity
+contract: no member has more than ``arity`` ids, and a family of unbounded
+arity (``blocks``) is closed under supersets, so the whole set decides.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from itertools import combinations, product
 
 from .errors import BudgetExceeded, SystemIsAView
 from .families import EmptyFamily
-from .system import SeparationSystem, inverse, mask_of
+from .system import SeparationSystem, inverse
 
 DEFAULT_MAX_SEPARATIONS = 16
 DEFAULT_MAX_VISITS = 2_000_000
@@ -50,12 +55,32 @@ def all_consistent_orientations(system: SeparationSystem,
     return all_tangles(system, EmptyFamily(), budget)
 
 
+def _has_member(family, up, fixed, rest) -> bool:
+    """Is ``fixed`` plus some subset of ``rest`` a member of the family?
+    ``up`` maps the ids of both into the family's."""
+    fixed = [up[x] for x in fixed]
+    rest = [up[x] for x in rest]
+    if family.arity is None:
+        return family.is_member(fixed + rest)
+    return any(family.is_member(fixed + list(sub))
+               for r in range(family.arity - len(fixed) + 1)
+               for sub in combinations(rest, r))
+
+
+def _into_family(system: SeparationSystem, family):
+    """The map of ``system``'s oriented ids into the family's."""
+    if family.system is None:
+        return range(system.n_oriented)
+    return system.oriented_into(family.system)
+
+
 def all_tangles(system: SeparationSystem, family,
                 budget: OracleBudget | None = None):
     """Consistent orientations with no subset in the family."""
     b = _check_budget(system, budget)
-    if family.forbidden_subset(system, 0) is not None:
+    if family.is_member([]):
         return []
+    up = _into_family(system, family)
     out = []
     chosen: list[int] = []
     visits = 0
@@ -71,7 +96,8 @@ def all_tangles(system: SeparationSystem, family,
         for o in system.orientations_of(s):
             if any(system.leq[o, inverse(c)] for c in chosen):
                 continue
-            if family.extends_member(system, mask_of(chosen), o):
+            # the chosen ids hold no member, so a new one holds o
+            if _has_member(family, up, [o], chosen):
                 continue
             chosen.append(o)
             rec(s + 1)
@@ -112,12 +138,13 @@ def is_rich(family, system: SeparationSystem,
     """Forbidden-containing consistent orientations must contain strongly
     efficient forbidden subsets: (ok, the orientations that do not)."""
     bad = []
+    up = _into_family(system, family)
     for tau in all_consistent_orientations(system, budget):
-        if family.forbidden_subset(system, mask_of(tau)) is None:
+        if not _has_member(family, up, [], tau):
             continue
         survivors = [x for x in sorted(tau)
                      if is_strongly_efficient_in(system, [x], tau)]
-        if family.forbidden_subset(system, mask_of(survivors)) is None:
+        if not _has_member(family, up, [], survivors):
             bad.append(tau)
     return (not bad, bad)
 

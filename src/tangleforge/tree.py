@@ -159,10 +159,12 @@ class StructureTree:
         """Attach children labelled with the orientations of s, forward
         first, to the leaf v; in place, for a tree no one else holds yet.
 
-        Leaf classes stay valid: a class depends only on the label set, and
-        a split node is no longer asked for as a leaf."""
+        The other leaves' classes stay valid, since a class depends only on
+        the label set; v's is dropped, for v is a leaf no more."""
         if self._children[v]:
             raise MalformedTree(f"node {v} is not a leaf")
+        for memo in self._classes.values():
+            memo.pop(v, None)
         orients = self.system.orientations_of(s)
         kids = tuple(range(self._next, self._next + len(orients)))
         self._next += len(orients)

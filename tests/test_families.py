@@ -166,31 +166,10 @@ def six_families(seed):
             tf.make_graph_tangle(sysg)]
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_extends_member_matches_forbidden_subset(seed):
-    for fam in six_families(seed):
-        bound = fam.system
-        # queried on the bound system itself, and from a level system, which
-        # the family answers through its id translation
-        for sysx in (bound, bound.restrict_below(max(bound.orders))):
-            ids = sorted(sysx.all_oriented())
-            for members in all_subsets(ids, cap=3):
-                if fam.forbidden_subset(sysx, mask_of(members)) is not None:
-                    continue
-                for new in ids:
-                    if new in members:
-                        continue
-                    got = fam.extends_member(sysx, mask_of(members), new)
-                    want = fam.forbidden_subset(
-                        sysx, mask_of(members | {new})) is not None
-                    assert got == want, (fam.kind, sysx.count, sorted(members),
-                                         new)
-
-
-# -- each family's search and its scan against is_member alone ---------------------
+# -- each family's search against is_member alone ---------------------------------
 #
-# Every family has its own search, and extends_member rests on its _extends
-# scan, so these references are written with is_member only.
+# Every family has its own search, so these references are written with
+# is_member only.
 
 
 def least_member(fam, members):
@@ -217,42 +196,78 @@ def k4_universe_families(k4):
             tf.make_graph_tangle(u), tf.make_blocks(3, u)]
 
 
-def scan_and_search_against_is_member(fam, works):
-    """Assert that each work's witness is its least member and that
-    ``_extends`` of each other id agrees with brute force; return the
-    (holds a member, extends) pairs seen."""
-    system = fam.system
-    ids = sorted({system.canon(o) for o in system.all_oriented()})
-    # a member through x is x with at most arity - 1 elements of the work
-    cap = None if fam.arity is None else fam.arity - 1
+def search_against_is_member(fam, works, system=None):
+    """Assert that each work's witness is its least member; return whether
+    each work held one.  Works are sets of ``system``'s ids, the family's
+    own by default, and are compared in the family's."""
+    system = system or fam.system
+    up = system.oriented_into(fam.system)
     seen = set()
     for work in works:
-        want = least_member(fam, work)
+        want = least_member(fam, {up[x] for x in work})
         got = fam.forbidden_subset(system, mask_of(work))
-        assert (got and got.members) == want, (fam.kind, sorted(work))
-        for x in ids:
-            if x in work:
-                continue
-            hit = any(fam.is_member(sub | {x})
-                      for sub in all_subsets(sorted(work), cap))
-            assert fam._extends(mask_of(work), x) == hit, \
-                (fam.kind, sorted(work), x)
-            seen.add((want is not None, hit))
+        assert (got and frozenset(up[x] for x in got.members)) == want, \
+            (fam.kind, system.count, sorted(work))
+        seen.add(want is not None)
     return seen
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_the_scan_and_the_search_match_is_member(seed, k4):
+def test_the_search_matches_is_member(seed, k4):
     rng = np.random.default_rng(seed)
+    held_at_a_level = set()
     for fam in six_families(seed) + k4_universe_families(k4):
+        # asked in its own ids, and from a level system carved out of its
+        # own, which the family answers through its id translation
+        for system in (fam.system,
+                       fam.system.restrict_below(max(fam.system.orders))):
+            ids = sorted({system.canon(o) for o in system.all_oriented()})
+            works = [frozenset(int(o) for o in rng.choice(
+                         ids, int(rng.integers(0, min(6, len(ids)) + 1)),
+                         replace=False))
+                     for _ in range(40)]
+            held = search_against_is_member(fam, works, system)
+            if system is fam.system:
+                # works with and without members
+                assert held == {True, False}, fam.kind
+            elif True in held:
+                held_at_a_level.add(fam.kind)
+    # an explicit family's members may all lie above the level
+    assert held_at_a_level >= {"cluster", "profile", "strong_profile",
+                               "blocks", "graph_tangle"}
+
+
+def assert_the_arity_contract(fam, subsets):
+    """No member among ``subsets`` has over ``arity`` ids, or, with arity
+    None, each member's supersets by one id of the system are members."""
+    system = fam.system
+    ids = sorted({system.canon(o) for o in system.all_oriented()})
+    members = [sub for sub in subsets if fam.is_member(sub)]
+    assert members, fam.kind  # the check is not vacuous
+    for sub in members:
+        if fam.arity is None:
+            assert all(fam.is_member(sub | {x}) for x in ids), \
+                (fam.kind, sorted(sub))
+        else:
+            assert len(sub) <= fam.arity, (fam.kind, sorted(sub))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_members_keep_the_arity_contract(seed, k4):
+    # The oracle asks is_member of subsets up to the arity only, or of the
+    # whole set when it is unbounded.  Every subset of the small systems;
+    # the k4 universe has 31 canonical ids, so every subset of 6 random
+    # works of 10 ids.
+    for fam in six_families(seed):
+        ids = {fam.system.canon(o) for o in fam.system.all_oriented()}
+        assert_the_arity_contract(fam, all_subsets(ids))
+    rng = np.random.default_rng(seed)
+    for fam in k4_universe_families(k4):
         ids = sorted({fam.system.canon(o) for o in fam.system.all_oriented()})
-        works = [frozenset(int(o) for o in rng.choice(
-                     ids, int(rng.integers(0, min(6, len(ids)) + 1)),
-                     replace=False))
-                 for _ in range(40)]
-        seen = scan_and_search_against_is_member(fam, works)
-        # work with and without members, answers of both kinds
-        assert {(True, True), (False, False), (False, True)} <= seen, fam.kind
+        works = [[int(o) for o in rng.choice(ids, 10, replace=False)]
+                 for _ in range(6)]
+        assert_the_arity_contract(fam, {sub for work in works
+                                        for sub in all_subsets(work)})
 
 
 def twisted_boolean_system():
@@ -278,8 +293,7 @@ def test_the_profile_searches_match_is_member_on_every_work(system):
     ids = list(system.all_oriented())
     works = all_subsets(ids)
     for make in (tf.make_profile, tf.make_strong_profile):
-        seen = scan_and_search_against_is_member(make(system), works)
-        assert {(True, True), (False, False), (False, True)} <= seen
+        assert search_against_is_member(make(system), works) == {True, False}
 
 
 def tree_set_instances():
@@ -306,16 +320,15 @@ def tree_set_instances():
 
 
 @pytest.mark.parametrize("system, make, builder", tree_set_instances())
-def test_the_scan_and_the_search_match_is_member_on_tree_sets(system, make,
-                                                              builder):
+def test_the_search_matches_is_member_on_tree_sets(system, make, builder):
     # The searches serve a tree's label sets and closures, which hold far
     # more ids than the random works above.
     tree = tf.build(system, builder(system))
     works = {frozenset(ids_of(m)) for v in tree.nodes()
              for m in (tree.beta(v), tree.closure(v))}
     fam = make(system)
-    seen = scan_and_search_against_is_member(fam, sorted(works, key=sorted))
-    assert {held for held, _ in seen} == {True, False}, fam.kind
+    seen = search_against_is_member(fam, sorted(works, key=sorted))
+    assert seen == {True, False}, fam.kind
     assert max(len(w) for w in works) >= 15
 
 

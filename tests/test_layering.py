@@ -11,7 +11,8 @@ The oracle is the independent ground truth the suite checks the pipeline
 against, so the pipeline must not compute anything with it.  Only the CLI
 (its `oracle` command and `--budget`) may import it; the package `__init__`
 re-exports it, the certifier `is_rich` included, as part of the public
-namespace without running any of it.
+namespace without running any of it.  Nor does the oracle share the
+pipeline's searches: of a family it asks only `is_member`.
 """
 
 import ast
@@ -22,6 +23,7 @@ import sys
 from pathlib import Path
 
 import tangleforge
+from tangleforge.families import KINDS
 
 from conftest import FIXTURES
 from test_outputs import INPUTS, OUTPUT_SHA256, V2_SHA256
@@ -158,18 +160,21 @@ def _method_calls(module: str, names) -> list[tuple[str, int]]:
 def test_family_hooks_are_called_only_inside_families():
     # The hooks take the bound system's ids; callers elsewhere would skip the
     # translation from a level system's ids that the public methods make.
-    hooks = ("_search", "_extends", "_witness", "_answer", "_critical")
+    hooks = ("_search", "_witness", "_answer", "_critical")
     found = {path.stem: _method_calls(path.stem, hooks)
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {m for m, calls in found.items() if calls} == {"families"}
 
 
-def test_only_the_oracle_extends_members_outside_families():
-    # A leaf's label set is asked about once, with forbidden_subset; walking
-    # a root path with extends_member is the oracle's enumeration alone.
-    found = {path.stem: _method_calls(path.stem, ("extends_member",))
-             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "families"}
-    assert {m for m, calls in found.items() if calls} == {"oracle"}
+def test_the_oracle_asks_families_only_is_member():
+    # The oracle checks the tree's searches, so it asks a family for its
+    # definition alone, in the family's own ids, and nothing the tree asks.
+    methods = {name for cls in KINDS.values() for name in dir(cls)
+               if callable(getattr(cls, name)) and not name.startswith("__")}
+    assert {"forbidden_subset", "holds_member", "critical_labels", "_search",
+            "_answer", "_critical", "_ids_into"} <= methods
+    assert _method_calls("oracle", methods - {"is_member"}) == []
+    assert _method_calls("oracle", ("is_member",)) != []  # the walk sees it
 
 
 def _function_calls(module: str, name: str) -> list[int]:

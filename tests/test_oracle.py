@@ -10,8 +10,9 @@ from tangleforge.oracle import (OracleBudget, all_consistent_orientations,
                                 is_strongly_efficient_in, minimal_elements)
 from tangleforge.system import ids_of, mask_of
 
-from conftest import (antichain_system, random_subset_system,
-                      standardized_explicit)
+from conftest import (all_graphs_up_to_iso, antichain_system,
+                      random_subset_system, standardized_explicit)
+from test_families import all_subsets, k4_universe_families, six_families
 
 
 def test_empty_system_has_the_empty_orientation():
@@ -49,6 +50,37 @@ def test_pruned_tangle_walk_matches_filtering(seed):
     filtered = [t for t in all_consistent_orientations(system)
                 if fam.forbidden_subset(system, mask_of(t)) is None]
     assert pruned == filtered
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_walk_matches_an_unpruned_reference_for_every_kind(seed, k4):
+    # The walk asks is_member of o with at most arity - 1 chosen ids, or
+    # with all of them at unbounded arity; the reference asks it of every
+    # subset of every consistent orientation, in the family's ids.
+    families = six_families(seed)
+    # cluster:2 leaves the 4-point universe no tangle, cluster:1 some; on
+    # this graph a blocks member may need more than the new id and one other
+    families.append(tf.make_cluster(1, families[1].system))
+    graph = tf.graph_system(all_graphs_up_to_iso(4)[3], 2)
+    families.append(tf.make_blocks(2, graph))
+    cases = [(fam, fam.system) for fam in families]
+    cases += [(fam, fam.system.restrict_below(2))
+              for fam in k4_universe_families(k4)]
+    pruned_some = set()
+    for fam, system in cases:
+        assert system.count <= 8
+        up = system.oriented_into(fam.system)
+        every = all_consistent_orientations(system)
+        want = [tau for tau in every
+                if not any(fam.is_member({up[x] for x in sub})
+                           for sub in all_subsets(tau))]
+        assert all_tangles(system, fam) == want, (fam.kind, system.count)
+        if 0 < len(want) < len(every):
+            pruned_some.add(fam.kind)
+    # some orientations pruned and others kept, for each kind but the
+    # seeded explicit family, which may forbid all or none
+    assert pruned_some >= {"cluster", "profile", "strong_profile", "blocks",
+                           "graph_tangle"}
 
 
 def test_k4_block_family_counts(k4):

@@ -247,6 +247,18 @@ def test_leaf_classes_are_kept_per_family(two_k4):
             leaf: tf.classify_leaf(tree, leaf, fam) for leaf in tree.leaves()}
 
 
+def test_a_built_tree_keeps_the_classes_of_its_leaves_only(two_k4):
+    # build classifies each node it makes, and a split drops the class of
+    # the node it splits: 63 nodes on two_k4, of which 32 are leaves
+    system = tf.graph_system(two_k4, 3)
+    fam = tf.make_blocks(3, system)
+    tree = tf.build(system, fam)
+    memo = tree._classes[fam]
+    assert sorted(memo) == tree.leaves() and (len(tree), len(memo)) == (63, 32)
+    assert memo == {leaf: tf.classify_leaf(tree, leaf, fam)
+                    for leaf in tree.leaves()}
+
+
 def test_cluster_restriction_shows_the_two_clusters(six_cluster_system):
     fam = tf.make_cluster(3, six_cluster_system)
     t = tf.build(six_cluster_system, fam)
