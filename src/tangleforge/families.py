@@ -8,9 +8,10 @@ least by sorted oriented-id sequence) so golden files stay stable.
 Each family states what a member is with ``is_member``, the definition the
 tests re-check every witness against, and finds the least member inside a
 set with its own search, ``_search``.  ``blocks`` (closed under supersets)
-takes the shortest member prefix of the sorted set; ``explicit`` (a listed
-family) the least listed member inside it; ``profile`` each pair x <= y of
-the set whose join of inverses lies in it, and ``strong_profile`` each pair
+takes the shortest member prefix of the sorted set, read per vertex off the
+labels that exclude it; ``explicit`` (a listed family) the least listed
+member inside it; ``profile`` each pair x <= y of the set whose join of
+inverses lies in it, and ``strong_profile`` each pair
 with elements of the set below that join, completed by the least of them or
 the least other than x, keeping the least; ``cluster`` walks x, then x with
 each later y, then with each z after y, in the order of sorted ids, and
@@ -27,12 +28,13 @@ pipeline, level trees included, scan each set once.  ``critical_labels``
 gives the labels of a member-holding set whose removal leaves no member,
 what reduction needs of a forbidden leaf: the base class tries the labels of
 the kept answer against the kept answers of the smaller sets; ``blocks``
-reads them all off prefix and suffix intersections.
+counts, per label, the vertices that only it excludes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import MissingCapability, ValidationError
@@ -200,8 +202,10 @@ def _meet(sides, members, out: int) -> int:
 class BlocksFamily(ForbiddenFamily):
     """Sets whose big-side intersection has fewer than k vertices.
 
-    Superset-closed, so containment of a member is decided by the set itself;
-    witnesses are minimized greedily to the lexicographically least member.
+    Superset-closed, so the least member inside a set is its shortest member
+    prefix, and a label is critical exactly when the other labels' big sides
+    still meet in k vertices.  Both are read off ``_excluders``, per vertex,
+    in O(|V|) whatever the size of the set.
     """
 
     kind = "blocks"
@@ -214,6 +218,12 @@ class BlocksFamily(ForbiddenFamily):
         self._all = (1 << ground.size) - 1
         self._big = ground.sides
 
+    @cached_property
+    def _excluders(self) -> list[int]:
+        """Per vertex, the mask of the oriented ids whose big side misses it."""
+        return [mask_of(o for o, side in enumerate(self._big) if not side >> v & 1)
+                for v in range(self._all.bit_length())]
+
     def is_member(self, members):
         return _meet(self._big, members, self._all).bit_count() < self.k
 
@@ -222,32 +232,26 @@ class BlocksFamily(ForbiddenFamily):
                 ids_of(_meet(self._big, members, self._all)), "k": self.k}
 
     def _search(self, work):
-        # Superset closure makes the lexicographically least member the
-        # shortest member prefix of the sorted work: one running AND.
-        meet, rest = self._all, work
-        while meet.bit_count() >= self.k:
-            if not rest:
-                return None
-            low = rest & -rest
-            meet &= self._big[low.bit_length() - 1]
-            rest ^= low
-        return work ^ rest
+        # A prefix is a member once it excludes |V| - k + 1 vertices, and a
+        # vertex is excluded from its least excluder in the work on: the
+        # shortest member prefix ends at the m-th least of those labels.
+        m = self._all.bit_length() - self.k + 1
+        if m <= 0:
+            return 0
+        firsts = sorted(f & -f for e in self._excluders if (f := e & work))
+        return work & (2 * firsts[m - 1] - 1) if len(firsts) >= m else None
 
     def _critical(self, work):
-        # Superset closure: a label is critical exactly when the other big
-        # sides still meet in k vertices.  ANDs of the labels before and
-        # after each one give all of them in one pass.
-        ids = ids_of(work)
-        before, meet = [], self._all
-        for o in ids:
-            before.append(meet)
-            meet &= self._big[o]
-        out, after = 0, self._all
-        for o, meet in zip(reversed(ids), reversed(before)):
-            if (meet & after).bit_count() >= self.k:
-                out |= 1 << o
-            after &= self._big[o]
-        return out
+        # Removing a label gives back to the meet the vertices only it
+        # excludes: ``only`` counts them per label, keyed by its bit.
+        meet, only = 0, {}
+        for e in self._excluders:
+            f = e & work
+            if not f:
+                meet += 1
+            elif not f & (f - 1):
+                only[f] = only.get(f, 0) + 1
+        return sum(f for f, n in only.items() if meet + n >= self.k)
 
 
 def _least_small_meet(words, n, work) -> int | None:

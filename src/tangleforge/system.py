@@ -368,13 +368,19 @@ class SeparationSystem:
 
     def minimal_elements(self, mask: int) -> int:
         """Elements of the set with nothing of the set strictly below them."""
-        return mask_of(x for x in ids_of(mask) if not self._below[x] & mask)
+        out, rest = 0, mask
+        while rest:
+            low = rest & -rest
+            if not self._below[low.bit_length() - 1] & mask:
+                out |= low
+            rest ^= low
+        return out
 
     def open_separations(self, closure: int) -> list[int]:
         """Separations the closure mask ``closure`` leaves unoriented,
         cheapest first, ties broken by id."""
         oriented = (closure | closure >> 1) & self._even
-        return [s for s in self._by_order if not oriented >> forward(s) & 1]
+        return [s for s in self._by_order if not oriented >> 2 * s & 1]
 
     def orients_all(self, mask: int) -> bool:
         """One orientation per separation, every separation covered."""

@@ -361,6 +361,8 @@ def critical_instances():
     for name, system, make in (
             ("grid3x3/blocks3", tf.graph_system(grid_graph(3, 3), 3),
              lambda s: tf.make_blocks(3, s)),
+            ("grid4x4/blocks3", tf.graph_system(grid_graph(4, 4), 3),
+             lambda s: tf.make_blocks(3, s)),
             ("six_similarity/cluster2", tf.bipartition_system(
                 tf.full_bipartition_ground(6, similarity=sim)),
              lambda s: tf.make_cluster(2, s)),
@@ -381,8 +383,13 @@ def test_critical_labels_match_their_definition(system, make):
     full = tf.build(system, fam)
     levels = [tf.restrict(full, k)
               for k in sorted({system.order(s) for s in system.seps()})]
+    # a reduced tree's leaves have lost labels by contraction
+    reduced = [tf.reduce(tree, fam)[0] for tree in [full, *levels]
+               if tf.is_structure_tree(tree, fam)]
+    assert reduced
     leaves = 0
-    for tree in [full, *levels]:  # a level tree's system is not the bound one
+    # a level tree's system is not the bound one
+    for tree in [full, *levels, *reduced]:
         for leaf, cls in tf.tree.classify_all(tree, fam).items():
             if cls.kind != "forbidden":
                 continue
@@ -404,6 +411,45 @@ def test_critical_labels_match_their_definition(system, make):
                 critical_by_definition(ref, sysx, beta)
             held += 1
         assert held
+
+
+def blocks_depth_systems():
+    """Grids 4x4 and 4x5 with their separations of order below 3, and every
+    graph of up to 4 vertices with all its separations."""
+    out = [pytest.param(tf.graph_system(grid_graph(r, c), 3), id=f"grid{r}x{c}")
+           for r, c in ((4, 4), (4, 5))]
+    out += [pytest.param(tf.graph_universe(g), id=f"graph{n}-{i}")
+            for n in range(1, 5) for i, g in enumerate(all_graphs_up_to_iso(n))]
+    return out
+
+
+@pytest.mark.parametrize("system", blocks_depth_systems())
+def test_blocks_answers_match_their_definitions_at_depth(system):
+    # Random works from empty up to every id, with k from 1, where only
+    # an empty big-side intersection is a member, to |V| + 1, where the
+    # empty set is one.  The least member is the shortest prefix is_member
+    # accepts, and critical labels are asked of works that hold one.
+    rng = np.random.default_rng(system.count)
+    ids = list(system.all_oriented())
+    n = system.ground.size
+    held = set()
+    for k in range(1, n + 2):
+        fam, ref = tf.make_blocks(k, system), tf.make_blocks(k, system)
+        sizes = {0, len(ids), *(int(x) for x in rng.integers(0, len(ids), 6))}
+        for size in sorted(sizes):
+            work = sorted(int(o) for o in rng.choice(ids, size, replace=False))
+            beta = mask_of(work)
+            prefix = next((work[:i] for i in range(len(work) + 1)
+                           if fam.is_member(work[:i])), None)
+            assert fam._search(beta) == \
+                (None if prefix is None else mask_of(prefix)), (k, work)
+            held.add(prefix is not None)
+            if prefix is not None:
+                assert fam._critical(beta) == \
+                    critical_by_definition(ref, system, beta), (k, work)
+            if k > n:
+                assert prefix == [] and fam._critical(beta) == 0
+    assert held == {True, False}
 
 
 def test_no_label_is_critical_when_the_empty_set_is_a_member():

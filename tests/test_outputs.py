@@ -10,6 +10,9 @@ A system with a ground is written as ``sepsys/v2``.  ``OUTPUT_SHA256`` pins
 each output with every inlined sepsys/v2 system expanded by the tests' own
 ``expand_sepsys_v2`` into the sepsys/v1 it was written as before, and
 ``V2_SHA256`` the bytes written of the outputs that inline one.
+
+``GRID_SHA256`` pins the `report/v2` of grids under ``blocks:3``, whose
+caterpillar trees ask the family about label sets of hundreds of ids.
 """
 
 import hashlib
@@ -17,10 +20,12 @@ import json
 
 import pytest
 
+import tangleforge as tf
+from tangleforge.build import dump_report
 from tangleforge.cli import main
 from tangleforge.system import dump_json
 
-from conftest import FIXTURES, expand_systems
+from conftest import FIXTURES, expand_systems, grid_graph
 
 INPUTS = {
     "k4/blocks3": ["--graph", "k4.edges", "--family", "blocks:3"],
@@ -134,3 +139,18 @@ def test_command_writes_its_pinned_output(name, tmp_path):
     assert hashlib.sha256(data).hexdigest() == \
         V2_SHA256.get(name, OUTPUT_SHA256[name][1])
     assert (b'"sepsys/v2"' in data) == (name in V2_SHA256)
+
+
+# the sha256 of report/v2 of the rows x cols grid under blocks:3
+GRID_SHA256 = {
+    (4, 5): "78cd26de8acacafcc807797cabe099ea0073b35215f0e19d673176b35b43921a",
+    (5, 5): "eda0203ee4a2bd020dee0cebb0e68bb475bcfc572427e847d8763b55b47233f7",
+}
+
+
+@pytest.mark.parametrize("rows, cols", sorted(GRID_SHA256))
+def test_grid_reports_keep_their_bytes(rows, cols):
+    system = tf.graph_system(grid_graph(rows, cols), 3)
+    report = tf.pipeline(system, tf.make_blocks(3, system))
+    assert hashlib.sha256(dump_report(report).encode()).hexdigest() == \
+        GRID_SHA256[rows, cols]
