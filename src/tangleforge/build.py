@@ -45,8 +45,8 @@ def build(system: SeparationSystem, family: ForbiddenFamily) -> StructureTree:
         v = pending.popleft()
         if leaf_class(tree, v, family).kind != "unresolved":
             continue
-        candidates = system.open_separations(tree.closure(v))
-        if not candidates:
+        s = system.cheapest_open(tree.closure(v))
+        if s is None:
             blockers = [o for o in ids_of(tree.beta(v)) if system.is_cotrivial(o)]
             if blockers:
                 raise NonStandardFamily(
@@ -54,7 +54,7 @@ def build(system: SeparationSystem, family: ForbiddenFamily) -> StructureTree:
                     f"{fmt_oriented(system.local(blockers[0]))} is not "
                     "forbidden by the family")
             continue  # family not rich enough; post-checks will flag the tree
-        pending.extend(tree._split(v, candidates[0]))
+        pending.extend(tree._split(v, s))
         if len(tree) > MAX_TREE_NODES:
             raise NodeCapExceeded(f"tree grew to {len(tree)} nodes, over the "
                                   f"limit of {MAX_TREE_NODES}")
@@ -105,19 +105,28 @@ def reduce(tree: StructureTree, family: ForbiddenFamily):
 
 
 def _reduce(tree, family, needs):
-    """Unchecked ``reduce``, with ``needs``, the needs of a leaf by its label
-    mask, shared by ``pipeline``.
+    """Unchecked ``reduce``, with ``needs``, a leaf's needs by its label
+    mask and whether they are fixed, shared by ``pipeline``.
 
     Non-leaves are scanned deepest first, then least id (on a separation
     tree a node's depth is the size of its label mask), once the needs
     folded up from below each child are final; the first child ``w`` whose
-    label its fold lacks gives the contraction ``(v, w)``.  Contracting
-    drops ``v``'s other subtrees, moves ``w`` into ``v``'s place and clears
-    ``w``'s label from the masks below ``w``, whose non-leaves are scanned
-    again; no other fold changes, and ``v``'s ancestors are not scanned yet.
-    No leaf below ``w`` needs the label, so each keeps its class: a tangle
-    leaf's closure still holds the label, required by a label below it, and
-    a forbidden leaf still holds a member, read from its new mask.
+    label x its fold lacks gives the contraction ``(v, w)``.  Contracting
+    drops ``v``'s other subtrees, moves ``w`` into ``v``'s place, and below
+    ``w``, short of settled nodes, clears x from the masks and scans the
+    non-leaves again; no other fold changes, and ``v``'s ancestors are not
+    scanned yet.  No leaf below ``w`` needs x, so a tangle leaf's closure
+    still holds x, required by a label below it, a forbidden leaf still
+    holds a member, and each keeps its class.
+
+    Needs only grow: a critical label l of a forbidden leaf's mask M stays
+    critical in M \\ {x}, as M \\ {x, l} lies in M \\ {l}; a tangle leaf's
+    minimal labels stay so, and as some t in M lies below x, so below all
+    above x, no label becomes minimal.  Some are fixed: a critical label
+    lies in every member inside M, so if the critical set C of M holds a
+    member, C is that of every later mask, which holds C; a tangle leaf's
+    are always fixed.  A fixed leaf is settled, as is a scanned node whose
+    children all are: its fold cannot change, so no walk enters it.
     """
     system = tree.system
     parent, children = dict(tree._parent), dict(tree._children)
@@ -127,7 +136,7 @@ def _reduce(tree, family, needs):
                for v, kids in children.items() if not kids}
     heap = [(-mask[v].bit_count(), v) for v, kids in children.items() if kids]
     heapify(heap)
-    fold, root, trace = {}, tree.root, ReductionTrace()
+    fold, settled, root, trace = {}, set(), tree.root, ReductionTrace()
     while heap:
         v = heappop(heap)[1]
         folded = 0
@@ -135,15 +144,20 @@ def _reduce(tree, family, needs):
             if children[w]:
                 below = fold[w]
             else:
-                below = needs.get(mask[w])
-                if below is None:
-                    below = needs[mask[w]] = _class_needs(
-                        system, family, classes[w], mask[w])
+                if mask[w] not in needs:
+                    need = _class_needs(system, family, classes[w], mask[w])
+                    needs[mask[w]] = need, classes[w].kind == "tangle" or \
+                        family.holds_member(system, need)
+                below, fixed = needs[mask[w]]
+                if fixed:
+                    settled.add(w)
             if not below >> label[w] & 1:
                 break
             folded |= below
         else:
             fold[v] = folded
+            if settled.issuperset(children[v]):
+                settled.add(v)
             continue
         trace.steps.append((v, w))
         stack = [c for c in children[v] if c != w]
@@ -162,17 +176,22 @@ def _reduce(tree, family, needs):
         stack = [w]
         while stack:
             u = stack.pop()
-            mask[u] &= keep
-            if children[u]:
-                heappush(heap, (-mask[u].bit_count(), u))
-                stack.extend(children[u])
-            elif classes[u].kind == "forbidden":
-                classes[u] = LeafClass("forbidden", found=(family, system, mask[u]))
+            if u not in settled:
+                mask[u] &= keep
+                if children[u]:
+                    heappush(heap, (-mask[u].bit_count(), u))
+                    stack.extend(children[u])
     if not trace.steps:
         return tree, trace
     reduced = StructureTree(system, root, parent, children, label)
-    reduced._classes[family] = {v: classes[v]
-                                for v, kids in children.items() if not kids}
+    memo = reduced._classes[family] = {}
+    stack = [(root, 0)]  # each node with its final mask, stale below settled
+    while stack:
+        u, m = stack.pop()
+        stack.extend((c, m | 1 << label[c]) for c in children[u])
+        if u in classes:
+            memo[u] = classes[u] if classes[u].kind == "tangle" else \
+                LeafClass("forbidden", found=(family, system, m))
     return reduced, trace
 
 

@@ -382,6 +382,12 @@ class SeparationSystem:
         oriented = (closure | closure >> 1) & self._even
         return [s for s in self._by_order if not oriented >> 2 * s & 1]
 
+    def cheapest_open(self, closure: int) -> int | None:
+        """The first of ``open_separations(closure)``, or None."""
+        oriented = (closure | closure >> 1) & self._even
+        return next((s for s in self._by_order if not oriented >> 2 * s & 1),
+                    None)
+
     def orients_all(self, mask: int) -> bool:
         """One orientation per separation, every separation covered."""
         m = self._canon_mask(mask)

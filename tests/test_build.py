@@ -499,23 +499,25 @@ def test_pipeline_levels_equal_the_checked_public_path(system, fam):
 
 def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
     # A contraction carries the classes of the leaves below it, so inside
-    # the reduction no leaf is classified and the family answers only the
-    # critical labels of forbidden leaves.
+    # the reduction no leaf is classified and no witness is built.  The
+    # family gives the critical labels of a leaf's label mask, and says
+    # whether those labels hold a member themselves, which fixes them.
     build_module = sys.modules["tangleforge.build"]
     system = tf.graph_system(grid_graph(3, 3), 3)
     fam = tf.make_blocks(3, system)
     tree = tf.build(system, fam)
-    stack, calls = [], Counter()
+    stack, calls = [], []
 
     def inside(name, fn):
         def run(*args):
-            if "_reduce" in stack:
-                calls[name] += 1
             stack.append(name)
             try:
-                return fn(*args)
+                out = fn(*args)
             finally:
                 stack.pop()
+            if "_reduce" in stack:
+                calls.append((name, args[-1], out))
+            return out
         return run
 
     for name in ("holds_member", "forbidden_subset", "critical_labels"):
@@ -525,7 +527,96 @@ def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
     monkeypatch.setattr(build_module, "_reduce",
                         inside("_reduce", build_module._reduce))
     _, trace = tf.reduce(tree, fam)
-    assert trace.steps and set(calls) == {"critical_labels"}
+    leaf_masks, t = {tree.beta(leaf) for leaf in tree.leaves()}, tree
+    for step in trace.steps:
+        t = t.contracted(*step)
+        leaf_masks |= {t.beta(leaf) for leaf in t.leaves()}
+    assert trace.steps
+    assert {name for name, _, _ in calls} == {"critical_labels", "holds_member"}
+    for (name, mask, _), before in zip(calls, [None, *calls]):
+        if name == "critical_labels":
+            assert mask in leaf_masks
+        else:
+            assert before[0] == "critical_labels" and before[2] == mask
+
+
+def _fixed_needs_instances():
+    """The reference pool, grid 3x3 under blocks:3, and an 8-point
+    two-cluster ground under cluster:2."""
+    grid = tf.graph_system(grid_graph(3, 3), 3)
+    sim = [[0.0 if u == v else float((u < 4) == (v < 4)) + u * v % 3 / 10
+            for v in range(8)] for u in range(8)]
+    eight = tf.bipartition_system(tf.full_bipartition_ground(8, sim))
+    return [*_reference_instances(),
+            pytest.param(grid, tf.make_blocks(3, grid), id="grid3x3/blocks3"),
+            pytest.param(eight, tf.make_cluster(2, eight), id="eight/cluster2")]
+
+
+@pytest.mark.parametrize("system, fam", _fixed_needs_instances())
+def test_needs_kept_as_fixed_hold_after_every_contraction(system, fam):
+    # The needs a reduction keeps for a fixed leaf, at any mask the leaf
+    # has had, equal its needs asked afresh at its mask after each step.
+    build_module = sys.modules["tangleforge.build"]
+    full = tf.build(system, fam)
+    levels = [tf.restrict(full, k)
+              for k in sorted({system.order(s) for s in system.seps()})]
+    checked = 0
+    for tree in [full, *levels]:
+        if not tf.is_structure_tree(tree, fam):
+            continue
+        needs = {}
+        _, trace = build_module._reduce(tree, fam, needs)
+        had = {leaf: {tree.beta(leaf)} for leaf in tree.leaves()}
+        for step in trace.steps:
+            tree = tree.contracted(*step)
+            for leaf in tree.leaves():
+                had[leaf].add(tree.beta(leaf))
+                fresh = build_module._class_needs(
+                    tree.system, fam, tf.classify_leaf(tree, leaf, fam),
+                    tree.beta(leaf))
+                for mask in had[leaf]:
+                    kept, fixed = needs.get(mask, (None, False))
+                    assert not fixed or kept == fresh
+                    checked += fixed
+    assert checked or fam.kind in ("explicit", "empty")
+
+
+def test_a_contraction_can_grow_a_forbidden_leafs_needs():
+    # On grid 2x3 under blocks:3 a contraction makes a label critical for
+    # a forbidden leaf below it that was not before; that leaf's critical
+    # labels held no member, so its needs were not fixed.
+    build_module = sys.modules["tangleforge.build"]
+    system = tf.graph_system(tf.Graph.from_edges(
+        6, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)]), 3)
+    fam = tf.make_blocks(3, system)
+    tree = tf.build(system, fam)
+    grown = []
+    for step in tf.reduce(tree, fam)[1].steps:
+        after = tree.contracted(*step)
+        for leaf in after.leaves():
+            cls = tf.classify_leaf(after, leaf, fam)
+            if cls.kind == "forbidden":
+                old, new = (build_module._class_needs(system, fam, cls, t.beta(leaf))
+                            for t in (tree, after))
+                assert not old & ~new  # needs only grow
+                if new != old:
+                    assert not fam.holds_member(system, old)
+                    grown.append(leaf)
+        tree = after
+    assert grown
+
+
+@pytest.mark.parametrize("side", [3, 4, 5, 6])
+def test_pipeline_asks_each_leaf_its_critical_labels_at_most_once(
+        monkeypatch, side):
+    system = tf.graph_system(grid_graph(side, side), 3)
+    fam = tf.make_blocks(3, system)
+    asked = []
+    critical = type(fam).critical_labels
+    monkeypatch.setattr(type(fam), "critical_labels",
+                        lambda *args: asked.append(args) or critical(*args))
+    report = tf.pipeline(system, fam)
+    assert 0 < len(asked) <= len(report.tree_full.leaves())
 
 
 @pytest.fixture

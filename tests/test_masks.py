@@ -97,8 +97,10 @@ def assert_mask_operations_match(system, rng, samples=12):
         assert system.orients_all(m) == orients_all(system, members)
         assert system.eclipsed_elements(m) == \
             mask_of(eclipsed_elements(system, members))
-        assert system.open_separations(system._closure_mask(m)) == \
-            open_separations(system, members)
+        want = open_separations(system, members)
+        assert system.open_separations(system._closure_mask(m)) == want
+        assert system.cheapest_open(system._closure_mask(m)) == \
+            (want[0] if want else None)
     tau = frozenset(2 * s + int(rng.integers(0, 2)) for s in system.seps())
     assert system.orients_all(mask_of(tau)) and orients_all(system, tau)
     assert_cotrivial_identity(system)
