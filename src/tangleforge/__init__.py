@@ -8,7 +8,7 @@ plus a brute-force oracle used as independent ground truth in the tests.
 """
 
 from .build import (PipelineReport, ReductionTrace, build, certificates_of,
-                    leaf_needs, pipeline, reduce, report_to_json_dict)
+                    pipeline, reduce, report_to_json_dict)
 from .families import (BlocksFamily, ClusterFamily, EmptyFamily,
                        ExplicitFamily, ForbiddenFamily, GraphTangleFamily,
                        ProfileFamily, StrongProfileFamily, Witness,
@@ -26,9 +26,8 @@ from .system import (SeparationSystem, ValidationReport, backward, dump_system,
                      forward, from_json_dict, inverse, load_system, sep_of,
                      to_json_dict, validate)
 from .tree import (Check, LeafClass, StructureTree, classify_leaf,
-                   is_consistent_tree, is_efficient, is_f_tree, is_ordered,
-                   is_separation_tree, is_structure_tree,
-                   is_thoroughly_ordered, leaf_for_orientation, restrict,
-                   tangles, to_dot, tree_from_json_dict, tree_to_json_dict)
+                   is_consistent_tree, is_f_tree, is_ordered,
+                   is_separation_tree, is_structure_tree, restrict, tangles,
+                   to_dot, tree_from_json_dict, tree_to_json_dict)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
-                     NotOrdered, UnresolvedLeaf)
+                     NotOrdered)
 from .families import ForbiddenFamily
 from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
                      mask_of, to_json_dict)
@@ -61,14 +61,6 @@ def build(system: SeparationSystem, family: ForbiddenFamily) -> StructureTree:
     return tree
 
 
-def leaf_needs(tree, family, leaf: int) -> int:
-    """The mask of the labels this leaf needs to keep its class."""
-    cls = leaf_class(tree, leaf, family)
-    if cls.kind == "unresolved":
-        raise UnresolvedLeaf(f"leaf {leaf} is unresolved")
-    return _class_needs(tree.system, family, cls, tree.beta(leaf))
-
-
 def _class_needs(system, family, cls, beta: int) -> int:
     """What a resolved leaf of class ``cls`` and label mask ``beta`` needs:
     a tangle leaf its minimal labels; a forbidden leaf its critical labels,
@@ -81,24 +73,17 @@ def _class_needs(system, family, cls, beta: int) -> int:
 
 @dataclass
 class ReductionTrace:
-    """Contractions applied; ``replay`` rebuilds each intermediate tree."""
+    """The contractions a reduction applied, in order."""
 
     steps: list[tuple[int, int]] = field(default_factory=list)
-
-    def replay(self, tree: StructureTree) -> StructureTree:
-        for v, w in self.steps:
-            tree = tree.contracted(v, w)
-        return tree
 
 
 def reduce(tree: StructureTree, family: ForbiddenFamily):
     """Contract until every node is necessary; returns (tree, trace).
 
     Each step contracts the deepest, least-id edge whose label no leaf
-    behind it needs, and ``trace.replay`` redoes the steps one persistent
-    ``contracted`` at a time.  The reduction itself is one pass over a
-    working copy of the tree (see ``_reduce``), and the reduced tree comes
-    with the classes of its leaves.
+    behind it needs.  The reduction is one pass over a working copy of the
+    tree (see ``_reduce``); the reduced tree comes with its leaves' classes.
     """
     is_structure_tree(tree, family).require(NotAStructureTree)
     return _reduce(tree, family, {})

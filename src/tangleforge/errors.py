@@ -53,14 +53,6 @@ class NotOrdered(TangleForgeError):
     """An operation requiring an ordered tree was given an unordered one."""
 
 
-class NotParentChild(TangleForgeError):
-    """Contraction was asked for a node pair that is not a parent/child edge."""
-
-
-class UnresolvedLeaf(TangleForgeError):
-    """Necessity is undefined for a leaf that is neither tangle nor forbidden."""
-
-
 class NonStandardFamily(TangleForgeError):
     """Construction got blocked by a co-trivial element the family does not forbid."""
 

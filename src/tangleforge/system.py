@@ -265,7 +265,7 @@ class SeparationSystem:
 
     def local(self, o: int) -> int:
         """The id of the live id ``o`` in the system a view stands for."""
-        return (self.live & ((1 << o) - 1)).bit_count()
+        return o if self._base is None else (self.live & (1 << o) - 1).bit_count()
 
     def has_universe(self) -> bool:
         return self._lattice
@@ -290,9 +290,6 @@ class SeparationSystem:
 
     def order_of(self, o: int) -> float:
         return self.orders[sep_of(o)]
-
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.up[a] >> b & 1)
 
     def lt(self, a: int, b: int) -> bool:
         return bool(self._below[b] >> a & 1)
@@ -376,14 +373,9 @@ class SeparationSystem:
             rest ^= low
         return out
 
-    def open_separations(self, closure: int) -> list[int]:
-        """Separations the closure mask ``closure`` leaves unoriented,
-        cheapest first, ties broken by id."""
-        oriented = (closure | closure >> 1) & self._even
-        return [s for s in self._by_order if not oriented >> 2 * s & 1]
-
     def cheapest_open(self, closure: int) -> int | None:
-        """The first of ``open_separations(closure)``, or None."""
+        """The cheapest separation, least id first, that the closure mask
+        ``closure`` leaves unoriented, or None."""
         oriented = (closure | closure >> 1) & self._even
         return next((s for s in self._by_order if not oriented >> 2 * s & 1),
                     None)
@@ -393,13 +385,6 @@ class SeparationSystem:
         m = self._canon_mask(mask)
         fwd, bwd = m & self._even, m >> 1 & self._even
         return not fwd & bwd and fwd | bwd == self._even
-
-    def eclipsed_elements(self, mask: int) -> int:
-        """Elements with a strictly smaller element of the set below them."""
-        order = self.order_of
-        return mask_of(x for x in ids_of(mask)
-                       if any(order(y) < order(x)
-                              for y in ids_of(self._below[x] & mask)))
 
     # -- derived systems -----------------------------------------------------
 

@@ -1,12 +1,10 @@
 """Rooted trees with oriented-separation edge labels.
 
-Trees are persistent values: structural edits return new trees, so a
-reduction's steps replay every intermediate.  Only construction grows a tree
-in place, before anyone else holds it.  Each node keeps the label mask of its
-root path, and each leaf its class per family.  The predicate ladder
-(separation tree, consistent, ordered, thoroughly ordered, efficient,
-structure tree, all-leaves-forbidden) lives here, together with restriction
-to a lower order threshold.
+Construction grows a tree in place, before anyone else holds it; after that
+a tree is not changed.  Each node keeps the label mask of its root path, and
+each leaf its class per family.  The checks that the pipeline and the CLI
+rely on (separation tree, consistent, ordered, structure tree, all leaves
+forbidden) live here, together with restriction to a lower order threshold.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import (LeafHasNoSep, MalformedTree, NotAStructureTree,
-                     NotOrdered, NotParentChild, ValidationError)
+                     NotOrdered, ValidationError)
 from .families import ForbiddenFamily, Witness
 from .system import (dump_json, expect_int, expect_object, fmt_oriented,
                      from_json_dict, ids_of, mask_of, parse_json, sep_of,
@@ -65,13 +63,13 @@ class StructureTree:
     __slots__ = ("system", "root", "_parent", "_children", "_label", "_state",
                  "_classes", "_next")
 
-    def __init__(self, system, root, parent, children, label, state=None):
+    def __init__(self, system, root, parent, children, label):
         self.system = system
         self.root = root
         self._parent = dict(parent)
         self._children = {v: tuple(c) for v, c in children.items()}
         self._label = dict(label)
-        self._state = {root: (0, 0, 0, False)} if state is None else state
+        self._state = {root: (0, 0, 0, False)}
         self._classes: dict = {}  # family -> {leaf: LeafClass}
         self._next = max(self._parent) + 1  # the id the next split starts at
 
@@ -105,14 +103,6 @@ class StructureTree:
 
     def non_leaves(self) -> list[int]:
         return [v for v in self.nodes() if not self.is_leaf(v)]
-
-    def descendants(self, v) -> list[int]:
-        out, stack = [], [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(self._children[u])
-        return sorted(out)
 
     def _node(self, v) -> tuple[int, int, int, bool]:
         """v's label mask, closure mask, away-union and co-trivial flag,
@@ -175,27 +165,6 @@ class StructureTree:
             self._label[c] = o
         return kids
 
-    def contracted(self, v, w) -> "StructureTree":
-        """Contract the edge vw and delete v's other children with their
-        subtrees; the merged node keeps w's identity and outgoing edges."""
-        if v not in self._parent or self._parent.get(w) != v:
-            raise NotParentChild(f"{w} is not a child of {v}")
-        drop = {v}.union(*(self.descendants(c) for c in self._children[v]
-                           if c != w))
-        parent = {u: p for u, p in self._parent.items() if u not in drop}
-        children = {u: cs for u, cs in self._children.items() if u not in drop}
-        label = {u: l for u, l in self._label.items() if u not in drop}
-        gp = parent[w] = self._parent[v]
-        label[w] = self._label[v]  # None when v is the root
-        if gp is not None:
-            children[gp] = tuple(w if c == v else c for c in self._children[gp])
-        state = dict(self._state)  # the values of v's subtree change
-        for u in self.descendants(v):
-            state.pop(u, None)
-        state[w] = self._node(v)  # w takes v's place
-        return StructureTree(self.system, w if gp is None else self.root,
-                             parent, children, label, state)
-
 
 # -- derived data -----------------------------------------------------------
 
@@ -231,20 +200,6 @@ def classify_all(tree, family) -> dict[int, LeafClass]:
     return {leaf: leaf_class(tree, leaf, family) for leaf in tree.leaves()}
 
 
-def leaf_for_orientation(tree, tau) -> int:
-    """The unique leaf whose label set the orientation contains."""
-    tau = {tree.system.canon(o) for o in tau}
-    v = tree.root
-    while not tree.is_leaf(v):
-        nxt = [c for c in tree.children(v)
-               if tree.system.canon(tree.label(c)) in tau]
-        if len(nxt) != 1:
-            raise MalformedTree(
-                f"orientation selects {len(nxt)} children at node {v}")
-        v = nxt[0]
-    return v
-
-
 def tangles(tree, family) -> list[frozenset[int]]:
     """Closures of the tangle leaves; the complete tangle list of the system."""
     is_structure_tree(tree, family).require(NotAStructureTree)
@@ -278,8 +233,6 @@ def is_separation_tree(tree) -> Check:
             return Check(False, f"node {v} splits more than one separation")
         if len(labels) != len({system.canon(o) for o in labels}):
             return Check(False, f"node {v} repeats an orientation on its edges")
-        if len(labels) > 2:
-            return Check(False, f"node {v} has {len(labels)} children")
         s = seps.pop()
         if tree.beta(v) >> 2 * s & 3:
             return Check(False, f"separation {s} split at {v} and above it")
@@ -306,40 +259,10 @@ def is_ordered(tree) -> Check:
     return Check(True)
 
 
-def is_thoroughly_ordered(tree) -> Check:
-    system = tree.system
-    for v in tree.non_leaves():
-        s = tree.s_of(v)
-        unoriented = system.open_separations(tree.closure(v))
-        if s not in unoriented:
-            return Check(False, f"split separation {s} at node {v} is already "
-                                "oriented by the closure of the path labels")
-        best = system.order(unoriented[0])
-        if system.order(s) > best:
-            return Check(False,
-                         f"node {v} splits order {system.order(s)} while order "
-                         f"{best} is available")
-    return Check(True)
-
-
-def is_efficient(tree) -> Check:
-    system = tree.system
-    for leaf in tree.leaves():
-        beta = tree.beta(leaf)
-        eclipsed = system.eclipsed_elements(tree.closure(leaf) | beta) & beta
-        if eclipsed:
-            return Check(False, f"label {fmt_oriented(ids_of(eclipsed)[0])} "
-                                f"at leaf {leaf} is eclipsed")
-    return Check(True)
-
-
 def is_structure_tree(tree, family) -> Check:
-    base = is_separation_tree(tree)
-    if not base:
-        return base
-    cons = is_consistent_tree(tree)
-    if not cons:
-        return cons
+    for check in (is_separation_tree, is_consistent_tree):
+        if not (found := check(tree)):
+            return found
     for v in tree.non_leaves():
         if family.holds_member(tree.system, tree.beta(v)):
             return Check(False, f"inner node {v} has a forbidden label set")

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import tangleforge as tf
 import tangleforge.tree as tr
+from tangleforge.oracle import minimal_elements, replay, tree_faults
 from tangleforge.system import ids_of, inverse, mask_of
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -413,9 +415,9 @@ def local_mask(system, mask):
 def assert_level_matches_carved(tree_full, level, family):
     """A pipeline level, whose tree is a view tree, read through ``local``
     against ``restrict_relabelled`` of the full tree: node by node, its
-    label mask, closure, consistency and leaf class; then its structure
-    check, tangles, critical labels, reduction steps and the level's
-    stored tangles and certificates."""
+    label mask, closure, consistency and leaf class; then the oracle's
+    verdict on its tree properties, and its tangles, critical labels,
+    reduction steps and the level's stored tangles and certificates."""
     ref = restrict_relabelled(tree_full, level.k)
     tree, view = level.tree, level.tree.system
     assert view.base is tree_full.system.base
@@ -438,11 +440,13 @@ def assert_level_matches_carved(tree_full, level, family):
             assert local_mask(view, family.critical_labels(
                 view, tree.beta(leaf))) == \
                 family.critical_labels(ref.system, ref.beta(leaf))
-    for check in (tf.is_thoroughly_ordered, tf.is_efficient):
-        assert bool(check(tree)) == bool(check(ref))
-    ok = bool(tf.is_structure_tree(ref, family))
-    assert bool(tf.is_structure_tree(tree, family)) == ok == level.structure_ok
-    if not ok:
+    # the oracle's verdict on the carved level: a level of a built tree is
+    # thoroughly ordered, and it is a structure tree where the pipeline
+    # says so
+    faults = faults_of(ref, carved_family(family, ref.system))
+    assert faults["thoroughly ordered"] is None and faults["efficient"] is None
+    assert (faults["structure tree"] is None) == level.structure_ok
+    if not level.structure_ok:
         return
     reduced, trace = tf.reduce(ref, family)
     assert tf.reduce(tree, family)[1].steps == trace.steps
@@ -459,8 +463,45 @@ def split_leaf(tree, v, s):
     """A copy of the tree with the leaf v split on s, and the new children:
     construction's in-place split made persistent."""
     out = tr.StructureTree(tree.system, tree.root, tree._parent,
-                           tree._children, tree._label, dict(tree._state))
+                           tree._children, tree._label)
     return out, out._split(v, s)
+
+
+def tree_maps(tree):
+    """The tree's plain ``parent`` and ``label`` maps, as the oracle reads
+    a tree."""
+    return ({v: tree.parent(v) for v in tree.nodes()},
+            {v: tree.label(v) for v in tree.nodes()})
+
+
+def faults_of(tree, family):
+    """The oracle's ``tree_faults`` of a tree over a whole system."""
+    return tree_faults(tree.system, family, *tree_maps(tree))
+
+
+def carved_family(family, system):
+    """``family``, bound to the top system of ``system``'s carving, asked
+    in ``system``'s ids: what the oracle's checkers take."""
+    up = system.oriented_into(family.system or system)
+    return SimpleNamespace(system=system, arity=family.arity, is_member=(
+        lambda ids: family.is_member([up[o] for o in ids])))
+
+
+def replayed(tree, steps):
+    """The tree after the contractions ``steps``, replayed by the oracle
+    on plain maps and built again over the same system."""
+    parent, label = replay(*tree_maps(tree), steps)
+    children = {v: [c for c in sorted(parent) if parent[c] == v]
+                for v in parent}
+    root = next(v for v, p in parent.items() if p is None)
+    return tr.StructureTree(tree.system, root, parent, children, label)
+
+
+def leaf_of(tree, tau):
+    """The one leaf whose labels the orientation ``tau`` holds."""
+    [leaf] = [leaf for leaf in tree.leaves()
+              if not tree.beta(leaf) & ~mask_of(tau)]
+    return leaf
 
 
 def path_from_root(tree, v):
@@ -480,15 +521,27 @@ def is_ancestor(tree, u, v):
     return u in path_from_root(tree, v)
 
 
+def needed_by_definition(tree, family, o, leaf, cls) -> bool:
+    """Necessity read off the definition, asked of the family as it stands:
+    a tangle leaf needs its minimal labels, a forbidden leaf the labels
+    without which its labels hold no member."""
+    beta = tree.beta(leaf)
+    if cls.kind == "tangle":
+        return o in minimal_elements(tree.system, ids_of(beta))
+    assert cls.kind == "forbidden"
+    return family.forbidden_subset(tree.system, beta & ~(1 << o)) is None
+
+
 def necessary_for_leaf(tree, family, o, leaf):
     """Is the oriented separation needed to keep this leaf classified?"""
-    return bool(tf.leaf_needs(tree, family, leaf) >> o & 1)
+    return needed_by_definition(tree, family, o, leaf,
+                                tf.classify_leaf(tree, leaf, family))
 
 
 def necessary_node(tree, family, v):
     """Every child edge label is needed by some leaf behind it."""
     return all(any(necessary_for_leaf(tree, family, tree.label(w), leaf)
-                   for leaf in tree.descendants(w) if tree.is_leaf(leaf))
+                   for leaf in tree.leaves() if is_ancestor(tree, w, leaf))
                for w in tree.children(v))
 
 

@@ -10,19 +10,18 @@ import pytest
 import tangleforge as tf
 from tangleforge.build import dump_report
 from tangleforge.errors import (NodeCapExceeded, NonStandardFamily,
-                                NotAStructureTree, NotParentChild,
-                                UnresolvedLeaf)
-
-from tangleforge.oracle import minimal_elements
+                                NotAStructureTree)
+from tangleforge.oracle import replay
 from tangleforge.system import ids_of, mask_of
 
 from conftest import (FIXTURES, antichain_system, degenerate_pair_system,
-                      depth, grid_graph, is_ancestor, load_nonrich_fixture,
-                      necessary_for_leaf, necessary_node, random_relation_system,
+                      depth, faults_of, grid_graph, is_ancestor, leaf_of,
+                      load_nonrich_fixture, necessary_for_leaf, necessary_node,
+                      needed_by_definition, random_relation_system,
                       random_subset_system, redundant_split_family,
-                      redundant_split_system, split_leaf,
-                      standardized_explicit, tree_shape, trivial_top_system,
-                      two_cluster_similarity)
+                      redundant_split_system, replayed, split_leaf,
+                      standardized_explicit, tree_maps, tree_shape,
+                      trivial_top_system, two_cluster_similarity)
 
 
 # -- build -------------------------------------------------------------------
@@ -101,7 +100,7 @@ def test_build_is_deterministic(k4):
 def test_contracting_into_a_leaf_child_leaves_a_single_node(nested_pair):
     t = tf.StructureTree.single_root(nested_pair)
     t, kids = split_leaf(t, t.root, 0)
-    t2 = t.contracted(t.root, kids[0])
+    t2 = replayed(t, [(t.root, kids[0])])
     assert len(t2) == 1 and t2.root == kids[0]
     assert t2.beta(t2.root) == 0
 
@@ -110,7 +109,7 @@ def test_contracting_the_root_keeps_only_the_deeper_split(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
     deep_child = next(c for c in t.children(t.root) if not t.is_leaf(c))
-    t2 = t.contracted(t.root, deep_child)
+    t2 = replayed(t, [(t.root, deep_child)])
     assert t2.root == deep_child
     assert t2.s_of(t2.root) == 1  # only the second separation is split now
     assert sorted(ids_of(t2.beta(l)) for l in t2.leaves()) == [[2], [3]]
@@ -119,8 +118,8 @@ def test_contracting_the_root_keeps_only_the_deeper_split(nested_pair):
 def test_contraction_requires_a_parent_child_edge(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
-    with pytest.raises(NotParentChild):
-        t.contracted(t.leaves()[0], t.root)
+    with pytest.raises(ValueError, match="is not a child of"):
+        replay(*tree_maps(t), [(t.leaves()[0], t.root)])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -130,7 +129,7 @@ def test_contraction_preserves_consistency_and_order(seed):
     t = tf.build(system, fam)
     for v in t.non_leaves():
         for w in t.children(v):
-            t2 = t.contracted(v, w)
+            t2 = replayed(t, [(v, w)])
             assert tf.is_consistent_tree(t2)
             assert tf.is_ordered(t2)
 
@@ -141,7 +140,7 @@ def test_contraction_preserves_consistency_and_order(seed):
 def test_both_minimal_elements_are_necessary(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
-    leaf = tf.leaf_for_orientation(t, frozenset({0, 3}))
+    leaf = leaf_of(t, frozenset({0, 3}))
     assert necessary_for_leaf(t, fam, 0, leaf)
     assert necessary_for_leaf(t, fam, 3, leaf)
 
@@ -149,7 +148,7 @@ def test_both_minimal_elements_are_necessary(nested_pair):
 def test_dominated_label_is_not_necessary(nested_pair):
     fam = tf.make_empty()
     t = tf.build(nested_pair, fam)
-    leaf = tf.leaf_for_orientation(t, frozenset({0, 2}))
+    leaf = leaf_of(t, frozenset({0, 2}))
     # 2 < 0, so 0 is not minimal there
     assert not necessary_for_leaf(t, fam, 0, leaf)
     assert necessary_for_leaf(t, fam, 2, leaf)
@@ -166,14 +165,6 @@ def test_two_disjoint_witnesses_make_no_label_necessary():
     assert tf.classify_leaf(t, leaf, fam).kind == "forbidden"
     for o in ids_of(t.beta(leaf)):
         assert not necessary_for_leaf(t, fam, o, leaf)
-
-
-def test_necessity_undefined_for_unresolved_leaves(k4):
-    s3 = tf.graph_system(k4, 3)
-    fam = tf.make_blocks(3, s3)
-    t = tf.StructureTree.single_root(s3)
-    with pytest.raises(UnresolvedLeaf):
-        necessary_for_leaf(t, fam, 0, t.root)
 
 
 def test_leaves_are_vacuously_necessary(nested_pair):
@@ -214,7 +205,7 @@ def test_redundant_split_is_contracted_away():
     assert labels == {2, 3, 4, 5}  # the order-1 separation vanished
     assert [sorted(x) for x in tf.tangles(red, fam)] == \
         [sorted(x) for x in tf.tangles(t, fam)]
-    assert tree_shape(trace.replay(t)) == tree_shape(red)
+    assert tree_shape(replayed(t, trace.steps)) == tree_shape(red)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -242,8 +233,9 @@ def test_reduction_postconditions(seed):
         before = tf.classify_leaf(t, leaf, fam).kind
         after = tf.classify_leaf(red, leaf, fam).kind
         assert (before == "forbidden") == (after == "forbidden")
-    assert tf.is_efficient(red)
-    assert tf.is_ordered(red)
+    faults = faults_of(red, fam)
+    assert faults["efficient"] is None
+    assert tf.is_ordered(red) and faults["ordered"] is None
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -262,17 +254,8 @@ def test_contraction_validity_matches_label_necessity(seed):
                          necessary_for_leaf(t, fam, o, leaf)
                          for leaf in t.leaves())
             still_structure = bool(
-                tf.is_structure_tree(t.contracted(v, w), fam))
+                tf.is_structure_tree(replayed(t, [(v, w)]), fam))
             assert still_structure == (not needed)
-
-
-def needed_by_definition(tree, family, o, leaf, cls) -> bool:
-    """Necessity read off the definition, asked of the family as it stands."""
-    beta = tree.beta(leaf)
-    if cls.kind == "tangle":
-        return o in minimal_elements(tree.system, ids_of(beta))
-    assert cls.kind == "forbidden"
-    return family.forbidden_subset(tree.system, beta & ~(1 << o)) is None
 
 
 def plain_reduce(tree, family):
@@ -293,7 +276,7 @@ def plain_reduce(tree, family):
             None)
         if target is None:
             return tree, steps
-        tree = tree.contracted(*target)
+        tree = replayed(tree, [target])
         steps.append(target)
 
 
@@ -339,7 +322,8 @@ def test_reduce_matches_the_plain_reduction_at_every_level(system, fam):
         assert tree_shape(red) == tree_shape(want)
         for t in (tree, red):
             for leaf, cls in tf.tree.classify_all(t, fam).items():
-                assert tf.leaf_needs(t, fam, leaf) == mask_of(
+                assert sys.modules["tangleforge.build"]._class_needs(
+                    t.system, fam, cls, t.beta(leaf)) == mask_of(
                     o for o in t.system.all_oriented()
                     if needed_by_definition(t, fam, o, leaf, cls))
         compared += 1
@@ -354,8 +338,10 @@ def grown_by_split_leaf(system, family):
         v = min(pending)
         pending.remove(v)
         if tf.classify_leaf(tree, v, family).kind == "unresolved":
-            candidates = system.open_separations(
-                system._closure_mask(tree.beta(v)))
+            closure = system._closure_mask(tree.beta(v))
+            candidates = sorted((s for s in system.seps()
+                                 if not closure >> 2 * s & 3),
+                                key=lambda s: (system.order(s), s))
             if candidates:
                 tree, kids = split_leaf(tree, v, candidates[0])
                 pending += kids
@@ -529,7 +515,7 @@ def test_reduce_asks_no_member_query_for_leaf_needs(monkeypatch):
     _, trace = tf.reduce(tree, fam)
     leaf_masks, t = {tree.beta(leaf) for leaf in tree.leaves()}, tree
     for step in trace.steps:
-        t = t.contracted(*step)
+        t = replayed(t, [step])
         leaf_masks |= {t.beta(leaf) for leaf in t.leaves()}
     assert trace.steps
     assert {name for name, _, _ in calls} == {"critical_labels", "holds_member"}
@@ -568,7 +554,7 @@ def test_needs_kept_as_fixed_hold_after_every_contraction(system, fam):
         _, trace = build_module._reduce(tree, fam, needs)
         had = {leaf: {tree.beta(leaf)} for leaf in tree.leaves()}
         for step in trace.steps:
-            tree = tree.contracted(*step)
+            tree = replayed(tree, [step])
             for leaf in tree.leaves():
                 had[leaf].add(tree.beta(leaf))
                 fresh = build_module._class_needs(
@@ -592,7 +578,7 @@ def test_a_contraction_can_grow_a_forbidden_leafs_needs():
     tree = tf.build(system, fam)
     grown = []
     for step in tf.reduce(tree, fam)[1].steps:
-        after = tree.contracted(*step)
+        after = replayed(tree, [step])
         for leaf in after.leaves():
             cls = tf.classify_leaf(after, leaf, fam)
             if cls.kind == "forbidden":
@@ -651,7 +637,7 @@ def test_reduce_carries_exact_leaf_classes(system, fam):
         if not tf.is_structure_tree(tree, fam):
             continue
         red, trace = tf.reduce(tree, fam)
-        assert tree_shape(trace.replay(tree)) == tree_shape(red)
+        assert tree_shape(replayed(tree, trace.steps)) == tree_shape(red)
         carried = red._classes[fam]
         for leaf in red.leaves():  # equal kinds, tangles and witnesses
             assert carried[leaf] == tf.classify_leaf(red, leaf, fam)

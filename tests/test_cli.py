@@ -9,7 +9,7 @@ import pytest
 import tangleforge as tf
 from tangleforge.cli import main, make_parser
 
-from conftest import FIXTURES, M3, lattice_times_chain
+from conftest import FIXTURES, M3, faults_of, lattice_times_chain
 
 
 def run(tmp_path, *argv):
@@ -221,8 +221,8 @@ def test_loaded_tree_passes_the_same_predicates(tmp_path):
     t = tf.tree.tree_from_json_dict(standalone(text, "tree_full"))
     fam = tf.make_blocks(3, t.system)
     assert tf.is_separation_tree(t)
-    assert tf.is_thoroughly_ordered(t)
     assert tf.is_structure_tree(t, fam)
+    assert set(faults_of(t, fam).values()) == {None}
 
 
 def test_export_dot(tmp_path):

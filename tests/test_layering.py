@@ -12,7 +12,8 @@ against, so the pipeline must not compute anything with it.  Only the CLI
 (its `oracle` command and `--budget`) may import it; the package `__init__`
 re-exports it, the certifier `is_rich` included, as part of the public
 namespace without running any of it.  Nor does the oracle share the
-pipeline's searches: of a family it asks only `is_member`.
+pipeline's searches: of a family it asks only `is_member`, and its tree
+checkers read a system only through its order table, orders and counts.
 """
 
 import ast
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import tangleforge
 from tangleforge.families import KINDS
+from tangleforge.tree import StructureTree
 
 from conftest import FIXTURES
 from test_outputs import INPUTS, OUTPUT_SHA256, V2_SHA256
@@ -355,4 +357,50 @@ def test_tree_checks_read_each_node_against_its_parent():
     loops = _while_loops("tree")
     for name in ("is_separation_tree", "is_consistent_tree", "is_ordered"):
         assert loops[name] == [], name
-    assert loops["leaf_for_orientation"] != []  # the walk sees while loops
+    assert loops["_restrict"] != []  # the walk sees while loops
+
+
+def _oracle_functions_reached(roots) -> dict:
+    """The top-level functions of the oracle that ``roots`` call, directly
+    or through one another, with the roots themselves: name -> node."""
+    tree = ast.parse((PACKAGE / "oracle.py").read_text())
+    top = {node.name: node for node in tree.body
+           if isinstance(node, ast.FunctionDef)}
+    reached, todo = {}, list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached[name] = top[name]
+            todo += [node.func.id for node in ast.walk(top[name])
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) in top]
+    return reached
+
+
+def test_the_tree_checkers_read_only_the_order_table_orders_and_counts():
+    # The checkers stand for the paper's definitions: they read a system's
+    # `leq` cells, its orders and its counts, none of the words, masks or
+    # set methods the tree and construction use, no tree method, and of a
+    # family its `is_member` alone.
+    reached = _oracle_functions_reached(["tree_faults", "replay"])
+    assert {"_has_member", "is_efficient_in"} <= set(reached)
+    attributes = [(node.value.id, node.attr) for func in reached.values()
+                  for node in ast.walk(func) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)]
+    read = {attr for name, attr in attributes if name == "system"}
+    assert read == {"leq", "orders", "count", "n_oriented"}
+    forbidden = {"up", "down", "_requires", "_away", "_below", "closure",
+                 "minimal_elements"}
+    tree_methods = {name for name in vars(StructureTree)
+                    if callable(getattr(StructureTree, name))
+                    and not name.startswith("__")}
+    assert {"beta", "closure", "children", "s_of"} <= tree_methods
+    assert [attr for _, attr in attributes
+            if attr in forbidden | tree_methods] == []
+    asked = {attr for name, attr in attributes if name == "family"}
+    assert asked == {"arity", "system", "is_member"}
+    called = {node.func.attr for func in reached.values()
+              for node in ast.walk(func) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and getattr(node.func.value, "id", None) == "family"}
+    assert called == {"is_member"}

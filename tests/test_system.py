@@ -602,8 +602,8 @@ def test_both_orientations_spoil_a_star_unless_comparable(seed):
     system = random_subset_system(seed, n_seps=3)
     for s in system.seps():
         members = {forward(s), backward(s)}
-        comparable = system.le(forward(s), backward(s)) or \
-            system.le(backward(s), forward(s))
+        comparable = system.leq[forward(s), backward(s)] or \
+            system.leq[backward(s), forward(s)]
         if not comparable:
             assert not is_star(system, mask_of(members))
 
@@ -640,7 +640,7 @@ def test_involution_is_an_order_reversing_bijection(seed):
         assert inverse(inverse(a)) == a
         assert system.order_of(a) == system.order_of(inverse(a))
         for b in system.all_oriented():
-            assert system.le(a, b) == system.le(inverse(b), inverse(a))
+            assert system.leq[a, b] == system.leq[inverse(b), inverse(a)]
 
 
 # -- restriction ----------------------------------------------------------------

@@ -1,20 +1,23 @@
-"""Tree structure, leaf lookup/classification, the predicate ladder, restriction."""
+"""Tree structure, leaf lookup/classification, the predicate ladder and the
+oracle's tree checkers, restriction."""
 
 import numpy as np
 import pytest
 
 import tangleforge as tf
 import tangleforge.tree as tr
-from tangleforge.errors import (LeafHasNoSep, MalformedTree,
-                                NotAStructureTree, NotOrdered, ValidationError)
-from tangleforge.oracle import all_tangles, is_strongly_efficient_in
+from tangleforge.errors import (LeafHasNoSep, NotAStructureTree, NotOrdered,
+                                ValidationError)
+from tangleforge.oracle import (TREE_PROPERTIES, all_tangles,
+                                is_strongly_efficient_in)
 from tangleforge.system import ids_of, mask_of
 
-from conftest import (all_graphs_up_to_iso, depth, is_ancestor,
-                      local_tangles, nested_pair_system, original_labels,
-                      random_relation_system, random_subset_system,
-                      redundant_split_family, redundant_split_system,
-                      split_leaf, standardized_explicit, tree_shape)
+from conftest import (all_graphs_up_to_iso, depth, faults_of, is_ancestor,
+                      leaf_of, local_tangles, nested_pair_system,
+                      original_labels, random_relation_system,
+                      random_subset_system, redundant_split_family,
+                      redundant_split_system, replayed, split_leaf,
+                      standardized_explicit, tree_shape)
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +53,9 @@ def test_s_of_errors_on_leaves(nested_tree):
 # -- leaf lookup ----------------------------------------------------------------
 
 
-def test_single_node_tree_maps_everything_to_the_root(nested_pair):
-    t = tf.StructureTree.single_root(nested_pair)
-    assert tf.leaf_for_orientation(t, frozenset({1, 3})) == t.root
-
-
 def test_backward_orientation_lands_on_the_shallow_leaf(nested_tree):
     _, _, t = nested_tree
-    leaf = tf.leaf_for_orientation(t, frozenset({1, 3}))
+    leaf = leaf_of(t, frozenset({1, 3}))
     assert ids_of(t.beta(leaf)) == [1]
 
 
@@ -69,21 +67,8 @@ def test_every_orientation_chooses_exactly_one_leaf(seed):
     from itertools import product
     for choice in product(*[system.orientations_of(s) for s in system.seps()]):
         tau = frozenset(choice)
-        leaf = tf.leaf_for_orientation(t, tau)
         holders = [l for l in t.leaves() if not t.beta(l) & ~mask_of(tau)]
-        assert holders == [leaf]
-
-
-def test_walk_raises_on_a_stuck_one_child_node(nested_pair):
-    base = tf.StructureTree.single_root(nested_pair)
-    grown, kids = split_leaf(base, 0, 0)
-    # drop one child by hand: a one-child inner node remains
-    t = tr.StructureTree(nested_pair, 0,
-                         {0: None, kids[0]: 0},
-                         {0: (kids[0],), kids[0]: ()},
-                         {0: None, kids[0]: 0})
-    with pytest.raises(MalformedTree):
-        tf.leaf_for_orientation(t, frozenset({1, 3}))
+        assert len(holders) == 1
 
 
 # -- classification ---------------------------------------------------------------
@@ -118,16 +103,22 @@ def test_partial_closures_stay_unresolved(k4):
 # -- predicate ladder ---------------------------------------------------------------
 
 
+def failing(faults):
+    """The properties the oracle's ``tree_faults`` finds broken."""
+    return [name for name in TREE_PROPERTIES if faults[name] is not None]
+
+
 def test_single_node_tree_passes_everything(nested_pair):
     t = tf.StructureTree.single_root(nested_pair)
     fam = tf.make_empty()
     assert tf.is_separation_tree(t)
     assert tf.is_consistent_tree(t)
     assert tf.is_ordered(t)
-    assert tf.is_thoroughly_ordered(t)
-    assert tf.is_efficient(t)
     # the root closes to the empty set, which orients nothing here
     assert not tf.is_structure_tree(t, fam)
+    faults = faults_of(t, fam)
+    assert failing(faults) == ["structure tree"]
+    assert faults["structure tree"] == f"leaf {t.root} is not resolved"
 
 
 def test_single_forbidden_root_is_an_f_tree():
@@ -143,11 +134,10 @@ def test_build_output_passes_the_ladder(nested_tree):
     system, fam, t = nested_tree
     assert tf.is_separation_tree(t)
     assert tf.is_consistent_tree(t)
-    assert tf.is_thoroughly_ordered(t)
     assert tf.is_ordered(t)
-    assert tf.is_efficient(t)
     assert tf.is_structure_tree(t, fam)
     assert not tf.is_f_tree(t, fam)
+    assert failing(faults_of(t, fam)) == []
 
 
 def test_reduction_keeps_structure_but_can_break_thorough_ordering():
@@ -156,9 +146,11 @@ def test_reduction_keeps_structure_but_can_break_thorough_ordering():
     t = tf.build(system, fam)
     red, _ = tf.reduce(t, fam)
     assert tf.is_structure_tree(red, fam)
-    assert tf.is_efficient(red)
-    assert not tf.is_thoroughly_ordered(red)  # the cheap split is gone
     assert tf.is_ordered(red)
+    faults = faults_of(red, fam)
+    assert failing(faults) == ["thoroughly ordered"]  # the cheap split is gone
+    assert faults["thoroughly ordered"] == \
+        f"node {red.root} splits no cheapest open separation"
 
 
 def test_repeated_separation_on_a_root_path_is_flagged(nested_pair):
@@ -168,6 +160,37 @@ def test_repeated_separation_on_a_root_path_is_flagged(nested_pair):
         {0: (1, 2), 1: (3, 4), 2: (), 3: (), 4: ()},
         {0: None, 1: 0, 2: 1, 3: 0, 4: 1})
     assert not tf.is_separation_tree(t)
+    faults = faults_of(t, tf.make_empty())
+    assert faults["separation tree"] == "node 1 splits no new separation"
+    assert faults["structure tree"] == faults["separation tree"]
+
+
+def test_labels_pointing_away_are_flagged(nested_pair):
+    # 1 <= 3 = 2*: the labels 1 and 2 on the path to node 3 point away
+    t = tr.StructureTree(
+        nested_pair, 0,
+        {0: None, 1: 0, 2: 0, 3: 1, 4: 1},
+        {0: (1, 2), 1: (3, 4), 2: (), 3: (), 4: ()},
+        {0: None, 1: 1, 2: 0, 3: 2, 4: 3})
+    assert not tf.is_consistent_tree(t)
+    faults = faults_of(t, tf.make_empty())
+    assert failing(faults) == ["consistent", "thoroughly ordered",
+                               "efficient", "structure tree"]
+    assert faults["consistent"] == "labels on the path to 3 point away"
+    assert faults["structure tree"] == faults["consistent"]
+
+
+def test_an_eclipsed_label_is_flagged(nested_pair):
+    # splitting order 2 first: leaf 3 keeps the label 3 above its label 1,
+    # of order 1
+    t = tr.StructureTree(
+        nested_pair, 0,
+        {0: None, 1: 0, 2: 0, 3: 1, 4: 1},
+        {0: (1, 2), 1: (3, 4), 2: (), 3: (), 4: ()},
+        {0: None, 1: 3, 2: 2, 3: 1, 4: 0})
+    faults = faults_of(t, tf.make_empty())
+    assert failing(faults) == ["ordered", "thoroughly ordered", "efficient"]
+    assert faults["efficient"] == "label 3 at leaf 3 is eclipsed"
 
 
 # -- tangle extraction -----------------------------------------------------------
@@ -377,8 +400,7 @@ def test_restrictions_nest_and_commute_with_tangle_inclusion(seed):
                            if up_lo[local_lo(o)] in tau_orig)
         if not rt_lo.system.orients_all(mask_of(tau_lo)):
             continue
-        leaf_hi = tf.leaf_for_orientation(rt_hi, tau_hi)
-        leaf_lo = tf.leaf_for_orientation(rt_lo, tau_lo)
+        leaf_hi, leaf_lo = leaf_of(rt_hi, tau_hi), leaf_of(rt_lo, tau_lo)
         # both restrictions preserve node identities from the parent tree
         assert is_ancestor(t, leaf_lo, leaf_hi)
 
@@ -419,7 +441,7 @@ def test_reduced_block_tree_keeps_structure_and_efficiency(k4):
     fam = tf.make_blocks(3, s3)
     red, _ = tf.reduce(tf.build(s3, fam), fam)
     assert tf.is_structure_tree(red, fam)
-    assert tf.is_efficient(red)
+    assert faults_of(red, fam)["efficient"] is None
 
 
 # -- the edge rules against the ancestor-walk definitions ------------------------
@@ -446,7 +468,7 @@ def walked_consistent_tree(tree) -> bool:
     system = tree.system
     for v in tree.nodes():
         path = ids_of(tree.beta(v))
-        if any(x >> 1 != y >> 1 and system.le(y, x ^ 1)
+        if any(x >> 1 != y >> 1 and system.leq[y, x ^ 1]
                for x in path for y in path):
             return False
     return True
@@ -464,24 +486,9 @@ def walked_ordered(tree) -> bool:
     return True
 
 
-def walked_efficient(tree) -> bool:
-    """No leaf label has a strictly smaller element of lower order in the
-    closure of the leaf's labels."""
-    system = tree.system
-    for leaf in tree.leaves():
-        beta = tree.beta(leaf)
-        closure = ids_of(system._closure_mask(beta))
-        if any(y != x and system.lt(y, x) and
-               system.order_of(y) < system.order_of(x)
-               for x in ids_of(beta) for y in closure):
-            return False
-    return True
-
-
 LADDER = [(tf.is_separation_tree, walked_separation_tree),
           (tf.is_consistent_tree, walked_consistent_tree),
-          (tf.is_ordered, walked_ordered),
-          (tf.is_efficient, walked_efficient)]
+          (tf.is_ordered, walked_ordered)]
 
 
 def assert_ladder_matches_the_walks(tree):
@@ -532,12 +539,12 @@ def test_edge_rules_match_the_walks_on_built_reduced_and_restricted_trees(
         tree = tf.build(system, fam)
         assert_ladder_matches_the_walks(tree)
         if tf.is_structure_tree(tree, fam):
-            _, trace = tf.reduce(tree, fam)
+            reduced, trace = tf.reduce(tree, fam)
             step_tree = tree
             for step in trace.steps:  # every intermediate of the replay
-                step_tree = step_tree.contracted(*step)
+                step_tree = replayed(step_tree, [step])
                 assert_ladder_matches_the_walks(step_tree)
-            assert tree_shape(step_tree) == tree_shape(trace.replay(tree))
+            assert tree_shape(step_tree) == tree_shape(reduced)
             contractions += len(trace.steps)
         for k in sorted({system.order(s) for s in system.seps()}):
             level = tf.restrict(tree, k)
@@ -576,14 +583,13 @@ def test_node_values_match_the_system_on_built_reduced_and_restricted_trees(
         if tf.is_structure_tree(tree, fam):
             _, trace = tf.reduce(tree, fam)
             step_tree = tree
-            for step in trace.steps:  # values kept outside v's subtree
-                step_tree = step_tree.contracted(*step)
+            for step in trace.steps:  # read from the root down
+                step_tree = replayed(step_tree, [step])
                 assert_node_values_match_the_system(step_tree,
                                                     step_tree.nodes())
             contractions += len(trace.steps)
-            # a loaded tree knows only its root; contract before any read
-            loaded = trace.replay(tf.tree_from_json_dict(
-                tf.tree_to_json_dict(tree), system))
+            # a loaded tree knows only its root; read from the leaves up
+            loaded = tf.tree_from_json_dict(tf.tree_to_json_dict(tree), system)
             assert_node_values_match_the_system(loaded, loaded.nodes()[::-1])
         for k in sorted({system.order(s) for s in system.seps()}):
             level = tf.restrict(tree, k)  # deepest first: from the root down
