@@ -10,8 +10,10 @@ each contraction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
@@ -19,9 +21,9 @@ from .errors import (NodeCapExceeded, NonStandardFamily, NotAStructureTree,
 from .families import ForbiddenFamily
 from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
                      mask_of, to_json_dict)
-from .tree import (LeafClass, StructureTree, _leaves_resolve, _restrict,
-                   _tangles, classify_all, is_ordered, is_structure_tree,
-                   leaf_class, tree_nodes_to_json_dict)
+from .tree import (LeafClass, StructureTree, _restrict, _tangles, classify_all,
+                   is_ordered, is_structure_tree, leaf_class,
+                   tree_nodes_to_json_dict)
 
 
 MAX_TREE_NODES = 1_000_000  # n separations allow 2^(n+1) - 1 nodes
@@ -89,9 +91,10 @@ def reduce(tree: StructureTree, family: ForbiddenFamily):
     return _reduce(tree, family, {})
 
 
-def _reduce(tree, family, needs):
+def _reduce(tree, family, needs, forbidden=None):
     """Unchecked ``reduce``, with ``needs``, a leaf's needs by its label
-    mask and whether they are fixed, shared by ``pipeline``.
+    mask and whether they are fixed, and ``forbidden`` classes by mask,
+    shared by ``pipeline``.
 
     Non-leaves are scanned deepest first, then least id (on a separation
     tree a node's depth is the size of its label mask), once the needs
@@ -113,7 +116,7 @@ def _reduce(tree, family, needs):
     are always fixed.  A fixed leaf is settled, as is a scanned node whose
     children all are: its fold cannot change, so no walk enters it.
     """
-    system = tree.system
+    system, forbidden = tree.system, {} if forbidden is None else forbidden
     parent, children = dict(tree._parent), dict(tree._children)
     label = dict(tree._label)
     mask = {v: tree.beta(v) for v in parent}
@@ -176,7 +179,8 @@ def _reduce(tree, family, needs):
         stack.extend((c, m | 1 << label[c]) for c in children[u])
         if u in classes:
             memo[u] = classes[u] if classes[u].kind == "tangle" else \
-                LeafClass("forbidden", found=(family, system, m))
+                forbidden.setdefault(m, LeafClass("forbidden",
+                                                  found=(family, system, m)))
     return reduced, trace
 
 
@@ -232,6 +236,27 @@ def certificate_entry(system: SeparationSystem, leaf: int, witness) -> dict:
     return {"leaf": leaf, "witness": out}
 
 
+def _level_member(tree, family, ks, views, least, v, i, mask) -> bool:
+    """Does ``mask``, the label mask or the clipped closure of ``v``, a
+    leaf of level ``i`` (of the ascending thresholds ``ks``, over
+    ``views``) and no forbidden node of the structure tree ``tree``, hold
+    a member?  The label mask holds none.  A higher level's live mask holds
+    a lower one's, so ``closure(v) & live`` grows with the level, and with
+    it the member test, a set holding a member being in every superset.  So
+    one bisection finds ``least[v]``, the first level with a member among
+    those where ``v`` is a leaf: above its label's order (the most on its
+    root path) up to its split's."""
+    if mask == tree.beta(v):
+        return False
+    if v not in least:
+        order, closure = tree.system.order, tree.closure(v)
+        lo = 0 if v == tree.root else bisect_right(ks, order(tree.label(v) >> 1))
+        hi = bisect_right(ks, order(tree.s_of(v))) if tree.children(v) else len(ks)
+        least[v] = lo + bisect_left(range(lo, hi), True, key=lambda j: (
+            family.holds_member(views[j], closure & views[j].live)))
+    return least[v] <= i
+
+
 def pipeline(system: SeparationSystem, family: ForbiddenFamily,
              thresholds=None) -> PipelineReport:
     """Build, reduce, and restrict to every order threshold.
@@ -243,24 +268,45 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
 
     The full tree is checked once, a level by its leaves, and reductions
     share one ``needs``; README, "Library tour", says why that is exact.
+    All trees share one forbidden ``LeafClass`` per label mask, so each
+    mask's witness is built once.  A level leaf of a full structure tree
+    is forbidden at every level or none: its labels are all live, and no
+    inner node holds a member.  Any other is a tangle leaf exactly when its
+    labels and clipped closure are consistent (co-triviality read in the
+    view) and the closure orients every live separation and holds no
+    member (``_level_member``).  That is a down-set of the levels where
+    the node is a leaf: lower, the clipped closure is ANDed with a smaller
+    live mask, so it meets no more away-unions or members and keeps its
+    orientation of each live separation, and a view's ``_even``, which
+    co-triviality reads, is smaller.
     """
     tree_full = build(system, family)
     full_ok = is_structure_tree(tree_full, family)
-    needs = {}
+    needs, forbidden = {}, {}
     if full_ok:
-        tree_reduced, trace = _reduce(tree_full, family, needs)
+        forbidden = {tree_full.beta(v): c for v, c in classify_all(
+            tree_full, family).items() if c.kind == "forbidden"}
+        tree_reduced, trace = _reduce(tree_full, family, needs, forbidden)
         tangle_list = _tangles(tree_reduced, family)
     else:
         tree_reduced, trace, tangle_list = tree_full, ReductionTrace(), []
     is_ordered(tree_full).require(NotOrdered)
     if thresholds is None:
         thresholds = sorted({float(system.order(s)) for s in system.seps()})
-    levels = []
+    ks = sorted(set(thresholds))
+    views, at = [system.view_below(k) for k in ks], {k: i for i, k in enumerate(ks)}
+    member, levels = partial(_level_member, tree_full, family, ks, views, {}), []
     for k in thresholds:
-        tk = _restrict(tree_full, k)
-        ok = (_leaves_resolve if full_ok else is_structure_tree)(tk, family)
+        tk = _restrict(tree_full, views[at[k]])
+        if full_ok:  # then a level can fail is_structure_tree by its leaves only
+            tk._classes[family] = {v: forbidden[tk.beta(v)] for v in tk.leaves()
+                                   if tk.beta(v) in forbidden}
+            ok = all(leaf_class(tk, v, family, partial(member, v, at[k])).kind !=
+                     "unresolved" for v in tk.leaves())
+        else:
+            ok = is_structure_tree(tk, family)
         if ok:
-            tkred, _ = _reduce(tk, family, needs)
+            tkred, _ = _reduce(tk, family, needs, forbidden)
             tl = _tangles(tkred, family)
             ftree = not tl  # a structure tree with no tangle leaf
             certs = certificates_of(tkred, family)

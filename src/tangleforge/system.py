@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from copy import copy
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, takewhile
+from itertools import chain, compress, groupby
 from json.encoder import encode_basestring_ascii
 from operator import index
 
@@ -188,8 +189,8 @@ class SeparationSystem:
     ``seps``, ``orients_all`` and co-triviality read) to ``live``; every
     other table is the base's.  A closure, an OR of ``_requires`` rows, is
     ANDed with ``live`` where it is formed; the readers of ``up``,
-    ``down``, ``_below``, ``_away`` and ``_degenerate`` AND them with a live
-    mask or read them at live ids only, where the order is induced.
+    ``down``, ``_below``, ``_away``, ``_degenerate`` and ``_order_masks``
+    AND them with a live mask or read live ids, where the order is induced.
     ``seps()`` and ``all_oriented()`` list its live ids, and ``local`` maps
     them to those of the carved ``restrict_below``.
 
@@ -239,6 +240,8 @@ class SeparationSystem:
             for o in range(n2))
         self._away = tuple(self.down[o ^ 1] & ~(3 << (o & ~1)) for o in range(n2))
         self._by_order = sorted(self.seps(), key=lambda s: (orders[s], s))
+        self._order_masks = [(k, sum(1 << 2 * s for s in group)) for k, group
+                             in groupby(self._by_order, orders.__getitem__)]
         if check:
             report = validate(self)
             if not report.ok:
@@ -375,10 +378,10 @@ class SeparationSystem:
 
     def cheapest_open(self, closure: int) -> int | None:
         """The cheapest separation, least id first, that the closure mask
-        ``closure`` leaves unoriented, or None."""
-        oriented = (closure | closure >> 1) & self._even
-        return next((s for s in self._by_order if not oriented >> 2 * s & 1),
-                    None)
+        ``closure`` leaves unoriented, or None, read per order value."""
+        open_ = ~(closure | closure >> 1) & self._even
+        hit = next((m & open_ for _, m in self._order_masks if m & open_), 0)
+        return (hit & -hit).bit_length() - 1 >> 1 if hit else None
 
     def orients_all(self, mask: int) -> bool:
         """One orientation per separation, every separation covered."""
@@ -439,12 +442,11 @@ class SeparationSystem:
         mask; it shares every table with the base.  The order is induced,
         so every mask query on live ids is the carved system's in the
         base's ids."""
-        base = self.base
-        keep = list(takewhile(lambda s: self.orders[s] < k, self._by_order))
+        base, by_order = self.base, self._by_order
+        even = self._even & sum(m for o, m in base._order_masks if o < k)
         view = copy(base)
-        view._base = base
-        view.live = live = sum(3 << 2 * s for s in keep)
-        view._even, view._by_order = base._even & live, keep
+        view._base, view.live, view._even = base, even | even << 1, even
+        view._by_order = by_order[:bisect_left(by_order, k, key=self.order)]
         return view
 
     def oriented_into(self, ancestor: "SeparationSystem") -> tuple[int, ...]:
@@ -741,7 +743,8 @@ def parse_json(text: str, what: str):
 def dump_json(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=1)`` without the pure-Python
     encoder: a join per container, one %-format per table of rows of
-    ``type(v) is int`` ints, and an empty list, tuple or dict spelled
+    ``type(v) is int`` ints and per list of dicts of one key set whose
+    values are such ints or None, and an empty list, tuple or dict spelled
     directly."""
     def text(x, nl: str) -> str:
         t, inner = type(x), nl + " "
@@ -762,6 +765,16 @@ def dump_json(value) -> str:
                         for n in set(map(len, x))}  # one per row length
                 return ("[" + inner + ("," + inner).join([cell[len(r)] for r in x])
                         + nl + "]") % tuple(chain.from_iterable(x))
+            elif types == {dict} and x[0] and all(type(k) is str for k in x[0]) \
+                    and all(d.keys() == x[0].keys() for d in x) and set(map(type, \
+                        chain.from_iterable(map(dict.values, x)))) <= {int, type(None)}:
+                keys, row = sorted(x[0]), inner + " "  # one format for the list
+                cell = "{" + row + ("," + row).join(
+                    [encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+                     for k in keys]) + inner + "}"
+                return ("[" + inner + ("," + inner).join([cell] * len(x)) + nl
+                        + "]") % tuple(["null" if d[k] is None else d[k]
+                                        for d in x for k in keys])
             else:
                 items = [text(v, inner) for v in x]
             return "[" + inner + ("," + inner).join(items) + nl + "]"

@@ -10,7 +10,7 @@ forbidden) live here, together with restriction to a lower order threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .errors import (LeafHasNoSep, MalformedTree, NotAStructureTree,
@@ -63,13 +63,13 @@ class StructureTree:
     __slots__ = ("system", "root", "_parent", "_children", "_label", "_state",
                  "_classes", "_next")
 
-    def __init__(self, system, root, parent, children, label):
+    def __init__(self, system, root, parent, children, label, state=None):
         self.system = system
         self.root = root
         self._parent = dict(parent)
         self._children = {v: tuple(c) for v, c in children.items()}
         self._label = dict(label)
-        self._state = {root: (0, 0, 0, False)}
+        self._state = state or {root: (0, 0, 0, False)}  # see ``_node``
         self._classes: dict = {}  # family -> {leaf: LeafClass}
         self._next = max(self._parent) + 1  # the id the next split starts at
 
@@ -169,30 +169,34 @@ class StructureTree:
 # -- derived data -----------------------------------------------------------
 
 
-def classify_leaf(tree, leaf, family: ForbiddenFamily) -> LeafClass:
+def classify_leaf(tree, leaf, family: ForbiddenFamily,
+                  member=None) -> LeafClass:
     """Tangle leaf, forbidden leaf, or unresolved.
 
     A tangle leaf closes to a consistent full orientation avoiding the family;
     a forbidden leaf's own label set contains a member.  Returning a third
     state instead of raising lets construction use this as its loop test.
+    ``member(mask)``, by default the family, says whether the leaf's
+    closure, then its label mask, holds a member.
     """
     system = tree.system
+    member = member or partial(family.holds_member, system)
     closure = tree.closure(leaf)
     if all(tree.consistency(leaf)) and system.orients_all(closure) and \
-            not family.holds_member(system, closure):
+            not member(closure):
         return LeafClass("tangle", tangle=frozenset(ids_of(closure)))
     beta = tree.beta(leaf)
-    if family.holds_member(system, beta):
+    if member(beta):
         return LeafClass("forbidden", found=(family, system, beta))
     return LeafClass("unresolved")
 
 
-def leaf_class(tree, leaf, family) -> LeafClass:
+def leaf_class(tree, leaf, family, member=None) -> LeafClass:
     """The leaf's class, classified once per tree and family: a class
     depends only on the leaf's label set, so it is kept on the tree."""
     memo = tree._classes.setdefault(family, {})
     if leaf not in memo:
-        memo[leaf] = classify_leaf(tree, leaf, family)
+        memo[leaf] = classify_leaf(tree, leaf, family, member)
     return memo[leaf]
 
 
@@ -266,12 +270,6 @@ def is_structure_tree(tree, family) -> Check:
     for v in tree.non_leaves():
         if family.holds_member(tree.system, tree.beta(v)):
             return Check(False, f"inner node {v} has a forbidden label set")
-    return _leaves_resolve(tree, family)
-
-
-def _leaves_resolve(tree, family) -> Check:
-    """Every leaf resolves: the one part of ``is_structure_tree`` that a
-    restriction of a structure tree can fail."""
     for leaf in tree.leaves():
         if leaf_class(tree, leaf, family).kind == "unresolved":
             return Check(False, f"leaf {leaf} is neither a tangle leaf nor forbidden")
@@ -296,21 +294,26 @@ def restrict(tree, k: float) -> StructureTree:
     """The subtree of edges below order k, over the system's
     ``view_below(k)``: node ids and labels are kept."""
     is_ordered(tree).require(NotOrdered)
-    return _restrict(tree, k)
+    return _restrict(tree, tree.system.view_below(k))
 
 
-def _restrict(tree, k: float) -> StructureTree:
-    """``restrict`` of a tree known to be ordered."""
-    view = tree.system.view_below(k)
-    parent, children, label = {}, {}, {}
+def _restrict(tree, view) -> StructureTree:
+    """``restrict`` of a tree known to be ordered, over its system's
+    ``view_below(k)``: a node's label mask, away-union and closure (ANDed
+    with the live mask) are the tree's, its co-triviality is read in the
+    view, whose ``_even`` is clipped to its live separations."""
+    parent, children, label, state = {}, {}, {}, {}
     stack = [tree.root]
     while stack:
         v = stack.pop()
-        parent[v], label[v] = tree.parent(v), tree.label(v)
+        p, o = parent[v], label[v] = tree.parent(v), tree.label(v)
+        beta, closure, away, _ = tree._node(v)
+        state[v] = (beta, closure & view.live, away, p is not None and (
+            state[p][3] or view.is_cotrivial(o)))
         children[v] = tuple(c for c in tree.children(v)
                             if view.live >> tree.label(c) & 1)
         stack.extend(children[v])
-    return StructureTree(view, tree.root, parent, children, label)
+    return StructureTree(view, tree.root, parent, children, label, state)
 
 
 # -- JSON (format "tree/v1") and DOT export -------------------------------------

@@ -423,10 +423,10 @@ def test_one_pipeline_classifies_each_leaf_of_each_tree_once(two_k4,
     seen, trees = Counter(), []
     classify = tf.tree.classify_leaf
 
-    def counting(tree, leaf, family):
+    def counting(tree, leaf, family, *member):
         trees.append(tree)  # kept alive, so no tree id is reused
         seen[id(tree), leaf] += 1
-        return classify(tree, leaf, family)
+        return classify(tree, leaf, family, *member)
 
     monkeypatch.setattr(tf.tree, "classify_leaf", counting)
     system = tf.graph_system(two_k4, 3)
@@ -662,10 +662,18 @@ def test_build_and_reduce_construct_no_witness(system, fam, witnesses_made):
 def test_a_pipeline_constructs_the_witnesses_of_its_certificates(
         system, fam, witnesses_made):
     report = tf.pipeline(system, fam)
-    # the level trees' certificates first, as pipeline() reads them
-    certs = [c for lv in report.levels for c in lv.certificates]
-    certs += report.certificates
-    assert certs and [w for _, w in certs] == witnesses_made
+    # the level trees' certificates first, as pipeline() reads them, each
+    # with its leaf's label mask; the trees of one pipeline share a class
+    # per label mask, so each distinct mask's witness is built once
+    certs = [(lv.reduced.beta(leaf), w)
+             for lv in report.levels for leaf, w in lv.certificates]
+    certs += [(report.tree_reduced.beta(leaf), w)
+              for leaf, w in report.certificates]
+    first = {}
+    for mask, w in certs:
+        first.setdefault(mask, w)
+    assert certs and list(first.values()) == witnesses_made
+    assert all(w is first[mask] for mask, w in certs)
 
 
 def test_report_json_is_deterministic_and_wellformed(k4):
@@ -696,3 +704,55 @@ def test_degenerate_separation_builds_a_one_child_split():
     assert len(tree.children(tree.root)) == 1  # one orientation exists
     assert tf.is_structure_tree(tree, fam)
     assert [sorted(t) for t in tf.tangles(tree, fam)] == [[0, 2]]
+
+
+def _cluster_ground(points):
+    """A two-cluster full bipartition ground under cluster:2."""
+    half = points // 2
+    sim = [[0.0 if u == v else float((u < half) == (v < half)) + u * v % 3 / 10
+            for v in range(points)] for u in range(points)]
+    system = tf.bipartition_system(tf.full_bipartition_ground(points, sim))
+    return system, tf.make_cluster(2, system)
+
+
+def test_level_classes_equal_a_fresh_classification():
+    # pipeline() reads a level leaf's class off values of the full tree's
+    # nodes; classify_leaf asks the family afresh on the level tree
+    system, fam = _cluster_ground(8)
+    kinds = Counter()
+    for lv in tf.pipeline(system, fam).levels:
+        for leaf in lv.tree.leaves():
+            got = tf.tree.leaf_class(lv.tree, leaf, fam)
+            assert got == tf.classify_leaf(lv.tree, leaf, fam)
+            kinds[got.kind] += 1
+    assert kinds["tangle"] and kinds["forbidden"]
+
+
+def test_level_classification_asks_only_clipped_closures_of_leaves(monkeypatch):
+    # every member query of the level classification is the closure of a
+    # node clipped to a level at which that node is a leaf
+    build_module = sys.modules["tangleforge.build"]
+    system, fam = _cluster_ground(10)
+    level_member, holds = build_module._level_member, type(fam).holds_member
+    asked, inside = [], []
+
+    def wrapped(tree, family, ks, views, least, v, i, mask):
+        inside.append((tree, ks, views, v))
+        try:
+            return level_member(tree, family, ks, views, least, v, i, mask)
+        finally:
+            inside.pop()
+
+    def counting(self, view, mask):
+        if inside:
+            asked.append((*inside[-1], view, mask))
+        return holds(self, view, mask)
+
+    monkeypatch.setattr(build_module, "_level_member", wrapped)
+    monkeypatch.setattr(type(fam), "holds_member", counting)
+    report = tf.pipeline(system, fam)
+    leaf_at = {(lv.k, v) for lv in report.levels for v in lv.tree.leaves()}
+    assert asked
+    for tree, ks, views, v, view, mask in asked:
+        assert (ks[views.index(view)], v) in leaf_at
+        assert mask == tree.closure(v) & view.live

@@ -41,6 +41,13 @@ VALUES = st.recursive(
     max_leaves=12)
 
 
+# lists of dicts sharing one key set, the shape of tree/v1 node rows: keys
+# drawn once per list, each row's values ints or None
+NODE_ROWS = st.lists(TEXTS, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(st.fixed_dictionaries(
+        {k: st.none() | INTS for k in keys}), min_size=1, max_size=5))
+
+
 def _stdlib(value) -> str:
     return json.dumps(value, sort_keys=True, indent=1)
 
@@ -70,6 +77,28 @@ def test_dump_json_spells_edge_cases_as_the_stdlib(value):
     {"leq": [[0, 2], [1, 3]], "join": [[0, 1], [1, 1]]},
 ])
 def test_integer_tables_are_spelled_as_the_stdlib(value):
+    assert dump_json(value) == _stdlib(value)
+
+
+@EXAMPLES
+@given(NODE_ROWS)
+def test_rows_of_one_key_set_are_spelled_as_the_stdlib(rows):
+    assert dump_json(rows) == _stdlib(rows)
+    assert dump_json({"nodes": rows}) == _stdlib({"nodes": rows})
+
+
+@pytest.mark.parametrize("value", [
+    [{"id": 0, "parent": None, "edge_label": None},
+     {"id": 1, "parent": 0, "edge_label": 3}],  # a tree/v1 node list
+    [{"a": None}, {"a": None}],  # None alone
+    [{"a": 1, "b": True}, {"a": 2, "b": 3}],  # a bool beside ints
+    [{"a": 1, "b": 2}, {"b": 3, "a": 4}],  # keys in another order
+    [{"a": 1}, {"b": 2}], [{"a": 1}, {"a": 1, "b": 2}],  # other key sets
+    [{}, {}], [{}, {"a": 1}], [{"a": 1}, {}],  # empty dicts
+    [{"a": 1.0}, {"a": 2}], [{"a": "x"}], [{"a": [1]}],  # other values
+    [{"%d": 1, "%%": None}],  # keys that look like formats
+])
+def test_dict_rows_are_spelled_as_the_stdlib(value):
     assert dump_json(value) == _stdlib(value)
 
 
