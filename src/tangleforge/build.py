@@ -10,6 +10,7 @@ each contraction.
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -22,8 +23,7 @@ from .families import ForbiddenFamily
 from .system import (SeparationSystem, dump_json, fmt_oriented, ids_of,
                      mask_of, to_json_dict)
 from .tree import (LeafClass, StructureTree, _restrict, _tangles, classify_all,
-                   is_ordered, is_structure_tree, leaf_class,
-                   tree_nodes_to_json_dict)
+                   is_ordered, is_structure_tree, leaf_class)
 
 
 MAX_TREE_NODES = 1_000_000  # n separations allow 2^(n+1) - 1 nodes
@@ -318,38 +318,77 @@ def pipeline(system: SeparationSystem, family: ForbiddenFamily,
         tangle_list, certificates_of(tree_reduced, family), levels)
 
 
-def report_to_json_dict(report: PipelineReport) -> dict:
-    """Canonical JSON for a pipeline run (format "report/v2"): the system
-    once, and trees without ``system_ref``.  A level entry is written over
-    ``system.restrict_below(k)``: its tree labels, tangles and witness
-    members in that system's ids, which ``local`` gives for the view its
-    level holds (witness evidence stays in the family's ids)."""
-    def level_entry(lv: LevelReport):
-        level = lv.tree.system
-        return {
-            "k": lv.k,
-            "tree": tree_nodes_to_json_dict(lv.reduced if lv.reduced is not None
-                                            else lv.tree),
-            "structure_ok": lv.structure_ok,
-            "tangles": [tangle_entry(level, t) for t in lv.tangles],
-            "f_tree": lv.f_tree,
-            "certificates": [certificate_entry(level, *c)
-                             for c in lv.certificates],
-        }
+def _template(keys, nl: str) -> str:
+    """The %-format of a JSON object at ``nl`` whose sorted keys are ``keys``."""
+    return "{" + ",".join([nl + ' "' + k + '": %s' for k in keys]) + nl + "}"
 
-    return {
-        "format": "report/v2",
-        "system": to_json_dict(report.system),
-        "family": report.family.to_json_dict(),
-        "tree_full": tree_nodes_to_json_dict(report.tree_full),
-        "tree_reduced": tree_nodes_to_json_dict(report.tree_reduced),
-        "reduction_steps": [list(s) for s in report.trace.steps],
-        "tangles": [tangle_entry(report.system, t) for t in report.tangles],
-        "certificates": [certificate_entry(report.system, *c)
-                         for c in report.certificates],
-        "per_k": [level_entry(lv) for lv in report.levels],
-    }
+
+def _list(items: list, nl: str) -> str:
+    """``dump_json`` of a list at ``nl`` of ints, or of the entries' texts."""
+    i = nl + " "
+    return "[" + i + ("," + i).join(map(str, items)) + nl + "]" if items else "[]"
+
+
+def _tree_text(tree: StructureTree, nl: str) -> str:
+    """``dump_json(tree_nodes_to_json_dict(tree), nl)``, node rows by one %-format."""
+    parent, label, local, root = tree._parent, tree._label, tree.system.local, tree.root
+    rows = [_template(("edge_label", "id", "parent"), nl + "  ")] * len(parent)
+    cells = [(local(label[v]), v, parent[v]) if v != root else ("null", v, "null")
+             for v in sorted(parent)]
+    return (_template(("format", "nodes", "root"), nl) % (
+        '"tree/v1"', _list(rows, nl + " "), root)) % tuple([x for c in cells for x in c])
+
+
+def _tangles_text(system: SeparationSystem, tangles, nl: str) -> str:
+    cell, j = _template(("members", "minimal"), nl + " "), nl + "  "
+    return _list([cell % (_list(e["members"], j), _list(e["minimal"], j))
+                  for e in map(partial(tangle_entry, system), tangles)], nl)
+
+
+def _certificates_text(system: SeparationSystem, certificates, nl: str,
+                       memo: dict) -> str:
+    """``memo`` holds the text of each witness's evidence and kind, by
+    witness: in the family's ids, it is the same at every level.  ``local``
+    is increasing, and the identity on a whole system."""
+    cell, inner = _template(("leaf", "witness"), nl + " "), _template(
+        ("evidence", "kind", "members"), nl + "  ")
+    w, local, rows = nl + "   ", int if system.base is system else system.local, []
+    for leaf, witness in certificates:
+        if id(witness) not in memo:
+            memo[id(witness)] = dump_json(witness.evidence, w), dump_json(witness.kind)
+        rows.append(cell % (leaf, inner % (*memo[id(witness)], _list(
+            sorted(map(local, witness.members)), w))))
+    return _list(rows, nl)
 
 
 def dump_report(report: PipelineReport) -> str:
-    return dump_json(report_to_json_dict(report))
+    """Canonical JSON text for a pipeline run (format "report/v2"),
+    ``json.dumps(d, sort_keys=True, indent=1)`` of the object ``d`` it
+    parses to, written straight from the trees: the system once, and trees
+    without ``system_ref``.  A level entry is written over
+    ``system.restrict_below(k)``: its tree labels, tangles and witness
+    members in that system's ids, which ``local`` gives for the view its
+    level holds; a witness's evidence, in the family's ids, is rendered
+    once and reused by every level that certifies with it."""
+    nl, deep, evidence = "\n ", "\n   ", {}
+    level = _template(("certificates", "f_tree", "k", "structure_ok", "tangles",
+                       "tree"), "\n  ")
+    per_k = [level % (
+        _certificates_text(lv.tree.system, lv.certificates, deep, evidence),
+        dump_json(lv.f_tree), dump_json(lv.k), dump_json(lv.structure_ok),
+        _tangles_text(lv.tree.system, lv.tangles, deep),
+        _tree_text(lv.reduced if lv.reduced is not None else lv.tree, deep))
+        for lv in report.levels]
+    return _template(("certificates", "family", "format", "per_k", "reduction_steps",
+                      "system", "tangles", "tree_full", "tree_reduced"), "\n") % (
+        _certificates_text(report.system, report.certificates, nl, {}),
+        dump_json(report.family.to_json_dict(), nl), '"report/v2"',
+        _list(per_k, nl), dump_json([list(s) for s in report.trace.steps], nl),
+        dump_json(to_json_dict(report.system), nl),
+        _tangles_text(report.system, report.tangles, nl),
+        _tree_text(report.tree_full, nl), _tree_text(report.tree_reduced, nl))
+
+
+def report_to_json_dict(report: PipelineReport) -> dict:
+    """The object of a pipeline run's report/v2 text: its parse."""
+    return json.loads(dump_report(report))

@@ -740,9 +740,10 @@ def parse_json(text: str, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 
 
-def dump_json(value) -> str:
+def dump_json(value, nl: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=1)`` without the pure-Python
-    encoder: a join per container, one %-format per table of rows of
+    encoder, each line break followed by ``nl``'s indentation: a join per
+    container, one %-format per table of rows (empty ones too) of
     ``type(v) is int`` ints and per list of dicts of one key set whose
     values are such ints or None, and an empty list, tuple or dict spelled
     directly."""
@@ -758,11 +759,11 @@ def dump_json(value) -> str:
             types = set(map(type, x))
             if types == {int}:
                 items = map(int.__repr__, x)
-            elif types == {list} and all(x) and \
-                    set(map(type, chain.from_iterable(x))) == {int}:
+            elif types == {list} and \
+                    set(map(type, chain.from_iterable(x))) <= {int}:
                 row, sep = inner + " ", "," + inner + " "
-                cell = {n: "[" + row + sep.join(["%d"] * n) + inner + "]"
-                        for n in set(map(len, x))}  # one per row length
+                cell = {n: "[" + row + sep.join(["%d"] * n) + inner + "]" if n
+                        else "[]" for n in set(map(len, x))}  # one per length
                 return ("[" + inner + ("," + inner).join([cell[len(r)] for r in x])
                         + nl + "]") % tuple(chain.from_iterable(x))
             elif types == {dict} and x[0] and all(type(k) is str for k in x[0]) \
@@ -790,7 +791,7 @@ def dump_json(value) -> str:
         # the rest is json's text, re-indented: its strings hold no raw newline
         return json.dumps(x, sort_keys=True, indent=1).replace("\n", nl)
 
-    return text(value, "\n")
+    return text(value, nl)
 
 
 def expect_object(d, what: str) -> dict:

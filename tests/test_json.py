@@ -2,11 +2,13 @@
 ``json.dumps(v, sort_keys=True, indent=1)``, byte for byte.
 
 Every JSON output of the library and the CLI goes through ``dump_json``, so
-its bytes are the output contract.  The generated values stress what the
-writer spells itself (string escapes, float and integer spellings, bools
-beside integers, empty containers, tuples, integer tables); the fixture
-payloads are the reports, trees and systems the CLI writes.  Examples are
-derandomized, so a run is reproducible.
+its bytes are the output contract; ``build.dump_report`` writes a report's
+layout itself and ``dump_json`` its system, family and evidence.  The
+generated values stress what the writer spells itself (string escapes,
+float and integer spellings, bools beside integers, empty containers,
+tuples, integer tables); the fixture payloads are the reports, trees and
+systems the CLI writes.  Examples are derandomized, so a run is
+reproducible.
 """
 
 import json
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 import tangleforge as tf
 from tangleforge import grounds
+from tangleforge.build import dump_report
 from tangleforge.system import dump_json
 
 from conftest import FIXTURES, load_nonrich_fixture
@@ -46,6 +49,11 @@ VALUES = st.recursive(
 NODE_ROWS = st.lists(TEXTS, min_size=1, max_size=4, unique=True).flatmap(
     lambda keys: st.lists(st.fixed_dictionaries(
         {k: st.none() | INTS for k in keys}), min_size=1, max_size=5))
+
+
+# tables of int rows with at least one empty row, as a ground's side may be
+EMPTY_ROW_TABLES = st.tuples(st.lists(ROWS, max_size=3), st.lists(ROWS, max_size=3)
+                             ).map(lambda halves: [*halves[0], [], *halves[1]])
 
 
 def _stdlib(value) -> str:
@@ -78,6 +86,19 @@ def test_dump_json_spells_edge_cases_as_the_stdlib(value):
 ])
 def test_integer_tables_are_spelled_as_the_stdlib(value):
     assert dump_json(value) == _stdlib(value)
+
+
+@EXAMPLES
+@given(EMPTY_ROW_TABLES)
+def test_tables_with_empty_rows_are_spelled_as_the_stdlib(table):
+    assert dump_json(table) == _stdlib(table)
+    assert dump_json({"sides": table}) == _stdlib({"sides": table})
+
+
+@EXAMPLES
+@given(VALUES)
+def test_dump_json_indents_below_a_given_line_start(value):
+    assert dump_json(value, "\n   ") == _stdlib(value).replace("\n", "\n   ")
 
 
 @EXAMPLES
@@ -139,8 +160,11 @@ def _fixture_runs():
 @pytest.mark.parametrize("system, family", _fixture_runs())
 def test_fixture_payloads_match_the_stdlib_encoder(system, family):
     report = tf.pipeline(system, family)
-    payloads = [tf.report_to_json_dict(report), tf.to_json_dict(system),
-                tf.tree_to_json_dict(report.tree_full),
+    # the report is written without dump_json: its text round-trips
+    # through the stdlib's parser and encoder
+    text = dump_report(report)
+    assert _stdlib(tf.report_to_json_dict(report)) == text
+    payloads = [tf.to_json_dict(system), tf.tree_to_json_dict(report.tree_full),
                 tf.tree_to_json_dict(report.tree_reduced)]
     payloads += [tf.tree_to_json_dict(lv.tree) for lv in report.levels]
     for payload in payloads:

@@ -5,9 +5,13 @@ objects without ``system_ref``.  ``expand_to_v1`` turns a report/v2 dict
 back into the report/v1 layout, which inlined a system into every tree, from
 the dict alone.  ``write_v1`` is the report/v1 writer, kept here and nowhere
 in the library, so that the two layouts can be compared byte for byte.
+``write_v2`` builds the report/v2 object from the entry helpers, so that the
+library's text, written straight from the trees, can be checked against the
+standard library's encoder of that object.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,37 +20,55 @@ import tangleforge as tf
 from tangleforge.build import certificate_entry, dump_report, tangle_entry
 from tangleforge.grounds import load_answers_csv, load_similarity_csv
 from tangleforge.system import dump_json
-from tangleforge.tree import tree_to_json_dict
+from tangleforge.tree import tree_nodes_to_json_dict, tree_to_json_dict
 
-from conftest import FIXTURES, load_nonrich_fixture, two_cluster_similarity
+from conftest import (FIXTURES, grid_graph, load_nonrich_fixture,
+                      two_cluster_similarity)
+from test_acceptance import (_bipartition_instances, _graph_instances,
+                             _poset_instances)
 
 
-def write_v1(report) -> dict:
-    """The report/v1 object of a pipeline run: every tree inlines its
-    system as ``system_ref``."""
+def write_v2(report) -> dict:
+    """The report/v2 object of a pipeline run: the system once, each tree
+    without ``system_ref``, a level's entries in the ids of its view."""
     def level_entry(lv):
+        level = lv.tree.system
         return {
             "k": lv.k,
-            "tree": tree_to_json_dict(lv.reduced if lv.reduced is not None
-                                      else lv.tree),
+            "tree": tree_nodes_to_json_dict(lv.reduced if lv.reduced is not None
+                                            else lv.tree),
             "structure_ok": lv.structure_ok,
-            "tangles": [tangle_entry(lv.tree.system, t) for t in lv.tangles],
+            "tangles": [tangle_entry(level, t) for t in lv.tangles],
             "f_tree": lv.f_tree,
-            "certificates": [certificate_entry(lv.tree.system, *c)
+            "certificates": [certificate_entry(level, *c)
                              for c in lv.certificates],
         }
 
     return {
-        "format": "report/v1",
+        "format": "report/v2",
+        "system": tf.to_json_dict(report.system),
         "family": report.family.to_json_dict(),
-        "tree_full": tree_to_json_dict(report.tree_full),
-        "tree_reduced": tree_to_json_dict(report.tree_reduced),
+        "tree_full": tree_nodes_to_json_dict(report.tree_full),
+        "tree_reduced": tree_nodes_to_json_dict(report.tree_reduced),
         "reduction_steps": [list(s) for s in report.trace.steps],
         "tangles": [tangle_entry(report.system, t) for t in report.tangles],
         "certificates": [certificate_entry(report.system, *c)
                          for c in report.certificates],
         "per_k": [level_entry(lv) for lv in report.levels],
     }
+
+
+def write_v1(report) -> dict:
+    """The report/v1 object of a pipeline run: ``write_v2``'s, every tree
+    inlining its system as ``system_ref`` and no ``system``."""
+    d = {**write_v2(report), "format": "report/v1",
+         "tree_full": tree_to_json_dict(report.tree_full),
+         "tree_reduced": tree_to_json_dict(report.tree_reduced)}
+    del d["system"]
+    for entry, lv in zip(d["per_k"], report.levels):
+        entry["tree"] = tree_to_json_dict(lv.reduced if lv.reduced is not None
+                                          else lv.tree)
+    return d
 
 
 def expand_to_v1(d: dict) -> dict:
@@ -194,3 +216,63 @@ def test_each_level_tree_loads_over_the_system_restricted_below_its_k(report):
             assert tf.is_structure_tree(tree, family)
             assert sorted(sorted(t) for t in tf.tangles(tree, family)) == \
                 sorted(t["members"] for t in entry["tangles"])
+
+
+def _stdlib_v2(report) -> str:
+    return json.dumps(write_v2(report), sort_keys=True, indent=1)
+
+
+def test_the_report_text_is_the_stdlib_encoding_of_its_object(report):
+    assert dump_report(report) == _stdlib_v2(report)
+
+
+def test_the_acceptance_pool_reports_are_the_stdlib_encoding_of_their_objects():
+    pool = _poset_instances() + _graph_instances() + _bipartition_instances()
+    for inst in pool:
+        report = tf.pipeline(inst.system, inst.family)
+        assert dump_report(report) == _stdlib_v2(report), inst.name
+
+
+def _grid_blocks(side):
+    return _blocks(grid_graph(side, side), 3)
+
+
+def _eight_cluster2():
+    sim = [[0.0 if u == v else float((u < 4) == (v < 4)) + u * v % 3 / 10
+            for v in range(8)] for u in range(8)]
+    return _cluster(tf.bipartition_system(tf.full_bipartition_ground(8, sim)), 2)
+
+
+def _four_cluster3():
+    # two levels hold forbidden leaves of one label mask in their local ids
+    # whose witnesses differ, so evidence is no function of that mask
+    sim = [[0.8, 1.3, 0.5, 0.1], [1.3, 1.0, 0.8, 0.4], [0.5, 0.8, 1.0, 1.1],
+           [0.1, 0.4, 1.1, 0.6]]
+    return _cluster(tf.bipartition_system(tf.full_bipartition_ground(4, sim)), 3)
+
+
+@pytest.mark.parametrize("make, shared", [
+    pytest.param(_eight_cluster2, True, id="eight/cluster2"),
+    pytest.param(_four_cluster3, True, id="four/cluster3"),
+    *(pytest.param(lambda side=side: _grid_blocks(side), False,
+                   id=f"grid{side}x{side}/blocks3") for side in (3, 4, 5)),
+])
+def test_more_reports_are_the_stdlib_encoding_of_their_objects(make, shared):
+    report = tf.pipeline(*make())
+    # on the cluster grounds, levels certify with one witness, whose
+    # evidence is written once and reused
+    witnesses = [w for lv in report.levels for _, w in lv.certificates]
+    assert (len(set(map(id, witnesses))) < len(witnesses)) == shared
+    assert dump_report(report) == _stdlib_v2(report)
+
+
+def test_thresholds_given_by_the_caller_are_written_as_given():
+    # an int threshold stays an int, infinity is spelled as json spells it,
+    # and a threshold asked twice is written twice
+    system, family = _blocks(_graph("p5.edges"), 3)
+    report = tf.pipeline(system, family, thresholds=[math.inf, 1, 2.0, 1])
+    text = dump_report(report)
+    assert text == _stdlib_v2(report)
+    assert [lv["k"] for lv in tf.report_to_json_dict(report)["per_k"]] == \
+        [math.inf, 1, 2.0, 1]
+    assert '"k": Infinity' in text and '"k": 1,' in text
